@@ -7,14 +7,15 @@
 //!
 //! `harness bench` times the harness itself — each experiment serially
 //! (`RAYON_NUM_THREADS=1`) and in parallel, plus prepared-session
-//! inference throughput through the zero-allocation fast kernel — and
+//! inference throughput through zero-allocation schedule replay — and
 //! writes the machine-readable `BENCH_harness.json` next to the working
 //! directory. It also times the instrumented path through schedule
 //! replay and live HFSM decode, and fails if any execution path
-//! diverged, if the fast or replay path allocated in steady state, or
+//! diverged, if a trace-free or instrumented replay allocated in steady
+//! state, or
 //! if the replay speedup falls below its gate. `harness bench --smoke`
 //! is the CI-sized version: it asserts `sim_cycles_per_inference` for
-//! all ten networks (fast and scheduled instrumented paths)
+//! all ten networks (trace-free and instrumented schedule replay)
 //! byte-identical to the repository seed, five-way path bit-identity,
 //! zero-allocation measured bursts, and the replay speedup threshold.
 //!

@@ -10,13 +10,14 @@
 //!   are compared so the JSON also certifies that parallel execution is
 //!   bit-identical to serial.
 //! * **Throughput rows** — per benchmark, one `prepare` followed by a
-//!   warmed-up burst of `Session::infer_ref` calls through the
-//!   zero-allocation fast kernel, reported as simulated cycles/sec and
+//!   warmed-up burst of `Session::infer_ref` calls through
+//!   zero-allocation schedule replay (the default path; the analytic fast
+//!   kernel runs only with replay off), reported as simulated cycles/sec and
 //!   inferences/sec next to the legacy one-shot `Accelerator::run` and
 //!   the frozen PR-1 baseline. Each row also carries a *correctness
 //!   certificate*: the heap allocations counted during the burst (must
 //!   be zero in steady state) and whether all four execution paths
-//!   (legacy one-shot, instrumented `Session::run`, fast-kernel
+//!   (legacy one-shot, instrumented `Session::run`, trace-free
 //!   `Session::infer` and `Session::infer_ref`) produced bit-identical
 //!   outputs, statistics, and energy.
 //!
@@ -57,9 +58,9 @@
 //!   accounting may shrink.
 //!
 //! `smoke_errors` distills the rows into the CI gate: seed-frozen
-//! `sim_cycles_per_inference` for all ten networks (fast and
+//! `sim_cycles_per_inference` for all ten networks (trace-free and
 //! instrumented paths alike — any scheduled-path cycle drift fails CI),
-//! zero steady-state allocations (clean fast path, faulty replay path,
+//! zero steady-state allocations (clean trace-free replay, faulty replay,
 //! *and* batched path), six-way path bit-identity, the headline speedup
 //! (schedule replay must run the instrumented path at least
 //! [`INSTR_SPEEDUP_GATE`]× faster than live decode on LeNet-5 and on at
@@ -262,7 +263,7 @@ pub struct ThroughputRow {
     /// zero-allocation datapath claim requires this to be exactly 0.
     pub steady_state_allocs: u64,
     /// Whether the legacy one-shot, instrumented session run, and the
-    /// fast-kernel `infer`/`infer_ref` paths agreed bit-for-bit on
+    /// trace-free `infer`/`infer_ref` paths agreed bit-for-bit on
     /// outputs, statistics, and energy.
     pub paths_bit_identical: bool,
     /// Traced `Session::run` inferences in each instrumented burst.
@@ -325,7 +326,7 @@ pub struct ThroughputRow {
     pub opt_allocs: u64,
     /// Whether the optimized replay agreed bit-for-bit with the recorded
     /// replay — outputs and per-layer traces on the instrumented run,
-    /// outputs on the fast path, and outputs under the silent fault plan
+    /// outputs on the trace-free path, and outputs under the silent fault plan
     /// (the certificate's seventh execution path).
     pub opt_paths_bit_identical: bool,
     /// Redundant NB word deliveries eliminated by the `nb_dedup` pass.
@@ -351,8 +352,8 @@ pub struct ThroughputRow {
 }
 
 impl ThroughputRow {
-    /// Legacy / session wall-clock ratio: what buffer reuse plus the SoA
-    /// fast kernel buy over re-preparing and re-instrumenting each run.
+    /// Legacy / session wall-clock ratio: what buffer reuse plus schedule
+    /// replay buy over re-preparing and re-instrumenting each run.
     pub fn session_speedup(&self) -> f64 {
         if self.wall_s == 0.0 || self.legacy_inferences == 0 {
             return 0.0;
@@ -668,7 +669,7 @@ impl PerfReport {
                 },
             );
         }
-        out += "Prepared-session throughput (fast kernel, warmed burst)\n\
+        out += "Prepared-session throughput (Session::infer_ref, schedule replay, warmed burst)\n\
                 CNN          cycles/inf   sim cycles/s   inf/s   vs one-shot  vs PR-1  allocs  4-path\n";
         for t in &self.throughput {
             out += &format!(
@@ -846,16 +847,16 @@ fn measure_one(
     let prepare_s = start.elapsed().as_secs_f64();
 
     // Certificate: legacy one-shot, instrumented session run, and the
-    // fast-kernel infer/infer_ref must agree bit-for-bit on outputs,
+    // trace-free infer/infer_ref must agree bit-for-bit on outputs,
     // statistics, and energy before any of them is worth timing.
     let legacy = accel
         .run(&net, &input)
         .expect("benchmarks fit the paper config");
     let mut session = prepared.session();
     let run = session.run(&input).expect("instrumented session run");
-    let inf = session.infer(&input).expect("fast-kernel infer");
+    let inf = session.infer(&input).expect("trace-free infer");
     let paths_bit_identical = {
-        let r = session.infer_ref(&input).expect("fast-kernel infer_ref");
+        let r = session.infer_ref(&input).expect("trace-free infer_ref");
         r.output() == inf.output() && r.stats() == inf.stats() && r.energy() == inf.energy()
     } && run.output() == legacy.output()
         && inf.output_flat() == legacy.output()
@@ -1027,7 +1028,7 @@ fn measure_one(
     // Seventh path of the certificate: the schedule optimizer's
     // rewritten stream must agree with the recorded replay bit-for-bit
     // — outputs and per-layer traces on the instrumented run, outputs
-    // on the fast path, and outputs under the silent fault plan —
+    // on the trace-free path, and outputs under the silent fault plan —
     // before its replay is worth timing.
     let opt_report = *prepared.optimizer_report();
     let mut opt_instr = prepared.session();

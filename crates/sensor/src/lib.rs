@@ -15,6 +15,9 @@
 //!   sensor hardware we do not have (the substitution preserves the
 //!   streaming geometry, which is all §10.2 depends on),
 //! * [`RegionGrid`] / [`RegionStream`] — the overlapping-region tiling,
+//!   sequential or by region index ([`RegionGrid::try_region`]),
+//! * [`SeekableSource`] — O(1) random access to any frame of a source
+//!   that is a pure function of `(seed, index)`,
 //! * [`RowBuffer`] — the partial-frame row buffer and its §10.2 sizing
 //!   argument ("a few tens of pixel rows"),
 //! * [`frames_per_second`] — the fps arithmetic,
@@ -183,6 +186,25 @@ pub trait FrameSource {
     fn dims(&self) -> (usize, usize);
 }
 
+/// A [`FrameSource`] whose frames are a pure function of their index, so
+/// it can jump to any frame in O(1) instead of replaying the stream.
+///
+/// # Examples
+///
+/// ```
+/// use shidiannao_sensor::{FrameSource, SeekableSource, SyntheticSensor};
+/// let mut replayed = SyntheticSensor::new(32, 24, 7);
+/// let third = (0..3).map(|_| replayed.next_frame()).last();
+/// let mut seeked = SyntheticSensor::new(32, 24, 7);
+/// seeked.seek(2);
+/// assert_eq!(Some(seeked.next_frame()), third);
+/// ```
+pub trait SeekableSource: FrameSource {
+    /// Positions the source so the next frame it produces is frame
+    /// `index`.
+    fn seek(&mut self, index: u64);
+}
+
 /// A deterministic synthetic sensor.
 ///
 /// Stands in for the CMOS/CCD hardware: pixel values come from a cheap
@@ -254,6 +276,12 @@ impl FrameSource for SyntheticSensor {
 
     fn dims(&self) -> (usize, usize) {
         (self.width, self.height)
+    }
+}
+
+impl SeekableSource for SyntheticSensor {
+    fn seek(&mut self, index: u64) {
+        self.next_index = index;
     }
 }
 
@@ -345,6 +373,14 @@ impl<S: FrameSource> FrameSource for FaultySensor<S> {
     }
 }
 
+/// Faults are a pure function of `(plan, frame index, row)`, so a
+/// seekable camera stays seekable behind the fault injector.
+impl<S: SeekableSource> SeekableSource for FaultySensor<S> {
+    fn seek(&mut self, index: u64) {
+        self.inner.seek(index);
+    }
+}
+
 /// The overlapping-region tiling of §10.2: regions of `region` size slide
 /// by `stride`, with a final clipped placement so the frame edge is
 /// covered (the paper's ceiling division).
@@ -428,10 +464,51 @@ impl RegionGrid {
         )
     }
 
+    /// The origin of region `index` in row-major order (panics past
+    /// [`RegionGrid::count`], like [`RegionGrid::origin`]).
+    fn origin_at(&self, index: usize) -> (usize, usize) {
+        let (nx, _) = self.counts();
+        self.origin(index % nx, index / nx)
+    }
+
     /// Iterates all region origins, row-major.
     pub fn origins(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let (nx, ny) = self.counts();
         (0..ny).flat_map(move |j| (0..nx).map(move |i| self.origin(i, j)))
+    }
+
+    /// Tiles region `index` (row-major) of a frame with `maps` replicated
+    /// input channels, without touching any other region — what lets
+    /// several workers share one frame, each tiling only its own regions.
+    /// Yields exactly the stack [`RegionGrid::try_stream`] yields at
+    /// position `index`.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::FrameMismatch`] when the frame's dimensions differ
+    /// from the grid's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`RegionGrid::count`].
+    pub fn try_region(
+        &self,
+        frame: &Frame,
+        index: usize,
+        maps: usize,
+    ) -> Result<MapStack<Fx>, StreamError> {
+        self.check(frame)?;
+        frame.try_region_stacked(self.origin_at(index), self.region, maps)
+    }
+
+    fn check(&self, frame: &Frame) -> Result<(), StreamError> {
+        if frame.dims() != self.frame {
+            return Err(StreamError::FrameMismatch {
+                frame: frame.dims(),
+                grid: self.frame,
+            });
+        }
+        Ok(())
     }
 
     /// Streams a frame's regions as fixed-point stacks with `maps`
@@ -458,12 +535,7 @@ impl RegionGrid {
         frame: &'a Frame,
         maps: usize,
     ) -> Result<RegionStream<'a>, StreamError> {
-        if frame.dims() != self.frame {
-            return Err(StreamError::FrameMismatch {
-                frame: frame.dims(),
-                grid: self.frame,
-            });
-        }
+        self.check(frame)?;
         Ok(RegionStream {
             frame,
             grid: *self,
@@ -505,8 +577,7 @@ impl Iterator for RegionStream<'_> {
         if self.next >= self.grid.count() {
             return None;
         }
-        let (nx, _) = self.grid.counts();
-        let origin = self.grid.origin(self.next % nx, self.next / nx);
+        let origin = self.grid.origin_at(self.next);
         self.next += 1;
         Some(
             self.frame
@@ -640,6 +711,37 @@ mod tests {
         let all: Vec<_> = g.stream(&f, 1).collect();
         assert_eq!(all.len(), g.count());
         assert_eq!(all[0].map_dims(), (16, 12));
+    }
+
+    #[test]
+    fn indexed_tiling_matches_the_stream() {
+        let g = RegionGrid::new((37, 29), (16, 12), (7, 5));
+        let f = SyntheticSensor::new(37, 29, 4).next_frame();
+        for (i, streamed) in g.stream(&f, 2).enumerate() {
+            assert_eq!(g.try_region(&f, i, 2).unwrap(), streamed, "region {i}");
+        }
+        let wrong = SyntheticSensor::new(16, 16, 4).next_frame();
+        assert!(matches!(
+            g.try_region(&wrong, 0, 1),
+            Err(StreamError::FrameMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn seeking_equals_replaying() {
+        use shidiannao_faults::FaultConfig;
+        let plan = FaultPlan::new(FaultConfig {
+            seed: 3,
+            scanline_rate: 0.3,
+            ..FaultConfig::zero()
+        });
+        let mut replayed = FaultySensor::new(SyntheticSensor::new(24, 16, 8), plan);
+        let frames: Vec<_> = (0..5).map(|_| replayed.next_frame()).collect();
+        let mut seeked = FaultySensor::new(SyntheticSensor::new(24, 16, 8), plan);
+        for i in [4u64, 0, 2, 3, 1] {
+            seeked.seek(i);
+            assert_eq!(seeked.next_frame(), frames[i as usize], "frame {i}");
+        }
     }
 
     #[test]

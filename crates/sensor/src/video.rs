@@ -12,8 +12,9 @@
 //!   every pixel every frame), it renders a *persistent* world texture
 //!   through a camera [`Motion`] (static / panning / jittered), with an
 //!   optional [`MovingObject`] so even a static scene has a small dirty
-//!   set. It implements [`FrameSource`], so it composes with
-//!   [`FaultySensor`](crate::FaultySensor) like any other camera.
+//!   set. It implements [`FrameSource`] and [`SeekableSource`], so it
+//!   composes with [`FaultySensor`](crate::FaultySensor) like any other
+//!   camera and jumps to any frame in O(1).
 //! * [`FrameDelta`] — the per-region frame differencer: an 8-bit
 //!   comparator over the row buffer's previous-frame band, marking a
 //!   region dirty when any pixel moved by at least the configured
@@ -28,7 +29,7 @@
 //! dirty set is a pure function of `(scene, threshold)` — the property
 //! the video pipeline's determinism certificate rests on.
 
-use crate::{Frame, FrameSource, RegionGrid, StreamError};
+use crate::{Frame, FrameSource, RegionGrid, SeekableSource, StreamError};
 use shidiannao_tensor::FeatureMap;
 
 /// Camera motion of a [`VideoSensor`] scene.
@@ -211,6 +212,12 @@ impl FrameSource for VideoSensor {
 
     fn dims(&self) -> (usize, usize) {
         (self.width, self.height)
+    }
+}
+
+impl SeekableSource for VideoSensor {
+    fn seek(&mut self, index: u64) {
+        self.next_index = index;
     }
 }
 

@@ -11,8 +11,8 @@ use shidiannao_cnn::Network;
 use shidiannao_faults::{FaultConfig, FaultPlan};
 use shidiannao_fixed::Fx;
 use shidiannao_sensor::{
-    FaultySensor, FrameSource, Motion, MovingObject, RegionGrid, StreamError, SyntheticSensor,
-    VideoSensor,
+    FaultySensor, FrameSource, Motion, MovingObject, RegionGrid, SeekableSource, StreamError,
+    SyntheticSensor, VideoSensor,
 };
 use shidiannao_tensor::MapStack;
 
@@ -269,8 +269,10 @@ impl TenantSpec {
     }
 
     /// Tiles region `seq % regions` of frame `seq / regions` out of any
-    /// deterministic camera, scanline faults applied on the way in.
-    fn stream_region_from<S: FrameSource>(
+    /// seekable camera, scanline faults applied on the way in. The camera
+    /// jumps straight to the frame, so building an input costs one frame
+    /// whatever `seq` is.
+    fn stream_region_from<S: SeekableSource>(
         &self,
         camera: S,
         frame: (usize, usize),
@@ -281,20 +283,12 @@ impl TenantSpec {
         let dims = self.network.input_dims();
         let grid = RegionGrid::new(frame, dims, stride);
         let regions = grid.count() as u64;
-        let frame_index = seq / regions;
-        let region = (seq % regions) as usize;
-        // Frames are cheap (a hash per pixel) and random access
-        // is rare, so replay the sensor up to the frame we need.
         // Scanline faults ride the tenant's fault plan, like the
         // streaming pipeline's camera does.
         let mut cam = FaultySensor::new(camera, FaultPlan::new(self.faults));
-        let mut f = cam.next_frame();
-        for _ in 0..frame_index {
-            f = cam.next_frame();
-        }
-        let (nx, _) = grid.counts();
-        let origin = grid.origin(region % nx, region / nx);
-        let stack = f.try_region_stacked(origin, dims, self.network.input_maps())?;
+        cam.seek(seq / regions);
+        let f = cam.next_frame();
+        let stack = grid.try_region(&f, (seq % regions) as usize, self.network.input_maps())?;
         Ok(if binarize {
             stack.map(|&px| binarize_pixel(px))
         } else {
@@ -580,6 +574,70 @@ mod tests {
                 noisy.build_input(seq).expect("noisy").flatten(),
                 noisy.build_input(seq).expect("replay").flatten(),
             );
+        }
+    }
+
+    /// Inputs built by seeking straight to a frame equal the regions of a
+    /// sensor replayed from frame 0, across frame boundaries, with
+    /// scanline faults on, for a synthetic and a panning video camera.
+    #[test]
+    fn seek_built_inputs_equal_replayed_streams() {
+        let net = shidiannao_cnn::zoo::gabor().build(1).expect("build gabor");
+        let (frame, stride) = ((40, 40), (10, 10));
+        let grid = RegionGrid::new(frame, net.input_dims(), stride);
+        let faults = FaultConfig {
+            seed: 7,
+            scanline_rate: 0.3,
+            ..FaultConfig::zero()
+        };
+        let motion = Motion::Pan { dx: 3, dy: 1 };
+        let object = MovingObject {
+            size: (6, 6),
+            speed: (5, 3),
+        };
+        let replay = |cam: &mut dyn FrameSource| -> Vec<Vec<Fx>> {
+            (0..4)
+                .flat_map(|_| {
+                    let f = cam.next_frame();
+                    grid.stream(&f, 1).map(|r| r.flatten()).collect::<Vec<_>>()
+                })
+                .collect()
+        };
+        let plan = FaultPlan::new(faults);
+        let video = VideoSensor::new(frame.0, frame.1, 9, motion).with_object(object);
+        let cases = [
+            (
+                InputSource::Stream {
+                    seed: 9,
+                    frame,
+                    stride,
+                },
+                replay(&mut FaultySensor::new(
+                    SyntheticSensor::new(frame.0, frame.1, 9),
+                    plan,
+                )),
+            ),
+            (
+                InputSource::VideoStream {
+                    seed: 9,
+                    frame,
+                    stride,
+                    motion,
+                    object: Some(object),
+                },
+                replay(&mut FaultySensor::new(video, plan)),
+            ),
+        ];
+        for (source, expected) in cases {
+            let spec = TenantSpec::new("g", net.clone())
+                .source(source)
+                .faults(faults);
+            assert_eq!(expected.len(), 4 * grid.count());
+            // Descending, so no request can lean on a previous one.
+            for seq in (0..expected.len()).rev() {
+                let built = spec.build_input(seq as u64).expect("input").flatten();
+                assert_eq!(built, expected[seq], "{source:?} seq {seq}");
+            }
         }
     }
 

@@ -9,8 +9,10 @@
 use crate::cnn::Network;
 use crate::fixed::Fx;
 use crate::sensor::{Frame, RegionGrid, RowBuffer, StreamError};
-use crate::sim::{Accelerator, FaultPlan, FaultStats, PreparedNetwork, RunError};
+use crate::sim::{Accelerator, FaultPlan, FaultStats, InferenceRef, PreparedNetwork, RunError};
 use core::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Error constructing or running a [`StreamingPipeline`].
 #[derive(Clone, Debug, PartialEq)]
@@ -92,6 +94,134 @@ impl RegionLedger {
             return 1.0;
         }
         self.covered() as f64 / self.total() as f64
+    }
+}
+
+/// Regions a worker claims at a time: large enough that claiming costs
+/// nothing next to a block's inferences, small enough that a frame's
+/// blocks balance across workers.
+const REGION_BLOCK: usize = 32;
+
+/// Workers a frame's regions run on, by the vendored rayon shim's rule:
+/// `RAYON_NUM_THREADS` when it is a positive integer, else the machine's
+/// available parallelism.
+pub(crate) fn frame_workers() -> usize {
+    match std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+    {
+        Some(n) if n >= 1 => n,
+        _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    }
+}
+
+/// The region-parallel executor behind both frame pipelines: runs
+/// `run(state, i, &mut slots[i])` for every slot, on up to `workers`
+/// threads, the calling thread included, and returns the states the
+/// workers opened.
+///
+/// Slots are split into fixed blocks of [`REGION_BLOCK`], claimed through
+/// an atomic index. Each worker opens its own `state` (a `Session` and
+/// its tally) with `open` on its first block and writes only into the
+/// slots of the blocks it claimed, so callers fold the slots afterwards
+/// in grid order and get the same report at any worker count. The caller
+/// thread drains blocks too rather than idling: every extra thread costs
+/// memory of its own.
+///
+/// # Errors
+///
+/// The error of the lowest-indexed slot that failed.
+pub(crate) fn run_regions<T, S, E>(
+    slots: &mut [T],
+    workers: usize,
+    open: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize, &mut T) -> Result<(), E> + Sync,
+) -> Result<Vec<S>, E>
+where
+    T: Send,
+    S: Send,
+    E: Send,
+{
+    let workers = workers.min(slots.len().div_ceil(REGION_BLOCK));
+    if workers <= 1 {
+        let mut state = None;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            run(state.get_or_insert_with(&open), i, slot)?;
+        }
+        return Ok(state.into_iter().collect());
+    }
+    let blocks: Vec<Mutex<&mut [T]>> = slots.chunks_mut(REGION_BLOCK).map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    let failed: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let drain = || {
+        let mut state = None;
+        loop {
+            // Relaxed: the index only hands out block numbers; each
+            // block's slots sit behind their own mutex.
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            let Some(block) = blocks.get(b) else { break };
+            let mut block = block.lock().expect("a region block is claimed once");
+            let state = state.get_or_insert_with(&open);
+            for (k, slot) in block.iter_mut().enumerate() {
+                let i = b * REGION_BLOCK + k;
+                if let Err(e) = run(state, i, slot) {
+                    let mut failed = failed.lock().expect("no worker panics holding it");
+                    if failed.as_ref().is_none_or(|(j, _)| i < *j) {
+                        *failed = Some((i, e));
+                    }
+                    break;
+                }
+            }
+        }
+        state
+    };
+    let states = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut states: Vec<S> = drain().into_iter().collect();
+        for worker in spawned {
+            states.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        states
+    });
+    match failed.into_inner().expect("no worker panics holding it") {
+        Some((_, e)) => Err(e),
+        None => Ok(states),
+    }
+}
+
+/// A worker's cycle totals. They are integer sums, so the frame total is
+/// the same whichever worker ran which region; only energy (`f64`) is
+/// kept per region and summed in grid order.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RegionTally {
+    pub(crate) load_cycles: u64,
+    pub(crate) compute_cycles: u64,
+}
+
+impl RegionTally {
+    /// Records a run: adds its cycles, copies its output into `output`
+    /// and returns its energy in nJ. `output` is a buffer the caller
+    /// owns (a report slot reserved on the caller thread, or a reused
+    /// cache entry), so workers allocate nothing that outlives them.
+    pub(crate) fn record(&mut self, run: &InferenceRef<'_>, output: &mut Vec<Fx>) -> f64 {
+        output.clear();
+        for map in run.output().iter() {
+            output.extend_from_slice(map.as_slice());
+        }
+        let load_cycles = run.stats().layers()[0].cycles;
+        self.load_cycles += load_cycles;
+        self.compute_cycles += run.stats().cycles() - load_cycles;
+        run.energy().total_nj()
+    }
+
+    /// Adds another worker's tally.
+    pub(crate) fn absorb(&mut self, other: RegionTally) {
+        self.load_cycles += other.load_cycles;
+        self.compute_cycles += other.compute_cycles;
     }
 }
 
@@ -252,36 +382,59 @@ impl StreamingPipeline {
 
     /// Runs every region of a frame through the accelerator.
     ///
+    /// Regions are independent — each is its own NBin load and run — so
+    /// they run in parallel on [`frame_workers`] threads (see DESIGN.md,
+    /// "Region-parallel frames"). The report is folded in grid order and
+    /// is bit-identical at any worker count.
+    ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Stream`] if the frame's dimensions do not
     /// match the grid, and [`PipelineError::Run`] if a region run fails
     /// (cannot happen after a successful [`StreamingPipeline::new`]).
     pub fn process_frame(&self, frame: &Frame) -> Result<FrameReport, PipelineError> {
-        let mut results = Vec::with_capacity(self.grid.count());
-        let mut compute_cycles = 0;
-        let mut load_cycles = 0;
-        let mut energy_nj = 0.0;
+        self.process_frame_with(frame, frame_workers())
+    }
+
+    /// [`StreamingPipeline::process_frame`] on exactly `workers` workers.
+    pub(crate) fn process_frame_with(
+        &self,
+        frame: &Frame,
+        workers: usize,
+    ) -> Result<FrameReport, PipelineError> {
         let maps = self.network().input_maps();
-        let origins: Vec<_> = self.grid.origins().collect();
-        // One session serves the whole frame: buffers and the PE mesh
-        // stay allocated, and no region recompiles or rebuilds anything.
-        let mut session = self.prepared.session();
-        for (origin, region) in origins.into_iter().zip(self.grid.try_stream(frame, maps)?) {
-            let run = session.infer(&region)?;
-            let load = run.stats().layers()[0].cycles;
-            load_cycles += load;
-            compute_cycles += run.stats().cycles() - load;
-            energy_nj += run.energy().total_nj();
-            results.push(RegionResult {
+        let outputs = self.network().output_count();
+        let mut results: Vec<RegionResult> = self
+            .grid
+            .origins()
+            .map(|origin| RegionResult {
                 origin,
-                output: run.output_flat(),
-            });
+                output: Vec::with_capacity(outputs),
+            })
+            .collect();
+        let mut slots: Vec<_> = results.iter_mut().map(|r| (r, 0.0)).collect();
+        // One session per worker serves all of its regions: buffers and
+        // the PE mesh stay allocated, and no region recompiles anything.
+        let states = run_regions(
+            &mut slots,
+            workers,
+            || (self.prepared.session(), RegionTally::default()),
+            |(session, tally), i, (result, energy_nj)| {
+                let region = self.grid.try_region(frame, i, maps)?;
+                *energy_nj = tally.record(&session.infer_ref(&region)?, &mut result.output);
+                Ok::<_, PipelineError>(())
+            },
+        )?;
+        let energy_nj = slots.iter().fold(0.0, |sum, (_, nj)| sum + nj);
+        drop(slots);
+        let mut tally = RegionTally::default();
+        for (_, t) in states {
+            tally.absorb(t);
         }
         Ok(FrameReport {
             results,
-            compute_cycles,
-            load_cycles,
+            compute_cycles: tally.compute_cycles,
+            load_cycles: tally.load_cycles,
             energy_nj,
             frequency_ghz: self.prepared.config().frequency_ghz,
         })
@@ -624,6 +777,68 @@ mod tests {
             .unwrap();
         assert_eq!(none.dropped_regions(), pipe.grid().count());
         assert_eq!(none.cycles(), 0);
+    }
+
+    /// The executor's fold reproduces the one-session serial loop bit for
+    /// bit at every worker count, on a grid of several blocks with a
+    /// ragged last one.
+    #[test]
+    fn reports_are_identical_at_any_worker_count() {
+        let net = zoo::gabor().build(1).unwrap();
+        let grid = RegionGrid::new((120, 100), (20, 20), (6, 7));
+        assert!(grid.count() > 4 * REGION_BLOCK && !grid.count().is_multiple_of(REGION_BLOCK));
+        let pipe = StreamingPipeline::new(Accelerator::new(AcceleratorConfig::paper()), net, grid)
+            .unwrap();
+        let frame = SyntheticSensor::new(120, 100, 5).next_frame();
+        let mut session = pipe.prepared().session();
+        let (mut cycles, mut nj, mut outputs) = (0, 0.0f64, Vec::new());
+        for region in grid.stream(&frame, 1) {
+            let run = session.infer(&region).unwrap();
+            cycles += run.stats().cycles();
+            nj += run.energy().total_nj();
+            outputs.push(run.output_flat());
+        }
+        for workers in [1, 2, 3, 7] {
+            let report = pipe.process_frame_with(&frame, workers).unwrap();
+            assert_eq!(report.compute_cycles() + report.load_cycles(), cycles);
+            assert_eq!(
+                report.energy_nj().to_bits(),
+                nj.to_bits(),
+                "{workers} workers"
+            );
+            let got: Vec<_> = report.results().iter().map(|r| r.output.clone()).collect();
+            assert_eq!(got, outputs, "{workers} workers");
+        }
+        let wrong = SyntheticSensor::new(64, 64, 5).next_frame();
+        let err = pipe.process_frame_with(&wrong, 3).unwrap_err();
+        assert!(matches!(err, PipelineError::Stream(_)), "{err:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Any grid, any stride, any worker count: the report equals the
+        /// single-worker one.
+        #[test]
+        fn worker_count_never_changes_a_report(
+            w in 20usize..72,
+            h in 20usize..56,
+            sx in 3usize..13,
+            sy in 3usize..13,
+            workers in 2usize..9,
+            seed in 0u64..1_000,
+        ) {
+            let net = zoo::gabor().build(1).unwrap();
+            let grid = RegionGrid::new((w, h), (20, 20), (sx, sy));
+            let pipe =
+                StreamingPipeline::new(Accelerator::new(AcceleratorConfig::paper()), net, grid)
+                    .unwrap();
+            let frame = SyntheticSensor::new(w, h, seed).next_frame();
+            let serial = pipe.process_frame_with(&frame, 1).unwrap();
+            let parallel = pipe.process_frame_with(&frame, workers).unwrap();
+            proptest::prop_assert_eq!(serial.energy_nj().to_bits(), parallel.energy_nj().to_bits());
+            proptest::prop_assert_eq!(serial, parallel);
+        }
     }
 
     #[test]

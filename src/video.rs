@@ -21,14 +21,16 @@
 
 use crate::cnn::{ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
 use crate::fixed::Fx;
-use crate::pipeline::{PipelineError, RegionLedger, RegionResult, StreamingPipeline};
+use crate::pipeline::{
+    frame_workers, run_regions, PipelineError, RegionLedger, RegionResult, RegionTally,
+    StreamingPipeline,
+};
 use crate::quant::quantize_network;
 use crate::sensor::{Frame, FrameDelta, RegionGrid};
 use crate::serve::binarize_pixel;
 use crate::sim::{
     Accelerator, AcceleratorConfig, LayerStats, NbResidency, PreparedNetwork, WeightPrecision,
 };
-use crate::tensor::MapStack;
 
 /// How a dirty region is confirmed before full-precision compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,6 +93,55 @@ impl Default for VideoConfig {
 struct CachedRegion {
     output: Vec<Fx>,
     computed_at: u64,
+}
+
+/// What the pipeline keeps per region: the cached result and NBin
+/// residency across frames, plus the current frame's gate verdict and
+/// run energy. The parallel pass works on these slots in place, so a
+/// frame stages nothing but its report.
+#[derive(Clone, Debug, Default)]
+struct RegionSlot {
+    cached: Option<CachedRegion>,
+    residency: NbResidency,
+    /// This frame: the region computes rather than replaying `cached`.
+    compute: bool,
+    /// This frame: the computed run's energy, nJ, folded in grid order.
+    energy_nj: f64,
+}
+
+impl RegionSlot {
+    /// The cached output buffer for a run at frame `seq`, reusing the
+    /// previous run's allocation.
+    fn cache_for(&mut self, seq: u64) -> &mut Vec<Fx> {
+        let cached = self.cached.get_or_insert_with(|| CachedRegion {
+            output: Vec::new(),
+            computed_at: seq,
+        });
+        cached.computed_at = seq;
+        &mut cached.output
+    }
+}
+
+/// A worker's integer totals over its regions (any order sums the same).
+#[derive(Clone, Copy, Debug, Default)]
+struct VideoTally {
+    cycles: RegionTally,
+    rows_streamed: usize,
+    /// Computed regions whose output differs from the golden reference.
+    golden_mismatches: usize,
+    stale_results: usize,
+    missed_detections: usize,
+}
+
+impl VideoTally {
+    /// Adds another worker's tally.
+    fn absorb(&mut self, other: VideoTally) {
+        self.cycles.absorb(other.cycles);
+        self.rows_streamed += other.rows_streamed;
+        self.golden_mismatches += other.golden_mismatches;
+        self.stale_results += other.stale_results;
+        self.missed_detections += other.missed_detections;
+    }
 }
 
 /// The prepared binarized front-end of
@@ -305,8 +356,7 @@ pub struct VideoPipeline {
     config: VideoConfig,
     delta: FrameDelta,
     front: Option<FrontGate>,
-    cache: Vec<Option<CachedRegion>>,
-    residency: Vec<NbResidency>,
+    regions: Vec<RegionSlot>,
     frames_seen: u64,
     per_region_cycles: u64,
     per_region_energy_nj: f64,
@@ -345,8 +395,7 @@ impl VideoPipeline {
             per_region_energy_nj: run.energy().total_nj(),
             delta: FrameDelta::new(grid, config.dirty_threshold),
             front,
-            cache: vec![None; count],
-            residency: vec![NbResidency::new(); count],
+            regions: vec![RegionSlot::default(); count],
             frames_seen: 0,
             inner,
             config,
@@ -387,16 +436,22 @@ impl VideoPipeline {
     /// NBin residency. The next frame behaves like the first.
     pub fn reset(&mut self) {
         self.delta.reset();
-        for c in &mut self.cache {
-            *c = None;
-        }
-        for r in &mut self.residency {
-            r.invalidate();
+        for r in &mut self.regions {
+            r.cached = None;
+            r.residency.invalidate();
         }
         self.frames_seen = 0;
     }
 
     /// Processes one frame under motion gating.
+    ///
+    /// A serial gate pass decides, in grid order, which regions compute
+    /// (staleness, refresh, dirty bit, front gate). Those regions — and,
+    /// with the oracle on, the skipped ones it prices — then run in
+    /// parallel on the region-parallel executor behind
+    /// [`StreamingPipeline::process_frame`], in place on the pipeline's
+    /// per-region slots (cached result, NBin residency), and the report
+    /// is folded in grid order: it is bit-identical at any worker count.
     ///
     /// # Errors
     ///
@@ -405,6 +460,15 @@ impl VideoPipeline {
     /// gate run fails (cannot happen after a successful
     /// [`VideoPipeline::new`]).
     pub fn process_frame(&mut self, frame: &Frame) -> Result<VideoFrameReport, PipelineError> {
+        self.process_frame_with(frame, frame_workers())
+    }
+
+    /// [`VideoPipeline::process_frame`] on exactly `workers` workers.
+    pub(crate) fn process_frame_with(
+        &mut self,
+        frame: &Frame,
+        workers: usize,
+    ) -> Result<VideoFrameReport, PipelineError> {
         let seq = self.frames_seen;
         let count = self.inner.grid().count();
         let baseline_cycles = self.per_region_cycles * count as u64;
@@ -415,13 +479,10 @@ impl VideoPipeline {
         // no differencing, no residency, cold loads, identical cycles,
         // energy, and outputs.
         if self.config.dirty_threshold == 0 {
-            let report = self.inner.process_frame(frame)?;
+            let report = self.inner.process_frame_with(frame, workers)?;
             self.frames_seen += 1;
-            for (ri, r) in report.results().iter().enumerate() {
-                self.cache[ri] = Some(CachedRegion {
-                    output: r.output.clone(),
-                    computed_at: seq,
-                });
+            for (slot, r) in self.regions.iter_mut().zip(report.results()) {
+                slot.cache_for(seq).clone_from(&r.output);
             }
             let maps = self.inner.network().input_maps();
             let rows = count * maps * self.inner.grid().region_dims().1;
@@ -452,111 +513,104 @@ impl VideoPipeline {
         let dirty_map = self.delta.observe(frame)?;
         self.frames_seen += 1;
         let config = self.config;
-        let inner = &self.inner;
-        let front = &self.front;
-        let cache = &mut self.cache;
-        let residency = &mut self.residency;
-        let grid = inner.grid();
-        let network = inner.network();
-        let prepared = inner.prepared();
+        let grid = self.inner.grid();
+        let network = self.inner.network();
+        let prepared = self.inner.prepared();
         let maps = network.input_maps();
 
-        let mut results = Vec::with_capacity(count);
         let mut ledger = RegionLedger::default();
-        let mut compute_cycles = 0u64;
-        let mut load_cycles = 0u64;
         let mut front_cycles = 0u64;
-        let mut energy_nj = 0.0;
         let mut front_energy_nj = 0.0;
-        let (mut rows_streamed, mut rows_total) = (0usize, 0usize);
         let (mut front_runs, mut front_rejected) = (0usize, 0usize);
-        let (mut stale_results, mut missed_detections) = (0usize, 0usize);
-        let mut bit_identical = true;
         let refresh_due =
             config.refresh_interval > 0 && seq.is_multiple_of(config.refresh_interval);
 
-        // One session serves the frame's computed regions; one front
-        // session serves its gate decisions. Per-region residency keeps
-        // the delta loads honest across frames.
-        let mut session = prepared.session();
-        let mut front_session = front.as_ref().map(|f| f.prepared.session());
-        let origins: Vec<_> = grid.origins().collect();
-        for ((ri, origin), raw) in origins
-            .into_iter()
-            .enumerate()
-            .zip(grid.try_stream(frame, maps)?)
-        {
-            let stale_due = cache[ri].as_ref().is_some_and(|c| {
+        // Gate pass, serial in grid order: which regions compute. Skipped
+        // (clean or front-rejected) regions replay their cached result;
+        // their cost is the frame-level compare pass. One front session
+        // serves the frame's gate decisions.
+        let mut front = self.front.as_ref().map(|f| (f, f.prepared.session()));
+        for (ri, slot) in self.regions.iter_mut().enumerate() {
+            let stale_due = slot.cached.as_ref().is_some_and(|c| {
                 config.staleness_bound > 0 && seq - c.computed_at >= config.staleness_bound
             });
-            let forced = cache[ri].is_none() || refresh_due || stale_due;
-            let mut compute = forced;
-            if !compute && dirty_map.is_dirty(ri) {
-                match (front, &mut front_session) {
-                    (None, _) => compute = true,
-                    (Some(f), Some(fs)) => {
+            slot.compute = slot.cached.is_none() || refresh_due || stale_due;
+            if !slot.compute && dirty_map.is_dirty(ri) {
+                match &mut front {
+                    None => slot.compute = true,
+                    Some((f, fs)) => {
                         // Second gate: the W1 front re-scores the dirty
                         // region from its sign-binarized pixels.
                         front_runs += 1;
-                        let mut bin = MapStack::new(raw.width(), raw.height());
-                        bin.push(raw[0].map(|&px| binarize_pixel(px)))
-                            .map_err(|e| PipelineError::Gate(e.to_string()))?;
-                        let run = fs.infer(&bin)?;
+                        let raw = grid.try_region(frame, ri, 1)?;
+                        let run = fs.infer_ref(&raw.map(|&px| binarize_pixel(px)))?;
                         front_cycles += run.stats().cycles();
                         front_energy_nj += run.energy().total_nj();
                         let score = run.output_flat().first().copied().unwrap_or(Fx::MIN);
                         if score >= f.threshold {
-                            compute = true;
+                            slot.compute = true;
                         } else {
                             front_rejected += 1;
                         }
                     }
-                    (Some(_), None) => unreachable!("front gate always has a session"),
                 }
             }
+            ledger.computed += usize::from(slot.compute);
+        }
+        ledger.skipped = count - ledger.computed;
 
-            if compute {
-                let (run, dl) = session.infer_delta(&raw, &mut residency[ri])?;
-                let load = run.stats().layers()[0].cycles;
-                load_cycles += load;
-                compute_cycles += run.stats().cycles() - load;
-                energy_nj += run.energy().total_nj();
-                rows_streamed += dl.rows_streamed;
-                rows_total += dl.rows_total;
-                let output = run.output_flat();
-                if config.oracle {
-                    bit_identical &= output == network.forward_fixed(&raw).output();
+        // Parallel pass over the region slots: computed regions run with
+        // their own residency, and the oracle prices the skipped ones.
+        let states = run_regions(
+            &mut self.regions,
+            workers,
+            || (prepared.session(), VideoTally::default()),
+            |(session, tally), ri, slot| {
+                if !slot.compute && !config.oracle {
+                    return Ok(());
                 }
-                cache[ri] = Some(CachedRegion {
-                    output: output.clone(),
-                    computed_at: seq,
-                });
-                ledger.computed += 1;
-                results.push(RegionResult { origin, output });
-            } else if let Some(c) = &cache[ri] {
-                // Clean (or front-rejected) region: replay the cached
-                // result; its cost is the frame-level compare pass.
-                if config.oracle {
+                let raw = grid.try_region(frame, ri, maps)?;
+                if slot.compute {
+                    let (run, delta) = session.infer_delta_ref(&raw, &mut slot.residency)?;
+                    let output = slot.cache_for(seq);
+                    let energy_nj = tally.cycles.record(&run, output);
+                    if config.oracle && *output != network.forward_fixed(&raw).output() {
+                        tally.golden_mismatches += 1;
+                    }
+                    slot.energy_nj = energy_nj;
+                    tally.rows_streamed += delta.rows_streamed;
+                } else if let Some(c) = &slot.cached {
                     let golden = network.forward_fixed(&raw).output();
                     if golden != c.output {
-                        stale_results += 1;
-                        let oracle_positive =
-                            golden.iter().copied().fold(Fx::MIN, Fx::max) >= config.decision;
-                        let emitted_positive =
-                            c.output.iter().copied().fold(Fx::MIN, Fx::max) >= config.decision;
-                        if oracle_positive && !emitted_positive {
-                            missed_detections += 1;
+                        tally.stale_results += 1;
+                        let positive = |out: &[Fx]| {
+                            out.iter().copied().fold(Fx::MIN, Fx::max) >= config.decision
+                        };
+                        if positive(&golden) && !positive(&c.output) {
+                            tally.missed_detections += 1;
                         }
                     }
                 }
-                ledger.skipped += 1;
-                results.push(RegionResult {
-                    origin,
-                    output: c.output.clone(),
-                });
-            } else {
-                unreachable!("uncached regions are always computed");
+                Ok::<_, PipelineError>(())
+            },
+        )?;
+
+        // Fold: energy in grid order, integer totals in any order.
+        let mut energy_nj = 0.0;
+        let mut results = Vec::with_capacity(count);
+        for (slot, origin) in self.regions.iter().zip(grid.origins()) {
+            if slot.compute {
+                energy_nj += slot.energy_nj;
             }
+            let output = slot.cached.as_ref().map(|c| c.output.clone());
+            results.push(RegionResult {
+                origin,
+                output: output.unwrap_or_default(),
+            });
+        }
+        let mut tally = VideoTally::default();
+        for (_, t) in states {
+            tally.absorb(t);
         }
 
         // The differencing comparator consumes one NB bank width of
@@ -576,8 +630,8 @@ impl VideoPipeline {
             frame_index: seq,
             results,
             ledger,
-            compute_cycles,
-            load_cycles,
+            compute_cycles: tally.cycles.compute_cycles,
+            load_cycles: tally.cycles.load_cycles,
             compare_cycles,
             front_cycles,
             energy_nj,
@@ -585,14 +639,95 @@ impl VideoPipeline {
             front_energy_nj,
             baseline_cycles,
             baseline_energy_nj,
-            rows_streamed,
-            rows_total,
+            rows_streamed: tally.rows_streamed,
+            rows_total: ledger.computed * maps * grid.region_dims().1,
             front_runs,
             front_rejected,
-            stale_results,
-            missed_detections,
-            bit_identical,
+            stale_results: tally.stale_results,
+            missed_detections: tally.missed_detections,
+            bit_identical: tally.golden_mismatches == 0,
             frequency_ghz,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prelude::*;
+    use crate::sensor::{Motion, MovingObject, VideoSensor};
+
+    const FRAME: (usize, usize) = (60, 50);
+
+    /// Runs one four-frame scene through a fresh pipeline at 1, 2, 3 and 7
+    /// workers; every report must be identical, energy bit for bit.
+    /// Returns the single-worker reports.
+    fn worker_invariant(config: VideoConfig, motion: Motion) -> Vec<VideoFrameReport> {
+        // 11 × 9 = 99 regions: four blocks, the last one ragged.
+        let grid = RegionGrid::new(FRAME, (20, 20), (4, 4));
+        let run = |workers| {
+            let net = zoo::gabor().build(1).unwrap();
+            let accel = Accelerator::new(AcceleratorConfig::paper());
+            let mut pipe = VideoPipeline::new(accel, net, grid, config).unwrap();
+            let mut cam = VideoSensor::new(FRAME.0, FRAME.1, 3, motion).with_object(MovingObject {
+                size: (12, 12),
+                speed: (7, 5),
+            });
+            (0..4)
+                .map(|_| pipe.process_frame_with(&cam.next_frame(), workers).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let serial = run(1);
+        for workers in [2, 3, 7] {
+            let parallel = run(workers);
+            assert_eq!(parallel, serial, "{workers} workers, {config:?}");
+            for (p, s) in parallel.iter().zip(&serial) {
+                assert_eq!(p.energy_nj().to_bits(), s.energy_nj().to_bits());
+                assert_eq!(p.front_energy_nj().to_bits(), s.front_energy_nj().to_bits());
+            }
+        }
+        serial
+    }
+
+    fn gated(gate: MotionGate, oracle: bool) -> VideoConfig {
+        VideoConfig {
+            refresh_interval: 4,
+            staleness_bound: 3,
+            gate,
+            oracle,
+            ..VideoConfig::default()
+        }
+    }
+
+    #[test]
+    fn diff_gate_is_worker_invariant_with_and_without_the_oracle() {
+        for oracle in [true, false] {
+            let reports = worker_invariant(gated(MotionGate::Diff, oracle), Motion::Static);
+            assert!(reports.iter().any(|r| r.ledger().skipped > 0));
+            assert!(reports[1..].iter().any(|r| r.ledger().computed > 0));
+            assert!(reports.iter().all(|r| r.bit_identical()));
+        }
+    }
+
+    #[test]
+    fn front_gate_is_worker_invariant() {
+        let gate = MotionGate::DiffThenBinaryFront {
+            threshold: Fx::from_f32(0.25),
+            seed: 42,
+        };
+        let reports = worker_invariant(gated(gate, true), Motion::Jitter { amp: 1 });
+        assert!(reports.iter().map(|r| r.front_runs()).sum::<usize>() > 0);
+    }
+
+    #[test]
+    fn panning_and_threshold_zero_are_worker_invariant() {
+        let pan = worker_invariant(gated(MotionGate::Diff, false), Motion::Pan { dx: 2, dy: 1 });
+        assert!(pan.iter().all(|r| r.ledger().skipped == 0));
+        let config = VideoConfig {
+            dirty_threshold: 0,
+            ..VideoConfig::default()
+        };
+        let cold = worker_invariant(config, Motion::Static);
+        assert!(cold.iter().all(|r| r.rows_streamed() == r.rows_total()));
     }
 }
