@@ -101,8 +101,8 @@ fn bench_sb_broadcast(c: &mut Criterion) {
 }
 
 /// One full prepared-session inference on a conv → pool → fc network:
-/// every executor's steady-state path, including the analytic fast
-/// window pass and classifier dot products.
+/// every layer kind's steady-state schedule replay, including the lane
+/// window reductions and classifier dot products.
 fn bench_small_inference(c: &mut Criterion) {
     let net = NetworkBuilder::new("hotpath", 1, (16, 16))
         .conv(ConvSpec::new(4, (5, 5)))

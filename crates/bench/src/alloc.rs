@@ -4,13 +4,24 @@
 //! performs zero heap allocations") is asserted, not assumed: the bench
 //! binaries install [`CountingAlloc`] as the global allocator, snapshot
 //! the counter around a measured inference burst, and fail the run if
-//! the fast path allocated. The counter is a single relaxed atomic —
-//! negligible overhead on top of the system allocator.
+//! the burst allocated. The counter is per thread — a burst runs on the
+//! measuring thread, and allocations of concurrently running threads
+//! (other tests, in `cargo test`) must not land in its window — and a
+//! plain `Cell` with `const` init, which never allocates itself and
+//! adds negligible overhead on top of the system allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: an allocation during thread teardown goes uncounted
+    // rather than panicking inside the allocator.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// A [`System`]-backed allocator that counts every allocation
 /// (`alloc`, `alloc_zeroed`, and growing `realloc` calls all count as
@@ -21,7 +32,7 @@ pub struct CountingAlloc;
 // does not influence allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
@@ -30,25 +41,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// Heap allocations counted since process start (whole process, all
-/// threads).
+/// Heap allocations the calling thread has made since it started.
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Runs `f` and returns `(allocations during f, f's result)`. Only
-/// meaningful when [`CountingAlloc`] is installed as the global
-/// allocator and no other thread allocates concurrently.
+/// Runs `f` and returns `(allocations during f, f's result)`, counting
+/// the calling thread's allocations only. Only meaningful when
+/// [`CountingAlloc`] is installed as the global allocator.
 pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = allocation_count();
     let value = f();

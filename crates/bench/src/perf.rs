@@ -11,8 +11,8 @@
 //!   bit-identical to serial.
 //! * **Throughput rows** — per benchmark, one `prepare` followed by a
 //!   warmed-up burst of `Session::infer_ref` calls through
-//!   zero-allocation schedule replay (the default path; the analytic fast
-//!   kernel runs only with replay off), reported as simulated cycles/sec and
+//!   zero-allocation schedule replay (the default path; with replay off
+//!   every layer live-decodes), reported as simulated cycles/sec and
 //!   inferences/sec next to the legacy one-shot `Accelerator::run` and
 //!   the frozen PR-1 baseline. Each row also carries a *correctness
 //!   certificate*: the heap allocations counted during the burst (must
@@ -503,8 +503,8 @@ impl PerfReport {
     }
 
     /// Whether no benchmark's measured burst touched the heap — the
-    /// clean fast-path burst, the faulty schedule-replay burst, and the
-    /// batched burst alike.
+    /// clean and faulty schedule-replay bursts and the batched burst
+    /// alike.
     pub fn zero_alloc_steady_state(&self) -> bool {
         self.throughput.iter().all(|t| {
             t.steady_state_allocs == 0
@@ -1177,7 +1177,7 @@ pub fn measure_smoke() -> PerfReport {
 
 /// The CI gate over a set of throughput rows: every frozen benchmark
 /// present with its seed-exact `sim_cycles_per_inference` on both the
-/// fast and the replayed instrumented path, all five execution paths
+/// clean replayed and the traced replayed path, all five execution paths
 /// bit-identical, a zero-allocation steady state (clean and faulty
 /// replay alike), and the instrumented-path speedup threshold. Returns
 /// the list of violations (empty means pass).
@@ -1235,7 +1235,7 @@ pub fn smoke_errors(rows: &[ThroughputRow]) -> Vec<String> {
         }
         if row.steady_state_allocs != 0 {
             errors.push(format!(
-                "{}: fast path allocated {} times in steady state ({} allocs/cycle)",
+                "{}: clean replay allocated {} times in steady state ({} allocs/cycle)",
                 row.name,
                 row.steady_state_allocs,
                 row.allocs_per_cycle()
@@ -1497,7 +1497,7 @@ mod tests {
             .collect();
         assert!(smoke_errors(&clean).is_empty());
 
-        // Drift (fast and scheduled), divergence (four-path,
+        // Drift (clean and traced), divergence (four-path,
         // replay-vs-live, and batched-lane), allocation (clean, faulty
         // replay, and batched), and absence each produce an error.
         let mut bad = clean.clone();
@@ -1519,7 +1519,7 @@ mod tests {
         assert_eq!(errors.len(), 14, "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("seed-frozen")));
         assert!(errors.iter().any(|e| e.contains("diverged (legacy")));
-        assert!(errors.iter().any(|e| e.contains("fast path allocated")));
+        assert!(errors.iter().any(|e| e.contains("clean replay allocated")));
         assert!(errors.iter().any(|e| e.contains("scheduled-path drift")));
         assert!(errors
             .iter()

@@ -11,7 +11,7 @@ use crate::exec::{replay, Engine, Scratch};
 use crate::hfsm::{FirstState, Hfsm};
 use crate::nfu::Nfu;
 use crate::sb::SynapseStore;
-use crate::schedule::{self, LayerOverlay, NetworkSchedule, ScheduleRecorder};
+use crate::schedule::{self, LayerOverlay, LayerSchedule, NetworkSchedule, ScheduleRecorder};
 use crate::stats::{LayerStats, RunStats};
 use core::fmt;
 use shidiannao_cnn::{LayerBody, Network};
@@ -984,8 +984,8 @@ impl<'p> Session<'p> {
         let mut fault_snapshot = FaultStats::default();
         for (lane, input) in inputs.iter().enumerate() {
             if lane == 0 {
-                // The canonical lane: full instrumented (or analytic /
-                // replay) execution, exactly as `infer` would run it.
+                // The canonical lane: full replay (or live-decode)
+                // execution, exactly as `infer` would run it.
                 self.execute(input, None)?;
                 fault_snapshot = *self.faults.stats();
             } else {
@@ -1010,6 +1010,20 @@ impl<'p> Session<'p> {
             fault_stats: self.faults.stats(),
             len: inputs.len(),
         })
+    }
+
+    /// The schedule this run replays from, or `None` when every layer
+    /// must live-decode (§3f in DESIGN.md). Replay covers traced and
+    /// silently-faulted runs too — that is its point — but stuck-at PEs
+    /// corrupt values inside the propagation network in ways the
+    /// precompiled stream does not model, and the recording run itself
+    /// must live-decode.
+    fn replay_schedule(&self) -> Option<Arc<NetworkSchedule>> {
+        let replay = self.replay_enabled
+            && self.recorder.is_none()
+            && !self.nfu.any_stuck()
+            && self.schedule.layer_count() == self.prepared.network.layers().len();
+        replay.then(|| Arc::clone(&self.schedule))
     }
 
     /// The cycle-by-cycle inference loop shared by `run`, `infer`, and
@@ -1054,40 +1068,22 @@ impl<'p> Session<'p> {
         let store = &self.prepared.store;
         self.nfu.reset();
         let mut hfsm = Hfsm::new();
-        // Fast-kernel selection (§perf in DESIGN.md): the bulk-SoA sweep
-        // kernel runs only when nothing needs per-word / per-PE
-        // instrumentation — no fault plan filtering SRAM reads, no
-        // stuck-at faults installed in the mesh, no layer trace being
-        // recorded, and no schedule recorder attached. It is
-        // bit-identical to the instrumented path in outputs, statistics,
-        // and energy.
-        let fast = trace.is_none()
-            && !self.faults.active()
-            && !self.nfu.any_stuck()
-            && self.recorder.is_none();
-        // Schedule-replay selection (§3f in DESIGN.md): replay covers
-        // traced and silently-faulted runs too — that is its point — but
-        // stuck-at PEs corrupt values inside the propagation network in
-        // ways the precompiled stream does not model, and the recording
-        // run itself must live-decode.
-        let schedule = Arc::clone(&self.schedule);
-        let use_replay = self.replay_enabled
-            && self.recorder.is_none()
-            && !self.nfu.any_stuck()
-            && schedule.layer_count() == network.layers().len();
-        if use_replay && self.faults.active() && !self.overlays_valid {
-            // Resolve the plan against the schedule once; every
-            // subsequent run under this plan reuses the overlays.
-            self.overlays.clear();
-            let plan = *self.faults.plan();
-            self.overlays.extend(
-                schedule
-                    .layers()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ls)| schedule::build_overlay(&plan, i, ls)),
-            );
-            self.overlays_valid = true;
+        let schedule = self.replay_schedule();
+        if let Some(sched) = schedule.as_deref() {
+            if self.faults.active() && !self.overlays_valid {
+                // Resolve the plan against the schedule once; every
+                // subsequent run under this plan reuses the overlays.
+                self.overlays.clear();
+                let plan = *self.faults.plan();
+                self.overlays.extend(
+                    sched
+                        .layers()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, ls)| schedule::build_overlay(&plan, i, ls)),
+                );
+                self.overlays_valid = true;
+            }
         }
 
         // Load phase: the sensor/host streams the image into NBin at one
@@ -1122,39 +1118,13 @@ impl<'p> Session<'p> {
                 self.faults
                     .filter_word(FaultSite::Ib, i + 1, [f as u64, 0, 0])?;
             }
-            // Replay decision for this layer: the schedule must model it,
-            // and its fault overlay must not contain a detected error —
-            // detected errors abort mid-layer with exact partial
-            // statistics only live decode reproduces.
-            let sched_layer = if use_replay {
-                Some(&schedule.layers()[i])
-            } else {
-                None
-            };
-            let overlay = if sched_layer.is_some() && self.faults.active() {
-                Some(&self.overlays[i])
-            } else {
-                None
-            };
-            let replay_this = sched_layer.is_some_and(|l| l.replayable())
-                && !matches!(overlay, Some(LayerOverlay::Abort));
-            let mut sb_patches: &[([u64; 3], u16)] = &[];
-            if replay_this {
-                if let Some(LayerOverlay::Silent(s)) = overlay {
-                    // Pre-resolve the layer's silent faults: NB flips go
-                    // into the input stack in place, SB flips patch at
-                    // fetch, and the counter delta lands in one absorb.
-                    if !s.nb_patches.is_empty() {
-                        let sl = sched_layer.expect("replay_this implies a schedule");
-                        let stack = self.nbin.contents_mut().ok_or(EmptyBufferError {
-                            buffer: "NB (input role)",
-                        })?;
-                        schedule::apply_nb_patches(stack, sl.nb_flat, &s.nb_patches);
-                    }
-                    self.faults.absorb_stats(&s.delta);
-                    sb_patches = &s.sb_patches;
-                }
-            }
+            let replay = layer_replay(
+                schedule.as_deref(),
+                &self.overlays,
+                i,
+                &mut self.nbin,
+                &mut self.faults,
+            )?;
             if let Some(rec) = self.recorder.as_deref_mut() {
                 rec.begin_layer(
                     schedule::layer_replayable(cfg, layer),
@@ -1175,7 +1145,6 @@ impl<'p> Session<'p> {
                 stats: &mut *layer_stats,
                 faults: &mut self.faults,
                 scratch: &mut self.scratch,
-                fast,
                 recorder: if attach_recorder {
                     self.recorder.as_deref_mut()
                 } else {
@@ -1184,9 +1153,9 @@ impl<'p> Session<'p> {
             };
             // On an abort the slot keeps the layer's cycles so watchdog
             // budgets can charge the wasted attempt.
-            match sched_layer {
-                Some(sl) if replay_this => replay::run_layer(&mut engine, layer, sl, sb_patches)?,
-                _ => engine.run_layer(layer)?,
+            match replay {
+                Some((sl, sb_patches)) => replay::run_layer(&mut engine, layer, sl, sb_patches)?,
+                None => engine.run_layer(layer)?,
             }
             if let Some(rec) = self.recorder.as_deref_mut() {
                 // Snapshot the layer's stats delta *before* bank-conflict
@@ -1246,16 +1215,10 @@ impl<'p> Session<'p> {
         let store = &self.prepared.store;
         self.nfu.reset();
         let mut hfsm = Hfsm::new();
-        // Mirror `execute_inner`'s path selection exactly (the canonical
-        // lane resolved any fault overlays already).
-        let fast = !self.faults.active() && !self.nfu.any_stuck() && self.recorder.is_none();
-        let schedule = Arc::clone(&self.schedule);
-        let use_replay = self.replay_enabled
-            && self.recorder.is_none()
-            && !self.nfu.any_stuck()
-            && schedule.layer_count() == network.layers().len();
+        // The canonical lane resolved any fault overlays already.
+        let schedule = self.replay_schedule();
         debug_assert!(
-            !(use_replay && self.faults.active()) || self.overlays_valid,
+            !(schedule.is_some() && self.faults.active()) || self.overlays_valid,
             "the canonical lane resolves overlays before value lanes run"
         );
 
@@ -1265,31 +1228,13 @@ impl<'p> Session<'p> {
         for (i, layer) in network.layers().iter().enumerate() {
             let (ow, oh) = layer.out_dims();
             self.nbout.begin_output(ow, oh, layer.out_maps())?;
-            let sched_layer = if use_replay {
-                Some(&schedule.layers()[i])
-            } else {
-                None
-            };
-            let overlay = if sched_layer.is_some() && self.faults.active() {
-                Some(&self.overlays[i])
-            } else {
-                None
-            };
-            let replay_this = sched_layer.is_some_and(|l| l.replayable())
-                && !matches!(overlay, Some(LayerOverlay::Abort));
-            let mut sb_patches: &[([u64; 3], u16)] = &[];
-            if replay_this {
-                if let Some(LayerOverlay::Silent(s)) = overlay {
-                    if !s.nb_patches.is_empty() {
-                        let sl = sched_layer.expect("replay_this implies a schedule");
-                        let stack = self.nbin.contents_mut().ok_or(EmptyBufferError {
-                            buffer: "NB (input role)",
-                        })?;
-                        schedule::apply_nb_patches(stack, sl.nb_flat, &s.nb_patches);
-                    }
-                    sb_patches = &s.sb_patches;
-                }
-            }
+            let replay = layer_replay(
+                schedule.as_deref(),
+                &self.overlays,
+                i,
+                &mut self.nbin,
+                &mut self.faults,
+            )?;
             // Metering discard: live-decoded layers (non-replayable ones,
             // or all of them with replay off) still charge *something*;
             // it is identical to what the canonical lane charged, so it
@@ -1308,14 +1253,13 @@ impl<'p> Session<'p> {
                 stats: &mut discard,
                 faults: &mut self.faults,
                 scratch: &mut self.scratch,
-                fast,
                 recorder: None,
             };
-            match sched_layer {
-                Some(sl) if replay_this => {
+            match replay {
+                Some((sl, sb_patches)) => {
                     replay::layer_values(&mut engine, layer, sb_patches, sl.row_lanes())
                 }
-                _ => engine.run_layer(layer)?,
+                None => engine.run_layer(layer)?,
             }
             self.nbout.finish_output_into_input()?;
             core::mem::swap(&mut self.nbin, &mut self.nbout);
@@ -1323,6 +1267,48 @@ impl<'p> Session<'p> {
         hfsm.enter(FirstState::End).expect("HFSM: end");
 
         Ok(())
+    }
+}
+
+/// The per-layer replay decision shared by `execute_inner` and
+/// `execute_values`. Layer `i` replays when replay is on (`schedule` is
+/// `Some`), the schedule models the layer, and its fault overlay holds
+/// no detected error — detected errors abort mid-layer with exact
+/// partial statistics only live decode reproduces. A replayed layer's
+/// silent faults are pre-resolved here: NB flips go into the input stack
+/// in place and the counter delta lands in one absorb (a batch's value
+/// lanes charge it again; the caller's snapshot restore undoes that).
+/// Returns the layer's schedule and the SB patches to apply at fetch, or
+/// `None` for live decode.
+fn layer_replay<'s>(
+    schedule: Option<&'s NetworkSchedule>,
+    overlays: &'s [LayerOverlay],
+    i: usize,
+    nbin: &mut NeuronBuffer,
+    faults: &mut FaultState,
+) -> Result<Option<(&'s LayerSchedule, &'s replay::SbPatches)>, RunError> {
+    let Some(sl) = schedule
+        .map(|s| &s.layers()[i])
+        .filter(|sl| sl.replayable())
+    else {
+        return Ok(None);
+    };
+    if !faults.active() {
+        return Ok(Some((sl, &[])));
+    }
+    match &overlays[i] {
+        LayerOverlay::Abort => Ok(None),
+        LayerOverlay::Silent(s) => {
+            if !s.nb_patches.is_empty() {
+                let stack = nbin.contents_mut().ok_or(EmptyBufferError {
+                    buffer: "NB (input role)",
+                })?;
+                schedule::apply_nb_patches(stack, sl.nb_flat, &s.nb_patches);
+            }
+            faults.absorb_stats(&s.delta);
+            Ok(Some((sl, &s.sb_patches)))
+        }
+        LayerOverlay::Clean => Ok(Some((sl, &[]))),
     }
 }
 

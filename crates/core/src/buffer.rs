@@ -547,109 +547,6 @@ impl NeuronBuffer {
         Ok(out)
     }
 
-    /// Charge-only form of [`NeuronBuffer::read_tile_into`]: tallies the
-    /// same mode, byte count, and bank-conflict cycles without moving any
-    /// data. The analytic fast path (see `exec::window`) computes PE
-    /// inputs directly from the loaded stack and uses these variants to
-    /// keep the access statistics bit-identical to the cycle-accurate
-    /// sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyBufferError`] if the buffer holds no input layer.
-    pub fn charge_tile_read(
-        &self,
-        (x0, y0): (usize, usize),
-        (w, h): (usize, usize),
-        (sx, sy): (usize, usize),
-        stats: &mut LayerStats,
-        scratch: &mut ReadScratch,
-    ) -> Result<(), EmptyBufferError> {
-        self.loaded()?;
-        let mode = if sx == 1 && sy == 1 {
-            if self.bank_group_of(x0) == 0 {
-                ReadMode::A
-            } else {
-                ReadMode::B
-            }
-        } else {
-            ReadMode::E
-        };
-        stats.nbin_read(mode, (w * h * 2) as u64);
-        stats.bank_conflict_cycles += self.rect_extra_cycles((x0, y0), (w, h), (sx, sy), scratch);
-        Ok(())
-    }
-
-    /// Charge-only form of [`NeuronBuffer::read_row_into`] (see
-    /// [`NeuronBuffer::charge_tile_read`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyBufferError`] if the buffer holds no input layer.
-    pub fn charge_row_read(
-        &self,
-        (x0, y0): (usize, usize),
-        n: usize,
-        sx: usize,
-        stats: &mut LayerStats,
-        scratch: &mut ReadScratch,
-    ) -> Result<(), EmptyBufferError> {
-        debug_assert!(
-            n <= self.px,
-            "mode (c) reads at most Px={} neurons",
-            self.px
-        );
-        self.loaded()?;
-        let mode = if sx == 1 { ReadMode::C } else { ReadMode::E };
-        stats.nbin_read(mode, (n * 2) as u64);
-        stats.bank_conflict_cycles += self.rect_extra_cycles((x0, y0), (n, 1), (sx, 1), scratch);
-        Ok(())
-    }
-
-    /// Charge-only form of [`NeuronBuffer::read_col_into`] (see
-    /// [`NeuronBuffer::charge_tile_read`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyBufferError`] if the buffer holds no input layer.
-    pub fn charge_col_read(
-        &self,
-        (x0, y0): (usize, usize),
-        n: usize,
-        sy: usize,
-        stats: &mut LayerStats,
-        scratch: &mut ReadScratch,
-    ) -> Result<(), EmptyBufferError> {
-        debug_assert!(
-            n <= self.py,
-            "mode (f) reads at most Py={} neurons",
-            self.py
-        );
-        self.loaded()?;
-        let mode = if sy == 1 { ReadMode::F } else { ReadMode::E };
-        stats.nbin_read(mode, (n * 2) as u64);
-        stats.bank_conflict_cycles += self.rect_extra_cycles((x0, y0), (1, n), (1, sy), scratch);
-        Ok(())
-    }
-
-    /// Charge-only form of [`NeuronBuffer::read_single`]: `n` mode (d)
-    /// scalar reads (see [`NeuronBuffer::charge_tile_read`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyBufferError`] if the buffer holds no input layer.
-    pub fn charge_single_reads(
-        &self,
-        n: u64,
-        stats: &mut LayerStats,
-    ) -> Result<(), EmptyBufferError> {
-        self.loaded()?;
-        stats.nbin.read_accesses += n;
-        stats.nbin.read_bytes += 2 * n;
-        stats.reads_by_mode[ReadMode::D as usize] += n;
-        Ok(())
-    }
-
     /// Starts collecting a new output layer of `count` maps of `w × h`,
     /// recycling the storage of a previously retired stack when one is
     /// available.
@@ -844,14 +741,6 @@ impl SynapseBuffer {
     #[inline]
     pub fn read_wide(&self, n: usize, stats: &mut LayerStats) {
         stats.sb.read((n * 2) as u64);
-    }
-
-    /// `count` wide reads of `n` synapses each, batched (the analytic
-    /// classifier path charges a whole group's weight stream at once).
-    #[inline]
-    pub fn read_wide_burst(&self, n: usize, count: u64, stats: &mut LayerStats) {
-        stats.sb.read_accesses += count;
-        stats.sb.read_bytes += count * (n * 2) as u64;
     }
 }
 

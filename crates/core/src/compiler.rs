@@ -1,18 +1,22 @@
 //! The network-to-instruction compiler (§7.2).
 
 use crate::isa::{Fields, Instruction, Opcode, INSTRUCTION_BYTES};
+use core::cell::Cell;
 use core::fmt;
-use core::sync::atomic::AtomicU64;
 use shidiannao_cnn::{Layer, LayerBody, Network, PoolKind};
 
-/// Process-wide count of [`compile`] invocations (diagnostic).
-static COMPILE_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of [`compile`] invocations (diagnostic). Per
+    /// thread so concurrently running tests cannot land in each other's
+    /// before/after window.
+    static COMPILE_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// How many times [`compile`] has run in this process. Tests use this to
-/// assert that a prepared-network pipeline compiles each topology exactly
-/// once, no matter how many inferences it executes.
+/// How many times [`compile`] has run on the calling thread. Tests use
+/// this to assert that a prepared-network pipeline compiles each
+/// topology exactly once, no matter how many inferences it executes.
 pub fn compile_calls() -> u64 {
-    COMPILE_CALLS.load(core::sync::atomic::Ordering::Relaxed)
+    COMPILE_CALLS.with(Cell::get)
 }
 
 /// Error produced while lowering a network to the 61-bit ISA.
@@ -92,7 +96,7 @@ fn activation_of(layer: &Layer) -> shidiannao_cnn::Activation {
 /// Returns [`CompileError`] when a dimension exceeds the ISA's field
 /// widths (e.g. feature maps wider than 511 neurons).
 pub fn compile(network: &Network) -> Result<Program, CompileError> {
-    COMPILE_CALLS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+    COMPILE_CALLS.with(|n| n.set(n.get() + 1));
     let mut instructions = Vec::new();
     let err = |layer: usize, e: crate::isa::EncodeError| CompileError {
         message: format!("layer {layer}: {e}"),

@@ -1,6 +1,5 @@
 //! Classifier-layer executor (§8.3).
 
-use super::values::{classifier_dot_raw, LaneKernel};
 use super::{bias_addr, fc_weight_addr, Engine};
 use crate::accel::RunError;
 use core::mem;
@@ -19,12 +18,10 @@ pub(super) fn run(eng: &mut Engine<'_>, layer: &Layer) -> Result<(), RunError> {
     let mut idxs = mem::take(&mut eng.scratch.idxs);
     let mut cursors = mem::take(&mut eng.scratch.cursors);
     let mut vals = mem::take(&mut eng.scratch.vals);
-    let mut flat = mem::take(&mut eng.scratch.values);
-    let result = run_groups(eng, layer, &mut idxs, &mut cursors, &mut vals, &mut flat);
+    let result = run_groups(eng, layer, &mut idxs, &mut cursors, &mut vals);
     eng.scratch.idxs = idxs;
     eng.scratch.cursors = cursors;
     eng.scratch.vals = vals;
-    eng.scratch.values = flat;
     result
 }
 
@@ -36,7 +33,6 @@ fn run_groups(
     idxs: &mut Vec<usize>,
     cursors: &mut Vec<usize>,
     vals: &mut Vec<Fx>,
-    flat: &mut Vec<Fx>,
 ) -> Result<(), RunError> {
     let LayerBody::Fc {
         weights,
@@ -48,11 +44,6 @@ fn run_groups(
     let pe_count = eng.cfg.pe_count();
     let px = eng.cfg.pe_cols;
     let out_count = layer.out_maps();
-    // Full connectivity means the union loop below degenerates to
-    // `0..in_count` for every group — the fast path exploits that to
-    // skip building (and sorting) the explicit index union.
-    let dense = (0..out_count).all(|n| weights.row(n).len() == weights.in_count());
-    let mut flattened = false;
 
     for group_start in (0..out_count).step_by(pe_count) {
         let group_len = pe_count.min(out_count - group_start);
@@ -65,20 +56,7 @@ fn run_groups(
             eng.nfu.pe_mut(i % px, i / px).reset_accumulator(bias);
         }
 
-        if eng.fast {
-            fast_group(
-                eng,
-                weights,
-                group_start,
-                group_len,
-                dense,
-                idxs,
-                flat,
-                &mut flattened,
-            )?;
-        } else {
-            slow_group(eng, weights, group_start, group_len, idxs, cursors)?;
-        }
+        mac_group(eng, weights, group_start, group_len, idxs, cursors)?;
 
         // Epilogue: activation through the ALU, then one grouped write.
         vals.clear();
@@ -94,9 +72,9 @@ fn run_groups(
     Ok(())
 }
 
-/// The instrumented union loop: one mode (d) broadcast + one wide SB read
-/// per distinct input index, PEs matching via per-row cursors.
-fn slow_group(
+/// The union loop: one mode (d) broadcast + one wide SB read per distinct
+/// input index, PEs matching via per-row cursors.
+fn mac_group(
     eng: &mut Engine<'_>,
     weights: &FcWeights,
     group_start: usize,
@@ -139,81 +117,6 @@ fn slow_group(
             }
         }
         eng.tick(busy);
-    }
-    Ok(())
-}
-
-/// The analytic fast path: the union loop's per-cycle bookkeeping has a
-/// closed form, and each PE's MAC stream is its weight row in ascending
-/// index order (exactly the order the cursors walk), so the accumulation
-/// is computed as one dot product per PE over the flattened input — the
-/// per-accumulator operation sequence, and therefore the result, is
-/// bit-identical to [`slow_group`].
-///
-/// Statistics: with `U` distinct input indices in the group's union and
-/// `B` total row entries (each entry matches its index exactly once),
-/// the union loop charges `U` mode (d) reads, `U` wide SB reads, `U`
-/// cycles, `B` busy PE slots, and `B` muls + adds.
-#[allow(clippy::too_many_arguments)]
-fn fast_group(
-    eng: &mut Engine<'_>,
-    weights: &FcWeights,
-    group_start: usize,
-    group_len: usize,
-    dense: bool,
-    idxs: &mut Vec<usize>,
-    flat: &mut Vec<Fx>,
-    flattened: &mut bool,
-) -> Result<(), RunError> {
-    let union = if dense {
-        weights.in_count()
-    } else {
-        idxs.clear();
-        for i in 0..group_len {
-            idxs.extend(weights.row(group_start + i).iter().map(|&(idx, _)| idx));
-        }
-        idxs.sort_unstable();
-        idxs.dedup();
-        idxs.len()
-    } as u64;
-    let matched: u64 = (0..group_len)
-        .map(|i| weights.row(group_start + i).len() as u64)
-        .sum();
-
-    if union > 0 {
-        // Guarded so an all-empty group charges (and checks) nothing,
-        // exactly like a union loop with zero iterations.
-        eng.charge_nb_singles(union)?;
-    }
-    eng.sb.read_wide_burst(eng.cfg.pe_count(), union, eng.stats);
-    eng.stats.pe_muls += matched;
-    eng.stats.pe_adds += matched;
-    eng.stats.cycles += union;
-    eng.stats.pe_busy_slots += matched;
-    eng.stats.pe_total_slots += union * eng.cfg.pe_count() as u64;
-
-    if matched > 0 && !*flattened {
-        // Flatten the input once per layer, in mode (d)'s flat addressing
-        // order (map-major, row-major — each map's backing slice).
-        let stack = eng
-            .nbin
-            .contents()
-            .expect("charged reads verified the load");
-        flat.clear();
-        for fm in stack.iter() {
-            flat.extend_from_slice(fm.as_slice());
-        }
-        *flattened = true;
-    }
-
-    let store = eng.store;
-    let layer_index = eng.layer_index;
-    let px = eng.cfg.pe_cols;
-    for i in 0..group_len {
-        let row = weights.row(group_start + i);
-        let wrow = store.fc_row(layer_index, group_start + i, row.len());
-        let dot = classifier_dot_raw(&LaneKernel, flat, row, wrow);
-        eng.nfu.acc_mut(i % px, i / px).add_raw(dot);
     }
     Ok(())
 }

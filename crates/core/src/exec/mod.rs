@@ -88,12 +88,6 @@ pub(crate) struct Engine<'a> {
     /// fault-free by construction). `None` on every session run, so the
     /// hot path pays a single never-taken branch.
     pub recorder: Option<&'a mut ScheduleRecorder>,
-    /// Fast-kernel selection: `true` only when no fault plan is active,
-    /// no PE stuck-at faults are installed, and no layer trace is being
-    /// recorded. The fast kernel drives the mesh through bulk SoA
-    /// operations; it is proven bit-identical (outputs, stats, energy)
-    /// to the instrumented per-PE path.
-    pub fast: bool,
 }
 
 impl Engine<'_> {
@@ -326,60 +320,6 @@ impl Engine<'_> {
         let mut out = Vec::new();
         self.nb_gather_into(map, coords, &mut out)?;
         Ok(out)
-    }
-
-    // ----- charge-only read wrappers (analytic fast path) ------------
-    //
-    // The analytic sweep computes PE inputs directly from the loaded
-    // stack and meters the SRAM accesses through these wrappers, which
-    // tally the identical mode / byte / bank-conflict statistics without
-    // moving data. No fault filtering: the fast kernel is only selected
-    // when no fault plan is active.
-
-    /// Charge-only mode (a)/(b)/(e) tile read.
-    pub(crate) fn charge_nb_tile(
-        &mut self,
-        origin: (usize, usize),
-        dims: (usize, usize),
-        stride: (usize, usize),
-    ) -> Result<(), RunError> {
-        debug_assert!(!self.faults.active(), "analytic path with active faults");
-        self.nbin
-            .charge_tile_read(origin, dims, stride, self.stats, &mut self.scratch.read)?;
-        Ok(())
-    }
-
-    /// Charge-only mode (c) row read.
-    pub(crate) fn charge_nb_row(
-        &mut self,
-        origin: (usize, usize),
-        n: usize,
-        sx: usize,
-    ) -> Result<(), RunError> {
-        debug_assert!(!self.faults.active(), "analytic path with active faults");
-        self.nbin
-            .charge_row_read(origin, n, sx, self.stats, &mut self.scratch.read)?;
-        Ok(())
-    }
-
-    /// Charge-only mode (f) column read.
-    pub(crate) fn charge_nb_col(
-        &mut self,
-        origin: (usize, usize),
-        n: usize,
-        sy: usize,
-    ) -> Result<(), RunError> {
-        debug_assert!(!self.faults.active(), "analytic path with active faults");
-        self.nbin
-            .charge_col_read(origin, n, sy, self.stats, &mut self.scratch.read)?;
-        Ok(())
-    }
-
-    /// Charge-only batch of `n` mode (d) single-neuron reads.
-    pub(crate) fn charge_nb_singles(&mut self, n: u64) -> Result<(), RunError> {
-        debug_assert!(!self.faults.active(), "analytic path with active faults");
-        self.nbin.charge_single_reads(n, self.stats)?;
-        Ok(())
     }
 
     /// Filters one synapse word (weight or bias) served from the SB

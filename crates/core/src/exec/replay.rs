@@ -10,9 +10,8 @@
 //! input stack, SB words patched at fetch below), and only the
 //! arithmetic that actually produces neuron values runs — in exactly
 //! the per-accumulator operation order of the instrumented path, on the
-//! real PE mesh, so outputs are bit-identical by construction (the same
-//! argument, op for op, that proves the analytic fast kernel in
-//! `window.rs`).
+//! real PE mesh, so outputs are bit-identical by construction (see the
+//! bit-identity contract in [`super::values`]).
 //!
 //! Layers the replay executor does not model — normalization layers and
 //! multi-map-packed convolutions ([`crate::schedule::layer_replayable`])
@@ -33,7 +32,7 @@ use shidiannao_cnn::{ConnectionTable, FcWeights, Layer, LayerBody, PoolKind};
 use shidiannao_fixed::{Accum, Fx};
 
 /// SB patches of the layer's fault overlay (empty on clean runs).
-type SbPatches = [([u64; 3], u16)];
+pub(crate) type SbPatches = [([u64; 3], u16)];
 
 /// Replays one layer from its precompiled schedule. The caller has
 /// already applied the overlay's NB patches to the input stack and

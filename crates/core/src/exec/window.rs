@@ -8,7 +8,6 @@
 //! — one (output block × input map) sweep — exactly as the paper's Fig. 13
 //! walkthrough prescribes.
 
-use super::values::{sum_to_raw, LaneKernel, ValueKernel};
 use super::Engine;
 use crate::accel::RunError;
 use crate::hfsm::SecondState;
@@ -61,9 +60,7 @@ impl Pass {
 ///
 /// Accumulation lives in the PEs. The per-cycle storage comes from the
 /// session's scratch arena, so a steady-state sweep cycle allocates
-/// nothing; when `eng.fast` is set the mesh is driven through the bulk
-/// SoA operations instead of per-PE views (bit-identical by
-/// construction — the NB reads, HFSM steps, and statistics are shared).
+/// nothing.
 pub(crate) fn run_pass(
     eng: &mut Engine<'_>,
     pass: Pass,
@@ -78,6 +75,10 @@ pub(crate) fn run_pass(
     result
 }
 
+// Kept out of line: inlined into the generic conv/pool pass loops it ran
+// measurably slower (`prepare()`'s recording run, which is this loop,
+// took ~10% longer on a 2-core x86-64 VM).
+#[inline(never)]
 fn sweep(
     eng: &mut Engine<'_>,
     pass: Pass,
@@ -90,11 +91,6 @@ fn sweep(
     let (kx_max, ky_max) = pass.kernel;
     let (sx, sy) = pass.stride;
     let propagate = eng.cfg.inter_pe_propagation;
-    let cells = (aw * ah) as u64;
-
-    if eng.fast && propagate {
-        return analytic(eng, pass, op, kernel_value, values);
-    }
 
     // Window-pass boundary: stale FIFO-V (and FIFO-H) contents from the
     // previous pass are discarded, and the phase ring advances.
@@ -149,15 +145,10 @@ fn sweep(
                     // Upper rows pop the FIFO-V of the PE below; the bottom
                     // active row reads Px neurons from one bank (mode (c)).
                     values.resize(aw * ah, Fx::ZERO);
-                    if eng.fast {
-                        eng.nfu.propagate_v_block((aw, ah), values);
-                        eng.stats.fifo_pops += ((ah - 1) * aw) as u64;
-                    } else {
-                        for py in 0..ah - 1 {
-                            for px in 0..aw {
-                                values[py * aw + px] = eng.nfu.propagate_from_below(px, py);
-                                eng.stats.fifo_pops += 1;
-                            }
+                    for py in 0..ah - 1 {
+                        for px in 0..aw {
+                            values[py * aw + px] = eng.nfu.propagate_from_below(px, py);
+                            eng.stats.fifo_pops += 1;
                         }
                     }
                     eng.nb_row_into(pass.map, pass.input_at(0, ah - 1, 0, ky), aw, sx, aux)?;
@@ -178,15 +169,10 @@ fn sweep(
                     // Left PEs pop the right neighbour's FIFO-H; the
                     // rightmost active column reads a column (mode (f)).
                     values.resize(aw * ah, Fx::ZERO);
-                    if eng.fast {
-                        eng.nfu.propagate_h_block((aw, ah), values);
-                        eng.stats.fifo_pops += (ah * (aw - 1)) as u64;
-                    } else {
-                        for py in 0..ah {
-                            for px in 0..aw - 1 {
-                                values[py * aw + px] = eng.nfu.propagate_from_right(px, py);
-                                eng.stats.fifo_pops += 1;
-                            }
+                    for py in 0..ah {
+                        for px in 0..aw - 1 {
+                            values[py * aw + px] = eng.nfu.propagate_from_right(px, py);
+                            eng.stats.fifo_pops += 1;
                         }
                     }
                     eng.nb_col_into(pass.map, pass.input_at(aw - 1, 0, kx, ky), ah, sy, aux)?;
@@ -204,58 +190,31 @@ fn sweep(
             } else {
                 Fx::ZERO
             };
-            if eng.fast {
-                // Fast kernel: one fused pass over the SoA arrays, with
-                // the per-PE statistics batched.
-                if propagate {
-                    eng.stats.fifo_pushes += if kx == 0 { 2 * cells } else { cells };
-                    match op {
-                        WindowOp::Mac => eng.nfu.receive_mac((aw, ah), values, k, kx == 0),
-                        WindowOp::Max => eng.nfu.receive_max((aw, ah), values, kx == 0),
-                        WindowOp::Add => eng.nfu.receive_add((aw, ah), values, kx == 0),
-                    }
-                } else {
-                    match op {
-                        WindowOp::Mac => eng.nfu.apply_mac((aw, ah), values, k),
-                        WindowOp::Max => eng.nfu.apply_max((aw, ah), values),
-                        WindowOp::Add => eng.nfu.apply_add((aw, ah), values),
-                    }
-                }
-                match op {
-                    WindowOp::Mac => {
-                        eng.stats.pe_muls += cells;
-                        eng.stats.pe_adds += cells;
-                    }
-                    WindowOp::Max => eng.stats.pe_cmps += cells,
-                    WindowOp::Add => eng.stats.pe_adds += cells,
-                }
-            } else {
-                for py in 0..ah {
-                    for px in 0..aw {
-                        let v = values[py * aw + px];
-                        let mut pe = eng.nfu.pe_mut(px, py);
-                        if propagate {
-                            pe.push_h(v);
+            for py in 0..ah {
+                for px in 0..aw {
+                    let v = values[py * aw + px];
+                    let mut pe = eng.nfu.pe_mut(px, py);
+                    if propagate {
+                        pe.push_h(v);
+                        eng.stats.fifo_pushes += 1;
+                        if kx == 0 {
+                            pe.push_v(v);
                             eng.stats.fifo_pushes += 1;
-                            if kx == 0 {
-                                pe.push_v(v);
-                                eng.stats.fifo_pushes += 1;
-                            }
                         }
-                        match op {
-                            WindowOp::Mac => {
-                                pe.mac(v, k);
-                                eng.stats.pe_muls += 1;
-                                eng.stats.pe_adds += 1;
-                            }
-                            WindowOp::Max => {
-                                pe.compare(v);
-                                eng.stats.pe_cmps += 1;
-                            }
-                            WindowOp::Add => {
-                                pe.add(v);
-                                eng.stats.pe_adds += 1;
-                            }
+                    }
+                    match op {
+                        WindowOp::Mac => {
+                            pe.mac(v, k);
+                            eng.stats.pe_muls += 1;
+                            eng.stats.pe_adds += 1;
+                        }
+                        WindowOp::Max => {
+                            pe.compare(v);
+                            eng.stats.pe_cmps += 1;
+                        }
+                        WindowOp::Add => {
+                            pe.add(v);
+                            eng.stats.pe_adds += 1;
                         }
                     }
                 }
@@ -263,156 +222,6 @@ fn sweep(
             eng.tick(aw * ah);
         }
     }
-    eng.nfu.record_fifo_peaks(eng.stats);
-    Ok(())
-}
-
-/// The analytic fast pass: exploits the closed form of the Fig. 13
-/// dataflow instead of emulating it cycle by cycle.
-///
-/// In fast mode (no faults, no trace) the value PE `(px, py)` receives at
-/// kernel offset `(kx, ky)` is *by construction* the input-map value at
-/// its window coordinate [`Pass::input_at`] — the FIFO propagation
-/// network only ever moves that value into place. So the pass splits into
-///
-/// 1. a **statistics sweep** that replays the exact HFSM step sequence
-///    and charges the exact NB/SB accesses of the cycle-accurate loop
-///    (via the charge-only read variants) while staging the kernel
-///    weights in cycle order, and
-/// 2. a **compute pass** that reduces each active PE's window directly
-///    from the feature map, in the same `(ky, kx)` row-major order — the
-///    per-accumulator operation sequence is identical, so the result is
-///    bit-identical.
-///
-/// FIFO traffic has closed forms: every active PE pushes each received
-/// value (plus a FIFO-V push on `kx == 0` cycles), pops happen on the
-/// propagated cycles, and the peak occupancies are `min(Kx, Sx)` /
-/// `min(Ky, Sy)` — the §5.1 sizing — reached uniformly by every active
-/// PE (column 0 / row 0 are never popped but evict at depth; popped PEs
-/// drain and refill each cycle, holding the same level).
-fn analytic(
-    eng: &mut Engine<'_>,
-    pass: Pass,
-    op: WindowOp,
-    kernel_value: &mut impl FnMut(&mut Engine<'_>, usize, usize) -> Result<Fx, RunError>,
-    weights: &mut Vec<Fx>,
-) -> Result<(), RunError> {
-    let (aw, ah) = pass.active;
-    let (kx_max, ky_max) = pass.kernel;
-    let (sx, sy) = pass.stride;
-    let cells = (aw * ah) as u64;
-    let win = (kx_max * ky_max) as u64;
-
-    if eng.hfsm.second() != SecondState::Init {
-        eng.hfsm
-            .step(SecondState::NextWindow)
-            .expect("HFSM: next window");
-    }
-    eng.nfu.set_fifo_depths(sx, sy);
-    eng.nfu.clear_fifos_v();
-
-    weights.clear();
-    for ky in 0..ky_max {
-        eng.nfu.clear_fifos_h();
-        for kx in 0..kx_max {
-            if kx == 0 && ky == 0 {
-                eng.hfsm.step(SecondState::Fill).expect("HFSM: fill");
-                eng.charge_nb_tile(pass.input_at(0, 0, 0, 0), (aw, ah), (sx, sy))?;
-            } else if kx == 0 {
-                eng.hfsm.step(SecondState::NextRow).expect("HFSM: next row");
-                eng.hfsm.step(SecondState::VMode).expect("HFSM: v-mode");
-                if ky < sy {
-                    eng.charge_nb_tile(pass.input_at(0, 0, 0, ky), (aw, ah), (sx, sy))?;
-                } else {
-                    eng.stats.fifo_pops += ((ah - 1) * aw) as u64;
-                    eng.charge_nb_row(pass.input_at(0, ah - 1, 0, ky), aw, sx)?;
-                }
-            } else {
-                eng.hfsm.step(SecondState::HMode).expect("HFSM: h-mode");
-                if kx < sx {
-                    eng.charge_nb_tile(pass.input_at(0, 0, kx, ky), (aw, ah), (sx, sy))?;
-                } else {
-                    eng.stats.fifo_pops += (ah * (aw - 1)) as u64;
-                    eng.charge_nb_col(pass.input_at(aw - 1, 0, kx, ky), ah, sy)?;
-                }
-            }
-            if op == WindowOp::Mac {
-                eng.sb.read_broadcast(eng.stats);
-                weights.push(kernel_value(eng, kx, ky)?);
-            }
-        }
-    }
-
-    // Per-cycle counters, batched: each of the `win` cycles pushes
-    // `cells` values (doubled on the kx == 0 first-column cycles), does
-    // one PE op per active cell, and advances the clock.
-    eng.stats.fifo_pushes += cells * (ky_max as u64) * (kx_max as u64 + 1);
-    match op {
-        WindowOp::Mac => {
-            eng.stats.pe_muls += cells * win;
-            eng.stats.pe_adds += cells * win;
-        }
-        WindowOp::Max => eng.stats.pe_cmps += cells * win,
-        WindowOp::Add => eng.stats.pe_adds += cells * win,
-    }
-    eng.stats.cycles += win;
-    eng.stats.pe_busy_slots += cells * win;
-    eng.stats.pe_total_slots += win * eng.cfg.pe_count() as u64;
-
-    // Compute pass: each PE *row* reduces its windows as chunked i64
-    // lane partial sums over the kernel offsets (one fused pass through
-    // the lane kernel), folded into the SoA accumulator row with a
-    // single saturating add — bit-identical to the per-cycle fold by
-    // the no-intermediate-saturation argument in [`super::values`].
-    let kern = LaneKernel;
-    let nbin = eng.nbin;
-    let fm = &nbin.contents().expect("charged reads verified the load")[pass.map];
-    let mut lanes = mem::take(&mut eng.scratch.sums);
-    let base_x0 = pass.block.0 * sx;
-    for py in 0..ah {
-        let base_y = (pass.block.1 + py) * sy;
-        match op {
-            WindowOp::Mac => {
-                lanes.clear();
-                lanes.resize(aw, 0);
-                for ky in 0..ky_max {
-                    let row = &fm.row(base_y + ky)[base_x0..];
-                    for (kx, &k) in weights[ky * kx_max..(ky + 1) * kx_max].iter().enumerate() {
-                        kern.shifted_mac(&row[kx..], sx, k, &mut lanes);
-                    }
-                }
-                for (acc, &l) in eng.nfu.acc_row_mut(py, aw).iter_mut().zip(&lanes) {
-                    acc.add_raw(l);
-                }
-            }
-            WindowOp::Max => {
-                let cmps = eng.nfu.cmp_row_mut(py, aw);
-                for ky in 0..ky_max {
-                    let row = &fm.row(base_y + ky)[base_x0..];
-                    for kx in 0..kx_max {
-                        kern.shifted_max(&row[kx..], sx, cmps);
-                    }
-                }
-            }
-            WindowOp::Add => {
-                lanes.clear();
-                lanes.resize(aw, 0);
-                for ky in 0..ky_max {
-                    let row = &fm.row(base_y + ky)[base_x0..];
-                    for kx in 0..kx_max {
-                        kern.shifted_sum(&row[kx..], sx, &mut lanes);
-                    }
-                }
-                for (acc, &l) in eng.nfu.acc_row_mut(py, aw).iter_mut().zip(&lanes) {
-                    acc.add_raw(sum_to_raw(l));
-                }
-            }
-        }
-    }
-    eng.scratch.sums = lanes;
-
-    eng.nfu
-        .note_fifo_peaks(kx_max.min(sx) as u32, ky_max.min(sy) as u32);
     eng.nfu.record_fifo_peaks(eng.stats);
     Ok(())
 }

@@ -15,9 +15,8 @@ use shidiannao_fixed::{Accum, Fx};
 ///
 /// PE state is stored structure-of-arrays in a [`PeArray`] (one flat
 /// array per register class, indexed `y·Px + x`); [`Nfu::pe`] /
-/// [`Nfu::pe_mut`] hand out per-PE views. The `receive_*` /
-/// `propagate_*_block` bulk operations cover a whole active block in one
-/// call — the fast sweep kernel's inner loop.
+/// [`Nfu::pe_mut`] hand out per-PE views; schedule replay reaches the
+/// accumulator and comparator arrays directly.
 #[derive(Clone, Debug)]
 pub struct Nfu {
     px: usize,
@@ -151,8 +150,8 @@ impl Nfu {
         }
     }
 
-    /// `true` when any PE carries a stuck-at fault — one of the
-    /// conditions that disables the fast sweep kernel.
+    /// `true` when any PE carries a stuck-at fault — the condition that
+    /// forces live decode (replay does not model stuck PEs).
     #[inline]
     pub fn any_stuck(&self) -> bool {
         self.pes.any_stuck()
@@ -173,65 +172,6 @@ impl Nfu {
         self.pes.max_fifo_peaks()
     }
 
-    // ----- bulk mesh operations (fast sweep kernel) -------------------
-
-    /// One MAC sweep cycle over the `aw × ah` active block anchored at
-    /// the mesh origin: each PE pushes its received neuron into FIFO-H
-    /// (and FIFO-V when `push_v`) and MACs it with the broadcast synapse.
-    /// Exactly equivalent to the per-PE view calls of the instrumented
-    /// path, fused into contiguous-array loops.
-    #[inline]
-    pub(crate) fn receive_mac(&mut self, active: (usize, usize), vals: &[Fx], k: Fx, push_v: bool) {
-        self.pes.receive_mac(self.px, active, vals, k, push_v);
-    }
-
-    /// [`Nfu::receive_mac`]'s max-pooling counterpart.
-    #[inline]
-    pub(crate) fn receive_max(&mut self, active: (usize, usize), vals: &[Fx], push_v: bool) {
-        self.pes.receive_max(self.px, active, vals, push_v);
-    }
-
-    /// [`Nfu::receive_mac`]'s accumulate-only counterpart.
-    #[inline]
-    pub(crate) fn receive_add(&mut self, active: (usize, usize), vals: &[Fx], push_v: bool) {
-        self.pes.receive_add(self.px, active, vals, push_v);
-    }
-
-    /// FIFO-less MAC over the active block (the Fig. 7 no-propagation
-    /// ablation).
-    #[inline]
-    pub(crate) fn apply_mac(&mut self, active: (usize, usize), vals: &[Fx], k: Fx) {
-        self.pes.apply_mac(self.px, active, vals, k);
-    }
-
-    /// [`Nfu::apply_mac`]'s max-pooling counterpart.
-    #[inline]
-    pub(crate) fn apply_max(&mut self, active: (usize, usize), vals: &[Fx]) {
-        self.pes.apply_max(self.px, active, vals);
-    }
-
-    /// [`Nfu::apply_mac`]'s accumulate-only counterpart.
-    #[inline]
-    pub(crate) fn apply_add(&mut self, active: (usize, usize), vals: &[Fx]) {
-        self.pes.apply_add(self.px, active, vals);
-    }
-
-    /// Bulk horizontal propagation: fills columns `0..aw−1` of `vals`
-    /// from each PE's right neighbour's FIFO-H (the rightmost column is
-    /// read from NBin by the caller).
-    #[inline]
-    pub(crate) fn propagate_h_block(&mut self, active: (usize, usize), vals: &mut [Fx]) {
-        self.pes.propagate_h_block(self.px, active, vals);
-    }
-
-    /// Bulk vertical propagation: fills rows `0..ah−1` of `vals` from
-    /// each PE's lower neighbour's FIFO-V (the bottom row is read from
-    /// NBin by the caller).
-    #[inline]
-    pub(crate) fn propagate_v_block(&mut self, active: (usize, usize), vals: &mut [Fx]) {
-        self.pes.propagate_v_block(self.px, active, vals);
-    }
-
     /// Drains the active block's accumulators into `out` (cleared first),
     /// row-major, through the PE output path.
     #[inline]
@@ -239,17 +179,17 @@ impl Nfu {
         self.pes.read_accumulators_into(self.px, active, out);
     }
 
-    // ----- analytic fast-path access ----------------------------------
+    // ----- schedule-replay access -------------------------------------
 
-    /// Direct accumulator access for the analytic window reduction
-    /// (bounds `debug_assert!`-checked, see [`Nfu::pe`]).
+    /// Direct accumulator access for replay's window reduction (bounds
+    /// `debug_assert!`-checked, see [`Nfu::pe`]).
     #[inline]
     pub(crate) fn acc_mut(&mut self, x: usize, y: usize) -> &mut Accum {
         debug_assert!(x < self.px && y < self.py, "PE ({x},{y}) out of range");
         self.pes.acc_mut(y * self.px + x)
     }
 
-    /// Direct comparator access for the analytic window reduction.
+    /// Direct comparator access for replay's window reduction.
     #[inline]
     pub(crate) fn cmp_mut(&mut self, x: usize, y: usize) -> &mut Fx {
         debug_assert!(x < self.px && y < self.py, "PE ({x},{y}) out of range");
@@ -277,8 +217,8 @@ impl Nfu {
         self.pes.cmp_row_mut(self.px, y, len)
     }
 
-    /// Folds an analytically derived pass peak into the FIFO peak
-    /// tracking (see `PeArray::note_fifo_peaks`).
+    /// Folds a recorded layer's peak into the FIFO peak tracking (see
+    /// `PeArray::note_fifo_peaks`).
     #[inline]
     pub(crate) fn note_fifo_peaks(&mut self, h: u32, v: u32) {
         self.pes.note_fifo_peaks(h, v);
@@ -382,51 +322,17 @@ mod tests {
     }
 
     #[test]
-    fn bulk_receive_and_propagate_match_view_calls() {
-        let mut bulk = Nfu::new(3, 2);
-        let mut scalar = Nfu::new(3, 2);
-        for nfu in [&mut bulk, &mut scalar] {
-            nfu.set_fifo_depths(1, 1);
-            for y in 0..2 {
-                for x in 0..3 {
-                    nfu.pe_mut(x, y).reset_accumulator(Fx::ZERO);
-                }
-            }
-        }
-        let vals: Vec<Fx> = (1..=4).map(Fx::from_int).collect();
-        let k = Fx::from_f32(2.0);
-        bulk.receive_mac((2, 2), &vals, k, true);
-        for py in 0..2 {
-            for dx in 0..2 {
-                let v = vals[py * 2 + dx];
-                let mut pe = scalar.pe_mut(dx, py);
-                pe.push_h(v);
-                pe.push_v(v);
-                pe.mac(v, k);
-            }
-        }
+    fn accumulator_drain_is_row_major_over_the_active_block() {
+        let mut nfu = Nfu::new(3, 2);
         for y in 0..2 {
             for x in 0..3 {
-                assert_eq!(
-                    bulk.pe(x, y).accumulator(),
-                    scalar.pe(x, y).accumulator(),
-                    "accumulator mismatch at ({x},{y})"
-                );
-                assert_eq!(bulk.pe(x, y).fifo_len(), scalar.pe(x, y).fifo_len());
+                nfu.pe_mut(x, y)
+                    .reset_accumulator(Fx::from_int((10 * y + x) as i32));
             }
         }
-        // Horizontal propagation: column 0 pops column 1's FIFO-H.
-        let mut got = vec![Fx::ZERO; 4];
-        bulk.propagate_h_block((2, 2), &mut got);
-        let mut want = [Fx::ZERO; 4];
-        for py in 0..2 {
-            want[py * 2] = scalar.propagate_from_right(0, py);
-        }
-        assert_eq!(got[0], want[0]);
-        assert_eq!(got[2], want[2]);
         let mut acc = Vec::new();
-        bulk.read_accumulators_into((2, 2), &mut acc);
-        assert_eq!(acc.len(), 4);
-        assert_eq!(acc[3], bulk.pe(1, 1).accumulator());
+        nfu.read_accumulators_into((2, 2), &mut acc);
+        let want: Vec<Fx> = [0, 1, 10, 11].into_iter().map(Fx::from_int).collect();
+        assert_eq!(acc, want);
     }
 }

@@ -92,8 +92,7 @@ impl PeArray {
         self.v_depth = 1;
     }
 
-    /// `true` when any PE carries a stuck-at fault (disables the fast
-    /// sweep kernel).
+    /// `true` when any PE carries a stuck-at fault (forces live decode).
     #[inline]
     pub(crate) fn any_stuck(&self) -> bool {
         self.stuck_count != 0
@@ -180,11 +179,10 @@ impl PeArray {
         self.stuck_output(i, self.cmp[i])
     }
 
-    /// Direct accumulator access for the analytic fast path: the whole
-    /// window reduction runs as one per-PE loop, so the per-cycle
-    /// dispatch through [`PeArray::mac`] is bypassed. Fault handling is
-    /// moot — the fast kernel is only selected when no PE carries a
-    /// stuck-at fault.
+    /// Direct accumulator access for schedule replay: the whole window
+    /// reduction runs as one per-PE loop, so the per-cycle dispatch
+    /// through [`PeArray::mac`] is bypassed. Fault handling is moot —
+    /// replay is only selected when no PE carries a stuck-at fault.
     #[inline]
     pub(crate) fn acc_mut(&mut self, i: usize) -> &mut Accum {
         &mut self.acc[i]
@@ -213,12 +211,12 @@ impl PeArray {
         &mut self.cmp[base..base + len]
     }
 
-    /// Folds an analytically derived per-pass peak FIFO occupancy into
-    /// the peak tracking. The cycle-accurate sweep reaches the same peak
-    /// on every active PE, and [`PeArray::max_fifo_peaks`] reports a
-    /// global maximum, so carrying the pass peak in PE 0's slot (always
-    /// active — blocks anchor at the mesh origin) preserves the exact
-    /// cumulative-since-reset semantics the instrumented path produces.
+    /// Folds a recorded peak FIFO occupancy into the peak tracking
+    /// (schedule replay advances the mesh to the after-layer peaks the
+    /// recording run saw). [`PeArray::max_fifo_peaks`] reports a global
+    /// maximum, so carrying the peak in PE 0's slot (always active —
+    /// blocks anchor at the mesh origin) preserves the exact
+    /// cumulative-since-reset semantics the live sweep produces.
     #[inline]
     pub(crate) fn note_fifo_peaks(&mut self, h: u32, v: u32) {
         self.h_peak[0] = self.h_peak[0].max(h);
@@ -404,159 +402,6 @@ impl PeArray {
         let h = self.h_peak.iter().copied().max().unwrap_or(0);
         let v = self.v_peak.iter().copied().max().unwrap_or(0);
         (h as usize, v as usize)
-    }
-
-    // ----- bulk mesh operations (the fast sweep kernel) ---------------
-    //
-    // One call covers the whole active block for one sweep cycle; the
-    // per-element semantics are exactly the per-PE view calls the
-    // instrumented path makes, fused into contiguous-array loops.
-
-    /// Receives one neuron per active PE (row-major `vals` over an
-    /// `aw × ah` block at the mesh origin, row stride `px_stride`),
-    /// pushing FIFO-H (and FIFO-V when `push_v`) and MAC-ing with the
-    /// broadcast synapse `k`.
-    pub(crate) fn receive_mac(
-        &mut self,
-        px_stride: usize,
-        (aw, ah): (usize, usize),
-        vals: &[Fx],
-        k: Fx,
-        push_v: bool,
-    ) {
-        debug_assert_eq!(vals.len(), aw * ah);
-        for py in 0..ah {
-            let base = py * px_stride;
-            for (dx, &v) in vals[py * aw..(py + 1) * aw].iter().enumerate() {
-                let i = base + dx;
-                self.push_h(i, v);
-                if push_v {
-                    self.push_v(i, v);
-                }
-                self.acc[i].mac(v, k);
-            }
-        }
-    }
-
-    /// [`PeArray::receive_mac`]'s max-pooling counterpart.
-    pub(crate) fn receive_max(
-        &mut self,
-        px_stride: usize,
-        (aw, ah): (usize, usize),
-        vals: &[Fx],
-        push_v: bool,
-    ) {
-        debug_assert_eq!(vals.len(), aw * ah);
-        for py in 0..ah {
-            let base = py * px_stride;
-            for (dx, &v) in vals[py * aw..(py + 1) * aw].iter().enumerate() {
-                let i = base + dx;
-                self.push_h(i, v);
-                if push_v {
-                    self.push_v(i, v);
-                }
-                self.cmp[i] = self.cmp[i].max(v);
-            }
-        }
-    }
-
-    /// [`PeArray::receive_mac`]'s accumulate-only counterpart (average
-    /// pooling / matrix sums).
-    pub(crate) fn receive_add(
-        &mut self,
-        px_stride: usize,
-        (aw, ah): (usize, usize),
-        vals: &[Fx],
-        push_v: bool,
-    ) {
-        debug_assert_eq!(vals.len(), aw * ah);
-        for py in 0..ah {
-            let base = py * px_stride;
-            for (dx, &v) in vals[py * aw..(py + 1) * aw].iter().enumerate() {
-                let i = base + dx;
-                self.push_h(i, v);
-                if push_v {
-                    self.push_v(i, v);
-                }
-                self.acc[i].add_fx(v);
-            }
-        }
-    }
-
-    /// FIFO-less MAC over the active block (the Fig. 7 no-propagation
-    /// ablation: every PE re-reads from NBin, so nothing is buffered).
-    pub(crate) fn apply_mac(
-        &mut self,
-        px_stride: usize,
-        (aw, ah): (usize, usize),
-        vals: &[Fx],
-        k: Fx,
-    ) {
-        debug_assert_eq!(vals.len(), aw * ah);
-        for py in 0..ah {
-            let base = py * px_stride;
-            for (dx, &v) in vals[py * aw..(py + 1) * aw].iter().enumerate() {
-                self.acc[base + dx].mac(v, k);
-            }
-        }
-    }
-
-    /// [`PeArray::apply_mac`]'s max-pooling counterpart.
-    pub(crate) fn apply_max(&mut self, px_stride: usize, (aw, ah): (usize, usize), vals: &[Fx]) {
-        debug_assert_eq!(vals.len(), aw * ah);
-        for py in 0..ah {
-            let base = py * px_stride;
-            for (dx, &v) in vals[py * aw..(py + 1) * aw].iter().enumerate() {
-                let i = base + dx;
-                self.cmp[i] = self.cmp[i].max(v);
-            }
-        }
-    }
-
-    /// [`PeArray::apply_mac`]'s accumulate-only counterpart.
-    pub(crate) fn apply_add(&mut self, px_stride: usize, (aw, ah): (usize, usize), vals: &[Fx]) {
-        debug_assert_eq!(vals.len(), aw * ah);
-        for py in 0..ah {
-            let base = py * px_stride;
-            for (dx, &v) in vals[py * aw..(py + 1) * aw].iter().enumerate() {
-                self.acc[base + dx].add_fx(v);
-            }
-        }
-    }
-
-    /// Pops the FIFO-H of each right neighbour into columns
-    /// `0 .. aw−1` of `vals` (the rightmost column is filled by an NBin
-    /// mode (f) read instead).
-    pub(crate) fn propagate_h_block(
-        &mut self,
-        px_stride: usize,
-        (aw, ah): (usize, usize),
-        vals: &mut [Fx],
-    ) {
-        debug_assert_eq!(vals.len(), aw * ah);
-        for py in 0..ah {
-            let base = py * px_stride;
-            for dx in 0..aw - 1 {
-                vals[py * aw + dx] = self.pop_h(base + dx + 1);
-            }
-        }
-    }
-
-    /// Pops the FIFO-V of each lower neighbour into rows `0 .. ah−1` of
-    /// `vals` (the bottom row is filled by an NBin mode (c) read instead).
-    pub(crate) fn propagate_v_block(
-        &mut self,
-        px_stride: usize,
-        (aw, ah): (usize, usize),
-        vals: &mut [Fx],
-    ) {
-        debug_assert_eq!(vals.len(), aw * ah);
-        for py in 0..ah.saturating_sub(1) {
-            let base = (py + 1) * px_stride;
-            for dx in 0..aw {
-                vals[py * aw + dx] = self.pop_v(base + dx);
-            }
-        }
     }
 
     /// Drains the active block's accumulators into `out` (cleared first),
@@ -952,56 +797,5 @@ mod tests {
         assert_eq!(pe.fifo_len(0), (0, 0));
         assert_eq!(pe.fifo_peaks(0), (0, 0));
         assert_eq!(pe.len(), 1);
-    }
-
-    #[test]
-    fn bulk_receive_matches_per_pe_calls() {
-        // 2×2 block on a 3-wide mesh row stride.
-        let mut bulk = PeArray::new(6);
-        let mut scalar = PeArray::new(6);
-        let vals: Vec<Fx> = (1..=4).map(Fx::from_int).collect();
-        let k = Fx::from_f32(0.5);
-        for arr in [&mut bulk, &mut scalar] {
-            arr.set_fifo_depths(1, 1);
-            for i in 0..6 {
-                arr.reset_accumulator(i, Fx::ZERO);
-            }
-        }
-        bulk.receive_mac(3, (2, 2), &vals, k, true);
-        for py in 0..2 {
-            for dx in 0..2 {
-                let i = py * 3 + dx;
-                let v = vals[py * 2 + dx];
-                scalar.push_h(i, v);
-                scalar.push_v(i, v);
-                scalar.mac(i, v, k);
-            }
-        }
-        for i in 0..6 {
-            assert_eq!(bulk.accumulator(i), scalar.accumulator(i));
-            assert_eq!(bulk.fifo_len(i), scalar.fifo_len(i));
-            assert_eq!(bulk.fifo_peaks(i), scalar.fifo_peaks(i));
-        }
-        assert_eq!(bulk.max_fifo_peaks(), (1, 1));
-    }
-
-    #[test]
-    fn bulk_propagate_matches_per_pe_pops() {
-        let mut arr = PeArray::new(4); // 2×2 mesh, stride 2
-        arr.set_fifo_depths(1, 1);
-        for i in 0..4 {
-            arr.push_h(i, Fx::from_int(i as i32 + 1));
-            arr.push_v(i, Fx::from_int(10 + i as i32));
-        }
-        let mut vals = vec![Fx::ZERO; 4];
-        arr.propagate_h_block(2, (2, 2), &mut vals);
-        // Column 0 receives the right neighbour's FIFO-H head.
-        assert_eq!(vals[0], Fx::from_int(2));
-        assert_eq!(vals[2], Fx::from_int(4));
-        let mut vals = vec![Fx::ZERO; 4];
-        arr.propagate_v_block(2, (2, 2), &mut vals);
-        // Row 0 receives the lower neighbour's FIFO-V head.
-        assert_eq!(vals[0], Fx::from_int(12));
-        assert_eq!(vals[1], Fx::from_int(13));
     }
 }

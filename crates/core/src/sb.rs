@@ -9,12 +9,16 @@
 //! granularity like the NB (Fig. 5 shows SB banked per PE row).
 
 use crate::buffer::CapacityError;
-use core::sync::atomic::AtomicU64;
+use core::cell::Cell;
 use shidiannao_cnn::{LayerBody, Network};
 use shidiannao_fixed::Fx;
 
-/// Process-wide count of [`SynapseStore::load`] invocations (diagnostic).
-static BUILD_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of [`SynapseStore::load`] invocations
+    /// (diagnostic; per thread for the same reason as
+    /// [`crate::compiler::compile_calls`]).
+    static BUILD_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Where one layer's weights live in the SB image.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,7 +58,7 @@ impl SynapseStore {
     /// Returns [`CapacityError`] if the image exceeds `capacity_bytes` —
     /// the §6 constraint that the whole CNN must be resident.
     pub fn load(network: &Network, capacity_bytes: usize) -> Result<SynapseStore, CapacityError> {
-        BUILD_CALLS.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+        BUILD_CALLS.with(|n| n.set(n.get() + 1));
         let mut data = Vec::new();
         let mut layers = Vec::with_capacity(network.layers().len());
         for layer in network.layers() {
@@ -102,11 +106,12 @@ impl SynapseStore {
         })
     }
 
-    /// How many times [`SynapseStore::load`] has run in this process.
+    /// How many times [`SynapseStore::load`] has run on the calling
+    /// thread.
     /// Tests use this to assert that a prepared-network pipeline builds
     /// each SB image exactly once, no matter how many inferences run.
     pub fn build_calls() -> u64 {
-        BUILD_CALLS.load(core::sync::atomic::Ordering::Relaxed)
+        BUILD_CALLS.with(Cell::get)
     }
 
     /// Configures the bank striping geometry (defaults to the 8 × 8
@@ -186,8 +191,8 @@ impl SynapseStore {
     }
 
     /// All `len` weights of classifier output `n` as one slice (ascending
-    /// input-index order) — the analytic fast path streams a whole row
-    /// per PE instead of re-deriving the entry base per weight.
+    /// input-index order) — schedule replay streams a whole row per PE
+    /// instead of re-deriving the entry base per weight.
     ///
     /// # Panics
     ///

@@ -12,17 +12,31 @@ use shidiannao_core::{
     Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, RunError, SramProtection,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counting allocator for the zero-allocation gate: every `alloc` and
-/// growing `realloc` bumps the counter; the gated region diffs it.
+/// growing `realloc` bumps the calling thread's counter; the gated
+/// region diffs it. Per thread so the test harness's concurrently
+/// running tests cannot allocate inside another test's window.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init with no destructor: touching it never allocates, so
+    // it is safe to use from inside the global allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump_allocs() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump_allocs();
         System.alloc(layout)
     }
 
@@ -31,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump_allocs();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -255,7 +269,7 @@ fn steady_state_batched_inference_allocates_nothing() {
             .expect("batch runs");
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     for _ in 0..5 {
         let batch = session
             .infer_batch_into(&inputs, &mut outputs)
@@ -263,7 +277,7 @@ fn steady_state_batched_inference_allocates_nothing() {
         assert!(batch.stats().cycles() > 0);
         assert_eq!(batch.len(), inputs.len());
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = thread_allocs() - before;
     assert_eq!(
         allocs, 0,
         "steady-state infer_batch_into must not touch the heap"

@@ -1,9 +1,11 @@
 //! Property-based equivalence for the zero-allocation SoA datapath:
 //! the `read_into` buffer variants must be bit-identical (values *and*
-//! metering) to the legacy `Vec`-returning reads, and the fast bulk-SoA
-//! sweep kernel must be bit-identical (outputs, statistics, energy) to
-//! the instrumented per-PE path — including disabling itself under an
-//! active fault plan.
+//! metering) to the legacy `Vec`-returning reads, and trace-free
+//! inference (`Session::infer` / `infer_ref`) — schedule replay by
+//! default, per-cycle HFSM decode with replay off — must be
+//! bit-identical (outputs, statistics, energy, fault counters) to the
+//! traced `Session::run`, the legacy one-shot, and the golden model,
+//! clean and under an active fault plan.
 
 use proptest::prelude::*;
 use shidiannao_cnn::{Activation, ConvSpec, FcSpec, NetworkBuilder, PoolSpec};
@@ -144,12 +146,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The fast bulk-SoA kernel (`Session::infer` / `infer_ref`), the
-    /// instrumented per-PE path (`Session::run`), and the legacy one-shot
-    /// (`Accelerator::run`) agree bit-for-bit on outputs, statistics, and
-    /// energy across random geometries — and all match the golden model.
+    /// Clean trace-free inference (`Session::infer` / `infer_ref`, with
+    /// schedule replay on or off), the traced path (`Session::run`), and
+    /// the legacy one-shot (`Accelerator::run`) agree bit-for-bit on
+    /// outputs, statistics, and energy across random geometries, with and
+    /// without inter-PE propagation — and all match the golden model.
     #[test]
-    fn fast_kernel_is_bit_identical_to_instrumented_paths(
+    fn clean_infer_is_bit_identical_to_instrumented_paths(
         in_maps in 1usize..3,
         c_maps in 1usize..5,
         w in 8usize..20,
@@ -164,6 +167,8 @@ proptest! {
         act in activations(),
         px in 2usize..9,
         py in 2usize..9,
+        replay in any::<bool>(),
+        propagate in any::<bool>(),
         seed in 0u64..1000,
     ) {
         prop_assume!(k <= w && k <= h);
@@ -185,15 +190,18 @@ proptest! {
         };
         let input = net.random_input(seed ^ 0x5A5A);
         let golden = net.forward_fixed(&input);
-        let accel = Accelerator::new(AcceleratorConfig::with_pe_grid(px, py));
+        let mut cfg = AcceleratorConfig::with_pe_grid(px, py);
+        cfg.inter_pe_propagation = propagate;
+        let accel = Accelerator::new(cfg);
 
         let legacy = accel.run(&net, &input).expect("network fits");
         let prepared = accel.prepare(&net).expect("network fits");
         let mut session = prepared.session();
+        session.set_schedule_replay(replay);
         let run = session.run(&input).expect("instrumented session run");
-        let inf = session.infer(&input).expect("fast-kernel infer");
+        let inf = session.infer(&input).expect("clean infer");
         {
-            let r = session.infer_ref(&input).expect("fast-kernel infer_ref");
+            let r = session.infer_ref(&input).expect("clean infer_ref");
             prop_assert_eq!(r.output(), inf.output());
             prop_assert_eq!(r.stats(), inf.stats());
             prop_assert_eq!(r.energy(), inf.energy());
@@ -208,12 +216,12 @@ proptest! {
         prop_assert_eq!(inf.energy(), legacy.energy());
     }
 
-    /// Under an active fault plan the fast kernel must disable itself:
-    /// `infer` (which is the fast path when fault-free) must reproduce
-    /// the instrumented faulted run exactly — same corrupted outputs,
-    /// same statistics, same fault counters.
+    /// Under an active fault plan, trace-free `infer` (replaying silent
+    /// faults through overlays, live-decoding stuck PEs and aborts) must
+    /// reproduce the instrumented faulted run exactly — same corrupted
+    /// outputs, same statistics, same fault counters.
     #[test]
-    fn fault_plans_disable_the_fast_kernel_bit_identically(
+    fn faulted_infer_is_bit_identical_to_instrumented_run(
         nb_rate in prop_oneof![Just(0.0), Just(1e-3), Just(1e-2)],
         sb_rate in prop_oneof![Just(0.0), Just(1e-3)],
         pe_rate in prop_oneof![Just(0.0), Just(0.05)],
