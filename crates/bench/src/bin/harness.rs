@@ -90,8 +90,10 @@
 //!
 //! The seven gated subcommands share one exit-code policy: the summary
 //! goes to stdout, every gate violation goes to stderr, and the process
-//! exits nonzero iff at least one gate failed.
+//! exits nonzero iff at least one gate failed. All but `bench` gate and
+//! write their artifact through `shidiannao_bench::artifact`.
 
+use shidiannao_bench::artifact::{emit, Gated};
 use shidiannao_bench::{cascade, cluster, faults, perf, report, serve, tune, video};
 use std::env;
 use std::process::ExitCode;
@@ -101,33 +103,17 @@ fn smoke_flag() -> bool {
 }
 
 /// `harness faults [--smoke]`: campaign, artefact, gates.
-fn run_faults(smoke: bool) -> (String, Vec<String>) {
+fn run_faults(smoke: bool) -> Gated {
     let r = if smoke {
         faults::smoke()
     } else {
         faults::full()
     };
-    let mut errors = Vec::new();
-    let path = "BENCH_faults.json";
-    let mut out = r.render();
-    match std::fs::write(path, r.to_json()) {
-        Ok(()) => out += &format!("\nwrote {path}\n"),
-        Err(e) => errors.push(format!("could not write {path}: {e}")),
-    }
-    if r.sdc_under_secded() != 0 {
-        errors.push("SECDED let silent data corruption through".to_string());
-    }
-    if !r.zero_rate_all_clean() {
-        errors.push("a zero-rate run diverged from the golden model".to_string());
-    }
-    if !r.all_paths_agree() {
-        errors.push("schedule replay diverged from live decode in a fault cell".to_string());
-    }
-    (out, errors)
+    emit("BENCH_faults.json", &r, Vec::new())
 }
 
 /// `harness bench [--smoke]`: perf measurement, artefact, gates.
-fn run_bench(smoke: bool) -> (String, Vec<String>) {
+fn run_bench(smoke: bool) -> Gated {
     let r = if smoke {
         perf::measure_smoke()
     } else {
@@ -171,37 +157,19 @@ fn run_bench(smoke: bool) -> (String, Vec<String>) {
 }
 
 /// `harness serve [--smoke]`: multi-tenant scenario, artefact, gates.
-fn run_serve(smoke: bool) -> (String, Vec<String>) {
-    let bench = match serve::serve_report(smoke) {
-        Ok(bench) => bench,
-        Err(e) => return (String::new(), vec![format!("scenario failed: {e}")]),
-    };
-    let mut errors = Vec::new();
-    let path = "BENCH_serve.json";
-    let mut out = bench.render();
-    match std::fs::write(path, bench.to_json()) {
-        Ok(()) => out += &format!("\nwrote {path}\n"),
-        Err(e) => errors.push(format!("could not write {path}: {e}")),
+fn run_serve(smoke: bool) -> Gated {
+    match serve::serve_report(smoke) {
+        Ok(bench) => emit("BENCH_serve.json", &bench, Vec::new()),
+        Err(e) => (String::new(), vec![format!("scenario failed: {e}")]),
     }
-    errors.extend(bench.gate_errors());
-    (out, errors)
 }
 
 /// `harness cluster [--smoke]`: chaos scenario, artefact, gates.
-fn run_cluster(smoke: bool) -> (String, Vec<String>) {
-    let bench = match cluster::cluster_report(smoke) {
-        Ok(bench) => bench,
-        Err(e) => return (String::new(), vec![format!("scenario failed: {e}")]),
-    };
-    let mut errors = Vec::new();
-    let path = "BENCH_cluster.json";
-    let mut out = bench.render();
-    match std::fs::write(path, bench.to_json()) {
-        Ok(()) => out += &format!("\nwrote {path}\n"),
-        Err(e) => errors.push(format!("could not write {path}: {e}")),
+fn run_cluster(smoke: bool) -> Gated {
+    match cluster::cluster_report(smoke) {
+        Ok(bench) => emit("BENCH_cluster.json", &bench, Vec::new()),
+        Err(e) => (String::new(), vec![format!("scenario failed: {e}")]),
     }
-    errors.extend(bench.gate_errors());
-    (out, errors)
 }
 
 fn main() -> ExitCode {

@@ -34,6 +34,7 @@ use shidiannao_quant::{
     accuracy_study, cascade_tenants, AccuracyRow, CascadeConfig, CascadeReport, QuantError,
 };
 
+use crate::artifact::{emit_deterministic, Artifact, Gated};
 use crate::json::{comma, json_f64, json_str};
 
 /// Frozen smoke-mode escalation: 12 of the 36 regions clear the
@@ -95,9 +96,9 @@ pub fn evaluate(smoke: bool) -> Result<CascadeBenchReport, QuantError> {
     })
 }
 
-impl CascadeBenchReport {
+impl Artifact for CascadeBenchReport {
     /// Deterministic JSON document (`BENCH_cascade.json`).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let r = &self.report;
         let mut out = String::from("{\n");
         out += &format!("  \"scenario\": {},\n", json_str(self.scenario));
@@ -176,7 +177,7 @@ impl CascadeBenchReport {
     }
 
     /// Human-readable summary for harness stdout.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let r = &self.report;
         let mut out = format!(
             "two-stage cascade ({}): {} regions over {} frames\n",
@@ -228,7 +229,7 @@ impl CascadeBenchReport {
     }
 
     /// Gate violations under the harness's unified exit-code policy.
-    pub fn gate_errors(&self) -> Vec<String> {
+    fn gate_errors(&self) -> Vec<String> {
         let r = &self.report;
         let mut errors = Vec::new();
         if r.front_advantage() < 4.0 {
@@ -290,46 +291,11 @@ impl CascadeBenchReport {
     }
 }
 
-/// Runs the cascade three times — once pinned to a single rayon worker,
-/// twice with the full pool — byte-compares the three JSON documents,
-/// writes `BENCH_cascade.json`, and returns `(stdout summary, gate
-/// violations)` under the harness's unified exit-code policy.
-pub fn run_cascade(smoke: bool) -> (String, Vec<String>) {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = evaluate(smoke).map(|r| r.to_json());
-    match &saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    let report = match evaluate(smoke) {
-        Ok(r) => r,
-        Err(e) => return (String::new(), vec![format!("cascade run failed: {e}")]),
-    };
-    let parallel = report.to_json();
-    let third = evaluate(smoke).map(|r| r.to_json());
-
-    let mut errors = report.gate_errors();
-    match serial {
-        Ok(s) if s != parallel => errors
-            .push("BENCH_cascade.json differs between serial and parallel evaluation".to_string()),
-        Err(e) => errors.push(format!("serial cascade run failed: {e}")),
-        _ => {}
-    }
-    match third {
-        Ok(t) if t != parallel => {
-            errors.push("BENCH_cascade.json differs between two identical runs".to_string());
-        }
-        Err(e) => errors.push(format!("repeat cascade run failed: {e}")),
-        _ => {}
-    }
-    let mut out = report.render();
-    let path = "BENCH_cascade.json";
-    match std::fs::write(path, &parallel) {
-        Ok(()) => out += &format!("\nwrote {path}\n"),
-        Err(e) => errors.push(format!("could not write {path}: {e}")),
-    }
-    (out, errors)
+/// `harness cascade [--smoke]`: the cascade through
+/// [`emit_deterministic`] (three byte-compared evaluations, then
+/// `BENCH_cascade.json`).
+pub fn run_cascade(smoke: bool) -> Gated {
+    emit_deterministic("BENCH_cascade.json", "cascade", || evaluate(smoke))
 }
 
 #[cfg(test)]

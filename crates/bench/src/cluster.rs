@@ -37,6 +37,7 @@
 //!   tuner-chosen heterogeneous configurations run end-to-end with
 //!   balanced ledgers and bit-identical sampled outputs.
 
+use crate::artifact::Artifact;
 use crate::json::{comma, json_f64, json_str};
 use crate::perf::SEED_CYCLES_PER_INFERENCE;
 use shidiannao_cnn::zoo;
@@ -476,10 +477,10 @@ fn json_cluster(r: &ClusterReport) -> String {
     out
 }
 
-impl ClusterBenchReport {
+impl Artifact for ClusterBenchReport {
     /// The `BENCH_cluster.json` document — built exclusively from
     /// virtual-clock quantities, so bytes are stable across runs.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out += &format!(
             "  \"scenario\": {},\n",
@@ -503,7 +504,7 @@ impl ClusterBenchReport {
     }
 
     /// Human-readable summary tables for both scenarios.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = format!(
             "Fault-tolerant cluster ({}): {} shards, healthy {} cycles, chaos {} cycles\n",
             if self.smoke { "smoke" } else { "full" },
@@ -579,7 +580,7 @@ impl ClusterBenchReport {
 
     /// The CI gate: empty when every certificate holds (and, in smoke
     /// mode, when the frozen ledgers match exactly).
-    pub fn gate_errors(&self) -> Vec<String> {
+    fn gate_errors(&self) -> Vec<String> {
         let mut errors = Vec::new();
         if !self.thread_invariant {
             errors.push("report differs across physical thread counts".to_string());

@@ -25,6 +25,7 @@
 //! sweep (and CI) asserts. Datapath and sensor-link faults, which no SRAM
 //! code can absorb, are exercised by the degradation rows instead.
 
+use crate::artifact::Artifact;
 use crate::geomean;
 use crate::json::{comma, json_f64};
 use shidiannao_cnn::{zoo, Network};
@@ -483,9 +484,11 @@ impl FaultReport {
     pub fn all_paths_agree(&self) -> bool {
         self.cells.iter().all(|c| c.paths_agree)
     }
+}
 
+impl Artifact for FaultReport {
     /// Machine-readable JSON (hand-rolled, deterministic).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out += &format!("  \"seed\": {},\n", self.seed);
         out += "  \"cells\": [\n";
@@ -561,7 +564,7 @@ impl FaultReport {
     }
 
     /// Human-readable summary table.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::from(
             "Fault campaign (rate x protection, SRAM sites only; replay speedup vs live decode)\n\
              network      protection  rate      clean  sdc  detected  corrected  silent  speedup  agree\n",
@@ -608,6 +611,22 @@ impl FaultReport {
             );
         }
         out
+    }
+
+    /// The CI gate: no SDC under SECDED, zero-rate cells clean, and
+    /// replay agreeing with live decode in every cell.
+    fn gate_errors(&self) -> Vec<String> {
+        let mut errors = Vec::new();
+        if self.sdc_under_secded() != 0 {
+            errors.push("SECDED let silent data corruption through".to_string());
+        }
+        if !self.zero_rate_all_clean() {
+            errors.push("a zero-rate run diverged from the golden model".to_string());
+        }
+        if !self.all_paths_agree() {
+            errors.push("schedule replay diverged from live decode in a fault cell".to_string());
+        }
+        errors
     }
 }
 

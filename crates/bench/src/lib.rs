@@ -8,6 +8,7 @@
 //! measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 
 pub mod alloc;
+pub mod artifact;
 pub mod cascade;
 pub mod cluster;
 pub mod experiments;

@@ -24,6 +24,7 @@
 //!   `max_batch: 8` and fault-free backlogged tenants get served as
 //!   multi-lane schedule replays.
 
+use crate::artifact::Artifact;
 use crate::json::{comma, json_f64, json_str};
 use crate::perf::SEED_CYCLES_PER_INFERENCE;
 use shidiannao_cnn::zoo;
@@ -229,10 +230,10 @@ fn verify_samples(smoke: bool, report: &ServiceReport) -> Result<(usize, bool), 
     Ok((checked, all_match))
 }
 
-impl ServeBenchReport {
+impl Artifact for ServeBenchReport {
     /// The `BENCH_serve.json` document — built exclusively from
     /// virtual-clock quantities, so bytes are stable across runs.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let r = &self.report;
         let mut out = String::from("{\n");
         out += &format!(
@@ -306,7 +307,7 @@ impl ServeBenchReport {
     }
 
     /// Human-readable summary table.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let r = &self.report;
         let mut out = format!(
             "Multi-tenant serve ({}): {} virtual workers, {} virtual cycles ({:.3} ms)\n",
@@ -349,7 +350,7 @@ impl ServeBenchReport {
 
     /// The CI gate: empty when every certificate holds (and, in smoke
     /// mode, when the frozen SLO ledger matches exactly).
-    pub fn gate_errors(&self) -> Vec<String> {
+    fn gate_errors(&self) -> Vec<String> {
         let mut errors = Vec::new();
         if !self.worker_count_invariant {
             errors.push("report differs across physical worker counts".to_string());

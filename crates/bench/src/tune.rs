@@ -38,6 +38,7 @@
 //! mode the frontier labels and tenant picks are frozen so CI catches
 //! any cost-model or optimizer drift that moves the frontier.
 
+use crate::artifact::{emit_deterministic, Artifact, Gated};
 use crate::experiments::{prepared_cache_stats, prepared_cached, SEED};
 use crate::json::{comma, json_f64, json_str};
 use rayon::prelude::*;
@@ -45,6 +46,7 @@ use shidiannao_cnn::{zoo, Network};
 use shidiannao_core::area::{area_with_precision, area_with_protection};
 use shidiannao_core::energy::EnergyModel;
 use shidiannao_core::{AcceleratorConfig, SramProtection, WeightPrecision};
+use std::convert::Infallible;
 
 /// Square PE-mesh sides swept by the full grid.
 pub const FULL_SIDES: [usize; 13] = [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16];
@@ -558,12 +560,14 @@ impl TuneReport {
     pub fn fully_feasible(&self) -> usize {
         self.points.iter().filter(|p| p.fully_feasible()).count()
     }
+}
 
+impl Artifact for TuneReport {
     /// The `BENCH_tuner.json` document. Built exclusively from
     /// seed-deterministic quantities (no wall clock, no cache
     /// statistics), so the bytes are stable across runs, machines, and
     /// thread counts.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out += &format!(
             "  \"scenario\": {},\n",
@@ -633,7 +637,7 @@ impl TuneReport {
 
     /// Human-readable summary: the frontier, the picks, and the shared
     /// prepared-network cache's hit rate.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = format!(
             "Design-space autotuner ({}): {} grid points over {} networks, \
              {} fully feasible, {} on the Pareto frontier\n",
@@ -681,7 +685,7 @@ impl TuneReport {
     }
 
     /// The CI gate: empty when every certificate holds.
-    pub fn gate_errors(&self) -> Vec<String> {
+    fn gate_errors(&self) -> Vec<String> {
         let mut errors = Vec::new();
         if !self.opt_bit_identical {
             errors.push(
@@ -740,36 +744,12 @@ impl TuneReport {
     }
 }
 
-/// Runs the tuner three times — once pinned to a single rayon worker,
-/// twice with the full pool — byte-compares the three JSON documents,
-/// writes `BENCH_tuner.json`, and returns `(stdout summary, gate
-/// violations)` under the harness's unified exit-code policy.
-pub fn run_tune(smoke: bool) -> (String, Vec<String>) {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = evaluate(smoke).to_json();
-    match &saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    let report = evaluate(smoke);
-    let parallel = report.to_json();
-    let third = evaluate(smoke).to_json();
-
-    let mut errors = report.gate_errors();
-    if serial != parallel {
-        errors.push("BENCH_tuner.json differs between serial and parallel evaluation".to_string());
-    }
-    if parallel != third {
-        errors.push("BENCH_tuner.json differs between two identical runs".to_string());
-    }
-    let mut out = report.render();
-    let path = "BENCH_tuner.json";
-    match std::fs::write(path, &parallel) {
-        Ok(()) => out += &format!("\nwrote {path}\n"),
-        Err(e) => errors.push(format!("could not write {path}: {e}")),
-    }
-    (out, errors)
+/// `harness tune [--smoke]`: the tuner through [`emit_deterministic`]
+/// (three byte-compared evaluations, then `BENCH_tuner.json`).
+pub fn run_tune(smoke: bool) -> Gated {
+    emit_deterministic("BENCH_tuner.json", "tune", || {
+        Ok::<_, Infallible>(evaluate(smoke))
+    })
 }
 
 #[cfg(test)]

@@ -36,6 +36,7 @@
 //!   ledger and the serve totals are frozen so any drift in the scene
 //!   synthesis, the differencing, the gate, or the scheduler fails CI.
 
+use crate::artifact::{emit_deterministic, Artifact, Gated};
 use crate::json::{comma, json_f64, json_str};
 use shidiannao::video::{MotionGate, VideoConfig, VideoPipeline};
 use shidiannao_cnn::zoo;
@@ -406,9 +407,11 @@ impl VideoBenchReport {
             .iter()
             .fold((0, 0), |acc, c| (acc.0 + c.issued, acc.1 + c.ok))
     }
+}
 
+impl Artifact for VideoBenchReport {
     /// Deterministic JSON document (`BENCH_video.json`).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out += &format!("  \"scenario\": {},\n", json_str(self.scenario));
         out += "  \"scenes\": [\n";
@@ -480,7 +483,7 @@ impl VideoBenchReport {
     }
 
     /// Human-readable summary for harness stdout.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = format!(
             "temporal-reuse video datapath ({}): {} scenes, {} cameras\n",
             self.scenario,
@@ -527,7 +530,7 @@ impl VideoBenchReport {
     }
 
     /// Gate violations under the harness's unified exit-code policy.
-    pub fn gate_errors(&self) -> Vec<String> {
+    fn gate_errors(&self) -> Vec<String> {
         let mut errors = Vec::new();
         for s in &self.scenes {
             if !s.bit_identical {
@@ -610,46 +613,11 @@ impl VideoBenchReport {
     }
 }
 
-/// Runs the experiment three times — once pinned to a single rayon
-/// worker, twice with the full pool — byte-compares the three JSON
-/// documents, writes `BENCH_video.json`, and returns `(stdout summary,
-/// gate violations)` under the harness's unified exit-code policy.
-pub fn run_video(smoke: bool) -> (String, Vec<String>) {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = evaluate(smoke).map(|r| r.to_json());
-    match &saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    let report = match evaluate(smoke) {
-        Ok(r) => r,
-        Err(e) => return (String::new(), vec![format!("video run failed: {e}")]),
-    };
-    let parallel = report.to_json();
-    let third = evaluate(smoke).map(|r| r.to_json());
-
-    let mut errors = report.gate_errors();
-    match serial {
-        Ok(s) if s != parallel => errors
-            .push("BENCH_video.json differs between serial and parallel evaluation".to_string()),
-        Err(e) => errors.push(format!("serial video run failed: {e}")),
-        _ => {}
-    }
-    match third {
-        Ok(t) if t != parallel => {
-            errors.push("BENCH_video.json differs between two identical runs".to_string());
-        }
-        Err(e) => errors.push(format!("repeat video run failed: {e}")),
-        _ => {}
-    }
-    let mut out = report.render();
-    let path = "BENCH_video.json";
-    match std::fs::write(path, &parallel) {
-        Ok(()) => out += &format!("\nwrote {path}\n"),
-        Err(e) => errors.push(format!("could not write {path}: {e}")),
-    }
-    (out, errors)
+/// `harness video [--smoke]`: the experiment through
+/// [`emit_deterministic`] (three byte-compared evaluations, then
+/// `BENCH_video.json`).
+pub fn run_video(smoke: bool) -> Gated {
+    emit_deterministic("BENCH_video.json", "video", || evaluate(smoke))
 }
 
 #[cfg(test)]

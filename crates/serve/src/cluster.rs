@@ -1,13 +1,14 @@
-//! Fault-tolerant sharded cluster serving: N accelerator shards behind
-//! consistent-hash routing, made robust against seeded whole-shard
-//! failure episodes.
+//! Sharded cluster serving — the crate's one serving engine: N
+//! accelerator shards behind consistent-hash routing, made robust
+//! against seeded whole-shard failure episodes.
 //!
-//! The [`Cluster`] generalises [`InferenceService`](crate::InferenceService)
-//! from one accelerator to N (possibly heterogeneous) shards, each with
-//! its own session pool, admission queues, fair scheduler, and virtual
-//! worker pool — all sharing one cluster-wide virtual clock. On top of
-//! the word-level `FaultPlan` machinery it layers a shard-level fault
-//! model ([`ShardFaultPlan`]): crash, slow-shard, and elevated-SRAM-fault
+//! A [`Cluster`] runs N (possibly heterogeneous) shards, each with its
+//! own session pool, admission queues, fair scheduler, and virtual
+//! worker pool — all sharing one cluster-wide virtual clock. The
+//! [`InferenceService`](crate::InferenceService) *is* a one-shard
+//! cluster with no shard faults. On top of the word-level `FaultPlan`
+//! machinery the cluster layers a shard-level fault model
+//! ([`ShardFaultPlan`]): crash, slow-shard, and elevated-SRAM-fault
 //! episodes whose onset and duration are pure functions of a seed, so an
 //! entire chaos scenario replays bit-identically.
 //!
@@ -43,9 +44,8 @@
 //! therefore byte-identical across physical thread counts and across
 //! the salted shard scan order — and its balancing ledger proves no
 //! request was lost or double-counted under any injected failure
-//! pattern. A 1-shard cluster with a zero shard-fault plan reduces
-//! *exactly* to [`InferenceService`](crate::InferenceService): same
-//! counters, same latency histogram, same end cycle.
+//! pattern. With a zero shard-fault plan the health machinery is inert,
+//! which is how the one-shard service runs.
 
 use std::collections::BTreeMap;
 
@@ -323,8 +323,7 @@ impl ClusterReport {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum RouteFail {
     /// Accepting shards exist but every usable queue is full — ordinary
-    /// backpressure, counted as a rejection like the single-shard
-    /// service's.
+    /// backpressure, counted as a rejection.
     Full,
     /// No shard is accepting at all (everything down or draining) — a
     /// true [`ServeError::ShardUnavailable`] condition.
@@ -404,9 +403,9 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns a [`ServeError`] when the scenario is structurally
-    /// invalid — no tenants, no shards, a shard without workers, or any
-    /// of the per-tenant spec violations the single-shard service
-    /// rejects.
+    /// invalid — no tenants, no shards, a shard without workers, a
+    /// zero-capacity queue, a closed loop without clients, or a streaming
+    /// frame smaller than the network input or with a zero stride.
     pub fn new(config: ClusterConfig, tenants: Vec<TenantSpec>) -> Result<Cluster, ServeError> {
         if tenants.is_empty() {
             return Err(ServeError::NoTenants);
@@ -516,10 +515,9 @@ impl Cluster {
         let health_cfg = self.config.health;
         let heartbeat = health_cfg.heartbeat_cycles.max(1);
         // A zero shard-fault plan never produces an episode, so the
-        // health machinery is inert; skipping its events makes a
-        // 1-shard zero-failure cluster visit exactly the same virtual
-        // instants as the plain service — the reduction the property
-        // tests gate on.
+        // health machinery is inert and its heartbeat instants are
+        // skipped: the one-shard service's clock visits only arrivals
+        // and completions.
         let monitor_enabled = !plan.is_zero();
 
         let mut shards: Vec<ShardRuntime<'_>> = (0..n_shards)
@@ -1007,8 +1005,10 @@ impl Cluster {
                 end_cycles = end_cycles.max(finish);
                 let st = &mut shards[s].stats[t];
                 st.service_cycles += cycles;
-                st.retries +=
-                    u64::from(exec.retries - Job::attempt_base_of(m.round, &self.tenants[t]));
+                st.retries += u64::from(
+                    exec.retries
+                        .saturating_sub(Job::attempt_base_of(m.round, &self.tenants[t])),
+                );
                 st.fault.absorb(&exec.fault);
                 match exec.outcome {
                     Outcome::Ok | Outcome::Degraded => {
@@ -1265,8 +1265,10 @@ impl Job<'_> {
     /// The salted-attempt base for failover round `round` of a tenant:
     /// each round owns a disjoint attempt range so a re-execution never
     /// replays the fault pattern that already failed it.
+    /// Saturates rather than wrapping, so a huge `max_retries` can never
+    /// fold a later round back onto round 0's salts.
     pub(crate) fn attempt_base_of(round: u32, spec: &TenantSpec) -> u32 {
-        round * (spec.max_retries + 1)
+        round.saturating_mul(spec.max_retries.saturating_add(1))
     }
 }
 
@@ -1346,9 +1348,27 @@ mod tests {
 
     #[test]
     fn one_shard_zero_faults_matches_plain_service() {
+        // Every `ServeConfig` field off its default, and a backlog deep
+        // enough that the worker count, batch size, and sample cap all
+        // shape the report — so a dropped config mapping shows.
+        let accel = AcceleratorConfig::with_pe_grid(4, 4);
+        let config = ServeConfig {
+            accel: accel.clone(),
+            virtual_workers: 3,
+            physical_threads: 2,
+            admission_salt: 0x5A17,
+            samples_per_tenant: 3,
+            max_batch: 4,
+        };
         let tenants = || {
             vec![
-                gabor_tenant(8),
+                gabor_tenant(16)
+                    .traffic(Traffic::Open {
+                        period: 10,
+                        jitter: 0,
+                        count: 16,
+                    })
+                    .queue_capacity(32),
                 gabor_tenant(6)
                     .traffic(Traffic::Closed {
                         clients: 2,
@@ -1358,18 +1378,45 @@ mod tests {
                     .weight(2),
             ]
         };
-        let service = InferenceService::new(ServeConfig::default(), tenants()).expect("valid");
+        let service = InferenceService::new(config, tenants()).expect("valid");
         let expected = service.run().expect("service run");
-        let cluster = Cluster::new(ClusterConfig::default(), tenants()).expect("valid");
-        let report = cluster.run().expect("cluster run");
+        // Physical threads and the admission salt never change a report,
+        // so check that they reach the cluster directly.
+        let inner = service.cluster.config();
+        assert_eq!(inner.physical_threads, 2);
+        assert_eq!(inner.admission_salt, 0x5A17);
+
+        let cluster_config = ClusterConfig {
+            shards: vec![ShardSpec::new("only").accel(accel).virtual_workers(3)],
+            physical_threads: 2,
+            admission_salt: 0x5A17,
+            samples_per_tenant: 3,
+            max_batch: 4,
+            ..ClusterConfig::default()
+        };
+        let report = Cluster::new(cluster_config, tenants())
+            .expect("valid")
+            .run()
+            .expect("cluster run");
+        assert_eq!(expected.virtual_workers, 3);
         assert_eq!(report.end_cycles, expected.end_cycles);
-        for (c, s) in report.tenants.iter().zip(&expected.tenants) {
+        assert_eq!(report.elapsed_seconds, expected.elapsed_seconds);
+        let clean = &report.shards[0].clean_cycles;
+        for ((c, s), &clean) in report.tenants.iter().zip(&expected.tenants).zip(clean) {
             assert_eq!(c.stats, s.stats, "tenant {} diverged", c.name);
+            assert_eq!((&c.name, c.weight), (&s.name, s.weight));
+            assert_eq!(c.throughput_rps, s.throughput_rps);
+            assert_eq!(s.clean_cycles, clean);
+            assert!(s.stats.samples.len() <= 3);
             assert_eq!(
                 c.budget_exhausted + c.rerouted + c.migrated + c.lost_inflight,
                 0
             );
         }
+        assert!(
+            expected.total(|s| s.batched) > 0,
+            "batching never triggered"
+        );
         assert!(report.accounting_consistent());
     }
 

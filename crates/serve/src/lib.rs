@@ -6,10 +6,15 @@
 //! service takes when "shifting vision processing closer to the sensor"
 //! meets heavy traffic:
 //!
-//! * [`InferenceService`] — pools warm [`Session`]s per tenant network
-//!   (amortising `Accelerator::prepare` exactly like the streaming
-//!   pipeline does for one camera) and schedules requests onto a fixed
-//!   pool of *virtual* workers on a cycle-granular virtual clock,
+//! * [`Cluster`] — the one serving engine: N accelerator shards on one
+//!   cycle-granular *virtual* clock, each pooling warm [`Session`]s per
+//!   tenant network (amortising `Accelerator::prepare` exactly like the
+//!   streaming pipeline does for one camera) and scheduling requests onto
+//!   a fixed pool of virtual workers, with seeded shard failures,
+//!   routing, drain, and failover on top,
+//! * [`InferenceService`] — the paper's deployment, one accelerator: a
+//!   one-shard cluster with no shard faults, configured by
+//!   [`ServeConfig`] and reported as a [`ServiceReport`],
 //! * [`BoundedQueue`] — per-tenant admission queues with typed
 //!   backpressure ([`QueueFull`]): a slow tenant sheds load instead of
 //!   growing memory without bound,
@@ -20,16 +25,17 @@
 //!   slack is retried under a salted plan and finally dropped, never
 //!   served silently corrupt data,
 //! * [`TenantSpec`] / [`Traffic`] — a deterministic open- and
-//!   closed-loop load generator, so the whole service is a pure function
-//!   of its scenario: byte-identical reports on every run and every
-//!   physical thread count.
+//!   closed-loop load generator, so serving is a pure function of its
+//!   scenario: byte-identical reports on every run and every physical
+//!   thread count.
 //!
 //! Determinism is the load-bearing property. The virtual clock advances
 //! by *modelled* cycles (which depend only on network topology), never by
 //! wall time; physical threads only parallelise the pure
 //! input→output inference function between two scheduling decisions, so
 //! `physical_threads` can be anything from 1 to the machine width without
-//! perturbing a single counter in the [`ServiceReport`].
+//! perturbing a single counter in a [`ServiceReport`] or
+//! [`ClusterReport`].
 //!
 //! # Examples
 //!

@@ -307,7 +307,7 @@ pub fn binarize_pixel(px: Fx) -> Fx {
     }
 }
 
-/// Per-tenant arrival generator driven by the service's event loop.
+/// Per-tenant arrival generator driven by the cluster event loop.
 #[derive(Clone, Debug)]
 pub(crate) struct TenantGen {
     traffic: Traffic,

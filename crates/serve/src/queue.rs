@@ -47,10 +47,12 @@ pub struct BoundedQueue {
 
 impl BoundedQueue {
     /// Creates an empty queue that holds at most `capacity` requests.
+    /// Storage grows with occupancy, never with the declared capacity, so
+    /// a huge capacity costs nothing until requests actually queue.
     pub fn new(capacity: usize) -> BoundedQueue {
         BoundedQueue {
             capacity,
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
         }
     }
 

@@ -1,35 +1,38 @@
-//! The multi-tenant inference service: session pooling, the virtual-clock
-//! event loop, and deterministic parallel batch execution.
+//! The multi-tenant inference service — a one-shard [`Cluster`] with no
+//! shard faults behind the service-shaped config and report — and the
+//! request executor every dispatch runs through: salted retries, batched
+//! schedule replay, and deterministic parallel batch execution.
 //!
 //! # Determinism model
 //!
-//! The service is a discrete-event simulation over a cycle-granular
-//! virtual clock. Every scheduling decision — admission order, tenant
-//! pick, EDF pick, drop, completion time — is a pure function of the
-//! scenario, because modelled inference cycles depend only on network
-//! topology (not input data) and all randomness is seeded splitmix64.
+//! Serving is a discrete-event simulation over a cycle-granular virtual
+//! clock (the cluster event loop). Every scheduling decision — admission
+//! order, tenant pick, EDF pick, drop, completion time — is a pure
+//! function of the scenario, because modelled inference cycles depend
+//! only on network topology (not input data) and all randomness is
+//! seeded splitmix64.
 //!
 //! Physical parallelism never touches that decision sequence: the event
 //! loop picks a *batch* of requests (one per free virtual worker at the
-//! current virtual time), executes the batch's pure inference functions
-//! on however many OS threads are configured, then folds the results
-//! back in batch order. Running with 1 thread or 16 produces the same
-//! [`ServiceReport`], byte for byte — which is what lets the benchmark
-//! harness gate on report equality across worker counts.
+//! current virtual time), [`run_batch`] executes the batch's pure
+//! inference functions on however many OS threads are configured, and
+//! the loop folds the results back in a canonical order. Running with 1
+//! thread or 16 produces the same [`ServiceReport`], byte for byte —
+//! which is what lets the benchmark harness gate on report equality
+//! across worker counts.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use shidiannao_core::{Accelerator, AcceleratorConfig, PreparedNetwork, RunError, Session};
+use shidiannao_core::{AcceleratorConfig, RunError, Session};
 use shidiannao_faults::{FaultPlan, FaultStats};
 use shidiannao_sensor::StreamError;
 
-use crate::loadgen::{TenantGen, TenantSpec, Traffic};
-use crate::queue::{BoundedQueue, Request};
-use crate::scheduler::FairScheduler;
+use crate::cluster::{Cluster, ClusterConfig, ClusterReport, ShardSpec};
+use crate::loadgen::TenantSpec;
 use crate::splitmix64;
-use crate::stats::{hash_output, HistogramSummary, RequestSample, TenantStats};
+use crate::stats::{hash_output, HistogramSummary, TenantStats};
 
 /// Service-level configuration.
 #[derive(Clone, Debug)]
@@ -243,11 +246,12 @@ impl ServiceReport {
     }
 }
 
-/// The multi-tenant inference service. See the crate docs for the model.
+/// The multi-tenant inference service: the paper's one accelerator as a
+/// one-shard [`Cluster`]. See the crate docs for the model.
 #[derive(Clone, Debug)]
 pub struct InferenceService {
     config: ServeConfig,
-    tenants: Vec<TenantSpec>,
+    pub(crate) cluster: Cluster,
 }
 
 /// One dispatched request travelling to a physical execution slot. When
@@ -255,10 +259,10 @@ pub struct InferenceService {
 /// (`seq`) plus follower sequence numbers execute as the lanes of one
 /// `Session::infer_batch` call.
 ///
-/// Shared with the cluster layer, which dispatches the same job shape
-/// per shard — under the shard's *effective* fault plan (a burst episode
-/// overrides the tenant's environment) and with a failover-round salt
-/// base so re-executions draw fresh fault patterns.
+/// The cluster event loop dispatches jobs per shard — under the shard's
+/// *effective* fault plan (a burst episode overrides the tenant's
+/// environment) and with a failover-round salt base so re-executions
+/// draw fresh fault patterns.
 pub(crate) struct Job<'p> {
     pub(crate) tenant: usize,
     pub(crate) seq: u64,
@@ -302,7 +306,9 @@ pub(crate) struct Exec {
 }
 
 impl InferenceService {
-    /// Validates the scenario and builds the service.
+    /// Validates the scenario and builds the service: a one-shard
+    /// [`Cluster`] carrying `config`'s accelerator, worker pool, and
+    /// execution settings, with no shard faults.
     ///
     /// # Errors
     ///
@@ -313,41 +319,26 @@ impl InferenceService {
         config: ServeConfig,
         tenants: Vec<TenantSpec>,
     ) -> Result<InferenceService, ServeError> {
-        if tenants.is_empty() {
-            return Err(ServeError::NoTenants);
-        }
-        if config.virtual_workers == 0 {
-            return Err(ServeError::NoWorkers);
-        }
-        for spec in &tenants {
-            let fail = |reason: &str| ServeError::Spec {
-                tenant: spec.name.clone(),
-                reason: reason.to_string(),
-            };
-            if spec.queue_capacity == 0 {
-                return Err(fail("queue capacity must be at least 1"));
-            }
-            if let Traffic::Closed { clients, .. } = spec.traffic {
-                if clients == 0 {
-                    return Err(fail("closed-loop traffic needs at least one client"));
-                }
-            }
-            if let Some((frame, stride)) = spec.source.stream_geometry() {
-                let dims = spec.network.input_dims();
-                if frame.0 < dims.0 || frame.1 < dims.1 {
-                    return Err(fail("streaming frame smaller than network input"));
-                }
-                if stride.0 == 0 || stride.1 == 0 {
-                    return Err(fail("streaming stride must be non-zero"));
-                }
-            }
-        }
-        Ok(InferenceService { config, tenants })
+        let shard = ShardSpec::new("shard0")
+            .accel(config.accel.clone())
+            .virtual_workers(config.virtual_workers);
+        let cluster = Cluster::new(
+            ClusterConfig {
+                shards: vec![shard],
+                physical_threads: config.physical_threads,
+                admission_salt: config.admission_salt,
+                samples_per_tenant: config.samples_per_tenant,
+                max_batch: config.max_batch,
+                ..ClusterConfig::default()
+            },
+            tenants,
+        )?;
+        Ok(InferenceService { config, cluster })
     }
 
     /// The tenant specifications, in report order.
     pub fn tenants(&self) -> &[TenantSpec] {
-        &self.tenants
+        self.cluster.tenants()
     }
 
     /// The service configuration.
@@ -362,295 +353,24 @@ impl InferenceService {
     /// Returns a [`ServeError`] when a network cannot be prepared or a
     /// request fails with a non-fault accelerator error.
     pub fn run(&self) -> Result<ServiceReport, ServeError> {
-        let accel = Accelerator::new(self.config.accel.clone());
-        let mut prepared = Vec::with_capacity(self.tenants.len());
-        for spec in &self.tenants {
-            prepared.push(
-                accel
-                    .prepare(&spec.network)
-                    .map_err(|error| ServeError::Prepare {
-                        tenant: spec.name.clone(),
-                        error,
-                    })?,
-            );
-        }
-
-        // Calibrate per-tenant clean cycles (input-independent): the
-        // fairness charge and the deadline estimator both need the cost
-        // before the first real request runs. The marginal cost of a
-        // batched follower lane is the clean cycles minus the Load phase
-        // (stats always report Load first): a follower's input streams
-        // into the double-buffered NBin while the preceding lane
-        // computes, so only its compute cycles extend the replay.
-        let mut clean_cycles = Vec::with_capacity(self.tenants.len());
-        let mut marginal_cycles = Vec::with_capacity(self.tenants.len());
-        for (spec, prep) in self.tenants.iter().zip(&prepared) {
-            let mut session = prep.session();
-            let inference = session
-                .infer(&spec.network.random_input(0))
-                .map_err(|error| ServeError::Execute {
-                    tenant: spec.name.clone(),
-                    error,
-                })?;
-            let clean = inference.stats().cycles();
-            let load = inference.stats().layers().first().map_or(0, |l| l.cycles);
-            clean_cycles.push(clean);
-            marginal_cycles.push(clean - load);
-        }
-
-        self.event_loop(&prepared, &clean_cycles, &marginal_cycles)
-    }
-
-    /// The discrete-event loop over the virtual clock.
-    fn event_loop(
-        &self,
-        prepared: &[PreparedNetwork],
-        clean_cycles: &[u64],
-        marginal_cycles: &[u64],
-    ) -> Result<ServiceReport, ServeError> {
-        let n = self.tenants.len();
-        let weights: Vec<u32> = self.tenants.iter().map(|t| t.weight).collect();
-        let mut scheduler = FairScheduler::new(&weights, clean_cycles);
-        let mut queues: Vec<BoundedQueue> = self
-            .tenants
-            .iter()
-            .map(|t| BoundedQueue::new(t.queue_capacity))
-            .collect();
-        let mut gens: Vec<TenantGen> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(t, spec)| TenantGen::new(t, spec.traffic))
-            .collect();
-        let mut stats: Vec<TenantStats> = vec![TenantStats::default(); n];
-        let mut pools: Vec<Vec<Session<'_>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut worker_free: Vec<u64> = vec![0; self.config.virtual_workers];
-        let threads = if self.config.physical_threads != 0 {
-            self.config.physical_threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        };
-
-        let permkey = |t: usize| {
-            if self.config.admission_salt == 0 {
-                t as u64
-            } else {
-                splitmix64(self.config.admission_salt ^ (t as u64))
-            }
-        };
-
-        let mut now: u64 = 0;
-        let mut end_cycles: u64 = 0;
-        loop {
-            // Phase 1 — admit every arrival due at or before `now`.
-            // Rejected closed-loop callers may immediately re-issue at
-            // the same cycle, so drain until quiescent.
-            loop {
-                let mut due: Vec<(u64, u64, usize, u64)> = Vec::new();
-                for (t, gen) in gens.iter_mut().enumerate() {
-                    while let Some((at, _)) = gen.peek() {
-                        if at > now {
-                            break;
-                        }
-                        if let Some((at, seq)) = gen.pop() {
-                            stats[t].issued += 1;
-                            due.push((at, permkey(t), t, seq));
-                        }
-                    }
-                }
-                if due.is_empty() {
-                    break;
-                }
-                due.sort_unstable();
-                for (at, _, t, seq) in due {
-                    let request = Request {
-                        tenant: t,
-                        seq,
-                        arrival: at,
-                        deadline: at.saturating_add(self.tenants[t].deadline_cycles),
-                    };
-                    match queues[t].admit(request) {
-                        Ok(depth) => {
-                            stats[t].depth_sum += depth as u64;
-                            stats[t].depth_samples += 1;
-                            stats[t].depth_max = stats[t].depth_max.max(depth);
-                        }
-                        Err(_full) => {
-                            stats[t].rejected += 1;
-                            end_cycles = end_cycles.max(at);
-                            gens[t].on_resolved(at);
-                        }
-                    }
-                }
-            }
-
-            // Phase 2 — fill free virtual workers, dropping requests
-            // that expired while queued. A leader picked from a
-            // fault-free tenant pulls up to `max_batch - 1` more queued
-            // requests of the same tenant (EDF order) along as follower
-            // lanes of one schedule replay; each follower is charged its
-            // marginal cycles in the fairness ledger right here, at
-            // dispatch time, like the leader's pick-time charge.
-            let mut batch: Vec<Job<'_>> = Vec::new();
-            let mut meta: Vec<(usize, Request, Vec<Request>)> = Vec::new();
-            for (w, free_at) in worker_free.iter().enumerate() {
-                if *free_at > now {
-                    continue;
-                }
-                let picked = loop {
-                    match scheduler.pick(&mut queues) {
-                        None => break None,
-                        Some(r) => {
-                            if now > r.deadline {
-                                stats[r.tenant].dropped_deadline += 1;
-                                end_cycles = end_cycles.max(now);
-                                gens[r.tenant].on_resolved(now);
-                                continue;
-                            }
-                            break Some(r);
-                        }
-                    }
-                };
-                let Some(request) = picked else { break };
-                let t = request.tenant;
-                let mut followers: Vec<Request> = Vec::new();
-                if self.config.max_batch > 1 && FaultPlan::new(self.tenants[t].faults).is_zero() {
-                    while followers.len() + 1 < self.config.max_batch {
-                        let Some(r) = queues[t].pop_earliest_deadline() else {
-                            break;
-                        };
-                        if now > r.deadline {
-                            stats[t].dropped_deadline += 1;
-                            end_cycles = end_cycles.max(now);
-                            gens[t].on_resolved(now);
-                            continue;
-                        }
-                        scheduler.charge(t, marginal_cycles[t]);
-                        followers.push(r);
-                    }
-                }
-                let session = pools[t].pop().unwrap_or_else(|| prepared[t].session());
-                batch.push(Job {
-                    tenant: t,
-                    seq: request.seq,
-                    slack: request.deadline.saturating_sub(now),
-                    followers: followers.iter().map(|r| r.seq).collect(),
-                    plan: FaultPlan::new(self.tenants[t].faults),
-                    attempt_base: 0,
-                    session,
-                });
-                meta.push((w, request, followers));
-            }
-
-            // Phase 3 — execute the batch's pure inference functions on
-            // physical threads, then fold results back in batch order.
-            let results = run_batch(&self.tenants, batch, threads);
-            for ((w, request, followers), (result, session)) in meta.into_iter().zip(results) {
-                pools[request.tenant].push(session);
-                let exec = result?;
-                let marginal = marginal_cycles[request.tenant];
-                // The worker holds the replay for the leader's cycles
-                // plus one marginal slice per follower lane; every lane
-                // of the batch completes together when the replay ends.
-                let finish = now
-                    .saturating_add(exec.cycles)
-                    .saturating_add(marginal.saturating_mul(followers.len() as u64));
-                worker_free[w] = finish;
-                end_cycles = end_cycles.max(finish);
-                let st = &mut stats[request.tenant];
-                st.service_cycles += exec.cycles;
-                st.retries += u64::from(exec.retries);
-                st.fault.absorb(&exec.fault);
-                match exec.outcome {
-                    Outcome::Ok | Outcome::Degraded => {
-                        if exec.outcome == Outcome::Ok {
-                            st.ok += 1;
-                        } else {
-                            st.degraded += 1;
-                        }
-                        st.latency.record(finish - request.arrival);
-                        if finish > request.deadline {
-                            st.deadline_misses += 1;
-                        }
-                        st.output_hash ^= exec.output_hash;
-                        if st.samples.len() < self.config.samples_per_tenant {
-                            st.samples.push(RequestSample {
-                                seq: request.seq,
-                                attempt: exec.retries,
-                                output_hash: exec.output_hash,
-                            });
-                        }
-                    }
-                    Outcome::DroppedFaulty => st.dropped_faulty += 1,
-                    Outcome::DroppedBudget => st.dropped_deadline += 1,
-                }
-                gens[request.tenant].on_resolved(finish);
-                // Follower lanes only form for fault-free tenants, so
-                // they always complete cleanly; each pays marginal
-                // cycles and counts toward `batched`.
-                debug_assert!(followers.is_empty() || exec.outcome == Outcome::Ok);
-                for (follower, &hash) in followers.iter().zip(&exec.follower_hashes) {
-                    st.service_cycles += marginal;
-                    st.ok += 1;
-                    st.batched += 1;
-                    st.latency.record(finish - follower.arrival);
-                    if finish > follower.deadline {
-                        st.deadline_misses += 1;
-                    }
-                    st.output_hash ^= hash;
-                    if st.samples.len() < self.config.samples_per_tenant {
-                        st.samples.push(RequestSample {
-                            seq: follower.seq,
-                            attempt: 0,
-                            output_hash: hash,
-                        });
-                    }
-                    gens[request.tenant].on_resolved(finish);
-                }
-            }
-
-            // Phase 4 — terminate or advance the clock to the next event.
-            let next_arrival = gens.iter().filter_map(|g| g.peek().map(|(t, _)| t)).min();
-            let next_completion = worker_free.iter().copied().filter(|&f| f > now).min();
-            let queues_empty = queues.iter().all(BoundedQueue::is_empty);
-            if next_arrival.is_none() && next_completion.is_none() && queues_empty {
-                break;
-            }
-            if let Some(a) = next_arrival {
-                if a <= now {
-                    // A zero-think closed-loop caller re-issued at the
-                    // current cycle; admit it before moving time.
-                    continue;
-                }
-            }
-            now = match (next_arrival, next_completion) {
-                (Some(a), Some(c)) => a.min(c),
-                (Some(a), None) => a,
-                (None, Some(c)) => c,
-                (None, None) => break, // queues drain next iteration
-            };
-        }
-
-        let cycle_seconds = 1e-9 / self.config.accel.frequency_ghz;
-        let elapsed_seconds = end_cycles as f64 * cycle_seconds;
-        let tenants = self
-            .tenants
-            .iter()
-            .zip(stats)
+        let ClusterReport {
+            end_cycles,
+            elapsed_seconds,
+            shards,
+            tenants,
+            ..
+        } = self.cluster.run()?;
+        // The only shard's calibration is the service's.
+        let clean_cycles = shards.into_iter().flat_map(|s| s.clean_cycles);
+        let tenants = tenants
+            .into_iter()
             .zip(clean_cycles)
-            .map(|((spec, stats), &clean)| {
-                let throughput_rps = if elapsed_seconds > 0.0 {
-                    stats.completed() as f64 / elapsed_seconds
-                } else {
-                    0.0
-                };
-                TenantReport {
-                    name: spec.name.clone(),
-                    weight: spec.weight,
-                    clean_cycles: clean,
-                    stats,
-                    throughput_rps,
-                }
+            .map(|(t, clean_cycles)| TenantReport {
+                name: t.name,
+                weight: t.weight,
+                clean_cycles,
+                stats: t.stats,
+                throughput_rps: t.throughput_rps,
             })
             .collect();
         Ok(ServiceReport {
@@ -854,6 +574,7 @@ mod tests {
     use super::*;
     use crate::loadgen::{InputSource, Traffic};
     use shidiannao_cnn::zoo;
+    use shidiannao_core::Accelerator;
     use shidiannao_faults::{FaultConfig, SramProtection};
 
     fn gabor_tenant(count: u64) -> TenantSpec {
@@ -1068,6 +789,53 @@ mod tests {
                 sample.seq
             );
         }
+    }
+
+    #[test]
+    fn unbounded_retry_budget_runs_to_completion() {
+        // `max_retries(u32::MAX)` must neither overflow the failover
+        // attempt base nor retry forever: the deadline slack ends it.
+        let tenant = || {
+            gabor_tenant(8)
+                .faults(FaultConfig::uniform(11, 1e-3, SramProtection::Parity))
+                .deadline_cycles(20_000)
+                .max_retries(u32::MAX)
+        };
+        let service = InferenceService::new(ServeConfig::default(), vec![tenant()])
+            .expect("valid")
+            .run()
+            .expect("service run");
+        let cluster = Cluster::new(ClusterConfig::default(), vec![tenant()])
+            .expect("valid")
+            .run()
+            .expect("cluster run");
+        let stats = &service.tenants[0].stats;
+        assert_eq!(stats.issued, 8);
+        assert!(stats.retries > 0, "fault campaign never retried: {stats:?}");
+        assert!(service.accounting_consistent());
+        assert!(cluster.accounting_consistent());
+        assert_eq!(&cluster.tenants[0].stats, stats);
+    }
+
+    #[test]
+    fn huge_queue_capacity_allocates_by_occupancy() {
+        // One worker and a burst of eight: the queue reaches depth 7, so
+        // capacity 8 never rejects and both runs must agree exactly.
+        let run = |capacity| {
+            let config = ServeConfig {
+                virtual_workers: 1,
+                ..ServeConfig::default()
+            };
+            let tenant = backlogged_tenant(8).queue_capacity(capacity);
+            InferenceService::new(config, vec![tenant])
+                .expect("valid")
+                .run()
+                .expect("run")
+        };
+        let small = run(8);
+        assert_eq!(small.tenants[0].stats.rejected, 0);
+        assert_eq!(small.tenants[0].stats.depth_max, 7);
+        assert_eq!(run(usize::MAX), small);
     }
 
     #[test]

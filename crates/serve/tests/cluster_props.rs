@@ -5,16 +5,14 @@
 //!   salted shard scan order, and the six-class outcome ledger balances
 //!   (no request lost or double-counted under any injected failure
 //!   pattern),
-//! * a zero-failure 1-shard cluster is bit-identical to a plain
-//!   [`InferenceService`] run,
 //! * [`FixedHistogram::merge`] of any partition of a sample set equals
 //!   recording the union directly.
 
 use proptest::prelude::*;
 use shidiannao_cnn::zoo;
 use shidiannao_serve::{
-    Cluster, ClusterConfig, ClusterReport, FixedHistogram, HealthConfig, InferenceService,
-    InputSource, ServeConfig, ShardFaultConfig, ShardSpec, SramProtection, TenantSpec, Traffic,
+    Cluster, ClusterConfig, ClusterReport, FixedHistogram, HealthConfig, InputSource,
+    ShardFaultConfig, ShardSpec, SramProtection, TenantSpec, Traffic,
 };
 
 /// A mixed three-tenant scenario on the tiny Gabor network: one clean
@@ -128,47 +126,6 @@ proptest! {
         prop_assert_eq!(&baseline, &wide);
         let permuted = chaos_cluster(shards, fault_seed, 1, salt);
         prop_assert_eq!(&baseline, &permuted);
-    }
-
-    /// Reduction: a 1-shard cluster with a zero shard-fault plan is the
-    /// plain service, bit for bit — same per-tenant stats (counters,
-    /// histogram, depth high-water, samples, output digests) and the
-    /// same end cycle.
-    #[test]
-    fn single_shard_zero_faults_reduces_to_service(
-        seed in 0u64..1_000,
-        workers in 1usize..4,
-        max_batch in 1usize..4,
-    ) {
-        let service_config = ServeConfig {
-            virtual_workers: workers,
-            physical_threads: 1,
-            max_batch,
-            ..ServeConfig::default()
-        };
-        let expected = InferenceService::new(service_config, tenants(seed))
-            .expect("valid service")
-            .run()
-            .expect("service runs");
-        let cluster_config = ClusterConfig {
-            shards: vec![ShardSpec::new("only").virtual_workers(workers)],
-            physical_threads: 1,
-            max_batch,
-            ..ClusterConfig::default()
-        };
-        let report = Cluster::new(cluster_config, tenants(seed))
-            .expect("valid cluster")
-            .run()
-            .expect("cluster runs");
-        prop_assert_eq!(report.end_cycles, expected.end_cycles);
-        for (c, s) in report.tenants.iter().zip(&expected.tenants) {
-            prop_assert_eq!(&c.stats, &s.stats, "tenant {} diverged", &c.name);
-            prop_assert_eq!(
-                c.budget_exhausted + c.rerouted + c.migrated + c.lost_inflight + c.failovers,
-                0
-            );
-        }
-        prop_assert_eq!(report.crashes_detected + report.drains + report.respawns, 0);
     }
 
     /// Histogram merge law: merging the histograms of any partition of a
