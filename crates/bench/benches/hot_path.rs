@@ -274,7 +274,7 @@ fn bench_tuner_point(c: &mut Criterion) {
     g.sample_size(200);
     g.bench_function("point_eval", |b| {
         b.iter(|| {
-            let run = prepared.run(&input).expect("runs");
+            let run = prepared.session().run(&input).expect("runs");
             let total = run.stats().total();
             let mut cost = 0.0f64;
             for p in protections {
@@ -288,52 +288,6 @@ fn bench_tuner_point(c: &mut Criterion) {
         })
     });
     g.finish();
-}
-
-/// Batch-1 vs batch-8 through `Session::infer_batch_into`, one layer
-/// kind at a time. The batch-8 call runs eight inferences through one
-/// schedule replay (lane 0 instrumented, lanes 1–7 value-only), so the
-/// interesting ratio is `batch8 / (8 × batch1)` — how much of a lane is
-/// pure arithmetic. Separate output vectors keep each call's recycled
-/// stacks warm so both sides measure the zero-allocation steady state.
-fn bench_batch_lanes(c: &mut Criterion) {
-    let accel = Accelerator::new(AcceleratorConfig::paper());
-    for (kind, net) in single_layer_nets() {
-        let inputs: Vec<MapStack<Fx>> = (0..8)
-            .map(|i| net.random_input(9 ^ ((i as u64) << 3)))
-            .collect();
-        let prepared = accel.prepare(&net).expect("prepare");
-        let mut session = prepared.session();
-        let mut out1 = Vec::new();
-        let mut out8 = Vec::new();
-        for _ in 0..16 {
-            let _ = session
-                .infer_batch_into(std::slice::from_ref(&inputs[0]), &mut out1)
-                .expect("warm-up");
-            let _ = session
-                .infer_batch_into(&inputs, &mut out8)
-                .expect("warm-up");
-        }
-        let mut g = c.benchmark_group(format!("batch_{kind}"));
-        g.sample_size(200);
-        g.bench_function("batch1", |b| {
-            b.iter(|| {
-                let batch = session
-                    .infer_batch_into(std::slice::from_ref(&inputs[0]), &mut out1)
-                    .expect("batch1");
-                black_box(batch.stats().cycles())
-            })
-        });
-        g.bench_function("batch8", |b| {
-            b.iter(|| {
-                let batch = session
-                    .infer_batch_into(&inputs, &mut out8)
-                    .expect("batch8");
-                black_box(batch.stats().cycles())
-            })
-        });
-        g.finish();
-    }
 }
 
 /// The chunked-i16-lane reduction kernel against its scalar reference:
@@ -570,7 +524,6 @@ criterion_group!(
     bench_schedule_replay,
     bench_optimized_replay,
     bench_tuner_point,
-    bench_batch_lanes,
     bench_reduction_kernels,
     bench_xnor_kernels,
     bench_front_vs_full,

@@ -10,14 +10,14 @@
 //! inference throughput through zero-allocation schedule replay — and
 //! writes the machine-readable `BENCH_harness.json` next to the working
 //! directory. It also times the instrumented path through schedule
-//! replay and live HFSM decode, and fails if any execution path
-//! diverged, if a trace-free or instrumented replay allocated in steady
-//! state, or
-//! if the replay speedup falls below its gate. `harness bench --smoke`
-//! is the CI-sized version: it asserts `sim_cycles_per_inference` for
-//! all ten networks (trace-free and instrumented schedule replay)
-//! byte-identical to the repository seed, five-way path bit-identity,
-//! zero-allocation measured bursts, and the replay speedup threshold.
+//! replay and live HFSM decode, and fails if any of the seven certified
+//! execution paths (`perf::CERTIFIED_PATHS`) diverged or if a measured
+//! replay burst allocated in steady state. `harness bench --smoke` is
+//! the CI-sized version: it asserts `sim_cycles_per_inference` for all
+//! ten networks (trace-free and instrumented schedule replay)
+//! byte-identical to the repository seed, bit-identity of every
+//! certified path, zero-allocation measured bursts, and the replay and
+//! optimized-replay speedup thresholds.
 //!
 //! `harness faults [--smoke]` runs the seeded fault-injection campaign
 //! (fault rate × SRAM protection across the zoo, each SRAM cell through
@@ -122,17 +122,12 @@ fn run_bench(smoke: bool) -> Gated {
     let mut errors = Vec::new();
     let mut out = r.render();
     if smoke {
-        // The CI gate: seed-frozen cycle counts on the fast and the
-        // replayed instrumented path, six-way path bit-identity (batch
-        // lanes included), zero-allocation steady state (clean, faulty
-        // replay, and batched), the instrumented replay speedup
-        // threshold, and the batched-path no-regression floor. No JSON —
-        // BENCH_harness.json holds the full run's numbers.
+        // The CI gate is `perf::smoke_errors`. No JSON — BENCH_harness.json
+        // holds the full run's numbers.
         errors.extend(perf::smoke_errors(&r.throughput));
         if errors.is_empty() {
-            out += "\nsmoke: all seed cycle counts exact, paths bit-identical \
-                    (replay and batch lanes included), 0 allocs, replay and \
-                    batch gates met\n";
+            out += "\nsmoke: all seed cycle counts exact, every certified path \
+                    bit-identical, 0 allocs, replay and optimizer gates met\n";
         }
     } else {
         let path = "BENCH_harness.json";
@@ -144,13 +139,13 @@ fn run_bench(smoke: bool) -> Gated {
             errors.push("parallel results diverged from serial results".to_string());
         }
         if !r.all_paths_bit_identical() {
-            errors.push(
-                "an execution path diverged (legacy / run / infer / infer_ref / replay / batch)"
-                    .to_string(),
-            );
+            errors.push(format!(
+                "an execution path diverged ({})",
+                perf::CERTIFIED_PATHS.join(" / ")
+            ));
         }
         if !r.zero_alloc_steady_state() {
-            errors.push("the fast, replay, or batch path allocated in steady state".to_string());
+            errors.push("a replay burst allocated in steady state".to_string());
         }
     }
     (out, errors)

@@ -57,6 +57,7 @@ pub fn compute_paper_runs() -> Vec<PaperRun> {
                 .prepare(&net)
                 .expect("benchmarks fit the paper configuration");
             let run = prepared
+                .session()
                 .run(&net.random_input(SEED ^ 0xABCD))
                 .expect("prepared networks accept their own input shape");
             PaperRun { net, run }
@@ -431,6 +432,7 @@ pub fn design_space_sweep(sides: &[usize]) -> Vec<DesignPoint> {
             let prepared =
                 prepared_cached(&nets[n], &cfg).expect("benchmarks fit swept configurations");
             let run = prepared
+                .session()
                 .run(&nets[n].random_input(SEED ^ 0xABCD))
                 .expect("prepared networks accept their own input shape");
             (

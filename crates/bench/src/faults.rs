@@ -208,7 +208,10 @@ fn run_sweep(cfg: SweepConfig) -> FaultReport {
             .expect("zoo networks fit the paper config");
         let input = net.random_input(SWEEP_SEED ^ 0xABCD);
         let golden = net.forward_fixed(&input).output();
-        let clean_run = prepared.run(&input).expect("matching input shape");
+        let clean_run = prepared
+            .session()
+            .run(&input)
+            .expect("matching input shape");
         energy_base.push(clean_run.energy().total_nj());
         for (pi, &protection) in SramProtection::ALL.iter().enumerate() {
             for (ri, &rate) in cfg.rates.iter().enumerate() {
@@ -374,6 +377,7 @@ fn protection_overhead(
         .map(|(net, &base)| {
             let prepared = accel.prepare(net).expect("fits");
             let run = prepared
+                .session()
                 .run(&net.random_input(SWEEP_SEED ^ 0xABCD))
                 .expect("matching input shape");
             model.charge_run(run.stats()).total_nj() / base

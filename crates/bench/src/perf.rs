@@ -15,11 +15,11 @@
 //!   every layer live-decodes), reported as simulated cycles/sec and
 //!   inferences/sec next to the legacy one-shot `Accelerator::run` and
 //!   the frozen PR-1 baseline. Each row also carries a *correctness
-//!   certificate*: the heap allocations counted during the burst (must
-//!   be zero in steady state) and whether all four execution paths
-//!   (legacy one-shot, instrumented `Session::run`, trace-free
-//!   `Session::infer` and `Session::infer_ref`) produced bit-identical
-//!   outputs, statistics, and energy.
+//!   certificate* over the seven [`CERTIFIED_PATHS`]: the heap
+//!   allocations counted during the burst (must be zero in steady state)
+//!   and whether the first four paths (legacy one-shot, instrumented
+//!   `Session::run`, trace-free `Session::infer` and `Session::infer_ref`)
+//!   produced bit-identical outputs, statistics, and energy.
 //!
 //! * **Instrumented-path rows** — per benchmark, the *traced* session
 //!   run (`Session::run`, the path fault campaigns and debugging use) is
@@ -27,45 +27,39 @@
 //!   (default) and once with replay disabled (`set_schedule_replay`,
 //!   i.e. live HFSM decode — the pre-schedule PR-3 code path). The two
 //!   runs must agree bit-for-bit on outputs, per-layer traces,
-//!   statistics, and energy (the fifth execution path of the
-//!   certificate), and a session replaying under a *silent* fault plan
-//!   must stay allocation-free in steady state.
-//!
-//! * **Batched-path rows** — per benchmark, a warmed
-//!   `Session::infer_batch_into` burst at [`BATCH_SIZE`] lanes per call
-//!   is timed against the same inference count issued one lane at a
-//!   time, with heap allocations counted and a sixth bit-identity
-//!   certificate: every lane of a batched call must match a sequential
-//!   `Session::infer` of the same input on outputs, statistics, energy,
-//!   and fault counters.
+//!   statistics, and energy (the fifth certified path), and a session
+//!   replaying under a *silent* fault plan must stay allocation-free in
+//!   steady state.
 //!
 //! * **Optimized-replay rows** — per benchmark, the schedule optimizer's
 //!   rewritten stream ([`shidiannao_core::opt`]: NB dedup, read-mode
 //!   re-selection, SB coalescing, FIFO-fold, row-lane replay bodies) is
-//!   certified as the seventh execution path (outputs and per-layer
-//!   traces bit-identical to the recorded replay, clean and under a
-//!   silent fault plan) and timed against the recorded replay in
-//!   interleaved best-of passes, with per-pass elimination counters
-//!   copied from the prepared network's [`shidiannao_core::OptReport`].
+//!   certified as the sixth path (outputs and per-layer traces
+//!   bit-identical to the recorded replay, clean and under a silent
+//!   fault plan) and timed against the recorded replay in interleaved
+//!   best-of passes, with per-pass elimination counters copied from the
+//!   prepared network's [`shidiannao_core::OptReport`].
 //!
 //! * **Delta-load rows** — per benchmark, the cross-frame NBin residency
-//!   path (`Session::infer_delta`) is certified as the eighth execution
-//!   path: a cold call must stream every input row and agree bit-for-bit
-//!   with a plain `infer`, and an immediately repeated call on the same
-//!   input must stream zero rows, report a zero-cycle Load phase, and
-//!   still agree bit-for-bit — the dirty set is derived from content
-//!   hashes, so bit-identity holds by construction and only the Load
-//!   accounting may shrink.
+//!   path (`Session::infer_delta`) is certified as the seventh path: a
+//!   cold call must stream every input row and agree bit-for-bit with a
+//!   plain `infer`, and an immediately repeated call on the same input
+//!   must stream zero rows, report a zero-cycle Load phase, and still
+//!   agree bit-for-bit — the dirty set is derived from content hashes, so
+//!   bit-identity holds by construction and only the Load accounting may
+//!   shrink.
+//!
+//! A batch of N inputs is N runs through these same paths (serve
+//! batching is virtual-clock accounting), so it has no row of its own.
 //!
 //! `smoke_errors` distills the rows into the CI gate: seed-frozen
 //! `sim_cycles_per_inference` for all ten networks (trace-free and
 //! instrumented paths alike — any scheduled-path cycle drift fails CI),
-//! zero steady-state allocations (clean trace-free replay, faulty replay,
-//! *and* batched path), six-way path bit-identity, the headline speedup
+//! zero steady-state allocations (clean, faulty, and optimized replay),
+//! bit-identity of every certified path, and the headline speedup
 //! (schedule replay must run the instrumented path at least
 //! [`INSTR_SPEEDUP_GATE`]× faster than live decode on LeNet-5 and on at
-//! least [`INSTR_SPEEDUP_NETS`] of the ten benchmarks), and the batched
-//! no-regression floor [`BATCH_SPEEDUP_GATE`] on LeNet-5.
+//! least [`INSTR_SPEEDUP_NETS`] of the ten benchmarks).
 
 use crate::experiments::{self, compute_paper_runs, SEED};
 use crate::json::{comma, json_f64, json_opt_f64};
@@ -98,6 +92,21 @@ const WARMUP_QUIET: usize = 8;
 /// Inferences per benchmark in `--smoke` mode (CI-sized).
 const SMOKE_BURST: usize = 3;
 
+/// The execution paths every throughput row certifies bit-identical, in
+/// certificate order: the legacy one-shot `Accelerator::run`, the
+/// instrumented `Session::run`, the trace-free `Session::infer` and
+/// `Session::infer_ref`, live HFSM decode (schedule replay off), the
+/// optimizer-rewritten replay, and the `Session::infer_delta` delta load.
+pub const CERTIFIED_PATHS: [&str; 7] = [
+    "legacy",
+    "run",
+    "infer",
+    "infer_ref",
+    "live decode",
+    "optimized replay",
+    "delta load",
+];
+
 /// Minimum instrumented-path speedup (schedule replay over live HFSM
 /// decode, measured side by side in the same process) the smoke gate
 /// requires on LeNet-5 and on [`INSTR_SPEEDUP_NETS`] benchmarks.
@@ -106,31 +115,6 @@ pub const INSTR_SPEEDUP_GATE: f64 = 2.0;
 /// How many of the ten frozen benchmarks must clear
 /// [`INSTR_SPEEDUP_GATE`].
 pub const INSTR_SPEEDUP_NETS: usize = 5;
-
-/// Lanes per `infer_batch` call in the batched-path measurement.
-pub const BATCH_SIZE: usize = 8;
-
-/// Minimum batch-8 over batch-1 per-inference throughput ratio the smoke
-/// gate requires on LeNet-5. This is a **no-regression floor**, not an
-/// amortization target: after PR 5 precompiled the control stream into
-/// replayable schedules and this PR vectorized the value kernels, the
-/// per-item path is already arithmetic-bound — the control and
-/// statistics work a batch replay amortizes is under 10% of wall time,
-/// so the measured batch-8 ratio sits at 0.95–1.25x across the zoo
-/// (LeNet-5 ≈ 1.05x), and no honest gate above ~1.0 is reachable. What
-/// batching buys instead is certified here by the other two batch
-/// checks (bit-identity of all lanes, zero steady-state allocations)
-/// and by the serve-side amortized accounting; the floor only ensures
-/// the batched path never becomes *slower* than calling `infer_batch`
-/// with one lane at a time.
-pub const BATCH_SPEEDUP_GATE: f64 = 0.9;
-
-/// Timed passes per side of the batch-8 vs batch-1 comparison. The gate
-/// is a *ratio* of two wall-clock numbers, so a single scheduler hiccup
-/// on either side would swing it far more than any real regression; each
-/// side keeps its best (minimum) pass, and the passes interleave so slow
-/// drift (thermal, background load) hits both sides equally.
-const BATCH_TIMING_PASSES: usize = 3;
 
 /// Per-word flip rate of the silent fault plan used by the replay
 /// allocation gate (NB and SB sites only, no protection — every flip is
@@ -153,9 +137,11 @@ pub const OPT_SPEEDUP_NETS: usize = 5;
 /// may ever report more).
 pub const OPT_CYCLES_REDUCED_NETS: usize = 5;
 
-/// Timed passes of the optimized vs recorded replay comparison. Like
-/// [`BATCH_TIMING_PASSES`], the gate is a ratio of two wall-clock
-/// numbers, so each side keeps its best pass and the passes interleave.
+/// Timed passes of the optimized vs recorded replay comparison. The gate
+/// is a *ratio* of two wall-clock numbers, so a single scheduler hiccup
+/// on either side would swing it far more than any real regression; each
+/// side keeps its best (minimum) pass, and the passes interleave so slow
+/// drift (thermal, background load) hits both sides equally.
 const OPT_TIMING_PASSES: usize = 3;
 
 /// Simulated cycles per inference frozen at the repository seed; the
@@ -280,33 +266,12 @@ pub struct ThroughputRow {
     pub instr_cycles_per_inference: u64,
     /// Whether the replayed and live-decoded instrumented runs agreed
     /// bit-for-bit on outputs, per-layer traces, statistics, and energy
-    /// (the certificate's fifth execution path).
+    /// (the fifth certified path).
     pub instr_paths_bit_identical: bool,
     /// Heap allocations counted during a warmed `infer_ref` burst under
     /// a silent fault plan — schedule replay resolving the fault overlay
     /// must stay allocation-free too.
     pub fault_replay_allocs: u64,
-    /// Lanes per `infer_batch` call in the batched burst.
-    pub batch_size: usize,
-    /// Total inferences in the batched burst (calls × lanes).
-    pub batch_inferences: usize,
-    /// Wall-clock seconds for the batched burst (`infer_batch_into`,
-    /// [`BATCH_SIZE`] lanes per call); best of
-    /// [`BATCH_TIMING_PASSES`] interleaved passes.
-    pub batch_wall_s: f64,
-    /// Wall-clock seconds for the same number of inferences issued as
-    /// batch-1 `infer_batch_into` calls — the denominator of
-    /// [`ThroughputRow::batch_speedup`]; best of the same interleaved
-    /// passes.
-    pub batch_one_wall_s: f64,
-    /// Heap allocations counted during the warmed batched burst (the
-    /// batched datapath must be as allocation-free as the per-item one).
-    pub batch_allocs: u64,
-    /// Whether every lane of an `infer_batch` call agreed bit-for-bit —
-    /// outputs, statistics, energy, and fault counters — with a
-    /// sequential `infer` of the same input (the certificate's sixth
-    /// execution path).
-    pub batch_bit_identical: bool,
     /// Simulated cycles per inference reported by the *optimized*
     /// schedule replay; must never exceed the seed-frozen count, and
     /// must be strictly below it on [`OPT_CYCLES_REDUCED_NETS`]
@@ -327,7 +292,7 @@ pub struct ThroughputRow {
     /// Whether the optimized replay agreed bit-for-bit with the recorded
     /// replay — outputs and per-layer traces on the instrumented run,
     /// outputs on the trace-free path, and outputs under the silent fault plan
-    /// (the certificate's seventh execution path).
+    /// (the sixth certified path).
     pub opt_paths_bit_identical: bool,
     /// Redundant NB word deliveries eliminated by the `nb_dedup` pass.
     pub opt_nb_reads_eliminated: u64,
@@ -347,7 +312,7 @@ pub struct ThroughputRow {
     pub delta_warm_load_cycles: u64,
     /// Whether the cold and warm delta-load runs agreed bit-for-bit with
     /// a plain `infer` on outputs, and the cold run streamed every row
-    /// (the certificate's eighth execution path).
+    /// (the seventh certified path).
     pub delta_bit_identical: bool,
 }
 
@@ -421,25 +386,6 @@ impl ThroughputRow {
             .map(|base| self.instr_sim_cycles_per_s() / base)
     }
 
-    /// Simulated cycles advanced per wall-clock second by the batched
-    /// burst.
-    pub fn batch_sim_cycles_per_s(&self) -> f64 {
-        if self.batch_wall_s == 0.0 {
-            return 0.0;
-        }
-        self.sim_cycles_per_inference as f64 * self.batch_inferences as f64 / self.batch_wall_s
-    }
-
-    /// Batch-1 over batch-[`BATCH_SIZE`] per-inference wall time: how the
-    /// batched replay compares to issuing the same inferences one lane at
-    /// a time (see [`BATCH_SPEEDUP_GATE`] for why this hovers near 1.0).
-    pub fn batch_speedup(&self) -> f64 {
-        if self.batch_wall_s == 0.0 || self.batch_inferences == 0 {
-            return 0.0;
-        }
-        self.batch_one_wall_s / self.batch_wall_s
-    }
-
     /// Recorded-replay over optimized-replay wall time: what the schedule
     /// optimizer's rewritten stream buys the host replay itself, measured
     /// side by side in the same process (the [`OPT_REPLAY_GATE`]
@@ -489,29 +435,22 @@ impl PerfReport {
         self.experiments.iter().all(|e| e.bit_identical)
     }
 
-    /// Whether every benchmark's six execution paths agreed bit-for-bit
-    /// (legacy / run / infer / infer_ref, the replay-vs-live instrumented
-    /// certificate, and the batched lanes-vs-sequential certificate).
+    /// Whether every benchmark's [`CERTIFIED_PATHS`] agreed bit-for-bit.
     pub fn all_paths_bit_identical(&self) -> bool {
         self.throughput.iter().all(|t| {
             t.paths_bit_identical
                 && t.instr_paths_bit_identical
-                && t.batch_bit_identical
                 && t.opt_paths_bit_identical
                 && t.delta_bit_identical
         })
     }
 
     /// Whether no benchmark's measured burst touched the heap — the
-    /// clean and faulty schedule-replay bursts and the batched burst
-    /// alike.
+    /// clean, faulty, and optimized schedule-replay bursts alike.
     pub fn zero_alloc_steady_state(&self) -> bool {
-        self.throughput.iter().all(|t| {
-            t.steady_state_allocs == 0
-                && t.fault_replay_allocs == 0
-                && t.batch_allocs == 0
-                && t.opt_allocs == 0
-        })
+        self.throughput
+            .iter()
+            .all(|t| t.steady_state_allocs == 0 && t.fault_replay_allocs == 0 && t.opt_allocs == 0)
     }
 
     /// The optimizer's elimination counters summed over every benchmark
@@ -573,10 +512,6 @@ impl PerfReport {
                  \"instr_speedup_vs_pr3\": {}, \
                  \"instr_paths_bit_identical\": {}, \
                  \"fault_replay_allocs\": {}, \
-                 \"batch_size\": {}, \"batch_inferences\": {}, \
-                 \"batch_wall_s\": {}, \"batch_one_wall_s\": {}, \
-                 \"batch_speedup\": {}, \"batch_sim_cycles_per_s\": {}, \
-                 \"batch_allocs\": {}, \"batch_bit_identical\": {}, \
                  \"opt_cycles_per_inference\": {}, \"opt_replay_wall_s\": {}, \
                  \"opt_baseline_wall_s\": {}, \"opt_replay_speedup\": {}, \
                  \"opt_allocs\": {}, \"opt_paths_bit_identical\": {}, \
@@ -611,14 +546,6 @@ impl PerfReport {
                 json_opt_f64(t.instr_speedup_vs_pr3()),
                 t.instr_paths_bit_identical,
                 t.fault_replay_allocs,
-                t.batch_size,
-                t.batch_inferences,
-                json_f64(t.batch_wall_s),
-                json_f64(t.batch_one_wall_s),
-                json_f64(t.batch_speedup()),
-                json_f64(t.batch_sim_cycles_per_s()),
-                t.batch_allocs,
-                t.batch_bit_identical,
                 t.opt_cycles_per_inference,
                 json_f64(t.opt_replay_wall_s),
                 json_f64(t.opt_baseline_wall_s),
@@ -704,21 +631,8 @@ impl PerfReport {
                 },
             );
         }
-        out += "\nBatched-path throughput (infer_batch, one schedule replay per call)\n\
-                CNN          lanes   sim cycles/s   vs batch-1  allocs  lanes==sequential\n";
-        for t in &self.throughput {
-            out += &format!(
-                "{:<12} {:>5} {:>14.3e} {:>10.2}x  {:>6}  {}\n",
-                t.name,
-                t.batch_size,
-                t.batch_sim_cycles_per_s(),
-                t.batch_speedup(),
-                t.batch_allocs,
-                if t.batch_bit_identical { "yes" } else { "NO" },
-            );
-        }
         out += "\nOptimized-replay throughput (schedule optimizer passes, vs recorded replay)\n\
-                CNN          cycles/inf  saved  vs recorded  NB elim  modes  SB bytes  allocs  7-path\n";
+                CNN          cycles/inf  saved  vs recorded  NB elim  modes  SB bytes  allocs  ==replay\n";
         for t in &self.throughput {
             out += &format!(
                 "{:<12} {:>10} {:>6} {:>10.2}x {:>8} {:>6} {:>9}  {:>6}  {}\n",
@@ -738,7 +652,7 @@ impl PerfReport {
             );
         }
         out += "\nDelta-load path (cross-frame NBin residency, warm repeat of one input)\n\
-                CNN          rows total  warm rows  warm load cycles  8-path\n";
+                CNN          rows total  warm rows  warm load cycles  ==infer\n";
         for t in &self.throughput {
             out += &format!(
                 "{:<12} {:>10} {:>10} {:>17}  {}\n",
@@ -828,9 +742,10 @@ pub fn measure_experiments() -> Vec<ExperimentTiming> {
     ]
 }
 
-/// Measures one benchmark: bit-identity certificate across all four
-/// execution paths, then a warmed, allocation-counted `infer_ref` burst,
-/// then the legacy one-shot burst for comparison.
+/// Measures one benchmark: bit-identity certificates across the
+/// [`CERTIFIED_PATHS`], a warmed, allocation-counted `infer_ref` burst,
+/// the legacy one-shot burst for comparison, and the instrumented,
+/// optimized-replay, and delta-load rows.
 fn measure_one(
     b: shidiannao_cnn::NetworkBuilder,
     burst: usize,
@@ -897,7 +812,7 @@ fn measure_one(
     }
     let legacy_wall_s = start.elapsed().as_secs_f64();
 
-    // Fifth path of the certificate: the traced instrumented run with
+    // Fifth certified path: the traced instrumented run with
     // schedule replay disabled (live HFSM decode, the pre-schedule code
     // path) must agree with the replayed run on outputs, per-layer
     // traces, statistics, and energy.
@@ -952,80 +867,7 @@ fn measure_one(
         }
     });
 
-    // Sixth path of the certificate: every lane of a batched run must
-    // agree bit-for-bit — output, statistics, energy, fault counters —
-    // with a sequential `infer` of the same input on a fresh session.
-    let batch_inputs: Vec<_> = (0..BATCH_SIZE)
-        .map(|i| net.random_input(SEED ^ 0xBA7C ^ i as u64))
-        .collect();
-    let mut batched = prepared.session();
-    let mut sequential = prepared.session();
-    let batch_bit_identical = match batched.infer_batch(&batch_inputs) {
-        Err(_) => false,
-        Ok(results) => batch_inputs.iter().zip(&results).all(|(bi, r)| {
-            sequential.infer(bi).is_ok_and(|s| {
-                r.output() == s.output()
-                    && r.stats() == s.stats()
-                    && r.energy() == s.energy()
-                    && r.fault_stats() == s.fault_stats()
-            })
-        }),
-    };
-
-    // Batched burst: warm to the allocation steady state, then count
-    // heap allocations over a full burst *untimed* — the counter's
-    // overhead must never land inside a wall-clock window.
-    let mut out8 = Vec::new();
-    let mut out1 = Vec::new();
-    let mut quiet = 0;
-    for _ in 0..WARMUP_CAP {
-        let (allocs, ()) = crate::alloc::count_allocations(|| {
-            let _ = batched
-                .infer_batch_into(&batch_inputs, &mut out8)
-                .expect("warm-up batch");
-        });
-        quiet = if allocs == 0 { quiet + 1 } else { 0 };
-        if quiet >= WARMUP_QUIET {
-            break;
-        }
-    }
-    let (batch_allocs, ()) = crate::alloc::count_allocations(|| {
-        for _ in 0..burst {
-            let _ = batched
-                .infer_batch_into(&batch_inputs, &mut out8)
-                .expect("batched burst");
-        }
-    });
-    // Warm the single-lane shape (it recycles its own output vector so
-    // neither shape disturbs the other's steady state), then time both
-    // shapes interleaved, keeping each side's best pass.
-    for lane in &batch_inputs {
-        let _ = batched
-            .infer_batch_into(std::slice::from_ref(lane), &mut out1)
-            .expect("batch-1 warm-up");
-    }
-    let mut batch_wall_s = f64::INFINITY;
-    let mut batch_one_wall_s = f64::INFINITY;
-    for _ in 0..BATCH_TIMING_PASSES {
-        let start = Instant::now();
-        for _ in 0..burst {
-            let _ = batched
-                .infer_batch_into(&batch_inputs, &mut out8)
-                .expect("batched burst");
-        }
-        batch_wall_s = batch_wall_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for _ in 0..burst {
-            for lane in &batch_inputs {
-                let _ = batched
-                    .infer_batch_into(std::slice::from_ref(lane), &mut out1)
-                    .expect("batch-1 burst");
-            }
-        }
-        batch_one_wall_s = batch_one_wall_s.min(start.elapsed().as_secs_f64());
-    }
-
-    // Seventh path of the certificate: the schedule optimizer's
+    // Sixth certified path: the schedule optimizer's
     // rewritten stream must agree with the recorded replay bit-for-bit
     // — outputs and per-layer traces on the instrumented run, outputs
     // on the trace-free path, and outputs under the silent fault plan —
@@ -1056,8 +898,7 @@ fn measure_one(
 
     // Optimized-replay burst: warm to the allocation steady state, count
     // heap allocations over a full burst untimed, then time optimized vs
-    // recorded replay interleaved, keeping each side's best pass (the
-    // [`OPT_REPLAY_GATE`] policy mirrors the batch gate's).
+    // recorded replay interleaved, keeping each side's best pass.
     let mut quiet = 0;
     for _ in 0..WARMUP_CAP {
         let (allocs, ()) = crate::alloc::count_allocations(|| {
@@ -1088,7 +929,7 @@ fn measure_one(
         opt_baseline_wall_s = opt_baseline_wall_s.min(start.elapsed().as_secs_f64());
     }
 
-    // Eighth path of the certificate: the delta-load staging path. A
+    // Seventh certified path: the delta-load staging path. A
     // cold `infer_delta` must stream every input row and agree with a
     // plain `infer`; an immediately repeated call on the same input must
     // stream zero rows, report a zero-cycle Load phase, and still agree.
@@ -1122,12 +963,6 @@ fn measure_one(
         instr_cycles_per_inference: instr_cycles,
         instr_paths_bit_identical,
         fault_replay_allocs,
-        batch_size: BATCH_SIZE,
-        batch_inferences: burst * BATCH_SIZE,
-        batch_wall_s,
-        batch_one_wall_s,
-        batch_allocs,
-        batch_bit_identical,
         opt_cycles_per_inference: opt_cycles,
         opt_replay_wall_s,
         opt_baseline_wall_s,
@@ -1177,10 +1012,11 @@ pub fn measure_smoke() -> PerfReport {
 
 /// The CI gate over a set of throughput rows: every frozen benchmark
 /// present with its seed-exact `sim_cycles_per_inference` on both the
-/// clean replayed and the traced replayed path, all five execution paths
-/// bit-identical, a zero-allocation steady state (clean and faulty
-/// replay alike), and the instrumented-path speedup threshold. Returns
-/// the list of violations (empty means pass).
+/// clean replayed and the traced replayed path, every certified path
+/// bit-identical, a zero-allocation steady state (clean, faulty, and
+/// optimized replay alike), and the instrumented-path and
+/// optimized-replay speedup thresholds. Returns the list of violations
+/// (empty means pass).
 pub fn smoke_errors(rows: &[ThroughputRow]) -> Vec<String> {
     let mut errors = Vec::new();
     let mut cycles_reduced = 0usize;
@@ -1248,18 +1084,6 @@ pub fn smoke_errors(rows: &[ThroughputRow]) -> Vec<String> {
                 row.name, row.fault_replay_allocs
             ));
         }
-        if !row.batch_bit_identical {
-            errors.push(format!(
-                "{}: a batched lane diverged from sequential inference",
-                row.name
-            ));
-        }
-        if row.batch_allocs != 0 {
-            errors.push(format!(
-                "{}: batched inference allocated {} times in steady state",
-                row.name, row.batch_allocs
-            ));
-        }
         if !row.opt_paths_bit_identical {
             errors.push(format!(
                 "{}: optimized replay diverged from the recorded replay",
@@ -1291,13 +1115,6 @@ pub fn smoke_errors(rows: &[ThroughputRow]) -> Vec<String> {
             errors.push(format!(
                 "LeNet-5: instrumented replay speedup {:.2}x below the {INSTR_SPEEDUP_GATE}x gate",
                 row.instr_speedup()
-            ));
-        }
-        if row.batch_speedup() < BATCH_SPEEDUP_GATE {
-            errors.push(format!(
-                "LeNet-5: batch-{BATCH_SIZE} throughput fell to {:.2}x of batch-1 \
-                 (the {BATCH_SPEEDUP_GATE}x no-regression floor)",
-                row.batch_speedup()
             ));
         }
     }
@@ -1355,12 +1172,6 @@ mod tests {
             instr_cycles_per_inference: 10017,
             instr_paths_bit_identical: true,
             fault_replay_allocs: 0,
-            batch_size: 8,
-            batch_inferences: 80,
-            batch_wall_s: 0.4,
-            batch_one_wall_s: 0.8,
-            batch_allocs: 0,
-            batch_bit_identical: true,
             opt_cycles_per_inference: 10016,
             opt_replay_wall_s: 0.2,
             opt_baseline_wall_s: 0.4,
@@ -1431,14 +1242,6 @@ mod tests {
             "\"instr_speedup_vs_pr3\"",
             "\"instr_paths_bit_identical\"",
             "\"fault_replay_allocs\"",
-            "\"batch_size\"",
-            "\"batch_inferences\"",
-            "\"batch_wall_s\"",
-            "\"batch_one_wall_s\"",
-            "\"batch_speedup\"",
-            "\"batch_sim_cycles_per_s\"",
-            "\"batch_allocs\"",
-            "\"batch_bit_identical\"",
             "\"opt_cycles_per_inference\"",
             "\"opt_replay_wall_s\"",
             "\"opt_baseline_wall_s\"",
@@ -1471,9 +1274,7 @@ mod tests {
         assert!((row.speedup_vs_pr1().unwrap() - 20000.0 / base).abs() < 1e-12);
         assert!((row.session_speedup() - 2.0).abs() < 1e-12);
         assert!((row.instr_speedup() - 10.0).abs() < 1e-12);
-        assert!((row.batch_speedup() - 2.0).abs() < 1e-12);
         assert!((row.opt_replay_speedup() - 2.0).abs() < 1e-12);
-        assert!((row.batch_sim_cycles_per_s() - 10017.0 * 80.0 / 0.4).abs() < 1e-6);
         let instr = row.instr_sim_cycles_per_s();
         assert!((instr - 10017.0 * 10.0 / 0.1).abs() < 1e-6);
         let pr3 = row
@@ -1498,8 +1299,9 @@ mod tests {
         assert!(smoke_errors(&clean).is_empty());
 
         // Drift (clean and traced), divergence (four-path,
-        // replay-vs-live, and batched-lane), allocation (clean, faulty
-        // replay, and batched), and absence each produce an error.
+        // replay-vs-live, optimized, and delta-load), allocation (clean,
+        // faulty, and optimized replay), and absence each produce an
+        // error.
         let mut bad = clean.clone();
         bad[0].sim_cycles_per_inference += 1;
         bad[1].paths_bit_identical = false;
@@ -1507,8 +1309,6 @@ mod tests {
         bad[3].instr_cycles_per_inference += 2;
         bad[4].instr_paths_bit_identical = false;
         bad[5].fault_replay_allocs = 3;
-        bad[6].batch_bit_identical = false;
-        bad[7].batch_allocs = 11;
         bad[0].opt_cycles_per_inference += 10;
         bad[1].opt_paths_bit_identical = false;
         bad[2].opt_allocs = 4;
@@ -1516,7 +1316,7 @@ mod tests {
         bad[5].delta_warm_rows = 6;
         bad.pop();
         let errors = smoke_errors(&bad);
-        assert_eq!(errors.len(), 14, "{errors:?}");
+        assert_eq!(errors.len(), 12, "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("seed-frozen")));
         assert!(errors.iter().any(|e| e.contains("diverged (legacy")));
         assert!(errors.iter().any(|e| e.contains("clean replay allocated")));
@@ -1525,10 +1325,6 @@ mod tests {
             .iter()
             .any(|e| e.contains("diverged from live decode")));
         assert!(errors.iter().any(|e| e.contains("silent fault plan")));
-        assert!(errors.iter().any(|e| e.contains("batched lane diverged")));
-        assert!(errors
-            .iter()
-            .any(|e| e.contains("batched inference allocated")));
         assert!(errors
             .iter()
             .any(|e| e.contains("optimizer increased modeled cycles")));
@@ -1609,27 +1405,6 @@ mod tests {
             errors.iter().any(|e| e.contains("4/10 benchmarks")),
             "{errors:?}"
         );
-    }
-
-    #[test]
-    fn smoke_errors_enforces_the_batched_floor() {
-        let mut rows: Vec<ThroughputRow> = SEED_CYCLES_PER_INFERENCE
-            .iter()
-            .map(|&(name, cycles)| ThroughputRow {
-                name: name.into(),
-                sim_cycles_per_inference: cycles,
-                instr_cycles_per_inference: cycles,
-                opt_cycles_per_inference: cycles - 1,
-                ..probe_row()
-            })
-            .collect();
-        // A batched burst 20% slower than batch-1 on LeNet-5 trips the
-        // no-regression floor; other networks are reported, not gated.
-        rows[3].batch_wall_s = rows[3].batch_one_wall_s * 1.25;
-        rows[0].batch_wall_s = rows[0].batch_one_wall_s * 2.0;
-        let errors = smoke_errors(&rows);
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("no-regression floor"), "{errors:?}");
     }
 
     #[test]

@@ -311,7 +311,10 @@ pub fn evaluate(smoke: bool) -> TuneReport {
             let (side, nb_kb, sb_kb) = configs[c];
             let cfg = grid_config(side, nb_kb, sb_kb);
             let prepared = prepared_cached(&nets[n], &cfg).ok()?;
-            let run = prepared.run(&nets[n].random_input(SEED ^ 0xABCD)).ok()?;
+            let run = prepared
+                .session()
+                .run(&nets[n].random_input(SEED ^ 0xABCD))
+                .ok()?;
             let total = run.stats().total();
             // Per protection × per precision: protection scales the SRAM
             // terms, precision scales the PE-busy and SB terms, and both

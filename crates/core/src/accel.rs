@@ -12,12 +12,12 @@ use crate::hfsm::{FirstState, Hfsm};
 use crate::nfu::Nfu;
 use crate::sb::SynapseStore;
 use crate::schedule::{self, LayerOverlay, LayerSchedule, NetworkSchedule, ScheduleRecorder};
-use crate::stats::{LayerStats, RunStats};
+use crate::stats::RunStats;
 use core::fmt;
 use shidiannao_cnn::{LayerBody, Network};
 use shidiannao_faults::{DetectedFault, FaultPlan, FaultSite, FaultState, FaultStats};
 use shidiannao_fixed::Fx;
-use shidiannao_tensor::{FeatureMap, MapStack};
+use shidiannao_tensor::MapStack;
 use std::sync::Arc;
 
 /// Error produced by [`Accelerator::run`].
@@ -308,7 +308,7 @@ impl Accelerator {
     /// [`Network::forward_fixed`].
     ///
     /// This is a thin compatibility wrapper over [`Accelerator::prepare`]
-    /// followed by [`PreparedNetwork::run`]; callers executing the same
+    /// followed by a single-use [`Session::run`]; callers executing the same
     /// network more than once should hold on to the [`PreparedNetwork`]
     /// (and a [`Session`]) instead, so compilation and synapse-store
     /// banking happen once rather than per inference.
@@ -327,24 +327,7 @@ impl Accelerator {
         if expected != got {
             return Err(RunError::InputShape { expected, got });
         }
-        self.prepare(network)?.run(input)
-    }
-
-    /// [`Accelerator::run`] under a fault plan (the legacy-path variant of
-    /// [`PreparedNetwork::run_with_faults`]); identical faults fire on
-    /// either path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::FaultDetected`] when SRAM protection aborts the
-    /// run, plus everything [`Accelerator::run`] can return.
-    pub fn run_with_faults(
-        &self,
-        network: &Network,
-        input: &MapStack<Fx>,
-        plan: FaultPlan,
-    ) -> Result<RunOutcome, RunError> {
-        self.prepare(network)?.run_with_faults(input, plan)
+        self.prepare(network)?.session().run(input)
     }
 }
 
@@ -495,7 +478,6 @@ impl PreparedNetwork {
             faults: FaultState::new(plan),
             scratch: Scratch::default(),
             stats: RunStats::new(),
-            map_bin: Vec::new(),
             last_cycles: 0,
             replay_enabled: true,
             optimized: false,
@@ -504,30 +486,6 @@ impl PreparedNetwork {
             pending_delta_bytes: None,
             recorder: None,
         }
-    }
-
-    /// Executes one inference through a fresh single-use [`Session`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::InputShape`] when the input mismatches.
-    pub fn run(&self, input: &MapStack<Fx>) -> Result<RunOutcome, RunError> {
-        self.session().run(input)
-    }
-
-    /// Executes one inference under a fault plan through a fresh
-    /// single-use [`Session`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::FaultDetected`] when SRAM protection aborts
-    /// the run, plus everything [`PreparedNetwork::run`] can return.
-    pub fn run_with_faults(
-        &self,
-        input: &MapStack<Fx>,
-        plan: FaultPlan,
-    ) -> Result<RunOutcome, RunError> {
-        self.session_with_faults(plan).run(input)
     }
 
     /// Whether the optimizer's `delta_load` pass armed the Load phase
@@ -651,10 +609,6 @@ pub struct Session<'p> {
     faults: FaultState,
     scratch: Scratch,
     stats: RunStats,
-    /// Recycling bin for the batched output stacks
-    /// ([`Session::infer_batch_into`]): retired feature maps park here
-    /// and are reclaimed by best capacity fit instead of reallocating.
-    map_bin: Vec<FeatureMap<Fx>>,
     last_cycles: u64,
     /// Schedule replay on/off (on by default; benches flip it off to
     /// measure live decode).
@@ -911,107 +865,6 @@ impl<'p> Session<'p> {
         }
     }
 
-    /// Executes a batch of inferences through **one** schedule replay:
-    /// lane 0 runs the full instrumented path (charging control,
-    /// statistics, energy, and fault counters once — they are
-    /// input-independent, so every lane's would be identical), and lanes
-    /// `1..N` run only the value-producing arithmetic over the same
-    /// precompiled control stream. Each lane's output, statistics,
-    /// energy, and fault counters are bit-identical to what a sequential
-    /// [`Session::infer`] of that input would return.
-    ///
-    /// This is the allocating convenience wrapper;
-    /// [`Session::infer_batch_into`] is the zero-allocation form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::EmptyBuffer`] for an empty batch,
-    /// [`RunError::InputShape`] when any input mismatches, and
-    /// [`RunError::FaultDetected`] when SRAM protection aborts — the
-    /// abort is input-independent, so it would fire identically for
-    /// every lane.
-    pub fn infer_batch(&mut self, inputs: &[MapStack<Fx>]) -> Result<Vec<Inference>, RunError> {
-        let mut outputs = Vec::with_capacity(inputs.len());
-        let batch = self.infer_batch_into(inputs, &mut outputs)?;
-        let stats = batch.stats.clone();
-        let energy = batch.energy;
-        let frequency_ghz = batch.frequency_ghz;
-        let fault_stats = *batch.fault_stats;
-        Ok(outputs
-            .into_iter()
-            .map(|output| Inference {
-                output,
-                stats: stats.clone(),
-                energy,
-                frequency_ghz,
-                fault_stats,
-            })
-            .collect())
-    }
-
-    /// The zero-allocation batch path: per-lane outputs land in
-    /// `outputs` (resized to the batch length), recycling their existing
-    /// map storage through the session's bin, and the shared run
-    /// statistics are returned borrowed. Once the session and `outputs`
-    /// have warmed to the network's high-water mark, a steady-state call
-    /// performs **zero heap allocations** (asserted by the benchmark
-    /// harness's counting allocator).
-    ///
-    /// Outputs are bit-identical to sequential [`Session::infer`] calls;
-    /// see [`Session::infer_batch`] for the statistics contract.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Session::infer_batch`]'s.
-    pub fn infer_batch_into(
-        &mut self,
-        inputs: &[MapStack<Fx>],
-        outputs: &mut Vec<MapStack<Fx>>,
-    ) -> Result<BatchRef<'_>, RunError> {
-        if inputs.is_empty() {
-            return Err(EmptyBufferError {
-                buffer: "batch inputs",
-            }
-            .into());
-        }
-        // One (possibly empty) reusable stack per lane: surplus stacks
-        // drop, missing ones start empty and fill from the bin.
-        outputs.truncate(inputs.len());
-        while outputs.len() < inputs.len() {
-            outputs.push(MapStack::new(1, 1));
-        }
-
-        let mut fault_snapshot = FaultStats::default();
-        for (lane, input) in inputs.iter().enumerate() {
-            if lane == 0 {
-                // The canonical lane: full replay (or live-decode)
-                // execution, exactly as `infer` would run it.
-                self.execute(input, None)?;
-                fault_snapshot = *self.faults.stats();
-            } else {
-                self.execute_values(input)?;
-            }
-            let installed = self.nbin.contents().ok_or(EmptyBufferError {
-                buffer: "NB (final output)",
-            })?;
-            outputs[lane].clone_from_recycling(installed, &mut self.map_bin);
-        }
-        // Value lanes filtered their own data faults (bit-identical flips
-        // at the plan's input-independent addresses) but must not charge
-        // the counters again: restore the canonical lane's snapshot.
-        self.faults.reset_stats();
-        self.faults.absorb_stats(&fault_snapshot);
-
-        let energy = self.prepared.energy_model.charge_run(&self.stats);
-        Ok(BatchRef {
-            stats: &self.stats,
-            energy,
-            frequency_ghz: self.prepared.config.frequency_ghz,
-            fault_stats: self.faults.stats(),
-            len: inputs.len(),
-        })
-    }
-
     /// The schedule this run replays from, or `None` when every layer
     /// must live-decode (§3f in DESIGN.md). Replay covers traced and
     /// silently-faulted runs too — that is its point — but stuck-at PEs
@@ -1185,99 +1038,14 @@ impl<'p> Session<'p> {
 
         Ok(())
     }
-
-    /// The value-only lane executor for lanes `1..N` of a batch:
-    /// identical data movement and arithmetic to [`Session::execute`] —
-    /// same input load, same per-layer kernels in the same
-    /// per-accumulator operation order, same role swaps — with the
-    /// control re-derivation and statistics skipped. Every control
-    /// decision (path selection, HFSM sequence, addresses, cycle counts)
-    /// is input-independent, so the canonical lane already charged
-    /// exactly what this lane would have; per-layer metering goes to a
-    /// local discard and [`Session::last_cycles`] / the run statistics
-    /// keep the canonical lane's values. Fault *data* effects (flips at
-    /// the plan's input-independent addresses) are applied to this
-    /// lane's own data; the counter double-charge is undone by the
-    /// caller's snapshot restore.
-    fn execute_values(&mut self, input: &MapStack<Fx>) -> Result<(), RunError> {
-        let network = &self.prepared.network;
-        let expected = (
-            network.input_maps(),
-            network.input_dims().0,
-            network.input_dims().1,
-        );
-        let got = (input.len(), input.width(), input.height());
-        if expected != got {
-            return Err(RunError::InputShape { expected, got });
-        }
-
-        let cfg = &self.prepared.config;
-        let store = &self.prepared.store;
-        self.nfu.reset();
-        let mut hfsm = Hfsm::new();
-        // The canonical lane resolved any fault overlays already.
-        let schedule = self.replay_schedule();
-        debug_assert!(
-            !(schedule.is_some() && self.faults.active()) || self.overlays_valid,
-            "the canonical lane resolves overlays before value lanes run"
-        );
-
-        hfsm.enter(FirstState::Load).expect("HFSM: load");
-        self.nbin.load_from(input)?;
-
-        for (i, layer) in network.layers().iter().enumerate() {
-            let (ow, oh) = layer.out_dims();
-            self.nbout.begin_output(ow, oh, layer.out_maps())?;
-            let replay = layer_replay(
-                schedule.as_deref(),
-                &self.overlays,
-                i,
-                &mut self.nbin,
-                &mut self.faults,
-            )?;
-            // Metering discard: live-decoded layers (non-replayable ones,
-            // or all of them with replay off) still charge *something*;
-            // it is identical to what the canonical lane charged, so it
-            // goes nowhere.
-            let mut discard = LayerStats::default();
-            let mut engine = Engine {
-                cfg,
-                nbin: &self.nbin,
-                nbout: &mut self.nbout,
-                sb: &self.sb,
-                store,
-                layer_index: i,
-                nfu: &mut self.nfu,
-                alu: &self.alu,
-                hfsm: &mut hfsm,
-                stats: &mut discard,
-                faults: &mut self.faults,
-                scratch: &mut self.scratch,
-                recorder: None,
-            };
-            match replay {
-                Some((sl, sb_patches)) => {
-                    replay::layer_values(&mut engine, layer, sb_patches, sl.row_lanes())
-                }
-                None => engine.run_layer(layer)?,
-            }
-            self.nbout.finish_output_into_input()?;
-            core::mem::swap(&mut self.nbin, &mut self.nbout);
-        }
-        hfsm.enter(FirstState::End).expect("HFSM: end");
-
-        Ok(())
-    }
 }
 
-/// The per-layer replay decision shared by `execute_inner` and
-/// `execute_values`. Layer `i` replays when replay is on (`schedule` is
+/// The per-layer replay decision of `execute_inner`. Layer `i` replays when replay is on (`schedule` is
 /// `Some`), the schedule models the layer, and its fault overlay holds
 /// no detected error — detected errors abort mid-layer with exact
 /// partial statistics only live decode reproduces. A replayed layer's
 /// silent faults are pre-resolved here: NB flips go into the input stack
-/// in place and the counter delta lands in one absorb (a batch's value
-/// lanes charge it again; the caller's snapshot restore undoes that).
+/// in place and the counter delta lands in one absorb.
 /// Returns the layer's schedule and the SB patches to apply at fetch, or
 /// `None` for live decode.
 fn layer_replay<'s>(
@@ -1428,54 +1196,6 @@ impl InferenceRef<'_> {
     /// fault-free plan).
     pub fn fault_stats(&self) -> &FaultStats {
         self.fault_stats
-    }
-}
-
-/// The shared (input-independent) results of one batched inference from
-/// [`Session::infer_batch_into`]: statistics, energy, and fault counters
-/// are charged once for the whole batch and are bit-identical to any
-/// single lane's sequential [`Session::infer`]. Per-lane outputs land in
-/// the caller's recycled `outputs` vector.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchRef<'s> {
-    stats: &'s RunStats,
-    energy: EnergyReport,
-    frequency_ghz: f64,
-    fault_stats: &'s FaultStats,
-    len: usize,
-}
-
-impl BatchRef<'_> {
-    /// Execution statistics (one inference's worth — identical for every
-    /// lane).
-    pub fn stats(&self) -> &RunStats {
-        self.stats
-    }
-
-    /// Energy charged by the prepared network's model (per inference).
-    pub fn energy(&self) -> &EnergyReport {
-        &self.energy
-    }
-
-    /// Wall-clock seconds per inference.
-    pub fn seconds(&self) -> f64 {
-        self.stats.seconds_at(self.frequency_ghz)
-    }
-
-    /// What the fault layer did during each lane (all zeros under a
-    /// fault-free plan).
-    pub fn fault_stats(&self) -> &FaultStats {
-        self.fault_stats
-    }
-
-    /// The batch size (never zero).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Always false — empty batches are rejected with an error.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 

@@ -38,6 +38,12 @@ pub(crate) type SbPatches = [([u64; 3], u16)];
 /// already applied the overlay's NB patches to the input stack and
 /// absorbed the overlay's fault-counter delta; bank-conflict folding
 /// stays in the caller (shared with the live path).
+///
+/// The schedule's `row_lanes` flag selects the optimizer's
+/// whole-output-row conv/pool bodies ([`crate::opt`]): one lane-kernel
+/// sweep per output row instead of one per `Px`-wide block slice,
+/// bit-identical by the same exact-integer-reassociation argument as the
+/// block bodies.
 pub(crate) fn run_layer(
     eng: &mut Engine<'_>,
     layer: &Layer,
@@ -45,36 +51,7 @@ pub(crate) fn run_layer(
     sb_patches: &SbPatches,
 ) -> Result<(), RunError> {
     debug_assert!(sched.replayable(), "non-replayable layer reached replay");
-    layer_values(eng, layer, sb_patches, sched.row_lanes());
-    // The whole layer's statistics in one absorb (counter sums, FIFO
-    // peak maxes — the recorded delta was captured before bank-conflict
-    // folding, which the caller applies identically to both paths).
-    eng.stats.absorb(&sched.stats);
-    // Advance the mesh's monotone cumulative FIFO-peak trackers to the
-    // recorded after-layer value, so any later *live*-decoded layer
-    // folds the same cumulative peaks it would have seen live.
-    let (h, v) = sched.fifo_peaks_after;
-    eng.nfu.note_fifo_peaks(h as u32, v as u32);
-    Ok(())
-}
-
-/// Runs only the value-producing arithmetic of a replayable layer — the
-/// replay bodies without the statistics absorb. The batched execution
-/// path calls this directly for lanes 1..N of a batch: control and
-/// statistics were already charged once by the canonical lane, and the
-/// bodies below never touch `eng.stats` (their epilogue metering goes to
-/// a local discard), so a value lane is exactly this call.
-///
-/// `row_lanes` selects the optimizer's whole-output-row conv/pool bodies
-/// ([`crate::opt`]): one lane-kernel sweep per output row instead of one
-/// per `Px`-wide block slice, bit-identical by the same
-/// exact-integer-reassociation argument as the block bodies.
-pub(crate) fn layer_values(
-    eng: &mut Engine<'_>,
-    layer: &Layer,
-    sb_patches: &SbPatches,
-    row_lanes: bool,
-) {
+    let row_lanes = sched.row_lanes();
     match layer.body() {
         LayerBody::Conv {
             table,
@@ -117,6 +94,16 @@ pub(crate) fn layer_values(
             unreachable!("non-replayable layer kind reached the replay executor")
         }
     }
+    // The whole layer's statistics in one absorb (counter sums, FIFO
+    // peak maxes — the recorded delta was captured before bank-conflict
+    // folding, which the caller applies identically to both paths).
+    eng.stats.absorb(&sched.stats);
+    // Advance the mesh's monotone cumulative FIFO-peak trackers to the
+    // recorded after-layer value, so any later *live*-decoded layer
+    // folds the same cumulative peaks it would have seen live.
+    let (h, v) = sched.fifo_peaks_after;
+    eng.nfu.note_fifo_peaks(h as u32, v as u32);
+    Ok(())
 }
 
 /// Convolution replay: the per-accumulator sequence is, per connected

@@ -1,7 +1,7 @@
 //! Value kernels: the arithmetic that actually produces neuron values,
-//! factored behind one trait so schedule replay and the batched value
-//! lanes share a single reduction implementation, bit-identical to the
-//! live decoder's per-cycle fold.
+//! factored behind one trait so every schedule-replay body shares a
+//! single reduction implementation, bit-identical to the live decoder's
+//! per-cycle fold.
 //!
 //! # Bit-identity contract
 //!

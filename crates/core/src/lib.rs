@@ -66,8 +66,8 @@ mod schedule;
 mod stats;
 
 pub use accel::{
-    Accelerator, BatchRef, DeltaLoad, Inference, InferenceRef, NbResidency, PreparedNetwork,
-    RunError, RunOutcome, Session,
+    Accelerator, DeltaLoad, Inference, InferenceRef, NbResidency, PreparedNetwork, RunError,
+    RunOutcome, Session,
 };
 pub use alu::Alu;
 pub use buffer::{

@@ -167,9 +167,9 @@ impl SynapseStore {
     }
 
     /// The whole kernel of output map `o`'s `j`-th connected input as one
-    /// contiguous slice in sweep `(ky, kx)` row-major order — the replay
-    /// and batch value lanes borrow this directly instead of staging the
-    /// kernel element by element.
+    /// contiguous slice in sweep `(ky, kx)` row-major order — schedule
+    /// replay borrows this directly instead of staging the kernel element
+    /// by element.
     ///
     /// # Panics
     ///

@@ -1,9 +1,9 @@
 //! Fault-injection regression and property tests: the seeded fault model
 //! must be (a) transparent at rate zero — bit-identical to the fault-free
 //! simulator — and (b) deterministic — the same seed produces the same
-//! faulted execution on every run path (legacy one-shot, prepared, and
-//! session), because fault sites are pure functions of `(seed, site,
-//! layer, address)`, not of access order.
+//! faulted execution on every run (fresh session or reused), because
+//! fault sites are pure functions of `(seed, site, layer, address)`, not
+//! of access order.
 
 use proptest::prelude::*;
 use shidiannao_cnn::zoo;
@@ -28,7 +28,10 @@ fn zero_rate_plan_is_bit_identical_to_the_fault_free_simulator() {
         let accel = Accelerator::new(AcceleratorConfig::paper());
         let clean = accel.run(&net, &input).expect("fits the paper config");
         let zero = accel
-            .run_with_faults(&net, &input, FaultPlan::none())
+            .prepare(&net)
+            .expect("fits")
+            .session_with_faults(FaultPlan::none())
+            .run(&input)
             .expect("zero-rate plan cannot fault");
         assert_eq!(zero.output(), clean.output(), "{}", net.name());
         assert_eq!(zero.stats(), clean.stats(), "{}", net.name());
@@ -51,7 +54,10 @@ fn unprotected_faults_are_silent_and_corrupt_the_output() {
     let golden = net.forward_fixed(&input);
     let plan = FaultPlan::new(FaultConfig::uniform(7, 1e-3, SramProtection::None));
     let run = accel
-        .run_with_faults(&net, &input, plan)
+        .prepare(&net)
+        .expect("fits")
+        .session_with_faults(plan)
+        .run(&input)
         .expect("unprotected SRAM never detects, so the run completes");
     let stats = run.fault_stats();
     assert!(stats.silent > 0, "1e-3 over a LeNet-5 run must fault");
@@ -67,7 +73,10 @@ fn parity_detects_and_aborts_with_a_typed_error() {
     let accel = Accelerator::new(AcceleratorConfig::paper());
     let plan = FaultPlan::new(FaultConfig::uniform(7, 1e-3, SramProtection::Parity));
     let err = accel
-        .run_with_faults(&net, &input, plan)
+        .prepare(&net)
+        .expect("fits")
+        .session_with_faults(plan)
+        .run(&input)
         .expect_err("parity at 1e-3 must detect the first single-bit flip");
     match err {
         RunError::FaultDetected(f) => {
@@ -92,7 +101,10 @@ fn secded_corrects_single_bit_flips_back_to_the_golden_output() {
         ..FaultConfig::uniform(7, 1e-3, SramProtection::Secded)
     };
     let run = accel
-        .run_with_faults(&net, &input, FaultPlan::new(cfg))
+        .prepare(&net)
+        .expect("fits")
+        .session_with_faults(FaultPlan::new(cfg))
+        .run(&input)
         .expect("SECDED corrects all single-bit errors");
     let stats = run.fault_stats();
     assert!(stats.corrected > 0);
@@ -119,9 +131,9 @@ fn outcome(run: Result<shidiannao_core::RunOutcome, RunError>) -> FaultOutcome {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The same plan produces byte-identical faulted behavior on the
-    /// legacy, prepared, and session run paths, for every protection
-    /// level and a range of seeds/rates.
+    /// The same plan produces byte-identical faulted behavior through a
+    /// fresh session and on every run of a reused one, for every
+    /// protection level and a range of seeds/rates.
     #[test]
     fn same_seed_faults_identically_on_every_run_path(
         seed in 0u64..1_000_000,
@@ -134,17 +146,15 @@ proptest! {
         let input = net.random_input(INPUT_SEED);
         let accel = Accelerator::new(AcceleratorConfig::paper());
 
-        let legacy = outcome(accel.run_with_faults(&net, &input, plan));
         let prepared = accel.prepare(&net).expect("fits");
-        let via_prepared = outcome(prepared.run_with_faults(&input, plan));
+        let fresh = outcome(prepared.session_with_faults(plan).run(&input));
+        // A reused session must replay the identical faults on every run.
         let mut session = prepared.session_with_faults(plan);
-        let via_session = outcome(session.run(&input));
-        // A reused session must replay the identical faults as well.
-        let via_session_again = outcome(session.run(&input));
+        let first = outcome(session.run(&input));
+        let again = outcome(session.run(&input));
 
-        prop_assert_eq!(&legacy, &via_prepared);
-        prop_assert_eq!(&legacy, &via_session);
-        prop_assert_eq!(&legacy, &via_session_again);
+        prop_assert_eq!(&fresh, &first);
+        prop_assert_eq!(&fresh, &again);
     }
 
     /// Rate zero is transparent for any seed: outputs, cycle counts, and
@@ -157,7 +167,10 @@ proptest! {
         let accel = Accelerator::new(AcceleratorConfig::paper());
         let clean = accel.run(&net, &input).expect("fits");
         let faulted = accel
-            .run_with_faults(&net, &input, FaultPlan::new(cfg))
+            .prepare(&net)
+            .expect("fits")
+            .session_with_faults(FaultPlan::new(cfg))
+            .run(&input)
             .expect("zero-rate plan cannot fault");
         prop_assert_eq!(faulted.output(), clean.output());
         prop_assert_eq!(faulted.stats(), clean.stats());

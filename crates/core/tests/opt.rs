@@ -217,26 +217,3 @@ fn pass_toggles_gate_their_effects() {
     s.set_optimized_replay(false);
     assert_eq!(s.run(&input).expect("runs").stats().cycles(), base_cycles);
 }
-
-/// Batched lanes replay the optimized stream too (the value-lane
-/// executor honours `row_lanes`), bit-identical to sequential infers.
-#[test]
-fn batched_lanes_replay_optimized_schedules() {
-    let net = zoo::simple_conv().build(2015).expect("builds");
-    let prepared = Accelerator::default().prepare(&net).expect("fits");
-    let inputs: Vec<_> = (0..4).map(|i| net.random_input(100 + i)).collect();
-    let mut optimized = prepared.session();
-    optimized.set_optimized_replay(true);
-    let batch = optimized.infer_batch(&inputs).expect("batch runs");
-    let mut seq = prepared.session();
-    seq.set_optimized_replay(true);
-    for (lane, input) in inputs.iter().enumerate() {
-        let one = seq.infer(input).expect("runs");
-        assert_eq!(
-            batch[lane].output().flatten(),
-            one.output().flatten(),
-            "lane {lane} diverged"
-        );
-        assert_eq!(batch[lane].stats().cycles(), one.stats().cycles());
-    }
-}

@@ -28,7 +28,7 @@ fn prepared_run_matches_legacy_run_and_golden_reference() {
 
         let legacy = accel.run(&net, &input).expect("fits the paper config");
         let prepared = accel.prepare(&net).expect("fits the paper config");
-        let fresh = prepared.run(&input).expect("same input shape");
+        let fresh = prepared.session().run(&input).expect("same input shape");
 
         assert_eq!(fresh.output(), legacy.output(), "{}", net.name());
         assert_eq!(fresh.layer_outputs(), legacy.layer_outputs());
@@ -104,7 +104,7 @@ fn session_reuse_does_zero_recompilation_and_zero_store_rebuilds() {
         session.infer(&input).expect("same input shape");
     }
     session.run(&input).expect("same input shape");
-    prepared.run(&input).expect("same input shape");
+    prepared.session().run(&input).expect("same input shape");
 
     assert_eq!(
         compiler::compile_calls(),

@@ -263,7 +263,7 @@ fn sessions_share_one_schedule_arc() {
     assert_eq!(schedule.layer_count(), 3);
     assert_eq!(schedule.replayable_layers(), 3);
     assert!(schedule.memory_bytes() > 0);
-    let run = prepared.run(&net.random_input(1)).unwrap();
+    let run = prepared.session().run(&net.random_input(1)).unwrap();
     let layer_cycles: u64 = schedule.layers().iter().map(|l| l.cycles()).sum();
     assert!(layer_cycles > 0 && layer_cycles < run.stats().cycles());
 }

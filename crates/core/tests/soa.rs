@@ -248,7 +248,8 @@ proptest! {
             .prepare(&net)
             .expect("network fits");
         let legacy = prepared
-            .run_with_faults(&input, plan)
+            .session_with_faults(plan)
+            .run(&input)
             .expect("unprotected plans never abort");
         let mut session = prepared.session_with_faults(plan);
         let run = session.run(&input).expect("instrumented faulted run");

@@ -266,7 +266,7 @@ pub fn run_cascade(cfg: &CascadeConfig) -> Result<CascadeReport, QuantError> {
             // the sign-binarized region (same mapping the serve
             // tenant's `BinarizedStream` source applies).
             let bin = raw.map(|&px| binarize_pixel(px));
-            let front_run = front_prepared.run(&bin)?;
+            let front_run = front_prepared.session().run(&bin)?;
             let front_out = front_run.output();
             let front_score = front_out.first().copied().unwrap_or(Fx::MIN);
             let front_golden = front.network.forward_fixed(&bin).output();
@@ -280,7 +280,7 @@ pub fn run_cascade(cfg: &CascadeConfig) -> Result<CascadeReport, QuantError> {
 
             let escalate = front_score >= cfg.threshold;
             let (outcome, full_ok) = if escalate {
-                let full_run = full_prepared.run(raw)?;
+                let full_run = full_prepared.session().run(raw)?;
                 let full_out = full_run.output();
                 let positive = full_out.iter().copied().fold(Fx::MIN, Fx::max) >= cfg.decision;
                 (
@@ -319,11 +319,11 @@ pub fn run_cascade(cfg: &CascadeConfig) -> Result<CascadeReport, QuantError> {
     // only on topology), so one probe run of each stage prices the
     // whole scenario.
     let probe = front.network.random_input(cfg.net_seed);
-    let front_run = front_prepared.run(&probe)?;
+    let front_run = front_prepared.session().run(&probe)?;
     let front_cycles = front_run.stats().cycles();
     let front_energy_nj = front_run.energy().total_nj();
     let full_probe = full.random_input(cfg.net_seed);
-    let full_run = full_prepared.run(&full_probe)?;
+    let full_run = full_prepared.session().run(&full_probe)?;
     let full_cycles = full_run.stats().cycles();
     let full_energy_nj = full_run.energy().total_nj();
 

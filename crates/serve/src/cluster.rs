@@ -127,7 +127,7 @@ pub struct ClusterConfig {
     /// Completed requests retained per tenant for bit-identity
     /// certification (both per-shard and cluster-level samples).
     pub samples_per_tenant: usize,
-    /// Maximum inferences per schedule replay, as in
+    /// Maximum inferences per dispatch, as in
     /// [`ServeConfig`](crate::ServeConfig). Batching is gated on the
     /// *effective* fault plan: a shard in an SRAM-burst episode stops
     /// forming follower lanes.

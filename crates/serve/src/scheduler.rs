@@ -71,8 +71,8 @@ impl FairScheduler {
     /// Charges `cycles` of weighted virtual service to `tenant` outside
     /// of [`FairScheduler::pick`] — how batch *follower* lanes pay their
     /// marginal cost: the leader was charged the full clean estimate at
-    /// pick time, and each extra lane riding the same schedule replay
-    /// adds only its marginal cycles to the tenant's fair-share ledger.
+    /// pick time, and each extra lane riding the same dispatch adds
+    /// only its marginal cycles to the tenant's fair-share ledger.
     pub fn charge(&mut self, tenant: usize, cycles: u64) {
         let charge = cycles
             .saturating_mul(SCALE)

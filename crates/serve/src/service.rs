@@ -1,7 +1,7 @@
 //! The multi-tenant inference service — a one-shard [`Cluster`] with no
 //! shard faults behind the service-shaped config and report — and the
 //! request executor every dispatch runs through: salted retries, batched
-//! schedule replay, and deterministic parallel batch execution.
+//! follower lanes, and deterministic parallel batch execution.
 //!
 //! # Determinism model
 //!
@@ -54,15 +54,16 @@ pub struct ServeConfig {
     /// Completed requests retained per tenant for bit-identity
     /// certification against direct `Session::infer`.
     pub samples_per_tenant: usize,
-    /// Maximum inferences served by one schedule replay (`1` disables
+    /// Maximum inferences served by one dispatch (`1` disables
     /// batching). When a worker picks a request from a *fault-free*
     /// tenant, up to `max_batch - 1` more queued requests of the same
-    /// tenant ride along as follower lanes of a single
-    /// `Session::infer_batch` call: the leader pays the full calibrated
-    /// clean cycles, each follower only the marginal cycles (clean minus
-    /// the Load phase — its input streams into the double-buffered NBin
-    /// while the previous lane computes). Purely a scenario parameter;
-    /// reports stay byte-identical across `physical_threads`.
+    /// tenant ride along as follower lanes of the same job: the leader
+    /// pays the full calibrated clean cycles, each follower only the
+    /// marginal cycles (clean minus the Load phase — its input streams
+    /// into the double-buffered NBin while the previous lane computes).
+    /// Batching is virtual-clock accounting: the host still runs every
+    /// lane as one ordinary session inference. Purely a scenario
+    /// parameter; reports stay byte-identical across `physical_threads`.
     pub max_batch: usize,
 }
 
@@ -255,9 +256,8 @@ pub struct InferenceService {
 }
 
 /// One dispatched request travelling to a physical execution slot. When
-/// `followers` is non-empty the job is a batched replay: the leader
-/// (`seq`) plus follower sequence numbers execute as the lanes of one
-/// `Session::infer_batch` call.
+/// `followers` is non-empty the job is a batch: the leader (`seq`) plus
+/// follower sequence numbers execute back to back on the job's session.
 ///
 /// The cluster event loop dispatches jobs per shard — under the shard's
 /// *effective* fault plan (a burst episode overrides the tenant's
@@ -472,11 +472,12 @@ pub(crate) fn execute_one<'p>(
     )
 }
 
-/// Executes a batched job: the leader and its follower lanes run as one
-/// `Session::infer_batch` schedule replay. Followers only form for
-/// tenants with a zero fault plan, so the salted plan draws no faults and
-/// every lane is bit-identical to a direct clean `Session::infer` of its
-/// input — which is exactly what the retained samples certify.
+/// Executes a batched job: the leader and each follower lane run one
+/// after another through the session's ordinary inference path.
+/// Followers only form for tenants with a zero fault plan, so the salted
+/// plan draws no faults and every lane is bit-identical to a direct
+/// clean `Session::infer` of its input — which is exactly what the
+/// retained samples certify.
 fn execute_batch<'p>(spec: &TenantSpec, job: Job<'p>) -> (Result<Exec, ServeError>, Session<'p>) {
     let mut session = job.session;
     let attempt_base = job.attempt_base;
@@ -498,27 +499,37 @@ fn execute_batch<'p>(spec: &TenantSpec, job: Job<'p>) -> (Result<Exec, ServeErro
     let base = job.plan;
     debug_assert!(base.is_zero(), "batched lanes require a zero fault plan");
     session.set_fault_plan(base.with_salt(request_salt(job.tenant, job.seq, attempt_base)));
-    match session.infer_batch(&inputs) {
-        Ok(lanes) => {
-            let leader = &lanes[0];
-            let exec = Exec {
-                outcome: Outcome::Ok,
-                cycles: leader.stats().cycles(),
-                retries: attempt_base,
-                output_hash: hash_output(leader.output()),
-                fault: *leader.fault_stats(),
-                follower_hashes: lanes[1..].iter().map(|l| hash_output(l.output())).collect(),
-            };
-            (Ok(exec), session)
+    // Each lane's output hash, cycles and fault counters, read from the
+    // borrowed result so no per-lane `Inference` is allocated.
+    let mut lanes = Vec::with_capacity(inputs.len());
+    for input in &inputs {
+        match session.infer_ref(input) {
+            Ok(run) => lanes.push((
+                hash_output(run.output()),
+                run.stats().cycles(),
+                *run.fault_stats(),
+            )),
+            Err(error) => {
+                return (
+                    Err(ServeError::Execute {
+                        tenant: spec.name.clone(),
+                        error,
+                    }),
+                    session,
+                )
+            }
         }
-        Err(error) => (
-            Err(ServeError::Execute {
-                tenant: spec.name.clone(),
-                error,
-            }),
-            session,
-        ),
     }
+    let (output_hash, cycles, fault) = lanes[0];
+    let exec = Exec {
+        outcome: Outcome::Ok,
+        cycles,
+        retries: attempt_base,
+        output_hash,
+        fault,
+        follower_hashes: lanes[1..].iter().map(|&(hash, ..)| hash).collect(),
+    };
+    (Ok(exec), session)
 }
 
 /// Executes a dispatched batch on up to `threads` OS threads, returning

@@ -196,7 +196,7 @@ pub struct TenantStats {
     pub deadline_misses: u64,
     /// Total retry attempts across all requests.
     pub retries: u64,
-    /// Completed as a follower lane of a batched schedule replay (a
+    /// Completed as a follower lane of a batched dispatch (a
     /// subset of `ok`): charged marginal cycles instead of the full
     /// calibrated clean cost.
     pub batched: u64,
