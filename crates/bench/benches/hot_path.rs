@@ -200,52 +200,6 @@ fn bench_schedule_replay(c: &mut Criterion) {
     }
 }
 
-/// Optimized-schedule replay vs the recorded stream, one layer kind at
-/// a time on the clean instrumented path: the same inference through
-/// the optimizer's coalesced row-lane micro-ops and through the raw
-/// recording. The ratio is the per-layer version of the harness's
-/// `opt_replay_speedup` column — where the dedup, mode-reselect, and
-/// row-lane folding actually pay.
-fn bench_optimized_replay(c: &mut Criterion) {
-    let accel = Accelerator::new(AcceleratorConfig::paper());
-    for (kind, net) in single_layer_nets() {
-        let input = net.random_input(9);
-        let prepared = accel.prepare(&net).expect("prepare");
-        let mut optimized = prepared.session();
-        optimized.set_optimized_replay(true);
-        let mut recorded = prepared.session();
-        for _ in 0..16 {
-            let _ = optimized.infer_ref(&input).expect("warm-up");
-            let _ = recorded.infer_ref(&input).expect("warm-up");
-        }
-        let mut g = c.benchmark_group(format!("optimized_{kind}"));
-        g.sample_size(500);
-        g.bench_function("optimized", |b| {
-            b.iter(|| {
-                black_box(
-                    optimized
-                        .infer_ref(&input)
-                        .expect("optimized")
-                        .stats()
-                        .cycles(),
-                )
-            })
-        });
-        g.bench_function("recorded", |b| {
-            b.iter(|| {
-                black_box(
-                    recorded
-                        .infer_ref(&input)
-                        .expect("recorded")
-                        .stats()
-                        .cycles(),
-                )
-            })
-        });
-        g.finish();
-    }
-}
-
 /// The marginal cost of one autotuner grid-point evaluation with the
 /// network already prepared: a full simulator run plus the three
 /// protection-level energy re-costings and the area model. This is what
@@ -522,7 +476,6 @@ criterion_group!(
     bench_sb_broadcast,
     bench_small_inference,
     bench_schedule_replay,
-    bench_optimized_replay,
     bench_tuner_point,
     bench_reduction_kernels,
     bench_xnor_kernels,

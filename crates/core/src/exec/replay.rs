@@ -8,10 +8,15 @@
 //! absorbed from the schedule in one call, silent-fault decisions were
 //! resolved ahead of time into an overlay (NB cells pre-patched in the
 //! input stack, SB words patched at fetch below), and only the
-//! arithmetic that actually produces neuron values runs — in exactly
-//! the per-accumulator operation order of the instrumented path, on the
-//! real PE mesh, so outputs are bit-identical by construction (see the
-//! bit-identity contract in [`super::values`]).
+//! arithmetic that actually produces neuron values runs.
+//!
+//! The modeled cost of the paper's `Px×Py` block tiling (§5–§6) comes
+//! wholly from the schedule, so the host arithmetic need not follow it:
+//! conv and pool replay one whole output row per lane-kernel sweep, and
+//! only the classifier still accumulates on the real PE mesh. Every
+//! output pixel receives the same exact integer sum the instrumented
+//! path folds per cycle, so outputs are bit-identical by construction
+//! (see the bit-identity contract in [`super::values`]).
 //!
 //! Layers the replay executor does not model — normalization layers and
 //! multi-map-packed convolutions ([`crate::schedule::layer_replayable`])
@@ -20,7 +25,6 @@
 //! statistics) fall back to live decode in `accel.rs`.
 
 use super::values::{classifier_dot_raw, sum_to_raw, LaneKernel, ValueKernel};
-use super::window::blocks;
 use super::{bias_addr, conv_weight_addr, fc_weight_addr, Engine};
 use crate::accel::RunError;
 use crate::hfsm::FirstState;
@@ -38,12 +42,6 @@ pub(crate) type SbPatches = [([u64; 3], u16)];
 /// already applied the overlay's NB patches to the input stack and
 /// absorbed the overlay's fault-counter delta; bank-conflict folding
 /// stays in the caller (shared with the live path).
-///
-/// The schedule's `row_lanes` flag selects the optimizer's
-/// whole-output-row conv/pool bodies ([`crate::opt`]): one lane-kernel
-/// sweep per output row instead of one per `Px`-wide block slice,
-/// bit-identical by the same exact-integer-reassociation argument as the
-/// block bodies.
 pub(crate) fn run_layer(
     eng: &mut Engine<'_>,
     layer: &Layer,
@@ -51,7 +49,6 @@ pub(crate) fn run_layer(
     sb_patches: &SbPatches,
 ) -> Result<(), RunError> {
     debug_assert!(sched.replayable(), "non-replayable layer reached replay");
-    let row_lanes = sched.row_lanes();
     match layer.body() {
         LayerBody::Conv {
             table,
@@ -61,11 +58,7 @@ pub(crate) fn run_layer(
             ..
         } => {
             eng.hfsm.enter(FirstState::Conv).expect("HFSM: conv entry");
-            if row_lanes {
-                conv_rows(eng, layer, table, *kernel, *stride, *activation, sb_patches);
-            } else {
-                conv(eng, layer, table, *kernel, *stride, *activation, sb_patches);
-            }
+            conv_rows(eng, layer, table, *kernel, *stride, *activation, sb_patches);
         }
         LayerBody::Pool {
             window,
@@ -75,11 +68,7 @@ pub(crate) fn run_layer(
             ..
         } => {
             eng.hfsm.enter(FirstState::Pool).expect("HFSM: pool entry");
-            if row_lanes {
-                pool_rows(eng, layer, *window, *stride, *kind, *activation);
-            } else {
-                pool(eng, layer, *window, *stride, *kind, *activation);
-            }
+            pool_rows(eng, layer, *window, *stride, *kind, *activation);
         }
         LayerBody::Fc {
             weights,
@@ -106,103 +95,12 @@ pub(crate) fn run_layer(
     Ok(())
 }
 
-/// Convolution replay: the per-accumulator sequence is, per connected
-/// input map, `bias; mac(v_00, k_00) … mac(v_KyKx, k_KyKx)` in `(ky,
-/// kx)` row-major order — identical to the window sweep.
-fn conv(
-    eng: &mut Engine<'_>,
-    layer: &Layer,
-    table: &ConnectionTable,
-    kernel: (usize, usize),
-    stride: (usize, usize),
-    activation: Activation,
-    patches: &SbPatches,
-) {
-    let out_dims = layer.out_dims();
-    let pe_dims = (eng.cfg.pe_cols, eng.cfg.pe_rows);
-    let (kx_max, ky_max) = kernel;
-    let ksz = kx_max * ky_max;
-    let (sx, sy) = stride;
-    let layer_index = eng.layer_index;
-    let store = eng.store;
-    let stack = eng.nbin.contents().expect("session loaded the input");
-    let kern = LaneKernel;
-    let mut vals = mem::take(&mut eng.scratch.vals);
-    let mut weights = mem::take(&mut eng.scratch.values);
-    let mut lanes = mem::take(&mut eng.scratch.sums);
-    // Metering discard: the epilogue helpers charge their statistics
-    // here; the real counters arrive wholesale from the schedule.
-    let mut meter = LayerStats::default();
-
-    for o in 0..layer.out_maps() {
-        let bias = patch_fx(patches, bias_addr(o), store.bias(layer_index, o));
-        let inputs = table.inputs_of(o);
-        // Clean runs borrow each kernel straight out of the SB image —
-        // `conv_kernel` slices are already in sweep (ky, kx) order. A
-        // fault overlay stages all of the map's kernels once, patched.
-        if !patches.is_empty() {
-            weights.clear();
-            for j in 0..inputs.len() {
-                for ky in 0..ky_max {
-                    for kx in 0..kx_max {
-                        let w = store.conv_weight(layer_index, o, j, (kx, ky), kernel);
-                        weights.push(patch_fx(patches, conv_weight_addr(o, j, (kx, ky)), w));
-                    }
-                }
-            }
-        }
-        for (origin, active) in blocks(out_dims, pe_dims) {
-            let (aw, ah) = active;
-            for py in 0..ah {
-                for px in 0..aw {
-                    eng.nfu.pe_mut(px, py).reset_accumulator(bias);
-                }
-            }
-            // Chunked-lane reduction per PE row: lane `px` sums every
-            // connected map's contribution at stride `sx`, then lands on
-            // the accumulator in one raw add — bit-identical to the
-            // per-PE `mac` chain (see `values.rs`; the accumulator is a
-            // plain i64 whose chains cannot overflow, so merging the
-            // per-map partial sums re-associates exact integer adds).
-            let base_x0 = origin.0 * sx;
-            for py in 0..ah {
-                let base_y = (origin.1 + py) * sy;
-                lanes.clear();
-                lanes.resize(aw, 0);
-                for (j, &im) in inputs.iter().enumerate() {
-                    let wts = if patches.is_empty() {
-                        store.conv_kernel(layer_index, o, j, kernel)
-                    } else {
-                        &weights[j * ksz..(j + 1) * ksz]
-                    };
-                    let fm = &stack[im];
-                    for ky in 0..ky_max {
-                        let row = &fm.row(base_y + ky)[base_x0..];
-                        for (kx, &k) in wts[ky * kx_max..(ky + 1) * kx_max].iter().enumerate() {
-                            kern.shifted_mac(&row[kx..], sx, k, &mut lanes);
-                        }
-                    }
-                }
-                for (acc, &l) in eng.nfu.acc_row_mut(py, aw).iter_mut().zip(&lanes) {
-                    acc.add_raw(l);
-                }
-            }
-            eng.nfu.read_accumulators_into(active, &mut vals);
-            let _ = eng.alu.activate(&mut vals, activation, &mut meter);
-            eng.nbout.write_block(o, origin, active, &vals, &mut meter);
-        }
-    }
-    eng.scratch.vals = vals;
-    eng.scratch.values = weights;
-    eng.scratch.sums = lanes;
-}
-
-/// The optimizer's whole-output-row convolution body: one lane sweep per
-/// output row (`ow` lanes) instead of one per `Px`-wide block slice.
-/// Bit-identical to [`conv`]: each output pixel's accumulator still
+/// Convolution replay, one lane sweep per output row (`ow` lanes).
+/// Bit-identical to the window sweep: each output pixel's accumulator
 /// receives `bias` plus one raw add of the exact i64 sum of all its
-/// `(j, ky, kx)` products in the same order — only the lane-batching
-/// width changes, and integer adds re-associate exactly.
+/// `(j, ky, kx)` products, and integer adds re-associate exactly.
+/// Clean runs borrow each kernel straight out of the SB image; a fault
+/// overlay stages the map's kernels once, patched.
 fn conv_rows(
     eng: &mut Engine<'_>,
     layer: &Layer,
@@ -223,6 +121,8 @@ fn conv_rows(
     let mut vals = mem::take(&mut eng.scratch.vals);
     let mut weights = mem::take(&mut eng.scratch.values);
     let mut lanes = mem::take(&mut eng.scratch.sums);
+    // Metering discard: the epilogue helpers charge their statistics
+    // here; the real counters arrive wholesale from the schedule.
     let mut meter = LayerStats::default();
 
     for o in 0..layer.out_maps() {
@@ -271,140 +171,13 @@ fn conv_rows(
     eng.scratch.sums = lanes;
 }
 
-/// Pooling replay. Overlapping windows mirror the window sweep's `(ky,
-/// kx)` order; non-overlapping windows mirror the mode (e) gather's
-/// `(wy, wx)` order with the same edge clipping. Max pooling uses no
-/// synapses, so the SB overlay never applies.
-fn pool(
-    eng: &mut Engine<'_>,
-    layer: &Layer,
-    window: (usize, usize),
-    stride: (usize, usize),
-    kind: PoolKind,
-    activation: Activation,
-) {
-    let out_dims = layer.out_dims();
-    let in_dims = layer.in_dims();
-    let pe_dims = (eng.cfg.pe_cols, eng.cfg.pe_rows);
-    let overlapping = stride.0 < window.0 || stride.1 < window.1;
-    let kern = LaneKernel;
-    let mut vals = mem::take(&mut eng.scratch.vals);
-    let mut lanes = mem::take(&mut eng.scratch.sums);
-    let mut meter = LayerStats::default();
-
-    for m in 0..layer.out_maps() {
-        for (origin, active) in blocks(out_dims, pe_dims) {
-            let (aw, ah) = active;
-            for py in 0..ah {
-                for px in 0..aw {
-                    let mut pe = eng.nfu.pe_mut(px, py);
-                    match kind {
-                        PoolKind::Max => pe.reset_comparator(),
-                        PoolKind::Avg => pe.reset_accumulator(Fx::ZERO),
-                    }
-                }
-            }
-
-            let nbin = eng.nbin;
-            let fm = &nbin.contents().expect("session loaded the input")[m];
-            let base_x0 = origin.0 * stride.0;
-            for py in 0..ah {
-                let y0 = (origin.1 + py) * stride.1;
-                // Overlapping windows always fit (the sweep engine reads
-                // them unclipped); non-overlapping windows clip at the
-                // input edge exactly like the gather loop. The y-extent
-                // is shared by the whole PE row; the x-extent is uniform
-                // iff the rightmost lane's window fits, which lets the
-                // row run on the chunked lane kernel (max and integer
-                // sums are order-independent, so the reduction is
-                // bit-identical to the per-PE gather).
-                let ye = if overlapping {
-                    y0 + window.1
-                } else {
-                    (y0 + window.1).min(in_dims.1)
-                };
-                let right_x0 = (origin.0 + aw - 1) * stride.0;
-                let row_unclipped = overlapping || right_x0 + window.0 <= in_dims.0;
-                if row_unclipped {
-                    match kind {
-                        PoolKind::Max => {
-                            let cmps = eng.nfu.cmp_row_mut(py, aw);
-                            for y in y0..ye {
-                                let row = &fm.row(y)[base_x0..];
-                                for wx in 0..window.0 {
-                                    kern.shifted_max(&row[wx..], stride.0, cmps);
-                                }
-                            }
-                        }
-                        PoolKind::Avg => {
-                            lanes.clear();
-                            lanes.resize(aw, 0);
-                            for y in y0..ye {
-                                let row = &fm.row(y)[base_x0..];
-                                for wx in 0..window.0 {
-                                    kern.shifted_sum(&row[wx..], stride.0, &mut lanes);
-                                }
-                            }
-                            for (acc, &l) in eng.nfu.acc_row_mut(py, aw).iter_mut().zip(&lanes) {
-                                acc.add_raw(sum_to_raw(l));
-                            }
-                        }
-                    }
-                    continue;
-                }
-                for px in 0..aw {
-                    let x0 = (origin.0 + px) * stride.0;
-                    let xe = (x0 + window.0).min(in_dims.0);
-                    match kind {
-                        PoolKind::Max => {
-                            let cmp = eng.nfu.cmp_mut(px, py);
-                            for y in y0..ye {
-                                for &v in &fm.row(y)[x0..xe] {
-                                    *cmp = (*cmp).max(v);
-                                }
-                            }
-                        }
-                        PoolKind::Avg => {
-                            let acc = eng.nfu.acc_mut(px, py);
-                            for y in y0..ye {
-                                for &v in &fm.row(y)[x0..xe] {
-                                    acc.add_fx(v);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            vals.clear();
-            for py in 0..ah {
-                for px in 0..aw {
-                    let v = match kind {
-                        PoolKind::Max => eng.nfu.pe(px, py).comparator(),
-                        PoolKind::Avg => {
-                            let x0 = (origin.0 + px) * stride.0;
-                            let y0 = (origin.1 + py) * stride.1;
-                            let w = (x0 + window.0).min(in_dims.0) - x0;
-                            let h = (y0 + window.1).min(in_dims.1) - y0;
-                            eng.nfu.pe(px, py).accumulator_mean(w * h)
-                        }
-                    };
-                    vals.push(v);
-                }
-            }
-            let _ = eng.alu.activate(&mut vals, activation, &mut meter);
-            eng.nbout.write_block(m, origin, active, &vals, &mut meter);
-        }
-    }
-    eng.scratch.vals = vals;
-    eng.scratch.sums = lanes;
-}
-
-/// The optimizer's whole-output-row pooling body: the unclipped lane
-/// prefix of each output row runs on the chunked lane kernel; lanes
-/// whose window clips at the right input edge reduce per pixel exactly
-/// like the gather loop. Max and exact integer sums are
-/// order-independent, so results are bit-identical to [`pool`].
+/// Pooling replay, one output row at a time: the unclipped lane prefix
+/// of each row runs on the chunked lane kernel; lanes whose window
+/// clips at the right input edge reduce per pixel exactly like the mode
+/// (e) gather loop. Overlapping windows always fit (the window sweep
+/// reads them unclipped). Max and exact integer sums are
+/// order-independent, so results are bit-identical to the live pooling
+/// executor. Pooling uses no synapses, so the SB overlay never applies.
 fn pool_rows(
     eng: &mut Engine<'_>,
     layer: &Layer,

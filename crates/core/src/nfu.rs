@@ -181,40 +181,12 @@ impl Nfu {
 
     // ----- schedule-replay access -------------------------------------
 
-    /// Direct accumulator access for replay's window reduction (bounds
+    /// Direct accumulator access for the classifier replay (bounds
     /// `debug_assert!`-checked, see [`Nfu::pe`]).
     #[inline]
     pub(crate) fn acc_mut(&mut self, x: usize, y: usize) -> &mut Accum {
         debug_assert!(x < self.px && y < self.py, "PE ({x},{y}) out of range");
         self.pes.acc_mut(y * self.px + x)
-    }
-
-    /// Direct comparator access for replay's window reduction.
-    #[inline]
-    pub(crate) fn cmp_mut(&mut self, x: usize, y: usize) -> &mut Fx {
-        debug_assert!(x < self.px && y < self.py, "PE ({x},{y}) out of range");
-        self.pes.cmp_mut(y * self.px + x)
-    }
-
-    /// A contiguous accumulator row — PEs `(0..len, y)` — for the
-    /// vectorized window reduction (see `PeArray::acc_row_mut`).
-    #[inline]
-    pub(crate) fn acc_row_mut(&mut self, y: usize, len: usize) -> &mut [Accum] {
-        debug_assert!(
-            y < self.py && len <= self.px,
-            "PE row ({y},+{len}) out of range"
-        );
-        self.pes.acc_row_mut(self.px, y, len)
-    }
-
-    /// A contiguous comparator row (see [`Nfu::acc_row_mut`]).
-    #[inline]
-    pub(crate) fn cmp_row_mut(&mut self, y: usize, len: usize) -> &mut [Fx] {
-        debug_assert!(
-            y < self.py && len <= self.px,
-            "PE row ({y},+{len}) out of range"
-        );
-        self.pes.cmp_row_mut(self.px, y, len)
     }
 
     /// Folds a recorded layer's peak into the FIFO peak tracking (see

@@ -50,11 +50,10 @@
 //! linear with positive coefficients in bytes/accesses/cycles/slots, so
 //! optimized modeled energy never increases either. Outputs are
 //! untouched by construction: the passes rewrite *costs and the fault
-//! filter's multiplicities*, never the value-producing arithmetic. The
-//! one arithmetic-adjacent change — the whole-output-row replay bodies
-//! enabled via `LayerSchedule::row_lanes` — re-associates exact integer
-//! adds only (see `exec/replay.rs`), which the existing multi-path
-//! bit-identity certificate checks end to end.
+//! filter's multiplicities*, never the value-producing arithmetic — an
+//! optimized schedule replays through the same bodies as the recording
+//! (`exec/replay.rs`), which the multi-path bit-identity certificate
+//! checks end to end.
 
 use crate::config::AcceleratorConfig;
 use crate::energy::EnergyModel;
@@ -186,12 +185,6 @@ fn optimize_layer(
         return sched.clone();
     }
     let mut out = sched.clone();
-    // Host-level stream shrink: conv/pool replay bodies run whole output
-    // rows per lane-kernel call instead of Px-wide block slices.
-    out.row_lanes = matches!(
-        layer.body(),
-        LayerBody::Conv { .. } | LayerBody::Pool { .. }
-    );
     if opt.nb_dedup {
         nb_dedup(&mut out, report);
     }

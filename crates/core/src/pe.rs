@@ -179,36 +179,14 @@ impl PeArray {
         self.stuck_output(i, self.cmp[i])
     }
 
-    /// Direct accumulator access for schedule replay: the whole window
-    /// reduction runs as one per-PE loop, so the per-cycle dispatch
-    /// through [`PeArray::mac`] is bypassed. Fault handling is moot —
-    /// replay is only selected when no PE carries a stuck-at fault.
+    /// Direct accumulator access for schedule replay: the classifier's
+    /// whole weight row reduces in one dot product, so the per-cycle
+    /// dispatch through [`PeArray::mac`] is bypassed. Fault handling is
+    /// moot — replay is only selected when no PE carries a stuck-at
+    /// fault.
     #[inline]
     pub(crate) fn acc_mut(&mut self, i: usize) -> &mut Accum {
         &mut self.acc[i]
-    }
-
-    /// Direct comparator access (see [`PeArray::acc_mut`]).
-    #[inline]
-    pub(crate) fn cmp_mut(&mut self, i: usize) -> &mut Fx {
-        &mut self.cmp[i]
-    }
-
-    /// A contiguous accumulator row — PEs `(0..len, py)` of a mesh
-    /// `px_stride` wide — for the vectorized window reduction: the SoA
-    /// layout keeps a mesh row adjacent, so chunked lane kernels can
-    /// fold partial sums into the whole row at once.
-    #[inline]
-    pub(crate) fn acc_row_mut(&mut self, px_stride: usize, py: usize, len: usize) -> &mut [Accum] {
-        let base = py * px_stride;
-        &mut self.acc[base..base + len]
-    }
-
-    /// A contiguous comparator row (see [`PeArray::acc_row_mut`]).
-    #[inline]
-    pub(crate) fn cmp_row_mut(&mut self, px_stride: usize, py: usize, len: usize) -> &mut [Fx] {
-        let base = py * px_stride;
-        &mut self.cmp[base..base + len]
     }
 
     /// Folds a recorded peak FIFO occupancy into the peak tracking

@@ -20,7 +20,10 @@
 //! Sessions then *replay* the schedule instead of re-deriving it: the
 //! statistics are absorbed in one call, fault decisions are resolved per
 //! unique address (times its multiplicity) instead of per access, and
-//! only the arithmetic that actually produces neuron values is executed.
+//! only the arithmetic that actually produces neuron values is executed
+//! — for conv and pool one whole output row per lane-kernel sweep
+//! (`exec/replay.rs`), since the cost of the `Px×Py` block tiling is
+//! already in the recorded delta.
 //! The schedule lives in an `Arc` inside [`crate::PreparedNetwork`], so
 //! every `Session` of a tenant shares one copy of the decoded control
 //! state.
@@ -74,11 +77,6 @@ pub struct LayerSchedule {
     /// (normalization layers, multi-map-packed convolutions): they
     /// live-decode every run.
     pub(crate) replayable: bool,
-    /// `true` when the schedule optimizer has rewritten this layer's
-    /// replay body to run whole output rows per lane-kernel call
-    /// (conv/pool only — see [`crate::opt`]). Recordings always start
-    /// with the block-sweep body (`false`).
-    pub(crate) row_lanes: bool,
 }
 
 impl LayerSchedule {
@@ -102,12 +100,6 @@ impl LayerSchedule {
     /// Deduplicated SB words the layer touches.
     pub fn sb_words(&self) -> usize {
         self.sb_reads.len()
-    }
-
-    /// `true` when the optimizer rewrote this layer's replay body to
-    /// whole-output-row lane-kernel calls.
-    pub fn row_lanes(&self) -> bool {
-        self.row_lanes
     }
 
     /// NB read requests the layer issues (sum over modes (a)–(f)).
@@ -294,7 +286,6 @@ impl ScheduleRecorder {
             nb_flat: self.nb_flat,
             fifo_peaks_after,
             replayable: self.replayable,
-            row_lanes: false,
         });
     }
 

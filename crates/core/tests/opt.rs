@@ -30,29 +30,70 @@ fn pass_subsets() -> impl Strategy<Value = OptConfig> {
     )
 }
 
+/// Pooling geometries covering every branch of the row replay body:
+/// non-overlapping, clipped at the right input edge (ceiling rounding),
+/// overlapping (a 3×3 window at stride 2), and a window as wide as its
+/// input (one lane per row, the narrowest input a validated network
+/// allows).
+#[derive(Clone, Copy, Debug)]
+enum PoolShape {
+    Tiled,
+    Clipped,
+    Overlapping,
+    ClippedTall,
+    FullWidth,
+}
+
+fn pool_shapes() -> impl Strategy<Value = PoolShape> {
+    prop_oneof![
+        Just(PoolShape::Tiled),
+        Just(PoolShape::Clipped),
+        Just(PoolShape::Overlapping),
+        Just(PoolShape::ClippedTall),
+        Just(PoolShape::FullWidth),
+    ]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Outputs under any pass subset are bit-identical to live decode,
-    /// and modeled cycles never increase.
+    /// and modeled cycles never increase. The geometry is drawn as the
+    /// conv output size so rows are usually wider than the PE mesh.
     #[test]
     fn optimized_replay_matches_live_decode(
         in_maps in 1usize..3,
         out_maps in 1usize..4,
-        w in 8usize..16,
-        h in 8usize..16,
+        cw in 3usize..20,
+        ch in 3usize..10,
         k in 2usize..5,
+        stride in 1usize..3,
         act in activations(),
         avg in any::<bool>(),
+        shape in pool_shapes(),
         px in 2usize..9,
         py in 2usize..9,
         opt in pass_subsets(),
         seed in 0u64..1000,
     ) {
-        prop_assume!(w >= k && h >= k);
-        let pool = if avg { PoolSpec::avg((2, 2)) } else { PoolSpec::max((2, 2)) };
+        let kind = if avg { PoolSpec::avg } else { PoolSpec::max };
+        // Clipped shapes get a width the window does not divide, so the
+        // trailing lane really clips.
+        let (cw, pool) = match shape {
+            PoolShape::Tiled => (cw, kind((2, 2))),
+            PoolShape::Clipped => (cw | 1, kind((2, 2)).with_ceil()),
+            PoolShape::Overlapping => (cw, kind((3, 3)).with_stride((2, 2))),
+            PoolShape::ClippedTall => (cw + usize::from(cw % 3 == 0), kind((3, 2)).with_ceil()),
+            // The instruction's 4-bit window field caps the width at 15.
+            PoolShape::FullWidth => (cw.min(15), kind((cw.min(15), 2))),
+        };
+        let (w, h) = ((cw - 1) * stride + k, (ch - 1) * stride + k);
         let net = NetworkBuilder::new("p", in_maps, (w, h))
-            .conv(ConvSpec::new(out_maps, (k, k)).with_activation(act))
+            .conv(
+                ConvSpec::new(out_maps, (k, k))
+                    .with_stride((stride, stride))
+                    .with_activation(act),
+            )
             .pool(pool)
             .fc(FcSpec::new(9))
             .build(seed)
