@@ -1,8 +1,9 @@
-//! The scaffold every gated harness subcommand (`faults`, `serve`,
-//! `cluster`, `tune`, `cascade`, `video`) shares: gate the report, render
-//! its summary, and write its `BENCH_*.json` artifact — after, for the
-//! subcommands that certify determinism, evaluating it three times (once
-//! pinned to a single rayon worker) and comparing the documents.
+//! The scaffold every gated harness subcommand (`bench`, `faults`,
+//! `serve`, `cluster`, `tune`, `cascade`, `video`) shares: gate the
+//! report, render its summary, and write its `BENCH_*.json` artifact —
+//! after, for the subcommands that certify determinism, evaluating it
+//! three times (once pinned to a single rayon worker) and comparing the
+//! documents.
 
 use std::fmt::Display;
 

@@ -5,26 +5,29 @@
 //! harness [table1|table3|table4|fig7|fig17|fig18|fig19|reuse|framerate|sweep|faults|serve|cluster|tune|cascade|video|all|bench]
 //! ```
 //!
-//! `harness bench` times the harness itself — each experiment serially
-//! (`RAYON_NUM_THREADS=1`) and in parallel, plus prepared-session
-//! inference throughput through zero-allocation schedule replay — and
-//! writes the machine-readable `BENCH_harness.json` next to the working
-//! directory. It also times the instrumented path through schedule
-//! replay and live HFSM decode, and fails if any of the seven certified
-//! execution paths (`perf::CERTIFIED_PATHS`) diverged or if a measured
-//! replay burst allocated in steady state. `harness bench --smoke` is
-//! the CI-sized version: it asserts `sim_cycles_per_inference` for all
-//! ten networks (trace-free and instrumented schedule replay)
-//! byte-identical to the repository seed, bit-identity of every
-//! certified path, zero-allocation measured bursts, and the replay and
-//! optimized-replay speedup thresholds.
+//! `harness bench [--smoke]` certifies the simulator itself: the
+//! experiments' result fingerprints (full mode only) and, per zoo
+//! network, prepared-session inference through zero-allocation schedule
+//! replay. It writes `BENCH_harness.json` to the working directory and
+//! fails if the document is not byte-identical across three evaluations
+//! (one pinned to a single rayon worker), if `sim_cycles_per_inference`
+//! for any of the ten networks (trace-free and instrumented schedule
+//! replay) drifts from the repository seed, if any of the seven
+//! certified execution paths (`perf::CERTIFIED_PATHS`) diverged, if a
+//! measured replay burst allocated in steady state, if the schedule
+//! optimizer adds cycles anywhere or removes them on too few networks,
+//! or if instrumented replay is not `perf::INSTR_SPEEDUP_GATE`x faster
+//! than live decode (a side-by-side ratio printed to stdout, never
+//! written). `--smoke` shortens the bursts and skips the fingerprints.
 //!
 //! `harness faults [--smoke]` runs the seeded fault-injection campaign
 //! (fault rate × SRAM protection across the zoo, each SRAM cell through
 //! both schedule replay and live decode, plus the graceful-degradation
-//! streaming measurement), writes `BENCH_faults.json`, and fails if any
-//! SECDED-protected trial suffered silent data corruption, a zero-rate
-//! trial diverged, or replay disagreed with live decode anywhere.
+//! streaming measurement), writes `BENCH_faults.json`, and fails if the
+//! document is not byte-identical across three evaluations (one pinned
+//! to a single rayon worker), any SECDED-protected trial suffered silent
+//! data corruption, a zero-rate trial diverged, or replay disagreed with
+//! live decode anywhere.
 //!
 //! `harness serve [--smoke]` drives the deterministic multi-tenant
 //! serving scenario (interactive LeNet-5, faulty streaming Gabor, batch
@@ -90,8 +93,8 @@
 //!
 //! The seven gated subcommands share one exit-code policy: the summary
 //! goes to stdout, every gate violation goes to stderr, and the process
-//! exits nonzero iff at least one gate failed. All but `bench` gate and
-//! write their artifact through `shidiannao_bench::artifact`.
+//! exits nonzero iff at least one gate failed. All seven gate and write
+//! their artifact through `shidiannao_bench::artifact`.
 
 use shidiannao_bench::artifact::{emit, Gated};
 use shidiannao_bench::{cascade, cluster, faults, perf, report, serve, tune, video};
@@ -100,55 +103,6 @@ use std::process::ExitCode;
 
 fn smoke_flag() -> bool {
     env::args().nth(2).is_some_and(|f| f == "--smoke")
-}
-
-/// `harness faults [--smoke]`: campaign, artefact, gates.
-fn run_faults(smoke: bool) -> Gated {
-    let r = if smoke {
-        faults::smoke()
-    } else {
-        faults::full()
-    };
-    emit("BENCH_faults.json", &r, Vec::new())
-}
-
-/// `harness bench [--smoke]`: perf measurement, artefact, gates.
-fn run_bench(smoke: bool) -> Gated {
-    let r = if smoke {
-        perf::measure_smoke()
-    } else {
-        perf::measure()
-    };
-    let mut errors = Vec::new();
-    let mut out = r.render();
-    if smoke {
-        // The CI gate is `perf::smoke_errors`. No JSON — BENCH_harness.json
-        // holds the full run's numbers.
-        errors.extend(perf::smoke_errors(&r.throughput));
-        if errors.is_empty() {
-            out += "\nsmoke: all seed cycle counts exact, every certified path \
-                    bit-identical, 0 allocs, replay and optimizer gates met\n";
-        }
-    } else {
-        let path = "BENCH_harness.json";
-        match std::fs::write(path, r.to_json()) {
-            Ok(()) => out += &format!("\nwrote {path}\n"),
-            Err(e) => errors.push(format!("could not write {path}: {e}")),
-        }
-        if !r.all_bit_identical() {
-            errors.push("parallel results diverged from serial results".to_string());
-        }
-        if !r.all_paths_bit_identical() {
-            errors.push(format!(
-                "an execution path diverged ({})",
-                perf::CERTIFIED_PATHS.join(" / ")
-            ));
-        }
-        if !r.zero_alloc_steady_state() {
-            errors.push("a replay burst allocated in steady state".to_string());
-        }
-    }
-    (out, errors)
 }
 
 /// `harness serve [--smoke]`: multi-tenant scenario, artefact, gates.
@@ -171,8 +125,8 @@ fn main() -> ExitCode {
     let arg = env::args().nth(1).unwrap_or_else(|| "all".to_string());
     // The gated subcommands share one exit-code policy (see module docs).
     let gated = match arg.as_str() {
-        "faults" => Some(run_faults(smoke_flag())),
-        "bench" => Some(run_bench(smoke_flag())),
+        "faults" => Some(faults::run_faults(smoke_flag())),
+        "bench" => Some(perf::run_bench(smoke_flag())),
         "serve" => Some(run_serve(smoke_flag())),
         "cluster" => Some(run_cluster(smoke_flag())),
         "tune" => Some(tune::run_tune(smoke_flag())),

@@ -3,18 +3,19 @@
 //!
 //! Every fault outcome here is a pure function of the sweep seed — no
 //! wall clock, no OS randomness — so `BENCH_faults.json` is
-//! byte-identical across invocations once its wall-clock speedup
-//! columns are masked (the reproducibility bar the rest of the harness
-//! already meets; the tests below strip exactly those columns).
+//! byte-identical across invocations and worker counts; `harness
+//! faults` writes it through [`emit_deterministic`], which evaluates the
+//! campaign three times (once pinned to one rayon worker) and
+//! byte-compares the documents.
 //!
 //! Each sweep cell runs its trials twice: once through sessions
 //! replaying the precompiled micro-op schedule (the default — silent
 //! faults resolve through the per-layer overlay, detected faults abort
 //! via live decode of the aborting layer) and once with replay disabled
-//! (live HFSM decode, per-access fault filtering). The cell records the
-//! wall-clock speedup and certifies that both paths agreed on every
-//! trial's outcome: output bits, fault counters, and — for aborted
-//! trials — the cycle count charged to the wasted attempt.
+//! (live HFSM decode, per-access fault filtering). The cell certifies
+//! that both paths agreed on every trial's outcome: output bits, fault
+//! counters, and — for aborted trials — the cycle count charged to the
+//! wasted attempt.
 //!
 //! The SRAM sweep isolates memory faults (`pe_stuck_rate` and
 //! `scanline_rate` are zero) so each cell measures exactly what the
@@ -25,7 +26,7 @@
 //! sweep (and CI) asserts. Datapath and sensor-link faults, which no SRAM
 //! code can absorb, are exercised by the degradation rows instead.
 
-use crate::artifact::Artifact;
+use crate::artifact::{emit_deterministic, Artifact, Gated};
 use crate::geomean;
 use crate::json::{comma, json_f64};
 use shidiannao_cnn::{zoo, Network};
@@ -37,7 +38,7 @@ use shidiannao_core::{
 };
 use shidiannao_fixed::Fx;
 use shidiannao_sensor::{FaultySensor, FrameSource, RegionGrid, SyntheticSensor};
-use std::time::Instant;
+use std::convert::Infallible;
 
 /// The campaign's base seed; every fault pattern derives from it.
 pub const SWEEP_SEED: u64 = 0xFA17;
@@ -67,12 +68,6 @@ pub struct FaultCell {
     /// Mean absolute output divergence of the SDC trials (golden-model
     /// units), 0 when no trial diverged.
     pub divergence: f64,
-    /// Wall-clock seconds for the cell's trials with schedule replay on
-    /// (the default instrumented path).
-    pub replay_wall_s: f64,
-    /// Wall-clock seconds for the same trials with replay disabled
-    /// (live HFSM decode).
-    pub live_wall_s: f64,
     /// Whether every trial's outcome — output bits, fault counters, and
     /// abort cycle counts — agreed between the replayed and live runs.
     pub paths_agree: bool,
@@ -87,14 +82,6 @@ impl FaultCell {
     /// Fraction of trials ending in a detected abort.
     pub fn detection_rate(&self) -> f64 {
         self.detected as f64 / self.trials.max(1) as f64
-    }
-
-    /// Live / replay wall-clock ratio for the cell's instrumented runs.
-    pub fn replay_speedup(&self) -> f64 {
-        if self.replay_wall_s == 0.0 {
-            return 0.0;
-        }
-        self.live_wall_s / self.replay_wall_s
     }
 }
 
@@ -291,8 +278,6 @@ fn run_cell(c: CellInputs<'_>) -> FaultCell {
         corrected_events: 0,
         silent_events: 0,
         divergence: 0.0,
-        replay_wall_s: 0.0,
-        live_wall_s: 0.0,
         paths_agree: true,
     };
     let mut divergences = Vec::new();
@@ -301,7 +286,6 @@ fn run_cell(c: CellInputs<'_>) -> FaultCell {
     // Replay pass: sessions default to schedule replay; the fault plan
     // resolves into per-layer overlays once per salt.
     let mut session = c.prepared.session_with_faults(base_plan);
-    let start = Instant::now();
     for trial in 0..c.trials {
         session.set_fault_plan(base_plan.with_salt(c.salt_base | trial as u64));
         match session.run(c.input) {
@@ -333,13 +317,11 @@ fn run_cell(c: CellInputs<'_>) -> FaultCell {
             Err(e) => unreachable!("non-fault failure in the sweep: {e}"),
         }
     }
-    cell.replay_wall_s = start.elapsed().as_secs_f64();
 
     // Live pass: the same trials through live HFSM decode must land on
     // the exact same outcomes.
     let mut live = c.prepared.session_with_faults(base_plan);
     live.set_schedule_replay(false);
-    let start = Instant::now();
     for (trial, expected) in outcomes.iter().enumerate() {
         live.set_fault_plan(base_plan.with_salt(c.salt_base | trial as u64));
         match (live.run(c.input), expected) {
@@ -356,7 +338,6 @@ fn run_cell(c: CellInputs<'_>) -> FaultCell {
             (Err(e), _) => unreachable!("non-fault failure in the sweep: {e}"),
         }
     }
-    cell.live_wall_s = start.elapsed().as_secs_f64();
 
     if !divergences.is_empty() {
         cell.divergence = divergences.iter().sum::<f64>() / divergences.len() as f64;
@@ -501,8 +482,7 @@ impl Artifact for FaultReport {
                 "    {{\"network\": \"{}\", \"protection\": \"{}\", \"rate\": {}, \
                  \"trials\": {}, \"clean\": {}, \"sdc\": {}, \"detected\": {}, \
                  \"sdc_rate\": {}, \"detection_rate\": {}, \"corrected_events\": {}, \
-                 \"silent_events\": {}, \"divergence\": {}, \"replay_wall_s\": {}, \
-                 \"live_wall_s\": {}, \"replay_speedup\": {}, \"paths_agree\": {}}}{}\n",
+                 \"silent_events\": {}, \"divergence\": {}, \"paths_agree\": {}}}{}\n",
                 c.network,
                 c.protection.label(),
                 json_f64(c.rate),
@@ -515,9 +495,6 @@ impl Artifact for FaultReport {
                 c.corrected_events,
                 c.silent_events,
                 json_f64(c.divergence),
-                json_f64(c.replay_wall_s),
-                json_f64(c.live_wall_s),
-                json_f64(c.replay_speedup()),
                 c.paths_agree,
                 comma(i, self.cells.len()),
             );
@@ -570,12 +547,12 @@ impl Artifact for FaultReport {
     /// Human-readable summary table.
     fn render(&self) -> String {
         let mut out = String::from(
-            "Fault campaign (rate x protection, SRAM sites only; replay speedup vs live decode)\n\
-             network      protection  rate      clean  sdc  detected  corrected  silent  speedup  agree\n",
+            "Fault campaign (rate x protection, SRAM sites only; replay vs live decode)\n\
+             network      protection  rate      clean  sdc  detected  corrected  silent  agree\n",
         );
         for c in &self.cells {
             out += &format!(
-                "{:<12} {:<11} {:<9.0e} {:>5} {:>4} {:>9} {:>10} {:>7} {:>7.2}x  {}\n",
+                "{:<12} {:<11} {:<9.0e} {:>5} {:>4} {:>9} {:>10} {:>7}  {}\n",
                 c.network,
                 c.protection.label(),
                 c.rate,
@@ -584,7 +561,6 @@ impl Artifact for FaultReport {
                 c.detected,
                 c.corrected_events,
                 c.silent_events,
-                c.replay_speedup(),
                 if c.paths_agree { "yes" } else { "NO" },
             );
         }
@@ -634,6 +610,15 @@ impl Artifact for FaultReport {
     }
 }
 
+/// `harness faults [--smoke]`: the campaign through
+/// [`emit_deterministic`] (three byte-compared evaluations, then
+/// `BENCH_faults.json`).
+pub fn run_faults(smoke: bool) -> Gated {
+    emit_deterministic("BENCH_faults.json", "faults", || {
+        Ok::<_, Infallible>(if smoke { self::smoke() } else { full() })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,9 +631,6 @@ mod tests {
         assert_eq!(r.sdc_under_secded(), 0);
         assert!(r.zero_rate_all_clean());
         assert!(r.all_paths_agree());
-        for c in &r.cells {
-            assert!(c.replay_wall_s > 0.0 && c.live_wall_s > 0.0, "{c:?}");
-        }
         // The nonzero-rate unprotected cell must show silent corruption.
         let none = r
             .cells
@@ -663,29 +645,12 @@ mod tests {
         }
     }
 
-    /// Masks the three wall-clock columns — the only nondeterministic
-    /// bytes in the document (the cell JSON is one line per cell, so a
-    /// prefix/suffix splice around the timing keys is exact).
-    fn strip_timings(json: &str) -> String {
-        json.lines()
-            .map(
-                |line| match (line.find("\"replay_wall_s\""), line.find("\"paths_agree\"")) {
-                    (Some(a), Some(b)) => format!("{}{}", &line[..a], &line[b..]),
-                    _ => line.to_string(),
-                },
-            )
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
     #[test]
-    fn smoke_sweep_is_byte_reproducible_modulo_wall_clock() {
+    fn smoke_sweep_is_byte_reproducible() {
         let (a, b) = (smoke().to_json(), smoke().to_json());
-        assert_eq!(strip_timings(&a), strip_timings(&b));
-        // The splice really removed the timing keys and nothing else.
-        assert!(!strip_timings(&a).contains("replay_wall_s"));
-        assert!(strip_timings(&a).contains("\"paths_agree\": true"));
-        assert!(strip_timings(&a).contains("\"divergence\""));
+        assert_eq!(a, b);
+        assert!(a.contains("\"paths_agree\": true"));
+        assert!(a.contains("\"divergence\""));
     }
 
     #[test]

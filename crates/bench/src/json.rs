@@ -25,11 +25,6 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Serializes an optional `f64`, mapping `None` to `null`.
-pub fn json_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), json_f64)
-}
-
 /// Serializes a string with the minimal JSON escapes (quotes,
 /// backslashes, control characters) — benchmark and tenant names pass
 /// through unchanged.
@@ -73,8 +68,6 @@ mod tests {
         assert_eq!(json_f64(2.0), "2.0");
         assert_eq!(json_f64(0.0), "0.0");
         assert_eq!(json_f64(-3.0), "-3.0");
-        assert_eq!(json_opt_f64(None), "null");
-        assert_eq!(json_opt_f64(Some(0.25)), "0.25");
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use experiments::{
     Table4Report,
 };
 pub use faults::{DegradationRow, FaultCell, FaultReport, ProtectionOverhead};
-pub use perf::{ExperimentTiming, PerfReport, ThroughputRow};
+pub use perf::{ExperimentFingerprint, PerfReport, ThroughputRow};
 pub use serve::{serve_report, ServeBenchReport};
 pub use tune::{
     run_tune, tuned_shard_specs, tuned_shard_specs_for, TenantPick, TunePoint, TuneReport,

@@ -115,7 +115,7 @@ impl ConnectionTable {
             conn.sort_unstable();
             conn.dedup();
             assert!(
-                *conn.last().unwrap() < in_maps,
+                conn.last().is_some_and(|&last| last < in_maps),
                 "output map {o} references input beyond {in_maps}"
             );
         }

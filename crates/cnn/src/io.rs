@@ -83,6 +83,17 @@ impl<R: Read> Reader<R> {
         self.inner.read_exact(&mut b)?;
         Ok(Fx::from_bits(i16::from_le_bytes(b)))
     }
+
+    /// Reads exactly `len` bytes, growing the buffer only as bytes
+    /// arrive (a declared length never sizes an allocation up front).
+    fn bytes(&mut self, len: usize) -> Result<Vec<u8>, FormatError> {
+        let mut buf = Vec::new();
+        (&mut self.inner).take(len as u64).read_to_end(&mut buf)?;
+        if buf.len() != len {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
+        Ok(buf)
+    }
 }
 
 struct Writer<W> {
@@ -222,12 +233,24 @@ pub fn save<W: Write>(network: &Network, writer: W) -> io::Result<()> {
     Ok(())
 }
 
+/// Largest LCN window a model file may declare. The Gaussian window is
+/// synthesized rather than read, so its size is the one allocation no
+/// file bytes stand behind; the cap keeps it bounded (a 1023×1023
+/// window is far past any published LCN configuration).
+pub const MAX_LCN_WINDOW: usize = 1023;
+
 /// Deserializes a network from any reader.
+///
+/// Allocation is bounded by the bytes actually read: a declared count
+/// (output maps, connections, kernel values, classifier rows) never
+/// sizes a buffer before the values behind it arrive, so a short or
+/// hostile file fails with an error instead of a huge allocation.
 ///
 /// # Errors
 ///
-/// Returns [`FormatError`] on I/O failure, a bad magic/version, or
-/// inconsistent geometry.
+/// Returns [`FormatError`] on I/O failure (including a file shorter
+/// than its declared counts), a bad magic/version, or inconsistent or
+/// overflowing geometry.
 pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
     let mut r = Reader { inner: reader };
     let mut magic = [0u8; 4];
@@ -242,9 +265,7 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
         )));
     }
     let name_len = r.u16()? as usize;
-    let mut name_bytes = vec![0u8; name_len];
-    r.inner.read_exact(&mut name_bytes)?;
-    let name = String::from_utf8(name_bytes)
+    let name = String::from_utf8(r.bytes(name_len)?)
         .map_err(|_| FormatError::Corrupt("name is not UTF-8".into()))?;
     let input_maps = r.usize32()?;
     let input_dims = (r.usize32()?, r.usize32()?);
@@ -256,7 +277,7 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
         return Err(FormatError::Corrupt(format!("layer count {layer_count}")));
     }
 
-    let mut layers = Vec::with_capacity(layer_count);
+    let mut layers = Vec::new();
     let mut maps = input_maps;
     let mut dims = input_dims;
     for index in 0..layer_count {
@@ -274,31 +295,40 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
                 if kernel.0 > dims.0 || kernel.1 > dims.1 || stride.0 == 0 || stride.1 == 0 {
                     return Err(corrupt("kernel exceeds input"));
                 }
-                let mut lists = Vec::with_capacity(out_maps);
-                let mut kernels = Vec::with_capacity(out_maps);
-                let mut biases = Vec::with_capacity(out_maps);
+                let kernel_len = kernel
+                    .0
+                    .checked_mul(kernel.1)
+                    .ok_or_else(|| corrupt("kernel size overflows"))?;
+                // Every buffer below grows one value at a time as the
+                // file supplies it; `out_maps`, `conn_len` and the
+                // kernel size are only loop bounds.
+                let mut lists = Vec::new();
+                let mut kernels = Vec::new();
+                let mut biases = Vec::new();
                 for _ in 0..out_maps {
                     let conn_len = r.usize32()?;
                     if conn_len == 0 || conn_len > maps {
                         return Err(corrupt("bad connection count"));
                     }
-                    let mut conn = Vec::with_capacity(conn_len);
+                    let mut conn: Vec<usize> = Vec::new();
                     for _ in 0..conn_len {
                         let i = r.usize32()?;
-                        if i >= maps {
-                            return Err(corrupt("connection out of range"));
+                        // Ascending like the saved table, so kernel `j`
+                        // pairs with the `j`-th connection after loading.
+                        if i >= maps || conn.last().is_some_and(|&p| p >= i) {
+                            return Err(corrupt("connections must ascend in range"));
                         }
                         conn.push(i);
                     }
                     biases.push(r.fx()?);
-                    let mut ks = Vec::with_capacity(conn_len);
+                    let mut ks = Vec::new();
                     for _ in 0..conn_len {
-                        let mut k = FeatureMap::filled(kernel.0, kernel.1, Fx::ZERO);
-                        for ky in 0..kernel.1 {
-                            for kx in 0..kernel.0 {
-                                k[(kx, ky)] = r.fx()?;
-                            }
+                        let mut values = Vec::new();
+                        for _ in 0..kernel_len {
+                            values.push(r.fx()?);
                         }
+                        let k = FeatureMap::from_vec(kernel.0, kernel.1, values)
+                            .map_err(|e| corrupt(&e.to_string()))?;
                         ks.push(k);
                     }
                     lists.push(conn);
@@ -306,8 +336,10 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
                 }
                 let table = ConnectionTable::from_lists(maps, lists);
                 let out_dims = (
-                    (dims.0 - kernel.0) / stride.0 + 1,
-                    (dims.1 - kernel.1) / stride.1 + 1,
+                    extent(dims.0, kernel.0, stride.0, Rounding::Floor)
+                        .ok_or_else(|| corrupt("output extent overflows"))?,
+                    extent(dims.1, kernel.1, stride.1, Rounding::Floor)
+                        .ok_or_else(|| corrupt("output extent overflows"))?,
                 );
                 Layer::from_parts(
                     index,
@@ -350,13 +382,11 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
                 if rounding == Rounding::Ceil && stride != window {
                     return Err(corrupt("ceil pooling requires stride == window"));
                 }
-                let extent = |n: usize, k: usize, s: usize| match rounding {
-                    Rounding::Floor => (n - k) / s + 1,
-                    Rounding::Ceil => (n - k).div_ceil(s) + 1,
-                };
                 let out_dims = (
-                    extent(dims.0, window.0, stride.0),
-                    extent(dims.1, window.1, stride.1),
+                    extent(dims.0, window.0, stride.0, rounding)
+                        .ok_or_else(|| corrupt("output extent overflows"))?,
+                    extent(dims.1, window.1, stride.1, rounding)
+                        .ok_or_else(|| corrupt("output extent overflows"))?,
                 );
                 Layer::from_parts(
                     index,
@@ -376,19 +406,22 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
             2 => {
                 let out_count = r.usize32()?;
                 let activation = act_from(r.u8()?)?;
-                let in_count = maps * dims.0 * dims.1;
+                let in_count = maps
+                    .checked_mul(dims.0)
+                    .and_then(|n| n.checked_mul(dims.1))
+                    .ok_or_else(|| corrupt("classifier input count overflows"))?;
                 if out_count == 0 {
                     return Err(corrupt("degenerate classifier"));
                 }
-                let mut rows = Vec::with_capacity(out_count);
-                let mut biases = Vec::with_capacity(out_count);
+                let mut rows = Vec::new();
+                let mut biases = Vec::new();
                 for _ in 0..out_count {
                     let row_len = r.usize32()?;
                     if row_len == 0 || row_len > in_count {
                         return Err(corrupt("bad row length"));
                     }
                     biases.push(r.fx()?);
-                    let mut row = Vec::with_capacity(row_len);
+                    let mut row = Vec::new();
                     let mut prev: Option<usize> = None;
                     for _ in 0..row_len {
                         let i = r.usize32()?;
@@ -433,7 +466,8 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
             }
             4 => {
                 let window = r.usize32()?;
-                if window % 2 == 0 || window == 0 || window > dims.0 || window > dims.1 {
+                if window % 2 == 0 || window > dims.0 || window > dims.1 || window > MAX_LCN_WINDOW
+                {
                     return Err(corrupt("bad LCN window"));
                 }
                 let gauss = gaussian_window(window, maps);
@@ -456,6 +490,17 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
         layers.push(layer);
     }
     Ok(Network::from_parts(name, input_maps, input_dims, layers))
+}
+
+/// Output extent of a window `k` sliding over `n` at stride `s` (the
+/// caller has checked `1 <= k <= n` and `s >= 1`); `None` on overflow.
+fn extent(n: usize, k: usize, s: usize, rounding: Rounding) -> Option<usize> {
+    let span = n.checked_sub(k)?;
+    let steps = match rounding {
+        Rounding::Floor => span.checked_div(s)?,
+        Rounding::Ceil => span.div_ceil(s),
+    };
+    steps.checked_add(1)
 }
 
 #[cfg(test)]
@@ -533,6 +578,60 @@ mod tests {
         buf[layer_count_pos] = 0xFF;
         buf[layer_count_pos + 1] = 0xFF;
         assert!(load(buf.as_slice()).is_err());
+    }
+
+    /// A 46-byte file declaring one conv layer with `out_maps =
+    /// u32::MAX` and nothing behind it: the loader must fail on the
+    /// missing bytes, not size buffers from the declared count.
+    #[test]
+    fn huge_declared_map_count_is_an_error_not_an_allocation() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes()); // empty name
+        for v in [1u32, 8, 8, 1] {
+            // input maps, width, height, layer count
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.push(0); // conv
+        for v in [u32::MAX, 3, 3, 1, 1] {
+            // out_maps, kernel, stride
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.push(0); // no activation
+        assert_eq!(buf.len(), 46);
+        assert!(load(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn overflowing_classifier_input_is_rejected() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        for v in [u32::MAX, u32::MAX, u32::MAX, 1] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.push(2); // classifier
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.push(0);
+        let err = load(buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn oversized_lcn_window_is_rejected() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        for v in [1u32, u32::MAX, u32::MAX, 1] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.push(4); // LCN
+        buf.extend_from_slice(&(MAX_LCN_WINDOW as u32 + 2).to_le_bytes());
+        let err = load(buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("LCN window"), "{err}");
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //! assert_eq!(out.output().len(), 10); // ten digit classes
 //! ```
 
+// Model loading and network construction report failures as typed errors
+// (`FormatError`, `NetworkError`); contract violations on programmer-built
+// values still use `assert!`/`.expect()`, which these lints do not cover.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 mod connect;
 pub mod io;
 mod layer;

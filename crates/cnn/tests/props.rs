@@ -1,9 +1,55 @@
 //! Property-based tests for the CNN substrate: connection tables, weight
-//! containers, geometry resolution, storage accounting, and the
-//! fixed-vs-float error bound.
+//! containers, geometry resolution, storage accounting, the
+//! fixed-vs-float error bound, and the model loader under hostile bytes.
 
 use proptest::prelude::*;
-use shidiannao_cnn::{storage, ConnectionTable, ConvSpec, FcSpec, NetworkBuilder, PoolSpec};
+use shidiannao_cnn::{
+    io, storage, zoo, ConnectionTable, ConvSpec, FcSpec, NetworkBuilder, PoolSpec,
+};
+use std::sync::OnceLock;
+
+/// The saved SDNN bytes of every zoo network (the ten benchmarks plus
+/// the LRN/LCN/MLP extensions, so every layer tag is covered), built
+/// once per test binary.
+fn saved_zoo() -> &'static [Vec<u8>] {
+    static SAVED: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    SAVED.get_or_init(|| {
+        zoo::all()
+            .into_iter()
+            .chain(zoo::extended::all())
+            .map(|b| {
+                let mut buf = Vec::new();
+                io::save(&b.build(1).unwrap(), &mut buf).unwrap();
+                buf
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn load_never_panics_on_truncated_or_mutated_models(
+        net in 0usize..64,
+        keep_permille in prop_oneof![Just(1000usize), 0usize..1000],
+        edits in proptest::collection::vec((any::<bool>(), any::<usize>(), any::<u8>()), 0..6),
+    ) {
+        let saved = saved_zoo();
+        let mut bytes = saved[net % saved.len()].clone();
+        for (in_header, pos, value) in edits {
+            // Half the edits land in the first 64 bytes, where the header
+            // and the first layer's declared counts live.
+            let span = if in_header { bytes.len().min(64) } else { bytes.len() };
+            bytes[pos % span] = value;
+        }
+        let keep_permille: usize = keep_permille;
+        bytes.truncate(bytes.len() * keep_permille / 1000);
+        // `Ok` and `Err` are both acceptable; a panic or an allocation
+        // abort fails the test.
+        let _ = io::load(bytes.as_slice());
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

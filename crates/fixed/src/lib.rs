@@ -33,6 +33,10 @@
 //! assert!((y.to_f32() - 0.5f32.tanh()).abs() < 0.02);
 //! ```
 
+// Arithmetic saturates instead of panicking; contract violations still use
+// `assert!`/`.expect()`, which these lints do not cover.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 mod accum;
 mod pla;
 

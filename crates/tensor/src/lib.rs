@@ -26,6 +26,10 @@
 //! assert_eq!(grid.output_dims(), (2, 2));
 //! ```
 
+// Shape mismatches on caller data are typed `ShapeError`s; contract
+// violations still use `assert!`/`.expect()`, which these lints do not cover.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 mod map;
 mod stack;
 mod window;

@@ -103,7 +103,7 @@ impl<T> FeatureMap<T> {
         if width == 0 || height == 0 {
             return Err(ShapeError::new("feature map must be non-empty"));
         }
-        if data.len() != width * height {
+        if width.checked_mul(height) != Some(data.len()) {
             return Err(ShapeError::new(format!(
                 "buffer of {} elements cannot form a {width}x{height} map",
                 data.len()

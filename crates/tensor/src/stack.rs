@@ -93,6 +93,10 @@ impl<T> MapStack<T> {
     /// # Panics
     ///
     /// Panics if a produced map has the wrong dimensions.
+    // A wrong-sized map is a bug in the caller's closure (every call site
+    // builds maps at the stack's own dimensions), not a data error, so
+    // the documented panic stays rather than a `Result` at every caller.
+    #[allow(clippy::panic)]
     pub fn from_fn(
         width: usize,
         height: usize,
