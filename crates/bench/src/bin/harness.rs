@@ -12,10 +12,11 @@
 //! fails if the document is not byte-identical across three evaluations
 //! (one pinned to a single rayon worker), if `sim_cycles_per_inference`
 //! for any of the ten networks (trace-free and instrumented schedule
-//! replay) drifts from the repository seed, if any of the seven
+//! replay) drifts from the repository seed, if any of the six
 //! certified execution paths (`perf::CERTIFIED_PATHS`) diverged, if a
 //! measured replay burst allocated in steady state, if the schedule
-//! optimizer adds cycles anywhere or removes them on too few networks,
+//! optimizer's cost model adds cycles anywhere or removes them on too
+//! few networks,
 //! or if instrumented replay is not `perf::INSTR_SPEEDUP_GATE`x faster
 //! than live decode (a side-by-side ratio printed to stdout, never
 //! written). `--smoke` shortens the bursts and skips the fingerprints.
@@ -55,7 +56,7 @@
 //! per-tenant minimum-EDAP pick. It writes `BENCH_tuner.json` and fails
 //! if the document is not byte-identical across three evaluations (one
 //! pinned to a single rayon worker), if a picked configuration fails the
-//! optimized-schedule bit-identity certificate, or (in smoke mode) if
+//! replay bit-identity certificate, or (in smoke mode) if
 //! the frozen frontier labels or tenant picks drifted.
 //!
 //! `harness cascade [--smoke]` runs the quantized two-stage early-exit

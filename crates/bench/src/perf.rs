@@ -19,7 +19,7 @@
 //!   warmed-up burst of `Session::infer_ref` calls through
 //!   zero-allocation schedule replay (the default path; with replay off
 //!   every layer live-decodes). Each row carries a *correctness
-//!   certificate* over the seven [`CERTIFIED_PATHS`]: the heap
+//!   certificate* over the six [`CERTIFIED_PATHS`]: the heap
 //!   allocations counted during the burst (must be zero in steady state)
 //!   and whether the first four paths (legacy one-shot, instrumented
 //!   `Session::run`, trace-free `Session::infer` and `Session::infer_ref`)
@@ -35,18 +35,17 @@
 //!   by side; the ratio ([`ThroughputRow::instr_speedup`]) feeds
 //!   [`INSTR_SPEEDUP_GATE`] and the stdout summary, never the artifact.
 //!
-//! * **Optimized-replay rows** — per benchmark, the schedule optimizer's
-//!   rewritten stream ([`shidiannao_core::opt`]: NB dedup, read-mode
-//!   re-selection, SB coalescing, FIFO-fold) is certified as the sixth
-//!   path (outputs and per-layer traces bit-identical to the recorded
-//!   replay, clean and under a silent fault plan, and allocation-free
-//!   in steady state), with per-pass elimination counters copied from
-//!   the prepared network's [`shidiannao_core::OptReport`]. The
-//!   optimizer rewrites only costs, so both streams replay through the
-//!   same bodies and there is no host-speed comparison to make.
+//! * **Optimizer columns** — per benchmark, the per-pass elimination
+//!   counters the schedule optimizer's prepare-time cost model
+//!   ([`shidiannao_core::opt`]: NB dedup, read-mode re-selection, SB
+//!   coalescing, FIFO-fold) priced into the prepared network's
+//!   [`shidiannao_core::OptReport`], and the modeled cycles they leave
+//!   (`opt_cycles_per_inference`, the recorded cycles minus the folded
+//!   ones). Sessions always replay the recording, so there is no
+//!   optimized path to certify.
 //!
 //! * **Delta-load rows** — per benchmark, the cross-frame NBin residency
-//!   path (`Session::infer_delta`) is certified as the seventh path: a
+//!   path (`Session::infer_delta`) is certified as the sixth path: a
 //!   cold call must stream every input row and agree bit-for-bit with a
 //!   plain `infer`, and an immediately repeated call on the same input
 //!   must stream zero rows, report a zero-cycle Load phase, and still
@@ -61,7 +60,7 @@
 //! seed-frozen `sim_cycles_per_inference` for all ten networks
 //! (trace-free and instrumented paths alike — any scheduled-path cycle
 //! drift fails CI), the optimizer's never-increase and strict-reduction
-//! counts, zero steady-state allocations (clean, faulty, and optimized
+//! counts, zero steady-state allocations (clean and silently faulted
 //! replay), bit-identity of every certified path, and the headline
 //! speedup (schedule replay must run the instrumented path at least
 //! [`INSTR_SPEEDUP_GATE`]× faster than live decode on LeNet-5 and on at
@@ -103,15 +102,14 @@ const SMOKE_BURST: usize = 3;
 /// The execution paths every throughput row certifies bit-identical, in
 /// certificate order: the legacy one-shot `Accelerator::run`, the
 /// instrumented `Session::run`, the trace-free `Session::infer` and
-/// `Session::infer_ref`, live HFSM decode (schedule replay off), the
-/// optimizer-rewritten replay, and the `Session::infer_delta` delta load.
-pub const CERTIFIED_PATHS: [&str; 7] = [
+/// `Session::infer_ref`, live HFSM decode (schedule replay off), and
+/// the `Session::infer_delta` delta load.
+pub const CERTIFIED_PATHS: [&str; 6] = [
     "legacy",
     "run",
     "infer",
     "infer_ref",
     "live decode",
-    "optimized replay",
     "delta load",
 ];
 
@@ -129,9 +127,9 @@ pub const INSTR_SPEEDUP_NETS: usize = 5;
 /// silently patched through the schedule overlay, never aborting).
 const SILENT_FAULT_RATE: f64 = 1e-4;
 
-/// How many of the ten frozen benchmarks must report *strictly* fewer
-/// optimized modeled cycles than the seed-frozen recording (no benchmark
-/// may ever report more).
+/// How many of the ten frozen benchmarks the optimizer's cost model must
+/// price at *strictly* fewer modeled cycles than the seed-frozen
+/// recording (no benchmark may ever report more).
 pub const OPT_CYCLES_REDUCED_NETS: usize = 5;
 
 /// Simulated cycles per inference frozen at the repository seed; the
@@ -195,19 +193,11 @@ pub struct ThroughputRow {
     /// a silent fault plan — schedule replay resolving the fault overlay
     /// must stay allocation-free too.
     pub fault_replay_allocs: u64,
-    /// Simulated cycles per inference reported by the *optimized*
-    /// schedule replay; must never exceed the seed-frozen count, and
-    /// must be strictly below it on [`OPT_CYCLES_REDUCED_NETS`]
-    /// benchmarks.
+    /// Modeled cycles per inference the optimizer's cost model prices
+    /// (`sim_cycles_per_inference − opt_cycles_saved`); must never exceed
+    /// the seed-frozen count, and must be strictly below it on
+    /// [`OPT_CYCLES_REDUCED_NETS`] benchmarks.
     pub opt_cycles_per_inference: u64,
-    /// Heap allocations counted during the warmed optimized-replay burst
-    /// (the optimizer must preserve the zero-allocation steady state).
-    pub opt_allocs: u64,
-    /// Whether the optimized replay agreed bit-for-bit with the recorded
-    /// replay — outputs and per-layer traces on the instrumented run,
-    /// outputs on the trace-free path, and outputs under the silent fault plan
-    /// (the sixth certified path).
-    pub opt_paths_bit_identical: bool,
     /// Redundant NB word deliveries eliminated by the `nb_dedup` pass.
     pub opt_nb_reads_eliminated: u64,
     /// NB read requests removed by the `mode_select` re-cover.
@@ -226,7 +216,7 @@ pub struct ThroughputRow {
     pub delta_warm_load_cycles: u64,
     /// Whether the cold and warm delta-load runs agreed bit-for-bit with
     /// a plain `infer` on outputs, and the cold run streamed every row
-    /// (the seventh certified path).
+    /// (the sixth certified path).
     pub delta_bit_identical: bool,
 }
 
@@ -304,7 +294,6 @@ impl Artifact for PerfReport {
                  \"instr_paths_bit_identical\": {}, \
                  \"fault_replay_allocs\": {}, \
                  \"opt_cycles_per_inference\": {}, \
-                 \"opt_allocs\": {}, \"opt_paths_bit_identical\": {}, \
                  \"opt_nb_reads_eliminated\": {}, \"opt_modes_reselected\": {}, \
                  \"opt_sb_bytes_coalesced\": {}, \
                  \"opt_sb_accesses_coalesced\": {}, \
@@ -323,8 +312,6 @@ impl Artifact for PerfReport {
                 t.instr_paths_bit_identical,
                 t.fault_replay_allocs,
                 t.opt_cycles_per_inference,
-                t.opt_allocs,
-                t.opt_paths_bit_identical,
                 t.opt_nb_reads_eliminated,
                 t.opt_modes_reselected,
                 t.opt_sb_bytes_coalesced,
@@ -380,23 +367,17 @@ impl Artifact for PerfReport {
                 },
             );
         }
-        out += "\nOptimized replay (schedule optimizer passes, vs recorded replay)\n\
-                CNN          cycles/inf  saved  NB elim  modes  SB bytes  allocs  ==replay\n";
+        out += "\nSchedule optimizer (prepare-time cost model over the recording)\n\
+                CNN          cycles/inf  saved  NB elim  modes  SB bytes\n";
         for t in &self.throughput {
             out += &format!(
-                "{:<12} {:>10} {:>6} {:>8} {:>6} {:>9}  {:>6}  {}\n",
+                "{:<12} {:>10} {:>6} {:>8} {:>6} {:>9}\n",
                 t.name,
                 t.opt_cycles_per_inference,
                 t.opt_cycles_saved,
                 t.opt_nb_reads_eliminated,
                 t.opt_modes_reselected,
                 t.opt_sb_bytes_coalesced,
-                t.opt_allocs,
-                if t.opt_paths_bit_identical {
-                    "yes"
-                } else {
-                    "NO"
-                },
             );
         }
         out += "\nDelta-load path (cross-frame NBin residency, warm repeat of one input)\n\
@@ -423,8 +404,8 @@ impl Artifact for PerfReport {
     /// with its seed-exact `sim_cycles_per_inference` on both the clean
     /// replayed and the traced replayed path, the optimizer never adding
     /// and usually removing cycles, every certified path bit-identical,
-    /// a zero-allocation steady state (clean, faulty, and optimized
-    /// replay alike), and the instrumented-path speedup threshold.
+    /// a zero-allocation steady state (clean and silently faulted replay
+    /// alike), and the instrumented-path speedup threshold.
     fn gate_errors(&self) -> Vec<String> {
         let rows = &self.throughput;
         let mut errors = Vec::new();
@@ -448,8 +429,8 @@ impl Artifact for PerfReport {
                     }
                     if row.opt_cycles_per_inference > expect {
                         errors.push(format!(
-                            "{name}: optimizer increased modeled cycles — optimized replay \
-                             reported {} cycles, seed-frozen recording {expect}",
+                            "{name}: optimizer increased modeled cycles — its cost model \
+                             priced {} cycles, seed-frozen recording {expect}",
                             row.opt_cycles_per_inference
                         ));
                     } else if row.opt_cycles_per_inference < expect {
@@ -491,18 +472,6 @@ impl Artifact for PerfReport {
                     "{}: schedule replay under a silent fault plan allocated {} times \
                      in steady state",
                     row.name, row.fault_replay_allocs
-                ));
-            }
-            if !row.opt_paths_bit_identical {
-                errors.push(format!(
-                    "{}: optimized replay diverged from the recorded replay",
-                    row.name
-                ));
-            }
-            if row.opt_allocs != 0 {
-                errors.push(format!(
-                    "{}: optimized replay allocated {} times in steady state",
-                    row.name, row.opt_allocs
                 ));
             }
             if !row.delta_bit_identical {
@@ -593,7 +562,7 @@ pub fn measure_experiments() -> Vec<ExperimentFingerprint> {
 
 /// Measures one benchmark: bit-identity certificates across the
 /// [`CERTIFIED_PATHS`], a warmed, allocation-counted `infer_ref` burst,
-/// and the instrumented, optimized-replay, and delta-load rows.
+/// the instrumented and delta-load rows, and the optimizer's counters.
 fn measure_one(b: shidiannao_cnn::NetworkBuilder, burst: usize) -> ThroughputRow {
     let net = b.build(SEED).expect("benchmark topologies are valid");
     let input = net.random_input(SEED ^ 0xABCD);
@@ -697,53 +666,7 @@ fn measure_one(b: shidiannao_cnn::NetworkBuilder, burst: usize) -> ThroughputRow
         }
     });
 
-    // Sixth certified path: the schedule optimizer's
-    // rewritten stream must agree with the recorded replay bit-for-bit
-    // — outputs and per-layer traces on the instrumented run, outputs
-    // on the trace-free path, and outputs under the silent fault plan.
-    let opt_report = *prepared.optimizer_report();
-    let mut opt_instr = prepared.session();
-    opt_instr.set_optimized_replay(true);
-    let opt_run = opt_instr.run(&input).expect("optimized instrumented run");
-    let opt_cycles = opt_run.stats().cycles();
-    let mut opt_paths_bit_identical = opt_run.output() == run.output()
-        && opt_run.layer_outputs() == run.layer_outputs()
-        && opt_run.stats().cycles() <= run.stats().cycles();
-    let mut opt_fast = prepared.session();
-    opt_fast.set_optimized_replay(true);
-    {
-        let r = opt_fast.infer_ref(&input).expect("optimized infer_ref");
-        opt_paths_bit_identical &= r.output() == inf.output();
-    }
-    {
-        let mut opt_faulty = prepared.session_with_faults(plan);
-        opt_faulty.set_optimized_replay(true);
-        let a = opt_faulty
-            .infer_ref(&input)
-            .expect("silent faults never abort");
-        let b = faulty.infer_ref(&input).expect("silent faults never abort");
-        opt_paths_bit_identical &= a.output() == b.output();
-    }
-
-    // Optimized-replay burst: warm to the allocation steady state, then
-    // count heap allocations over a full burst.
-    let mut quiet = 0;
-    for _ in 0..WARMUP_CAP {
-        let (allocs, ()) = crate::alloc::count_allocations(|| {
-            let _ = opt_fast.infer_ref(&input).expect("optimized infer_ref");
-        });
-        quiet = if allocs == 0 { quiet + 1 } else { 0 };
-        if quiet >= WARMUP_QUIET {
-            break;
-        }
-    }
-    let (opt_allocs, ()) = crate::alloc::count_allocations(|| {
-        for _ in 0..burst {
-            let _ = opt_fast.infer_ref(&input).expect("optimized infer_ref");
-        }
-    });
-
-    // Seventh certified path: the delta-load staging path. A
+    // Sixth certified path: the delta-load staging path. A
     // cold `infer_delta` must stream every input row and agree with a
     // plain `infer`; an immediately repeated call on the same input must
     // stream zero rows, report a zero-cycle Load phase, and still agree.
@@ -759,6 +682,7 @@ fn measure_one(b: shidiannao_cnn::NetworkBuilder, burst: usize) -> ThroughputRow
     let delta_warm_load_cycles = warm.stats().layers()[0].cycles;
     let delta_bit_identical = cold_ok && warm.output() == inf.output();
 
+    let opt_report = *prepared.optimizer_report();
     ThroughputRow {
         name: net.name().to_string(),
         inferences: burst,
@@ -771,9 +695,7 @@ fn measure_one(b: shidiannao_cnn::NetworkBuilder, burst: usize) -> ThroughputRow
         instr_cycles_per_inference: instr_cycles,
         instr_paths_bit_identical,
         fault_replay_allocs,
-        opt_cycles_per_inference: opt_cycles,
-        opt_allocs,
-        opt_paths_bit_identical,
+        opt_cycles_per_inference: cycles.saturating_sub(opt_report.cycles_saved),
         opt_nb_reads_eliminated: opt_report.nb_reads_eliminated,
         opt_modes_reselected: opt_report.nb_modes_reselected,
         opt_sb_bytes_coalesced: opt_report.sb_bytes_coalesced,
@@ -837,8 +759,6 @@ mod tests {
             instr_paths_bit_identical: true,
             fault_replay_allocs: 0,
             opt_cycles_per_inference: 10016,
-            opt_allocs: 0,
-            opt_paths_bit_identical: true,
             opt_nb_reads_eliminated: 100,
             opt_modes_reselected: 10,
             opt_sb_bytes_coalesced: 64,
@@ -852,7 +772,7 @@ mod tests {
     }
 
     /// A clean ten-row report: every frozen benchmark at its seed cycle
-    /// count, optimized replay one cycle cheaper.
+    /// count, the optimizer pricing one cycle fewer.
     fn clean_report() -> PerfReport {
         PerfReport {
             experiments: Vec::new(),
@@ -907,8 +827,6 @@ mod tests {
             "\"instr_paths_bit_identical\"",
             "\"fault_replay_allocs\"",
             "\"opt_cycles_per_inference\"",
-            "\"opt_allocs\"",
-            "\"opt_paths_bit_identical\"",
             "\"opt_nb_reads_eliminated\"",
             "\"opt_modes_reselected\"",
             "\"opt_sb_bytes_coalesced\"",
@@ -921,7 +839,13 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        for banned in ["\"threads\"", "_s\"", "speedup"] {
+        for banned in [
+            "\"threads\"",
+            "_s\"",
+            "speedup",
+            "\"opt_allocs\"",
+            "\"opt_paths_bit_identical\"",
+        ] {
             assert!(!json.contains(banned), "{banned} in {json}");
         }
         assert!(
@@ -948,9 +872,9 @@ mod tests {
         assert!(clean.gate_errors().is_empty());
 
         // Drift (clean and traced), divergence (four-path,
-        // replay-vs-live, optimized, and delta-load), allocation (clean,
-        // faulty, and optimized replay), and absence each produce an
-        // error.
+        // replay-vs-live, and delta-load), allocation (clean and faulty
+        // replay), an optimizer cycle increase, and absence each produce
+        // an error.
         let mut bad = clean.clone();
         let rows = &mut bad.throughput;
         rows[0].sim_cycles_per_inference += 1;
@@ -960,13 +884,11 @@ mod tests {
         rows[4].instr_paths_bit_identical = false;
         rows[5].fault_replay_allocs = 3;
         rows[0].opt_cycles_per_inference += 10;
-        rows[1].opt_paths_bit_identical = false;
-        rows[2].opt_allocs = 4;
         rows[4].delta_bit_identical = false;
         rows[5].delta_warm_rows = 6;
         rows.pop();
         let errors = bad.gate_errors();
-        assert_eq!(errors.len(), 12, "{errors:?}");
+        assert_eq!(errors.len(), 10, "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("seed-frozen")));
         assert!(errors.iter().any(|e| e.contains("diverged (legacy")));
         assert!(errors.iter().any(|e| e.contains("clean replay allocated")));
@@ -978,12 +900,6 @@ mod tests {
         assert!(errors
             .iter()
             .any(|e| e.contains("optimizer increased modeled cycles")));
-        assert!(errors
-            .iter()
-            .any(|e| e.contains("optimized replay diverged")));
-        assert!(errors
-            .iter()
-            .any(|e| e.contains("optimized replay allocated")));
         assert!(errors
             .iter()
             .any(|e| e.contains("delta-load path diverged")));

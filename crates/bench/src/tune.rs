@@ -1,7 +1,7 @@
 //! The design-space autotuner behind `harness tune [--smoke]`.
 //!
-//! The schedule optimizer (PR 8) makes a point evaluation cheap: one
-//! cached `prepare` plus one analytic simulator run per (configuration,
+//! Schedule replay makes a point evaluation cheap: one cached
+//! `prepare` plus one replayed simulator run per (configuration,
 //! network) pair, shared through
 //! [`prepared_cached`](crate::experiments::prepared_cached). The tuner
 //! exploits that to sweep a real design space:
@@ -34,9 +34,11 @@
 //! function of [`SEED`], so `BENCH_tuner.json` is byte-identical across
 //! runs, machines, and thread counts. `run_tune` proves it the blunt
 //! way — the report is generated three times (once pinned to one rayon
-//! worker) and the three documents must compare byte-equal. In smoke
-//! mode the frontier labels and tenant picks are frozen so CI catches
-//! any cost-model or optimizer drift that moves the frontier.
+//! worker) and the three documents must compare byte-equal. Every pick
+//! is certified (`picks_bit_identical`): its recorded-schedule replay
+//! reproduces the golden fixed-point reference. In smoke mode the
+//! frontier labels and tenant picks are frozen so CI catches any
+//! cost-model drift that moves the frontier.
 
 use crate::artifact::{emit_deterministic, Artifact, Gated};
 use crate::experiments::{prepared_cache_stats, prepared_cached, SEED};
@@ -101,7 +103,7 @@ pub const TENANT_NETS: [(&str, &str); 3] = [
 pub const SMOKE_NETS: [&str; 3] = ["LeNet-5", "Gabor", "MPCNN"];
 
 /// Frontier labels frozen for the smoke grid. Any drift means the cost
-/// model, the optimizer, or the dominance rule changed behaviour and
+/// model, the simulator, or the dominance rule changed behaviour and
 /// the frontier must be re-frozen deliberately.
 pub const EXPECTED_SMOKE_FRONTIER: &[&str] = &[
     "pe4x4-nb64k-sb128k-none",
@@ -251,9 +253,9 @@ pub struct TuneReport {
     /// Per-tenant frontier picks.
     pub picks: Vec<TenantPick>,
     /// Whether every pick's configuration passed the bit-identity
-    /// certificate: optimized-schedule replay and recorded replay both
-    /// reproduce the golden fixed-point reference exactly.
-    pub opt_bit_identical: bool,
+    /// certificate: recorded-schedule replay reproduces the golden
+    /// fixed-point reference exactly.
+    pub picks_bit_identical: bool,
 }
 
 fn grid_config(side: usize, nb_kb: usize, sb_kb: usize) -> AcceleratorConfig {
@@ -398,13 +400,13 @@ pub fn evaluate(smoke: bool) -> TuneReport {
 
     mark_frontier(&mut points);
     let picks = pick_tenants(&points);
-    let opt_bit_identical = certify_picks(nets, &picks, &points);
+    let picks_bit_identical = certify_picks(nets, &picks, &points);
     TuneReport {
         smoke,
         networks: nets.iter().map(|n| n.name().to_string()).collect(),
         points,
         picks,
-        opt_bit_identical,
+        picks_bit_identical,
     }
 }
 
@@ -467,9 +469,8 @@ fn pick_tenants(points: &[TunePoint]) -> Vec<TenantPick> {
 }
 
 /// The bit-identity certificate over the picked configurations: the
-/// optimized-schedule replay and the recorded replay must both
-/// reproduce the golden fixed-point reference exactly on the tenant's
-/// network at the picked grid point.
+/// recorded-schedule replay must reproduce the golden fixed-point
+/// reference exactly on the tenant's network at the picked grid point.
 fn certify_picks(nets: &[Network], picks: &[TenantPick], points: &[TunePoint]) -> bool {
     picks.iter().all(|pick| {
         let Some(point) = points.iter().find(|p| p.label == pick.label) else {
@@ -483,18 +484,10 @@ fn certify_picks(nets: &[Network], picks: &[TenantPick], points: &[TunePoint]) -
         };
         let input = net.random_input(SEED ^ 0xABCD);
         let golden = net.forward_fixed(&input);
-        let Ok(recorded) = prepared.session().run(&input) else {
-            return false;
-        };
-        let mut optimized = prepared.session();
-        optimized.set_optimized_replay(true);
-        let Ok(opt) = optimized.run(&input) else {
-            return false;
-        };
-        recorded.output() == golden.output()
-            && opt.output() == golden.output()
-            && opt.layer_outputs() == recorded.layer_outputs()
-            && opt.stats().cycles() <= recorded.stats().cycles()
+        prepared
+            .session()
+            .run(&input)
+            .is_ok_and(|recorded| recorded.output() == golden.output())
     })
 }
 
@@ -578,7 +571,7 @@ impl Artifact for TuneReport {
         );
         out += &format!("  \"grid_points\": {},\n", self.points.len());
         out += &format!("  \"fully_feasible\": {},\n", self.fully_feasible());
-        out += &format!("  \"opt_bit_identical\": {},\n", self.opt_bit_identical);
+        out += &format!("  \"picks_bit_identical\": {},\n", self.picks_bit_identical);
         out += "  \"networks\": [";
         for (i, n) in self.networks.iter().enumerate() {
             out += &format!("{}{}", json_str(n), comma(i, self.networks.len()));
@@ -681,8 +674,12 @@ impl Artifact for TuneReport {
             "prepared-network cache: {hits} hits / {misses} misses ({rate:.1}% hit rate)\n"
         );
         out += &format!(
-            "optimized-schedule bit-identity over the picks: {}\n",
-            if self.opt_bit_identical { "yes" } else { "NO" }
+            "replay bit-identity over the picks: {}\n",
+            if self.picks_bit_identical {
+                "yes"
+            } else {
+                "NO"
+            }
         );
         out
     }
@@ -690,11 +687,9 @@ impl Artifact for TuneReport {
     /// The CI gate: empty when every certificate holds.
     fn gate_errors(&self) -> Vec<String> {
         let mut errors = Vec::new();
-        if !self.opt_bit_identical {
+        if !self.picks_bit_identical {
             errors.push(
-                "a picked configuration failed the optimized-schedule bit-identity \
-                 certificate"
-                    .to_string(),
+                "a picked configuration failed the replay bit-identity certificate".to_string(),
             );
         }
         if self.frontier_labels().is_empty() {
@@ -765,7 +760,7 @@ mod tests {
         let errors = report.gate_errors();
         assert!(errors.is_empty(), "gate failed: {errors:?}");
         assert_eq!(report.points.len(), 18);
-        assert!(report.opt_bit_identical);
+        assert!(report.picks_bit_identical);
         // Capacity sizing: at a fixed side and protection the smaller
         // feasible capacity pair dominates the larger one (same cycles
         // and energy, less area), so only nb64k/sb128k survives.
@@ -784,7 +779,7 @@ mod tests {
             "\"scenario\"",
             "\"grid_points\"",
             "\"fully_feasible\"",
-            "\"opt_bit_identical\"",
+            "\"picks_bit_identical\"",
             "\"points\"",
             "\"frontier\"",
             "\"picks\"",

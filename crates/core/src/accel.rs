@@ -1,4 +1,11 @@
 //! The top-level accelerator: compile, load, execute, report.
+//!
+//! [`Accelerator::prepare`] performs every input-independent stage once:
+//! the capacity check, compilation, the banked synapse-store image, the
+//! recorded micro-op schedule ([`crate::NetworkSchedule`]) and the
+//! schedule optimizer's cost report ([`crate::opt`]). A [`Session`]
+//! borrows the resulting [`PreparedNetwork`] and replays its recorded
+//! schedule (or live-decodes every layer with replay off).
 
 use crate::alu::Alu;
 use crate::buffer::{
@@ -265,7 +272,6 @@ impl Accelerator {
             layer_instruction_counts,
             layer_labels,
             schedule: Arc::new(NetworkSchedule::empty()),
-            opt_schedule: Arc::new(NetworkSchedule::empty()),
             opt_report: crate::opt::OptReport::default(),
         };
         // Record the precompiled micro-op schedule: one instrumented run
@@ -284,19 +290,15 @@ impl Accelerator {
                 .expect("the recording run does not detach the recorder")
                 .into_schedule()
         };
-        // Optimize the recorded schedule once (every pass on); sessions
-        // replay the verbatim recording by default and opt in to the
-        // optimized stream via `Session::set_optimized_replay`.
-        let (opt_schedule, opt_report) = crate::opt::optimize(
+        // Price the optimizer's passes over the recording once; sessions
+        // always replay the recording itself.
+        prepared.opt_report = crate::opt::optimize(
             &schedule,
             &prepared.network,
             &prepared.config,
             &prepared.energy_model,
-            &crate::opt::OptConfig::default(),
         );
         prepared.schedule = Arc::new(schedule);
-        prepared.opt_schedule = Arc::new(opt_schedule);
-        prepared.opt_report = opt_report;
         Ok(prepared)
     }
 
@@ -372,15 +374,11 @@ pub struct PreparedNetwork {
     store: SynapseStore,
     layer_instruction_counts: Vec<usize>,
     layer_labels: Vec<String>,
-    /// The precompiled micro-op schedule, shared (`Arc`) by every
-    /// session — per-tenant control state is paid for once, not per
-    /// session.
+    /// The precompiled micro-op schedule, read by every session through
+    /// its `&PreparedNetwork` — per-tenant control state is paid for
+    /// once, not per session (and shared by clones of the network).
     schedule: Arc<NetworkSchedule>,
-    /// The optimizer's rewrite of `schedule` (all passes of
-    /// [`crate::opt::OptConfig::default`]), built once at prepare time;
-    /// sessions swap it in via [`Session::set_optimized_replay`].
-    opt_schedule: Arc<NetworkSchedule>,
-    /// What the optimizer eliminated building `opt_schedule`.
+    /// What the optimizer's passes would save on `schedule`.
     opt_report: crate::opt::OptReport,
 }
 
@@ -411,38 +409,16 @@ impl PreparedNetwork {
     }
 
     /// The precompiled micro-op schedule (the `Arc` is exposed so
-    /// callers can verify sharing: every open session holds one clone).
+    /// callers can verify sharing: sessions borrow it through the
+    /// prepared network, so opening one adds no clone).
     pub fn schedule(&self) -> &Arc<NetworkSchedule> {
         &self.schedule
     }
 
-    /// The optimizer's rewrite of the recorded schedule (all default
-    /// passes), shared by every session that opts in via
-    /// [`Session::set_optimized_replay`].
-    pub fn optimized_schedule(&self) -> &Arc<NetworkSchedule> {
-        &self.opt_schedule
-    }
-
-    /// Per-pass elimination counters from building the optimized
-    /// schedule.
+    /// Per-pass elimination counters the optimizer's cost model priced
+    /// over the recorded schedule at prepare time.
     pub fn optimizer_report(&self) -> &crate::opt::OptReport {
         &self.opt_report
-    }
-
-    /// Rebuilds the optimized schedule with an explicit pass subset
-    /// (the default is every pass on) — how tests and benches exercise
-    /// individual passes. Sessions opened afterwards see the new
-    /// schedule; already-open sessions keep their `Arc` clone.
-    pub fn reoptimize(&mut self, opt: &crate::opt::OptConfig) {
-        let (sched, report) = crate::opt::optimize(
-            &self.schedule,
-            &self.network,
-            &self.config,
-            &self.energy_model,
-            opt,
-        );
-        self.opt_schedule = Arc::new(sched);
-        self.opt_report = report;
     }
 
     /// Opens a [`Session`]: NBin/NBout, SB, IB, the PE mesh, and the ALU
@@ -468,7 +444,6 @@ impl PreparedNetwork {
         nfu.set_stuck_faults(|x, y| plan.pe_stuck(x, y));
         Session {
             prepared: self,
-            schedule: Arc::clone(&self.schedule),
             nbin: NeuronBuffer::new(cfg.pe_cols, cfg.pe_rows, cfg.nbin_bytes),
             nbout: NeuronBuffer::new(cfg.pe_cols, cfg.pe_rows, cfg.nbout_bytes),
             sb,
@@ -480,20 +455,11 @@ impl PreparedNetwork {
             stats: RunStats::new(),
             last_cycles: 0,
             replay_enabled: true,
-            optimized: false,
             overlays: Vec::new(),
             overlays_valid: false,
             pending_delta_bytes: None,
             recorder: None,
         }
-    }
-
-    /// Whether the optimizer's `delta_load` pass armed the Load phase
-    /// for cross-frame NBin residency ([`Session::infer_delta`]). On by
-    /// default; [`PreparedNetwork::reoptimize`] with
-    /// [`crate::OptConfig::none`] disarms it.
-    pub fn delta_load_capable(&self) -> bool {
-        self.opt_report.delta_load
     }
 }
 
@@ -595,11 +561,9 @@ impl DeltaLoad {
 /// allocations** (asserted by the benchmark harness's counting
 /// allocator).
 pub struct Session<'p> {
+    /// Holds the decoded control state (the schedule) every session of
+    /// the network shares instead of re-deriving or copying it.
     prepared: &'p PreparedNetwork,
-    /// One `Arc` clone of the prepared network's schedule: sessions
-    /// share the decoded control state instead of re-deriving (or
-    /// copying) it.
-    schedule: Arc<NetworkSchedule>,
     nbin: NeuronBuffer,
     nbout: NeuronBuffer,
     sb: SynapseBuffer,
@@ -613,10 +577,6 @@ pub struct Session<'p> {
     /// Schedule replay on/off (on by default; benches flip it off to
     /// measure live decode).
     replay_enabled: bool,
-    /// Whether `schedule` currently points at the prepared network's
-    /// optimizer-rewritten stream (off by default — the verbatim
-    /// recording is the frozen-baseline path).
-    optimized: bool,
     /// Per-layer fault overlays, resolved lazily from the schedule the
     /// first faulted run after a plan change, then reused run after run.
     overlays: Vec<LayerOverlay>,
@@ -657,30 +617,6 @@ impl<'p> Session<'p> {
     /// Whether schedule replay is enabled.
     pub fn schedule_replay(&self) -> bool {
         self.replay_enabled
-    }
-
-    /// Switches the session between the verbatim recording (default)
-    /// and the optimizer-rewritten schedule ([`crate::opt`]). Outputs
-    /// are bit-identical either way; the optimized stream replays
-    /// faster, models strictly fewer cycles, and charges less energy.
-    /// Fault overlays are resolved against a specific schedule, so
-    /// switching invalidates them (the next faulted run rebuilds).
-    pub fn set_optimized_replay(&mut self, enabled: bool) {
-        if self.optimized == enabled {
-            return;
-        }
-        self.optimized = enabled;
-        self.schedule = if enabled {
-            Arc::clone(&self.prepared.opt_schedule)
-        } else {
-            Arc::clone(&self.prepared.schedule)
-        };
-        self.overlays_valid = false;
-    }
-
-    /// Whether the session replays the optimized schedule.
-    pub fn optimized_replay(&self) -> bool {
-        self.optimized
     }
 
     /// The fault plan in force.
@@ -786,11 +722,6 @@ impl<'p> Session<'p> {
     /// construction (see [`NbResidency`] for why), and `residency` is
     /// updated to describe `input` either way.
     ///
-    /// Requires the prepared network's optimizer to have the
-    /// `delta_load` pass armed ([`crate::OptConfig`], on by default);
-    /// with the pass off, the run cold-loads and the report shows every
-    /// row streamed.
-    ///
     /// # Errors
     ///
     /// Exactly [`Session::infer`]'s.
@@ -821,8 +752,8 @@ impl<'p> Session<'p> {
     }
 
     /// Hashes `input`'s rows against `residency`, updates the resident
-    /// state, and (when the `delta_load` pass is armed) stages the
-    /// dirty-byte count for the next run's Load phase.
+    /// state, and stages the dirty-byte count for the next run's Load
+    /// phase.
     fn stage_delta(&mut self, input: &MapStack<Fx>, residency: &mut NbResidency) -> DeltaLoad {
         let maps = input.len();
         let (w, h) = (input.width(), input.height());
@@ -846,22 +777,13 @@ impl<'p> Session<'p> {
                 }
             }
         }
-        let delta = DeltaLoad {
+        let bytes_streamed = streamed as u64 * (w * 2) as u64;
+        self.pending_delta_bytes = Some(bytes_streamed);
+        DeltaLoad {
             rows_total,
             rows_streamed: streamed,
-            bytes_streamed: streamed as u64 * (w * 2) as u64,
+            bytes_streamed,
             bytes_total,
-        };
-        if self.prepared.opt_report.delta_load {
-            self.pending_delta_bytes = Some(delta.bytes_streamed);
-            delta
-        } else {
-            // Pass disarmed: the run cold-loads; report it honestly.
-            DeltaLoad {
-                rows_streamed: rows_total,
-                bytes_streamed: bytes_total,
-                ..delta
-            }
         }
     }
 
@@ -871,12 +793,13 @@ impl<'p> Session<'p> {
     /// corrupt values inside the propagation network in ways the
     /// precompiled stream does not model, and the recording run itself
     /// must live-decode.
-    fn replay_schedule(&self) -> Option<Arc<NetworkSchedule>> {
+    fn replay_schedule(&self) -> Option<&'p NetworkSchedule> {
+        let schedule: &'p NetworkSchedule = &self.prepared.schedule;
         let replay = self.replay_enabled
             && self.recorder.is_none()
             && !self.nfu.any_stuck()
-            && self.schedule.layer_count() == self.prepared.network.layers().len();
-        replay.then(|| Arc::clone(&self.schedule))
+            && schedule.layer_count() == self.prepared.network.layers().len();
+        replay.then_some(schedule)
     }
 
     /// The cycle-by-cycle inference loop shared by `run`, `infer`, and
@@ -922,7 +845,7 @@ impl<'p> Session<'p> {
         self.nfu.reset();
         let mut hfsm = Hfsm::new();
         let schedule = self.replay_schedule();
-        if let Some(sched) = schedule.as_deref() {
+        if let Some(sched) = schedule {
             if self.faults.active() && !self.overlays_valid {
                 // Resolve the plan against the schedule once; every
                 // subsequent run under this plan reuses the overlays.
@@ -972,7 +895,7 @@ impl<'p> Session<'p> {
                     .filter_word(FaultSite::Ib, i + 1, [f as u64, 0, 0])?;
             }
             let replay = layer_replay(
-                schedule.as_deref(),
+                schedule,
                 &self.overlays,
                 i,
                 &mut self.nbin,
@@ -1126,11 +1049,6 @@ impl Inference {
         self.output.flatten()
     }
 
-    /// Consumes the result, returning the output stack.
-    pub fn into_output(self) -> MapStack<Fx> {
-        self.output
-    }
-
     /// Execution statistics.
     pub fn stats(&self) -> &RunStats {
         &self.stats
@@ -1238,18 +1156,6 @@ impl RunOutcome {
     /// Energy charged by the accelerator's model.
     pub fn energy(&self) -> &EnergyReport {
         &self.energy
-    }
-
-    /// Per-layer energy breakdown (same order as
-    /// [`RunStats::layers`](crate::RunStats::layers), Load phase first),
-    /// charged with the same model as [`RunOutcome::energy`] — the one
-    /// the accelerator was configured with.
-    pub fn layer_energies(&self) -> Vec<EnergyReport> {
-        self.stats
-            .layers()
-            .iter()
-            .map(|l| self.energy_model.charge(l))
-            .collect()
     }
 
     /// The energy model this run was charged with.

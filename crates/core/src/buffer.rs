@@ -342,26 +342,6 @@ impl NeuronBuffer {
         Ok(())
     }
 
-    /// Mode (a)/(b)/(e) tile read returning a fresh `Vec` (thin wrapper
-    /// over [`NeuronBuffer::read_tile_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyBufferError`] if the buffer holds no input layer.
-    pub fn read_tile(
-        &self,
-        map: usize,
-        origin: (usize, usize),
-        dims: (usize, usize),
-        stride: (usize, usize),
-        stats: &mut LayerStats,
-    ) -> Result<Vec<Fx>, EmptyBufferError> {
-        let mut scratch = ReadScratch::default();
-        let mut out = Vec::new();
-        self.read_tile_into(map, origin, dims, stride, stats, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
     /// Mode (c): read up to `Px` neurons of one row from a single bank
     /// into `out` (cleared first).
     ///
@@ -407,26 +387,6 @@ impl NeuronBuffer {
         Ok(())
     }
 
-    /// Mode (c) row read returning a fresh `Vec` (thin wrapper over
-    /// [`NeuronBuffer::read_row_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyBufferError`] if the buffer holds no input layer.
-    pub fn read_row(
-        &self,
-        map: usize,
-        origin: (usize, usize),
-        n: usize,
-        sx: usize,
-        stats: &mut LayerStats,
-    ) -> Result<Vec<Fx>, EmptyBufferError> {
-        let mut scratch = ReadScratch::default();
-        let mut out = Vec::new();
-        self.read_row_into(map, origin, n, sx, stats, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
     /// Mode (f): read one neuron per bank — a column of up to `Py`
     /// neurons — into `out` (cleared first).
     ///
@@ -465,26 +425,6 @@ impl NeuronBuffer {
             out.push(fm[(x0, y0 + j * sy)]);
         }
         Ok(())
-    }
-
-    /// Mode (f) column read returning a fresh `Vec` (thin wrapper over
-    /// [`NeuronBuffer::read_col_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyBufferError`] if the buffer holds no input layer.
-    pub fn read_col(
-        &self,
-        map: usize,
-        origin: (usize, usize),
-        n: usize,
-        sy: usize,
-        stats: &mut LayerStats,
-    ) -> Result<Vec<Fx>, EmptyBufferError> {
-        let mut scratch = ReadScratch::default();
-        let mut out = Vec::new();
-        self.read_col_into(map, origin, n, sy, stats, &mut scratch, &mut out)?;
-        Ok(out)
     }
 
     /// Mode (d): read a single neuron by flat (map-major, row-major) index
@@ -527,24 +467,6 @@ impl NeuronBuffer {
             out.push(fm[(x, y)]);
         }
         Ok(())
-    }
-
-    /// Mode (e) gather read returning a fresh `Vec` (thin wrapper over
-    /// [`NeuronBuffer::read_gather_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmptyBufferError`] if the buffer holds no input layer.
-    pub fn read_gather(
-        &self,
-        map: usize,
-        coords: &[(usize, usize)],
-        stats: &mut LayerStats,
-    ) -> Result<Vec<Fx>, EmptyBufferError> {
-        let mut scratch = ReadScratch::default();
-        let mut out = Vec::new();
-        self.read_gather_into(map, coords, stats, &mut scratch, &mut out)?;
-        Ok(out)
     }
 
     /// Starts collecting a new output layer of `count` maps of `w × h`,
@@ -826,11 +748,20 @@ mod tests {
         assert_eq!(nb.contents().unwrap(), &replacement);
     }
 
+    /// Runs one `*_into` read against a fresh scratch and output vector.
+    fn fresh(
+        read: impl FnOnce(&mut ReadScratch, &mut Vec<Fx>) -> Result<(), EmptyBufferError>,
+    ) -> Result<Vec<Fx>, EmptyBufferError> {
+        let mut out = Vec::new();
+        read(&mut ReadScratch::default(), &mut out).map(|()| out)
+    }
+
     #[test]
     fn tile_read_is_row_major_and_counted() {
         let nb = nb();
         let mut s = LayerStats::new("t");
-        let tile = nb.read_tile(0, (1, 1), (2, 2), (1, 1), &mut s).unwrap();
+        let tile =
+            fresh(|sc, o| nb.read_tile_into(0, (1, 1), (2, 2), (1, 1), &mut s, sc, o)).unwrap();
         assert_eq!(
             tile,
             vec![
@@ -848,9 +779,11 @@ mod tests {
     fn tile_mode_depends_on_group_and_stride() {
         let nb = nb();
         let mut s = LayerStats::new("t");
-        nb.read_tile(0, (2, 0), (2, 2), (1, 1), &mut s).unwrap(); // x0=2, px=2 → group 1
+        // x0=2, px=2 → group 1
+        fresh(|sc, o| nb.read_tile_into(0, (2, 0), (2, 2), (1, 1), &mut s, sc, o)).unwrap();
         assert_eq!(s.reads_by_mode[ReadMode::B as usize], 1);
-        nb.read_tile(0, (0, 0), (2, 2), (2, 2), &mut s).unwrap(); // strided
+        // strided
+        fresh(|sc, o| nb.read_tile_into(0, (0, 0), (2, 2), (2, 2), &mut s, sc, o)).unwrap();
         assert_eq!(s.reads_by_mode[ReadMode::E as usize], 1);
     }
 
@@ -858,7 +791,8 @@ mod tests {
     fn strided_tile_gathers_correctly() {
         let nb = nb();
         let mut s = LayerStats::new("t");
-        let tile = nb.read_tile(0, (0, 0), (2, 2), (2, 2), &mut s).unwrap();
+        let tile =
+            fresh(|sc, o| nb.read_tile_into(0, (0, 0), (2, 2), (2, 2), &mut s, sc, o)).unwrap();
         assert_eq!(
             tile,
             vec![
@@ -874,9 +808,9 @@ mod tests {
     fn row_and_col_reads() {
         let nb = nb();
         let mut s = LayerStats::new("t");
-        let row = nb.read_row(1, (0, 2), 2, 1, &mut s).unwrap();
+        let row = fresh(|sc, o| nb.read_row_into(1, (0, 2), 2, 1, &mut s, sc, o)).unwrap();
         assert_eq!(row, vec![Fx::from_int(0), Fx::from_int(1)]); // 120%60, 121%60
-        let col = nb.read_col(0, (3, 0), 2, 1, &mut s).unwrap();
+        let col = fresh(|sc, o| nb.read_col_into(0, (3, 0), 2, 1, &mut s, sc, o)).unwrap();
         assert_eq!(col, vec![Fx::from_int(3), Fx::from_int(13)]);
         assert_eq!(s.reads_by_mode[ReadMode::C as usize], 1);
         assert_eq!(s.reads_by_mode[ReadMode::F as usize], 1);
@@ -888,7 +822,7 @@ mod tests {
     fn row_read_bounded_by_bank_width() {
         let nb = nb();
         let mut s = LayerStats::new("t");
-        let _ = nb.read_row(0, (0, 0), 3, 1, &mut s);
+        let _ = fresh(|sc, o| nb.read_row_into(0, (0, 0), 3, 1, &mut s, sc, o));
     }
 
     #[test]
@@ -905,67 +839,63 @@ mod tests {
     fn gather_counts_one_access() {
         let nb = nb();
         let mut s = LayerStats::new("t");
-        let vals = nb.read_gather(0, &[(0, 0), (3, 3)], &mut s).unwrap();
+        let vals = fresh(|sc, o| nb.read_gather_into(0, &[(0, 0), (3, 3)], &mut s, sc, o)).unwrap();
         assert_eq!(vals, vec![Fx::from_int(0), Fx::from_int(33)]);
         assert_eq!(s.nbin.read_accesses, 1);
         assert_eq!(s.nbin.read_bytes, 4);
     }
 
     #[test]
-    fn into_reads_match_vec_reads() {
+    fn into_reads_match_direct_indexing() {
         let nb = nb();
-        let mut s1 = LayerStats::new("vec");
-        let mut s2 = LayerStats::new("vec");
+        let stack = stack_4x4();
+        let at = |m: usize, coords: &[(usize, usize)]| -> Vec<Fx> {
+            coords.iter().map(|&(x, y)| stack[m][(x, y)]).collect()
+        };
+        let mut s = LayerStats::new("t");
         let mut scratch = ReadScratch::default();
         let mut out = Vec::new();
 
-        let want = nb.read_tile(0, (0, 1), (2, 3), (1, 1), &mut s1).unwrap();
-        nb.read_tile_into(0, (0, 1), (2, 3), (1, 1), &mut s2, &mut scratch, &mut out)
+        nb.read_tile_into(0, (0, 1), (2, 3), (1, 1), &mut s, &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out, want);
+        assert_eq!(
+            out,
+            at(0, &[(0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        );
 
-        let want = nb.read_tile(1, (0, 0), (2, 2), (2, 1), &mut s1).unwrap();
-        nb.read_tile_into(1, (0, 0), (2, 2), (2, 1), &mut s2, &mut scratch, &mut out)
+        nb.read_tile_into(1, (0, 0), (2, 2), (2, 1), &mut s, &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out, want);
+        assert_eq!(out, at(1, &[(0, 0), (2, 0), (0, 1), (2, 1)]));
 
-        let want = nb.read_row(0, (1, 2), 2, 1, &mut s1).unwrap();
-        nb.read_row_into(0, (1, 2), 2, 1, &mut s2, &mut scratch, &mut out)
+        nb.read_row_into(0, (1, 2), 2, 1, &mut s, &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out, want);
+        assert_eq!(out, at(0, &[(1, 2), (2, 2)]));
 
-        let want = nb.read_col(1, (2, 0), 2, 2, &mut s1).unwrap();
-        nb.read_col_into(1, (2, 0), 2, 2, &mut s2, &mut scratch, &mut out)
+        nb.read_col_into(1, (2, 0), 2, 2, &mut s, &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out, want);
+        assert_eq!(out, at(1, &[(2, 0), (2, 2)]));
 
         let coords = [(0, 0), (2, 1), (2, 1), (3, 3)];
-        let want = nb.read_gather(0, &coords, &mut s1).unwrap();
-        nb.read_gather_into(0, &coords, &mut s2, &mut scratch, &mut out)
+        nb.read_gather_into(0, &coords, &mut s, &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out, want);
-        assert_eq!(s1, s2);
+        assert_eq!(out, at(0, &coords));
     }
 
     #[test]
     fn into_reads_meter_identically() {
+        // A scratch reused across reads meters exactly like fresh ones.
         let nb = nb();
         let mut s1 = LayerStats::new("t");
         let mut s2 = LayerStats::new("t");
         let mut scratch = ReadScratch::default();
         let mut out = Vec::new();
-        let _ = nb.read_tile(0, (1, 0), (2, 4), (1, 1), &mut s1).unwrap();
-        let _ = nb.read_gather(0, &[(0, 0), (0, 1), (2, 0)], &mut s1);
+        let coords = [(0, 0), (0, 1), (2, 0)];
+        fresh(|sc, o| nb.read_tile_into(0, (1, 0), (2, 4), (1, 1), &mut s1, sc, o)).unwrap();
+        fresh(|sc, o| nb.read_gather_into(0, &coords, &mut s1, sc, o)).unwrap();
         nb.read_tile_into(0, (1, 0), (2, 4), (1, 1), &mut s2, &mut scratch, &mut out)
             .unwrap();
-        nb.read_gather_into(
-            0,
-            &[(0, 0), (0, 1), (2, 0)],
-            &mut s2,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap();
+        nb.read_gather_into(0, &coords, &mut s2, &mut scratch, &mut out)
+            .unwrap();
         assert_eq!(s1, s2);
         assert_ne!(s1.bank_conflict_cycles, 0);
     }
@@ -1048,12 +978,13 @@ mod tests {
     fn reads_before_load_are_typed_errors() {
         let nb = NeuronBuffer::new(2, 2, 4096);
         let mut s = LayerStats::new("t");
-        let err = nb.read_tile(0, (0, 0), (2, 2), (1, 1), &mut s).unwrap_err();
+        let err =
+            fresh(|sc, o| nb.read_tile_into(0, (0, 0), (2, 2), (1, 1), &mut s, sc, o)).unwrap_err();
         assert!(err.to_string().contains("empty"), "{err}");
-        assert!(nb.read_row(0, (0, 0), 2, 1, &mut s).is_err());
-        assert!(nb.read_col(0, (0, 0), 2, 1, &mut s).is_err());
+        assert!(fresh(|sc, o| nb.read_row_into(0, (0, 0), 2, 1, &mut s, sc, o)).is_err());
+        assert!(fresh(|sc, o| nb.read_col_into(0, (0, 0), 2, 1, &mut s, sc, o)).is_err());
         assert!(nb.read_single(0, &mut s).is_err());
-        assert!(nb.read_gather(0, &[(0, 0)], &mut s).is_err());
+        assert!(fresh(|sc, o| nb.read_gather_into(0, &[(0, 0)], &mut s, sc, o)).is_err());
         // No access was metered for a failed read.
         assert_eq!(s.nbin.read_bytes, 0);
     }

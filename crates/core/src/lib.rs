@@ -77,7 +77,7 @@ pub use config::{AcceleratorConfig, ConfigError};
 pub use energy::{EnergyModel, EnergyReport, WeightPrecision};
 pub use hfsm::{FirstState, Hfsm, SecondState, TransitionError};
 pub use nfu::Nfu;
-pub use opt::{OptConfig, OptReport};
+pub use opt::OptReport;
 pub use pe::{PeMut, PeRef};
 pub use sb::SynapseStore;
 pub use schedule::{LayerSchedule, NetworkSchedule};

@@ -1,25 +1,21 @@
-//! The schedule optimizer: post-processes a recorded
-//! [`NetworkSchedule`] with validated, per-pass-toggleable passes that
-//! shrink the replay stream and re-cost the modeled cycles/energy —
-//! without changing a single output bit (DESIGN.md §3i).
+//! The schedule optimizer: a prepare-time cost model over a recorded
+//! [`NetworkSchedule`]. Four passes price what the recorded control
+//! stream would cost with its slack reclaimed, and the prepared network
+//! keeps only the resulting [`OptReport`] (DESIGN.md §3i). Sessions
+//! always replay the recording, so the optimizer changes no output, no
+//! run statistic and no fault decision.
 //!
 //! The recording in [`crate::schedule`] is a *verbatim* transcript of
 //! the live HFSM decode: every NB word delivery, every SB broadcast,
 //! every per-block drain cycle. The live decoder is deliberately naive
 //! (it mirrors the paper's control path), so the transcript carries
-//! slack a post-pass can reclaim:
+//! slack a post-pass can price:
 //!
 //! * **`nb_dedup`** — redundant NB delivery elimination. Overlapping
 //!   windows re-read the same NBin word up to `kx·ky` times; the
 //!   inter-PE FIFOs exist precisely so re-reads can be served from
-//!   PE-side registers. The pass clamps every [`ReadRec`] multiplicity
-//!   to 1 and removes the re-delivered bytes from `nbin.read_bytes`.
-//!   Legal: fault decisions are pure in `(seed, site, layer, address)`,
-//!   so the patch/abort *sets* a plan resolves against the schedule are
-//!   functions of the unique address set alone — identical before and
-//!   after. Only the fault-*counter* deltas scale down with the
-//!   multiplicities, exactly matching a datapath that physically reads
-//!   each word once.
+//!   PE-side registers. The pass charges every recorded `ReadRec`
+//!   once and removes the re-delivered bytes from `nbin.read_bytes`.
 //! * **`mode_select`** — NB read-mode re-selection. The recorded
 //!   request mix is whatever the decoder happened to issue; the pass
 //!   re-covers the layer's unique address set with the cheapest legal
@@ -45,84 +41,28 @@
 //!   — but only when the recorded peaks fit the layer's §5.1 sizing
 //!   bound (the window extent), which is what makes the overlap legal.
 //!
-//! Every pass only ever *decreases* counters (each is clamped to the
-//! recording when its re-cover would not win), and the energy model is
-//! linear with positive coefficients in bytes/accesses/cycles/slots, so
-//! optimized modeled energy never increases either. Outputs are
-//! untouched by construction: the passes rewrite *costs and the fault
-//! filter's multiplicities*, never the value-producing arithmetic — an
-//! optimized schedule replays through the same bodies as the recording
-//! (`exec/replay.rs`), which the multi-path bit-identity certificate
-//! checks end to end.
+//! Every pass only ever *decreases* a scratch copy of the layer's
+//! counters (each is clamped to the recording when its re-cover would
+//! not win), and the energy model is linear with positive coefficients
+//! in bytes/accesses/cycles/slots, so the priced energy never exceeds
+//! the recording's either.
 
 use crate::config::AcceleratorConfig;
 use crate::energy::EnergyModel;
 use crate::schedule::{LayerSchedule, NetworkSchedule};
-use crate::stats::ReadMode;
+use crate::stats::{LayerStats, ReadMode};
 use shidiannao_cnn::{Layer, LayerBody, Network};
 use std::collections::HashMap;
 
-/// Per-pass toggles for [`optimize`]. All passes default to on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptConfig {
-    /// Clamp redundant NB word deliveries (served from PE-side state).
-    pub nb_dedup: bool,
-    /// Re-cover NB address sets with the cheapest read-mode mix.
-    pub mode_select: bool,
-    /// Deduplicate + burst-coalesce adjacent SB requests.
-    pub sb_coalesce: bool,
-    /// Fold per-block drain cycles into the next block's fill.
-    pub fifo_fold: bool,
-    /// Arm the Load phase for cross-frame delta loading: sessions over
-    /// this prepared network may replace the recorded full-input stream
-    /// with a delta of only dirty input rows against caller-held
-    /// [`NbResidency`](crate::NbResidency) state
-    /// ([`Session::infer_delta`](crate::Session::infer_delta)). Unlike
-    /// the four schedule-rewrite passes this one touches no recorded
-    /// layer — the Load phase is synthesized, not recorded — so it does
-    /// not count toward [`OptConfig::any`].
-    pub delta_load: bool,
-}
-
-impl Default for OptConfig {
-    fn default() -> OptConfig {
-        OptConfig {
-            nb_dedup: true,
-            mode_select: true,
-            sb_coalesce: true,
-            fifo_fold: true,
-            delta_load: true,
-        }
-    }
-}
-
-impl OptConfig {
-    /// Every pass disabled — `optimize` returns a verbatim copy.
-    pub fn none() -> OptConfig {
-        OptConfig {
-            nb_dedup: false,
-            mode_select: false,
-            sb_coalesce: false,
-            fifo_fold: false,
-            delta_load: false,
-        }
-    }
-
-    /// `true` when at least one schedule-rewrite pass is enabled
-    /// (`delta_load` is a load-phase capability, not a rewrite).
-    pub fn any(&self) -> bool {
-        self.nb_dedup || self.mode_select || self.sb_coalesce || self.fifo_fold
-    }
-}
-
-/// What the optimizer did to a schedule: per-pass elimination counters
-/// plus the modeled-cost deltas, summed over every replayable layer.
+/// What the optimizer's passes would save on a recorded schedule:
+/// per-pass elimination counters plus the modeled-cost deltas, summed
+/// over every replayable layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OptReport {
     /// Redundant NB word deliveries eliminated (`nb_dedup`: Σ mult−1).
     pub nb_reads_eliminated: u64,
     /// NB read requests removed by re-covering with cheaper modes
-    /// (`mode_select`: recorded accesses − optimized accesses).
+    /// (`mode_select`: recorded accesses − re-covered accesses).
     pub nb_modes_reselected: u64,
     /// SB bytes removed by dedup (`sb_coalesce`).
     pub sb_bytes_coalesced: u64,
@@ -135,104 +75,66 @@ pub struct OptReport {
     pub energy_saved_nj: f64,
     /// Replayable layers any pass changed.
     pub layers_optimized: usize,
-    /// The `delta_load` pass armed the Load phase for cross-frame NBin
-    /// residency (its savings accrue per run, in the sessions'
-    /// [`DeltaLoad`](crate::DeltaLoad) reports, not here).
-    pub delta_load: bool,
 }
 
-impl OptReport {
-    /// Total accesses eliminated across all passes (the headline the
-    /// bench summary line prints).
-    pub fn accesses_eliminated(&self) -> u64 {
-        self.nb_reads_eliminated + self.nb_modes_reselected + self.sb_accesses_coalesced
-    }
-}
-
-/// Optimizes a recorded schedule. Non-replayable layers (which
-/// live-decode every run) are copied verbatim; each enabled pass rewrites
-/// the replayable layers' cost model and replay stream as documented on
-/// [the module](self), never their outputs.
+/// Prices every pass over a recorded schedule. Non-replayable layers
+/// (which live-decode every run) are skipped; each replayable layer's
+/// counters are re-costed on a scratch copy as documented on
+/// [the module](self), and only the savings are kept.
 pub fn optimize(
     recorded: &NetworkSchedule,
     network: &Network,
     cfg: &AcceleratorConfig,
     model: &EnergyModel,
-    opt: &OptConfig,
-) -> (NetworkSchedule, OptReport) {
-    let mut report = OptReport {
-        delta_load: opt.delta_load,
-        ..OptReport::default()
-    };
-    let layers = recorded
-        .layers()
-        .iter()
-        .zip(network.layers())
-        .map(|(sched, layer)| optimize_layer(sched, layer, cfg, model, opt, &mut report))
-        .collect();
-    (NetworkSchedule::from_layers(layers), report)
+) -> OptReport {
+    let mut report = OptReport::default();
+    for (sched, layer) in recorded.layers().iter().zip(network.layers()) {
+        if !sched.replayable() {
+            continue;
+        }
+        let mut stats = sched.stats.clone();
+        nb_dedup(sched, &mut stats, &mut report);
+        mode_select(sched, &mut stats, cfg, &mut report);
+        sb_coalesce(sched, &mut stats, cfg, &mut report);
+        fifo_fold(&mut stats, layer, cfg, &mut report);
+        if stats != sched.stats {
+            report.layers_optimized += 1;
+            report.energy_saved_nj +=
+                model.charge(&sched.stats).total_nj() - model.charge(&stats).total_nj();
+        }
+    }
+    report
 }
 
-fn optimize_layer(
-    sched: &LayerSchedule,
-    layer: &Layer,
-    cfg: &AcceleratorConfig,
-    model: &EnergyModel,
-    opt: &OptConfig,
-    report: &mut OptReport,
-) -> LayerSchedule {
-    if !sched.replayable() || !opt.any() {
-        return sched.clone();
-    }
-    let mut out = sched.clone();
-    if opt.nb_dedup {
-        nb_dedup(&mut out, report);
-    }
-    if opt.mode_select {
-        mode_select(&mut out, cfg, report);
-    }
-    if opt.sb_coalesce {
-        sb_coalesce(&mut out, cfg, report);
-    }
-    if opt.fifo_fold {
-        fifo_fold(&mut out, layer, cfg, report);
-    }
-    if out.stats != sched.stats {
-        report.layers_optimized += 1;
-        report.energy_saved_nj +=
-            model.charge(&sched.stats).total_nj() - model.charge(&out.stats).total_nj();
-    }
-    out
-}
-
-/// Pass 1: clamp every NB word's delivery multiplicity to one.
-fn nb_dedup(out: &mut LayerSchedule, report: &mut OptReport) {
-    let mut redundant: u64 = 0;
-    for r in &mut out.nb_reads {
-        redundant += (r.mult - 1) as u64;
-        r.mult = 1;
-    }
+/// Pass 1: charge every NB word's delivery once.
+fn nb_dedup(sched: &LayerSchedule, stats: &mut LayerStats, report: &mut OptReport) {
+    let redundant: u64 = sched.nb_reads.iter().map(|r| (r.mult - 1) as u64).sum();
     if redundant > 0 {
         // Every delivery moved one 16-bit word; the recording charged
         // each of them (the recorder listens on the per-word filter).
-        out.stats.nbin.read_bytes = out.stats.nbin.read_bytes.saturating_sub(2 * redundant);
+        stats.nbin.read_bytes = stats.nbin.read_bytes.saturating_sub(2 * redundant);
         report.nb_reads_eliminated += redundant;
     }
 }
 
 /// Pass 2: re-cover the unique NB address set with the cheapest request
 /// mix, clamped to the recording when the re-cover would not win.
-fn mode_select(out: &mut LayerSchedule, cfg: &AcceleratorConfig, report: &mut OptReport) {
-    let recorded = out.stats.nbin.read_accesses;
-    if recorded == 0 || out.nb_reads.is_empty() {
+fn mode_select(
+    sched: &LayerSchedule,
+    stats: &mut LayerStats,
+    cfg: &AcceleratorConfig,
+    report: &mut OptReport,
+) {
+    let recorded = stats.nbin.read_accesses;
+    if recorded == 0 || sched.nb_reads.is_empty() {
         return;
     }
     let (px, py) = (cfg.pe_cols as u64, cfg.pe_rows as u64);
     let mut mix = [0u64; 6];
-    if out.nb_flat {
+    if sched.nb_flat {
         // Flat (classifier) stream: maximal runs of consecutive flat
         // indices, each covered by mode (c) bursts of up to Px words.
-        let mut flats: Vec<u64> = out.nb_reads.iter().map(|r| r.addr[0]).collect();
+        let mut flats: Vec<u64> = sched.nb_reads.iter().map(|r| r.addr[0]).collect();
         flats.sort_unstable();
         let mut i = 0;
         while i < flats.len() {
@@ -249,7 +151,7 @@ fn mode_select(out: &mut LayerSchedule, cfg: &AcceleratorConfig, report: &mut Op
         // with full Px×Py tile reads; each tile is a mode (a) or (b)
         // request by its origin column's bank-group parity.
         let mut boxes: HashMap<u64, (u64, u64, u64, u64)> = HashMap::new();
-        for r in &out.nb_reads {
+        for r in &sched.nb_reads {
             let (m, x, y) = (r.addr[0], r.addr[1], r.addr[2]);
             let b = boxes.entry(m).or_insert((x, x, y, y));
             b.0 = b.0.min(x);
@@ -269,11 +171,10 @@ fn mode_select(out: &mut LayerSchedule, cfg: &AcceleratorConfig, report: &mut Op
     let total: u64 = mix.iter().sum();
     if total < recorded {
         report.nb_modes_reselected += recorded - total;
-        out.stats.nbin.read_accesses = total;
-        out.stats.reads_by_mode = mix;
+        stats.nbin.read_accesses = total;
+        stats.reads_by_mode = mix;
     }
 }
-
 /// `true` when two sorted SB addresses are burst-adjacent: consecutive
 /// `kx` within one conv kernel row, or consecutive slots within one
 /// classifier weight row. Bias broadcast words (`addr[1] == MAX`) stay
@@ -291,18 +192,20 @@ fn sb_adjacent(a: [u64; 3], b: [u64; 3]) -> bool {
 
 /// Pass 3: fetch each unique SB word once and merge adjacent addresses
 /// into bursts of up to `pe_count` words per request.
-fn sb_coalesce(out: &mut LayerSchedule, cfg: &AcceleratorConfig, report: &mut OptReport) {
-    if out.sb_reads.is_empty() {
+fn sb_coalesce(
+    sched: &LayerSchedule,
+    stats: &mut LayerStats,
+    cfg: &AcceleratorConfig,
+    report: &mut OptReport,
+) {
+    let reads = &sched.sb_reads;
+    if reads.is_empty() {
         return;
     }
-    let mut rebroadcast: u64 = 0;
-    for r in &mut out.sb_reads {
-        rebroadcast += (r.mult - 1) as u64;
-        r.mult = 1;
-    }
+    let rebroadcast: u64 = reads.iter().map(|r| (r.mult - 1) as u64).sum();
     if rebroadcast > 0 {
         let bytes = 2 * rebroadcast;
-        out.stats.sb.read_bytes = out.stats.sb.read_bytes.saturating_sub(bytes);
+        stats.sb.read_bytes = stats.sb.read_bytes.saturating_sub(bytes);
         report.sb_bytes_coalesced += bytes;
     }
     // `sb_reads` is sorted by address (the recorder's invariant), so
@@ -310,27 +213,25 @@ fn sb_coalesce(out: &mut LayerSchedule, cfg: &AcceleratorConfig, report: &mut Op
     let burst = cfg.pe_count() as u64;
     let mut bursts: u64 = 0;
     let mut i = 0;
-    while i < out.sb_reads.len() {
+    while i < reads.len() {
         let start = i;
-        while i + 1 < out.sb_reads.len()
-            && sb_adjacent(out.sb_reads[i].addr, out.sb_reads[i + 1].addr)
-        {
+        while i + 1 < reads.len() && sb_adjacent(reads[i].addr, reads[i + 1].addr) {
             i += 1;
         }
         bursts += ((i - start + 1) as u64).div_ceil(burst);
         i += 1;
     }
-    let recorded = out.stats.sb.read_accesses;
+    let recorded = stats.sb.read_accesses;
     if bursts < recorded {
         report.sb_accesses_coalesced += recorded - bursts;
-        out.stats.sb.read_accesses = bursts;
+        stats.sb.read_accesses = bursts;
     }
 }
 
 /// Pass 4: fold the per-block one-cycle ALU drain into the next block's
 /// first fill cycle, when the recorded FIFO peaks make the overlap legal.
 fn fifo_fold(
-    out: &mut LayerSchedule,
+    stats: &mut LayerStats,
     layer: &Layer,
     cfg: &AcceleratorConfig,
     report: &mut OptReport,
@@ -352,23 +253,20 @@ fn fifo_fold(
         // Non-replayable layer kinds never reach the optimizer passes.
         LayerBody::Lrn(_) | LayerBody::Lcn { .. } => return,
     };
-    if out.stats.fifo_h_peak > bound.0 || out.stats.fifo_v_peak > bound.1 {
+    if stats.fifo_h_peak > bound.0 || stats.fifo_v_peak > bound.1 {
         return;
     }
     let pe = cfg.pe_count() as u64;
-    let idle = out
-        .stats
-        .pe_total_slots
-        .saturating_sub(out.stats.pe_busy_slots);
+    let idle = stats.pe_total_slots.saturating_sub(stats.pe_busy_slots);
     // Clamp to the counters the fold draws down: each folded flush was
     // one all-idle cycle (`pe_count` idle slots), and the layer keeps at
     // least one cycle.
     let folds = (passes.saturating_sub(1) as u64)
-        .min(out.stats.cycles.saturating_sub(1))
+        .min(stats.cycles.saturating_sub(1))
         .min(idle / pe.max(1));
     if folds > 0 {
-        out.stats.cycles -= folds;
-        out.stats.pe_total_slots -= folds * pe;
+        stats.cycles -= folds;
+        stats.pe_total_slots -= folds * pe;
         report.cycles_saved += folds;
     }
 }
@@ -377,7 +275,6 @@ fn fifo_fold(
 mod tests {
     use super::*;
     use crate::schedule::ReadRec;
-    use crate::stats::LayerStats;
 
     fn rec(addr: [u64; 3], mult: u32) -> ReadRec {
         ReadRec { addr, mult }
@@ -408,26 +305,29 @@ mod tests {
 
     #[test]
     fn nb_dedup_clamps_multiplicities_and_bytes() {
-        let mut l = spatial_layer();
+        let l = spatial_layer();
+        let mut stats = l.stats.clone();
         let mut r = OptReport::default();
-        nb_dedup(&mut l, &mut r);
-        assert!(l.nb_reads.iter().all(|x| x.mult == 1));
+        nb_dedup(&l, &mut stats, &mut r);
         assert_eq!(r.nb_reads_eliminated, 64 * 3);
-        assert_eq!(l.stats.nbin.read_bytes, 512 - 2 * 64 * 3);
+        assert_eq!(stats.nbin.read_bytes, 512 - 2 * 64 * 3);
+        // The recording itself is never rewritten.
+        assert!(l.nb_reads.iter().all(|x| x.mult == 4));
     }
 
     #[test]
     fn mode_select_recovers_with_tiles_and_keeps_sums_coherent() {
-        let mut l = spatial_layer();
+        let l = spatial_layer();
+        let mut stats = l.stats.clone();
         let mut r = OptReport::default();
         let cfg = AcceleratorConfig::paper(); // 8×8 PEs
-        mode_select(&mut l, &cfg, &mut r);
+        mode_select(&l, &mut stats, &cfg, &mut r);
         // One 8×8 bounding box → a single mode (a) tile read.
-        assert_eq!(l.stats.nbin.read_accesses, 1);
-        assert_eq!(l.stats.reads_by_mode[ReadMode::A as usize], 1);
+        assert_eq!(stats.nbin.read_accesses, 1);
+        assert_eq!(stats.reads_by_mode[ReadMode::A as usize], 1);
         assert_eq!(
-            l.stats.reads_by_mode.iter().sum::<u64>(),
-            l.stats.nbin.read_accesses
+            stats.reads_by_mode.iter().sum::<u64>(),
+            stats.nbin.read_accesses
         );
         assert_eq!(r.nb_modes_reselected, 63);
     }
@@ -438,10 +338,10 @@ mod tests {
         l.stats.nbin.read_accesses = 1; // already optimal
         l.stats.reads_by_mode = [0; 6];
         l.stats.reads_by_mode[ReadMode::A as usize] = 1;
-        let before = l.stats.clone();
+        let mut stats = l.stats.clone();
         let mut r = OptReport::default();
-        mode_select(&mut l, &AcceleratorConfig::paper(), &mut r);
-        assert_eq!(l.stats, before);
+        mode_select(&l, &mut stats, &AcceleratorConfig::paper(), &mut r);
+        assert_eq!(stats, l.stats);
         assert_eq!(r.nb_modes_reselected, 0);
     }
 
@@ -451,10 +351,11 @@ mod tests {
         l.sb_reads.push(rec([0, u64::MAX, 0], 3)); // bias word
         l.sb_reads.sort_unstable_by_key(|a| a.addr);
         l.stats.sb.read_accesses = 28;
+        let mut stats = l.stats.clone();
         let mut r = OptReport::default();
-        sb_coalesce(&mut l, &AcceleratorConfig::paper(), &mut r);
+        sb_coalesce(&l, &mut stats, &AcceleratorConfig::paper(), &mut r);
         // Five kernel rows of five (each a run ≤ 64-word burst) + bias.
-        assert_eq!(l.stats.sb.read_accesses, 6);
+        assert_eq!(stats.sb.read_accesses, 6);
         assert_eq!(r.sb_accesses_coalesced, 22);
         assert_eq!(r.sb_bytes_coalesced, 2 * 2); // the bias word's re-reads
     }
@@ -467,10 +368,11 @@ mod tests {
         l.stats.nbin.read_accesses = 20;
         l.stats.reads_by_mode = [0; 6];
         l.stats.reads_by_mode[ReadMode::D as usize] = 20;
+        let mut stats = l.stats.clone();
         let mut r = OptReport::default();
-        mode_select(&mut l, &AcceleratorConfig::paper(), &mut r);
+        mode_select(&l, &mut stats, &AcceleratorConfig::paper(), &mut r);
         // 20 consecutive words → ceil(20/8) = 3 mode (c) bursts.
-        assert_eq!(l.stats.nbin.read_accesses, 3);
-        assert_eq!(l.stats.reads_by_mode[ReadMode::C as usize], 3);
+        assert_eq!(stats.nbin.read_accesses, 3);
+        assert_eq!(stats.reads_by_mode[ReadMode::C as usize], 3);
     }
 }

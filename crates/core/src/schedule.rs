@@ -24,9 +24,11 @@
 //! — for conv and pool one whole output row per lane-kernel sweep
 //! (`exec/replay.rs`), since the cost of the `Px×Py` block tiling is
 //! already in the recorded delta.
-//! The schedule lives in an `Arc` inside [`crate::PreparedNetwork`], so
-//! every `Session` of a tenant shares one copy of the decoded control
-//! state.
+//! The schedule lives in an `Arc` inside [`crate::PreparedNetwork`], and
+//! every `Session` of a tenant reads it through its borrow of the
+//! prepared network, so they share one copy of the decoded control
+//! state. Sessions always replay this recording; the schedule optimizer
+//! ([`crate::opt`]) only prices it at prepare time.
 //!
 //! The hook-point contract with `shidiannao-faults` (see DESIGN.md §3f):
 //! a fault decision is a pure function of `(seed, site, layer, address)`,
@@ -124,12 +126,6 @@ impl NetworkSchedule {
     /// The placeholder installed while the recording pass itself runs.
     pub(crate) fn empty() -> NetworkSchedule {
         NetworkSchedule::default()
-    }
-
-    /// Rebuilds a schedule from transformed per-layer entries — the
-    /// schedule optimizer's constructor ([`crate::opt::optimize`]).
-    pub(crate) fn from_layers(layers: Vec<LayerSchedule>) -> NetworkSchedule {
-        NetworkSchedule { layers }
     }
 
     /// Per-layer schedules, in execution order.

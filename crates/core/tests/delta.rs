@@ -1,13 +1,12 @@
 //! Cross-frame NBin residency (delta load) properties: for random
 //! topologies, PE grids, and dirty sets, `Session::infer_delta` is
 //! bit-identical in outputs and post-Load statistics to a cold
-//! `Session::infer`, charges the Load phase for exactly the dirty rows,
-//! and degrades to full-stream accounting when the optimizer pass is
-//! disarmed (DESIGN.md §3k).
+//! `Session::infer` and charges the Load phase for exactly the dirty
+//! rows (DESIGN.md §3k).
 
 use proptest::prelude::*;
 use shidiannao_cnn::{ConvSpec, FcSpec, NetworkBuilder, PoolSpec};
-use shidiannao_core::{Accelerator, AcceleratorConfig, NbResidency, OptConfig};
+use shidiannao_core::{Accelerator, AcceleratorConfig, NbResidency};
 use shidiannao_fixed::Fx;
 
 fn build_net(in_maps: usize, w: usize, h: usize, k: usize, seed: u64) -> shidiannao_cnn::Network {
@@ -41,7 +40,6 @@ proptest! {
         let net = build_net(in_maps, w, h, k, seed);
         let accel = Accelerator::new(AcceleratorConfig::with_pe_grid(px, py));
         let prepared = accel.prepare(&net).expect("network fits");
-        prop_assert!(prepared.delta_load_capable());
         let input = net.random_input(seed ^ 0x5EED);
 
         // Reference: a cold session's plain infer.
@@ -140,34 +138,6 @@ proptest! {
         prop_assert_eq!(first[1].rows_streamed, 0);
         let second = run(&[&a, &a, &b, &a]);
         prop_assert_eq!(first, second);
-    }
-}
-
-/// Disarming the optimizer's `delta_load` pass makes `infer_delta`
-/// cold-load every run and report full streams — stats identical to
-/// plain `infer`.
-#[test]
-fn disarmed_pass_cold_loads_honestly() {
-    let net = build_net(2, 12, 12, 3, 42);
-    let mut prepared = Accelerator::default().prepare(&net).expect("fits");
-    prepared.reoptimize(&OptConfig::none());
-    assert!(!prepared.delta_load_capable());
-    let input = net.random_input(7);
-
-    let mut plain = prepared.session();
-    let reference = plain.infer(&input).expect("clean run");
-
-    let mut session = prepared.session();
-    let mut residency = NbResidency::new();
-    for _ in 0..3 {
-        let (run, delta) = session
-            .infer_delta(&input, &mut residency)
-            .expect("clean run");
-        assert_eq!(delta.rows_streamed, delta.rows_total);
-        assert_eq!(delta.bytes_streamed, delta.bytes_total);
-        assert!(!delta.any_saved());
-        assert_eq!(run.output(), reference.output());
-        assert_eq!(run.stats().layers(), reference.stats().layers());
     }
 }
 

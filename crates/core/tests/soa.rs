@@ -1,6 +1,7 @@
 //! Property-based equivalence for the zero-allocation SoA datapath:
-//! the `read_into` buffer variants must be bit-identical (values *and*
-//! metering) to the legacy `Vec`-returning reads, and trace-free
+//! the `read_*_into` buffer reads must return exactly the words direct
+//! `MapStack` indexing gives (and meter identically whatever state
+//! their reused scratch is in), and trace-free
 //! inference (`Session::infer` / `infer_ref`) — schedule replay by
 //! default, per-cycle HFSM decode with replay off — must be
 //! bit-identical (outputs, statistics, energy, fault counters) to the
@@ -46,10 +47,11 @@ fn activations() -> impl Strategy<Value = Activation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Modes (a)/(b)/(e): `read_tile_into` ≡ `read_tile`, values and
-    /// every stats counter (including bank-conflict cycles).
+    /// Modes (a)/(b)/(e): `read_tile_into` returns exactly the stack's
+    /// strided window, and a dirty scratch/output buffer meters every
+    /// stats counter (including bank-conflict cycles) like a fresh one.
     #[test]
-    fn tile_reads_into_match_vec_reads(
+    fn tile_reads_into_match_direct_indexing(
         px in 2usize..9,
         py in 2usize..9,
         maps in 1usize..4,
@@ -64,33 +66,39 @@ proptest! {
         prop_assume!((tw - 1) * sx < w && (th - 1) * sy < h);
         let x0 = w - 1 - (tw - 1) * sx;
         let y0 = h - 1 - (th - 1) * sy;
-        let nb = loaded_buffer(px, py, stack(maps, w, h, seed));
+        let st = stack(maps, w, h, seed);
+        let nb = loaded_buffer(px, py, st.clone());
         let map = seed as usize % maps;
-        let mut s_vec = LayerStats::new("s");
-        let mut s_into = LayerStats::new("s");
+        let window = |(ox, oy): (usize, usize)| -> Vec<Fx> {
+            (0..th)
+                .flat_map(|j| (0..tw).map(move |i| (ox + i * sx, oy + j * sy)))
+                .map(|xy| st[map][xy])
+                .collect()
+        };
         let mut scratch = ReadScratch::default();
         let mut out = Vec::new();
-        let legacy = nb
-            .read_tile(map, (x0, y0), (tw, th), (sx, sy), &mut s_vec)
+        let mut s_dirty = LayerStats::new("s");
+        nb.read_tile_into(map, (x0, y0), (tw, th), (sx, sy), &mut s_dirty, &mut scratch, &mut out)
             .unwrap();
-        nb.read_tile_into(map, (x0, y0), (tw, th), (sx, sy), &mut s_into, &mut scratch, &mut out)
-            .unwrap();
-        prop_assert_eq!(&legacy, &out);
-        prop_assert_eq!(s_vec, s_into);
+        prop_assert_eq!(&out, &window((x0, y0)));
 
         // Reuse of a dirty scratch/output buffer must not change anything.
-        let mut s_again = LayerStats::new("s");
-        nb.read_tile_into(map, (0, 0), (tw, th), (sx, sy), &mut s_again, &mut scratch, &mut out)
+        nb.read_tile_into(map, (0, 0), (tw, th), (sx, sy), &mut s_dirty, &mut scratch, &mut out)
             .unwrap();
-        let from_origin = nb
-            .read_tile(map, (0, 0), (tw, th), (sx, sy), &mut s_vec)
-            .unwrap();
-        prop_assert_eq!(from_origin, out);
+        prop_assert_eq!(&out, &window((0, 0)));
+        let mut s_fresh = LayerStats::new("s");
+        for origin in [(x0, y0), (0, 0)] {
+            nb.read_tile_into(map, origin, (tw, th), (sx, sy), &mut s_fresh,
+                &mut ReadScratch::default(), &mut Vec::new())
+                .unwrap();
+        }
+        prop_assert_eq!(s_dirty, s_fresh);
     }
 
-    /// Modes (c) and (f): row/column reads, `into` ≡ `Vec`.
+    /// Modes (c) and (f): row/column reads return exactly the stack's
+    /// strided row/column segment.
     #[test]
-    fn row_and_col_reads_into_match_vec_reads(
+    fn row_and_col_reads_into_match_direct_indexing(
         px in 2usize..9,
         py in 2usize..9,
         w in 4usize..24,
@@ -98,30 +106,31 @@ proptest! {
         stride in 1usize..4,
         seed in 0u64..1000,
     ) {
-        let nb = loaded_buffer(px, py, stack(2, w, h, seed));
+        let st = stack(2, w, h, seed);
+        let nb = loaded_buffer(px, py, st.clone());
         let n_row = px.min(w.div_ceil(stride));
         let n_col = py.min(h.div_ceil(stride));
-        let mut s_vec = LayerStats::new("s");
-        let mut s_into = LayerStats::new("s");
+        let mut s = LayerStats::new("s");
         let mut scratch = ReadScratch::default();
         let mut out = Vec::new();
 
-        let legacy = nb.read_row(1, (0, h - 1), n_row, stride, &mut s_vec).unwrap();
-        nb.read_row_into(1, (0, h - 1), n_row, stride, &mut s_into, &mut scratch, &mut out)
+        nb.read_row_into(1, (0, h - 1), n_row, stride, &mut s, &mut scratch, &mut out)
             .unwrap();
-        prop_assert_eq!(&legacy, &out);
+        let row: Vec<Fx> = (0..n_row).map(|i| st[1][(i * stride, h - 1)]).collect();
+        prop_assert_eq!(&out, &row);
 
-        let legacy = nb.read_col(1, (w - 1, 0), n_col, stride, &mut s_vec).unwrap();
-        nb.read_col_into(1, (w - 1, 0), n_col, stride, &mut s_into, &mut scratch, &mut out)
+        nb.read_col_into(1, (w - 1, 0), n_col, stride, &mut s, &mut scratch, &mut out)
             .unwrap();
-        prop_assert_eq!(&legacy, &out);
-        prop_assert_eq!(s_vec, s_into);
+        let col: Vec<Fx> = (0..n_col).map(|j| st[1][(w - 1, j * stride)]).collect();
+        prop_assert_eq!(&out, &col);
+        prop_assert_eq!(s.nbin.read_accesses, 2);
+        prop_assert_eq!(s.nbin.read_bytes, 2 * (n_row + n_col) as u64);
     }
 
-    /// Mode (e) gathers: random (possibly duplicated) coordinates,
-    /// `into` ≡ `Vec` including the sorted-dedup conflict model.
+    /// Mode (e) gathers: random (possibly duplicated) coordinates return
+    /// the stack's words in request order, as one access.
     #[test]
-    fn gather_reads_into_match_vec_reads(
+    fn gather_reads_into_match_direct_indexing(
         px in 2usize..9,
         py in 2usize..9,
         w in 4usize..20,
@@ -129,17 +138,18 @@ proptest! {
         picks in proptest::collection::vec((0usize..400, 0usize..400), 1..64),
         seed in 0u64..1000,
     ) {
-        let nb = loaded_buffer(px, py, stack(1, w, h, seed));
+        let st = stack(1, w, h, seed);
+        let nb = loaded_buffer(px, py, st.clone());
         let coords: Vec<(usize, usize)> =
             picks.iter().map(|&(x, y)| (x % w, y % h)).collect();
-        let mut s_vec = LayerStats::new("s");
-        let mut s_into = LayerStats::new("s");
+        let mut s = LayerStats::new("s");
         let mut scratch = ReadScratch::default();
         let mut out = Vec::new();
-        let legacy = nb.read_gather(0, &coords, &mut s_vec).unwrap();
-        nb.read_gather_into(0, &coords, &mut s_into, &mut scratch, &mut out).unwrap();
-        prop_assert_eq!(&legacy, &out);
-        prop_assert_eq!(s_vec, s_into);
+        nb.read_gather_into(0, &coords, &mut s, &mut scratch, &mut out).unwrap();
+        let want: Vec<Fx> = coords.iter().map(|&xy| st[0][xy]).collect();
+        prop_assert_eq!(&out, &want);
+        prop_assert_eq!(s.nbin.read_accesses, 1);
+        prop_assert_eq!(s.nbin.read_bytes, 2 * coords.len() as u64);
     }
 }
 

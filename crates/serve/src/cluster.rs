@@ -106,6 +106,15 @@ impl ShardSpec {
         self.virtual_workers = workers;
         self
     }
+
+    /// The shard's accelerator, or [`ServeError::ShardConfig`] naming the
+    /// shard when its configuration fails validation.
+    fn accelerator(&self) -> Result<Accelerator, ServeError> {
+        Accelerator::try_new(self.accel.clone()).map_err(|error| ServeError::ShardConfig {
+            shard: self.name.clone(),
+            error,
+        })
+    }
 }
 
 /// Cluster-level configuration.
@@ -403,15 +412,19 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns a [`ServeError`] when the scenario is structurally
-    /// invalid — no tenants, no shards, a shard without workers, a
-    /// zero-capacity queue, a closed loop without clients, or a streaming
-    /// frame smaller than the network input or with a zero stride.
+    /// invalid — no tenants, no shards, a shard without workers or with
+    /// an invalid accelerator configuration, a zero-capacity queue, a
+    /// closed loop without clients, or a streaming frame smaller than the
+    /// network input or with a zero stride.
     pub fn new(config: ClusterConfig, tenants: Vec<TenantSpec>) -> Result<Cluster, ServeError> {
         if tenants.is_empty() {
             return Err(ServeError::NoTenants);
         }
         if config.shards.is_empty() || config.shards.iter().any(|s| s.virtual_workers == 0) {
             return Err(ServeError::NoWorkers);
+        }
+        for shard in &config.shards {
+            shard.accelerator()?;
         }
         for spec in &tenants {
             let fail = |reason: &str| ServeError::Spec {
@@ -469,7 +482,7 @@ impl Cluster {
         let mut prepared: Vec<Vec<PreparedNetwork>> = Vec::with_capacity(self.config.shards.len());
         let mut calibration: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
         for shard in &self.config.shards {
-            let accel = Accelerator::new(shard.accel.clone());
+            let accel = shard.accelerator()?;
             let mut preps = Vec::with_capacity(self.tenants.len());
             let mut clean_cycles = Vec::with_capacity(self.tenants.len());
             let mut marginal_cycles = Vec::with_capacity(self.tenants.len());
@@ -1542,6 +1555,24 @@ mod tests {
             Cluster::new(dead_shard, vec![TenantSpec::new("g", net.clone())]).err(),
             Some(ServeError::NoWorkers)
         );
+        let zero_mesh = AcceleratorConfig {
+            pe_rows: 0,
+            ..AcceleratorConfig::paper()
+        };
+        let zero_buffer = AcceleratorConfig {
+            nbin_bytes: 0,
+            ..AcceleratorConfig::paper()
+        };
+        for accel in [zero_mesh, zero_buffer] {
+            let bad_shard = ClusterConfig {
+                shards: vec![ShardSpec::new("ok"), ShardSpec::new("bad").accel(accel)],
+                ..ClusterConfig::default()
+            };
+            assert!(matches!(
+                Cluster::new(bad_shard, vec![TenantSpec::new("g", net.clone())]),
+                Err(ServeError::ShardConfig { ref shard, .. }) if shard == "bad"
+            ));
+        }
         let bad_queue = TenantSpec::new("g", net).queue_capacity(0);
         assert!(matches!(
             Cluster::new(ClusterConfig::default(), vec![bad_queue]),

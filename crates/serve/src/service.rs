@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use shidiannao_core::{AcceleratorConfig, RunError, Session};
+use shidiannao_core::{AcceleratorConfig, ConfigError, RunError, Session};
 use shidiannao_faults::{FaultPlan, FaultStats};
 use shidiannao_sensor::StreamError;
 
@@ -87,6 +87,14 @@ pub enum ServeError {
     NoTenants,
     /// `virtual_workers` was zero.
     NoWorkers,
+    /// A shard's accelerator configuration failed
+    /// [`AcceleratorConfig::validate`].
+    ShardConfig {
+        /// Offending shard.
+        shard: String,
+        /// What validation rejected.
+        error: ConfigError,
+    },
     /// A tenant specification failed validation.
     Spec {
         /// Offending tenant.
@@ -147,6 +155,7 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::NoTenants => write!(f, "service has no tenants"),
             ServeError::NoWorkers => write!(f, "virtual worker pool must be non-empty"),
+            ServeError::ShardConfig { shard, error } => write!(f, "shard {shard}: {error}"),
             ServeError::Spec { tenant, reason } => {
                 write!(f, "tenant {tenant}: invalid spec: {reason}")
             }
@@ -313,8 +322,9 @@ impl InferenceService {
     /// # Errors
     ///
     /// Returns a [`ServeError`] when the scenario is structurally
-    /// invalid (no tenants/workers, zero-capacity queue, streaming frame
-    /// smaller than the network input, …).
+    /// invalid (no tenants/workers, an invalid accelerator configuration,
+    /// zero-capacity queue, streaming frame smaller than the network
+    /// input, …).
     pub fn new(
         config: ServeConfig,
         tenants: Vec<TenantSpec>,
@@ -864,6 +874,25 @@ mod tests {
             InferenceService::new(config, vec![TenantSpec::new("g", net.clone())]).err(),
             Some(ServeError::NoWorkers)
         );
+        for accel in [
+            AcceleratorConfig {
+                pe_cols: 0,
+                ..AcceleratorConfig::paper()
+            },
+            AcceleratorConfig {
+                sb_bytes: 0,
+                ..AcceleratorConfig::paper()
+            },
+        ] {
+            let config = ServeConfig {
+                accel,
+                ..ServeConfig::default()
+            };
+            assert!(matches!(
+                InferenceService::new(config, vec![TenantSpec::new("g", net.clone())]),
+                Err(ServeError::ShardConfig { ref shard, .. }) if shard == "shard0"
+            ));
+        }
         let bad_queue = TenantSpec::new("g", net.clone()).queue_capacity(0);
         assert!(matches!(
             InferenceService::new(ServeConfig::default(), vec![bad_queue]),
