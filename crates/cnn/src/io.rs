@@ -336,9 +336,11 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
                 }
                 let table = ConnectionTable::from_lists(maps, lists);
                 let out_dims = (
-                    extent(dims.0, kernel.0, stride.0, Rounding::Floor)
+                    Rounding::Floor
+                        .extent(dims.0, kernel.0, stride.0)
                         .ok_or_else(|| corrupt("output extent overflows"))?,
-                    extent(dims.1, kernel.1, stride.1, Rounding::Floor)
+                    Rounding::Floor
+                        .extent(dims.1, kernel.1, stride.1)
                         .ok_or_else(|| corrupt("output extent overflows"))?,
                 );
                 Layer::from_parts(
@@ -383,9 +385,11 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
                     return Err(corrupt("ceil pooling requires stride == window"));
                 }
                 let out_dims = (
-                    extent(dims.0, window.0, stride.0, rounding)
+                    rounding
+                        .extent(dims.0, window.0, stride.0)
                         .ok_or_else(|| corrupt("output extent overflows"))?,
-                    extent(dims.1, window.1, stride.1, rounding)
+                    rounding
+                        .extent(dims.1, window.1, stride.1)
                         .ok_or_else(|| corrupt("output extent overflows"))?,
                 );
                 Layer::from_parts(
@@ -490,17 +494,6 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
         layers.push(layer);
     }
     Ok(Network::from_parts(name, input_maps, input_dims, layers))
-}
-
-/// Output extent of a window `k` sliding over `n` at stride `s` (the
-/// caller has checked `1 <= k <= n` and `s >= 1`); `None` on overflow.
-fn extent(n: usize, k: usize, s: usize, rounding: Rounding) -> Option<usize> {
-    let span = n.checked_sub(k)?;
-    let steps = match rounding {
-        Rounding::Floor => span.checked_div(s)?,
-        Rounding::Ceil => span.div_ceil(s),
-    };
-    steps.checked_add(1)
 }
 
 #[cfg(test)]

@@ -96,6 +96,22 @@ pub enum Rounding {
     Ceil,
 }
 
+impl Rounding {
+    /// Output extent of a window `k` sliding over `n` at stride `s`;
+    /// `None` when `k > n`, `s == 0` or the count overflows.
+    pub fn extent(self, n: usize, k: usize, s: usize) -> Option<usize> {
+        let span = n.checked_sub(k)?;
+        if s == 0 {
+            return None;
+        }
+        let steps = match self {
+            Rounding::Floor => span / s,
+            Rounding::Ceil => span.div_ceil(s),
+        };
+        steps.checked_add(1)
+    }
+}
+
 /// How a convolutional layer's output maps connect to its input maps.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Connectivity {

@@ -1,12 +1,63 @@
 //! Property-based tests for the CNN substrate: connection tables, weight
 //! containers, geometry resolution, storage accounting, the
-//! fixed-vs-float error bound, and the model loader under hostile bytes.
+//! fixed-vs-float error bound, and the model loader under hostile bytes
+//! (no panic, and a bounded peak allocation).
 
 use proptest::prelude::*;
 use shidiannao_cnn::{
     io, storage, zoo, ConnectionTable, ConvSpec, FcSpec, NetworkBuilder, PoolSpec,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::OnceLock;
+
+/// Peak-live-bytes allocator: each thread tracks the bytes it has live
+/// and their high-water mark, so a test can bound what one call holds at
+/// once without seeing the harness's other threads.
+struct PeakAlloc;
+
+thread_local! {
+    // `const` init with no destructor: safe to touch from inside the
+    // global allocator.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+fn track(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the most bytes the calling
+/// thread held live at once during it, beyond what it held before.
+fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let out = f();
+    (out, PEAK.with(Cell::get) - base)
+}
 
 /// The saved SDNN bytes of every zoo network (the ten benchmarks plus
 /// the LRN/LCN/MLP extensions, so every layer tag is covered), built
@@ -45,9 +96,13 @@ proptest! {
         }
         let keep_permille: usize = keep_permille;
         bytes.truncate(bytes.len() * keep_permille / 1000);
-        // `Ok` and `Err` are both acceptable; a panic or an allocation
-        // abort fails the test.
-        let _ = io::load(bytes.as_slice());
+        // `Ok` and `Err` are both acceptable; a panic, an allocation
+        // abort, or holding more than 16 bytes per file byte (plus a
+        // fixed 64 KiB) fails the test: declared counts must never size
+        // an allocation the file cannot back.
+        let (_, peak) = peak_live_bytes(|| io::load(bytes.as_slice()).is_ok());
+        let bound = 16 * bytes.len() as i64 + 64 * 1024;
+        prop_assert!(peak <= bound, "{} file bytes peaked at {peak} live bytes", bytes.len());
     }
 }
 

@@ -15,7 +15,7 @@ use crate::compiler::{self, CompileError, Program};
 use crate::config::{AcceleratorConfig, ConfigError};
 use crate::energy::{EnergyModel, EnergyReport};
 use crate::exec::{replay, Engine, Scratch};
-use crate::hfsm::{FirstState, Hfsm};
+use crate::hfsm::{FirstState, Hfsm, TransitionError};
 use crate::nfu::Nfu;
 use crate::sb::SynapseStore;
 use crate::schedule::{self, LayerOverlay, LayerSchedule, NetworkSchedule, ScheduleRecorder};
@@ -50,6 +50,17 @@ pub enum RunError {
     /// SRAM protection detected an uncorrectable error; the run aborted
     /// instead of silently corrupting data.
     FaultDetected(DetectedFault),
+    /// The control path attempted an illegal HFSM transition (a
+    /// scheduling bug, never a data error).
+    Control(TransitionError),
+    /// [`Session::infer_ref_from`] or [`Session::prefix_values`] asked for
+    /// a shared prefix of `layers` layers that this session cannot serve.
+    Prefix {
+        /// The prefix length asked for.
+        layers: usize,
+        /// Why it cannot be served.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -64,6 +75,10 @@ impl fmt::Display for RunError {
             ),
             RunError::EmptyBuffer(e) => e.fmt(f),
             RunError::FaultDetected(e) => e.fmt(f),
+            RunError::Control(e) => e.fmt(f),
+            RunError::Prefix { layers, reason } => {
+                write!(f, "cannot share a {layers}-layer prefix: {reason}")
+            }
         }
     }
 }
@@ -97,6 +112,12 @@ impl From<EmptyBufferError> for RunError {
 impl From<DetectedFault> for RunError {
     fn from(e: DetectedFault) -> RunError {
         RunError::FaultDetected(e)
+    }
+}
+
+impl From<TransitionError> for RunError {
+    fn from(e: TransitionError) -> RunError {
+        RunError::Control(e)
     }
 }
 
@@ -273,6 +294,7 @@ impl Accelerator {
             layer_labels,
             schedule: Arc::new(NetworkSchedule::empty()),
             opt_report: crate::opt::OptReport::default(),
+            shareable_prefix: 0,
         };
         // Record the precompiled micro-op schedule: one instrumented run
         // with a recorder attached to the fault-filter hook points. The
@@ -283,7 +305,7 @@ impl Accelerator {
             let input = prepared.network.random_input(0);
             let mut session = prepared.session();
             session.recorder = Some(Box::new(ScheduleRecorder::new()));
-            session.execute(&input, None)?;
+            session.execute(0, &input, None)?;
             session
                 .recorder
                 .take()
@@ -298,6 +320,7 @@ impl Accelerator {
             &prepared.config,
             &prepared.energy_model,
         );
+        prepared.shareable_prefix = shareable_prefix(&prepared.network, &schedule);
         prepared.schedule = Arc::new(schedule);
         Ok(prepared)
     }
@@ -380,6 +403,35 @@ pub struct PreparedNetwork {
     schedule: Arc<NetworkSchedule>,
     /// What the optimizer's passes would save on `schedule`.
     opt_report: crate::opt::OptReport,
+    /// Leading layers a strip evaluation can stand in for
+    /// ([`PreparedNetwork::shareable_prefix`]).
+    shareable_prefix: usize,
+}
+
+/// The structural half of the shared strip prefix (DESIGN.md §3l): the
+/// leading layers that are conv or pool, replay from the schedule, and
+/// whose pool windows never clip at the right edge of the region. Such a
+/// layer computes every region column exactly as it computes the same
+/// column of a wider strip. Clipping in `y` is harmless: a strip is
+/// exactly one region tall. The last layer always runs on the region
+/// itself.
+fn shareable_prefix(network: &Network, schedule: &NetworkSchedule) -> usize {
+    let layers = network.layers();
+    layers
+        .iter()
+        .zip(schedule.layers())
+        .take(layers.len().saturating_sub(1))
+        .take_while(|(layer, sl)| {
+            sl.replayable()
+                && match layer.body() {
+                    LayerBody::Conv { .. } => true,
+                    LayerBody::Pool { window, stride, .. } => {
+                        (layer.out_dims().0 - 1) * stride.0 + window.0 <= layer.in_dims().0
+                    }
+                    _ => false,
+                }
+        })
+        .count()
 }
 
 impl PreparedNetwork {
@@ -419,6 +471,16 @@ impl PreparedNetwork {
     /// over the recorded schedule at prepare time.
     pub fn optimizer_report(&self) -> &crate::opt::OptReport {
         &self.opt_report
+    }
+
+    /// How many leading layers a strip evaluation
+    /// ([`Session::prefix_values`]) can compute for every region of a
+    /// row at once: conv and pool layers that replay and whose pool
+    /// windows never clip in `x` at the region's size, stopping before
+    /// the last layer. A region grid may use fewer (its strides must
+    /// align, and the strip must save work); 0 means none.
+    pub fn shareable_prefix(&self) -> usize {
+        self.shareable_prefix
     }
 
     /// Opens a [`Session`]: NBin/NBout, SB, IB, the PE mesh, and the ALU
@@ -645,7 +707,7 @@ impl<'p> Session<'p> {
     /// Returns [`RunError::InputShape`] when the input mismatches.
     pub fn run(&mut self, input: &MapStack<Fx>) -> Result<RunOutcome, RunError> {
         let mut layer_outputs = Vec::new();
-        self.execute(input, Some(&mut layer_outputs))?;
+        self.execute(0, input, Some(&mut layer_outputs))?;
         let stats = self.stats.clone();
         let energy = self.prepared.energy_model.charge_run(&stats);
         Ok(RunOutcome {
@@ -671,7 +733,7 @@ impl<'p> Session<'p> {
     ///
     /// Returns [`RunError::InputShape`] when the input mismatches.
     pub fn infer(&mut self, input: &MapStack<Fx>) -> Result<Inference, RunError> {
-        self.execute(input, None)?;
+        self.execute(0, input, None)?;
         let output = self.nbin.take().ok_or(EmptyBufferError {
             buffer: "NB (final output)",
         })?;
@@ -698,7 +760,34 @@ impl<'p> Session<'p> {
     ///
     /// Returns [`RunError::InputShape`] when the input mismatches.
     pub fn infer_ref(&mut self, input: &MapStack<Fx>) -> Result<InferenceRef<'_>, RunError> {
-        self.execute(input, None)?;
+        self.infer_ref_from(0, input)
+    }
+
+    /// [`Session::infer_ref`] for a region whose first `k` layers were
+    /// already computed elsewhere — by [`Session::prefix_values`] over the
+    /// region's row strip. `mid` is layer `k − 1`'s output for this region
+    /// (the network input when `k` is 0). Layers `0..k` run
+    /// *charge-only*: their IB fetches, HFSM entries, recorded statistics,
+    /// FIFO peaks and bank-conflict stalls are charged exactly as replay
+    /// charges them, and the Load phase streams the network's full input
+    /// shape. So outputs, cycles, energy and every counter are
+    /// bit-identical to `infer_ref` on the whole region; only the host
+    /// skips the prefix's arithmetic. Zero heap allocations once warm.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::InputShape`] when `mid` is not layer `k − 1`'s output
+    /// shape, and [`RunError::Prefix`] when `k` exceeds
+    /// [`PreparedNetwork::shareable_prefix`] or the session cannot
+    /// charge a layer without computing it (an active fault plan, stuck
+    /// PEs, or schedule replay off). The session's next run is unaffected
+    /// either way.
+    pub fn infer_ref_from(
+        &mut self,
+        k: usize,
+        mid: &MapStack<Fx>,
+    ) -> Result<InferenceRef<'_>, RunError> {
+        self.execute(k, mid, None)?;
         let energy = self.prepared.energy_model.charge_run(&self.stats);
         let output = self.nbin.contents().ok_or(EmptyBufferError {
             buffer: "NB (final output)",
@@ -710,6 +799,54 @@ impl<'p> Session<'p> {
             frequency_ghz: self.prepared.config.frequency_ghz,
             fault_stats: self.faults.stats(),
         })
+    }
+
+    /// Computes the values of the network's first `k` layers over
+    /// `strip` into `out`. `strip` has the network's input maps and
+    /// height and any width at least the input's: one row of a region
+    /// grid, as wide as the frame. Column `x / s` of `out`, where `s` is
+    /// the layers' cumulative `x`-stride, starts the `mid` that
+    /// [`Session::infer_ref_from`] takes for the region at `x`, whenever
+    /// `s` divides `x`. The value bodies are replay's own, so those
+    /// columns are bit-identical to the region's replay. Nothing is
+    /// charged: this is host arithmetic, not a modeled run.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Prefix`] when `k` is 0 or exceeds
+    /// [`PreparedNetwork::shareable_prefix`], or `strip` has the wrong
+    /// maps, height or a smaller width.
+    pub fn prefix_values(
+        &mut self,
+        k: usize,
+        strip: &MapStack<Fx>,
+        out: &mut MapStack<Fx>,
+    ) -> Result<(), RunError> {
+        let network = &self.prepared.network;
+        let reason = if k == 0 {
+            Some("an empty prefix computes nothing")
+        } else if k > self.prepared.shareable_prefix {
+            Some(PREFIX_TOO_LONG)
+        } else if strip.len() != network.input_maps()
+            || strip.height() != network.input_dims().1
+            || strip.width() < network.input_dims().0
+        {
+            Some("a strip needs the network's input maps and height, and at least its width")
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            return Err(RunError::Prefix { layers: k, reason });
+        }
+        replay::prefix(
+            &network.layers()[..k],
+            &self.prepared.store,
+            &self.alu,
+            &mut self.scratch,
+            strip,
+            out,
+        );
+        Ok(())
     }
 
     /// Executes one inference with a **delta load**: rows of `input`
@@ -803,26 +940,30 @@ impl<'p> Session<'p> {
     }
 
     /// The cycle-by-cycle inference loop shared by `run`, `infer`, and
-    /// `infer_ref` (`trace` is `Some` only for `run`). Statistics land in
-    /// the session's recycled [`RunStats`] slots; the final layer's
-    /// output is left installed in the buffer currently holding the NBin
-    /// role. Cycles charged up to an abort (including a
+    /// `infer_ref_from` (`trace` is `Some` only for `run`). `input` is
+    /// layer `start − 1`'s output (the network input when `start` is 0);
+    /// layers before `start` are charged without computing. Statistics
+    /// land in the session's recycled [`RunStats`] slots; the final
+    /// layer's output is left installed in the buffer currently holding
+    /// the NBin role. Cycles charged up to an abort (including a
     /// [`RunError::FaultDetected`] one) are recorded in
     /// [`Session::last_cycles`] either way.
     fn execute(
         &mut self,
+        start: usize,
         input: &MapStack<Fx>,
         trace: Option<&mut Vec<MapStack<Fx>>>,
     ) -> Result<(), RunError> {
         self.faults.reset_stats();
         self.stats.restart();
-        let result = self.execute_inner(input, trace);
+        let result = self.execute_inner(start, input, trace);
         self.last_cycles = self.stats.cycles();
         result
     }
 
     fn execute_inner(
         &mut self,
+        start: usize,
         input: &MapStack<Fx>,
         mut trace: Option<&mut Vec<MapStack<Fx>>>,
     ) -> Result<(), RunError> {
@@ -830,11 +971,30 @@ impl<'p> Session<'p> {
         // shape-rejected run cannot leak it into the next one.
         let staged_delta_bytes = self.pending_delta_bytes.take();
         let network = &self.prepared.network;
-        let expected = (
-            network.input_maps(),
-            network.input_dims().0,
-            network.input_dims().1,
-        );
+        let expected = match start.checked_sub(1) {
+            None => (
+                network.input_maps(),
+                network.input_dims().0,
+                network.input_dims().1,
+            ),
+            Some(last) => {
+                let reason = if start > self.prepared.shareable_prefix {
+                    Some(PREFIX_TOO_LONG)
+                } else if self.faults.active() || self.replay_schedule().is_none() {
+                    Some("charging a layer without computing it needs clean schedule replay")
+                } else {
+                    None
+                };
+                if let Some(reason) = reason {
+                    return Err(RunError::Prefix {
+                        layers: start,
+                        reason,
+                    });
+                }
+                let layer = &network.layers()[last];
+                (layer.out_maps(), layer.out_dims().0, layer.out_dims().1)
+            }
+        };
         let got = (input.len(), input.width(), input.height());
         if expected != got {
             return Err(RunError::InputShape { expected, got });
@@ -867,25 +1027,32 @@ impl<'p> Session<'p> {
         // ([`Session::infer_delta`]) streams only the dirty rows; the
         // resident rows are already in the staging bank, so the full
         // values are installed either way and everything downstream is
-        // bit-identical to a cold load.
+        // bit-identical to a cold load. A run from a shared prefix
+        // streams the region all the same: the modeled chip computes it.
         let load = self.stats.begin_layer("Load");
-        hfsm.enter(FirstState::Load).expect("HFSM: load");
+        hfsm.enter(FirstState::Load)?;
         self.ib.fetch(load);
         self.faults.filter_word(FaultSite::Ib, 0, [0, 0, 0])?;
-        let input_bytes = input.neuron_count() * 2;
+        let input_bytes =
+            network.input_maps() * network.input_dims().0 * network.input_dims().1 * 2;
         let streamed_bytes = staged_delta_bytes.unwrap_or(input_bytes as u64);
         load.cycles = streamed_bytes.div_ceil(cfg.nb_bank_width_bytes() as u64);
         if streamed_bytes > 0 {
             load.nbin.write(streamed_bytes);
         }
-        self.nbin.load_from(input)?;
 
         if let Some(outputs) = trace.as_deref_mut() {
             outputs.reserve(network.layers().len());
         }
         for (i, layer) in network.layers().iter().enumerate() {
-            let (ow, oh) = layer.out_dims();
-            self.nbout.begin_output(ow, oh, layer.out_maps())?;
+            let compute = i >= start;
+            if i == start {
+                self.nbin.load_from(input)?;
+            }
+            if compute {
+                let (ow, oh) = layer.out_dims();
+                self.nbout.begin_output(ow, oh, layer.out_maps())?;
+            }
             let layer_stats = self.stats.begin_layer(&self.prepared.layer_labels[i]);
             for f in 0..self.prepared.layer_instruction_counts[i] {
                 self.ib.fetch(layer_stats);
@@ -928,9 +1095,13 @@ impl<'p> Session<'p> {
                 },
             };
             // On an abort the slot keeps the layer's cycles so watchdog
-            // budgets can charge the wasted attempt.
+            // budgets can charge the wasted attempt. A charge-only layer
+            // always replays: the shareable prefix is replayable, and
+            // `start > 0` requires replay on.
             match replay {
-                Some((sl, sb_patches)) => replay::run_layer(&mut engine, layer, sl, sb_patches)?,
+                Some((sl, sb_patches)) => {
+                    replay::run_layer(&mut engine, layer, sl, sb_patches, compute)?
+                }
                 None => engine.run_layer(layer)?,
             }
             if let Some(rec) = self.recorder.as_deref_mut() {
@@ -947,8 +1118,12 @@ impl<'p> Session<'p> {
                     layer_stats.bank_conflict_cycles * cfg.pe_count() as u64;
             }
             // §5's role swap: the finished output becomes the next
-            // layer's input in place, with no copy.
-            self.nbout.finish_output_into_input()?;
+            // layer's input in place, with no copy. Charge-only layers
+            // swap too, so layer `start` runs on the same physical
+            // buffers as in a full run.
+            if compute {
+                self.nbout.finish_output_into_input()?;
+            }
             core::mem::swap(&mut self.nbin, &mut self.nbout);
             if let Some(outputs) = trace.as_deref_mut() {
                 let installed = self.nbin.contents().ok_or(EmptyBufferError {
@@ -957,11 +1132,14 @@ impl<'p> Session<'p> {
                 outputs.push(installed.clone());
             }
         }
-        hfsm.enter(FirstState::End).expect("HFSM: end");
+        hfsm.enter(FirstState::End)?;
 
         Ok(())
     }
 }
+
+/// Why a prefix longer than the network's shareable one is refused.
+const PREFIX_TOO_LONG: &str = "longer than the network's shareable prefix";
 
 /// The per-layer replay decision of `execute_inner`. Layer `i` replays when replay is on (`schedule` is
 /// `Some`), the schedule models the layer, and its fault overlay holds

@@ -35,6 +35,7 @@ use crate::stats::LayerStats;
 use shidiannao_cnn::{Layer, LayerBody};
 use shidiannao_faults::{FaultSite, FaultState};
 use shidiannao_fixed::Fx;
+use shidiannao_tensor::{FeatureMap, MapStack};
 
 /// Session-owned reusable working storage for the executors.
 ///
@@ -66,6 +67,11 @@ pub(crate) struct Scratch {
     /// Per-PE-row i64 lane accumulators for the vectorized window
     /// reduction (one slot per active PE column).
     pub sums: Vec<i64>,
+    /// The strip prefix's two ping-pong stage stacks
+    /// ([`replay::prefix`]).
+    pub stages: [Option<MapStack<Fx>>; 2],
+    /// The strip prefix's one-map conv output, pooled straight on.
+    pub conv_out: Option<FeatureMap<Fx>>,
 }
 
 /// Mutable execution context threaded through the layer executors.
@@ -96,16 +102,13 @@ impl Engine<'_> {
     /// # Errors
     ///
     /// Returns [`RunError::FaultDetected`] when SRAM protection detects an
-    /// uncorrectable error, or [`RunError::EmptyBuffer`] on a read from an
-    /// unloaded buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on HFSM scheduling violations (internal invariants).
+    /// uncorrectable error, [`RunError::EmptyBuffer`] on a read from an
+    /// unloaded buffer, or [`RunError::Control`] on an HFSM scheduling
+    /// violation.
     pub(crate) fn run_layer(&mut self, layer: &Layer) -> Result<(), RunError> {
         match layer.body() {
             LayerBody::Conv { .. } => {
-                self.hfsm.enter(FirstState::Conv).expect("HFSM: conv entry");
+                self.hfsm.enter(FirstState::Conv)?;
                 if packed::applies(self, layer) {
                     packed::run_conv(self, layer)
                 } else {
@@ -113,17 +116,15 @@ impl Engine<'_> {
                 }
             }
             LayerBody::Pool { .. } => {
-                self.hfsm.enter(FirstState::Pool).expect("HFSM: pool entry");
+                self.hfsm.enter(FirstState::Pool)?;
                 pool::run(self, layer)
             }
             LayerBody::Fc { .. } => {
-                self.hfsm
-                    .enter(FirstState::Classifier)
-                    .expect("HFSM: classifier entry");
+                self.hfsm.enter(FirstState::Classifier)?;
                 fc::run(self, layer)
             }
             LayerBody::Lrn(_) | LayerBody::Lcn { .. } => {
-                self.hfsm.enter(FirstState::Norm).expect("HFSM: norm entry");
+                self.hfsm.enter(FirstState::Norm)?;
                 norm::run(self, layer)
             }
         }

@@ -25,15 +25,20 @@
 //! statistics) fall back to live decode in `accel.rs`.
 
 use super::values::{classifier_dot_raw, sum_to_raw, LaneKernel, ValueKernel};
-use super::{bias_addr, conv_weight_addr, fc_weight_addr, Engine};
+use super::{bias_addr, conv_weight_addr, fc_weight_addr, Engine, Scratch};
 use crate::accel::RunError;
+use crate::alu::Alu;
+use crate::buffer::EmptyBufferError;
 use crate::hfsm::FirstState;
+use crate::sb::SynapseStore;
 use crate::schedule::{patch_fx, LayerSchedule};
 use crate::stats::LayerStats;
 use core::mem;
-use shidiannao_cnn::Activation;
-use shidiannao_cnn::{ConnectionTable, FcWeights, Layer, LayerBody, PoolKind};
+use shidiannao_cnn::{
+    Activation, ConnectionTable, FcWeights, Layer, LayerBody, PoolKind, Rounding,
+};
 use shidiannao_fixed::{Accum, Fx};
+use shidiannao_tensor::{FeatureMap, MapStack};
 
 /// SB patches of the layer's fault overlay (empty on clean runs).
 pub(crate) type SbPatches = [([u64; 3], u16)];
@@ -42,46 +47,31 @@ pub(crate) type SbPatches = [([u64; 3], u16)];
 /// already applied the overlay's NB patches to the input stack and
 /// absorbed the overlay's fault-counter delta; bank-conflict folding
 /// stays in the caller (shared with the live path).
+///
+/// With `compute` false the layer is *charge-only*: the HFSM entry, the
+/// recorded statistics and the FIFO peaks are charged exactly as below,
+/// but no value is computed and NBout is not touched — the layer's
+/// output was computed elsewhere (a shared strip prefix, see
+/// [`prefix`]).
 pub(crate) fn run_layer(
     eng: &mut Engine<'_>,
     layer: &Layer,
     sched: &LayerSchedule,
     sb_patches: &SbPatches,
+    compute: bool,
 ) -> Result<(), RunError> {
     debug_assert!(sched.replayable(), "non-replayable layer reached replay");
-    match layer.body() {
-        LayerBody::Conv {
-            table,
-            kernel,
-            stride,
-            activation,
-            ..
-        } => {
-            eng.hfsm.enter(FirstState::Conv).expect("HFSM: conv entry");
-            conv_rows(eng, layer, table, *kernel, *stride, *activation, sb_patches);
-        }
-        LayerBody::Pool {
-            window,
-            stride,
-            kind,
-            activation,
-            ..
-        } => {
-            eng.hfsm.enter(FirstState::Pool).expect("HFSM: pool entry");
-            pool_rows(eng, layer, *window, *stride, *kind, *activation);
-        }
-        LayerBody::Fc {
-            weights,
-            activation,
-        } => {
-            eng.hfsm
-                .enter(FirstState::Classifier)
-                .expect("HFSM: classifier entry");
-            fc(eng, layer, weights, *activation, sb_patches);
-        }
+    let state = match layer.body() {
+        LayerBody::Conv { .. } => FirstState::Conv,
+        LayerBody::Pool { .. } => FirstState::Pool,
+        LayerBody::Fc { .. } => FirstState::Classifier,
         LayerBody::Lrn(_) | LayerBody::Lcn { .. } => {
             unreachable!("non-replayable layer kind reached the replay executor")
         }
+    };
+    eng.hfsm.enter(state)?;
+    if compute {
+        values(eng, layer, sb_patches)?;
     }
     // The whole layer's statistics in one absorb (counter sums, FIFO
     // peak maxes — the recorded delta was captured before bank-conflict
@@ -95,45 +85,118 @@ pub(crate) fn run_layer(
     Ok(())
 }
 
-/// Convolution replay, one lane sweep per output row (`ow` lanes).
-/// Bit-identical to the window sweep: each output pixel's accumulator
-/// receives `bias` plus one raw add of the exact i64 sum of all its
-/// `(j, ky, kx)` products, and integer adds re-associate exactly.
-/// Clean runs borrow each kernel straight out of the SB image; a fault
-/// overlay stages the map's kernels once, patched.
-fn conv_rows(
-    eng: &mut Engine<'_>,
-    layer: &Layer,
-    table: &ConnectionTable,
+/// Computes a replayed layer's output values into NBout.
+fn values(eng: &mut Engine<'_>, layer: &Layer, sb_patches: &SbPatches) -> Result<(), RunError> {
+    let nbin = eng.nbin;
+    let stack = nbin.contents().ok_or(EmptyBufferError {
+        buffer: "NB (input role)",
+    })?;
+    // Metering discard for NBout writes: the real counters arrive
+    // wholesale from the schedule.
+    let mut meter = LayerStats::default();
+    if let Some(conv) = Conv::of(layer, eng.layer_index, eng.store) {
+        for o in 0..layer.out_maps() {
+            conv.map(stack, o, eng.alu, sb_patches, eng.scratch, |y, row| {
+                eng.nbout
+                    .write_block(o, (0, y), (row.len(), 1), row, &mut meter);
+            });
+        }
+    } else if let Some(pool) = Pool::of(layer) {
+        for (m, fm) in stack.iter().enumerate() {
+            pool.map(fm, eng.alu, eng.scratch, |y, row| {
+                eng.nbout
+                    .write_block(m, (0, y), (row.len(), 1), row, &mut meter);
+            });
+        }
+    } else if let LayerBody::Fc {
+        weights,
+        activation,
+    } = layer.body()
+    {
+        fc(eng, layer, weights, *activation, sb_patches);
+    }
+    Ok(())
+}
+
+/// A conv layer's value body, shared by replay and the strip prefix.
+struct Conv<'a> {
+    store: &'a SynapseStore,
+    layer_index: usize,
+    table: &'a ConnectionTable,
     kernel: (usize, usize),
     stride: (usize, usize),
     activation: Activation,
-    patches: &SbPatches,
-) {
-    let (ow, oh) = layer.out_dims();
-    let (kx_max, ky_max) = kernel;
-    let ksz = kx_max * ky_max;
-    let (sx, sy) = stride;
-    let layer_index = eng.layer_index;
-    let store = eng.store;
-    let stack = eng.nbin.contents().expect("session loaded the input");
-    let kern = LaneKernel;
-    let mut vals = mem::take(&mut eng.scratch.vals);
-    let mut weights = mem::take(&mut eng.scratch.values);
-    let mut lanes = mem::take(&mut eng.scratch.sums);
-    // Metering discard: the epilogue helpers charge their statistics
-    // here; the real counters arrive wholesale from the schedule.
-    let mut meter = LayerStats::default();
+}
 
-    for o in 0..layer.out_maps() {
-        let bias = patch_fx(patches, bias_addr(o), store.bias(layer_index, o));
-        let inputs = table.inputs_of(o);
+impl<'a> Conv<'a> {
+    /// The conv body of network layer `index`, or `None` for other kinds.
+    fn of(layer: &'a Layer, index: usize, store: &'a SynapseStore) -> Option<Conv<'a>> {
+        match layer.body() {
+            LayerBody::Conv {
+                table,
+                kernel,
+                stride,
+                activation,
+                ..
+            } => Some(Conv {
+                store,
+                layer_index: index,
+                table,
+                kernel: *kernel,
+                stride: *stride,
+                activation: *activation,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Output map `o` over `stack` (of any width), one lane sweep per
+    /// output row; each activated row goes to `sink(y, row)`.
+    /// Bit-identical to the window sweep: each output pixel's
+    /// accumulator receives `bias` plus one raw add of the exact i64 sum
+    /// of all its `(j, ky, kx)` products, and integer adds re-associate
+    /// exactly. Clean runs borrow each kernel straight out of the SB
+    /// image; a fault overlay stages the map's kernels once, patched.
+    /// Output dimensions over an input of `(w, h)`: the layer's own
+    /// `out_dims()` at the region's size, a strip's at a wider one.
+    fn out_dims(&self, (w, h): (usize, usize)) -> (usize, usize) {
+        let (kx, ky) = self.kernel;
+        ((w - kx) / self.stride.0 + 1, (h - ky) / self.stride.1 + 1)
+    }
+
+    fn map(
+        &self,
+        stack: &MapStack<Fx>,
+        o: usize,
+        alu: &Alu,
+        patches: &SbPatches,
+        scratch: &mut Scratch,
+        mut sink: impl FnMut(usize, &[Fx]),
+    ) {
+        let (kx_max, ky_max) = self.kernel;
+        let (sx, sy) = self.stride;
+        let (ow, oh) = self.out_dims(stack.map_dims());
+        let ksz = kx_max * ky_max;
+        let (store, li) = (self.store, self.layer_index);
+        let kern = LaneKernel;
+        let Scratch {
+            vals,
+            values: weights,
+            sums: lanes,
+            ..
+        } = scratch;
+        // Metering discard: the epilogue charges its statistics here; the
+        // real counters arrive wholesale from the schedule.
+        let mut meter = LayerStats::default();
+
+        let bias = patch_fx(patches, bias_addr(o), store.bias(li, o));
+        let inputs = self.table.inputs_of(o);
         if !patches.is_empty() {
             weights.clear();
             for j in 0..inputs.len() {
                 for ky in 0..ky_max {
                     for kx in 0..kx_max {
-                        let w = store.conv_weight(layer_index, o, j, (kx, ky), kernel);
+                        let w = store.conv_weight(li, o, j, (kx, ky), self.kernel);
                         weights.push(patch_fx(patches, conv_weight_addr(o, j, (kx, ky)), w));
                     }
                 }
@@ -144,7 +207,7 @@ fn conv_rows(
             lanes.resize(ow, 0);
             for (j, &im) in inputs.iter().enumerate() {
                 let wts = if patches.is_empty() {
-                    store.conv_kernel(layer_index, o, j, kernel)
+                    store.conv_kernel(li, o, j, self.kernel)
                 } else {
                     &weights[j * ksz..(j + 1) * ksz]
                 };
@@ -152,60 +215,99 @@ fn conv_rows(
                 for ky in 0..ky_max {
                     let row = fm.row(y * sy + ky);
                     for (kx, &k) in wts[ky * kx_max..(ky + 1) * kx_max].iter().enumerate() {
-                        kern.shifted_mac(&row[kx..], sx, k, &mut lanes);
+                        kern.shifted_mac(&row[kx..], sx, k, lanes);
                     }
                 }
             }
             vals.clear();
-            for &l in &lanes {
+            for &l in lanes.iter() {
                 let mut a = Accum::from_fx(bias);
                 a.add_raw(l);
                 vals.push(a.to_fx());
             }
-            let _ = eng.alu.activate(&mut vals, activation, &mut meter);
-            eng.nbout.write_block(o, (0, y), (ow, 1), &vals, &mut meter);
+            let _ = alu.activate(vals, self.activation, &mut meter);
+            sink(y, vals);
         }
     }
-    eng.scratch.vals = vals;
-    eng.scratch.values = weights;
-    eng.scratch.sums = lanes;
 }
 
-/// Pooling replay, one output row at a time: the unclipped lane prefix
-/// of each row runs on the chunked lane kernel; lanes whose window
-/// clips at the right input edge reduce per pixel exactly like the mode
-/// (e) gather loop. Overlapping windows always fit (the window sweep
-/// reads them unclipped). Max and exact integer sums are
-/// order-independent, so results are bit-identical to the live pooling
-/// executor. Pooling uses no synapses, so the SB overlay never applies.
-fn pool_rows(
-    eng: &mut Engine<'_>,
-    layer: &Layer,
+/// A pooling layer's value body, shared by replay and the strip prefix.
+struct Pool {
     window: (usize, usize),
     stride: (usize, usize),
     kind: PoolKind,
+    rounding: Rounding,
     activation: Activation,
-) {
-    let (ow, oh) = layer.out_dims();
-    let in_dims = layer.in_dims();
-    let overlapping = stride.0 < window.0 || stride.1 < window.1;
-    // Lanes 0..n_unclip have full windows in x (monotone in the lane
-    // index); overlapping windows always fit.
-    let n_unclip = if overlapping {
-        ow
-    } else if in_dims.0 >= window.0 {
-        ow.min((in_dims.0 - window.0) / stride.0 + 1)
-    } else {
-        0
-    };
-    let kern = LaneKernel;
-    let mut vals = mem::take(&mut eng.scratch.vals);
-    let mut lanes = mem::take(&mut eng.scratch.sums);
-    let mut cmps = mem::take(&mut eng.scratch.aux);
-    let mut meter = LayerStats::default();
+}
 
-    for m in 0..layer.out_maps() {
-        let fm = &eng.nbin.contents().expect("session loaded the input")[m];
+impl Pool {
+    /// The pooling body of `layer`, or `None` for other kinds.
+    fn of(layer: &Layer) -> Option<Pool> {
+        match layer.body() {
+            LayerBody::Pool {
+                window,
+                stride,
+                kind,
+                rounding,
+                activation,
+            } => Some(Pool {
+                window: *window,
+                stride: *stride,
+                kind: *kind,
+                rounding: *rounding,
+                activation: *activation,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Pools one input map (of any width), one output row at a time into
+    /// `sink(y, row)`: the unclipped lane prefix of each row runs on the
+    /// chunked lane kernel; lanes whose window clips at the right input
+    /// edge reduce per pixel exactly like the mode (e) gather loop.
+    /// Overlapping windows always fit (the window sweep reads them
+    /// unclipped). Max and exact integer sums are order-independent, so
+    /// results are bit-identical to the live pooling executor. Pooling
+    /// uses no synapses, so the SB overlay never applies.
+    /// Output dimensions over an input of `(w, h)`, by the layer's
+    /// rounding.
+    fn out_dims(&self, (w, h): (usize, usize)) -> (usize, usize) {
+        let extent = |n, k, s| self.rounding.extent(n, k, s).unwrap_or(0);
+        (
+            extent(w, self.window.0, self.stride.0),
+            extent(h, self.window.1, self.stride.1),
+        )
+    }
+
+    fn map(
+        &self,
+        fm: &FeatureMap<Fx>,
+        alu: &Alu,
+        scratch: &mut Scratch,
+        mut sink: impl FnMut(usize, &[Fx]),
+    ) {
+        let (window, stride) = (self.window, self.stride);
+        let in_dims = fm.dims();
+        let (ow, oh) = self.out_dims(in_dims);
+        let overlapping = stride.0 < window.0 || stride.1 < window.1;
+        // Lanes 0..n_unclip have full windows in x (monotone in the lane
+        // index); overlapping windows always fit.
+        let n_unclip = if overlapping {
+            ow
+        } else if in_dims.0 >= window.0 {
+            ow.min((in_dims.0 - window.0) / stride.0 + 1)
+        } else {
+            0
+        };
+        let kern = LaneKernel;
+        let Scratch {
+            vals,
+            sums: lanes,
+            aux: cmps,
+            ..
+        } = scratch;
+        let mut meter = LayerStats::default();
+
         for y in 0..oh {
             let y0 = y * stride.1;
             let ye = if overlapping {
@@ -214,7 +316,7 @@ fn pool_rows(
                 (y0 + window.1).min(in_dims.1)
             };
             vals.clear();
-            match kind {
+            match self.kind {
                 PoolKind::Max => {
                     cmps.clear();
                     cmps.resize(ow, Fx::MIN);
@@ -235,7 +337,7 @@ fn pool_rows(
                             }
                         }
                     }
-                    vals.extend_from_slice(&cmps);
+                    vals.extend_from_slice(cmps);
                 }
                 PoolKind::Avg => {
                     lanes.clear();
@@ -244,7 +346,7 @@ fn pool_rows(
                         for yy in y0..ye {
                             let row = fm.row(yy);
                             for wx in 0..window.0 {
-                                kern.shifted_sum(&row[wx..], stride.0, &mut lanes);
+                                kern.shifted_sum(&row[wx..], stride.0, lanes);
                             }
                         }
                     }
@@ -267,13 +369,108 @@ fn pool_rows(
                     }
                 }
             }
-            let _ = eng.alu.activate(&mut vals, activation, &mut meter);
-            eng.nbout.write_block(m, (0, y), (ow, 1), &vals, &mut meter);
+            let _ = alu.activate(vals, self.activation, &mut meter);
+            sink(y, vals);
         }
     }
-    eng.scratch.vals = vals;
-    eng.scratch.sums = lanes;
-    eng.scratch.aux = cmps;
+}
+
+/// Evaluates a network's leading conv/pool `layers` over `strip` — the
+/// network's input maps and height at any width — into `out`, with the
+/// very bodies replay runs, so every output column equals the column a
+/// region replay computes at the same offset. A conv followed by a pool
+/// runs fused one map at a time: conv map `o` lands in a one-map scratch
+/// and pools straight into map `o` of the next stage, so no conv-output
+/// stack is ever held. Intermediate stages ping-pong between two
+/// session-owned stacks.
+pub(crate) fn prefix(
+    layers: &[Layer],
+    store: &SynapseStore,
+    alu: &Alu,
+    scratch: &mut Scratch,
+    strip: &MapStack<Fx>,
+    out: &mut MapStack<Fx>,
+) {
+    // `held` is the previous stage's output once `staged`; `free` is the
+    // other stack's storage.
+    let [mut held, mut free] = mem::take(&mut scratch.stages);
+    let mut staged = false;
+    let mut conv_out = scratch.conv_out.take();
+    let mut i = 0;
+    while i < layers.len() {
+        let fused = matches!(layers[i].body(), LayerBody::Conv { .. })
+            && matches!(
+                layers.get(i + 1).map(Layer::body),
+                Some(LayerBody::Pool { .. })
+            );
+        let span = 1 + usize::from(fused);
+        let input = held.as_ref().filter(|_| staged).unwrap_or(strip);
+        let unit = &layers[i..i + span];
+        if i + span == layers.len() {
+            stage(unit, i, input, out, &mut conv_out, store, alu, scratch);
+        } else {
+            let mut dst = free.take().unwrap_or_else(|| MapStack::new(1, 1));
+            stage(unit, i, input, &mut dst, &mut conv_out, store, alu, scratch);
+            free = held.replace(dst);
+            staged = true;
+        }
+        i += span;
+    }
+    scratch.stages = [held, free];
+    scratch.conv_out = conv_out;
+}
+
+/// A row sink that stores each row into `map`.
+fn copy_row(map: &mut FeatureMap<Fx>) -> impl FnMut(usize, &[Fx]) + '_ {
+    move |y, row| map.row_mut(y).copy_from_slice(row)
+}
+
+/// One prefix stage: a conv, a pool, or a conv fused with its pool
+/// (`unit` holds network layers `index..`), from `input` into `dst`.
+#[allow(clippy::too_many_arguments)]
+fn stage(
+    unit: &[Layer],
+    index: usize,
+    input: &MapStack<Fx>,
+    dst: &mut MapStack<Fx>,
+    conv_out: &mut Option<FeatureMap<Fx>>,
+    store: &SynapseStore,
+    alu: &Alu,
+    scratch: &mut Scratch,
+) {
+    let first = &unit[0];
+    if let Some(pool) = Pool::of(first) {
+        let (w, h) = pool.out_dims(input.map_dims());
+        dst.refill(w, h, input.len(), Fx::ZERO);
+        for (m, fm) in input.iter().enumerate() {
+            let target = dst.get_mut(m).expect("refilled to the input's maps");
+            pool.map(fm, alu, scratch, copy_row(target));
+        }
+        return;
+    }
+    let conv = Conv::of(first, index, store).expect("prefix stages are conv or pool");
+    let maps = first.out_maps();
+    let (w, h) = conv.out_dims(input.map_dims());
+    match unit.get(1).and_then(Pool::of) {
+        Some(pool) => {
+            let (pw, ph) = pool.out_dims((w, h));
+            dst.refill(pw, ph, maps, Fx::ZERO);
+            let conv_map = conv_out.get_or_insert_with(|| FeatureMap::filled(1, 1, Fx::ZERO));
+            conv_map.refill(w, h, Fx::ZERO);
+            for o in 0..maps {
+                conv.map(input, o, alu, &[], scratch, copy_row(conv_map));
+                let target = dst.get_mut(o).expect("refilled to the layer's maps");
+                pool.map(conv_map, alu, scratch, copy_row(target));
+            }
+        }
+        None => {
+            dst.refill(w, h, maps, Fx::ZERO);
+            for o in 0..maps {
+                let target = dst.get_mut(o).expect("refilled to the layer's maps");
+                conv.map(input, o, alu, &[], scratch, copy_row(target));
+            }
+        }
+    }
 }
 
 /// Classifier replay: each PE's MAC stream is its weight row in

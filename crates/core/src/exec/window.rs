@@ -95,9 +95,7 @@ fn sweep(
     // Window-pass boundary: stale FIFO-V (and FIFO-H) contents from the
     // previous pass are discarded, and the phase ring advances.
     if eng.hfsm.second() != SecondState::Init {
-        eng.hfsm
-            .step(SecondState::NextWindow)
-            .expect("HFSM: next window");
+        eng.hfsm.step(SecondState::NextWindow)?;
     }
     eng.nfu.set_fifo_depths(sx, sy);
     eng.nfu.clear_fifos_v();
@@ -119,7 +117,7 @@ fn sweep(
             } else if kx == 0 && ky == 0 {
                 // Fig. 13 cycle #0: full tile fill, read mode (a)/(b)
                 // (or (e) when strided).
-                eng.hfsm.step(SecondState::Fill).expect("HFSM: fill");
+                eng.hfsm.step(SecondState::Fill)?;
                 eng.nb_tile_into(
                     pass.map,
                     pass.input_at(0, 0, 0, 0),
@@ -129,8 +127,8 @@ fn sweep(
                 )?;
             } else if kx == 0 {
                 // New kernel row (Fig. 13 cycle #3).
-                eng.hfsm.step(SecondState::NextRow).expect("HFSM: next row");
-                eng.hfsm.step(SecondState::VMode).expect("HFSM: v-mode");
+                eng.hfsm.step(SecondState::NextRow)?;
+                eng.hfsm.step(SecondState::VMode)?;
                 if ky < sy {
                     // The row below never read this input row within this
                     // window: everyone refills from NBin.
@@ -156,7 +154,7 @@ fn sweep(
                 }
             } else {
                 // Horizontal step (Fig. 13 cycles #1–#2).
-                eng.hfsm.step(SecondState::HMode).expect("HFSM: h-mode");
+                eng.hfsm.step(SecondState::HMode)?;
                 if kx < sx {
                     eng.nb_tile_into(
                         pass.map,

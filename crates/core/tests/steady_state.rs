@@ -1,7 +1,8 @@
-//! The session's steady-state contracts: once warmed, `infer_ref` and a
-//! repeated `infer_delta_ref` perform zero heap allocations (clean and
-//! under a silent fault plan), and a wrong-shaped input is rejected with
-//! `RunError::InputShape` without disturbing the session's next run.
+//! The session's steady-state contracts: once warmed, `infer_ref`, a
+//! repeated `infer_delta_ref` and a shared-prefix `infer_ref_from`
+//! perform zero heap allocations (clean and under a silent fault plan),
+//! and a wrong-shaped input or an unservable prefix is rejected with a
+//! typed `RunError` without disturbing the session's next run.
 
 use shidiannao_cnn::{Activation, ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
 use shidiannao_core::{
@@ -178,4 +179,106 @@ fn mismatched_input_shapes_are_rejected() {
     assert_eq!(next.stats(), fresh.stats());
     assert_eq!(next.energy(), fresh.energy());
     assert_eq!(next.fault_stats(), fresh.fault_stats());
+}
+
+/// A region's own prefix values: the strip evaluator over a strip
+/// exactly one region wide.
+fn prefix_of(prepared: &PreparedNetwork, input: &MapStack<Fx>) -> MapStack<Fx> {
+    let mut mid = MapStack::new(1, 1);
+    prepared
+        .session()
+        .prefix_values(prepared.shareable_prefix(), input, &mut mid)
+        .expect("a region is a strip one region wide");
+    mid
+}
+
+#[test]
+fn warmed_infer_ref_from_matches_infer_and_allocates_nothing() {
+    let net = lenet_like();
+    let prepared = prepare(&net);
+    // C1, S2, C3 and S4 share; the classifier always runs on the region.
+    let k = prepared.shareable_prefix();
+    assert_eq!(k, 4);
+    let input = net.random_input(1);
+    let mid = prefix_of(&prepared, &input);
+    let whole = prepared.session().infer(&input).expect("runs");
+    let mut session = prepared.session();
+    {
+        let from = session.infer_ref_from(k, &mid).expect("runs");
+        assert_eq!(from.output(), whole.output());
+        assert_eq!(from.stats(), whole.stats());
+        assert_eq!(from.energy(), whole.energy());
+        assert_eq!(from.fault_stats(), whole.fault_stats());
+    }
+    let allocs = steady_allocs(|| {
+        session.infer_ref_from(k, &mid).expect("runs");
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state infer_ref_from must not touch the heap"
+    );
+    let mut out = MapStack::new(1, 1);
+    let allocs = steady_allocs(|| {
+        session.prefix_values(k, &input, &mut out).expect("runs");
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state prefix_values must not touch the heap"
+    );
+}
+
+#[test]
+fn unservable_prefixes_are_typed_errors() {
+    let net = lenet_like();
+    let prepared = prepare(&net);
+    let k = prepared.shareable_prefix();
+    let good = net.random_input(1);
+    let mid = prefix_of(&prepared, &good);
+    let is_prefix_error = |e: RunError| matches!(e, RunError::Prefix { .. });
+    let mut session = prepared.session();
+
+    // A `mid` of the wrong shape, and prefixes too long or empty.
+    let bad = MapStack::filled(3, 3, 1, Fx::ZERO);
+    assert!(session
+        .infer_ref_from(k, &bad)
+        .is_err_and(|e| matches!(e, RunError::InputShape { .. })));
+    assert!(session
+        .infer_ref_from(k + 1, &mid)
+        .is_err_and(is_prefix_error));
+    let mut out = MapStack::new(1, 1);
+    assert!(session
+        .prefix_values(0, &good, &mut out)
+        .is_err_and(is_prefix_error));
+    assert!(session
+        .prefix_values(k + 1, &good, &mut out)
+        .is_err_and(is_prefix_error));
+    let narrow = MapStack::filled(20, 24, 1, Fx::ZERO);
+    assert!(session
+        .prefix_values(k, &narrow, &mut out)
+        .is_err_and(is_prefix_error));
+    // Sessions that cannot charge a layer without computing it: live
+    // decode, a fault plan, stuck PEs.
+    session.set_schedule_replay(false);
+    assert!(session.infer_ref_from(k, &mid).is_err_and(is_prefix_error));
+    session.set_schedule_replay(true);
+    let faulty = FaultPlan::new(FaultConfig::uniform(7, 1e-3, SramProtection::None));
+    let mut faulted = prepared.session_with_faults(faulty);
+    assert!(faulted.infer_ref_from(k, &mid).is_err_and(is_prefix_error));
+    let stuck = FaultPlan::new(FaultConfig {
+        pe_stuck_rate: 0.5,
+        ..FaultConfig::uniform(7, 0.0, SramProtection::None)
+    });
+    let mut stuck = prepared.session_with_faults(stuck);
+    assert!(stuck.infer_ref_from(k, &mid).is_err_and(is_prefix_error));
+
+    // The session recovers: its next run is bit-identical to a fresh
+    // session's.
+    let next = session.infer(&good).expect("session recovered");
+    let fresh = prepared.session().infer(&good).expect("fresh session runs");
+    assert_eq!(next.output(), fresh.output());
+    assert_eq!(next.stats(), fresh.stats());
+    assert_eq!(next.energy(), fresh.energy());
+    let from = session.infer_ref_from(k, &mid).expect("session recovered");
+    assert_eq!(from.output(), fresh.output());
+    assert_eq!(from.stats(), fresh.stats());
 }

@@ -126,23 +126,10 @@ impl Frame {
     /// it does not fit inside the frame.
     pub fn try_region(
         &self,
-        (x0, y0): (usize, usize),
-        (w, h): (usize, usize),
+        origin: (usize, usize),
+        dims: (usize, usize),
     ) -> Result<MapStack<Fx>, StreamError> {
-        let (fw, fh) = self.dims();
-        if x0 + w > fw || y0 + h > fh {
-            return Err(StreamError::RegionOutOfBounds {
-                origin: (x0, y0),
-                region: (w, h),
-                frame: (fw, fh),
-            });
-        }
-        let map = FeatureMap::from_fn(w, h, |x, y| {
-            Fx::from_f32(self.pixels[(x0 + x, y0 + y)] as f32 / 256.0)
-        });
-        let mut stack = MapStack::new(w, h);
-        stack.push(map).expect("region map matches its own stack");
-        Ok(stack)
+        self.try_region_stacked(origin, dims, 1)
     }
 
     /// Like [`Frame::region`] but replicated across `maps` identical input
@@ -167,12 +154,45 @@ impl Frame {
         dims: (usize, usize),
         maps: usize,
     ) -> Result<MapStack<Fx>, StreamError> {
-        let single = self.try_region(origin, dims)?;
         let mut stack = MapStack::new(dims.0, dims.1);
-        for _ in 0..maps {
-            stack.push(single[0].clone()).expect("same dims");
-        }
+        self.try_region_into(origin, dims, maps, &mut stack)?;
         Ok(stack)
+    }
+
+    /// [`Frame::try_region_stacked`] into a caller-held stack, reusing
+    /// its storage: allocation-free once `out` has held a region this
+    /// size.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::RegionOutOfBounds`] when the region does not fit
+    /// inside the frame; `out` is left as it was.
+    pub fn try_region_into(
+        &self,
+        (x0, y0): (usize, usize),
+        (w, h): (usize, usize),
+        maps: usize,
+        out: &mut MapStack<Fx>,
+    ) -> Result<(), StreamError> {
+        let (fw, fh) = self.dims();
+        if x0 + w > fw || y0 + h > fh {
+            return Err(StreamError::RegionOutOfBounds {
+                origin: (x0, y0),
+                region: (w, h),
+                frame: (fw, fh),
+            });
+        }
+        out.refill(w, h, maps, Fx::ZERO);
+        for m in 0..maps {
+            let map = out.get_mut(m).expect("refilled to `maps` maps");
+            for y in 0..h {
+                let pixels = &self.pixels.row(y0 + y)[x0..x0 + w];
+                for (v, &px) in map.row_mut(y).iter_mut().zip(pixels) {
+                    *v = Fx::from_f32(px as f32 / 256.0);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -501,7 +521,35 @@ impl RegionGrid {
         frame.try_region_stacked(self.origin_at(index), self.region, maps)
     }
 
-    fn check(&self, frame: &Frame) -> Result<(), StreamError> {
+    /// Tiles the strip of region row `row`: the frame's full width at
+    /// the row's region height and `y`-origin, with `maps` replicated
+    /// input channels, into `out` (storage reused). Region `(i, row)` is
+    /// the strip's columns from `origin(i, row).0` on — the §10.2 row
+    /// buffer's band as the accelerator's input.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::FrameMismatch`] when the frame's dimensions differ
+    /// from the grid's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not below the grid's row count.
+    pub fn try_strip_into(
+        &self,
+        frame: &Frame,
+        row: usize,
+        maps: usize,
+        out: &mut MapStack<Fx>,
+    ) -> Result<(), StreamError> {
+        self.check(frame)?;
+        let y0 = self.origin(0, row).1;
+        frame.try_region_into((0, y0), (self.frame.0, self.region.1), maps, out)
+    }
+
+    /// [`StreamError::FrameMismatch`] unless the frame has the grid's
+    /// dimensions.
+    pub fn check(&self, frame: &Frame) -> Result<(), StreamError> {
         if frame.dims() != self.frame {
             return Err(StreamError::FrameMismatch {
                 frame: frame.dims(),

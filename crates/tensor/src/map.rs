@@ -204,6 +204,17 @@ impl<T> FeatureMap<T> {
         &self.data[y * self.width..(y + 1) * self.width]
     }
 
+    /// The `y`-th row as a mutable slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y >= height`.
+    #[inline]
+    pub fn row_mut(&mut self, y: usize) -> &mut [T] {
+        assert!(y < self.height, "row {y} out of bounds");
+        &mut self.data[y * self.width..(y + 1) * self.width]
+    }
+
     /// The raw row-major storage.
     #[inline]
     pub fn as_slice(&self) -> &[T] {

@@ -5,11 +5,19 @@
 //! accelerator sits on the streaming path, frames never exist in full,
 //! and only "the few output bytes of the recognition process" leave for
 //! the host.
+//!
+//! The modeled chip runs every region whole; the host need not. Overlapping
+//! regions of one row repeat each other's early convolutions, so
+//! [`StreamingPipeline::process_frame`] computes the shareable prefix once
+//! over each row's full-width strip (the band the §10.2 row buffer
+//! holds) and replays each region from its window of it, charged the
+//! full schedule (DESIGN.md §3l, "Shared strip prefix").
 
-use crate::cnn::Network;
+use crate::cnn::{LayerBody, Network};
 use crate::fixed::Fx;
 use crate::sensor::{Frame, RegionGrid, RowBuffer, StreamError};
 use crate::sim::{Accelerator, FaultPlan, FaultStats, InferenceRef, PreparedNetwork, RunError};
+use crate::tensor::MapStack;
 use core::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -97,10 +105,11 @@ impl RegionLedger {
     }
 }
 
-/// Regions a worker claims at a time: large enough that claiming costs
-/// nothing next to a block's inferences, small enough that a frame's
-/// blocks balance across workers.
-const REGION_BLOCK: usize = 32;
+/// Regions a worker claims at a time when blocks need not follow region
+/// rows (the video pipeline): large enough that claiming costs nothing
+/// next to a block's inferences, small enough that a frame's blocks
+/// balance across workers.
+pub(crate) const REGION_BLOCK: usize = 32;
 
 /// Workers a frame's regions run on, by the vendored rayon shim's rule:
 /// `RAYON_NUM_THREADS` when it is a positive integer, else the machine's
@@ -120,7 +129,7 @@ pub(crate) fn frame_workers() -> usize {
 /// threads, the calling thread included, and returns the states the
 /// workers opened.
 ///
-/// Slots are split into fixed blocks of [`REGION_BLOCK`], claimed through
+/// Slots are split into fixed blocks of `block_len` slots, claimed through
 /// an atomic index. Each worker opens its own `state` (a `Session` and
 /// its tally) with `open` on its first block and writes only into the
 /// slots of the blocks it claimed, so callers fold the slots afterwards
@@ -133,6 +142,7 @@ pub(crate) fn frame_workers() -> usize {
 /// The error of the lowest-indexed slot that failed.
 pub(crate) fn run_regions<T, S, E>(
     slots: &mut [T],
+    block_len: usize,
     workers: usize,
     open: impl Fn() -> S + Sync,
     run: impl Fn(&mut S, usize, &mut T) -> Result<(), E> + Sync,
@@ -142,7 +152,7 @@ where
     S: Send,
     E: Send,
 {
-    let workers = workers.min(slots.len().div_ceil(REGION_BLOCK));
+    let workers = workers.min(slots.len().div_ceil(block_len));
     if workers <= 1 {
         let mut state = None;
         for (i, slot) in slots.iter_mut().enumerate() {
@@ -150,7 +160,7 @@ where
         }
         return Ok(state.into_iter().collect());
     }
-    let blocks: Vec<Mutex<&mut [T]>> = slots.chunks_mut(REGION_BLOCK).map(Mutex::new).collect();
+    let blocks: Vec<Mutex<&mut [T]>> = slots.chunks_mut(block_len).map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
     let failed: Mutex<Option<(usize, E)>> = Mutex::new(None);
     let drain = || {
@@ -163,7 +173,7 @@ where
             let mut block = block.lock().expect("a region block is claimed once");
             let state = state.get_or_insert_with(&open);
             for (k, slot) in block.iter_mut().enumerate() {
-                let i = b * REGION_BLOCK + k;
+                let i = b * block_len + k;
                 if let Err(e) = run(state, i, slot) {
                     let mut failed = failed.lock().expect("no worker panics holding it");
                     if failed.as_ref().is_none_or(|(j, _)| i < *j) {
@@ -332,6 +342,88 @@ impl FrameReport {
 pub struct StreamingPipeline {
     prepared: PreparedNetwork,
     grid: RegionGrid,
+    /// What one evaluation per region-row strip computes for the row.
+    prefix: StripPrefix,
+}
+
+/// A grid's shared strip prefix (DESIGN.md §3l).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct StripPrefix {
+    /// Leading layers computed once per region-row strip; 0 runs every
+    /// region whole.
+    layers: usize,
+    /// Their cumulative `x`-stride: region `x`'s window of the strip's
+    /// output starts at column `x / stride`.
+    stride: usize,
+    /// The window's width: layer `layers − 1`'s output width (the
+    /// region's own when `layers` is 0).
+    width: usize,
+}
+
+/// The shared strip prefix for a grid: how many of the network's
+/// structurally shareable layers ([`PreparedNetwork::shareable_prefix`])
+/// one evaluation per region row computes for all of the row's regions.
+/// Layer `i` stays in while every region's `x`-origin, the clamped last
+/// column included, is a multiple of the cumulative `x`-stride `s` of
+/// layers `0..=i` — so each region's layer-`i` output is an exact column
+/// window of the strip's — and while the strip computes fewer output
+/// columns (`ow + (F − R)/s`) than the row's `nx` regions do (`nx · ow`).
+/// A grid with no overlap gets 0.
+fn strip_prefix(prepared: &PreparedNetwork, grid: &RegionGrid) -> StripPrefix {
+    let (nx, _) = grid.counts();
+    let span = grid.frame_dims().0 - grid.region_dims().0;
+    let mut prefix = StripPrefix {
+        layers: 0,
+        stride: 1,
+        width: grid.region_dims().0,
+    };
+    for layer in &prepared.network().layers()[..prepared.shareable_prefix()] {
+        let (LayerBody::Conv { stride, .. } | LayerBody::Pool { stride, .. }) = layer.body() else {
+            break;
+        };
+        let s = prefix.stride * stride.0;
+        let aligned = (0..nx).all(|i| grid.origin(i, 0).0.is_multiple_of(s));
+        let ow = layer.out_dims().0;
+        if !aligned || ow + span / s >= nx * ow {
+            break;
+        }
+        prefix = StripPrefix {
+            layers: prefix.layers + 1,
+            stride: s,
+            width: ow,
+        };
+    }
+    prefix
+}
+
+/// A worker's strip buffers, reused across its rows: the row's input
+/// strip, the prefix's output over it, and one region's window of that.
+struct StripScratch {
+    input: MapStack<Fx>,
+    prefix: MapStack<Fx>,
+    window: MapStack<Fx>,
+}
+
+impl StripScratch {
+    fn new() -> StripScratch {
+        StripScratch {
+            input: MapStack::new(1, 1),
+            prefix: MapStack::new(1, 1),
+            window: MapStack::new(1, 1),
+        }
+    }
+}
+
+/// Copies columns `x0..x0 + w` of every map of `src` into `out`.
+fn copy_window(src: &MapStack<Fx>, x0: usize, w: usize, out: &mut MapStack<Fx>) {
+    let h = src.height();
+    out.refill(w, h, src.len(), Fx::ZERO);
+    for (m, map) in src.iter().enumerate() {
+        let target = out.get_mut(m).expect("refilled to the source's maps");
+        for y in 0..h {
+            target.row_mut(y).copy_from_slice(&map.row(y)[x0..x0 + w]);
+        }
+    }
 }
 
 impl StreamingPipeline {
@@ -356,7 +448,12 @@ impl StreamingPipeline {
             });
         }
         let prepared = accel.prepare(&network)?;
-        Ok(StreamingPipeline { prepared, grid })
+        let prefix = strip_prefix(&prepared, &grid);
+        Ok(StreamingPipeline {
+            prepared,
+            grid,
+            prefix,
+        })
     }
 
     /// The grid driving the pipeline.
@@ -382,10 +479,17 @@ impl StreamingPipeline {
 
     /// Runs every region of a frame through the accelerator.
     ///
-    /// Regions are independent — each is its own NBin load and run — so
-    /// they run in parallel on [`frame_workers`] threads (see DESIGN.md,
-    /// "Region-parallel frames"). The report is folded in grid order and
-    /// is bit-identical at any worker count.
+    /// Regions run in parallel on [`frame_workers`] threads (see
+    /// DESIGN.md, "Region-parallel frames"), one region row per block.
+    /// A worker tiles its row's strip — the §10.2 row buffer's band, the
+    /// frame's full width at region height — and computes the grid's
+    /// shared prefix over it once (for ConvNN on the paper grid, C1–S4:
+    /// DESIGN.md §3l). Each region then replays only the remaining
+    /// layers from its own window of the strip
+    /// ([`Session::infer_ref_from`](crate::sim::Session::infer_ref_from)),
+    /// charged the full recorded schedule, Load included. The report is
+    /// folded in grid order and is bit-identical to running every region
+    /// whole, at any worker count.
     ///
     /// # Errors
     ///
@@ -404,6 +508,12 @@ impl StreamingPipeline {
     ) -> Result<FrameReport, PipelineError> {
         let maps = self.network().input_maps();
         let outputs = self.network().output_count();
+        let StripPrefix {
+            layers: k,
+            stride,
+            width,
+        } = self.prefix;
+        let (nx, _) = self.grid.counts();
         let mut results: Vec<RegionResult> = self
             .grid
             .origins()
@@ -417,18 +527,34 @@ impl StreamingPipeline {
         // the PE mesh stay allocated, and no region recompiles anything.
         let states = run_regions(
             &mut slots,
+            nx,
             workers,
-            || (self.prepared.session(), RegionTally::default()),
-            |(session, tally), i, (result, energy_nj)| {
-                let region = self.grid.try_region(frame, i, maps)?;
-                *energy_nj = tally.record(&session.infer_ref(&region)?, &mut result.output);
+            || {
+                (
+                    self.prepared.session(),
+                    RegionTally::default(),
+                    StripScratch::new(),
+                )
+            },
+            |(session, tally, strip), i, (result, energy_nj)| {
+                if i % nx == 0 {
+                    self.grid
+                        .try_strip_into(frame, i / nx, maps, &mut strip.input)?;
+                    if k > 0 {
+                        session.prefix_values(k, &strip.input, &mut strip.prefix)?;
+                    }
+                }
+                let src = if k > 0 { &strip.prefix } else { &strip.input };
+                copy_window(src, result.origin.0 / stride, width, &mut strip.window);
+                let run = session.infer_ref_from(k, &strip.window)?;
+                *energy_nj = tally.record(&run, &mut result.output);
                 Ok::<_, PipelineError>(())
             },
         )?;
         let energy_nj = slots.iter().fold(0.0, |sum, (_, nj)| sum + nj);
         drop(slots);
         let mut tally = RegionTally::default();
-        for (_, t) in states {
+        for (_, t, _) in states {
             tally.absorb(t);
         }
         Ok(FrameReport {
@@ -464,18 +590,14 @@ impl StreamingPipeline {
         plan: FaultPlan,
         policy: &DegradePolicy,
     ) -> Result<DegradedFrameReport, PipelineError> {
+        self.grid.check(frame)?;
         let maps = self.network().input_maps();
-        let origins: Vec<_> = self.grid.origins().collect();
-        let mut results = Vec::with_capacity(origins.len());
+        let mut results = Vec::with_capacity(self.grid.count());
         let mut cycles = 0u64;
         let mut energy_nj = 0.0;
         let mut fault_stats = FaultStats::default();
         let mut session = self.prepared.session_with_faults(plan);
-        for ((ri, origin), region) in origins
-            .into_iter()
-            .enumerate()
-            .zip(self.grid.try_stream(frame, maps)?)
-        {
+        for (ri, origin) in self.grid.origins().enumerate() {
             if policy
                 .frame_cycle_budget
                 .is_some_and(|budget| cycles >= budget)
@@ -487,6 +609,7 @@ impl StreamingPipeline {
                 });
                 continue;
             }
+            let region = self.grid.try_region(frame, ri, maps)?;
             let mut outcome = RegionOutcome::DroppedFaulty;
             let mut output = None;
             for attempt in 0..=policy.max_retries {
@@ -779,63 +902,124 @@ mod tests {
         assert_eq!(none.cycles(), 0);
     }
 
-    /// The executor's fold reproduces the one-session serial loop bit for
-    /// bit at every worker count, on a grid of several blocks with a
-    /// ragged last one.
-    #[test]
-    fn reports_are_identical_at_any_worker_count() {
-        let net = zoo::gabor().build(1).unwrap();
-        let grid = RegionGrid::new((120, 100), (20, 20), (6, 7));
-        assert!(grid.count() > 4 * REGION_BLOCK && !grid.count().is_multiple_of(REGION_BLOCK));
-        let pipe = StreamingPipeline::new(Accelerator::new(AcceleratorConfig::paper()), net, grid)
-            .unwrap();
-        let frame = SyntheticSensor::new(120, 100, 5).next_frame();
+    /// The public-API oracle: every region tiled with `grid.stream` and
+    /// run whole through `Session::infer` on one session, summed in grid
+    /// order — `(cycles, energy nJ, outputs)`.
+    fn per_region_loop(pipe: &StreamingPipeline, frame: &Frame) -> (u64, f64, Vec<Vec<Fx>>) {
         let mut session = pipe.prepared().session();
         let (mut cycles, mut nj, mut outputs) = (0, 0.0f64, Vec::new());
-        for region in grid.stream(&frame, 1) {
+        for region in pipe.grid().stream(frame, pipe.network().input_maps()) {
             let run = session.infer(&region).unwrap();
             cycles += run.stats().cycles();
             nj += run.energy().total_nj();
             outputs.push(run.output_flat());
         }
+        (cycles, nj, outputs)
+    }
+
+    /// Whether a report equals the oracle: outputs, cycles, and energy
+    /// by bits.
+    fn matches_loop(
+        report: &FrameReport,
+        (cycles, nj, outputs): &(u64, f64, Vec<Vec<Fx>>),
+    ) -> bool {
+        report.compute_cycles() + report.load_cycles() == *cycles
+            && report.energy_nj().to_bits() == nj.to_bits()
+            && report
+                .results()
+                .iter()
+                .map(|r| &r.output)
+                .eq(outputs.iter())
+    }
+
+    /// The executor's fold reproduces the one-session serial loop bit for
+    /// bit at every worker count, on a grid of several region rows whose
+    /// strips share C1–C3.
+    #[test]
+    fn reports_are_identical_at_any_worker_count() {
+        let net = zoo::gabor().build(1).unwrap();
+        let grid = RegionGrid::new((120, 100), (20, 20), (6, 7));
+        let pipe = StreamingPipeline::new(Accelerator::new(AcceleratorConfig::paper()), net, grid)
+            .unwrap();
+        // Origins step by 6 and the last column is 100: even, but not all
+        // multiples of S4's cumulative stride 4.
+        assert_eq!(pipe.prefix.layers, 3);
+        assert!(grid.counts().1 > 4);
+        let frame = SyntheticSensor::new(120, 100, 5).next_frame();
+        let oracle = per_region_loop(&pipe, &frame);
         for workers in [1, 2, 3, 7] {
             let report = pipe.process_frame_with(&frame, workers).unwrap();
-            assert_eq!(report.compute_cycles() + report.load_cycles(), cycles);
-            assert_eq!(
-                report.energy_nj().to_bits(),
-                nj.to_bits(),
-                "{workers} workers"
-            );
-            let got: Vec<_> = report.results().iter().map(|r| r.output.clone()).collect();
-            assert_eq!(got, outputs, "{workers} workers");
+            assert!(matches_loop(&report, &oracle), "{workers} workers");
         }
         let wrong = SyntheticSensor::new(64, 64, 5).next_frame();
         let err = pipe.process_frame_with(&wrong, 3).unwrap_err();
         assert!(matches!(err, PipelineError::Stream(_)), "{err:?}");
     }
 
+    fn pipeline(net: Network, grid: RegionGrid) -> StreamingPipeline {
+        StreamingPipeline::new(Accelerator::new(AcceleratorConfig::paper()), net, grid).unwrap()
+    }
+
+    /// The strip prefix each rule leaves: ConvNN shares C1–S4 on the
+    /// paper grid (C5's strip would be 145 columns against 37 regions'
+    /// one each); a grid without overlap shares nothing; FaceRecog's
+    /// ceiling S2 clips at the region edge, so at most C1 is shared.
+    #[test]
+    fn strip_prefix_follows_structure_alignment_and_cost() {
+        let convnn = pipeline(zoo::convnn().build(1).unwrap(), RegionGrid::paper_convnn());
+        assert_eq!(convnn.prepared().shareable_prefix(), 5);
+        assert_eq!(
+            convnn.prefix,
+            StripPrefix {
+                layers: 4,
+                stride: 4,
+                width: 14
+            }
+        );
+        let gabor = zoo::gabor().build(1).unwrap();
+        let doc = pipeline(gabor.clone(), RegionGrid::new((40, 40), (20, 20), (20, 20)));
+        assert_eq!(doc.prefix.layers, 0);
+        let misaligned = pipeline(gabor, RegionGrid::new((41, 40), (20, 20), (7, 20)));
+        assert_eq!(misaligned.prefix.layers, 1);
+        let recog = zoo::face_recog().build(1).unwrap();
+        let recog = pipeline(recog, RegionGrid::new((63, 40), (23, 28), (4, 6)));
+        assert_eq!(recog.prepared().shareable_prefix(), 1);
+        assert!(recog.prefix.layers <= 1);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
-        /// Any grid, any stride, any worker count: the report equals the
-        /// single-worker one.
+        /// Any of three networks, any grid, strides aligned to the
+        /// prefix or not, any worker count: the report equals the
+        /// public per-region loop and the single-worker report.
         #[test]
         fn worker_count_never_changes_a_report(
-            w in 20usize..72,
-            h in 20usize..56,
-            sx in 3usize..13,
-            sy in 3usize..13,
+            which in 0usize..3,
+            extra in (0usize..40, 0usize..24),
+            stride in (1usize..12, 3usize..13),
+            aligned in proptest::prelude::any::<bool>(),
             workers in 2usize..9,
             seed in 0u64..1_000,
         ) {
-            let net = zoo::gabor().build(1).unwrap();
-            let grid = RegionGrid::new((w, h), (20, 20), (sx, sy));
-            let pipe =
-                StreamingPipeline::new(Accelerator::new(AcceleratorConfig::paper()), net, grid)
-                    .unwrap();
+            // Gabor; FaceAlign (floor-rounded S4, 21→10 in y); FaceRecog
+            // (ceiling S2, 21→11, which clips in x).
+            let builder = [zoo::gabor, zoo::face_align, zoo::face_recog][which];
+            let net = builder().build(1).unwrap();
+            let region = net.input_dims();
+            // Aligned grids step by a multiple of 4 and end on one.
+            let (sx, w) = if aligned {
+                (4 * stride.0, region.0 + extra.0 / 4 * 4)
+            } else {
+                (stride.0, region.0 + extra.0)
+            };
+            let (w, h) = (w, region.1 + extra.1);
+            let pipe = pipeline(net, RegionGrid::new((w, h), region, (sx, stride.1)));
             let frame = SyntheticSensor::new(w, h, seed).next_frame();
+            let oracle = per_region_loop(&pipe, &frame);
             let serial = pipe.process_frame_with(&frame, 1).unwrap();
             let parallel = pipe.process_frame_with(&frame, workers).unwrap();
+            proptest::prop_assert!(matches_loop(&serial, &oracle), "{:?}", pipe.prefix);
             proptest::prop_assert_eq!(serial.energy_nj().to_bits(), parallel.energy_nj().to_bits());
             proptest::prop_assert_eq!(serial, parallel);
         }

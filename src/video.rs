@@ -23,7 +23,7 @@ use crate::cnn::{ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
 use crate::fixed::Fx;
 use crate::pipeline::{
     frame_workers, run_regions, PipelineError, RegionLedger, RegionResult, RegionTally,
-    StreamingPipeline,
+    StreamingPipeline, REGION_BLOCK,
 };
 use crate::quant::quantize_network;
 use crate::sensor::{Frame, FrameDelta, RegionGrid};
@@ -563,6 +563,7 @@ impl VideoPipeline {
         // their own residency, and the oracle prices the skipped ones.
         let states = run_regions(
             &mut self.regions,
+            REGION_BLOCK,
             workers,
             || (prepared.session(), VideoTally::default()),
             |(session, tally), ri, slot| {

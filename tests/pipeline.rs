@@ -114,3 +114,29 @@ fn facade_prelude_exposes_the_whole_flow() {
     assert_eq!(acc.to_fx(), Fx::ONE);
     let _layer: Option<&Layer> = zoo::gabor().build(1).unwrap().layers().first();
 }
+
+/// The §10.2 frame end to end: the strip-prefix `FrameReport` (ConvNN's
+/// C1–S4 computed once per region row) equals the plain per-region loop
+/// in every output, in cycles, and in energy to the bit. A full VGA
+/// frame: CI runs it in release at one and at three workers.
+#[test]
+#[ignore = "a full VGA frame; run with --release -- --ignored"]
+fn vga_frame_report_equals_the_per_region_loop() {
+    let net = zoo::convnn().build(1).unwrap();
+    let grid = RegionGrid::paper_convnn();
+    let pipe =
+        StreamingPipeline::new(Accelerator::new(AcceleratorConfig::paper()), net, grid).unwrap();
+    let frame = SyntheticSensor::vga(5).next_frame();
+    let report = pipe.process_frame(&frame).unwrap();
+    assert_eq!(report.results().len(), grid.count());
+    let mut session = pipe.prepared().session();
+    let (mut cycles, mut nj) = (0, 0.0f64);
+    for (i, region) in grid.stream(&frame, 3).enumerate() {
+        let run = session.infer(&region).unwrap();
+        cycles += run.stats().cycles();
+        nj += run.energy().total_nj();
+        assert_eq!(report.results()[i].output, run.output_flat(), "region {i}");
+    }
+    assert_eq!(report.compute_cycles() + report.load_cycles(), cycles);
+    assert_eq!(report.energy_nj().to_bits(), nj.to_bits());
+}
