@@ -7,7 +7,7 @@
 //! before it dilutes into a whole-network number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shidiannao_cnn::{ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
+use shidiannao_cnn::{ConvSpec, FcSpec, LcnSpec, LrnSpec, Network, NetworkBuilder, PoolSpec};
 use shidiannao_core::kernel::{LaneKernel, ScalarKernel, ValueKernel};
 use shidiannao_core::{
     Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, LayerStats, NeuronBuffer, ReadScratch,
@@ -190,6 +190,52 @@ fn bench_schedule_replay(c: &mut Criterion) {
         }
         let mut g = c.benchmark_group(format!("schedule_{kind}"));
         g.sample_size(500);
+        g.bench_function("replay", |b| {
+            b.iter(|| black_box(replay.infer_ref(&input).expect("replay").stats().cycles()))
+        });
+        g.bench_function("live", |b| {
+            b.iter(|| black_box(live.infer_ref(&input).expect("live").stats().cycles()))
+        });
+        g.finish();
+    }
+}
+
+/// Normalization-layer replay vs live HFSM decode: one LRN and one LCN
+/// layer (AlexNet-lite's and Jarrett-LCN's first-stage shapes), on clean
+/// sessions — normalization layers replay only without a fault plan.
+fn bench_norm_replay(c: &mut Criterion) {
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    let nets = [
+        (
+            "lrn",
+            NetworkBuilder::new("lrn1", 8, (28, 28))
+                .lrn(LrnSpec {
+                    window_maps: 5,
+                    k: 2.0,
+                    alpha: 0.25,
+                })
+                .build(7),
+        ),
+        (
+            "lcn",
+            NetworkBuilder::new("lcn1", 6, (20, 20))
+                .lcn(LcnSpec::new(5))
+                .build(7),
+        ),
+    ];
+    for (kind, net) in nets {
+        let net = net.expect("valid network");
+        let input = net.random_input(9);
+        let prepared = accel.prepare(&net).expect("prepare");
+        let mut replay = prepared.session();
+        let mut live = prepared.session();
+        live.set_schedule_replay(false);
+        for _ in 0..16 {
+            let _ = replay.infer_ref(&input).expect("warm-up");
+            let _ = live.infer_ref(&input).expect("warm-up");
+        }
+        let mut g = c.benchmark_group(format!("schedule_{kind}"));
+        g.sample_size(200);
         g.bench_function("replay", |b| {
             b.iter(|| black_box(replay.infer_ref(&input).expect("replay").stats().cycles()))
         });
@@ -476,6 +522,7 @@ criterion_group!(
     bench_sb_broadcast,
     bench_small_inference,
     bench_schedule_replay,
+    bench_norm_replay,
     bench_tuner_point,
     bench_reduction_kernels,
     bench_xnor_kernels,

@@ -1069,12 +1069,10 @@ impl<'p> Session<'p> {
                 &mut self.faults,
             )?;
             if let Some(rec) = self.recorder.as_deref_mut() {
-                rec.begin_layer(
-                    schedule::layer_replayable(cfg, layer),
-                    matches!(layer.body(), LayerBody::Fc { .. }),
-                );
+                rec.begin_layer(cfg, layer);
             }
-            let attach_recorder = self.recorder.is_some() && schedule::layer_replayable(cfg, layer);
+            let attach_recorder =
+                self.recorder.is_some() && schedule::layer_overlayable(cfg, layer);
             let mut engine = Engine {
                 cfg,
                 nbin: &self.nbin,
@@ -1141,10 +1139,12 @@ impl<'p> Session<'p> {
 /// Why a prefix longer than the network's shareable one is refused.
 const PREFIX_TOO_LONG: &str = "longer than the network's shareable prefix";
 
-/// The per-layer replay decision of `execute_inner`. Layer `i` replays when replay is on (`schedule` is
-/// `Some`), the schedule models the layer, and its fault overlay holds
-/// no detected error — detected errors abort mid-layer with exact
-/// partial statistics only live decode reproduces. A replayed layer's
+/// The per-layer replay decision of `execute_inner`. Layer `i` replays
+/// when replay is on (`schedule` is `Some`), the schedule models the
+/// layer, and — under an active fault plan — its overlay is not
+/// [`LayerOverlay::Live`]: detected errors abort mid-layer with exact
+/// partial statistics only live decode reproduces, and normalization
+/// layers' staged NBout re-reads are priced only live. A replayed layer's
 /// silent faults are pre-resolved here: NB flips go into the input stack
 /// in place and the counter delta lands in one absorb.
 /// Returns the layer's schedule and the SB patches to apply at fetch, or
@@ -1166,7 +1166,7 @@ fn layer_replay<'s>(
         return Ok(Some((sl, &[])));
     }
     match &overlays[i] {
-        LayerOverlay::Abort => Ok(None),
+        LayerOverlay::Live => Ok(None),
         LayerOverlay::Silent(s) => {
             if !s.nb_patches.is_empty() {
                 let stack = nbin.contents_mut().ok_or(EmptyBufferError {

@@ -49,7 +49,7 @@ use shidiannao_tensor::{FeatureMap, MapStack};
 pub(crate) struct Scratch {
     /// Bank-conflict accounting storage for the NB controller.
     pub read: ReadScratch,
-    /// Per-cycle received neurons (window sweep, LRN tiles).
+    /// Per-cycle received neurons (window sweep).
     pub values: Vec<Fx>,
     /// Secondary read target (mode (c) bottom row / mode (f) right
     /// column merged into `values`).
@@ -72,6 +72,32 @@ pub(crate) struct Scratch {
     pub stages: [Option<MapStack<Fx>>; 2],
     /// The strip prefix's one-map conv output, pooled straight on.
     pub conv_out: Option<FeatureMap<Fx>>,
+    /// Normalization-layer storage, live and replayed.
+    pub norm: NormScratch,
+}
+
+/// Normalization-layer working storage (§8.4), shared by the live
+/// executors in [`norm`] and the replay bodies in [`replay`]. Planes are
+/// flat and row-major.
+#[derive(Debug, Default)]
+pub(crate) struct NormScratch {
+    /// NB tile / gather target (live).
+    pub tile: Vec<Fx>,
+    /// LRN denominators, LCN's δ read-out and divide epilogue (live).
+    pub vals: Vec<Fx>,
+    /// LCN pass-1 gather coordinates (live).
+    pub coords: Vec<(usize, usize)>,
+    /// PE lanes paired with `coords` (live).
+    pub lanes: Vec<(usize, usize)>,
+    /// LCN's μ plane.
+    pub mu: Vec<Fx>,
+    /// LCN's v planes, one per map (live).
+    pub v: Vec<Fx>,
+    /// LCN's δ plane.
+    pub delta: Vec<Fx>,
+    /// Every input map zero-padded by half the LCN window, then the
+    /// squared v planes in place (replay).
+    pub padded: Vec<Fx>,
 }
 
 /// Mutable execution context threaded through the layer executors.
@@ -192,7 +218,7 @@ impl Engine<'_> {
     }
 
     /// Mode (a)/(b)/(e) tile read returning a fresh `Vec` — the cold-path
-    /// wrapper (normalization layers, packed ablation).
+    /// wrapper of the multi-map packing ablation.
     pub(crate) fn nb_tile(
         &mut self,
         map: usize,
@@ -309,18 +335,6 @@ impl Engine<'_> {
             }
         }
         Ok(())
-    }
-
-    /// Mode (e) gather read returning a fresh `Vec` — the cold-path
-    /// wrapper (LCN layers).
-    pub(crate) fn nb_gather(
-        &mut self,
-        map: usize,
-        coords: &[(usize, usize)],
-    ) -> Result<Vec<Fx>, RunError> {
-        let mut out = Vec::new();
-        self.nb_gather_into(map, coords, &mut out)?;
-        Ok(out)
     }
 
     /// Filters one synapse word (weight or bias) served from the SB

@@ -10,22 +10,24 @@
 //! input stack, SB words patched at fetch below), and only the
 //! arithmetic that actually produces neuron values runs.
 //!
-//! The modeled cost of the paper's `Px×Py` block tiling (§5–§6) comes
-//! wholly from the schedule, so the host arithmetic need not follow it:
-//! conv and pool replay one whole output row per lane-kernel sweep, and
-//! only the classifier still accumulates on the real PE mesh. Every
-//! output pixel receives the same exact integer sum the instrumented
-//! path folds per cycle, so outputs are bit-identical by construction
-//! (see the bit-identity contract in [`super::values`]).
+//! The modeled cost of the paper's `Px×Py` block tiling (§5–§6) and of
+//! the Figs. 15–16 normalization sub-layer passes comes wholly from the
+//! schedule, so the host arithmetic need not follow it: conv, pool, LRN
+//! and LCN replay one whole output row per lane sweep, and only the
+//! classifier still accumulates on the real PE mesh. Every output pixel
+//! receives the same exact integer sum the instrumented path folds per
+//! cycle, so outputs are bit-identical by construction (see the
+//! bit-identity contract in [`super::values`]).
 //!
-//! Layers the replay executor does not model — normalization layers and
-//! multi-map-packed convolutions ([`crate::schedule::layer_replayable`])
-//! — and layers whose fault overlay detects an uncorrectable error
-//! (which must abort at the exact live access, with exact partial
-//! statistics) fall back to live decode in `accel.rs`.
+//! Multi-map-packed convolutions ([`crate::schedule::layer_replayable`])
+//! always live-decode in `accel.rs`. Under an active fault plan so do
+//! normalization layers (their staged NBout re-reads are priced only
+//! live, [`crate::schedule::layer_overlayable`]) and layers whose fault
+//! overlay detects an uncorrectable error (which must abort at the exact
+//! live access, with exact partial statistics).
 
 use super::values::{classifier_dot_raw, sum_to_raw, LaneKernel, ValueKernel};
-use super::{bias_addr, conv_weight_addr, fc_weight_addr, Engine, Scratch};
+use super::{bias_addr, conv_weight_addr, fc_weight_addr, Engine, NormScratch, Scratch};
 use crate::accel::RunError;
 use crate::alu::Alu;
 use crate::buffer::EmptyBufferError;
@@ -35,7 +37,7 @@ use crate::schedule::{patch_fx, LayerSchedule};
 use crate::stats::LayerStats;
 use core::mem;
 use shidiannao_cnn::{
-    Activation, ConnectionTable, FcWeights, Layer, LayerBody, PoolKind, Rounding,
+    Activation, ConnectionTable, FcWeights, Layer, LayerBody, LrnSpec, PoolKind, Rounding,
 };
 use shidiannao_fixed::{Accum, Fx};
 use shidiannao_tensor::{FeatureMap, MapStack};
@@ -65,9 +67,7 @@ pub(crate) fn run_layer(
         LayerBody::Conv { .. } => FirstState::Conv,
         LayerBody::Pool { .. } => FirstState::Pool,
         LayerBody::Fc { .. } => FirstState::Classifier,
-        LayerBody::Lrn(_) | LayerBody::Lcn { .. } => {
-            unreachable!("non-replayable layer kind reached the replay executor")
-        }
+        LayerBody::Lrn(_) | LayerBody::Lcn { .. } => FirstState::Norm,
     };
     eng.hfsm.enter(state)?;
     if compute {
@@ -94,28 +94,181 @@ fn values(eng: &mut Engine<'_>, layer: &Layer, sb_patches: &SbPatches) -> Result
     // Metering discard for NBout writes: the real counters arrive
     // wholesale from the schedule.
     let mut meter = LayerStats::default();
-    if let Some(conv) = Conv::of(layer, eng.layer_index, eng.store) {
-        for o in 0..layer.out_maps() {
-            conv.map(stack, o, eng.alu, sb_patches, eng.scratch, |y, row| {
-                eng.nbout
-                    .write_block(o, (0, y), (row.len(), 1), row, &mut meter);
-            });
+    let mut write_row = |m: usize, y: usize, row: &[Fx]| {
+        eng.nbout
+            .write_block(m, (0, y), (row.len(), 1), row, &mut meter);
+    };
+    match layer.body() {
+        LayerBody::Conv { .. } => {
+            let conv = Conv::of(layer, eng.layer_index, eng.store).expect("a conv layer");
+            for o in 0..layer.out_maps() {
+                conv.map(stack, o, eng.alu, sb_patches, eng.scratch, |y, row| {
+                    write_row(o, y, row)
+                });
+            }
         }
-    } else if let Some(pool) = Pool::of(layer) {
-        for (m, fm) in stack.iter().enumerate() {
-            pool.map(fm, eng.alu, eng.scratch, |y, row| {
-                eng.nbout
-                    .write_block(m, (0, y), (row.len(), 1), row, &mut meter);
-            });
+        LayerBody::Pool { .. } => {
+            let pool = Pool::of(layer).expect("a pool layer");
+            for (m, fm) in stack.iter().enumerate() {
+                pool.map(fm, eng.alu, eng.scratch, |y, row| write_row(m, y, row));
+            }
         }
-    } else if let LayerBody::Fc {
-        weights,
-        activation,
-    } = layer.body()
-    {
-        fc(eng, layer, weights, *activation, sb_patches);
+        LayerBody::Lrn(spec) => lrn(stack, spec, eng.scratch, write_row),
+        LayerBody::Lcn { gauss, .. } => lcn(stack, gauss, eng.alu, eng.scratch, write_row),
+        LayerBody::Fc {
+            weights,
+            activation,
+        } => fc(eng, layer, weights, *activation, sb_patches),
     }
     Ok(())
+}
+
+/// An i64 lane sum read out of a PE accumulator: one raw add into an
+/// empty register, truncated and saturated to 16 bits.
+fn lane_fx(sum: i64) -> Fx {
+    let mut a = Accum::new();
+    a.add_raw(sum);
+    a.to_fx()
+}
+
+/// LRN replay (formula (3)): per output map and row, each lane sums the
+/// exact squares `bits²` of its pixel over the clipped cross-map window
+/// — the raw sum the live executor's square MACs fold — and the output
+/// is `own / (k + α·s)`. Rows go to `sink(map, y, row)`.
+fn lrn(
+    stack: &MapStack<Fx>,
+    spec: &LrnSpec,
+    scratch: &mut Scratch,
+    mut sink: impl FnMut(usize, usize, &[Fx]),
+) {
+    let maps = stack.len();
+    let (w, h) = stack.map_dims();
+    let half = spec.window_maps / 2;
+    let (k, alpha) = (spec.k_fx(), spec.alpha_fx());
+    let Scratch {
+        vals, sums: lanes, ..
+    } = scratch;
+    for mi in 0..maps {
+        let (lo, hi) = (mi.saturating_sub(half), (mi + half).min(maps - 1));
+        for y in 0..h {
+            lanes.clear();
+            lanes.resize(w, 0);
+            for fm in stack.iter().take(hi + 1).skip(lo) {
+                for (l, &v) in lanes.iter_mut().zip(fm.row(y)) {
+                    let b = i64::from(v.to_bits());
+                    *l += b * b;
+                }
+            }
+            vals.clear();
+            vals.extend(
+                lanes
+                    .iter()
+                    .zip(stack[mi].row(y))
+                    .map(|(&s, &own)| own / (k + alpha * lane_fx(s))),
+            );
+            sink(mi, y, vals);
+        }
+    }
+}
+
+/// LCN replay (formulae (4)–(6)). An edge-clipped tap contributes
+/// exactly nothing to the live executor's integer sums, so each input
+/// map is zero-padded by half the window once and μ becomes a same-size
+/// correlation summed over maps, on the conv body's lane kernel. The
+/// squared `v = I − μ` overwrite the padded interiors for the second
+/// correlation (the borders stay zero), δ is its PLA square root, and
+/// `O = v / max(mean δ, δ)`, keeping `v` where that max is 0. Rows go to
+/// `sink(map, y, row)`.
+fn lcn(
+    stack: &MapStack<Fx>,
+    gauss: &FeatureMap<Fx>,
+    alu: &Alu,
+    scratch: &mut Scratch,
+    mut sink: impl FnMut(usize, usize, &[Fx]),
+) {
+    let maps = stack.len();
+    let (w, h) = stack.map_dims();
+    let win = gauss.width();
+    let half = win / 2;
+    let pw = w + 2 * half;
+    let plane = pw * (h + 2 * half);
+    let kern = LaneKernel;
+    let Scratch {
+        vals,
+        sums: lanes,
+        norm,
+        ..
+    } = scratch;
+    let NormScratch {
+        mu, delta, padded, ..
+    } = norm;
+    // Where input row `y` sits inside a padded plane.
+    let interior = |y: usize| (y + half) * pw + half..(y + half) * pw + half + w;
+    // Meters the ALU root; the real counters come from the schedule.
+    let mut meter = LayerStats::default();
+
+    padded.clear();
+    padded.resize(maps * plane, Fx::ZERO);
+    for (fm, pj) in stack.iter().zip(padded.chunks_exact_mut(plane)) {
+        for y in 0..h {
+            pj[interior(y)].copy_from_slice(fm.row(y));
+        }
+    }
+    // One output row of Σ_{j,p,q} ω(p,q)·P_j(x + p, y + q) into `lanes`.
+    let correlate = |y: usize, padded: &[Fx], lanes: &mut Vec<i64>| {
+        lanes.clear();
+        lanes.resize(w, 0);
+        for pj in padded.chunks_exact(plane) {
+            for q in 0..win {
+                let row = &pj[(y + q) * pw..(y + q + 1) * pw];
+                for p in 0..win {
+                    kern.shifted_mac(&row[p..], 1, gauss[(p, q)], lanes);
+                }
+            }
+        }
+    };
+
+    mu.clear();
+    for y in 0..h {
+        correlate(y, padded, lanes);
+        mu.extend(lanes.iter().map(|&s| lane_fx(s)));
+    }
+    for (fm, pj) in stack.iter().zip(padded.chunks_exact_mut(plane)) {
+        for y in 0..h {
+            let mu_row = &mu[y * w..(y + 1) * w];
+            for ((sq, &i), &m) in pj[interior(y)].iter_mut().zip(fm.row(y)).zip(mu_row) {
+                *sq = (i - m).squared();
+            }
+        }
+    }
+    delta.clear();
+    for y in 0..h {
+        correlate(y, padded, lanes);
+        vals.clear();
+        vals.extend(lanes.iter().map(|&s| lane_fx(s)));
+        let _ = alu.sqrt(vals, &mut meter);
+        delta.extend_from_slice(vals);
+    }
+    let mut sum = Accum::new();
+    for &d in delta.iter() {
+        sum.add_fx(d);
+    }
+    let mean = sum.mean(w * h);
+    for (j, fm) in stack.iter().enumerate() {
+        for y in 0..h {
+            let rows = fm.row(y).iter().zip(&mu[y * w..(y + 1) * w]);
+            vals.clear();
+            vals.extend(rows.zip(&delta[y * w..(y + 1) * w]).map(|((&i, &m), &d)| {
+                let (v, d) = (i - m, mean.max(d));
+                if d == Fx::ZERO {
+                    v
+                } else {
+                    v / d
+                }
+            }));
+            sink(j, y, vals);
+        }
+    }
 }
 
 /// A conv layer's value body, shared by replay and the strip prefix.

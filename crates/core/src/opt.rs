@@ -56,7 +56,7 @@ use std::collections::HashMap;
 
 /// What the optimizer's passes would save on a recorded schedule:
 /// per-pass elimination counters plus the modeled-cost deltas, summed
-/// over every replayable layer.
+/// over every priced layer (replayable, not normalization).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OptReport {
     /// Redundant NB word deliveries eliminated (`nb_dedup`: Σ mult−1).
@@ -70,17 +70,18 @@ pub struct OptReport {
     pub sb_accesses_coalesced: u64,
     /// Modeled cycles folded out of the schedule (`fifo_fold`).
     pub cycles_saved: u64,
-    /// Modeled energy delta over the replayable layers, in nJ (recorded
+    /// Modeled energy delta over the priced layers, in nJ (recorded
     /// charge − optimized charge under the prepared network's model).
     pub energy_saved_nj: f64,
-    /// Replayable layers any pass changed.
+    /// Priced layers any pass changed.
     pub layers_optimized: usize,
 }
 
 /// Prices every pass over a recorded schedule. Non-replayable layers
-/// (which live-decode every run) are skipped; each replayable layer's
-/// counters are re-costed on a scratch copy as documented on
-/// [the module](self), and only the savings are kept.
+/// (which live-decode every run) and normalization layers (whose
+/// recording carries no address stream to re-cover) are skipped; each
+/// other layer's counters are re-costed on a scratch copy as documented
+/// on [the module](self), and only the savings are kept.
 pub fn optimize(
     recorded: &NetworkSchedule,
     network: &Network,
@@ -89,7 +90,8 @@ pub fn optimize(
 ) -> OptReport {
     let mut report = OptReport::default();
     for (sched, layer) in recorded.layers().iter().zip(network.layers()) {
-        if !sched.replayable() {
+        if !sched.replayable() || matches!(layer.body(), LayerBody::Lrn(_) | LayerBody::Lcn { .. })
+        {
             continue;
         }
         let mut stats = sched.stats.clone();
@@ -250,7 +252,7 @@ fn fifo_fold(
             (window.0, window.1),
         ),
         LayerBody::Fc { .. } => (layer.out_maps().div_ceil(cfg.pe_count()), (0, 0)),
-        // Non-replayable layer kinds never reach the optimizer passes.
+        // Normalization layers never reach the optimizer passes.
         LayerBody::Lrn(_) | LayerBody::Lcn { .. } => return,
     };
     if stats.fifo_h_peak > bound.0 || stats.fifo_v_peak > bound.1 {

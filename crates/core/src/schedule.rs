@@ -21,8 +21,9 @@
 //! statistics are absorbed in one call, fault decisions are resolved per
 //! unique address (times its multiplicity) instead of per access, and
 //! only the arithmetic that actually produces neuron values is executed
-//! — for conv and pool one whole output row per lane-kernel sweep
-//! (`exec/replay.rs`), since the cost of the `Px×Py` block tiling is
+//! — one whole output row per lane-kernel sweep for conv, pool and the
+//! LRN/LCN normalization bodies (`exec/replay.rs`), since the cost of
+//! the `Px×Py` block tiling and of the Figs. 15–16 sub-layer passes is
 //! already in the recorded delta.
 //! The schedule lives in an `Arc` inside [`crate::PreparedNetwork`], and
 //! every `Session` of a tenant reads it through its borrow of the
@@ -37,7 +38,7 @@
 
 use crate::config::AcceleratorConfig;
 use crate::stats::LayerStats;
-use shidiannao_cnn::Layer;
+use shidiannao_cnn::{Layer, LayerBody};
 use shidiannao_faults::{FaultPlan, FaultSite, FaultStats, SramProtection};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -76,14 +77,20 @@ pub struct LayerSchedule {
     /// in to keep any later live-decoded layer's peak stats identical.
     pub(crate) fifo_peaks_after: (usize, usize),
     /// `false` for layers the replay executor does not model
-    /// (normalization layers, multi-map-packed convolutions): they
-    /// live-decode every run.
+    /// (multi-map-packed convolutions): they live-decode every run.
     pub(crate) replayable: bool,
+    /// `true` when the recorded address streams hold every word the
+    /// layer's live decode fault-filters, so a fault overlay can price
+    /// the layer ([`layer_overlayable`]). `false` for normalization
+    /// layers, which replay only on sessions without a fault plan.
+    pub(crate) overlayable: bool,
 }
 
 impl LayerSchedule {
     /// `true` when sessions replay this layer instead of live-decoding
-    /// it.
+    /// it: every layer kind except multi-map-packed convolutions.
+    /// Normalization layers replay only on sessions without an active
+    /// fault plan.
     pub fn replayable(&self) -> bool {
         self.replayable
     }
@@ -235,6 +242,7 @@ pub(crate) struct ScheduleRecorder {
     nb: AccessSet,
     sb: AccessSet,
     replayable: bool,
+    overlayable: bool,
     nb_flat: bool,
 }
 
@@ -243,12 +251,14 @@ impl ScheduleRecorder {
         ScheduleRecorder::default()
     }
 
-    /// Starts recording a layer. For non-replayable layers the engine
-    /// detaches the recorder, so no addresses arrive; the schedule entry
-    /// still exists (with its flag) to keep layer indices aligned.
-    pub(crate) fn begin_layer(&mut self, replayable: bool, nb_flat: bool) {
-        self.replayable = replayable;
-        self.nb_flat = nb_flat;
+    /// Starts recording layer `layer`. For layers no fault overlay
+    /// prices ([`layer_overlayable`]) the engine detaches the recorder,
+    /// so no addresses arrive; the schedule entry still exists (with its
+    /// flags and statistics) to keep layer indices aligned.
+    pub(crate) fn begin_layer(&mut self, cfg: &AcceleratorConfig, layer: &Layer) {
+        self.replayable = layer_replayable(cfg, layer);
+        self.overlayable = layer_overlayable(cfg, layer);
+        self.nb_flat = matches!(layer.body(), LayerBody::Fc { .. });
     }
 
     /// One NBin word delivered through a fault-filter hook point.
@@ -282,6 +292,7 @@ impl ScheduleRecorder {
             nb_flat: self.nb_flat,
             fifo_peaks_after,
             replayable: self.replayable,
+            overlayable: self.overlayable,
         });
     }
 
@@ -293,16 +304,24 @@ impl ScheduleRecorder {
 }
 
 /// Whether the replay executor models this layer under this
-/// configuration. Normalization layers (decomposed LRN/LCN sub-passes
-/// with staged NBout re-reads) and multi-map-packed convolutions always
-/// live-decode.
+/// configuration: every layer kind except multi-map-packed convolutions,
+/// which always live-decode. Normalization layers (the Figs. 15–16
+/// decomposition) replay on clean sessions only ([`layer_overlayable`]).
 pub(crate) fn layer_replayable(cfg: &AcceleratorConfig, layer: &Layer) -> bool {
-    use shidiannao_cnn::LayerBody;
     match layer.body() {
         LayerBody::Conv { .. } => !crate::exec::packed_applies_cfg(cfg, layer),
-        LayerBody::Pool { .. } | LayerBody::Fc { .. } => true,
-        LayerBody::Lrn(_) | LayerBody::Lcn { .. } => false,
+        _ => true,
     }
+}
+
+/// Whether a fault overlay can stand in for this layer's live decode —
+/// the layers the recorder listens on. Normalization layers cannot: LCN
+/// re-reads its staged μ and v from NBout (fault-filtered per word, not
+/// in the recorded NB/SB streams), so under an active fault plan both
+/// normalization kinds live-decode.
+pub(crate) fn layer_overlayable(cfg: &AcceleratorConfig, layer: &Layer) -> bool {
+    layer_replayable(cfg, layer)
+        && !matches!(layer.body(), LayerBody::Lrn(_) | LayerBody::Lcn { .. })
 }
 
 // ----- fault overlays -------------------------------------------------
@@ -331,10 +350,12 @@ pub(crate) enum LayerOverlay {
     /// Only silent/corrected faults fire: replay with patched values and
     /// a precomputed counter delta.
     Silent(SilentOverlay),
-    /// At least one access detects an uncorrectable error: the layer
-    /// live-decodes so the abort fires at the exact access (and with the
-    /// exact partial statistics) the live path produces.
-    Abort,
+    /// The layer live-decodes: at least one access detects an
+    /// uncorrectable error (the abort must fire at the exact access, with
+    /// the exact partial statistics, the live path produces), or the
+    /// recording cannot price the layer's faults at all
+    /// ([`LayerSchedule::overlayable`]).
+    Live,
 }
 
 /// Resolves a fault plan against one layer's recorded address stream.
@@ -343,6 +364,9 @@ pub(crate) fn build_overlay(
     layer_index: usize,
     sched: &LayerSchedule,
 ) -> LayerOverlay {
+    if !sched.overlayable {
+        return LayerOverlay::Live;
+    }
     let mut overlay = SilentOverlay::default();
     let protection = plan.protection();
     let site = |site: FaultSite,
@@ -375,12 +399,12 @@ pub(crate) fn build_overlay(
                         delta.silent += mult;
                         patches.push((rec.addr, mask));
                     } else {
-                        return false; // detected → abort
+                        return false; // detected → live abort
                     }
                 }
                 SramProtection::Secded => {
                     if double {
-                        return false; // detected → abort
+                        return false; // detected → live abort
                     }
                     delta.corrected += mult;
                 }
@@ -400,7 +424,7 @@ pub(crate) fn build_overlay(
         &mut overlay.sb_patches,
         &mut delta,
     ) {
-        return LayerOverlay::Abort;
+        return LayerOverlay::Live;
     }
     overlay.delta = delta;
     if overlay.delta == FaultStats::default() {
@@ -488,6 +512,7 @@ mod tests {
             nb_reads: (0..64).map(|i| rec([0, i, 0], 2)).collect(),
             sb_reads: vec![rec([0, u64::MAX, 0], 4)],
             replayable: true,
+            overlayable: true,
             ..LayerSchedule::default()
         };
         assert_eq!(
@@ -511,6 +536,7 @@ mod tests {
         let sched = LayerSchedule {
             nb_reads: vec![rec(addr, 5)],
             replayable: true,
+            overlayable: true,
             ..LayerSchedule::default()
         };
         match build_overlay(&plan, 0, &sched) {
@@ -527,7 +553,7 @@ mod tests {
         let other = build_overlay(&plan, 3, &sched);
         assert!(matches!(
             other,
-            LayerOverlay::Clean | LayerOverlay::Silent(_) | LayerOverlay::Abort
+            LayerOverlay::Clean | LayerOverlay::Silent(_) | LayerOverlay::Live
         ));
     }
 
@@ -544,6 +570,7 @@ mod tests {
         let sched = LayerSchedule {
             nb_reads: vec![rec(addr, 3)],
             replayable: true,
+            overlayable: true,
             ..LayerSchedule::default()
         };
         match build_overlay(&plan, 0, &sched) {
@@ -569,9 +596,23 @@ mod tests {
         let sched = LayerSchedule {
             nb_reads: vec![rec(addr, 1)],
             replayable: true,
+            overlayable: true,
             ..LayerSchedule::default()
         };
-        assert_eq!(build_overlay(&plan, 0, &sched), LayerOverlay::Abort);
+        assert_eq!(build_overlay(&plan, 0, &sched), LayerOverlay::Live);
+    }
+
+    #[test]
+    fn unoverlayable_layers_always_live_decode_under_a_plan() {
+        // A normalization layer's schedule: replayable, but with no
+        // address stream an overlay could price.
+        let sched = LayerSchedule {
+            replayable: true,
+            overlayable: false,
+            ..LayerSchedule::default()
+        };
+        let plan = FaultPlan::new(FaultConfig::uniform(42, 0.02, SramProtection::None));
+        assert_eq!(build_overlay(&plan, 0, &sched), LayerOverlay::Live);
     }
 
     #[test]

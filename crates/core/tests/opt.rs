@@ -1,11 +1,14 @@
 //! Replay and schedule-optimizer properties: for random topologies and
 //! PE grids, the whole-row replay bodies are bit-identical in outputs
 //! to live decode, and the optimizer's prepare-time cost model strictly
-//! improves every zoo network (DESIGN.md §3i).
+//! improves every zoo network (DESIGN.md §3i) while leaving
+//! normalization layers unpriced.
 
 use proptest::prelude::*;
-use shidiannao_cnn::{zoo, Activation, ConvSpec, FcSpec, NetworkBuilder, PoolSpec};
-use shidiannao_core::{Accelerator, AcceleratorConfig};
+use shidiannao_cnn::{
+    zoo, Activation, ConvSpec, FcSpec, LcnSpec, LrnSpec, NetworkBuilder, PoolSpec,
+};
+use shidiannao_core::{Accelerator, AcceleratorConfig, OptReport};
 
 fn activations() -> impl Strategy<Value = Activation> {
     prop_oneof![
@@ -120,6 +123,71 @@ fn zoo_networks_strictly_improve_under_default_passes() {
         assert!(
             report.energy_saved_nj >= 0.0,
             "{}: negative energy delta",
+            net.name()
+        );
+    }
+}
+
+/// Normalization layers replay but are never priced: the optimizer
+/// skips them by kind, so the two normalization nets' reports are the
+/// ones they had while LRN/LCN still live-decoded.
+#[test]
+fn normalization_nets_keep_their_optimizer_reports() {
+    let accel = Accelerator::default();
+    let pinned = [
+        (
+            zoo::extended::alexnet_lite(),
+            OptReport {
+                nb_reads_eliminated: 62_304,
+                nb_modes_reselected: 9_930,
+                sb_bytes_coalesced: 15_936,
+                sb_accesses_coalesced: 9_566,
+                cycles_saved: 236,
+                energy_saved_nj: f64::from_bits(0x4073_620a_4a05_dd92),
+                layers_optimized: 6,
+            },
+        ),
+        (
+            zoo::extended::jarrett_lcn(),
+            OptReport {
+                nb_reads_eliminated: 12_936,
+                nb_modes_reselected: 1_779,
+                sb_bytes_coalesced: 2_496,
+                sb_accesses_coalesced: 1_665,
+                cycles_saved: 98,
+                energy_saved_nj: f64::from_bits(0x4050_0331_2b1b_36be),
+                layers_optimized: 5,
+            },
+        ),
+    ];
+    for (build, want) in pinned {
+        let net = build.build(2015).expect("builds");
+        let report = *accel.prepare(&net).expect("fits").optimizer_report();
+        assert_eq!(report, want, "{}", net.name());
+        assert_eq!(
+            report.energy_saved_nj.to_bits(),
+            want.energy_saved_nj.to_bits(),
+            "{}",
+            net.name()
+        );
+    }
+
+    // A network of nothing but normalization layers prices nothing.
+    for net in [
+        NetworkBuilder::new("lrn", 4, (12, 10))
+            .lrn(LrnSpec::new())
+            .lrn(LrnSpec::new()),
+        NetworkBuilder::new("lcn", 3, (12, 10))
+            .lcn(LcnSpec::new(5))
+            .lcn(LcnSpec::new(3)),
+    ] {
+        let net = net.build(1).expect("builds");
+        let prepared = accel.prepare(&net).expect("fits");
+        assert_eq!(prepared.schedule().replayable_layers(), 2, "{}", net.name());
+        assert_eq!(
+            *prepared.optimizer_report(),
+            OptReport::default(),
+            "{}",
             net.name()
         );
     }

@@ -3,13 +3,17 @@
 //! live HFSM decode — outputs, per-layer traces, statistics, energy,
 //! fault counters, and (for detected faults) the exact abort cycle —
 //! across random topologies, seeds, fault rates, protections, and
-//! stuck-PE sets. Plus the sharing contract: every session holds one
+//! stuck-PE sets. Normalization layers replay on clean sessions (and
+//! agree with the golden reference too) and live-decode under a fault
+//! plan. Plus the sharing contract: every session holds one
 //! `Arc` clone of its prepared network's schedule, never a copy.
 
 use proptest::prelude::*;
-use shidiannao_cnn::{Activation, ConvSpec, FcSpec, LrnSpec, Network, NetworkBuilder, PoolSpec};
+use shidiannao_cnn::{
+    Activation, ConvSpec, FcSpec, LcnSpec, LrnSpec, Network, NetworkBuilder, PoolSpec,
+};
 use shidiannao_core::{
-    Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, RunError, SramProtection,
+    Accelerator, AcceleratorConfig, EnergyReport, FaultConfig, FaultPlan, RunError, SramProtection,
 };
 use std::sync::Arc;
 
@@ -142,31 +146,6 @@ proptest! {
     }
 
     #[test]
-    fn non_replayable_layers_fall_back_bit_identical(
-        maps in 1usize..5,
-        window in 1usize..6,
-        w in 4usize..9,
-        rate in rates(),
-        protection in protections(),
-        seed in 0u64..1000,
-    ) {
-        // LRN layers are not modeled by the schedule: the session
-        // live-decodes them mid-run while still replaying neighbours.
-        let net = NetworkBuilder::new("p", maps, (w, w))
-            .conv(ConvSpec::new(maps, (2, 2)))
-            .lrn(LrnSpec { window_maps: window, k: 1.0, alpha: 0.5 })
-            .fc(FcSpec::new(6))
-            .build(seed)
-            .unwrap();
-        check_replay_matches_live(
-            &net,
-            AcceleratorConfig::paper(),
-            plan(seed ^ 0xCAFE, rate, protection, 0.0),
-            seed,
-        )?;
-    }
-
-    #[test]
     fn stuck_pe_sessions_replay_bit_identical(
         w in 10usize..18,
         k in 2usize..4,
@@ -234,6 +213,100 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A normalization layer for the equivalence property: LRN over
+/// `window_maps` maps (which may exceed the map count) or LCN with a
+/// `window × window` Gaussian.
+#[derive(Clone, Copy, Debug)]
+enum Norm {
+    Lrn { window_maps: usize },
+    Lcn { window: usize },
+}
+
+fn norms() -> impl Strategy<Value = Norm> {
+    prop_oneof![
+        (1usize..9).prop_map(|window_maps| Norm::Lrn { window_maps }),
+        prop_oneof![Just(1usize), Just(3usize), Just(5usize), Just(7usize)]
+            .prop_map(|window| Norm::Lcn { window }),
+    ]
+}
+
+/// `[conv →] norm → fc` over `maps` maps of `w × h`, or `None` when an
+/// LCN window exceeds the normalized map (the builder rejects it).
+fn norm_net(
+    norm: Norm,
+    maps: usize,
+    (w, h): (usize, usize),
+    norm_first: bool,
+    seed: u64,
+) -> Option<Network> {
+    let mut b = NetworkBuilder::new("norm", maps, (w, h));
+    if !norm_first {
+        b = b.conv(ConvSpec::new(maps, (2, 2)));
+    }
+    b = match norm {
+        Norm::Lrn { window_maps } => b.lrn(LrnSpec {
+            window_maps,
+            k: 1.0,
+            alpha: 0.5,
+        }),
+        Norm::Lcn { window } => b.lcn(LcnSpec::new(window)),
+    };
+    b.fc(FcSpec::new(6)).build(seed).ok()
+}
+
+fn energy_bits(e: &EnergyReport) -> [u64; 5] {
+    [e.nfu_nj, e.nbin_nj, e.nbout_nj, e.sb_nj, e.ib_nj].map(f64::to_bits)
+}
+
+proptest! {
+    // Default case count: `PROPTEST_CASES` raises it (CI runs 512).
+
+    #[test]
+    fn normalization_layers_replay_bit_identical(
+        norm in norms(),
+        maps in 1usize..6,
+        w in 3usize..12,
+        h in 3usize..12,
+        norm_first in any::<bool>(),
+        px in 2usize..9,
+        py in 2usize..9,
+        rate in rates(),
+        protection in protections(),
+        seed in 0u64..1000,
+    ) {
+        let Some(net) = norm_net(norm, maps, (w, h), norm_first, seed) else {
+            // An LCN window wider or taller than its input map is a
+            // build error, never a run.
+            prop_assert!(matches!(norm, Norm::Lcn { window } if window > w.min(h) - usize::from(!norm_first)));
+            return Err(TestCaseError::reject("LCN window exceeds the map"));
+        };
+        let cfg = AcceleratorConfig::with_pe_grid(px, py);
+        let input = net.random_input(seed ^ 5);
+        let prepared = Accelerator::new(cfg.clone()).prepare(&net).expect("network fits");
+        // Every layer, the normalization one included, replays.
+        prop_assert_eq!(prepared.schedule().replayable_layers(), net.layers().len());
+
+        // Clean: replay, live decode and the golden reference agree.
+        let mut replay = prepared.session();
+        let mut live = prepared.session();
+        live.set_schedule_replay(false);
+        let a = replay.run(&input).expect("clean runs");
+        let b = live.run(&input).expect("clean runs");
+        let golden = net.forward_fixed(&input);
+        prop_assert_eq!(a.output(), b.output());
+        prop_assert_eq!(a.layer_outputs(), b.layer_outputs());
+        for (i, out) in a.layer_outputs().iter().enumerate() {
+            prop_assert_eq!(Some(out), golden.layer_output(i));
+        }
+        prop_assert_eq!(a.stats(), b.stats());
+        prop_assert_eq!(energy_bits(a.energy()), energy_bits(b.energy()));
+
+        // Under a fault plan the normalization layer live-decodes on
+        // both sessions; its neighbours replay through overlays.
+        check_replay_matches_live(&net, cfg, plan(seed ^ 0xCAFE, rate, protection, 0.0), seed)?;
     }
 }
 

@@ -1,10 +1,11 @@
 //! The session's steady-state contracts: once warmed, `infer_ref`, a
 //! repeated `infer_delta_ref` and a shared-prefix `infer_ref_from`
-//! perform zero heap allocations (clean and under a silent fault plan),
+//! perform zero heap allocations (clean and under a silent fault plan,
+//! normalization networks included),
 //! and a wrong-shaped input or an unservable prefix is rejected with a
 //! typed `RunError` without disturbing the session's next run.
 
-use shidiannao_cnn::{Activation, ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
+use shidiannao_cnn::{zoo, Activation, ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
 use shidiannao_core::{
     Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, NbResidency, PreparedNetwork, RunError,
     SramProtection,
@@ -74,8 +75,19 @@ fn prepare(net: &Network) -> PreparedNetwork {
 /// that grow every buffer, scratch arena, and recycled map to the
 /// network's high-water mark (the map recycling pool settles within the
 /// first four).
-fn steady_allocs(mut run: impl FnMut()) -> u64 {
-    for _ in 0..8 {
+fn steady_allocs(run: impl FnMut()) -> u64 {
+    steady_allocs_after(8, run)
+}
+
+/// Warm-up runs for the normalization nets. Jarrett-LCN's seven layers
+/// swap the NB roles an odd number of times, so each physical buffer
+/// cycles through two runs' worth of shapes and its map recycle bin
+/// reaches its high-water mark only around the fourteenth run.
+const NORM_WARMUP: usize = 24;
+
+/// [`steady_allocs`] after `warmup` warm-up runs.
+fn steady_allocs_after(warmup: usize, mut run: impl FnMut()) -> u64 {
+    for _ in 0..warmup {
         run();
     }
     let before = thread_allocs();
@@ -98,10 +110,44 @@ fn warmed_infer_ref_allocates_nothing() {
     assert_eq!(allocs, 0, "steady-state infer_ref must not touch the heap");
 }
 
+/// The two zoo networks with normalization layers (LRN, LCN).
+fn norm_nets() -> [Network; 2] {
+    [
+        zoo::extended::alexnet_lite().build(2015).expect("builds"),
+        zoo::extended::jarrett_lcn().build(2015).expect("builds"),
+    ]
+}
+
+#[test]
+fn warmed_infer_ref_on_normalization_nets_allocates_nothing() {
+    // Clean sessions replay LRN and LCN layers too.
+    for net in norm_nets() {
+        let prepared = prepare(&net);
+        assert_eq!(
+            prepared.schedule().replayable_layers(),
+            net.layers().len(),
+            "{}",
+            net.name()
+        );
+        let mut session = prepared.session();
+        let input = net.random_input(1);
+        let allocs = steady_allocs_after(NORM_WARMUP, || {
+            session.infer_ref(&input).expect("runs");
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "{}: steady-state infer_ref allocated",
+            net.name()
+        );
+    }
+}
+
 #[test]
 fn warmed_infer_ref_under_silent_faults_allocates_nothing() {
     // NB/SB flips with no protection: every fault resolves to a schedule
-    // overlay patch, never an abort.
+    // overlay patch (or, in a normalization layer, which live-decodes
+    // under a plan, a silently flipped word), never an abort.
     let plan = FaultPlan::new(FaultConfig {
         nb_flip_rate: 1e-3,
         sb_flip_rate: 1e-3,
@@ -110,20 +156,28 @@ fn warmed_infer_ref_under_silent_faults_allocates_nothing() {
         scanline_rate: 0.0,
         ..FaultConfig::uniform(7, 0.0, SramProtection::None)
     });
-    let net = lenet_like();
-    let prepared = prepare(&net);
-    let mut session = prepared.session_with_faults(plan);
-    let input = net.random_input(1);
-    let allocs = steady_allocs(|| {
-        let run = session
-            .infer_ref(&input)
-            .expect("silent faults never abort");
-        assert!(run.fault_stats().silent > 0, "the plan must fault");
-    });
-    assert_eq!(
-        allocs, 0,
-        "steady-state faulted infer_ref must not touch the heap"
-    );
+    let [alexnet, jarrett] = norm_nets();
+    for (net, warmup) in [
+        (lenet_like(), 8),
+        (alexnet, NORM_WARMUP),
+        (jarrett, NORM_WARMUP),
+    ] {
+        let prepared = prepare(&net);
+        let mut session = prepared.session_with_faults(plan);
+        let input = net.random_input(1);
+        let allocs = steady_allocs_after(warmup, || {
+            let run = session
+                .infer_ref(&input)
+                .expect("silent faults never abort");
+            assert!(run.fault_stats().silent > 0, "the plan must fault");
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "{}: steady-state faulted infer_ref must not touch the heap",
+            net.name()
+        );
+    }
 }
 
 #[test]
