@@ -18,6 +18,7 @@
 // contract violations still use `assert!`/`.expect()`, which these lints do
 // not cover.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 mod cpu;
 mod diannao;

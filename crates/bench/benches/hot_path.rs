@@ -329,7 +329,42 @@ fn bench_reduction_kernels(c: &mut Criterion) {
             black_box(lanes[0])
         })
     });
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        g.bench_function("dot_lane_avx2", |b| {
+            // SAFETY: the host supports AVX2, checked above.
+            b.iter(|| black_box(unsafe { avx2::dot_raw(&vals, &wts) }))
+        });
+        g.bench_function("shifted_mac_lane_avx2", |b| {
+            b.iter(|| {
+                lanes.iter_mut().for_each(|l| *l = 0);
+                // SAFETY: the host supports AVX2, checked above.
+                unsafe { avx2::shifted_mac(&row, k, &mut lanes) };
+                black_box(lanes[0])
+            })
+        });
+    }
     g.finish();
+}
+
+/// The public `LaneKernel` primitives compiled with AVX2 enabled, as the
+/// replay value stage's AVX2 twin compiles them; beside `dot_lane` and
+/// `shifted_mac_lane` they give the per-primitive ratio of the two
+/// code generations.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use shidiannao_core::kernel::{LaneKernel, ValueKernel};
+    use shidiannao_fixed::Fx;
+
+    #[target_feature(enable = "avx2")]
+    pub fn dot_raw(vals: &[Fx], wts: &[Fx]) -> i64 {
+        LaneKernel.dot_raw(vals, wts)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub fn shifted_mac(row: &[Fx], k: Fx, lanes: &mut [i64]) {
+        LaneKernel.shifted_mac(row, 1, k, lanes)
+    }
 }
 
 /// The XNOR-popcount dot product against the 16-bit lane and scalar

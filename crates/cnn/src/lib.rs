@@ -31,6 +31,7 @@
 // (`FormatError`, `NetworkError`); contract violations on programmer-built
 // values still use `assert!`/`.expect()`, which these lints do not cover.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 mod connect;
 pub mod io;

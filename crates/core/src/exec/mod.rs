@@ -64,8 +64,8 @@ pub(crate) struct Scratch {
     pub idxs: Vec<usize>,
     /// Classifier per-PE sparse-row cursors.
     pub cursors: Vec<usize>,
-    /// Per-PE-row i64 lane accumulators for the vectorized window
-    /// reduction (one slot per active PE column).
+    /// i64 lane accumulators of the replay bodies: one slot per output
+    /// column of the row being reduced, at any row width.
     pub sums: Vec<i64>,
     /// The strip prefix's two ping-pong stage stacks
     /// ([`replay::prefix`]).

@@ -85,8 +85,41 @@ pub(crate) fn run_layer(
     Ok(())
 }
 
-/// Computes a replayed layer's output values into NBout.
+/// Computes a replayed layer's output values into NBout: a dispatcher
+/// that runs [`values_body`] compiled for AVX2 when the host has it, and
+/// as compiled for the baseline target otherwise.
 fn values(eng: &mut Engine<'_>, layer: &Layer, sb_patches: &SbPatches) -> Result<(), RunError> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host supports AVX2, as checked on the line above.
+        #[allow(unsafe_code)]
+        return unsafe { values_avx2(eng, layer, sb_patches) };
+    }
+    values_body(eng, layer, sb_patches)
+}
+
+/// [`values_body`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn values_avx2(
+    eng: &mut Engine<'_>,
+    layer: &Layer,
+    sb_patches: &SbPatches,
+) -> Result<(), RunError> {
+    values_body(eng, layer, sb_patches)
+}
+
+/// The one value body behind [`values`]. It and every layer body it
+/// calls are `#[inline(always)]`, so each dispatch twin compiles its own
+/// copy for its target. Every lane sum is an exact integer sum (the
+/// contract in [`super::values`]), so the vector width the compiler
+/// picks cannot change a bit of the output.
+#[inline(always)]
+fn values_body(
+    eng: &mut Engine<'_>,
+    layer: &Layer,
+    sb_patches: &SbPatches,
+) -> Result<(), RunError> {
     let nbin = eng.nbin;
     let stack = nbin.contents().ok_or(EmptyBufferError {
         buffer: "NB (input role)",
@@ -135,6 +168,7 @@ fn lane_fx(sum: i64) -> Fx {
 /// exact squares `bits²` of its pixel over the clipped cross-map window
 /// — the raw sum the live executor's square MACs fold — and the output
 /// is `own / (k + α·s)`. Rows go to `sink(map, y, row)`.
+#[inline(always)]
 fn lrn(
     stack: &MapStack<Fx>,
     spec: &LrnSpec,
@@ -179,6 +213,7 @@ fn lrn(
 /// correlation (the borders stay zero), δ is its PLA square root, and
 /// `O = v / max(mean δ, δ)`, keeping `v` where that max is 0. Rows go to
 /// `sink(map, y, row)`.
+#[inline(always)]
 fn lcn(
     stack: &MapStack<Fx>,
     gauss: &FeatureMap<Fx>,
@@ -192,7 +227,6 @@ fn lcn(
     let half = win / 2;
     let pw = w + 2 * half;
     let plane = pw * (h + 2 * half);
-    let kern = LaneKernel;
     let Scratch {
         vals,
         sums: lanes,
@@ -215,22 +249,33 @@ fn lcn(
         }
     }
     // One output row of Σ_{j,p,q} ω(p,q)·P_j(x + p, y + q) into `lanes`.
-    let correlate = |y: usize, padded: &[Fx], lanes: &mut Vec<i64>| {
+    // A function, not a closure, so that it inlines into both dispatch
+    // twins of `values` and compiles for each one's target.
+    #[inline(always)]
+    fn correlate(
+        gauss: &FeatureMap<Fx>,
+        padded: &[Fx],
+        plane: usize,
+        (w, pw): (usize, usize),
+        y: usize,
+        lanes: &mut Vec<i64>,
+    ) {
+        let win = gauss.width();
         lanes.clear();
         lanes.resize(w, 0);
         for pj in padded.chunks_exact(plane) {
             for q in 0..win {
                 let row = &pj[(y + q) * pw..(y + q + 1) * pw];
                 for p in 0..win {
-                    kern.shifted_mac(&row[p..], 1, gauss[(p, q)], lanes);
+                    LaneKernel.shifted_mac(&row[p..], 1, gauss[(p, q)], lanes);
                 }
             }
         }
-    };
+    }
 
     mu.clear();
     for y in 0..h {
-        correlate(y, padded, lanes);
+        correlate(gauss, padded, plane, (w, pw), y, lanes);
         mu.extend(lanes.iter().map(|&s| lane_fx(s)));
     }
     for (fm, pj) in stack.iter().zip(padded.chunks_exact_mut(plane)) {
@@ -243,7 +288,7 @@ fn lcn(
     }
     delta.clear();
     for y in 0..h {
-        correlate(y, padded, lanes);
+        correlate(gauss, padded, plane, (w, pw), y, lanes);
         vals.clear();
         vals.extend(lanes.iter().map(|&s| lane_fx(s)));
         let _ = alu.sqrt(vals, &mut meter);
@@ -303,13 +348,6 @@ impl<'a> Conv<'a> {
         }
     }
 
-    /// Output map `o` over `stack` (of any width), one lane sweep per
-    /// output row; each activated row goes to `sink(y, row)`.
-    /// Bit-identical to the window sweep: each output pixel's
-    /// accumulator receives `bias` plus one raw add of the exact i64 sum
-    /// of all its `(j, ky, kx)` products, and integer adds re-associate
-    /// exactly. Clean runs borrow each kernel straight out of the SB
-    /// image; a fault overlay stages the map's kernels once, patched.
     /// Output dimensions over an input of `(w, h)`: the layer's own
     /// `out_dims()` at the region's size, a strip's at a wider one.
     fn out_dims(&self, (w, h): (usize, usize)) -> (usize, usize) {
@@ -317,6 +355,14 @@ impl<'a> Conv<'a> {
         ((w - kx) / self.stride.0 + 1, (h - ky) / self.stride.1 + 1)
     }
 
+    /// Output map `o` over `stack` (of any width), one lane sweep per
+    /// output row; each activated row goes to `sink(y, row)`.
+    /// Bit-identical to the window sweep: each output pixel's
+    /// accumulator receives `bias` plus one raw add of the exact i64 sum
+    /// of all its `(j, ky, kx)` products, and integer adds re-associate
+    /// exactly. Clean runs borrow each kernel straight out of the SB
+    /// image; a fault overlay stages the map's kernels once, patched.
+    #[inline(always)]
     fn map(
         &self,
         stack: &MapStack<Fx>,
@@ -414,14 +460,6 @@ impl Pool {
         }
     }
 
-    /// Pools one input map (of any width), one output row at a time into
-    /// `sink(y, row)`: the unclipped lane prefix of each row runs on the
-    /// chunked lane kernel; lanes whose window clips at the right input
-    /// edge reduce per pixel exactly like the mode (e) gather loop.
-    /// Overlapping windows always fit (the window sweep reads them
-    /// unclipped). Max and exact integer sums are order-independent, so
-    /// results are bit-identical to the live pooling executor. Pooling
-    /// uses no synapses, so the SB overlay never applies.
     /// Output dimensions over an input of `(w, h)`, by the layer's
     /// rounding.
     fn out_dims(&self, (w, h): (usize, usize)) -> (usize, usize) {
@@ -432,6 +470,15 @@ impl Pool {
         )
     }
 
+    /// Pools one input map (of any width), one output row at a time into
+    /// `sink(y, row)`: the unclipped lane prefix of each row runs on the
+    /// chunked lane kernel; lanes whose window clips at the right input
+    /// edge reduce per pixel exactly like the mode (e) gather loop.
+    /// Overlapping windows always fit (the window sweep reads them
+    /// unclipped). Max and exact integer sums are order-independent, so
+    /// results are bit-identical to the live pooling executor. Pooling
+    /// uses no synapses, so the SB overlay never applies.
+    #[inline(always)]
     fn map(
         &self,
         fm: &FeatureMap<Fx>,
@@ -535,8 +582,42 @@ impl Pool {
 /// runs fused one map at a time: conv map `o` lands in a one-map scratch
 /// and pools straight into map `o` of the next stage, so no conv-output
 /// stack is ever held. Intermediate stages ping-pong between two
-/// session-owned stacks.
+/// session-owned stacks. Dispatches like [`values`]: [`prefix_body`]
+/// compiled for AVX2 when the host has it, for the baseline otherwise.
 pub(crate) fn prefix(
+    layers: &[Layer],
+    store: &SynapseStore,
+    alu: &Alu,
+    scratch: &mut Scratch,
+    strip: &MapStack<Fx>,
+    out: &mut MapStack<Fx>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host supports AVX2, as checked on the line above.
+        #[allow(unsafe_code)]
+        return unsafe { prefix_avx2(layers, store, alu, scratch, strip, out) };
+    }
+    prefix_body(layers, store, alu, scratch, strip, out)
+}
+
+/// [`prefix_body`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn prefix_avx2(
+    layers: &[Layer],
+    store: &SynapseStore,
+    alu: &Alu,
+    scratch: &mut Scratch,
+    strip: &MapStack<Fx>,
+    out: &mut MapStack<Fx>,
+) {
+    prefix_body(layers, store, alu, scratch, strip, out)
+}
+
+/// The one strip body behind [`prefix`] (see [`values_body`]).
+#[inline(always)]
+fn prefix_body(
     layers: &[Layer],
     store: &SynapseStore,
     alu: &Alu,
@@ -581,6 +662,7 @@ fn copy_row(map: &mut FeatureMap<Fx>) -> impl FnMut(usize, &[Fx]) + '_ {
 /// One prefix stage: a conv, a pool, or a conv fused with its pool
 /// (`unit` holds network layers `index..`), from `input` into `dst`.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn stage(
     unit: &[Layer],
     index: usize,
@@ -629,6 +711,7 @@ fn stage(
 /// Classifier replay: each PE's MAC stream is its weight row in
 /// ascending index order — exactly the order the union-loop cursors
 /// walk — over the mode (d)-flattened (and NB-patched) input.
+#[inline(always)]
 fn fc(
     eng: &mut Engine<'_>,
     layer: &Layer,
@@ -695,4 +778,338 @@ fn fc(
     }
     eng.scratch.values = flat;
     eng.scratch.vals = vals;
+}
+
+#[cfg(test)]
+mod tests {
+    //! The dispatch twins against the directly called bodies: on an AVX2
+    //! host `values` and `prefix` run their AVX2-compiled twins, while a
+    //! direct call of `values_body` or `prefix_body` is compiled into
+    //! this (baseline-target) test, so each case runs one source body
+    //! under both code generations and compares every output bit.
+
+    use super::*;
+    use crate::buffer::{NeuronBuffer, SynapseBuffer};
+    use crate::config::AcceleratorConfig;
+    use crate::exec::values::ScalarKernel;
+    use crate::hfsm::Hfsm;
+    use crate::nfu::Nfu;
+    use shidiannao_cnn::{ConvSpec, FcSpec, LcnSpec, Network, NetworkBuilder, PoolSpec};
+    use shidiannao_faults::FaultState;
+
+    /// `true` when the dispatchers run their AVX2 twins on this host;
+    /// otherwise both sides of every comparison are one baseline body.
+    fn avx2_twins() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return true;
+        }
+        eprintln!("skipped: no AVX2 on this host, so only the baseline body exists");
+        false
+    }
+
+    /// Deterministic 16-bit values, with `i16::MIN` and `i16::MAX` mixed
+    /// in at fixed positions.
+    fn values_from(seed: u64, n: usize) -> Vec<Fx> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match i % 11 {
+                    0 => Fx::MIN,
+                    6 => Fx::MAX,
+                    _ => Fx::from_bits(x as i16),
+                }
+            })
+            .collect()
+    }
+
+    fn map_of(w: usize, h: usize, seed: u64) -> FeatureMap<Fx> {
+        let v = values_from(seed, w * h);
+        FeatureMap::from_fn(w, h, |x, y| v[y * w + x])
+    }
+
+    fn stack_of(maps: usize, (w, h): (usize, usize), seed: u64) -> MapStack<Fx> {
+        MapStack::from_fn(w, h, maps, |m| map_of(w, h, seed + m as u64))
+    }
+
+    /// Runs a conv/pool-only network over `input` through [`prefix`]
+    /// (`twin`) or the directly called [`prefix_body`].
+    fn strip(net: &Network, input: &MapStack<Fx>, twin: bool) -> MapStack<Fx> {
+        let store = SynapseStore::load(net, 1 << 22).expect("fits");
+        let alu = Alu::new(AcceleratorConfig::paper().alu_lanes);
+        let mut scratch = Scratch::default();
+        let mut out = MapStack::new(1, 1);
+        if twin {
+            prefix(net.layers(), &store, &alu, &mut scratch, input, &mut out);
+        } else {
+            prefix_body(net.layers(), &store, &alu, &mut scratch, input, &mut out);
+        }
+        out
+    }
+
+    /// Runs layer 0 of `net` over `input` through [`values`] (`twin`) or
+    /// the directly called [`values_body`], and returns NBout.
+    fn layer(net: &Network, input: &MapStack<Fx>, patches: &SbPatches, twin: bool) -> MapStack<Fx> {
+        let cfg = AcceleratorConfig::paper();
+        let store = SynapseStore::load(net, 1 << 22).expect("fits");
+        let mut nbin = NeuronBuffer::new(cfg.pe_cols, cfg.pe_rows, 1 << 22);
+        nbin.load_from(input).expect("fits");
+        let mut nbout = NeuronBuffer::new(cfg.pe_cols, cfg.pe_rows, 1 << 22);
+        let first = &net.layers()[0];
+        let (w, h) = first.out_dims();
+        nbout.begin_output(w, h, first.out_maps()).expect("fits");
+        let (sb, alu) = (SynapseBuffer::new(1 << 22), Alu::new(cfg.alu_lanes));
+        let mut nfu = Nfu::new(cfg.pe_cols, cfg.pe_rows);
+        let (mut hfsm, mut stats) = (Hfsm::new(), LayerStats::default());
+        let (mut faults, mut scratch) = (FaultState::none(), Scratch::default());
+        let mut eng = Engine {
+            cfg: &cfg,
+            nbin: &nbin,
+            nbout: &mut nbout,
+            sb: &sb,
+            store: &store,
+            layer_index: 0,
+            nfu: &mut nfu,
+            alu: &alu,
+            hfsm: &mut hfsm,
+            stats: &mut stats,
+            faults: &mut faults,
+            scratch: &mut scratch,
+            recorder: None,
+        };
+        if twin {
+            values(&mut eng, first, patches)
+        } else {
+            values_body(&mut eng, first, patches)
+        }
+        .expect("NBin is loaded");
+        nbout.finish_output().expect("output begun")
+    }
+
+    /// A one-conv network whose kernels and biases carry `i16::MIN`;
+    /// returns it with its kernels as `kernels[o][j]`.
+    fn conv_net(
+        maps: usize,
+        out_maps: usize,
+        k: usize,
+        stride: usize,
+        in_dims: (usize, usize),
+    ) -> (Network, Vec<Vec<FeatureMap<Fx>>>) {
+        let spec = ConvSpec::new(out_maps, (k, k))
+            .with_stride((stride, stride))
+            .with_activation(Activation::None);
+        let mut net = NetworkBuilder::new("conv", maps, in_dims)
+            .conv(spec)
+            .build(1)
+            .expect("valid conv");
+        let LayerBody::Conv { table, .. } = net.layers()[0].body() else {
+            unreachable!("built a conv layer")
+        };
+        let table = table.clone();
+        let mut kernels = Vec::new();
+        for o in 0..out_maps {
+            let mut row = Vec::new();
+            for j in 0..table.inputs_of(o).len() {
+                let kernel = map_of(k, k, 100 + (o * maps + j) as u64);
+                net.set_conv_kernel(0, o, j, kernel.clone()).expect("fits");
+                row.push(kernel);
+            }
+            let bias = if o % 2 == 0 {
+                Fx::MIN
+            } else {
+                Fx::from_bits(77)
+            };
+            net.set_conv_bias(0, o, bias).expect("fits");
+            kernels.push(row);
+        }
+        (net, kernels)
+    }
+
+    #[test]
+    fn conv_twins_match_each_other_and_the_scalar_oracle() {
+        if !avx2_twins() {
+            return;
+        }
+        for (maps, out_maps, k, stride) in [(1, 2, 3, 1), (3, 4, 5, 1), (2, 3, 3, 2), (4, 2, 2, 2)]
+        {
+            for ow in 1..=40 {
+                let oh = 3;
+                let dims = ((ow - 1) * stride + k, (oh - 1) * stride + k);
+                let (net, kernels) = conv_net(maps, out_maps, k, stride, dims);
+                let input = stack_of(maps, dims, ow as u64);
+                let case = format!("maps={maps} k={k} stride={stride} ow={ow}");
+                let got = strip(&net, &input, true);
+                assert_eq!(got, strip(&net, &input, false), "{case}");
+                let LayerBody::Conv { table, .. } = net.layers()[0].body() else {
+                    unreachable!("built a conv layer")
+                };
+                let store = SynapseStore::load(&net, 1 << 22).expect("fits");
+                for (o, kernels) in kernels.iter().enumerate() {
+                    for y in 0..oh {
+                        let mut lanes = vec![0i64; ow];
+                        for (kernel, &im) in kernels.iter().zip(table.inputs_of(o)) {
+                            for ky in 0..k {
+                                let row = input[im].row(y * stride + ky);
+                                for kx in 0..k {
+                                    let w = kernel[(kx, ky)];
+                                    ScalarKernel.shifted_mac(&row[kx..], stride, w, &mut lanes);
+                                }
+                            }
+                        }
+                        let want: Vec<Fx> = lanes
+                            .iter()
+                            .map(|&l| {
+                                let mut a = Accum::from_fx(store.bias(0, o));
+                                a.add_raw(l);
+                                a.to_fx()
+                            })
+                            .collect();
+                        assert_eq!(got[o].row(y), want, "{case} o={o} y={y}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_twins_match_with_and_without_right_edge_clipping() {
+        if !avx2_twins() {
+            return;
+        }
+        let specs = [
+            PoolSpec::max((2, 2)),
+            PoolSpec::avg((2, 2)),
+            PoolSpec::max((3, 3)).with_ceil(),
+            PoolSpec::avg((3, 3)).with_ceil(),
+            PoolSpec::max((3, 3)).with_stride((2, 2)),
+            PoolSpec::avg((3, 3)).with_stride((2, 2)),
+        ];
+        for spec in specs {
+            for w in 3..=41 {
+                let net = NetworkBuilder::new("pool", 2, (w, 7))
+                    .pool(spec)
+                    .build(1)
+                    .expect("valid pool");
+                let input = stack_of(2, (w, 7), w as u64);
+                let (got, want) = (strip(&net, &input, true), strip(&net, &input, false));
+                assert_eq!(got, want, "{spec:?} w={w}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_conv_pool_strip_twins_match() {
+        if !avx2_twins() {
+            return;
+        }
+        for w in [8, 13, 21, 40] {
+            let net = NetworkBuilder::new("strip", 2, (w, 12))
+                .conv(ConvSpec::new(3, (3, 3)))
+                .pool(PoolSpec::max((2, 2)))
+                .conv(ConvSpec::new(2, (3, 3)))
+                .build(5)
+                .expect("valid strip");
+            let input = stack_of(2, (w, 12), w as u64);
+            assert_eq!(
+                strip(&net, &input, true),
+                strip(&net, &input, false),
+                "w={w}"
+            );
+        }
+    }
+
+    #[test]
+    fn patched_conv_twins_match() {
+        if !avx2_twins() {
+            return;
+        }
+        let (net, _) = conv_net(2, 3, 3, 1, (19, 6));
+        let input = stack_of(2, (19, 6), 9);
+        let patches = [
+            (conv_weight_addr(1, 0, (1, 2)), 0x8000),
+            (bias_addr(2), 0x7fff),
+        ];
+        let got = layer(&net, &input, &patches, true);
+        assert_eq!(got, layer(&net, &input, &patches, false));
+        assert_ne!(
+            got,
+            layer(&net, &input, &[], true),
+            "the patches change values"
+        );
+    }
+
+    #[test]
+    fn normalization_twins_match() {
+        if !avx2_twins() {
+            return;
+        }
+        for (maps, w) in [(1, 1), (3, 7), (5, 9), (6, 17), (4, 33)] {
+            for window_maps in [1, 3, 5] {
+                let net = NetworkBuilder::new("lrn", maps, (w, 5))
+                    .lrn(LrnSpec {
+                        window_maps,
+                        k: 2.0,
+                        alpha: 0.25,
+                    })
+                    .build(1)
+                    .expect("valid lrn");
+                let input = stack_of(maps, (w, 5), w as u64);
+                let got = layer(&net, &input, &[], true);
+                assert_eq!(
+                    got,
+                    layer(&net, &input, &[], false),
+                    "lrn maps={maps} w={w}"
+                );
+            }
+            for window in [3, 5].into_iter().filter(|&win| win <= w) {
+                let net = NetworkBuilder::new("lcn", maps, (w, 6))
+                    .lcn(LcnSpec::new(window))
+                    .build(1)
+                    .expect("valid lcn");
+                let input = stack_of(maps, (w, 6), w as u64);
+                let got = layer(&net, &input, &[], true);
+                assert_eq!(
+                    got,
+                    layer(&net, &input, &[], false),
+                    "lcn maps={maps} w={w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn classifier_twins_match_on_dense_and_sparse_rows() {
+        if !avx2_twins() {
+            return;
+        }
+        for (maps, dims, outs, per_output) in [
+            (3, (5, 7), 70, None),
+            (1, (1, 1), 3, None),
+            (2, (4, 4), 9, Some(5)),
+            (4, (6, 5), 130, Some(37)),
+        ] {
+            let mut spec = FcSpec::new(outs);
+            if let Some(count) = per_output {
+                spec = spec.with_synapses_per_output(count);
+            }
+            let mut net = NetworkBuilder::new("fc", maps, dims)
+                .fc(spec)
+                .build(3)
+                .expect("valid fc");
+            let LayerBody::Fc { weights, .. } = net.layers()[0].body() else {
+                unreachable!("built a classifier")
+            };
+            let lens: Vec<usize> = (0..outs).map(|n| weights.row(n).len()).collect();
+            for (n, len) in lens.into_iter().enumerate() {
+                let row = values_from(300 + n as u64, len);
+                net.set_fc_row(0, n, &row, row[len / 2]).expect("fits");
+            }
+            let input = stack_of(maps, dims, 17);
+            let got = layer(&net, &input, &[], true);
+            assert_eq!(got, layer(&net, &input, &[], false), "fc outs={outs}");
+        }
+    }
 }

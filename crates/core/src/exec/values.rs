@@ -24,9 +24,9 @@
 
 use shidiannao_fixed::{Fx, FRAC_BITS};
 
-/// Width of the inner lane chunks. Eight i16 products per step keeps the
-/// partial-sum state in two SIMD registers on any 128-bit target while
-/// still giving the autovectorizer a full block to work with.
+/// Width of the inner lane chunks: eight i64 partial sums, four SSE2 or
+/// two AVX2 registers, a full block for the autovectorizer at either
+/// width (the replay bodies run on both, see `replay::values`).
 const LANES: usize = 8;
 
 /// The value-reduction kernel shared by all execution paths.
@@ -56,7 +56,10 @@ pub fn sum_to_raw(bits: i64) -> i64 {
 
 /// The production kernel: chunked `i64` lane accumulators over
 /// contiguous slices, written so the unit-stride hot case
-/// autovectorizes. No unsafe anywhere.
+/// autovectorizes. Safe code without intrinsics: the vector width is
+/// whatever target the caller is compiled for, baseline or one of the
+/// replay stage's AVX2 twins (it is `#[inline]`, so it compiles into
+/// each).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LaneKernel;
 
@@ -170,8 +173,9 @@ impl ValueKernel for ScalarKernel {
 
 /// Dot product of a (possibly sparse) classifier weight row against the
 /// mode (d)-flattened input: dense rows (index set exactly `0..len`)
-/// take the contiguous chunked path, sparse rows gather.
-#[inline]
+/// take the contiguous chunked path, sparse rows gather. Always inlined,
+/// so the classifier replay's dispatch twins each compile their own copy.
+#[inline(always)]
 pub fn classifier_dot_raw<K: ValueKernel>(
     kernel: &K,
     flat: &[Fx],

@@ -45,6 +45,9 @@
 // `EmptyBufferError`) rather than panicking; contract violations still use
 // `assert!`/`.expect()` which these lints deliberately do not cover.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+// The only unsafe code is the two calls into the AVX2-compiled twins of
+// the replay value stage (`exec/replay.rs`), each behind its own allow.
+#![deny(unsafe_code)]
 
 pub mod area;
 pub mod compiler;

@@ -21,6 +21,7 @@
 //! one fault vocabulary.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 use core::fmt;
 use shidiannao_fixed::Fx;

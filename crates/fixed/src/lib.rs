@@ -36,6 +36,7 @@
 // Arithmetic saturates instead of panicking; contract violations still use
 // `assert!`/`.expect()`, which these lints do not cover.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 mod accum;
 mod pla;

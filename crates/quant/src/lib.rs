@@ -44,6 +44,7 @@
 // panicking; contract violations still use `assert!`/`.expect()` which
 // these lints deliberately do not cover.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 use core::fmt;
 

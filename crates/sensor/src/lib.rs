@@ -28,6 +28,7 @@
 // Streaming paths report failures as typed [`StreamError`]s; the
 // `assert!`-based contract checks on the legacy panicking APIs remain.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 use core::fmt;
 use shidiannao_faults::{FaultPlan, ScanlineFault};

@@ -59,6 +59,7 @@
 // panicking; contract violations still use `assert!`/`.expect()` which
 // these lints deliberately do not cover.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 mod cluster;
 mod health;

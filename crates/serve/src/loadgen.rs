@@ -140,6 +140,17 @@ pub struct TenantSpec {
     pub queue_capacity: usize,
     /// Relative deadline: a request arriving at `t` must complete by
     /// `t + deadline_cycles` to meet its SLO.
+    ///
+    /// A deadline below the tenant's calibrated clean cycles
+    /// ([`TenantReport::clean_cycles`](crate::TenantReport::clean_cycles)),
+    /// zero included, is accepted and changes no execution. On a clean
+    /// tenant, a request dispatched before its deadline has passed runs
+    /// to completion and counts as a `deadline_misses`; one still
+    /// queued when its deadline has passed is dropped at dispatch as
+    /// `dropped_deadline`. (Under a fault plan, a detected fault also
+    /// ends a request as `dropped_deadline` once its aborted attempts
+    /// have used up the remaining slack.) So no request meets its SLO,
+    /// and the ledger still balances.
     pub deadline_cycles: u64,
     /// Traffic model.
     pub traffic: Traffic,

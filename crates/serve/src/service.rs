@@ -684,6 +684,58 @@ mod tests {
     }
 
     #[test]
+    fn deadline_below_clean_cycles_is_served_late_or_expires() {
+        // Calibrate the tenant's clean cycles with a generous deadline.
+        let run = |tenant: TenantSpec, max_batch| {
+            let config = ServeConfig {
+                virtual_workers: 1,
+                max_batch,
+                ..ServeConfig::default()
+            };
+            InferenceService::new(config, vec![tenant])
+                .expect("valid")
+                .run()
+                .expect("run")
+        };
+        let spaced = |deadline| {
+            gabor_tenant(6)
+                .traffic(Traffic::Open {
+                    period: 1_000_000,
+                    jitter: 0,
+                    count: 6,
+                })
+                .deadline_cycles(deadline)
+        };
+        let loose = run(spaced(10_000_000), 1);
+        let clean = loose.tenants[0].clean_cycles;
+        assert_eq!(loose.tenants[0].stats.deadline_misses, 0);
+        for deadline in [0, clean / 2, clean - 1] {
+            // Arrivals far apart: each request is dispatched on arrival,
+            // runs to completion as it would with any deadline, and
+            // counts as a deadline miss. None is dropped.
+            let report = run(spaced(deadline), 1);
+            let t = &report.tenants[0].stats;
+            assert_eq!((t.issued, t.ok, t.deadline_misses), (6, 6, 6), "{t:?}");
+            assert_eq!(t.dropped_deadline + t.rejected + t.degraded, 0, "{t:?}");
+            assert_eq!(t.latency, loose.tenants[0].stats.latency);
+            assert_eq!(t.output_hash, loose.tenants[0].stats.output_hash);
+            assert!(report.accounting_consistent());
+            // A backlog, batched or not: whatever waits in the queue
+            // expires there (`dropped_deadline`), and every request that
+            // is served is served late.
+            for max_batch in [1, 8] {
+                let report = run(backlogged_tenant(12).deadline_cycles(deadline), max_batch);
+                let t = &report.tenants[0].stats;
+                assert_eq!(t.issued, 12, "{t:?}");
+                assert!(t.ok >= 1 && t.dropped_deadline >= 1, "{t:?}");
+                assert_eq!(t.ok, t.deadline_misses, "{t:?}");
+                assert_eq!(t.ok + t.dropped_deadline, t.issued, "{t:?}");
+                assert!(report.accounting_consistent());
+            }
+        }
+    }
+
+    #[test]
     fn tight_deadlines_drop_stale_requests() {
         let config = ServeConfig {
             virtual_workers: 1,

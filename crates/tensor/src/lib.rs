@@ -29,6 +29,7 @@
 // Shape mismatches on caller data are typed `ShapeError`s; contract
 // violations still use `assert!`/`.expect()`, which these lints do not cover.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
 
 mod map;
 mod stack;
