@@ -14,7 +14,7 @@ use crate::buffer::{
 use crate::compiler::{self, CompileError, Program};
 use crate::config::{AcceleratorConfig, ConfigError};
 use crate::energy::{EnergyModel, EnergyReport};
-use crate::exec::{replay, Engine, Scratch};
+use crate::exec::{replay, Engine, Scratch, StripShape};
 use crate::hfsm::{FirstState, Hfsm, TransitionError};
 use crate::nfu::Nfu;
 use crate::sb::SynapseStore;
@@ -412,9 +412,11 @@ pub struct PreparedNetwork {
 /// leading layers that are conv or pool, replay from the schedule, and
 /// whose pool windows never clip at the right edge of the region. Such a
 /// layer computes every region column exactly as it computes the same
-/// column of a wider strip. Clipping in `y` is harmless: a strip is
-/// exactly one region tall. The last layer always runs on the region
-/// itself.
+/// column of a wider strip. Clipping in `y` is harmless to a fresh
+/// strip, which is exactly one region tall; only a strip that continues
+/// the one above needs unclipped windows in `y`
+/// ([`PreparedNetwork::prefix_rolls`]). The last layer always runs on the
+/// region itself.
 fn shareable_prefix(network: &Network, schedule: &NetworkSchedule) -> usize {
     let layers = network.layers();
     layers
@@ -481,6 +483,33 @@ impl PreparedNetwork {
     /// align, and the strip must save work); 0 means none.
     pub fn shareable_prefix(&self) -> usize {
         self.shareable_prefix
+    }
+
+    /// Whether a strip of the first `k` layers can *roll* down `step`
+    /// input rows: continue the previous strip
+    /// ([`Session::prefix_values`] with `continues`) by computing only
+    /// the rows below it. That holds when `k` is a shareable prefix;
+    /// none of its layers has a `y`-window shorter than its `y`-stride;
+    /// none of its pools clips in `y` at the region's size (a clipped
+    /// last window would be a whole one in the next strip); `step` is a
+    /// positive multiple of the layers' cumulative `y`-stride `s`; and
+    /// `step / s`, the new output rows, is at most layer `k − 1`'s output
+    /// height.
+    pub fn prefix_rolls(&self, k: usize, step: usize) -> bool {
+        if k == 0 || k > self.shareable_prefix || step == 0 {
+            return false;
+        }
+        let layers = &self.network.layers()[..k];
+        let fits = layers.iter().all(|layer| {
+            let (window, stride) = match layer.body() {
+                LayerBody::Conv { kernel, stride, .. } => (kernel.1, stride.1),
+                LayerBody::Pool { window, stride, .. } => (window.1, stride.1),
+                _ => return false,
+            };
+            window >= stride && (layer.out_dims().1 - 1) * stride + window <= layer.in_dims().1
+        });
+        let s = replay::y_stride(layers);
+        fits && step.is_multiple_of(s) && step / s <= layers[k - 1].out_dims().1
     }
 
     /// Opens a [`Session`]: NBin/NBout, SB, IB, the PE mesh, and the ALU
@@ -801,37 +830,61 @@ impl<'p> Session<'p> {
         })
     }
 
-    /// Computes the values of the network's first `k` layers over
-    /// `strip` into `out`. `strip` has the network's input maps and
-    /// height and any width at least the input's: one row of a region
-    /// grid, as wide as the frame. Column `x / s` of `out`, where `s` is
-    /// the layers' cumulative `x`-stride, starts the `mid` that
-    /// [`Session::infer_ref_from`] takes for the region at `x`, whenever
-    /// `s` divides `x`. The value bodies are replay's own, so those
-    /// columns are bit-identical to the region's replay. Nothing is
-    /// charged: this is host arithmetic, not a modeled run.
+    /// Computes the values of the network's first `k` layers over a
+    /// strip into `out`: one row of a region grid, as wide as the frame.
+    /// Column `x / s` of `out`, where `s` is the layers' cumulative
+    /// `x`-stride, starts the `mid` that [`Session::infer_ref_from`] takes
+    /// for the region at `x`, whenever `s` divides `x`. The value bodies
+    /// are replay's own, so those columns are bit-identical to the
+    /// region's replay. Nothing is charged: this is host arithmetic, not
+    /// a modeled run.
+    ///
+    /// With `continues` false, `rows` is the whole strip: the network's
+    /// input maps and height, and any width at least the input's. With
+    /// `continues` true, the strip is the previous one moved down
+    /// `rows.height()` input rows, and `rows` holds only those rows, the
+    /// ones below the previous strip. The session carries each layer's
+    /// overlapping rows from the previous call, computes only the new
+    /// ones, and rolls `out` — which must hold the previous call's
+    /// output — so that it holds the current strip's whole output, equal
+    /// to a fresh call over the whole strip.
     ///
     /// # Errors
     ///
     /// [`RunError::Prefix`] when `k` is 0 or exceeds
-    /// [`PreparedNetwork::shareable_prefix`], or `strip` has the wrong
-    /// maps, height or a smaller width.
+    /// [`PreparedNetwork::shareable_prefix`], when `rows` has the wrong
+    /// maps, a height other than the input's for a fresh strip, or a
+    /// width below the input's; and for a continuation that the prefix
+    /// cannot roll by ([`PreparedNetwork::prefix_rolls`]) or that follows
+    /// no strip of the same layers, width and output shape on this
+    /// session.
     pub fn prefix_values(
         &mut self,
         k: usize,
-        strip: &MapStack<Fx>,
+        rows: &MapStack<Fx>,
+        continues: bool,
         out: &mut MapStack<Fx>,
     ) -> Result<(), RunError> {
         let network = &self.prepared.network;
+        let (in_w, in_h) = network.input_dims();
+        let shape = StripShape {
+            layers: k,
+            width: rows.width(),
+            out: (out.map_dims(), out.len()),
+        };
         let reason = if k == 0 {
             Some("an empty prefix computes nothing")
         } else if k > self.prepared.shareable_prefix {
             Some(PREFIX_TOO_LONG)
-        } else if strip.len() != network.input_maps()
-            || strip.height() != network.input_dims().1
-            || strip.width() < network.input_dims().0
+        } else if rows.len() != network.input_maps()
+            || rows.width() < in_w
+            || (!continues && rows.height() != in_h)
         {
             Some("a strip needs the network's input maps and height, and at least its width")
+        } else if continues && !self.prepared.prefix_rolls(k, rows.height()) {
+            Some("the prefix cannot roll down this many rows")
+        } else if continues && self.scratch.strip != Some(shape) {
+            Some("a continued strip needs a previous strip of the same layers, width and output")
         } else {
             None
         };
@@ -843,9 +896,14 @@ impl<'p> Session<'p> {
             &self.prepared.store,
             &self.alu,
             &mut self.scratch,
-            strip,
+            rows,
+            continues,
             out,
         );
+        self.scratch.strip = Some(StripShape {
+            out: (out.map_dims(), out.len()),
+            ..shape
+        });
         Ok(())
     }
 

@@ -67,13 +67,28 @@ pub(crate) struct Scratch {
     /// i64 lane accumulators of the replay bodies: one slot per output
     /// column of the row being reduced, at any row width.
     pub sums: Vec<i64>,
-    /// The strip prefix's two ping-pong stage stacks
-    /// ([`replay::prefix`]).
-    pub stages: [Option<MapStack<Fx>>; 2],
+    /// The strip prefix's stage inputs, one per stage
+    /// ([`replay::prefix`]): the rows the stage carries from the previous
+    /// strip, then its new rows.
+    pub stages: Vec<MapStack<Fx>>,
     /// The strip prefix's one-map conv output, pooled straight on.
     pub conv_out: Option<FeatureMap<Fx>>,
+    /// The strip `stages` last rolled through, which a continued strip
+    /// extends.
+    pub strip: Option<StripShape>,
     /// Normalization-layer storage, live and replayed.
     pub norm: NormScratch,
+}
+
+/// The shape of a computed strip prefix: what a continuation must match.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct StripShape {
+    /// Leading network layers computed.
+    pub layers: usize,
+    /// The strip's input width.
+    pub width: usize,
+    /// The output's map dimensions and map count.
+    pub out: ((usize, usize), usize),
 }
 
 /// Normalization-layer working storage (§8.4), shared by the live

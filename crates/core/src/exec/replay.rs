@@ -575,30 +575,42 @@ impl Pool {
     }
 }
 
-/// Evaluates a network's leading conv/pool `layers` over `strip` — the
-/// network's input maps and height at any width — into `out`, with the
-/// very bodies replay runs, so every output column equals the column a
-/// region replay computes at the same offset. A conv followed by a pool
-/// runs fused one map at a time: conv map `o` lands in a one-map scratch
-/// and pools straight into map `o` of the next stage, so no conv-output
-/// stack is ever held. Intermediate stages ping-pong between two
-/// session-owned stacks. Dispatches like [`values`]: [`prefix_body`]
-/// compiled for AVX2 when the host has it, for the baseline otherwise.
+/// Evaluates a network's leading conv/pool `layers` over a strip — the
+/// network's input maps at any width — into `out`, with the very bodies
+/// replay runs, so every output column equals the column a region replay
+/// computes at the same offset. A conv followed by a pool runs fused one
+/// map at a time: conv map `o` lands in a one-map scratch and pools
+/// straight into map `o` of the next stage, so no conv-output stack is
+/// ever held.
+///
+/// The strip *rolls*. Each stage's input lives in a session-owned stack
+/// (`scratch.stages`) that holds the rows it carried from the previous
+/// strip, then its new rows. A fresh strip (`continues` false) carries
+/// nothing: `rows` is the whole region-height band and every stage runs
+/// over all of it. A continued strip's `rows` are only the input rows
+/// below the previous strip's; each stage carries the rows its next
+/// output row starts at ([`carry`]), computes only its new output rows,
+/// and `out` keeps its last rows above them, so `out` again holds the
+/// current strip's full output. The caller checks that a continuation
+/// fits ([`crate::PreparedNetwork::prefix_rolls`]). Dispatches like
+/// [`values`]: [`prefix_body`] compiled for AVX2 when the host has it,
+/// for the baseline otherwise.
 pub(crate) fn prefix(
     layers: &[Layer],
     store: &SynapseStore,
     alu: &Alu,
     scratch: &mut Scratch,
-    strip: &MapStack<Fx>,
+    rows: &MapStack<Fx>,
+    continues: bool,
     out: &mut MapStack<Fx>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the host supports AVX2, as checked on the line above.
         #[allow(unsafe_code)]
-        return unsafe { prefix_avx2(layers, store, alu, scratch, strip, out) };
+        return unsafe { prefix_avx2(layers, store, alu, scratch, rows, continues, out) };
     }
-    prefix_body(layers, store, alu, scratch, strip, out)
+    prefix_body(layers, store, alu, scratch, rows, continues, out)
 }
 
 /// [`prefix_body`] compiled with AVX2 enabled.
@@ -609,10 +621,11 @@ fn prefix_avx2(
     store: &SynapseStore,
     alu: &Alu,
     scratch: &mut Scratch,
-    strip: &MapStack<Fx>,
+    rows: &MapStack<Fx>,
+    continues: bool,
     out: &mut MapStack<Fx>,
 ) {
-    prefix_body(layers, store, alu, scratch, strip, out)
+    prefix_body(layers, store, alu, scratch, rows, continues, out)
 }
 
 /// The one strip body behind [`prefix`] (see [`values_body`]).
@@ -622,45 +635,111 @@ fn prefix_body(
     store: &SynapseStore,
     alu: &Alu,
     scratch: &mut Scratch,
-    strip: &MapStack<Fx>,
+    rows: &MapStack<Fx>,
+    continues: bool,
     out: &mut MapStack<Fx>,
 ) {
-    // `held` is the previous stage's output once `staged`; `free` is the
-    // other stack's storage.
-    let [mut held, mut free] = mem::take(&mut scratch.stages);
-    let mut staged = false;
+    let mut stages = mem::take(&mut scratch.stages);
     let mut conv_out = scratch.conv_out.take();
+    let keep = |unit: &[Layer]| if continues { carry(unit) } else { 0 };
+    let count = units(layers).count();
+    if stages.len() < count {
+        stages.resize_with(count, || MapStack::new(1, 1));
+    }
+    // Stage 0's new rows are the caller's.
+    let mut pending = units(layers).enumerate().peekable();
+    if let Some((_, (_, first))) = pending.peek() {
+        let at = keep(first);
+        roll(&mut stages[0], at, rows.map_dims(), rows.len());
+        for (src, dst) in rows.iter().zip(stages[0].iter_mut()) {
+            for y in 0..rows.height() {
+                dst.row_mut(at + y).copy_from_slice(src.row(y));
+            }
+        }
+    }
+    // A continued strip's output keeps its rows above the new ones.
+    let out_keep = match layers.last() {
+        Some(last) if continues => last.out_dims().1 - rows.height() / y_stride(layers),
+        _ => 0,
+    };
+    while let Some((s, (index, unit))) = pending.next() {
+        let (input, rest) = stages[s..].split_first_mut().expect("one stack per stage");
+        let (dst, at) = match pending.peek() {
+            Some((_, (_, next))) => (&mut rest[0], keep(next)),
+            None => (&mut *out, out_keep),
+        };
+        stage(
+            unit,
+            index,
+            input,
+            dst,
+            at,
+            &mut conv_out,
+            store,
+            alu,
+            scratch,
+        );
+    }
+    scratch.stages = stages;
+    scratch.conv_out = conv_out;
+}
+
+/// The prefix's stages in order, each with its first network layer's
+/// index: a conv fused with the pool that follows it, or one layer.
+fn units(layers: &[Layer]) -> impl Iterator<Item = (usize, &[Layer])> {
     let mut i = 0;
-    while i < layers.len() {
-        let fused = matches!(layers[i].body(), LayerBody::Conv { .. })
+    core::iter::from_fn(move || {
+        let first = layers.get(i)?;
+        let fused = matches!(first.body(), LayerBody::Conv { .. })
             && matches!(
                 layers.get(i + 1).map(Layer::body),
                 Some(LayerBody::Pool { .. })
             );
-        let span = 1 + usize::from(fused);
-        let input = held.as_ref().filter(|_| staged).unwrap_or(strip);
-        let unit = &layers[i..i + span];
-        if i + span == layers.len() {
-            stage(unit, i, input, out, &mut conv_out, store, alu, scratch);
-        } else {
-            let mut dst = free.take().unwrap_or_else(|| MapStack::new(1, 1));
-            stage(unit, i, input, &mut dst, &mut conv_out, store, alu, scratch);
-            free = held.replace(dst);
-            staged = true;
-        }
-        i += span;
-    }
-    scratch.stages = [held, free];
-    scratch.conv_out = conv_out;
+        let unit = (i, &layers[i..i + 1 + usize::from(fused)]);
+        i = unit.0 + unit.1.len();
+        Some(unit)
+    })
 }
 
-/// A row sink that stores each row into `map`.
-fn copy_row(map: &mut FeatureMap<Fx>) -> impl FnMut(usize, &[Fx]) + '_ {
-    move |y, row| map.row_mut(y).copy_from_slice(row)
+/// The cumulative `y`-stride of conv/pool `layers` (other kinds step 1).
+pub(crate) fn y_stride(layers: &[Layer]) -> usize {
+    layers
+        .iter()
+        .map(|layer| match layer.body() {
+            LayerBody::Conv { stride, .. } | LayerBody::Pool { stride, .. } => stride.1,
+            _ => 1,
+        })
+        .product()
+}
+
+/// Input rows a rolling stage carries into the next strip: those from
+/// its next output row's first input row on, `in_h − out_h · sy` at the
+/// region's size. For a conv that is `ky − sy` (plus rows no output
+/// reads); for a conv fused with its pool, `(wy − sy_pool)·sy_conv + ky −
+/// sy_conv`.
+fn carry(unit: &[Layer]) -> usize {
+    let (first, last) = (&unit[0], &unit[unit.len() - 1]);
+    first.in_dims().1 - last.out_dims().1 * y_stride(unit)
+}
+
+/// Readies `dst` for `h` new rows of `w` columns and `maps` maps after
+/// the last `keep` rows it holds; `keep` 0 starts it afresh.
+fn roll(dst: &mut MapStack<Fx>, keep: usize, (w, h): (usize, usize), maps: usize) {
+    if keep == 0 {
+        dst.refill(w, h, maps, Fx::ZERO);
+    } else {
+        dst.roll_rows(keep, keep + h, Fx::ZERO);
+    }
+}
+
+/// A row sink that stores row `y` as row `at + y` of `map`.
+fn copy_row(map: &mut FeatureMap<Fx>, at: usize) -> impl FnMut(usize, &[Fx]) + '_ {
+    move |y, row| map.row_mut(at + y).copy_from_slice(row)
 }
 
 /// One prefix stage: a conv, a pool, or a conv fused with its pool
-/// (`unit` holds network layers `index..`), from `input` into `dst`.
+/// (`unit` holds network layers `index..`), from `input` into `dst` after
+/// the `at` rows it keeps.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn stage(
@@ -668,6 +747,7 @@ fn stage(
     index: usize,
     input: &MapStack<Fx>,
     dst: &mut MapStack<Fx>,
+    at: usize,
     conv_out: &mut Option<FeatureMap<Fx>>,
     store: &SynapseStore,
     alu: &Alu,
@@ -675,34 +755,29 @@ fn stage(
 ) {
     let first = &unit[0];
     if let Some(pool) = Pool::of(first) {
-        let (w, h) = pool.out_dims(input.map_dims());
-        dst.refill(w, h, input.len(), Fx::ZERO);
-        for (m, fm) in input.iter().enumerate() {
-            let target = dst.get_mut(m).expect("refilled to the input's maps");
-            pool.map(fm, alu, scratch, copy_row(target));
+        roll(dst, at, pool.out_dims(input.map_dims()), input.len());
+        for (fm, target) in input.iter().zip(dst.iter_mut()) {
+            pool.map(fm, alu, scratch, copy_row(target, at));
         }
         return;
     }
     let conv = Conv::of(first, index, store).expect("prefix stages are conv or pool");
     let maps = first.out_maps();
-    let (w, h) = conv.out_dims(input.map_dims());
+    let dims = conv.out_dims(input.map_dims());
     match unit.get(1).and_then(Pool::of) {
         Some(pool) => {
-            let (pw, ph) = pool.out_dims((w, h));
-            dst.refill(pw, ph, maps, Fx::ZERO);
+            roll(dst, at, pool.out_dims(dims), maps);
             let conv_map = conv_out.get_or_insert_with(|| FeatureMap::filled(1, 1, Fx::ZERO));
-            conv_map.refill(w, h, Fx::ZERO);
-            for o in 0..maps {
-                conv.map(input, o, alu, &[], scratch, copy_row(conv_map));
-                let target = dst.get_mut(o).expect("refilled to the layer's maps");
-                pool.map(conv_map, alu, scratch, copy_row(target));
+            conv_map.refill(dims.0, dims.1, Fx::ZERO);
+            for (o, target) in dst.iter_mut().enumerate() {
+                conv.map(input, o, alu, &[], scratch, copy_row(conv_map, 0));
+                pool.map(conv_map, alu, scratch, copy_row(target, at));
             }
         }
         None => {
-            dst.refill(w, h, maps, Fx::ZERO);
-            for o in 0..maps {
-                let target = dst.get_mut(o).expect("refilled to the layer's maps");
-                conv.map(input, o, alu, &[], scratch, copy_row(target));
+            roll(dst, at, dims, maps);
+            for (o, target) in dst.iter_mut().enumerate() {
+                conv.map(input, o, alu, &[], scratch, copy_row(target, at));
             }
         }
     }
@@ -843,9 +918,25 @@ mod tests {
         let mut scratch = Scratch::default();
         let mut out = MapStack::new(1, 1);
         if twin {
-            prefix(net.layers(), &store, &alu, &mut scratch, input, &mut out);
+            prefix(
+                net.layers(),
+                &store,
+                &alu,
+                &mut scratch,
+                input,
+                false,
+                &mut out,
+            );
         } else {
-            prefix_body(net.layers(), &store, &alu, &mut scratch, input, &mut out);
+            prefix_body(
+                net.layers(),
+                &store,
+                &alu,
+                &mut scratch,
+                input,
+                false,
+                &mut out,
+            );
         }
         out
     }
@@ -1018,6 +1109,41 @@ mod tests {
                 strip(&net, &input, false),
                 "w={w}"
             );
+        }
+    }
+
+    #[test]
+    fn rolled_strip_twins_match() {
+        if !avx2_twins() {
+            return;
+        }
+        // C1/S2 steps 2 input rows per output row and carries 2; C3
+        // carries 2 of S2's rows; the strip outputs 3 rows.
+        let net = NetworkBuilder::new("roll", 2, (9, 12))
+            .conv(ConvSpec::new(3, (3, 3)))
+            .pool(PoolSpec::max((2, 2)))
+            .conv(ConvSpec::new(2, (3, 3)))
+            .build(5)
+            .expect("valid strip");
+        let store = SynapseStore::load(&net, 1 << 22).expect("fits");
+        let alu = Alu::new(AcceleratorConfig::paper().alu_lanes);
+        let (mut twin, mut body) = (Scratch::default(), Scratch::default());
+        let (mut twin_out, mut body_out) = (MapStack::new(1, 1), MapStack::new(1, 1));
+        for (i, h) in [12, 2, 4, 6, 2].into_iter().enumerate() {
+            let rows = stack_of(2, (21, h), i as u64);
+            let continues = i > 0;
+            prefix(
+                net.layers(),
+                &store,
+                &alu,
+                &mut twin,
+                &rows,
+                continues,
+                &mut twin_out,
+            );
+            let out = &mut body_out;
+            prefix_body(net.layers(), &store, &alu, &mut body, &rows, continues, out);
+            assert_eq!(twin_out, body_out, "strip {i}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The session's steady-state contracts: once warmed, `infer_ref`, a
 //! repeated `infer_delta_ref` and a shared-prefix `infer_ref_from`
 //! perform zero heap allocations (clean and under a silent fault plan,
-//! normalization networks included),
+//! normalization networks included), as does a continued strip prefix,
 //! and a wrong-shaped input or an unservable prefix is rejected with a
 //! typed `RunError` without disturbing the session's next run.
 
@@ -11,7 +11,7 @@ use shidiannao_core::{
     SramProtection,
 };
 use shidiannao_fixed::Fx;
-use shidiannao_tensor::MapStack;
+use shidiannao_tensor::{FeatureMap, MapStack};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -241,7 +241,7 @@ fn prefix_of(prepared: &PreparedNetwork, input: &MapStack<Fx>) -> MapStack<Fx> {
     let mut mid = MapStack::new(1, 1);
     prepared
         .session()
-        .prefix_values(prepared.shareable_prefix(), input, &mut mid)
+        .prefix_values(prepared.shareable_prefix(), input, false, &mut mid)
         .expect("a region is a strip one region wide");
     mid
 }
@@ -273,12 +273,88 @@ fn warmed_infer_ref_from_matches_infer_and_allocates_nothing() {
     );
     let mut out = MapStack::new(1, 1);
     let allocs = steady_allocs(|| {
-        session.prefix_values(k, &input, &mut out).expect("runs");
+        session
+            .prefix_values(k, &input, false, &mut out)
+            .expect("runs");
     });
     assert_eq!(
         allocs, 0,
         "steady-state prefix_values must not touch the heap"
     );
+    // A continued strip rolls in place. Warm-up starts one fresh strip,
+    // so each stage holds its high-water mark, then keeps continuing.
+    let rows = MapStack::filled(24, 8, 1, Fx::ONE);
+    session
+        .prefix_values(k, &input, false, &mut out)
+        .expect("runs");
+    let allocs = steady_allocs(|| {
+        session
+            .prefix_values(k, &rows, true, &mut out)
+            .expect("rolls");
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state continued prefix_values must not touch the heap"
+    );
+}
+
+/// Rows `y0..y0 + h` of every map of `tall`.
+fn rows_of(tall: &MapStack<Fx>, y0: usize, h: usize) -> MapStack<Fx> {
+    MapStack::from_fn(tall.width(), h, tall.len(), |m| {
+        FeatureMap::from_fn(tall.width(), h, |x, y| tall[m][(x, y0 + y)])
+    })
+}
+
+/// A strip rolled down any mix of steps the prefix rolls by equals a
+/// fresh strip over the same rows, at the region's width and wider.
+#[test]
+fn continued_prefix_values_equal_fresh_strips() {
+    let net = lenet_like();
+    let prepared = prepare(&net);
+    let k = prepared.shareable_prefix();
+    // C1–S4 step 4 input rows per output row and output 4 rows.
+    assert!(prepared.prefix_rolls(k, 4) && prepared.prefix_rolls(k, 16));
+    assert!(!prepared.prefix_rolls(k, 6) && !prepared.prefix_rolls(k, 20));
+    // C1 alone steps 1 row and outputs 20.
+    assert!(prepared.prefix_rolls(1, 7) && !prepared.prefix_rolls(1, 21));
+    // A ceiling pool that clips in y (21 → 11) shares, but cannot roll:
+    // its clipped last window is a whole one in the next strip.
+    let clipped = prepare(
+        &NetworkBuilder::new("clipped", 1, (24, 25))
+            .conv(ConvSpec::new(2, (5, 5)))
+            .pool(PoolSpec::max((2, 2)).with_ceil())
+            .fc(FcSpec::new(3))
+            .build(7)
+            .expect("builds"),
+    );
+    assert_eq!(clipped.shareable_prefix(), 2);
+    assert!(clipped.prefix_rolls(1, 4) && !clipped.prefix_rolls(2, 4));
+    for (width, layers) in [(24, k), (37, k), (37, 2), (29, 1)] {
+        let tall = MapStack::from_fn(width, 24 + 60, 1, |m| {
+            let seed = (width + m) as i32;
+            FeatureMap::from_fn(width, 24 + 60, |x, y| {
+                Fx::from_bits(((x as i32 * 37 + y as i32 * 101 + seed * 7919) % 4001 - 2000) as i16)
+            })
+        });
+        let mut session = prepared.session();
+        let (mut rolled, mut fresh) = (MapStack::new(1, 1), MapStack::new(1, 1));
+        session
+            .prefix_values(layers, &rows_of(&tall, 0, 24), false, &mut rolled)
+            .expect("fresh strip");
+        let mut y0 = 0;
+        for step in [4, 8, 12, 4, 16, 4, 12] {
+            let new = rows_of(&tall, y0 + 24, step);
+            session
+                .prefix_values(layers, &new, true, &mut rolled)
+                .expect("rolls");
+            y0 += step;
+            prepared
+                .session()
+                .prefix_values(layers, &rows_of(&tall, y0, 24), false, &mut fresh)
+                .expect("fresh strip");
+            assert_eq!(rolled, fresh, "width {width}, {layers} layers, at row {y0}");
+        }
+    }
 }
 
 #[test]
@@ -301,15 +377,51 @@ fn unservable_prefixes_are_typed_errors() {
         .is_err_and(is_prefix_error));
     let mut out = MapStack::new(1, 1);
     assert!(session
-        .prefix_values(0, &good, &mut out)
+        .prefix_values(0, &good, false, &mut out)
         .is_err_and(is_prefix_error));
     assert!(session
-        .prefix_values(k + 1, &good, &mut out)
+        .prefix_values(k + 1, &good, false, &mut out)
         .is_err_and(is_prefix_error));
     let narrow = MapStack::filled(20, 24, 1, Fx::ZERO);
     assert!(session
-        .prefix_values(k, &narrow, &mut out)
+        .prefix_values(k, &narrow, false, &mut out)
         .is_err_and(is_prefix_error));
+    // Continuations: with no strip before, then after one of another
+    // width, maps, output or prefix length, and by steps the prefix does
+    // not roll by (not a multiple of its y-stride 4; more new output rows
+    // than the 4 it has).
+    let four = MapStack::filled(24, 4, 1, Fx::ONE);
+    assert!(session
+        .prefix_values(k, &four, true, &mut out)
+        .is_err_and(is_prefix_error));
+    session
+        .prefix_values(k, &good, false, &mut out)
+        .expect("a fresh strip");
+    let wide = MapStack::filled(28, 4, 1, Fx::ONE);
+    let two_maps = MapStack::filled(24, 4, 2, Fx::ONE);
+    let other_out = MapStack::filled(4, 4, 5, Fx::ZERO);
+    for (rows, layers, fresh_out) in [
+        (&wide, k, false),
+        (&two_maps, k, false),
+        (&four, k, true),
+        (&four, k - 1, false),
+        (&MapStack::filled(24, 6, 1, Fx::ONE), k, false),
+        (&MapStack::filled(24, 20, 1, Fx::ONE), k, false),
+    ] {
+        let mut out = if fresh_out {
+            other_out.clone()
+        } else {
+            out.clone()
+        };
+        assert!(session
+            .prefix_values(layers, rows, true, &mut out)
+            .is_err_and(is_prefix_error));
+    }
+    // The rejected continuations left the strip as it was.
+    let mut rolled = out.clone();
+    session
+        .prefix_values(k, &four, true, &mut rolled)
+        .expect("rolls");
     // Sessions that cannot charge a layer without computing it: live
     // decode, a fault plan, stuck PEs.
     session.set_schedule_replay(false);

@@ -14,8 +14,8 @@
 //! pair implements:
 //!
 //! * [`XnorScalarKernel`] — the literal per-element reference,
-//! * [`XnorLaneKernel`] — 64 sign bits packed per `u64` word, one XNOR +
-//!   popcount per chunk.
+//! * [`XnorLaneKernel`] — the XNOR-popcount over the operands' raw sign
+//!   bits, a branch-free count the compiler vectorises.
 //!
 //! # Bit-identity contract
 //!
@@ -47,8 +47,8 @@ pub struct XnorScalarKernel {
     pub wt_mag: Fx,
 }
 
-/// The production XNOR kernel: packs 64 sign bits per `u64` word and
-/// reduces each chunk with one XNOR + popcount.
+/// The production XNOR kernel: counts sign disagreements straight off
+/// the operands' raw sign bits ([`xnor_popcount_dot`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct XnorLaneKernel {
     /// Magnitude of every binarized value (`|v|`).
@@ -78,35 +78,25 @@ fn prod_mag(val_mag: Fx, wt_mag: Fx) -> i64 {
     i64::from(val_mag.to_bits()) * i64::from(wt_mag.to_bits())
 }
 
-/// Packs one up-to-64-element chunk of signs into a word (element `j`
-/// at bit `j`, set ⇔ non-negative).
-#[inline]
-fn sign_word(chunk: &[Fx]) -> u64 {
-    let mut w = 0u64;
-    for (j, &v) in chunk.iter().enumerate() {
-        w |= u64::from(sign_is_positive(v)) << j;
-    }
-    w
-}
-
-/// `s = Σ signᵥ·signᵤ` over equal-length slices via XNOR-popcount on
-/// 64-wide sign words, per-element on the remainder.
+/// `s = Σ signᵥ·signᵤ` over equal-length slices: the pairs whose signs
+/// agree minus those whose signs differ, `n − 2·d`. A pair's signs
+/// differ exactly when the XOR of its raw bits has the sign bit set, so
+/// `d` is the popcount of those XOR sign bits — the 1-bit datapath's
+/// XNOR-popcount — counted without a branch or a packed word, in a loop
+/// the compiler vectorises.
 #[inline]
 pub fn xnor_popcount_dot(vals: &[Fx], wts: &[Fx]) -> i64 {
     debug_assert_eq!(vals.len(), wts.len(), "dot operand mismatch");
+    // 32-bit counts vectorise twice as wide as 64-bit ones; a chunk of
+    // at most 2^16 pairs cannot overflow one.
     let mut s = 0i64;
-    let mut vc = vals.chunks_exact(64);
-    let mut wc = wts.chunks_exact(64);
-    for (v, w) in (&mut vc).zip(&mut wc) {
-        let matches = i64::from((!(sign_word(v) ^ sign_word(w))).count_ones());
-        s += 2 * matches - 64;
-    }
-    for (v, w) in vc.remainder().iter().zip(wc.remainder()) {
-        s += if sign_is_positive(*v) == sign_is_positive(*w) {
-            1
-        } else {
-            -1
-        };
+    for (v, w) in vals.chunks(1 << 16).zip(wts.chunks(1 << 16)) {
+        let differ: u32 = v
+            .iter()
+            .zip(w)
+            .map(|(v, w)| u32::from((v.to_bits() ^ w.to_bits()) as u16 >> 15))
+            .sum();
+        s += v.len().min(w.len()) as i64 - 2 * i64::from(differ);
     }
     s
 }

@@ -184,17 +184,28 @@ impl Frame {
             });
         }
         out.refill(w, h, maps, Fx::ZERO);
-        for m in 0..maps {
-            let map = out.get_mut(m).expect("refilled to `maps` maps");
+        let mut maps = out.iter_mut();
+        if let Some(first) = maps.next() {
             for y in 0..h {
                 let pixels = &self.pixels.row(y0 + y)[x0..x0 + w];
-                for (v, &px) in map.row_mut(y).iter_mut().zip(pixels) {
-                    *v = Fx::from_f32(px as f32 / 256.0);
+                for (v, &px) in first.row_mut(y).iter_mut().zip(pixels) {
+                    *v = pixel_fx(px);
                 }
+            }
+            for map in maps {
+                map.clone_from(first);
             }
         }
         Ok(())
     }
+}
+
+/// A sensor pixel as NBin receives it: `px / 256` in Q7.8, whose raw
+/// bits are the pixel itself — exactly `Fx::from_f32(px as f32 / 256.0)`,
+/// without the float round trip.
+fn pixel_fx(px: u8) -> Fx {
+    const _: () = assert!(shidiannao_fixed::FRAC_BITS == 8, "a pixel is px/256");
+    Fx::from_bits(i16::from(px))
 }
 
 /// Anything that produces frames — implemented by [`SyntheticSensor`] and
@@ -526,7 +537,9 @@ impl RegionGrid {
     /// the row's region height and `y`-origin, with `maps` replicated
     /// input channels, into `out` (storage reused). Region `(i, row)` is
     /// the strip's columns from `origin(i, row).0` on — the §10.2 row
-    /// buffer's band as the accelerator's input.
+    /// buffer's band as the accelerator's input. Only the strip's last
+    /// `rows` rows are tiled: all of it when `rows` is the region height,
+    /// or just the rows a strip adds below the one before it.
     ///
     /// # Errors
     ///
@@ -535,17 +548,24 @@ impl RegionGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `row` is not below the grid's row count.
+    /// Panics if `row` is not below the grid's row count, or `rows` is 0
+    /// or exceeds the region height.
     pub fn try_strip_into(
         &self,
         frame: &Frame,
         row: usize,
+        rows: usize,
         maps: usize,
         out: &mut MapStack<Fx>,
     ) -> Result<(), StreamError> {
         self.check(frame)?;
-        let y0 = self.origin(0, row).1;
-        frame.try_region_into((0, y0), (self.frame.0, self.region.1), maps, out)
+        assert!(
+            (1..=self.region.1).contains(&rows),
+            "a strip has 1 to {} rows, not {rows}",
+            self.region.1
+        );
+        let y0 = self.origin(0, row).1 + self.region.1 - rows;
+        frame.try_region_into((0, y0), (self.frame.0, rows), maps, out)
     }
 
     /// [`StreamError::FrameMismatch`] unless the frame has the grid's
@@ -730,6 +750,13 @@ mod tests {
         for v in r[0].iter() {
             let x = v.to_f32();
             assert!((0.0..1.0).contains(&x), "{x}");
+        }
+    }
+
+    #[test]
+    fn pixels_convert_exactly_as_the_float_scaling_does() {
+        for px in 0..=u8::MAX {
+            assert_eq!(pixel_fx(px), Fx::from_f32(f32::from(px) / 256.0), "{px}");
         }
     }
 

@@ -134,6 +134,28 @@ impl<T> FeatureMap<T> {
         self.data.resize(width * height, value);
     }
 
+    /// Slides the map down its rows: the last `keep` rows move to the
+    /// top, and the map grows or shrinks to `height` rows, the ones after
+    /// `keep` set to `value`. Storage is reused, as by
+    /// [`FeatureMap::refill`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `height` is zero or `keep` exceeds either height.
+    pub fn roll_rows(&mut self, keep: usize, height: usize, value: T)
+    where
+        T: Clone,
+    {
+        assert!(
+            height > 0 && keep <= height && keep <= self.height,
+            "cannot keep {keep} of {} rows in {height}",
+            self.height
+        );
+        self.data.drain(..(self.height - keep) * self.width);
+        self.data.resize(height * self.width, value);
+        self.height = height;
+    }
+
     /// Map width (`Nx`: number of columns).
     #[inline]
     pub fn width(&self) -> usize {
@@ -386,6 +408,24 @@ mod tests {
         assert_eq!(c.as_slice(), &[3, 3, 3, 3]);
         let d = FeatureMap::filled(3, 2, 0i32);
         assert!(a.zip_with(&d, |x, y| x + y).is_err());
+    }
+
+    #[test]
+    fn roll_rows_keeps_the_last_rows_on_top() {
+        let mut m = FeatureMap::from_fn(2, 4, |x, y| 10 * y + x);
+        m.roll_rows(1, 3, 0);
+        assert_eq!(m.dims(), (2, 3));
+        assert_eq!(m.as_slice(), &[30, 31, 0, 0, 0, 0]);
+        m.roll_rows(2, 2, 9);
+        assert_eq!(m.as_slice(), &[0, 0, 0, 0]);
+        m.roll_rows(0, 1, 9);
+        assert_eq!(m.as_slice(), &[9, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot keep")]
+    fn roll_rows_cannot_keep_more_than_it_holds() {
+        FeatureMap::filled(2, 2, 0u8).roll_rows(3, 3, 0);
     }
 
     #[test]

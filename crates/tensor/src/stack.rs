@@ -148,6 +148,28 @@ impl<T> MapStack<T> {
         }
     }
 
+    /// [`FeatureMap::roll_rows`] on every map: the last `keep` rows of
+    /// each move to its top, and the stack grows or shrinks to `height`
+    /// rows, the rest set to `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `height` is zero or `keep` exceeds either height.
+    pub fn roll_rows(&mut self, keep: usize, height: usize, value: T)
+    where
+        T: Clone,
+    {
+        assert!(
+            height > 0 && keep <= height && keep <= self.height,
+            "cannot keep {keep} of {} rows in {height}",
+            self.height
+        );
+        for m in &mut self.maps {
+            m.roll_rows(keep, height, value.clone());
+        }
+        self.height = height;
+    }
+
     /// [`MapStack::refill`] that never drops map storage: every held map
     /// is parked in `bin`, then the stack is rebuilt from the best
     /// capacity fits — so a buffer cycling through layer shapes of
@@ -234,6 +256,12 @@ impl<T> MapStack<T> {
         }
         self.maps.push(map);
         Ok(())
+    }
+
+    /// Iterates the maps mutably. A map's dimensions must stay the
+    /// stack's.
+    pub fn iter_mut(&mut self) -> core::slice::IterMut<'_, FeatureMap<T>> {
+        self.maps.iter_mut()
     }
 
     /// Per-map width.

@@ -7,11 +7,12 @@
 //! the host.
 //!
 //! The modeled chip runs every region whole; the host need not. Overlapping
-//! regions of one row repeat each other's early convolutions, so
-//! [`StreamingPipeline::process_frame`] computes the shareable prefix once
-//! over each row's full-width strip (the band the §10.2 row buffer
-//! holds) and replays each region from its window of it, charged the
-//! full schedule (DESIGN.md §3l, "Shared strip prefix").
+//! regions repeat each other's early convolutions, so
+//! [`StreamingPipeline::process_frame`] computes the shareable prefix over
+//! each row's full-width strip (the band the §10.2 row buffer holds),
+//! rolling it down a worker's band of rows so that a strip computes only
+//! its new input rows, and replays each region from its window of it,
+//! charged the full schedule (DESIGN.md §3l, "Shared strip prefix").
 
 use crate::cnn::{LayerBody, Network};
 use crate::fixed::Fx;
@@ -130,7 +131,8 @@ pub(crate) fn frame_workers() -> usize {
 /// workers opened.
 ///
 /// Slots are split into fixed blocks of `block_len` slots, claimed through
-/// an atomic index. Each worker opens its own `state` (a `Session` and
+/// an atomic index (a band of whole region rows for plain frames, 32
+/// regions for video). Each worker opens its own `state` (a `Session` and
 /// its tally) with `open` on its first block and writes only into the
 /// slots of the blocks it claimed, so callers fold the slots afterwards
 /// in grid order and get the same report at any worker count. The caller
@@ -368,7 +370,9 @@ struct StripPrefix {
 /// layers `0..=i` — so each region's layer-`i` output is an exact column
 /// window of the strip's — and while the strip computes fewer output
 /// columns (`ow + (F − R)/s`) than the row's `nx` regions do (`nx · ow`).
-/// A grid with no overlap gets 0.
+/// A grid with no overlap gets 0. Whether a row's strip then rolls on
+/// from the row above, the `y` rule, is decided per row
+/// ([`StreamingPipeline::continues`]).
 fn strip_prefix(prepared: &PreparedNetwork, grid: &RegionGrid) -> StripPrefix {
     let (nx, _) = grid.counts();
     let span = grid.frame_dims().0 - grid.region_dims().0;
@@ -397,7 +401,8 @@ fn strip_prefix(prepared: &PreparedNetwork, grid: &RegionGrid) -> StripPrefix {
 }
 
 /// A worker's strip buffers, reused across its rows: the row's input
-/// strip, the prefix's output over it, and one region's window of that.
+/// rows (the whole strip, or the rows a continued strip adds), the
+/// prefix's output over the strip, and one region's window of that.
 struct StripScratch {
     input: MapStack<Fx>,
     prefix: MapStack<Fx>,
@@ -477,14 +482,34 @@ impl StreamingPipeline {
         RowBuffer::for_grid(&self.grid, 2)
     }
 
+    /// The new input rows when region row `row`'s strip continues row
+    /// `row − 1`'s in a worker's `band` of rows: the `y`-step between
+    /// their origins, when `row` is not the band's first and the shared
+    /// prefix rolls down that step
+    /// ([`PreparedNetwork::prefix_rolls`](crate::sim::PreparedNetwork::prefix_rolls)).
+    /// `None` starts the strip fresh.
+    fn continues(&self, row: usize, band: usize) -> Option<usize> {
+        if row.is_multiple_of(band) {
+            return None;
+        }
+        let y = |j| self.grid.origin(0, j).1;
+        let step = y(row) - y(row - 1);
+        self.prepared
+            .prefix_rolls(self.prefix.layers, step)
+            .then_some(step)
+    }
+
     /// Runs every region of a frame through the accelerator.
     ///
     /// Regions run in parallel on [`frame_workers`] threads (see
-    /// DESIGN.md, "Region-parallel frames"), one region row per block.
-    /// A worker tiles its row's strip — the §10.2 row buffer's band, the
-    /// frame's full width at region height — and computes the grid's
-    /// shared prefix over it once (for ConvNN on the paper grid, C1–S4:
-    /// DESIGN.md §3l). Each region then replays only the remaining
+    /// DESIGN.md, "Region-parallel frames"), each taking one block of
+    /// about `ny / workers` whole region rows. A worker computes the
+    /// grid's shared prefix once per row (for ConvNN on the paper grid,
+    /// C1–S4: DESIGN.md §3l) over the row's strip — the §10.2 row
+    /// buffer's band, the frame's full width at region height. The
+    /// band's first strip is computed whole; each later one that can,
+    /// rolls: the worker tiles and feeds only the input rows below the
+    /// previous strip. Each region then replays only the remaining
     /// layers from its own window of the strip
     /// ([`Session::infer_ref_from`](crate::sim::Session::infer_ref_from)),
     /// charged the full recorded schedule, Load included. The report is
@@ -513,7 +538,9 @@ impl StreamingPipeline {
             stride,
             width,
         } = self.prefix;
-        let (nx, _) = self.grid.counts();
+        let (nx, ny) = self.grid.counts();
+        // Each worker rolls the prefix down one band of region rows.
+        let band = ny.div_ceil(workers.max(1));
         let mut results: Vec<RegionResult> = self
             .grid
             .origins()
@@ -527,7 +554,7 @@ impl StreamingPipeline {
         // the PE mesh stay allocated, and no region recompiles anything.
         let states = run_regions(
             &mut slots,
-            nx,
+            band * nx,
             workers,
             || {
                 (
@@ -538,10 +565,14 @@ impl StreamingPipeline {
             },
             |(session, tally, strip), i, (result, energy_nj)| {
                 if i % nx == 0 {
+                    let row = i / nx;
+                    let step = self.continues(row, band);
+                    let rows = step.unwrap_or(self.grid.region_dims().1);
                     self.grid
-                        .try_strip_into(frame, i / nx, maps, &mut strip.input)?;
+                        .try_strip_into(frame, row, rows, maps, &mut strip.input)?;
                     if k > 0 {
-                        session.prefix_values(k, &strip.input, &mut strip.prefix)?;
+                        let continues = step.is_some();
+                        session.prefix_values(k, &strip.input, continues, &mut strip.prefix)?;
                     }
                 }
                 let src = if k > 0 { &strip.prefix } else { &strip.input };
@@ -934,18 +965,18 @@ mod tests {
 
     /// The executor's fold reproduces the one-session serial loop bit for
     /// bit at every worker count, on a grid of several region rows whose
-    /// strips share C1–C3.
+    /// strips share C1–C3 and roll down each worker's band.
     #[test]
     fn reports_are_identical_at_any_worker_count() {
         let net = zoo::gabor().build(1).unwrap();
-        let grid = RegionGrid::new((120, 100), (20, 20), (6, 7));
+        let grid = RegionGrid::new((120, 102), (20, 20), (6, 8));
         let pipe = StreamingPipeline::new(Accelerator::new(AcceleratorConfig::paper()), net, grid)
             .unwrap();
         // Origins step by 6 and the last column is 100: even, but not all
         // multiples of S4's cumulative stride 4.
         assert_eq!(pipe.prefix.layers, 3);
         assert!(grid.counts().1 > 4);
-        let frame = SyntheticSensor::new(120, 100, 5).next_frame();
+        let frame = SyntheticSensor::new(120, 102, 5).next_frame();
         let oracle = per_region_loop(&pipe, &frame);
         for workers in [1, 2, 3, 7] {
             let report = pipe.process_frame_with(&frame, workers).unwrap();
@@ -964,6 +995,12 @@ mod tests {
     /// paper grid (C5's strip would be 145 columns against 37 regions'
     /// one each); a grid without overlap shares nothing; FaceRecog's
     /// ceiling S2 clips at the region edge, so at most C1 is shared.
+    ///
+    /// And which strips roll. ConvNN on the paper grid continues every
+    /// row but a band's first: C1–S4 step 4 input rows per output row,
+    /// and the grid steps 16 rows, then 12 to the clamped last row (444).
+    /// Steps off the cumulative `y`-stride, and steps past the overlap,
+    /// start fresh; FaceRecog's C1 steps 1 row, so any overlap rolls.
     #[test]
     fn strip_prefix_follows_structure_alignment_and_cost() {
         let convnn = pipeline(zoo::convnn().build(1).unwrap(), RegionGrid::paper_convnn());
@@ -976,45 +1013,78 @@ mod tests {
                 width: 14
             }
         );
-        let gabor = zoo::gabor().build(1).unwrap();
-        let doc = pipeline(gabor.clone(), RegionGrid::new((40, 40), (20, 20), (20, 20)));
+        let gabor = || zoo::gabor().build(1).unwrap();
+        let doc = pipeline(gabor(), RegionGrid::new((40, 40), (20, 20), (20, 20)));
         assert_eq!(doc.prefix.layers, 0);
-        let misaligned = pipeline(gabor, RegionGrid::new((41, 40), (20, 20), (7, 20)));
+        let misaligned = pipeline(gabor(), RegionGrid::new((41, 40), (20, 20), (7, 20)));
         assert_eq!(misaligned.prefix.layers, 1);
         let recog = zoo::face_recog().build(1).unwrap();
         let recog = pipeline(recog, RegionGrid::new((63, 40), (23, 28), (4, 6)));
         assert_eq!(recog.prepared().shareable_prefix(), 1);
-        assert!(recog.prefix.layers <= 1);
+        assert_eq!(recog.prefix.layers, 1);
+
+        let (_, ny) = convnn.grid().counts();
+        assert_eq!(ny, 29);
+        for band in [ny, 15, 10, 1] {
+            for row in 0..ny {
+                let want = match row {
+                    _ if row.is_multiple_of(band) => None,
+                    28 => Some(12),
+                    _ => Some(16),
+                };
+                assert_eq!(convnn.continues(row, band), want, "row {row}, band {band}");
+            }
+        }
+        // C1–C3 step 2 rows; the last row clamps to 80, a step of 3.
+        let odd = pipeline(gabor(), RegionGrid::new((120, 100), (20, 20), (6, 7)));
+        assert_eq!(odd.prefix.layers, 3);
+        assert!((1..odd.grid().counts().1).all(|row| odd.continues(row, 99).is_none()));
+        // Steps of 8, then 2 to the clamped last row (82).
+        let even = pipeline(gabor(), RegionGrid::new((120, 102), (20, 20), (6, 8)));
+        assert_eq!(even.prefix.layers, 3);
+        let (_, ny) = even.grid().counts();
+        assert!((1..ny - 1).all(|row| even.continues(row, 99) == Some(8)));
+        assert_eq!(even.continues(ny - 1, 99), Some(2));
+        // C1's 16 output rows cannot take a 20-row step.
+        assert_eq!(misaligned.continues(1, 2), None);
+        assert_eq!(recog.continues(1, 9), Some(6));
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
         /// Any of three networks, any grid, strides aligned to the
-        /// prefix or not, any worker count: the report equals the
-        /// public per-region loop and the single-worker report.
+        /// prefix or not in `x` and in `y` (so strips roll, or start
+        /// fresh), any worker count (so bands split anywhere): the
+        /// report equals the public per-region loop and the
+        /// single-worker report.
         #[test]
         fn worker_count_never_changes_a_report(
             which in 0usize..3,
-            extra in (0usize..40, 0usize..24),
-            stride in (1usize..12, 3usize..13),
-            aligned in proptest::prelude::any::<bool>(),
+            extra in (0usize..40, 0usize..40),
+            stride in (1usize..12, 1usize..13),
+            aligned in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
             workers in 2usize..9,
             seed in 0u64..1_000,
         ) {
-            // Gabor; FaceAlign (floor-rounded S4, 21→10 in y); FaceRecog
-            // (ceiling S2, 21→11, which clips in x).
+            // Gabor; FaceAlign (floor-rounded S4, 21→10 in y, so C3/S4
+            // carries a row no output reads); FaceRecog (ceiling S2,
+            // 21→11, which clips in x; its C1 steps 1 row in y).
             let builder = [zoo::gabor, zoo::face_align, zoo::face_recog][which];
             let net = builder().build(1).unwrap();
             let region = net.input_dims();
-            // Aligned grids step by a multiple of 4 and end on one.
-            let (sx, w) = if aligned {
-                (4 * stride.0, region.0 + extra.0 / 4 * 4)
-            } else {
-                (stride.0, region.0 + extra.0)
+            // Aligned grids step by a multiple of 4 (every prefix's
+            // cumulative stride divides it) and end on one.
+            let axis = |aligned: bool, stride: usize, r: usize, extra: usize| {
+                if aligned {
+                    (4 * stride.div_ceil(3), r + extra / 4 * 4)
+                } else {
+                    (stride, r + extra)
+                }
             };
-            let (w, h) = (w, region.1 + extra.1);
-            let pipe = pipeline(net, RegionGrid::new((w, h), region, (sx, stride.1)));
+            let (sx, w) = axis(aligned.0, stride.0, region.0, extra.0);
+            let (sy, h) = axis(aligned.1, stride.1, region.1, extra.1);
+            let pipe = pipeline(net, RegionGrid::new((w, h), region, (sx, sy)));
             let frame = SyntheticSensor::new(w, h, seed).next_frame();
             let oracle = per_region_loop(&pipe, &frame);
             let serial = pipe.process_frame_with(&frame, 1).unwrap();

@@ -116,9 +116,10 @@ fn facade_prelude_exposes_the_whole_flow() {
 }
 
 /// The §10.2 frame end to end: the strip-prefix `FrameReport` (ConvNN's
-/// C1–S4 computed once per region row) equals the plain per-region loop
-/// in every output, in cycles, and in energy to the bit. A full VGA
-/// frame: CI runs it in release at one and at three workers.
+/// C1–S4 rolled down each worker's band of region rows) equals the plain
+/// per-region loop in every output, in cycles, and in energy to the bit.
+/// A full VGA frame: CI runs it in release at one, two and three
+/// workers, which split the frame into different bands.
 #[test]
 #[ignore = "a full VGA frame; run with --release -- --ignored"]
 fn vga_frame_report_equals_the_per_region_loop() {
