@@ -1074,16 +1074,17 @@ mod tests {
             let net = builder().build(1).unwrap();
             let region = net.input_dims();
             // Aligned grids step by a multiple of 4 (every prefix's
-            // cumulative stride divides it) and end on one.
-            let axis = |aligned: bool, stride: usize, r: usize, extra: usize| {
-                if aligned {
-                    (4 * stride.div_ceil(3), r + extra / 4 * 4)
-                } else {
-                    (stride, r + extra)
-                }
+            // cumulative stride divides it) and end on one. Aligned
+            // x-steps run 4..44, past the region width (grids whose
+            // regions do not overlap, or where the cost rule cuts k);
+            // aligned y-steps stay at 4..16, so a frame at most 40 rows
+            // over the region still has rows that continue a strip.
+            let extent = |aligned: bool, r: usize, extra: usize| {
+                if aligned { r + extra / 4 * 4 } else { r + extra }
             };
-            let (sx, w) = axis(aligned.0, stride.0, region.0, extra.0);
-            let (sy, h) = axis(aligned.1, stride.1, region.1, extra.1);
+            let sx = if aligned.0 { 4 * stride.0 } else { stride.0 };
+            let sy = if aligned.1 { 4 * stride.1.div_ceil(3) } else { stride.1 };
+            let (w, h) = (extent(aligned.0, region.0, extra.0), extent(aligned.1, region.1, extra.1));
             let pipe = pipeline(net, RegionGrid::new((w, h), region, (sx, sy)));
             let frame = SyntheticSensor::new(w, h, seed).next_frame();
             let oracle = per_region_loop(&pipe, &frame);
