@@ -29,6 +29,7 @@
 use crate::artifact::{emit_deterministic, Artifact, Gated};
 use crate::geomean;
 use crate::json::{comma, json_f64};
+use shidiannao::pipeline::{DegradePolicy, StreamingPipeline};
 use shidiannao_cnn::{zoo, Network};
 use shidiannao_core::area::{area_of, area_with_protection};
 use shidiannao_core::energy::EnergyModel;
@@ -144,8 +145,7 @@ pub struct FaultReport {
     pub degradation: Vec<DegradationRow>,
 }
 
-/// Per-cell trial count, degradation retry bound, and sizes of the two
-/// sweep variants.
+/// Per-cell trial count and the sizes of the two sweep variants.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SweepConfig {
     trials: u32,
@@ -155,7 +155,6 @@ pub struct SweepConfig {
 
 const FULL_RATES: [f64; 4] = [0.0, 1e-5, 1e-4, 1e-3];
 const SMOKE_RATES: [f64; 2] = [0.0, 1e-3];
-const MAX_RETRIES: u32 = 2;
 
 fn sweep_networks(count: usize) -> Vec<Network> {
     [zoo::gabor(), zoo::simple_conv(), zoo::lenet5()]
@@ -373,11 +372,11 @@ fn protection_overhead(
     }
 }
 
-/// One frame of faulty streaming with retry-then-skip, mirroring
-/// `StreamingPipeline::process_frame_degraded` (which lives above this
-/// crate in the dependency graph): the sensor link injects scanline
-/// faults, the session injects SRAM/PE faults, detected errors retry up
-/// to [`MAX_RETRIES`] times with a fresh salt, then drop the region.
+/// One frame of faulty streaming with retry-then-skip through
+/// `StreamingPipeline::process_frame_degraded` under the default policy
+/// (two retries, no frame budget): the sensor link injects scanline
+/// faults, the session injects SRAM/PE faults, detected errors retry
+/// with a fresh salt, then drop the region.
 fn degradation_row(
     accel: &Accelerator,
     net: &Network,
@@ -398,50 +397,23 @@ fn degradation_row(
     });
     let mut cam = FaultySensor::new(SyntheticSensor::new(fw, fh, 3), plan);
     let frame = cam.next_frame();
-    let prepared = accel.prepare(net).expect("fits the paper config");
-    let mut session = prepared.session_with_faults(plan);
-    let mut row = DegradationRow {
+    let pipe = StreamingPipeline::new(accel.clone(), net.clone(), grid)
+        .expect("the grid's regions match the network by construction");
+    let report = pipe
+        .process_frame_degraded(&frame, plan, &DegradePolicy::default())
+        .expect("only detected faults fail a region, and those degrade");
+    DegradationRow {
         network: net.name().to_string(),
         protection,
         rate,
         regions: grid.count(),
-        ok: 0,
-        degraded: 0,
-        dropped: 0,
-        dropped_rows: 0,
-        corrupted_rows: 0,
-        cycles: 0,
-    };
-    let stream = grid
-        .try_stream(&frame, net.input_maps())
-        .expect("frame matches the grid by construction");
-    for (ri, region) in stream.enumerate() {
-        let mut done = false;
-        for attempt in 0..=MAX_RETRIES {
-            let salt = ((ri as u64) << 8) ^ attempt as u64;
-            session.set_fault_plan(plan.with_salt(salt));
-            match session.infer(&region) {
-                Ok(run) => {
-                    row.cycles += run.stats().cycles();
-                    if attempt == 0 {
-                        row.ok += 1;
-                    } else {
-                        row.degraded += 1;
-                    }
-                    done = true;
-                    break;
-                }
-                Err(RunError::FaultDetected(_)) => row.cycles += session.last_cycles(),
-                Err(e) => unreachable!("non-fault failure in degradation: {e}"),
-            }
-        }
-        if !done {
-            row.dropped += 1;
-        }
+        ok: report.ok_regions(),
+        degraded: report.degraded_regions(),
+        dropped: report.dropped_regions(),
+        dropped_rows: cam.dropped_rows(),
+        corrupted_rows: cam.corrupted_rows(),
+        cycles: report.cycles(),
     }
-    row.dropped_rows = cam.dropped_rows();
-    row.corrupted_rows = cam.corrupted_rows();
-    row
 }
 
 impl FaultReport {

@@ -21,8 +21,11 @@ use crate::sb::SynapseStore;
 use crate::schedule::{self, LayerOverlay, LayerSchedule, NetworkSchedule, ScheduleRecorder};
 use crate::stats::RunStats;
 use core::fmt;
+use core::ops::RangeInclusive;
 use shidiannao_cnn::{LayerBody, Network};
-use shidiannao_faults::{DetectedFault, FaultPlan, FaultSite, FaultState, FaultStats};
+use shidiannao_faults::{
+    DegradeOutcome, DetectedFault, FaultPlan, FaultSite, FaultState, FaultStats,
+};
 use shidiannao_fixed::Fx;
 use shidiannao_tensor::MapStack;
 use std::sync::Arc;
@@ -687,8 +690,8 @@ impl<'p> Session<'p> {
     }
 
     /// Replaces the session's fault plan (and re-derives the PE mesh's
-    /// stuck-at faults) without reallocating buffers — how the degraded
-    /// streaming pipeline retries a region under a salted plan.
+    /// stuck-at faults) without reallocating buffers — how
+    /// [`Session::infer_retrying`] retries under a salted plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.nfu.set_stuck_faults(|x, y| plan.pe_stuck(x, y));
         self.faults = FaultState::new(plan);
@@ -817,6 +820,70 @@ impl<'p> Session<'p> {
         mid: &MapStack<Fx>,
     ) -> Result<InferenceRef<'_>, RunError> {
         self.execute(k, mid, None)?;
+        self.last_inference()
+    }
+
+    /// Runs `input` under salted retries: attempt `a` of `attempts` runs
+    /// under `plan_for(a)` until one completes. An attempt aborted by
+    /// [`RunError::FaultDetected`] still charges its cycles
+    /// ([`Session::last_cycles`]) and fault counters; once the cycles
+    /// charged so far reach `slack` the input is dropped
+    /// ([`DegradeOutcome::DroppedBudget`]), and once the range is spent
+    /// it is dropped as [`DegradeOutcome::DroppedFaulty`]. The
+    /// successful attempt's result is borrowed, as from
+    /// [`Session::infer_ref`], so a warm call allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Any error other than [`RunError::FaultDetected`], from the
+    /// attempt that raised it.
+    pub fn infer_retrying(
+        &mut self,
+        input: &MapStack<Fx>,
+        attempts: RangeInclusive<u32>,
+        plan_for: impl Fn(u32) -> FaultPlan,
+        slack: u64,
+    ) -> Result<Retried<'_>, RunError> {
+        let first = *attempts.start();
+        let mut outcome = DegradeOutcome::DroppedFaulty;
+        let mut last_attempt = *attempts.end();
+        let mut cycles = 0u64;
+        let mut fault_stats = FaultStats::default();
+        for attempt in attempts {
+            self.set_fault_plan(plan_for(attempt));
+            let result = self.execute(0, input, None);
+            cycles += self.last_cycles;
+            fault_stats.absorb(self.faults.stats());
+            outcome = match result {
+                Ok(()) if attempt == first => DegradeOutcome::Ok,
+                Ok(()) => DegradeOutcome::Degraded {
+                    retries: attempt - first,
+                },
+                Err(RunError::FaultDetected(_)) if cycles >= slack => DegradeOutcome::DroppedBudget,
+                Err(RunError::FaultDetected(_)) => continue,
+                Err(e) => return Err(e),
+            };
+            last_attempt = attempt;
+            break;
+        }
+        // Borrowed once, after the loop: the borrow checker rejects
+        // returning a borrow of the session from a loop that mutates it.
+        let completed = matches!(
+            outcome,
+            DegradeOutcome::Ok | DegradeOutcome::Degraded { .. }
+        );
+        let run = completed.then(|| self.last_inference()).transpose()?;
+        Ok(Retried {
+            outcome,
+            last_attempt,
+            cycles,
+            fault_stats,
+            run,
+        })
+    }
+
+    /// The last run's result, borrowed from the session.
+    fn last_inference(&self) -> Result<InferenceRef<'_>, RunError> {
         let energy = self.prepared.energy_model.charge_run(&self.stats);
         let output = self.nbin.contents().ok_or(EmptyBufferError {
             buffer: "NB (final output)",
@@ -997,13 +1064,13 @@ impl<'p> Session<'p> {
         replay.then_some(schedule)
     }
 
-    /// The cycle-by-cycle inference loop shared by `run`, `infer`, and
-    /// `infer_ref_from` (`trace` is `Some` only for `run`). `input` is
-    /// layer `start − 1`'s output (the network input when `start` is 0);
-    /// layers before `start` are charged without computing. Statistics
-    /// land in the session's recycled [`RunStats`] slots; the final
-    /// layer's output is left installed in the buffer currently holding
-    /// the NBin role. Cycles charged up to an abort (including a
+    /// The cycle-by-cycle inference loop shared by `run`, `infer`,
+    /// `infer_ref_from` and `infer_retrying` (`trace` is `Some` only for
+    /// `run`). `input` is layer `start − 1`'s output (the network input
+    /// when `start` is 0); layers before `start` are charged without
+    /// computing. Statistics land in the session's recycled [`RunStats`]
+    /// slots; the final layer's output is left installed in the buffer
+    /// currently holding the NBin role. Cycles charged up to an abort (including a
     /// [`RunError::FaultDetected`] one) are recorded in
     /// [`Session::last_cycles`] either way.
     fn execute(
@@ -1351,6 +1418,23 @@ impl InferenceRef<'_> {
     pub fn fault_stats(&self) -> &FaultStats {
         self.fault_stats
     }
+}
+
+/// How [`Session::infer_retrying`] resolved an input.
+#[derive(Clone, Copy, Debug)]
+pub struct Retried<'s> {
+    /// Ok, degraded after retries, or dropped.
+    pub outcome: DegradeOutcome,
+    /// Absolute index of the last attempt made: the range's end when
+    /// every attempt faulted.
+    pub last_attempt: u32,
+    /// Cycles of every attempt, aborted ones included.
+    pub cycles: u64,
+    /// Fault counters summed over every attempt.
+    pub fault_stats: FaultStats,
+    /// The successful attempt's result; `None` when the input was
+    /// dropped.
+    pub run: Option<InferenceRef<'s>>,
 }
 
 /// The result of one accelerator execution.

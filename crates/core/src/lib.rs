@@ -69,8 +69,8 @@ mod schedule;
 mod stats;
 
 pub use accel::{
-    Accelerator, DeltaLoad, Inference, InferenceRef, NbResidency, PreparedNetwork, RunError,
-    RunOutcome, Session,
+    Accelerator, DeltaLoad, Inference, InferenceRef, NbResidency, PreparedNetwork, Retried,
+    RunError, RunOutcome, Session,
 };
 pub use alu::Alu;
 pub use buffer::{
@@ -98,6 +98,6 @@ pub mod kernel {
 // Re-export the fault-injection vocabulary so downstream crates can drive
 // fault campaigns without depending on `shidiannao-faults` directly.
 pub use shidiannao_faults::{
-    DegradePolicy, DetectedFault, FaultConfig, FaultPlan, FaultSite, FaultState, FaultStats,
-    PeStuck, PeStuckTarget, ScanlineFault, SramProtection,
+    DegradeOutcome, DegradePolicy, DetectedFault, FaultConfig, FaultPlan, FaultSite, FaultState,
+    FaultStats, PeStuck, PeStuckTarget, ScanlineFault, SramProtection,
 };

@@ -8,8 +8,12 @@
 use proptest::prelude::*;
 use shidiannao_cnn::zoo;
 use shidiannao_core::{
-    Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, RunError, SramProtection,
+    Accelerator, AcceleratorConfig, DegradeOutcome, FaultConfig, FaultPlan, FaultStats, RunError,
+    Session, SramProtection,
 };
+use shidiannao_fixed::Fx;
+use shidiannao_tensor::MapStack;
+use std::ops::RangeInclusive;
 
 const SEED: u64 = 2015;
 const INPUT_SEED: u64 = SEED ^ 0xABCD;
@@ -128,6 +132,61 @@ fn outcome(run: Result<shidiannao_core::RunOutcome, RunError>) -> FaultOutcome {
     })
 }
 
+/// What one salted-retry resolution shows: outcome, last attempt,
+/// cycles, summed fault counters, and the output bits when it completed.
+type Resolution = (DegradeOutcome, u32, u64, FaultStats, Option<Vec<Fx>>);
+
+/// The salted-retry loop as callers wrote it by hand before
+/// `Session::infer_retrying`: owned results, an aborted attempt charged
+/// through `last_cycles`, the slack checked after every failure.
+fn reference_retry(
+    session: &mut Session<'_>,
+    input: &MapStack<Fx>,
+    attempts: RangeInclusive<u32>,
+    plan_for: impl Fn(u32) -> FaultPlan,
+    slack: u64,
+) -> Resolution {
+    let first = *attempts.start();
+    let last = *attempts.end();
+    let mut cycles = 0;
+    let mut fault = FaultStats::default();
+    for attempt in attempts {
+        session.set_fault_plan(plan_for(attempt));
+        match session.infer(input) {
+            Ok(run) => {
+                cycles += run.stats().cycles();
+                fault.absorb(run.fault_stats());
+                let outcome = if attempt == first {
+                    DegradeOutcome::Ok
+                } else {
+                    DegradeOutcome::Degraded {
+                        retries: attempt - first,
+                    }
+                };
+                return (outcome, attempt, cycles, fault, Some(run.output_flat()));
+            }
+            Err(RunError::FaultDetected(_)) => {
+                cycles += session.last_cycles();
+                fault.absorb(session.fault_stats());
+                if cycles >= slack {
+                    return (DegradeOutcome::DroppedBudget, attempt, cycles, fault, None);
+                }
+            }
+            Err(e) => panic!("non-fault failure: {e}"),
+        }
+    }
+    (DegradeOutcome::DroppedFaulty, last, cycles, fault, None)
+}
+
+/// A per-site fault rate: `10^-exp`, or off at `exp` 6.
+fn site_rate(exp: u32) -> f64 {
+    if exp >= 6 {
+        0.0
+    } else {
+        10f64.powi(-(exp as i32))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -176,5 +235,69 @@ proptest! {
         prop_assert_eq!(faulted.stats(), clean.stats());
         prop_assert_eq!(faulted.energy(), clean.energy());
         prop_assert_eq!(faulted.fault_stats().total_faults(), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Session::infer_retrying` resolves exactly as the hand-rolled
+    /// loop it replaced, for random fault configurations under every
+    /// protection, attempt ranges that start anywhere, and slacks from
+    /// none to unbounded.
+    #[test]
+    fn retrying_matches_the_hand_rolled_loop(
+        seed in any::<u64>(),
+        exps in (2u32..7, 2u32..7, 2u32..7, 3u32..7),
+        double_flip_share in 0.0f64..0.5,
+        protection in (0usize..3).prop_map(|i| SramProtection::ALL[i]),
+        first in 0u32..1_000,
+        retries in 0u32..4,
+        slack_pct in 0u64..=201,
+        salt in any::<u64>(),
+    ) {
+        let plan = FaultPlan::new(FaultConfig {
+            seed,
+            nb_flip_rate: site_rate(exps.0),
+            sb_flip_rate: site_rate(exps.1),
+            ib_flip_rate: site_rate(exps.2),
+            pe_stuck_rate: site_rate(exps.3),
+            double_flip_share,
+            protection,
+            ..FaultConfig::zero()
+        });
+        let net = zoo::gabor().build(SEED).expect("valid topology");
+        let input = net.random_input(INPUT_SEED);
+        let prepared = Accelerator::new(AcceleratorConfig::paper())
+            .prepare(&net)
+            .expect("fits");
+        let clean = prepared.session().infer(&input).expect("clean run").stats().cycles();
+        // Up to two clean runs' worth of slack, or unbounded at 201.
+        let slack = match slack_pct {
+            201 => u64::MAX,
+            pct => clean * pct / 100,
+        };
+        let attempts = first..=first + retries;
+        let plan_for = |attempt: u32| plan.with_salt(salt ^ u64::from(attempt));
+
+        let expected = reference_retry(
+            &mut prepared.session_with_faults(plan),
+            &input,
+            attempts.clone(),
+            plan_for,
+            slack,
+        );
+        let mut session = prepared.session_with_faults(plan);
+        let retried = session
+            .infer_retrying(&input, attempts, plan_for, slack)
+            .expect("only detected faults fail an attempt");
+        let got: Resolution = (
+            retried.outcome,
+            retried.last_attempt,
+            retried.cycles,
+            retried.fault_stats,
+            retried.run.map(|run| run.output_flat()),
+        );
+        prop_assert_eq!(got, expected);
     }
 }

@@ -636,13 +636,10 @@ impl ShardFaultPlan {
     }
 }
 
-/// How an executor responds to detected faults and deadline pressure:
-/// bounded retries under salted replans, then skip, all under an optional
-/// cycle budget.
-///
-/// Shared vocabulary between the streaming pipeline's
-/// `process_frame_degraded` (per-frame budget) and the serve crate's
-/// scheduler (per-request deadline slack as the budget).
+/// How the streaming pipeline's `process_frame_degraded` responds to
+/// detected faults and deadline pressure: bounded retries under salted
+/// replans, then skip, all under an optional per-frame cycle budget.
+/// Each unit of work resolves to a [`DegradeOutcome`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DegradePolicy {
     /// Attempts after the first before a faulted unit of work is dropped.
@@ -659,6 +656,24 @@ impl Default for DegradePolicy {
             frame_cycle_budget: None,
         }
     }
+}
+
+/// How one unit of work (a frame's region, a served request) resolved
+/// under salted retries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DegradeOutcome {
+    /// Completed on the first attempt.
+    Ok,
+    /// Completed after `retries` additional attempts.
+    Degraded {
+        /// Retry count that led to success.
+        retries: u32,
+    },
+    /// Every attempt hit a detected fault; the work was skipped.
+    DroppedFaulty,
+    /// The cycle budget ran out: a frame's before the region started, or
+    /// a request's deadline slack after a failed attempt.
+    DroppedBudget,
 }
 
 /// A stuck-at fault in one PE's datapath: the masked bit always reads as

@@ -109,22 +109,9 @@ impl Frame {
     }
 
     /// Extracts a region as a single-map fixed-point stack, pixels scaled
-    /// to `[0, 1)` — the format NBin receives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region exceeds the frame. [`Frame::try_region`] is
-    /// the non-panicking variant.
-    #[allow(clippy::panic)]
-    pub fn region(&self, origin: (usize, usize), dims: (usize, usize)) -> MapStack<Fx> {
-        match self.try_region(origin, dims) {
-            Ok(stack) => stack,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Extracts a region, or reports [`StreamError::RegionOutOfBounds`] if
-    /// it does not fit inside the frame.
+    /// to `[0, 1)` — the format NBin receives — or reports
+    /// [`StreamError::RegionOutOfBounds`] if it does not fit inside the
+    /// frame.
     pub fn try_region(
         &self,
         origin: (usize, usize),
@@ -133,22 +120,8 @@ impl Frame {
         self.try_region_stacked(origin, dims, 1)
     }
 
-    /// Like [`Frame::region`] but replicated across `maps` identical input
+    /// [`Frame::try_region`] replicated across `maps` identical input
     /// maps (for benchmarks with multi-channel inputs, e.g. ConvNN's 3).
-    #[allow(clippy::panic)]
-    pub fn region_stacked(
-        &self,
-        origin: (usize, usize),
-        dims: (usize, usize),
-        maps: usize,
-    ) -> MapStack<Fx> {
-        match self.try_region_stacked(origin, dims, maps) {
-            Ok(stack) => stack,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Non-panicking [`Frame::region_stacked`].
     pub fn try_region_stacked(
         &self,
         origin: (usize, usize),
@@ -496,9 +469,13 @@ impl RegionGrid {
         )
     }
 
-    /// The origin of region `index` in row-major order (panics past
-    /// [`RegionGrid::count`], like [`RegionGrid::origin`]).
-    fn origin_at(&self, index: usize) -> (usize, usize) {
+    /// The origin of region `index` in row-major order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`RegionGrid::count`], like
+    /// [`RegionGrid::origin`].
+    pub fn origin_at(&self, index: usize) -> (usize, usize) {
         let (nx, _) = self.counts();
         self.origin(index % nx, index / nx)
     }
@@ -648,10 +625,11 @@ impl Iterator for RegionStream<'_> {
         }
         let origin = self.grid.origin_at(self.next);
         self.next += 1;
-        Some(
-            self.frame
-                .region_stacked(origin, self.grid.region_dims(), self.maps),
-        )
+        // The stream was built for a frame of the grid's dimensions, and
+        // every region of the grid fits inside such a frame.
+        self.frame
+            .try_region_stacked(origin, self.grid.region_dims(), self.maps)
+            .ok()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -745,7 +723,7 @@ mod tests {
     fn regions_scale_pixels_into_unit_range() {
         let mut cam = SyntheticSensor::new(16, 16, 1);
         let f = cam.next_frame();
-        let r = f.region((4, 4), (8, 8));
+        let r = f.try_region((4, 4), (8, 8)).unwrap();
         assert_eq!(r.map_dims(), (8, 8));
         for v in r[0].iter() {
             let x = v.to_f32();
@@ -764,17 +742,9 @@ mod tests {
     fn region_stacking_replicates_channels() {
         let mut cam = SyntheticSensor::new(16, 16, 1);
         let f = cam.next_frame();
-        let r = f.region_stacked((0, 0), (8, 8), 3);
+        let r = f.try_region_stacked((0, 0), (8, 8), 3).unwrap();
         assert_eq!(r.len(), 3);
         assert_eq!(r[0], r[2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds frame")]
-    fn oversized_region_rejected() {
-        let mut cam = SyntheticSensor::new(8, 8, 1);
-        let f = cam.next_frame();
-        let _ = f.region((4, 4), (8, 8));
     }
 
     #[test]

@@ -51,14 +51,14 @@ use std::collections::BTreeMap;
 
 use shidiannao_core::{Accelerator, AcceleratorConfig, PreparedNetwork, Session};
 use shidiannao_faults::{
-    FaultConfig, FaultPlan, ShardEpisodeKind, ShardFaultConfig, ShardFaultPlan,
+    DegradeOutcome, FaultConfig, FaultPlan, ShardEpisodeKind, ShardFaultConfig, ShardFaultPlan,
 };
 
 use crate::health::{backoff, HealthConfig, ShardHealth, ShardState};
 use crate::loadgen::{TenantGen, TenantSpec, Traffic};
 use crate::queue::{BoundedQueue, Request};
 use crate::scheduler::FairScheduler;
-use crate::service::{Job, Outcome, ServeError};
+use crate::service::{Job, ServeError};
 use crate::splitmix64;
 use crate::stats::{HistogramSummary, RequestSample, TenantStats};
 
@@ -1024,11 +1024,11 @@ impl Cluster {
                 );
                 st.fault.absorb(&exec.fault);
                 match exec.outcome {
-                    Outcome::Ok | Outcome::Degraded => {
+                    DegradeOutcome::Ok | DegradeOutcome::Degraded { .. } => {
                         // A request that needed a failover round is
                         // cluster-degraded even when its re-execution
                         // succeeded on the first salted attempt.
-                        if exec.outcome == Outcome::Ok && m.round == 0 {
+                        if exec.outcome == DegradeOutcome::Ok && m.round == 0 {
                             st.ok += 1;
                         } else {
                             st.degraded += 1;
@@ -1056,12 +1056,12 @@ impl Cluster {
                             });
                         }
                     }
-                    Outcome::DroppedFaulty => st.dropped_faulty += 1,
-                    Outcome::DroppedBudget => st.dropped_deadline += 1,
+                    DegradeOutcome::DroppedFaulty => st.dropped_faulty += 1,
+                    DegradeOutcome::DroppedBudget => st.dropped_deadline += 1,
                 }
                 rounds.remove(&(t, m.request.seq));
                 gens[t].on_resolved(finish);
-                debug_assert!(m.followers.is_empty() || exec.outcome == Outcome::Ok);
+                debug_assert!(m.followers.is_empty() || exec.outcome == DegradeOutcome::Ok);
                 for (follower, &hash) in m.followers.iter().zip(&exec.follower_hashes) {
                     let st = &mut shards[s].stats[t];
                     st.service_cycles += marginal;

@@ -20,10 +20,11 @@
 //!   growing memory without bound,
 //! * [`FairScheduler`] — earliest-deadline-first within a tenant,
 //!   weighted fair share across tenants,
-//! * [`DegradePolicy`]-driven degraded execution borrowed from
-//!   `shidiannao-faults`: a request whose SRAM faults blow its deadline
-//!   slack is retried under a salted plan and finally dropped, never
-//!   served silently corrupt data,
+//! * degraded execution through the core's one salted-retry loop,
+//!   `Session::infer_retrying`: a request whose SRAM protection detects
+//!   a fault is retried under a salted plan until its retry budget or
+//!   deadline slack is spent, then dropped, never served silently
+//!   corrupt data,
 //! * [`TenantSpec`] / [`Traffic`] — a deterministic open- and
 //!   closed-loop load generator, so serving is a pure function of its
 //!   scenario: byte-identical reports on every run and every physical
@@ -85,8 +86,8 @@ pub use stats::{hash_output, FixedHistogram, HistogramSummary, RequestSample, Te
 // Re-export the pieces of the fault vocabulary the service surfaces.
 pub use shidiannao_core::Session;
 pub use shidiannao_faults::{
-    DegradePolicy, FaultConfig, FaultStats, ShardEpisode, ShardEpisodeKind, ShardFaultConfig,
-    ShardFaultPlan, SramProtection,
+    FaultConfig, FaultStats, ShardEpisode, ShardEpisodeKind, ShardFaultConfig, ShardFaultPlan,
+    SramProtection,
 };
 
 /// One step of the splitmix64 sequence — the same generator the fault

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use shidiannao_core::{AcceleratorConfig, ConfigError, RunError, Session};
-use shidiannao_faults::{FaultPlan, FaultStats};
+use shidiannao_faults::{DegradeOutcome, FaultPlan, FaultStats};
 use shidiannao_sensor::StreamError;
 
 use crate::cluster::{Cluster, ClusterConfig, ClusterReport, ShardSpec};
@@ -286,22 +286,9 @@ pub(crate) struct Job<'p> {
     pub(crate) session: Session<'p>,
 }
 
-/// How a single execution resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Outcome {
-    /// Clean on the first attempt.
-    Ok,
-    /// Completed after ≥ 1 salted retry.
-    Degraded,
-    /// Retries exhausted with faults still detected.
-    DroppedFaulty,
-    /// Deadline slack consumed by wasted attempts; gave up.
-    DroppedBudget,
-}
-
 /// The execution result folded back into the event loop.
 pub(crate) struct Exec {
-    pub(crate) outcome: Outcome,
+    pub(crate) outcome: DegradeOutcome,
     /// Worker cycles consumed by the leader, including aborted attempts.
     /// Follower lanes are charged separately at their marginal cost.
     pub(crate) cycles: u64,
@@ -415,71 +402,30 @@ pub(crate) fn execute_one<'p>(
             )
         }
     };
-    let base = job.plan;
-    let mut cycles: u64 = 0;
-    let mut fault = FaultStats::default();
-    for attempt in job.attempt_base..=job.attempt_base.saturating_add(spec.max_retries) {
-        session.set_fault_plan(base.with_salt(request_salt(job.tenant, job.seq, attempt)));
-        match session.infer(&input) {
-            Ok(inference) => {
-                cycles += inference.stats().cycles();
-                fault.absorb(inference.fault_stats());
-                let outcome = if attempt == job.attempt_base {
-                    Outcome::Ok
-                } else {
-                    Outcome::Degraded
-                };
-                return (
-                    Ok(Exec {
-                        outcome,
-                        cycles,
-                        retries: attempt,
-                        output_hash: hash_output(inference.output()),
-                        fault,
-                        follower_hashes: Vec::new(),
-                    }),
-                    session,
-                );
-            }
-            Err(RunError::FaultDetected(_)) => {
-                cycles += session.last_cycles();
-                fault.absorb(session.fault_stats());
-                if cycles >= job.slack {
-                    return (
-                        Ok(Exec {
-                            outcome: Outcome::DroppedBudget,
-                            cycles,
-                            retries: attempt,
-                            output_hash: 0,
-                            fault,
-                            follower_hashes: Vec::new(),
-                        }),
-                        session,
-                    );
-                }
-            }
-            Err(error) => {
-                return (
-                    Err(ServeError::Execute {
-                        tenant: spec.name.clone(),
-                        error,
-                    }),
-                    session,
-                )
-            }
-        }
-    }
-    (
-        Ok(Exec {
-            outcome: Outcome::DroppedFaulty,
-            cycles,
-            retries: job.attempt_base.saturating_add(spec.max_retries),
-            output_hash: 0,
-            fault,
+    let retried = session.infer_retrying(
+        &input,
+        job.attempt_base..=job.attempt_base.saturating_add(spec.max_retries),
+        |attempt| {
+            job.plan
+                .with_salt(request_salt(job.tenant, job.seq, attempt))
+        },
+        job.slack,
+    );
+    let exec = match retried {
+        Ok(retried) => Ok(Exec {
+            outcome: retried.outcome,
+            cycles: retried.cycles,
+            retries: retried.last_attempt,
+            output_hash: retried.run.map_or(0, |run| hash_output(run.output())),
+            fault: retried.fault_stats,
             follower_hashes: Vec::new(),
         }),
-        session,
-    )
+        Err(error) => Err(ServeError::Execute {
+            tenant: spec.name.clone(),
+            error,
+        }),
+    };
+    (exec, session)
 }
 
 /// Executes a batched job: the leader and each follower lane run one
@@ -532,7 +478,7 @@ fn execute_batch<'p>(spec: &TenantSpec, job: Job<'p>) -> (Result<Exec, ServeErro
     }
     let (output_hash, cycles, fault) = lanes[0];
     let exec = Exec {
-        outcome: Outcome::Ok,
+        outcome: DegradeOutcome::Ok,
         cycles,
         retries: attempt_base,
         output_hash,

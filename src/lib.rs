@@ -41,6 +41,12 @@
 //! assert!(run.stats().cycles() > 0);
 //! ```
 
+// The pipelines report failures as typed `PipelineError`s; contract
+// violations still use `assert!`/`.expect()`, which these lints do not
+// cover.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![forbid(unsafe_code)]
+
 pub mod pipeline;
 pub mod video;
 

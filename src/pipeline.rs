@@ -606,10 +606,13 @@ impl StreamingPipeline {
     /// an uncorrectable error the region is **retried** up to
     /// `policy.max_retries` times (a real controller would re-fetch the
     /// region from the row buffer), then **dropped**; the cycles burned by
-    /// failed attempts are still charged. A per-frame cycle budget acts as
-    /// the watchdog: once spent, remaining regions are dropped without
-    /// running. The frame always completes with per-region outcomes
-    /// rather than propagating [`RunError::FaultDetected`].
+    /// failed attempts are still charged. That loop is
+    /// [`Session::infer_retrying`](crate::sim::Session::infer_retrying)
+    /// with no slack bound. A per-frame cycle budget acts as the
+    /// watchdog: checked before each region, once spent it drops the
+    /// remaining regions without running them. The frame always
+    /// completes with per-region outcomes rather than propagating
+    /// [`RunError::FaultDetected`].
     ///
     /// # Errors
     ///
@@ -628,6 +631,7 @@ impl StreamingPipeline {
         let mut energy_nj = 0.0;
         let mut fault_stats = FaultStats::default();
         let mut session = self.prepared.session_with_faults(plan);
+        let mut region = MapStack::new(1, 1);
         for (ri, origin) in self.grid.origins().enumerate() {
             if policy
                 .frame_cycle_budget
@@ -635,42 +639,29 @@ impl StreamingPipeline {
             {
                 results.push(DegradedRegionResult {
                     origin,
-                    outcome: RegionOutcome::DroppedBudget,
+                    outcome: DegradeOutcome::DroppedBudget,
                     output: None,
                 });
                 continue;
             }
-            let region = self.grid.try_region(frame, ri, maps)?;
-            let mut outcome = RegionOutcome::DroppedFaulty;
-            let mut output = None;
-            for attempt in 0..=policy.max_retries {
-                let salt = (frame.index() << 32) ^ ((ri as u64) << 8) ^ attempt as u64;
-                session.set_fault_plan(plan.with_salt(salt));
-                match session.infer(&region) {
-                    Ok(run) => {
-                        cycles += run.stats().cycles();
-                        energy_nj += run.energy().total_nj();
-                        fault_stats.absorb(run.fault_stats());
-                        output = Some(run.output_flat());
-                        outcome = if attempt == 0 {
-                            RegionOutcome::Ok
-                        } else {
-                            RegionOutcome::Degraded { retries: attempt }
-                        };
-                        break;
-                    }
-                    Err(RunError::FaultDetected(_)) => {
-                        // The aborted attempt's cycles are real time the
-                        // watchdog saw pass; charge them before retrying.
-                        cycles += session.last_cycles();
-                        fault_stats.absorb(session.fault_stats());
-                    }
-                    Err(e) => return Err(PipelineError::Run(e)),
-                }
-            }
+            frame.try_region_into(origin, self.grid.region_dims(), maps, &mut region)?;
+            let retried = session.infer_retrying(
+                &region,
+                0..=policy.max_retries,
+                |attempt| {
+                    plan.with_salt((frame.index() << 32) ^ ((ri as u64) << 8) ^ u64::from(attempt))
+                },
+                u64::MAX,
+            )?;
+            cycles += retried.cycles;
+            fault_stats.absorb(&retried.fault_stats);
+            let output = retried.run.map(|run| {
+                energy_nj += run.energy().total_nj();
+                run.output_flat()
+            });
             results.push(DegradedRegionResult {
                 origin,
-                outcome,
+                outcome: retried.outcome,
                 output,
             });
         }
@@ -685,26 +676,10 @@ impl StreamingPipeline {
 }
 
 /// How [`StreamingPipeline::process_frame_degraded`] responds to detected
-/// faults and deadline pressure. The policy type lives in
-/// `shidiannao-faults` so the multi-tenant serve scheduler can share it;
-/// it is re-exported here under its historical path.
-pub use crate::faults::DegradePolicy;
-
-/// What happened to one region under graceful degradation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RegionOutcome {
-    /// Completed on the first attempt.
-    Ok,
-    /// Completed after `retries` additional attempts.
-    Degraded {
-        /// Retry count that led to success.
-        retries: u32,
-    },
-    /// Every attempt hit a detected fault; the region was skipped.
-    DroppedFaulty,
-    /// The frame's cycle budget ran out before this region started.
-    DroppedBudget,
-}
+/// faults and deadline pressure, and what happened to one region under
+/// it. Both types live in `shidiannao-faults`; they are re-exported here
+/// under their historical path.
+pub use crate::faults::{DegradeOutcome, DegradePolicy};
 
 /// One region's result under graceful degradation.
 #[derive(Clone, Debug, PartialEq)]
@@ -712,7 +687,7 @@ pub struct DegradedRegionResult {
     /// Region origin within the frame.
     pub origin: (usize, usize),
     /// How the region completed (or didn't).
-    pub outcome: RegionOutcome,
+    pub outcome: DegradeOutcome,
     /// The network outputs, present unless the region was dropped.
     pub output: Option<Vec<Fx>>,
 }
@@ -735,12 +710,12 @@ impl DegradedFrameReport {
 
     /// Regions that completed on the first attempt.
     pub fn ok_regions(&self) -> usize {
-        self.count(|o| o == RegionOutcome::Ok)
+        self.count(|o| o == DegradeOutcome::Ok)
     }
 
     /// Regions that completed only after retries.
     pub fn degraded_regions(&self) -> usize {
-        self.count(|o| matches!(o, RegionOutcome::Degraded { .. }))
+        self.count(|o| matches!(o, DegradeOutcome::Degraded { .. }))
     }
 
     /// Regions dropped (faulted out or over budget).
@@ -748,7 +723,7 @@ impl DegradedFrameReport {
         self.count(|o| {
             matches!(
                 o,
-                RegionOutcome::DroppedFaulty | RegionOutcome::DroppedBudget
+                DegradeOutcome::DroppedFaulty | DegradeOutcome::DroppedBudget
             )
         })
     }
@@ -790,7 +765,7 @@ impl DegradedFrameReport {
         &self.fault_stats
     }
 
-    fn count(&self, pred: impl Fn(RegionOutcome) -> bool) -> usize {
+    fn count(&self, pred: impl Fn(DegradeOutcome) -> bool) -> usize {
         self.results.iter().filter(|r| pred(r.outcome)).count()
     }
 }

@@ -31,6 +31,7 @@ use crate::serve::binarize_pixel;
 use crate::sim::{
     Accelerator, AcceleratorConfig, LayerStats, NbResidency, PreparedNetwork, WeightPrecision,
 };
+use crate::tensor::MapStack;
 
 /// How a dirty region is confirmed before full-precision compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -530,6 +531,7 @@ impl VideoPipeline {
         // their cost is the frame-level compare pass. One front session
         // serves the frame's gate decisions.
         let mut front = self.front.as_ref().map(|f| (f, f.prepared.session()));
+        let mut raw = MapStack::new(1, 1);
         for (ri, slot) in self.regions.iter_mut().enumerate() {
             let stale_due = slot.cached.as_ref().is_some_and(|c| {
                 config.staleness_bound > 0 && seq - c.computed_at >= config.staleness_bound
@@ -542,7 +544,12 @@ impl VideoPipeline {
                         // Second gate: the W1 front re-scores the dirty
                         // region from its sign-binarized pixels.
                         front_runs += 1;
-                        let raw = grid.try_region(frame, ri, 1)?;
+                        frame.try_region_into(
+                            grid.origin_at(ri),
+                            grid.region_dims(),
+                            1,
+                            &mut raw,
+                        )?;
                         let run = fs.infer_ref(&raw.map(|&px| binarize_pixel(px)))?;
                         front_cycles += run.stats().cycles();
                         front_energy_nj += run.energy().total_nj();
@@ -565,23 +572,29 @@ impl VideoPipeline {
             &mut self.regions,
             REGION_BLOCK,
             workers,
-            || (prepared.session(), VideoTally::default()),
-            |(session, tally), ri, slot| {
+            || {
+                (
+                    prepared.session(),
+                    VideoTally::default(),
+                    MapStack::new(1, 1),
+                )
+            },
+            |(session, tally, raw), ri, slot| {
                 if !slot.compute && !config.oracle {
                     return Ok(());
                 }
-                let raw = grid.try_region(frame, ri, maps)?;
+                frame.try_region_into(grid.origin_at(ri), grid.region_dims(), maps, raw)?;
                 if slot.compute {
-                    let (run, delta) = session.infer_delta_ref(&raw, &mut slot.residency)?;
+                    let (run, delta) = session.infer_delta_ref(raw, &mut slot.residency)?;
                     let output = slot.cache_for(seq);
                     let energy_nj = tally.cycles.record(&run, output);
-                    if config.oracle && *output != network.forward_fixed(&raw).output() {
+                    if config.oracle && *output != network.forward_fixed(raw).output() {
                         tally.golden_mismatches += 1;
                     }
                     slot.energy_nj = energy_nj;
                     tally.rows_streamed += delta.rows_streamed;
                 } else if let Some(c) = &slot.cached {
-                    let golden = network.forward_fixed(&raw).output();
+                    let golden = network.forward_fixed(raw).output();
                     if golden != c.output {
                         tally.stale_results += 1;
                         let positive = |out: &[Fx]| {
@@ -610,7 +623,7 @@ impl VideoPipeline {
             });
         }
         let mut tally = VideoTally::default();
-        for (_, t) in states {
+        for (_, t, _) in states {
             tally.absorb(t);
         }
 

@@ -43,7 +43,9 @@ fn convnn_region_matches_paper_geometry() {
     assert_eq!(grid.region_dims(), net.input_dims());
     let mut cam = SyntheticSensor::vga(5);
     let frame = cam.next_frame();
-    let region = frame.region_stacked(grid.origin(36, 28), grid.region_dims(), 3);
+    let region = frame
+        .try_region_stacked(grid.origin(36, 28), grid.region_dims(), 3)
+        .unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
         .run(&net, &region)
         .unwrap();
