@@ -40,12 +40,13 @@
 use crate::artifact::Artifact;
 use crate::json::{comma, json_f64, json_str};
 use crate::perf::SEED_CYCLES_PER_INFERENCE;
+use crate::serve::verify_samples;
 use shidiannao_cnn::zoo;
-use shidiannao_core::{Accelerator, AcceleratorConfig};
-use shidiannao_faults::{FaultConfig, FaultPlan, ShardFaultConfig, SramProtection};
+use shidiannao_core::AcceleratorConfig;
+use shidiannao_faults::{FaultConfig, ShardFaultConfig, SramProtection};
 use shidiannao_serve::{
-    hash_output, request_salt, Cluster, ClusterConfig, ClusterReport, HealthConfig, InputSource,
-    ServeError, ShardSpec, SramProtection as Protection, TenantSpec, Traffic,
+    Cluster, ClusterConfig, ClusterReport, HealthConfig, InputSource, ServeError, ShardSpec,
+    SramProtection as Protection, TenantSpec, Traffic,
 };
 
 /// Base seed for the cluster scenario's inputs, word-level fault
@@ -299,12 +300,19 @@ pub fn cluster_report(smoke: bool) -> Result<ClusterBenchReport, ServeError> {
     let mut outputs_match_direct = true;
     let mut certify =
         |build: &dyn Fn(usize, u64) -> Result<Cluster, ServeError>| -> Result<ClusterReport, ServeError> {
-            let serial = build(1, 0)?.run()?;
+            let cluster = build(1, 0)?;
+            let serial = cluster.run()?;
             let threaded = build(3, 0)?.run()?;
             let permuted = build(1, 0x5EED_CAFE)?.run()?;
             thread_invariant &= serial == threaded;
             shard_order_invariant &= serial == permuted;
-            let (checked, matched) = verify_samples(&build(1, 0)?, &serial)?;
+            let shards: Vec<AcceleratorConfig> =
+                cluster.config().shards.iter().map(|s| s.accel.clone()).collect();
+            let (checked, matched) = verify_samples(
+                cluster.tenants(),
+                &shards,
+                serial.tenants.iter().map(|t| t.stats.samples.as_slice()),
+            )?;
             verified_samples += checked;
             outputs_match_direct &= matched;
             Ok(serial)
@@ -322,61 +330,6 @@ pub fn cluster_report(smoke: bool) -> Result<ClusterBenchReport, ServeError> {
         outputs_match_direct,
         verified_samples,
     })
-}
-
-/// Replays every retained cluster sample through a direct session on
-/// the *serving shard's* accelerator model — heterogeneous shards
-/// calibrate differently, so replaying on the wrong grid would diverge —
-/// under the sample's recorded fault environment (the tenant's own, or
-/// the burst episode's) and salted attempt. Returns
-/// `(samples_checked, all_matched)`.
-fn verify_samples(cluster: &Cluster, report: &ClusterReport) -> Result<(usize, bool), ServeError> {
-    let mut checked = 0;
-    let mut all_match = true;
-    for (tenant, (spec, tr)) in cluster.tenants().iter().zip(&report.tenants).enumerate() {
-        // One prepared network per shard that actually served a sample.
-        let mut prepared: Vec<Option<_>> =
-            (0..cluster.config().shards.len()).map(|_| None).collect();
-        for sample in &tr.samples {
-            if prepared[sample.shard].is_none() {
-                let accel = Accelerator::new(cluster.config().shards[sample.shard].accel.clone());
-                let prep = accel
-                    .prepare(&spec.network)
-                    .map_err(|error| ServeError::Prepare {
-                        tenant: spec.name.clone(),
-                        error,
-                    })?;
-                prepared[sample.shard] = Some(prep);
-            }
-            let Some(prep) = prepared[sample.shard].as_ref() else {
-                continue;
-            };
-            let plan = FaultPlan::new(sample.faults).with_salt(request_salt(
-                tenant,
-                sample.seq,
-                sample.attempt,
-            ));
-            let mut session = prep.session_with_faults(plan);
-            let input = spec
-                .build_input(sample.seq)
-                .map_err(|error| ServeError::Input {
-                    tenant: spec.name.clone(),
-                    error,
-                })?;
-            match session.infer(&input) {
-                Ok(inference) => {
-                    checked += 1;
-                    if hash_output(inference.output()) != sample.output_hash {
-                        all_match = false;
-                    }
-                }
-                // The cluster only samples *successful* attempts, so a
-                // fault abort on replay is itself a divergence.
-                Err(_) => all_match = false,
-            }
-        }
-    }
-    Ok((checked, all_match))
 }
 
 /// Serializes one scenario's [`ClusterReport`] as an indented JSON

@@ -28,11 +28,11 @@ use crate::artifact::Artifact;
 use crate::json::{comma, json_f64, json_str};
 use crate::perf::SEED_CYCLES_PER_INFERENCE;
 use shidiannao_cnn::zoo;
-use shidiannao_core::Accelerator;
+use shidiannao_core::{Accelerator, AcceleratorConfig, PreparedNetwork};
 use shidiannao_faults::{FaultConfig, FaultPlan, SramProtection};
 use shidiannao_serve::{
-    hash_output, request_salt, InferenceService, InputSource, ServeConfig, ServeError,
-    ServiceReport, TenantSpec, Traffic,
+    hash_output, request_salt, InferenceService, InputSource, RequestSample, ServeConfig,
+    ServeError, ServiceReport, TenantSpec, Traffic,
 };
 
 /// Base seed for the serving scenario's inputs and fault patterns.
@@ -173,10 +173,15 @@ pub struct ServeBenchReport {
 ///
 /// Returns [`ServeError`] when the scenario itself fails to run.
 pub fn serve_report(smoke: bool) -> Result<ServeBenchReport, ServeError> {
-    let serial = serve_scenario(smoke, 1, 0)?.run()?;
+    let service = serve_scenario(smoke, 1, 0)?;
+    let serial = service.run()?;
     let threaded = serve_scenario(smoke, 2, 0)?.run()?;
     let permuted = serve_scenario(smoke, 1, 1)?.run()?;
-    let (verified_samples, outputs_match_direct) = verify_samples(smoke, &serial)?;
+    let (verified_samples, outputs_match_direct) = verify_samples(
+        service.tenants(),
+        std::slice::from_ref(&service.config().accel),
+        serial.tenants.iter().map(|t| t.stats.samples.as_slice()),
+    )?;
     Ok(ServeBenchReport {
         smoke,
         worker_count_invariant: serial == threaded,
@@ -187,42 +192,56 @@ pub fn serve_report(smoke: bool) -> Result<ServeBenchReport, ServeError> {
     })
 }
 
-/// Replays every retained sample through a direct session and compares
-/// output hashes. Returns `(samples_checked, all_matched)`.
-fn verify_samples(smoke: bool, report: &ServiceReport) -> Result<(usize, bool), ServeError> {
-    let service = serve_scenario(smoke, 1, 0)?;
-    let accel = Accelerator::new(service.config().accel.clone());
+/// Replays every retained sample through a direct session on the
+/// *serving shard's* accelerator model — heterogeneous shards calibrate
+/// differently, so replaying on the wrong grid would diverge — under the
+/// sample's recorded fault environment (the tenant's own, or a burst
+/// episode's) and salted attempt. `shards` holds each shard's
+/// accelerator (the service passes its one); `samples` yields each
+/// tenant's `stats.samples`, in spec order. Returns
+/// `(samples_checked, all_matched)`.
+pub(crate) fn verify_samples<'a>(
+    specs: &[TenantSpec],
+    shards: &[AcceleratorConfig],
+    samples: impl IntoIterator<Item = &'a [RequestSample]>,
+) -> Result<(usize, bool), ServeError> {
     let mut checked = 0;
     let mut all_match = true;
-    for (tenant, (spec, tr)) in service.tenants().iter().zip(&report.tenants).enumerate() {
-        let prepared = accel
-            .prepare(&spec.network)
-            .map_err(|error| ServeError::Prepare {
-                tenant: spec.name.clone(),
-                error,
-            })?;
-        for sample in &tr.stats.samples {
-            let plan = FaultPlan::new(spec.faults).with_salt(request_salt(
+    for (tenant, (spec, samples)) in specs.iter().zip(samples).enumerate() {
+        // One prepared network per shard that actually served a sample.
+        let mut prepared: Vec<Option<PreparedNetwork>> = shards.iter().map(|_| None).collect();
+        for sample in samples {
+            let prep = match &mut prepared[sample.shard] {
+                Some(prep) => prep,
+                slot => slot.insert(
+                    Accelerator::new(shards[sample.shard].clone())
+                        .prepare(&spec.network)
+                        .map_err(|error| ServeError::Prepare {
+                            tenant: spec.name.clone(),
+                            error,
+                        })?,
+                ),
+            };
+            let plan = FaultPlan::new(sample.faults).with_salt(request_salt(
                 tenant,
                 sample.seq,
                 sample.attempt,
             ));
-            let mut session = prepared.session_with_faults(plan);
             let input = spec
                 .build_input(sample.seq)
                 .map_err(|error| ServeError::Input {
                     tenant: spec.name.clone(),
                     error,
                 })?;
-            match session.infer(&input) {
+            match prep.session_with_faults(plan).infer(&input) {
                 Ok(inference) => {
                     checked += 1;
                     if hash_output(inference.output()) != sample.output_hash {
                         all_match = false;
                     }
                 }
-                // The service only samples *successful* attempts, so a
-                // fault abort on replay is itself a divergence.
+                // Only *successful* attempts are sampled, so a fault
+                // abort on replay is itself a divergence.
                 Err(_) => all_match = false,
             }
         }

@@ -3,7 +3,7 @@
 //! Schedule replay makes a point evaluation cheap: one cached
 //! `prepare` plus one replayed simulator run per (configuration,
 //! network) pair, shared through
-//! [`prepared_cached`](crate::experiments::prepared_cached). The tuner
+//! [`prepared_cached`]. The tuner
 //! exploits that to sweep a real design space:
 //!
 //! * **PE mesh** — square `Px×Py` sides 4..=16. The NB bank *width* is

@@ -71,7 +71,7 @@ const FULL_REQUESTS: u64 = 8;
 pub const CYCLE_SPEEDUP_GATE: f64 = 2.0;
 
 /// Frozen smoke-mode per-scene ledgers: `(name, computed, skipped)`
-/// summed over all [`SMOKE_FRAMES`] frames of the 3×3 region grid.
+/// summed over all `SMOKE_FRAMES` frames of the 3×3 region grid.
 /// Regenerate deliberately if the scene synthesis, the differencing
 /// threshold, the refresh policy, or the front-end topology changes.
 pub const EXPECTED_SMOKE_SCENES: &[(&str, usize, usize)] = &[
@@ -82,7 +82,7 @@ pub const EXPECTED_SMOKE_SCENES: &[(&str, usize, usize)] = &[
 ];
 
 /// Frozen smoke-mode serve totals: `(issued, ok)` summed over all
-/// [`SMOKE_CAMERAS`] camera tenants.
+/// `SMOKE_CAMERAS` camera tenants.
 pub const EXPECTED_SMOKE_SERVE: (u64, u64) = (96, 96);
 
 /// Frozen virtual cycle the smoke serve leg must end at.

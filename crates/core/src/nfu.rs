@@ -13,7 +13,7 @@ use shidiannao_fixed::{Accum, Fx};
 /// left and lower neighbors" as seen from the receiving side of Fig. 13's
 /// walkthrough.
 ///
-/// PE state is stored structure-of-arrays in a [`PeArray`] (one flat
+/// PE state is stored structure-of-arrays in a `PeArray` (one flat
 /// array per register class, indexed `y·Px + x`); [`Nfu::pe`] /
 /// [`Nfu::pe_mut`] hand out per-PE views; schedule replay reaches the
 /// accumulator and comparator arrays directly.

@@ -5,7 +5,7 @@
 //! always replay the recording, so the optimizer changes no output, no
 //! run statistic and no fault decision.
 //!
-//! The recording in [`crate::schedule`] is a *verbatim* transcript of
+//! The recording in the `schedule` module is a *verbatim* transcript of
 //! the live HFSM decode: every NB word delivery, every SB broadcast,
 //! every per-block drain cycle. The live decoder is deliberately naive
 //! (it mirrors the paper's control path), so the transcript carries

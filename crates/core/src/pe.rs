@@ -400,7 +400,7 @@ impl PeArray {
     }
 }
 
-/// Shared read-only view of one PE inside a [`PeArray`] — the Fig. 6
+/// Shared read-only view of one PE inside a `PeArray` — the Fig. 6
 /// per-PE API, preserved for tests and the fault machinery.
 #[derive(Clone, Copy)]
 pub struct PeRef<'a> {
@@ -453,7 +453,7 @@ impl PeRef<'_> {
     }
 }
 
-/// Mutable view of one PE inside a [`PeArray`].
+/// Mutable view of one PE inside a `PeArray`.
 pub struct PeMut<'a> {
     pub(crate) arr: &'a mut PeArray,
     pub(crate) i: usize,

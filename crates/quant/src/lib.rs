@@ -27,17 +27,17 @@
 //!
 //! # Why quantized networks replay recorded schedules unchanged
 //!
-//! Binarization keeps every weight an ordinary [`Fx`] value (`±α`, or
-//! the four 2-bit levels `{±1, ±3}·α`), so a quantized network is an
+//! Binarization keeps every weight an ordinary
+//! [`Fx`](shidiannao_fixed::Fx) value (`±α`, or the four 2-bit levels
+//! `{±1, ±3}·α`), so a quantized network is an
 //! ordinary `shidiannao_cnn::Network`: `prepare()` compiles it, the
 //! recorded micro-op schedule replays it, and the simulator stays
 //! bit-identical to the fixed-point golden reference with **zero**
 //! changes to the engine. What the XNOR kernels add is the proof that a
 //! real 1-bit datapath computes the *same raw sums* the 16-bit lane
 //! kernel computes on those operands — which is what justifies charging
-//! the cheaper per-precision energy/area
-//! ([`WeightPrecision`](shidiannao_core::WeightPrecision) scaling in
-//! `EnergyModel`/`area_with_precision`) against the unchanged cycle
+//! the cheaper per-precision energy/area ([`WeightPrecision`] scaling
+//! in `EnergyModel`/`area_with_precision`) against the unchanged cycle
 //! counts.
 
 // Quantized paths report failures as typed `QuantError`s rather than

@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 
 use shidiannao_core::{Accelerator, AcceleratorConfig, PreparedNetwork, Session};
 use shidiannao_faults::{
-    DegradeOutcome, FaultConfig, FaultPlan, ShardEpisodeKind, ShardFaultConfig, ShardFaultPlan,
+    DegradeOutcome, FaultPlan, ShardEpisodeKind, ShardFaultConfig, ShardFaultPlan,
 };
 
 use crate::health::{backoff, HealthConfig, ShardHealth, ShardState};
@@ -133,8 +133,8 @@ pub struct ClusterConfig {
     /// Permutes same-cycle admission order across tenants, as in
     /// [`ServeConfig`](crate::ServeConfig).
     pub admission_salt: u64,
-    /// Completed requests retained per tenant for bit-identity
-    /// certification (both per-shard and cluster-level samples).
+    /// Completed lanes retained per tenant, cluster-wide, for
+    /// bit-identity certification (`TenantStats::samples`).
     pub samples_per_tenant: usize,
     /// Maximum inferences per dispatch, as in
     /// [`ServeConfig`](crate::ServeConfig). Batching is gated on the
@@ -160,28 +160,6 @@ impl Default for ClusterConfig {
             health: HealthConfig::default(),
         }
     }
-}
-
-/// A retained completed request with enough context to replay it against
-/// a direct `Session::infer` on the serving shard's accelerator model:
-/// build the plan as `FaultPlan::new(faults).with_salt(request_salt(
-/// tenant, seq, attempt))` and compare output hashes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClusterSample {
-    /// Tenant index in spec order.
-    pub tenant: usize,
-    /// Per-tenant request sequence number (also the input key).
-    pub seq: u64,
-    /// Absolute salted attempt that produced the output (failover rounds
-    /// shift the attempt base, so this is ≥ `round × (max_retries + 1)`).
-    pub attempt: u32,
-    /// Shard that served the request (index into the spec's shards).
-    pub shard: usize,
-    /// The fault environment in force for the execution — the tenant's
-    /// own, or the episode's during an SRAM burst.
-    pub faults: FaultConfig,
-    /// `hash_output` of the served output stack.
-    pub output_hash: u64,
 }
 
 /// Per-shard slice of a [`ClusterReport`].
@@ -236,7 +214,9 @@ pub struct ClusterTenantReport {
     pub weight: u32,
     /// All SLO counters merged across shards (histograms via
     /// [`FixedHistogram::merge`](crate::FixedHistogram::merge), counters
-    /// summed, depth high-water maxed, output digest XOR-folded).
+    /// summed, depth high-water maxed, output digest XOR-folded), and
+    /// the first `samples_per_tenant` completed lanes cluster-wide, with
+    /// shard and fault-environment context for replay certification.
     pub stats: TenantStats,
     /// Requests that exhausted their failover retry budget — the
     /// cluster-only terminal outcome, a sixth ledger class on top of
@@ -254,9 +234,6 @@ pub struct ClusterTenantReport {
     pub failovers: u64,
     /// Completed requests per virtual second.
     pub throughput_rps: f64,
-    /// Retained completed requests with shard + fault-environment
-    /// context for replay certification.
-    pub samples: Vec<ClusterSample>,
 }
 
 impl ClusterTenantReport {
@@ -306,8 +283,8 @@ pub struct ClusterReport {
     pub slow_dispatches: u64,
     /// Jobs dispatched under an SRAM-burst episode's fault environment.
     pub burst_dispatches: u64,
-    /// First [`MAX_EVENTS`] notable events (crash detections, drain
-    /// timeouts, budget exhaustions, respawns), in virtual-clock order.
+    /// The first 64 notable events (crash detections, drain timeouts,
+    /// budget exhaustions, respawns), in virtual-clock order.
     pub events: Vec<String>,
 }
 
@@ -320,11 +297,6 @@ impl ClusterReport {
     /// Sum of a counter over tenants, e.g. `report.total(|s| s.ok)`.
     pub fn total(&self, f: impl Fn(&TenantStats) -> u64) -> u64 {
         self.tenants.iter().map(|t| f(&t.stats)).sum()
-    }
-
-    /// Sum of `budget_exhausted` over tenants.
-    pub fn total_budget_exhausted(&self) -> u64 {
-        self.tenants.iter().map(|t| t.budget_exhausted).sum()
     }
 }
 
@@ -383,20 +355,85 @@ impl ShardRuntime<'_> {
     }
 }
 
-/// Dispatch-time context paired with each in-flight [`Job`], so results
-/// can be folded in canonical `(shard, worker)` order with everything
-/// the fold needs to classify, sample, and (on a crash) fail over.
-struct DispatchMeta {
-    shard: usize,
-    worker: usize,
-    request: Request,
-    followers: Vec<Request>,
-    /// Slow-episode cycle multiplier in sixteenths (16 = clean rate).
-    factor_x16: u32,
-    /// The fault environment the job ran under (for samples).
-    faults: FaultConfig,
-    /// Failover round the leader is on (0 = never failed over).
-    round: u32,
+/// What the event loop tracks per request, and the steps of a request's
+/// life that touch it: resolution, dispatch-time expiry, and the
+/// completed-lane record.
+struct Lifecycle {
+    gens: Vec<TenantGen>,
+    counters: Vec<TenantClusterCounters>,
+    /// Failover round per live request — consulted at dispatch for the
+    /// salted-attempt base, removed at every terminal outcome.
+    rounds: BTreeMap<(usize, u64), u32>,
+    retry: Vec<RetryEntry>,
+    /// Completed lanes retained per tenant, in fold order, up to
+    /// `sample_cap`.
+    samples: Vec<Vec<RequestSample>>,
+    sample_cap: usize,
+    /// Virtual cycle at which the last request resolved.
+    end_cycles: u64,
+}
+
+impl Lifecycle {
+    /// The failover round request `seq` of tenant `t` is on.
+    fn round(&self, t: usize, seq: u64) -> u32 {
+        self.rounds.get(&(t, seq)).copied().unwrap_or(0)
+    }
+
+    /// The bookkeeping every terminal outcome shares: forget the
+    /// request's round, extend the run to `at`, and let a closed-loop
+    /// caller issue its next request. Closed-loop generators depend on
+    /// the order of these calls.
+    fn resolve(&mut self, t: usize, seq: u64, at: u64) {
+        self.rounds.remove(&(t, seq));
+        self.end_cycles = self.end_cycles.max(at);
+        self.gens[t].on_resolved(at);
+    }
+
+    /// Pops requests until one is still within its deadline at `now`;
+    /// every expired one is dropped (`dropped_deadline`) and resolved.
+    fn pop_live(
+        &mut self,
+        stats: &mut [TenantStats],
+        now: u64,
+        mut pop: impl FnMut() -> Option<Request>,
+    ) -> Option<Request> {
+        while let Some(r) = pop() {
+            if now <= r.deadline {
+                return Some(r);
+            }
+            stats[r.tenant].dropped_deadline += 1;
+            self.resolve(r.tenant, r.seq, now);
+        }
+        None
+    }
+
+    /// Records one completed lane of a dispatch, leader or follower. A
+    /// lane that needed a failover round is cluster-degraded even when
+    /// its execution succeeded on the first salted attempt.
+    fn complete(
+        &mut self,
+        st: &mut TenantStats,
+        lane: &Request,
+        outcome: DegradeOutcome,
+        round: u32,
+        finish: u64,
+        sample: RequestSample,
+    ) {
+        if outcome == DegradeOutcome::Ok && round == 0 {
+            st.ok += 1;
+        } else {
+            st.degraded += 1;
+        }
+        st.latency.record(finish - lane.arrival);
+        if finish > lane.deadline {
+            st.deadline_misses += 1;
+        }
+        st.output_hash ^= sample.output_hash;
+        let kept = &mut self.samples[lane.tenant];
+        if kept.len() < self.sample_cap {
+            kept.push(sample);
+        }
+    }
 }
 
 /// The sharded, fault-tolerant inference cluster. See the module docs.
@@ -556,18 +593,20 @@ impl Cluster {
                 }
             })
             .collect();
-        let mut gens: Vec<TenantGen> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(t, spec)| TenantGen::new(t, spec.traffic))
-            .collect();
-        let mut counters: Vec<TenantClusterCounters> = vec![TenantClusterCounters::default(); n];
-        let mut cluster_samples: Vec<Vec<ClusterSample>> = vec![Vec::new(); n];
-        let mut retry: Vec<RetryEntry> = Vec::new();
-        // Failover round per live request — consulted at dispatch for
-        // the salted-attempt base, removed at every terminal outcome.
-        let mut rounds: BTreeMap<(usize, u64), u32> = BTreeMap::new();
+        let mut life = Lifecycle {
+            gens: self
+                .tenants
+                .iter()
+                .enumerate()
+                .map(|(t, spec)| TenantGen::new(t, spec.traffic))
+                .collect(),
+            counters: vec![TenantClusterCounters::default(); n],
+            rounds: BTreeMap::new(),
+            retry: Vec::new(),
+            samples: vec![Vec::new(); n],
+            sample_cap: self.config.samples_per_tenant,
+            end_cycles: 0,
+        };
         let mut events: Vec<String> = Vec::new();
         let mut shard_unavailable: u64 = 0;
         let mut slow_dispatches: u64 = 0;
@@ -606,7 +645,6 @@ impl Cluster {
         };
 
         let mut now: u64 = 0;
-        let mut end_cycles: u64 = 0;
         let mut next_heartbeat: u64 = heartbeat;
         loop {
             // Phase 0a — warm respawns due at `now`: the replacement
@@ -652,13 +690,7 @@ impl Cluster {
                                     shard.health.state = ShardState::Down { respawn_at };
                                     shard.health.misses = 0;
                                     shard.crashes += 1;
-                                    let migrated = Cluster::migrate_queues(
-                                        shard,
-                                        &mut retry,
-                                        &mut counters,
-                                        &rounds,
-                                        now,
-                                    );
+                                    let migrated = Cluster::migrate_queues(shard, &mut life, now);
                                     push_event(
                                         &mut events,
                                         now,
@@ -686,13 +718,7 @@ impl Cluster {
                                             }
                                             .to_string(),
                                         );
-                                        Cluster::migrate_queues(
-                                            shard,
-                                            &mut retry,
-                                            &mut counters,
-                                            &rounds,
-                                            now,
-                                        );
+                                        Cluster::migrate_queues(shard, &mut life, now);
                                     }
                                     shard.health.state = if degraded {
                                         ShardState::Draining {
@@ -727,11 +753,11 @@ impl Cluster {
 
             // Phase 0c — failover retries due at `now`, in deterministic
             // (due, tenant-permutation, tenant, seq) order: budget check,
-            // deadline check, then re-route. A failed re-route burns a
-            // round and backs off; success re-admits on the chosen shard.
-            if !retry.is_empty() {
+            // deadline check, then re-admission. A failed re-admission
+            // burns a round and backs off.
+            if !life.retry.is_empty() {
                 let mut due: Vec<RetryEntry> = Vec::new();
-                retry.retain(|e| {
+                life.retry.retain(|e| {
                     if e.due <= now {
                         due.push(*e);
                         false
@@ -748,18 +774,16 @@ impl Cluster {
                     )
                 });
                 for entry in due {
-                    let t = entry.request.tenant;
+                    let Request { tenant: t, seq, .. } = entry.request;
                     if entry.round > health_cfg.retry_budget {
-                        counters[t].budget_exhausted += 1;
-                        rounds.remove(&(t, entry.request.seq));
-                        end_cycles = end_cycles.max(now);
-                        gens[t].on_resolved(now);
+                        life.counters[t].budget_exhausted += 1;
+                        life.resolve(t, seq, now);
                         push_event(
                             &mut events,
                             now,
                             ServeError::RetryBudgetExhausted {
                                 tenant: self.tenants[t].name.clone(),
-                                seq: entry.request.seq,
+                                seq,
                                 budget: health_cfg.retry_budget,
                             }
                             .to_string(),
@@ -767,44 +791,20 @@ impl Cluster {
                         continue;
                     }
                     if now > entry.request.deadline {
-                        counters[t].expired_failover += 1;
-                        rounds.remove(&(t, entry.request.seq));
-                        end_cycles = end_cycles.max(now);
-                        gens[t].on_resolved(now);
+                        life.counters[t].expired_failover += 1;
+                        life.resolve(t, seq, now);
                         continue;
                     }
-                    match self.route(&shards, t, now) {
-                        Ok((s, fell_back)) => match shards[s].queues[t].admit(entry.request) {
-                            Ok(depth) => {
-                                let st = &mut shards[s].stats[t];
-                                st.depth_sum += depth as u64;
-                                st.depth_samples += 1;
-                                st.depth_max = st.depth_max.max(depth);
-                                counters[t].failovers += 1;
-                                if fell_back {
-                                    counters[t].rerouted += 1;
-                                }
-                                rounds.insert((t, entry.request.seq), entry.round);
-                            }
-                            Err(_full) => {
-                                // `route` only returns shards with queue
-                                // space, so this is unreachable; treat it
-                                // as a routing failure to stay total.
-                                retry.push(RetryEntry {
-                                    due: now.saturating_add(backoff(
-                                        health_cfg.backoff_base,
-                                        entry.round,
-                                    )),
-                                    request: entry.request,
-                                    round: entry.round + 1,
-                                });
-                            }
-                        },
+                    match self.admit(&mut shards, &mut life.counters, entry.request, now) {
+                        Ok(()) => {
+                            life.counters[t].failovers += 1;
+                            life.rounds.insert((t, seq), entry.round);
+                        }
                         Err(fail) => {
                             if fail == RouteFail::Unhealthy {
                                 shard_unavailable += 1;
                             }
-                            retry.push(RetryEntry {
+                            life.retry.push(RetryEntry {
                                 due: now
                                     .saturating_add(backoff(health_cfg.backoff_base, entry.round)),
                                 request: entry.request,
@@ -820,13 +820,13 @@ impl Cluster {
             // re-issue at the same cycle, so drain until quiescent.
             loop {
                 let mut due: Vec<(u64, u64, usize, u64)> = Vec::new();
-                for (t, gen) in gens.iter_mut().enumerate() {
+                for (t, gen) in life.gens.iter_mut().enumerate() {
                     while let Some((at, _)) = gen.peek() {
                         if at > now {
                             break;
                         }
                         if let Some((at, seq)) = gen.pop() {
-                            counters[t].issued += 1;
+                            life.counters[t].issued += 1;
                             due.push((at, permkey(t), t, seq));
                         }
                     }
@@ -842,42 +842,23 @@ impl Cluster {
                         arrival: at,
                         deadline: at.saturating_add(self.tenants[t].deadline_cycles),
                     };
-                    match self.route(&shards, t, now) {
-                        Ok((s, fell_back)) => match shards[s].queues[t].admit(request) {
-                            Ok(depth) => {
-                                let st = &mut shards[s].stats[t];
-                                st.depth_sum += depth as u64;
-                                st.depth_samples += 1;
-                                st.depth_max = st.depth_max.max(depth);
-                                if fell_back {
-                                    counters[t].rerouted += 1;
+                    if let Err(fail) = self.admit(&mut shards, &mut life.counters, request, now) {
+                        // Ordinary backpressure (everything full) and
+                        // true unavailability both shed the request;
+                        // only the latter is a cluster-health event.
+                        if fail == RouteFail::Unhealthy {
+                            shard_unavailable += 1;
+                            push_event(
+                                &mut events,
+                                now,
+                                ServeError::ShardUnavailable {
+                                    tenant: self.tenants[t].name.clone(),
                                 }
-                            }
-                            Err(_full) => {
-                                counters[t].rejected += 1;
-                                end_cycles = end_cycles.max(at);
-                                gens[t].on_resolved(at);
-                            }
-                        },
-                        Err(fail) => {
-                            // Ordinary backpressure (everything full) and
-                            // true unavailability both shed the request;
-                            // only the latter is a cluster-health event.
-                            if fail == RouteFail::Unhealthy {
-                                shard_unavailable += 1;
-                                push_event(
-                                    &mut events,
-                                    now,
-                                    ServeError::ShardUnavailable {
-                                        tenant: self.tenants[t].name.clone(),
-                                    }
-                                    .to_string(),
-                                );
-                            }
-                            counters[t].rejected += 1;
-                            end_cycles = end_cycles.max(at);
-                            gens[t].on_resolved(at);
+                                .to_string(),
+                            );
                         }
+                        life.counters[t].rejected += 1;
+                        life.resolve(t, seq, at);
                     }
                 }
             }
@@ -888,7 +869,6 @@ impl Cluster {
             // its backlog. The effective fault plan and cycle rate come
             // from the shard's active episode at dispatch time.
             let mut batch: Vec<Job<'_>> = Vec::new();
-            let mut meta: Vec<DispatchMeta> = Vec::new();
             for &s in &shard_order {
                 if shards[s].health.is_dead(now) {
                     continue;
@@ -907,69 +887,43 @@ impl Cluster {
                         continue;
                     }
                     let shard = &mut shards[s];
-                    let picked = loop {
-                        match shard.scheduler.pick(&mut shard.queues) {
-                            None => break None,
-                            Some(r) => {
-                                if now > r.deadline {
-                                    shard.stats[r.tenant].dropped_deadline += 1;
-                                    rounds.remove(&(r.tenant, r.seq));
-                                    end_cycles = end_cycles.max(now);
-                                    gens[r.tenant].on_resolved(now);
-                                    continue;
-                                }
-                                break Some(r);
-                            }
-                        }
+                    let Some(request) = life.pop_live(&mut shard.stats, now, || {
+                        shard.scheduler.pick(&mut shard.queues)
+                    }) else {
+                        break;
                     };
-                    let Some(request) = picked else { break };
                     let t = request.tenant;
                     let faults = burst.unwrap_or(self.tenants[t].faults);
-                    let eff_plan = FaultPlan::new(faults);
                     let mut followers: Vec<Request> = Vec::new();
-                    if self.config.max_batch > 1 && eff_plan.is_zero() {
+                    if self.config.max_batch > 1 && FaultPlan::new(faults).is_zero() {
                         while followers.len() + 1 < self.config.max_batch {
-                            let Some(r) = shard.queues[t].pop_earliest_deadline() else {
+                            let Some(r) = life.pop_live(&mut shard.stats, now, || {
+                                shard.queues[t].pop_earliest_deadline()
+                            }) else {
                                 break;
                             };
-                            if now > r.deadline {
-                                shard.stats[t].dropped_deadline += 1;
-                                rounds.remove(&(t, r.seq));
-                                end_cycles = end_cycles.max(now);
-                                gens[t].on_resolved(now);
-                                continue;
-                            }
                             shard.scheduler.charge(t, shard.marginal_cycles[t]);
                             followers.push(r);
                         }
                     }
-                    let round = rounds.get(&(t, request.seq)).copied().unwrap_or(0);
                     if factor_x16 != 16 {
                         slow_dispatches += 1;
                     }
                     if burst.is_some() {
                         burst_dispatches += 1;
                     }
-                    let session = shard.pools[t]
-                        .pop()
-                        .unwrap_or_else(|| prepared[s][t].session());
                     batch.push(Job {
-                        tenant: t,
-                        seq: request.seq,
-                        slack: request.deadline.saturating_sub(now),
-                        followers: followers.iter().map(|r| r.seq).collect(),
-                        plan: eff_plan,
-                        attempt_base: Job::attempt_base_of(round, &self.tenants[t]),
-                        session,
-                    });
-                    meta.push(DispatchMeta {
                         shard: s,
                         worker: w,
                         request,
                         followers,
-                        factor_x16,
+                        slack: request.deadline.saturating_sub(now),
                         faults,
-                        round,
+                        factor_x16,
+                        round: life.round(t, request.seq),
+                        session: shard.pools[t]
+                            .pop()
+                            .unwrap_or_else(|| prepared[s][t].session()),
                     });
                 }
             }
@@ -978,18 +932,18 @@ impl Cluster {
             // canonical (shard, worker) order so the salted scan order
             // above can never leak into any counter, sample, or the
             // closed-loop generators.
-            let results = crate::service::run_batch(&self.tenants, batch, threads);
-            let mut items: Vec<(DispatchMeta, _)> = meta.into_iter().zip(results).collect();
-            items.sort_by_key(|(m, _)| (m.shard, m.worker));
-            for (m, (result, session)) in items {
-                let (s, w, t) = (m.shard, m.worker, m.request.tenant);
-                shards[s].pools[t].push(session);
+            let mut results = crate::service::run_batch(&self.tenants, batch, threads);
+            results.sort_by_key(|(job, _)| (job.shard, job.worker));
+            for (job, result) in results {
+                let (s, w, t) = (job.shard, job.worker, job.request.tenant);
+                let attempt_base = job.attempt_base(&self.tenants[t]);
+                shards[s].pools[t].push(job.session);
                 let exec = result?;
-                let marginal = scale(shards[s].marginal_cycles[t], m.factor_x16);
-                let cycles = scale(exec.cycles, m.factor_x16);
+                let marginal = scale(shards[s].marginal_cycles[t], job.factor_x16);
+                let cycles = scale(exec.cycles, job.factor_x16);
                 let finish = now
                     .saturating_add(cycles)
-                    .saturating_add(marginal.saturating_mul(m.followers.len() as u64));
+                    .saturating_add(marginal.saturating_mul(job.followers.len() as u64));
                 // A crash onset strictly inside (dispatch, finish) kills
                 // the execution: the worker dies with the shard, and
                 // every lane fails over after the client-side timeout.
@@ -1000,11 +954,11 @@ impl Cluster {
                 if let Some(onset) = crash_onset {
                     shards[s].worker_free[w] = u64::MAX;
                     shards[s].stats[t].service_cycles += onset.saturating_sub(now);
-                    for lane in std::iter::once(&m.request).chain(&m.followers) {
-                        let r = rounds.get(&(t, lane.seq)).copied().unwrap_or(0);
-                        rounds.insert((t, lane.seq), r + 1);
-                        counters[t].lost_inflight += 1;
-                        retry.push(RetryEntry {
+                    for lane in std::iter::once(&job.request).chain(&job.followers) {
+                        let r = life.round(t, lane.seq);
+                        life.rounds.insert((t, lane.seq), r + 1);
+                        life.counters[t].lost_inflight += 1;
+                        life.retry.push(RetryEntry {
                             due: onset
                                 .saturating_add(health_cfg.crash_timeout)
                                 .saturating_add(backoff(health_cfg.backoff_base, r)),
@@ -1015,86 +969,35 @@ impl Cluster {
                     continue;
                 }
                 shards[s].worker_free[w] = finish;
-                end_cycles = end_cycles.max(finish);
+                let sample = |seq, output_hash| RequestSample {
+                    seq,
+                    attempt: exec.retries,
+                    shard: s,
+                    faults: job.faults,
+                    output_hash,
+                };
                 let st = &mut shards[s].stats[t];
                 st.service_cycles += cycles;
-                st.retries += u64::from(
-                    exec.retries
-                        .saturating_sub(Job::attempt_base_of(m.round, &self.tenants[t])),
-                );
+                st.retries += u64::from(exec.retries.saturating_sub(attempt_base));
                 st.fault.absorb(&exec.fault);
                 match exec.outcome {
                     DegradeOutcome::Ok | DegradeOutcome::Degraded { .. } => {
-                        // A request that needed a failover round is
-                        // cluster-degraded even when its re-execution
-                        // succeeded on the first salted attempt.
-                        if exec.outcome == DegradeOutcome::Ok && m.round == 0 {
-                            st.ok += 1;
-                        } else {
-                            st.degraded += 1;
-                        }
-                        st.latency.record(finish - m.request.arrival);
-                        if finish > m.request.deadline {
-                            st.deadline_misses += 1;
-                        }
-                        st.output_hash ^= exec.output_hash;
-                        if st.samples.len() < self.config.samples_per_tenant {
-                            st.samples.push(RequestSample {
-                                seq: m.request.seq,
-                                attempt: exec.retries,
-                                output_hash: exec.output_hash,
-                            });
-                        }
-                        if cluster_samples[t].len() < self.config.samples_per_tenant {
-                            cluster_samples[t].push(ClusterSample {
-                                tenant: t,
-                                seq: m.request.seq,
-                                attempt: exec.retries,
-                                shard: s,
-                                faults: m.faults,
-                                output_hash: exec.output_hash,
-                            });
-                        }
+                        let lane = sample(job.request.seq, exec.output_hash);
+                        life.complete(st, &job.request, exec.outcome, job.round, finish, lane);
                     }
                     DegradeOutcome::DroppedFaulty => st.dropped_faulty += 1,
                     DegradeOutcome::DroppedBudget => st.dropped_deadline += 1,
                 }
-                rounds.remove(&(t, m.request.seq));
-                gens[t].on_resolved(finish);
-                debug_assert!(m.followers.is_empty() || exec.outcome == DegradeOutcome::Ok);
-                for (follower, &hash) in m.followers.iter().zip(&exec.follower_hashes) {
+                life.resolve(t, job.request.seq, finish);
+                debug_assert!(job.followers.is_empty() || exec.outcome == DegradeOutcome::Ok);
+                for (follower, &hash) in job.followers.iter().zip(&exec.follower_hashes) {
                     let st = &mut shards[s].stats[t];
                     st.service_cycles += marginal;
-                    if m.round == 0 && rounds.get(&(t, follower.seq)).copied().unwrap_or(0) == 0 {
-                        st.ok += 1;
-                    } else {
-                        st.degraded += 1;
-                    }
                     st.batched += 1;
-                    st.latency.record(finish - follower.arrival);
-                    if finish > follower.deadline {
-                        st.deadline_misses += 1;
-                    }
-                    st.output_hash ^= hash;
-                    if st.samples.len() < self.config.samples_per_tenant {
-                        st.samples.push(RequestSample {
-                            seq: follower.seq,
-                            attempt: exec.retries,
-                            output_hash: hash,
-                        });
-                    }
-                    if cluster_samples[t].len() < self.config.samples_per_tenant {
-                        cluster_samples[t].push(ClusterSample {
-                            tenant: t,
-                            seq: follower.seq,
-                            attempt: exec.retries,
-                            shard: s,
-                            faults: m.faults,
-                            output_hash: hash,
-                        });
-                    }
-                    rounds.remove(&(t, follower.seq));
-                    gens[t].on_resolved(finish);
+                    let round = life.round(t, follower.seq);
+                    let lane = sample(follower.seq, hash);
+                    life.complete(st, follower, DegradeOutcome::Ok, round, finish, lane);
+                    life.resolve(t, follower.seq, finish);
                 }
             }
 
@@ -1102,8 +1005,12 @@ impl Cluster {
             // event: arrival, retry due, completion, or (while work is
             // outstanding) the next heartbeat / respawn / drain deadline
             // the health machinery needs to make progress.
-            let next_arrival = gens.iter().filter_map(|g| g.peek().map(|(t, _)| t)).min();
-            let next_retry = retry.iter().map(|e| e.due).min();
+            let next_arrival = life
+                .gens
+                .iter()
+                .filter_map(|g| g.peek().map(|(t, _)| t))
+                .min();
+            let next_retry = life.retry.iter().map(|e| e.due).min();
             let next_completion = shards
                 .iter()
                 .flat_map(|s| s.worker_free.iter().copied())
@@ -1147,6 +1054,7 @@ impl Cluster {
         }
 
         // Merge per-shard views into the cluster report.
+        let end_cycles = life.end_cycles;
         let cycle_seconds = 1e-9 / self.config.shards[0].accel.frequency_ghz;
         let elapsed_seconds = end_cycles as f64 * cycle_seconds;
         let shard_reports: Vec<ShardReport> = shards
@@ -1170,16 +1078,18 @@ impl Cluster {
         let tenants: Vec<ClusterTenantReport> = self
             .tenants
             .iter()
+            .zip(life.counters)
+            .zip(life.samples)
             .enumerate()
-            .map(|(t, spec)| {
+            .map(|(t, ((spec, cc), samples))| {
                 let mut stats = TenantStats::default();
                 for shard in &shards {
-                    merge_stats(&mut stats, &shard.stats[t], self.config.samples_per_tenant);
+                    merge_stats(&mut stats, &shard.stats[t]);
                 }
-                let cc = counters[t];
                 stats.issued = cc.issued;
                 stats.rejected += cc.rejected;
                 stats.dropped_deadline += cc.expired_failover;
+                stats.samples = samples;
                 let throughput_rps = if elapsed_seconds > 0.0 {
                     stats.completed() as f64 / elapsed_seconds
                 } else {
@@ -1195,7 +1105,6 @@ impl Cluster {
                     lost_inflight: cc.lost_inflight,
                     failovers: cc.failovers,
                     throughput_rps,
-                    samples: cluster_samples[t].clone(),
                 }
             })
             .collect();
@@ -1246,27 +1155,46 @@ impl Cluster {
         }
     }
 
+    /// Routes `request` (see [`Cluster::route`]) and admits it on the
+    /// chosen shard, recording the queue depth and whether it landed off
+    /// the tenant's preferred shard. A queue that is full after a
+    /// successful route is ordinary backpressure, [`RouteFail::Full`].
+    fn admit(
+        &self,
+        shards: &mut [ShardRuntime<'_>],
+        counters: &mut [TenantClusterCounters],
+        request: Request,
+        now: u64,
+    ) -> Result<(), RouteFail> {
+        let t = request.tenant;
+        let (s, fell_back) = self.route(shards, t, now)?;
+        let depth = shards[s].queues[t]
+            .admit(request)
+            .map_err(|_| RouteFail::Full)?;
+        let st = &mut shards[s].stats[t];
+        st.depth_sum += depth as u64;
+        st.depth_samples += 1;
+        st.depth_max = st.depth_max.max(depth);
+        if fell_back {
+            counters[t].rerouted += 1;
+        }
+        Ok(())
+    }
+
     /// Empties every queue of a dying or drain-expired shard into the
     /// failover retry buffer (tenant order, EDF order within a tenant —
     /// deterministic). Each migrated request burns one failover round
     /// and becomes eligible for re-routing immediately.
-    fn migrate_queues(
-        shard: &mut ShardRuntime<'_>,
-        retry: &mut Vec<RetryEntry>,
-        counters: &mut [TenantClusterCounters],
-        rounds: &BTreeMap<(usize, u64), u32>,
-        now: u64,
-    ) -> usize {
+    fn migrate_queues(shard: &mut ShardRuntime<'_>, life: &mut Lifecycle, now: u64) -> usize {
         let mut moved = 0;
         for (t, queue) in shard.queues.iter_mut().enumerate() {
             while let Some(request) = queue.pop_earliest_deadline() {
-                let round = rounds.get(&(t, request.seq)).copied().unwrap_or(0);
-                counters[t].migrated += 1;
+                life.counters[t].migrated += 1;
                 moved += 1;
-                retry.push(RetryEntry {
+                life.retry.push(RetryEntry {
                     due: now,
                     request,
-                    round: round + 1,
+                    round: life.round(t, request.seq) + 1,
                 });
             }
         }
@@ -1274,22 +1202,11 @@ impl Cluster {
     }
 }
 
-impl Job<'_> {
-    /// The salted-attempt base for failover round `round` of a tenant:
-    /// each round owns a disjoint attempt range so a re-execution never
-    /// replays the fault pattern that already failed it.
-    /// Saturates rather than wrapping, so a huge `max_retries` can never
-    /// fold a later round back onto round 0's salts.
-    pub(crate) fn attempt_base_of(round: u32, spec: &TenantSpec) -> u32 {
-        round.saturating_mul(spec.max_retries.saturating_add(1))
-    }
-}
-
 /// Folds `from` into `acc`: counters add, the latency histogram merges
-/// bucket-wise, depth high-water takes the max, the output digest
-/// XOR-folds, and samples concatenate up to `sample_cap`. `issued` and
-/// `rejected` live at cluster level and are patched in by the caller.
-fn merge_stats(acc: &mut TenantStats, from: &TenantStats, sample_cap: usize) {
+/// bucket-wise, depth high-water takes the max, and the output digest
+/// XOR-folds. `issued`, `rejected` and the samples live at cluster level
+/// and are patched in by the caller.
+fn merge_stats(acc: &mut TenantStats, from: &TenantStats) {
     acc.ok += from.ok;
     acc.degraded += from.degraded;
     acc.dropped_faulty += from.dropped_faulty;
@@ -1304,12 +1221,6 @@ fn merge_stats(acc: &mut TenantStats, from: &TenantStats, sample_cap: usize) {
     acc.depth_max = acc.depth_max.max(from.depth_max);
     acc.output_hash ^= from.output_hash;
     acc.fault.absorb(&from.fault);
-    for sample in &from.samples {
-        if acc.samples.len() >= sample_cap {
-            break;
-        }
-        acc.samples.push(*sample);
-    }
 }
 
 #[cfg(test)]
@@ -1420,7 +1331,14 @@ mod tests {
             assert_eq!((&c.name, c.weight), (&s.name, s.weight));
             assert_eq!(c.throughput_rps, s.throughput_rps);
             assert_eq!(s.clean_cycles, clean);
-            assert!(s.stats.samples.len() <= 3);
+            assert_eq!(s.stats.samples.len(), 3);
+            for (a, b) in c.stats.samples.iter().zip(&s.stats.samples) {
+                assert_eq!(
+                    (a.seq, a.attempt, a.output_hash),
+                    (b.seq, b.attempt, b.output_hash)
+                );
+                assert_eq!((a.shard, a.faults), (b.shard, b.faults));
+            }
             assert_eq!(
                 c.budget_exhausted + c.rerouted + c.migrated + c.lost_inflight,
                 0
@@ -1497,6 +1415,27 @@ mod tests {
             t.migrated + t.lost_inflight + t.failovers > 0,
             "crashes never displaced work: {report:?}"
         );
+        // Every admission records one queue depth: arrivals that were
+        // not rejected, plus failover re-admissions.
+        assert_eq!(
+            t.stats.depth_samples,
+            t.stats.issued - t.stats.rejected + t.failovers
+        );
+        // Each completion off the tenant's preferred shard follows its
+        // own admission there, arrival or failover re-admission alike,
+        // and each of those counts as `rerouted`.
+        let preferred = (0..report.shards.len())
+            .max_by_key(|&s| (Cluster::route_score(0, s), s))
+            .expect("shards");
+        let off_preferred: u64 = (report.shards.iter().enumerate())
+            .filter(|&(s, _)| s != preferred)
+            .map(|(_, shard)| shard.completed)
+            .sum();
+        assert!(
+            t.rerouted >= off_preferred && off_preferred > 0,
+            "rerouted {} < {off_preferred} completions off the preferred shard",
+            t.rerouted
+        );
     }
 
     #[test]
@@ -1508,13 +1447,13 @@ mod tests {
         let spec_net = zoo::gabor().build(1).expect("build gabor");
         let spec = TenantSpec::new("gabor", spec_net);
         let config = chaos_config(2, 0xC1A0);
-        for t in &cluster.tenants {
-            assert!(!t.samples.is_empty());
-            for sample in &t.samples {
+        for (tenant, t) in cluster.tenants.iter().enumerate() {
+            assert!(!t.stats.samples.is_empty());
+            for sample in &t.stats.samples {
                 let accel = Accelerator::new(config.shards[sample.shard].accel.clone());
                 let prep = accel.prepare(&spec.network).expect("prepare");
                 let plan = FaultPlan::new(sample.faults).with_salt(crate::service::request_salt(
-                    sample.tenant,
+                    tenant,
                     sample.seq,
                     sample.attempt,
                 ));

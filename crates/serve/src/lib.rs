@@ -11,7 +11,11 @@
 //!   tenant network (amortising `Accelerator::prepare` exactly like the
 //!   streaming pipeline does for one camera) and scheduling requests onto
 //!   a fixed pool of virtual workers, with seeded shard failures,
-//!   routing, drain, and failover on top,
+//!   routing, drain, and failover on top. Each step of a request's life
+//!   (admission, dispatch-time expiry, each completed lane, terminal
+//!   resolution) happens in one place in its event loop, and one
+//!   executor runs every dispatch: the leader through the salted-retry
+//!   loop, then any batched followers on the same session,
 //! * [`InferenceService`] — the paper's deployment, one accelerator: a
 //!   one-shard cluster with no shard faults, configured by
 //!   [`ServeConfig`] and reported as a [`ServiceReport`],
@@ -28,7 +32,12 @@
 //! * [`TenantSpec`] / [`Traffic`] — a deterministic open- and
 //!   closed-loop load generator, so serving is a pure function of its
 //!   scenario: byte-identical reports on every run and every physical
-//!   thread count.
+//!   thread count,
+//! * [`RequestSample`] — the one retained-sample type: the first
+//!   `samples_per_tenant` completed lanes of each tenant, cluster-wide,
+//!   in [`TenantStats::samples`], each with its serving shard and fault
+//!   environment, so any of them replays bit-identically through a
+//!   direct `Session::infer`.
 //!
 //! Determinism is the load-bearing property. The virtual clock advances
 //! by *modelled* cycles (which depend only on network topology), never by
@@ -71,8 +80,7 @@ mod service;
 mod stats;
 
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterReport, ClusterSample, ClusterTenantReport, ShardReport,
-    ShardSpec,
+    Cluster, ClusterConfig, ClusterReport, ClusterTenantReport, ShardReport, ShardSpec,
 };
 pub use health::{HealthConfig, ShardState};
 pub use loadgen::{binarize_pixel, InputSource, TenantSpec, Traffic};

@@ -46,12 +46,6 @@ impl FairScheduler {
         }
     }
 
-    /// The virtual service each tenant has accumulated so far (scaled by
-    /// an internal constant; only ratios are meaningful).
-    pub fn virtual_service(&self) -> &[u64] {
-        &self.vservice
-    }
-
     /// Picks the next request: the backlogged tenant with minimum
     /// weighted virtual service, then EDF within that tenant. Charges the
     /// tenant's estimate at pick time. Returns `None` when every queue is

@@ -26,11 +26,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use shidiannao_core::{AcceleratorConfig, ConfigError, RunError, Session};
-use shidiannao_faults::{DegradeOutcome, FaultPlan, FaultStats};
+use shidiannao_faults::{DegradeOutcome, FaultConfig, FaultPlan, FaultStats};
 use shidiannao_sensor::StreamError;
 
 use crate::cluster::{Cluster, ClusterConfig, ClusterReport, ShardSpec};
 use crate::loadgen::TenantSpec;
+use crate::queue::Request;
 use crate::splitmix64;
 use crate::stats::{hash_output, HistogramSummary, TenantStats};
 
@@ -264,26 +265,44 @@ pub struct InferenceService {
     pub(crate) cluster: Cluster,
 }
 
-/// One dispatched request travelling to a physical execution slot. When
-/// `followers` is non-empty the job is a batch: the leader (`seq`) plus
-/// follower sequence numbers execute back to back on the job's session.
+/// One dispatch: a leader request plus the follower lanes that ride
+/// along, the context the event loop needs to fold the result back
+/// (shard, worker, failover round, slow-episode rate, fault environment),
+/// and the warm session it runs on. [`run_batch`] hands every job back
+/// with its result so the session returns to its pool.
 ///
 /// The cluster event loop dispatches jobs per shard — under the shard's
-/// *effective* fault plan (a burst episode overrides the tenant's
-/// environment) and with a failover-round salt base so re-executions
-/// draw fresh fault patterns.
+/// *effective* fault environment (a burst episode overrides the
+/// tenant's) and with a failover-round salt base so re-executions draw
+/// fresh fault patterns.
 pub(crate) struct Job<'p> {
-    pub(crate) tenant: usize,
-    pub(crate) seq: u64,
+    pub(crate) shard: usize,
+    pub(crate) worker: usize,
+    pub(crate) request: Request,
+    /// Batched follower lanes, in lane order; only formed under a zero
+    /// fault environment.
+    pub(crate) followers: Vec<Request>,
+    /// Cycles left before the leader's deadline at dispatch.
     pub(crate) slack: u64,
-    pub(crate) followers: Vec<u64>,
-    /// Base fault plan for this execution (before per-attempt salting).
-    pub(crate) plan: FaultPlan,
-    /// First salted-attempt index: `round × (max_retries + 1)` for a
-    /// request on its `round`-th failover, so a re-executed request never
-    /// replays the fault pattern that already failed it.
-    pub(crate) attempt_base: u32,
+    /// Fault environment of this execution (before per-attempt salting).
+    pub(crate) faults: FaultConfig,
+    /// Slow-episode cycle multiplier in sixteenths (16 = clean rate).
+    pub(crate) factor_x16: u32,
+    /// Failover round the leader is on (0 = never failed over).
+    pub(crate) round: u32,
     pub(crate) session: Session<'p>,
+}
+
+impl Job<'_> {
+    /// The first salted-attempt index: each failover round owns a
+    /// disjoint attempt range so a re-execution never replays the fault
+    /// pattern that already failed it. Saturates rather than wrapping,
+    /// so a huge `max_retries` can never fold a later round back onto
+    /// round 0's salts.
+    pub(crate) fn attempt_base(&self, spec: &TenantSpec) -> u32 {
+        self.round
+            .saturating_mul(spec.max_retries.saturating_add(1))
+    }
 }
 
 /// The execution result folded back into the event loop.
@@ -379,137 +398,73 @@ impl InferenceService {
     }
 }
 
-/// Executes one request to resolution: salted retries under the job's
-/// base fault plan, bounded by the retry budget and the deadline slack.
-/// Batched jobs (non-empty `followers`) divert to [`execute_batch`].
-pub(crate) fn execute_one<'p>(
-    spec: &TenantSpec,
-    job: Job<'p>,
-) -> (Result<Exec, ServeError>, Session<'p>) {
-    if !job.followers.is_empty() {
-        return execute_batch(spec, job);
+/// Executes one job: the leader runs to resolution through the core's
+/// salted-retry loop under the job's fault environment, bounded by the
+/// retry budget and the deadline slack; then each follower lane replays
+/// on the same session. Followers only form under a zero fault
+/// environment, so the leader completes on its first attempt and every
+/// lane is bit-identical to a direct clean `Session::infer` of its
+/// input — which is exactly what the retained samples certify.
+pub(crate) fn execute_one(spec: &TenantSpec, job: &mut Job<'_>) -> Result<Exec, ServeError> {
+    let input_error = |error| ServeError::Input {
+        tenant: spec.name.clone(),
+        error,
+    };
+    let execute_error = |error| ServeError::Execute {
+        tenant: spec.name.clone(),
+        error,
+    };
+    let Request { tenant, seq, .. } = job.request;
+    let input = spec.build_input(seq).map_err(input_error)?;
+    let base = job.attempt_base(spec);
+    let plan = FaultPlan::new(job.faults);
+    let retried = job
+        .session
+        .infer_retrying(
+            &input,
+            base..=base.saturating_add(spec.max_retries),
+            |attempt| plan.with_salt(request_salt(tenant, seq, attempt)),
+            job.slack,
+        )
+        .map_err(execute_error)?;
+    let mut exec = Exec {
+        outcome: retried.outcome,
+        cycles: retried.cycles,
+        retries: retried.last_attempt,
+        output_hash: retried.run.map_or(0, |run| hash_output(run.output())),
+        fault: retried.fault_stats,
+        follower_hashes: Vec::with_capacity(job.followers.len()),
+    };
+    debug_assert!(job.followers.is_empty() || plan.is_zero());
+    for follower in &job.followers {
+        let input = spec.build_input(follower.seq).map_err(input_error)?;
+        let run = job.session.infer_ref(&input).map_err(execute_error)?;
+        exec.follower_hashes.push(hash_output(run.output()));
     }
-    let mut session = job.session;
-    let input = match spec.build_input(job.seq) {
-        Ok(input) => input,
-        Err(error) => {
-            return (
-                Err(ServeError::Input {
-                    tenant: spec.name.clone(),
-                    error,
-                }),
-                session,
-            )
-        }
-    };
-    let retried = session.infer_retrying(
-        &input,
-        job.attempt_base..=job.attempt_base.saturating_add(spec.max_retries),
-        |attempt| {
-            job.plan
-                .with_salt(request_salt(job.tenant, job.seq, attempt))
-        },
-        job.slack,
-    );
-    let exec = match retried {
-        Ok(retried) => Ok(Exec {
-            outcome: retried.outcome,
-            cycles: retried.cycles,
-            retries: retried.last_attempt,
-            output_hash: retried.run.map_or(0, |run| hash_output(run.output())),
-            fault: retried.fault_stats,
-            follower_hashes: Vec::new(),
-        }),
-        Err(error) => Err(ServeError::Execute {
-            tenant: spec.name.clone(),
-            error,
-        }),
-    };
-    (exec, session)
+    Ok(exec)
 }
 
-/// Executes a batched job: the leader and each follower lane run one
-/// after another through the session's ordinary inference path.
-/// Followers only form for tenants with a zero fault plan, so the salted
-/// plan draws no faults and every lane is bit-identical to a direct
-/// clean `Session::infer` of its input — which is exactly what the
-/// retained samples certify.
-fn execute_batch<'p>(spec: &TenantSpec, job: Job<'p>) -> (Result<Exec, ServeError>, Session<'p>) {
-    let mut session = job.session;
-    let attempt_base = job.attempt_base;
-    let mut inputs = Vec::with_capacity(1 + job.followers.len());
-    for &seq in std::iter::once(&job.seq).chain(&job.followers) {
-        match spec.build_input(seq) {
-            Ok(input) => inputs.push(input),
-            Err(error) => {
-                return (
-                    Err(ServeError::Input {
-                        tenant: spec.name.clone(),
-                        error,
-                    }),
-                    session,
-                )
-            }
-        }
-    }
-    let base = job.plan;
-    debug_assert!(base.is_zero(), "batched lanes require a zero fault plan");
-    session.set_fault_plan(base.with_salt(request_salt(job.tenant, job.seq, attempt_base)));
-    // Each lane's output hash, cycles and fault counters, read from the
-    // borrowed result so no per-lane `Inference` is allocated.
-    let mut lanes = Vec::with_capacity(inputs.len());
-    for input in &inputs {
-        match session.infer_ref(input) {
-            Ok(run) => lanes.push((
-                hash_output(run.output()),
-                run.stats().cycles(),
-                *run.fault_stats(),
-            )),
-            Err(error) => {
-                return (
-                    Err(ServeError::Execute {
-                        tenant: spec.name.clone(),
-                        error,
-                    }),
-                    session,
-                )
-            }
-        }
-    }
-    let (output_hash, cycles, fault) = lanes[0];
-    let exec = Exec {
-        outcome: DegradeOutcome::Ok,
-        cycles,
-        retries: attempt_base,
-        output_hash,
-        fault,
-        follower_hashes: lanes[1..].iter().map(|&(hash, ..)| hash).collect(),
-    };
-    (Ok(exec), session)
-}
-
-/// Executes a dispatched batch on up to `threads` OS threads, returning
-/// results in batch order. Work distribution uses an atomic index (the
-/// same shape as the vendored rayon shim), and because each execution is
-/// a pure function of `(spec, seq, salt)`, assignment of jobs to threads
-/// cannot affect any result.
-pub(crate) type JobResult<'p> = (Result<Exec, ServeError>, Session<'p>);
-
+/// Executes a dispatched batch on up to `threads` OS threads, handing
+/// each job back with its result, in batch order. Work distribution uses
+/// an atomic index (the same shape as the vendored rayon shim), and
+/// because each execution is a pure function of `(spec, seq, salt)`,
+/// assignment of jobs to threads cannot affect any result.
 pub(crate) fn run_batch<'p>(
     specs: &[TenantSpec],
     batch: Vec<Job<'p>>,
     threads: usize,
-) -> Vec<JobResult<'p>> {
+) -> Vec<(Job<'p>, Result<Exec, ServeError>)> {
     let n = batch.len();
     if threads <= 1 || n <= 1 {
         return batch
             .into_iter()
-            .map(|job| execute_one(&specs[job.tenant], job))
+            .map(|mut job| {
+                let result = execute_one(&specs[job.request.tenant], &mut job);
+                (job, result)
+            })
             .collect();
     }
-    let jobs: Vec<Mutex<Option<Job<'p>>>> =
-        batch.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let slots: Vec<Mutex<Option<JobResult<'p>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<_> = batch.into_iter().map(|j| Mutex::new((j, None))).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
@@ -518,20 +473,17 @@ pub(crate) fn run_batch<'p>(
                 if i >= n {
                     break;
                 }
-                let job = jobs[i].lock().expect("job slot poisoned").take();
-                if let Some(job) = job {
-                    let out = execute_one(&specs[job.tenant], job);
-                    *slots[i].lock().expect("result slot poisoned") = Some(out);
-                }
+                let mut slot = slots[i].lock().expect("job slot poisoned");
+                let (job, result) = &mut *slot;
+                *result = Some(execute_one(&specs[job.request.tenant], job));
             });
         }
     });
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every job slot executed")
+            let (job, result) = slot.into_inner().expect("job slot poisoned");
+            (job, result.expect("every job slot executed"))
         })
         .collect()
 }

@@ -8,7 +8,7 @@
 //! four sub-buckets, giving ≤ 25 % relative error on reported quantiles
 //! with 256 fixed buckets regardless of how many samples arrive.
 
-use shidiannao_faults::FaultStats;
+use shidiannao_faults::{FaultConfig, FaultStats};
 use shidiannao_fixed::Fx;
 use shidiannao_tensor::MapStack;
 
@@ -164,14 +164,24 @@ pub struct HistogramSummary {
     pub max: u64,
 }
 
-/// A retained per-request record, used by the harness to certify that
-/// scheduled execution is bit-identical to a direct `Session::infer`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A retained completed request with enough context to replay it against
+/// a direct `Session::infer` on the serving shard's accelerator model:
+/// build the plan as `FaultPlan::new(faults).with_salt(request_salt(
+/// tenant, seq, attempt))`, where `tenant` is the report's tenant index,
+/// and compare output hashes.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RequestSample {
     /// Per-tenant request sequence number (also the input key).
     pub seq: u64,
-    /// Salted attempt that produced the output (0 = first try).
+    /// Absolute salted attempt that produced the output (failover rounds
+    /// shift the attempt base, so this is ≥ `round × (max_retries + 1)`).
     pub attempt: u32,
+    /// Shard that served the request (index into the cluster's shards;
+    /// always 0 for the one-shard service).
+    pub shard: usize,
+    /// The fault environment in force for the execution — the tenant's
+    /// own, or the episode's during an SRAM burst.
+    pub faults: FaultConfig,
     /// [`hash_output`] of the final output stack.
     pub output_hash: u64,
 }
@@ -183,7 +193,7 @@ pub struct TenantStats {
     pub issued: u64,
     /// Completed on the first attempt.
     pub ok: u64,
-    /// Completed after ≥ 1 salted retry.
+    /// Completed after ≥ 1 salted retry, or after a failover round.
     pub degraded: u64,
     /// Dropped: retries exhausted with faults still detected.
     pub dropped_faulty: u64,
@@ -215,7 +225,8 @@ pub struct TenantStats {
     pub output_hash: u64,
     /// What the fault layer did across all attempts.
     pub fault: FaultStats,
-    /// First few completed requests, for bit-identity certification.
+    /// The first `samples_per_tenant` completed lanes, cluster-wide in
+    /// fold order, for bit-identity certification.
     pub samples: Vec<RequestSample>,
 }
 

@@ -501,9 +501,9 @@ impl StreamingPipeline {
 
     /// Runs every region of a frame through the accelerator.
     ///
-    /// Regions run in parallel on [`frame_workers`] threads (see
-    /// DESIGN.md, "Region-parallel frames"), each taking one block of
-    /// about `ny / workers` whole region rows. A worker computes the
+    /// Regions run in parallel on `RAYON_NUM_THREADS` threads, else all
+    /// cores (see DESIGN.md, "Region-parallel frames"), each taking one
+    /// block of about `ny / workers` whole region rows. A worker computes the
     /// grid's shared prefix once per row (for ConvNN on the paper grid,
     /// C1–S4: DESIGN.md §3l) over the row's strip — the §10.2 row
     /// buffer's band, the frame's full width at region height. The

@@ -542,7 +542,8 @@ impl VideoPipeline {
                     None => slot.compute = true,
                     Some((f, fs)) => {
                         // Second gate: the W1 front re-scores the dirty
-                        // region from its sign-binarized pixels.
+                        // region from its sign-binarized pixels,
+                        // binarized in place in the reused tile.
                         front_runs += 1;
                         frame.try_region_into(
                             grid.origin_at(ri),
@@ -550,7 +551,14 @@ impl VideoPipeline {
                             1,
                             &mut raw,
                         )?;
-                        let run = fs.infer_ref(&raw.map(|&px| binarize_pixel(px)))?;
+                        for map in raw.iter_mut() {
+                            for y in 0..map.height() {
+                                for px in map.row_mut(y) {
+                                    *px = binarize_pixel(*px);
+                                }
+                            }
+                        }
+                        let run = fs.infer_ref(&raw)?;
                         front_cycles += run.stats().cycles();
                         front_energy_nj += run.energy().total_nj();
                         let score = run.output_flat().first().copied().unwrap_or(Fx::MIN);
