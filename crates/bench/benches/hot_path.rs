@@ -7,11 +7,13 @@
 //! before it dilutes into a whole-network number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shidiannao_cnn::{ConvSpec, FcSpec, LcnSpec, LrnSpec, Network, NetworkBuilder, PoolSpec};
+use shidiannao_cnn::{
+    Activation, ConvSpec, FcSpec, LcnSpec, LrnSpec, Network, NetworkBuilder, PoolSpec,
+};
 use shidiannao_core::kernel::{LaneKernel, ScalarKernel, ValueKernel};
 use shidiannao_core::{
-    Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, LayerStats, NeuronBuffer, ReadScratch,
-    SramProtection, SynapseBuffer,
+    Accelerator, AcceleratorConfig, Alu, FaultConfig, FaultPlan, LayerStats, NeuronBuffer,
+    ReadScratch, SramProtection, SynapseBuffer,
 };
 use shidiannao_fixed::Fx;
 use shidiannao_tensor::{FeatureMap, MapStack};
@@ -244,6 +246,51 @@ fn bench_norm_replay(c: &mut Criterion) {
         });
         g.finish();
     }
+}
+
+/// A conv whose kernel is exactly as wide as its input, so every output
+/// row is one lane: ConvNN's C5 (14 maps of 14 × 7 in, 14 kernel pairs
+/// of 14 × 7), the per-region tail of the §10.2 frame. Replay reduces
+/// each kernel row with one contiguous dot.
+fn bench_one_lane_conv(c: &mut Criterion) {
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    let net = NetworkBuilder::new("c5", 14, (14, 7))
+        .conv(ConvSpec::new(14, (14, 7)).with_pairs(14))
+        .build(7)
+        .expect("valid network");
+    let input = net.random_input(9);
+    let prepared = accel.prepare(&net).expect("prepare");
+    let mut session = prepared.session();
+    for _ in 0..16 {
+        let _ = session.infer_ref(&input).expect("warm-up");
+    }
+    let mut g = c.benchmark_group("schedule_conv_one_lane");
+    g.sample_size(2_000);
+    g.bench_function("replay", |b| {
+        b.iter(|| black_box(session.infer_ref(&input).expect("replay").stats().cycles()))
+    });
+    g.finish();
+}
+
+/// The ALU's tanh over one C1 output row of a VGA strip (636 values,
+/// in and out of the PLA domain): the activation pass that follows
+/// every replayed conv row.
+fn bench_alu_activate(c: &mut Criterion) {
+    let alu = Alu::new(AcceleratorConfig::paper().alu_lanes);
+    let row: Vec<Fx> = (0..636)
+        .map(|i| Fx::from_f32((i % 211) as f32 / 16.0 - 6.5))
+        .collect();
+    let mut vals = row.clone();
+    let mut stats = LayerStats::default();
+    let mut g = c.benchmark_group("alu");
+    g.sample_size(10_000);
+    g.bench_function("activate_row", |b| {
+        b.iter(|| {
+            vals.copy_from_slice(&row);
+            black_box(alu.activate(&mut vals, Activation::Tanh, &mut stats))
+        })
+    });
+    g.finish();
 }
 
 /// The marginal cost of one autotuner grid-point evaluation with the
@@ -557,7 +604,9 @@ criterion_group!(
     bench_sb_broadcast,
     bench_small_inference,
     bench_schedule_replay,
+    bench_one_lane_conv,
     bench_norm_replay,
+    bench_alu_activate,
     bench_tuner_point,
     bench_reduction_kernels,
     bench_xnor_kernels,

@@ -23,7 +23,8 @@ pub enum Activation {
 
 impl Activation {
     /// The PLA table the ALU would load for this activation, or `None` when
-    /// the value bypasses the ALU.
+    /// the value bypasses the ALU: a handle on the same process-wide table
+    /// every ALU holds, so calling this per layer builds nothing.
     pub fn pla(self) -> Option<Pla> {
         match self {
             Activation::None => None,

@@ -147,7 +147,7 @@ fn lcn_fixed(layer: &Layer, input: &MapStack<Fx>, gauss: &FeatureMap<Fx>) -> Map
     let maps = layer.in_maps();
     let win = gauss.width();
     let half = win / 2;
-    let sqrt_pla = Pla::from_fn(|x| x.max(0.0).sqrt(), 0.0, 127.0);
+    let sqrt_pla = Pla::sqrt();
 
     // Weighted cross-map local mean μ(x, y).
     let mu = FeatureMap::from_fn(w, h, |x, y| {

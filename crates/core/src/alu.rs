@@ -10,7 +10,9 @@ use shidiannao_fixed::{Fx, Pla};
 /// It holds the pre-loaded PLA register files for `tanh`, `sigmoid`, and
 /// `√x` (the LCN decomposition needs a root, §8.4), a fixed-point divider,
 /// and `lanes` parallel 16-bit operators — the model drains the `Px`-wide
-/// output register array at one value per lane per cycle.
+/// output register array at one value per lane per cycle. The PLA tables
+/// are the process-wide shared ones ([`Pla::tanh`] and friends), so a new
+/// ALU builds nothing.
 #[derive(Clone, Debug)]
 pub struct Alu {
     lanes: usize,
@@ -31,7 +33,7 @@ impl Alu {
             lanes,
             tanh: Pla::tanh(),
             sigmoid: Pla::sigmoid(),
-            sqrt: Pla::from_fn(|x| x.max(0.0).sqrt(), 0.0, 127.0),
+            sqrt: Pla::sqrt(),
         }
     }
 
@@ -43,7 +45,9 @@ impl Alu {
 
     /// Applies an activation in place to a batch of PE results, charging
     /// ALU ops and returning the cycles consumed (`⌈n / lanes⌉`, zero for
-    /// [`Activation::None`]).
+    /// [`Activation::None`]). Inlined, so the replay bodies' dispatch
+    /// twins each compile their own copy.
+    #[inline]
     pub fn activate(
         &self,
         values: &mut [Fx],
@@ -93,6 +97,7 @@ impl Alu {
     }
 
     /// Square root via the PLA, in place; charges activation ops.
+    #[inline]
     pub fn sqrt(&self, values: &mut [Fx], stats: &mut LayerStats) -> u64 {
         for v in values.iter_mut() {
             *v = self.sqrt.eval(*v);

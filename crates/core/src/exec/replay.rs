@@ -156,10 +156,11 @@ fn values_body(
     Ok(())
 }
 
-/// An i64 lane sum read out of a PE accumulator: one raw add into an
-/// empty register, truncated and saturated to 16 bits.
-fn lane_fx(sum: i64) -> Fx {
-    let mut a = Accum::new();
+/// An i64 lane sum read out of a PE accumulator preloaded with `bias`:
+/// one raw add, truncated and saturated to 16 bits.
+#[inline(always)]
+fn lane_fx(bias: Fx, sum: i64) -> Fx {
+    let mut a = Accum::from_fx(bias);
     a.add_raw(sum);
     a.to_fx()
 }
@@ -198,7 +199,7 @@ fn lrn(
                 lanes
                     .iter()
                     .zip(stack[mi].row(y))
-                    .map(|(&s, &own)| own / (k + alpha * lane_fx(s))),
+                    .map(|(&s, &own)| own / (k + alpha * lane_fx(Fx::ZERO, s))),
             );
             sink(mi, y, vals);
         }
@@ -276,7 +277,7 @@ fn lcn(
     mu.clear();
     for y in 0..h {
         correlate(gauss, padded, plane, (w, pw), y, lanes);
-        mu.extend(lanes.iter().map(|&s| lane_fx(s)));
+        mu.extend(lanes.iter().map(|&s| lane_fx(Fx::ZERO, s)));
     }
     for (fm, pj) in stack.iter().zip(padded.chunks_exact_mut(plane)) {
         for y in 0..h {
@@ -290,7 +291,7 @@ fn lcn(
     for y in 0..h {
         correlate(gauss, padded, plane, (w, pw), y, lanes);
         vals.clear();
-        vals.extend(lanes.iter().map(|&s| lane_fx(s)));
+        vals.extend(lanes.iter().map(|&s| lane_fx(Fx::ZERO, s)));
         let _ = alu.sqrt(vals, &mut meter);
         delta.extend_from_slice(vals);
     }
@@ -413,17 +414,21 @@ impl<'a> Conv<'a> {
                 let fm = &stack[im];
                 for ky in 0..ky_max {
                     let row = fm.row(y * sy + ky);
-                    for (kx, &k) in wts[ky * kx_max..(ky + 1) * kx_max].iter().enumerate() {
-                        kern.shifted_mac(&row[kx..], sx, k, lanes);
+                    let krow = &wts[ky * kx_max..(ky + 1) * kx_max];
+                    if let [lane] = &mut lanes[..] {
+                        // One lane reads `row[..kx_max]` whatever the
+                        // stride: one contiguous dot, not `kx_max` sweeps.
+                        *lane += kern.dot_raw(&row[..kx_max], krow);
+                    } else {
+                        for (kx, &k) in krow.iter().enumerate() {
+                            kern.shifted_mac(&row[kx..], sx, k, lanes);
+                        }
                     }
                 }
             }
+            // The read-out in one pass the compiler vectorizes.
             vals.clear();
-            for &l in lanes.iter() {
-                let mut a = Accum::from_fx(bias);
-                a.add_raw(l);
-                vals.push(a.to_fx());
-            }
+            vals.extend(lanes.iter().map(|&l| lane_fx(bias, l)));
             let _ = alu.activate(vals, self.activation, &mut meter);
             sink(y, vals);
         }
@@ -985,11 +990,11 @@ mod tests {
     fn conv_net(
         maps: usize,
         out_maps: usize,
-        k: usize,
+        (kx, ky): (usize, usize),
         stride: usize,
         in_dims: (usize, usize),
     ) -> (Network, Vec<Vec<FeatureMap<Fx>>>) {
-        let spec = ConvSpec::new(out_maps, (k, k))
+        let spec = ConvSpec::new(out_maps, (kx, ky))
             .with_stride((stride, stride))
             .with_activation(Activation::None);
         let mut net = NetworkBuilder::new("conv", maps, in_dims)
@@ -1004,7 +1009,7 @@ mod tests {
         for o in 0..out_maps {
             let mut row = Vec::new();
             for j in 0..table.inputs_of(o).len() {
-                let kernel = map_of(k, k, 100 + (o * maps + j) as u64);
+                let kernel = map_of(kx, ky, 100 + (o * maps + j) as u64);
                 net.set_conv_kernel(0, o, j, kernel.clone()).expect("fits");
                 row.push(kernel);
             }
@@ -1019,6 +1024,50 @@ mod tests {
         (net, kernels)
     }
 
+    /// Runs a one-conv network (kernel `k`, `oh` output rows of width
+    /// `ow`) through both twins and checks each against the other and
+    /// every output row against the [`ScalarKernel`] oracle.
+    fn check_conv_twins(
+        (maps, out_maps): (usize, usize),
+        k: (usize, usize),
+        stride: usize,
+        (ow, oh): (usize, usize),
+    ) {
+        let dims = ((ow - 1) * stride + k.0, (oh - 1) * stride + k.1);
+        let (net, kernels) = conv_net(maps, out_maps, k, stride, dims);
+        let input = stack_of(maps, dims, ow as u64);
+        let case = format!("maps={maps} k={k:?} stride={stride} ow={ow}");
+        let got = strip(&net, &input, true);
+        assert_eq!(got, strip(&net, &input, false), "{case}");
+        let LayerBody::Conv { table, .. } = net.layers()[0].body() else {
+            unreachable!("built a conv layer")
+        };
+        let store = SynapseStore::load(&net, 1 << 22).expect("fits");
+        for (o, kernels) in kernels.iter().enumerate() {
+            for y in 0..oh {
+                let mut lanes = vec![0i64; ow];
+                for (kernel, &im) in kernels.iter().zip(table.inputs_of(o)) {
+                    for ky in 0..k.1 {
+                        let row = input[im].row(y * stride + ky);
+                        for kx in 0..k.0 {
+                            let w = kernel[(kx, ky)];
+                            ScalarKernel.shifted_mac(&row[kx..], stride, w, &mut lanes);
+                        }
+                    }
+                }
+                let want: Vec<Fx> = lanes
+                    .iter()
+                    .map(|&l| {
+                        let mut a = Accum::from_fx(store.bias(0, o));
+                        a.add_raw(l);
+                        a.to_fx()
+                    })
+                    .collect();
+                assert_eq!(got[o].row(y), want, "{case} o={o} y={y}");
+            }
+        }
+    }
+
     #[test]
     fn conv_twins_match_each_other_and_the_scalar_oracle() {
         if !avx2_twins() {
@@ -1027,41 +1076,28 @@ mod tests {
         for (maps, out_maps, k, stride) in [(1, 2, 3, 1), (3, 4, 5, 1), (2, 3, 3, 2), (4, 2, 2, 2)]
         {
             for ow in 1..=40 {
-                let oh = 3;
-                let dims = ((ow - 1) * stride + k, (oh - 1) * stride + k);
-                let (net, kernels) = conv_net(maps, out_maps, k, stride, dims);
-                let input = stack_of(maps, dims, ow as u64);
-                let case = format!("maps={maps} k={k} stride={stride} ow={ow}");
-                let got = strip(&net, &input, true);
-                assert_eq!(got, strip(&net, &input, false), "{case}");
-                let LayerBody::Conv { table, .. } = net.layers()[0].body() else {
-                    unreachable!("built a conv layer")
-                };
-                let store = SynapseStore::load(&net, 1 << 22).expect("fits");
-                for (o, kernels) in kernels.iter().enumerate() {
-                    for y in 0..oh {
-                        let mut lanes = vec![0i64; ow];
-                        for (kernel, &im) in kernels.iter().zip(table.inputs_of(o)) {
-                            for ky in 0..k {
-                                let row = input[im].row(y * stride + ky);
-                                for kx in 0..k {
-                                    let w = kernel[(kx, ky)];
-                                    ScalarKernel.shifted_mac(&row[kx..], stride, w, &mut lanes);
-                                }
-                            }
-                        }
-                        let want: Vec<Fx> = lanes
-                            .iter()
-                            .map(|&l| {
-                                let mut a = Accum::from_fx(store.bias(0, o));
-                                a.add_raw(l);
-                                a.to_fx()
-                            })
-                            .collect();
-                        assert_eq!(got[o].row(y), want, "{case} o={o} y={y}");
-                    }
-                }
+                check_conv_twins((maps, out_maps), (k, k), stride, (ow, 3));
             }
+        }
+    }
+
+    #[test]
+    fn one_lane_conv_twins_match_the_scalar_oracle() {
+        if !avx2_twins() {
+            return;
+        }
+        // Kernels exactly as wide as their input, so every output row is
+        // one lane reduced by dots: ConvNN's C5 (14 × 7 over 14 × 7,
+        // one row), taller inputs, strides, and widths off the dot's
+        // 8-term chunks.
+        for (maps, k, stride, oh) in [
+            (2, (14, 7), 1, 1),
+            (3, (14, 7), 1, 4),
+            (2, (9, 3), 2, 3),
+            (1, (1, 1), 1, 5),
+            (4, (8, 2), 3, 2),
+        ] {
+            check_conv_twins((maps, 3), k, stride, (1, oh));
         }
     }
 
@@ -1152,7 +1188,7 @@ mod tests {
         if !avx2_twins() {
             return;
         }
-        let (net, _) = conv_net(2, 3, 3, 1, (19, 6));
+        let (net, _) = conv_net(2, 3, (3, 3), 1, (19, 6));
         let input = stack_of(2, (19, 6), 9);
         let patches = [
             (conv_weight_addr(1, 0, (1, 2)), 0x8000),

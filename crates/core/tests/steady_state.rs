@@ -55,12 +55,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn lenet_like() -> Network {
+    lenet_like_with(Activation::Tanh)
+}
+
+/// [`lenet_like`] with both convolutions and the classifier activated by
+/// `activation`.
+fn lenet_like_with(activation: Activation) -> Network {
     NetworkBuilder::new("steady", 1, (24, 24))
-        .conv(ConvSpec::new(4, (5, 5)).with_activation(Activation::Tanh))
+        .conv(ConvSpec::new(4, (5, 5)).with_activation(activation))
         .pool(PoolSpec::max((2, 2)))
-        .conv(ConvSpec::new(6, (3, 3)).with_activation(Activation::Tanh))
+        .conv(ConvSpec::new(6, (3, 3)).with_activation(activation))
         .pool(PoolSpec::avg((2, 2)))
-        .fc(FcSpec::new(10))
+        .fc(FcSpec::new(10).with_activation(activation))
         .build(7)
         .expect("builds")
 }
@@ -108,6 +114,24 @@ fn warmed_infer_ref_allocates_nothing() {
         assert!(run.stats().cycles() > 0);
     });
     assert_eq!(allocs, 0, "steady-state infer_ref must not touch the heap");
+}
+
+#[test]
+fn warmed_sigmoid_infer_ref_allocates_nothing() {
+    // Every zoo net activates with tanh; the sigmoid table is shared
+    // process-wide too, so a sigmoid net's warmed run builds nothing.
+    let net = lenet_like_with(Activation::Sigmoid);
+    let prepared = prepare(&net);
+    let mut session = prepared.session();
+    let input = net.random_input(1);
+    let allocs = steady_allocs(|| {
+        let run = session.infer_ref(&input).expect("runs");
+        assert!(run.stats().cycles() > 0);
+    });
+    assert_eq!(
+        allocs, 0,
+        "a sigmoid net's warmed infer_ref must not allocate"
+    );
 }
 
 /// The two zoo networks with normalization layers (LRN, LCN).

@@ -1,6 +1,8 @@
 //! The ALU's 16-segment piecewise-linear activation interpolator (§5.2).
 
 use crate::Fx;
+use core::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Number of linear segments the ALU divides the approximation domain into.
 ///
@@ -16,10 +18,18 @@ pub const SEGMENTS: usize = 16;
 /// pairs over a uniform partition of `[lo, hi]`, with constant clamping
 /// outside the domain, evaluated with one fixed-point multiply and one add.
 ///
+/// The host evaluates that datapath from a table: [`Pla::from_fn`] runs
+/// the segment formula `aᵢ·x + bᵢ` once for every input in `[lo, hi)`,
+/// so [`Pla::eval`] is one clamped index and one load, bit-identical to
+/// the multiply and add. The ready-made tables are built once per
+/// process and shared (`Clone` is a reference-count bump). Equality and
+/// `Debug` see only the defining registers, never the table.
+///
 /// Ready-made tables are provided for the activation functions the paper
-/// names ([`Pla::tanh`], [`Pla::sigmoid`]) and arbitrary functions can be
-/// tabulated with [`Pla::from_fn`] (used by the LRN/LCN decompositions for
-/// exponentials, §8.4).
+/// names ([`Pla::tanh`], [`Pla::sigmoid`]) and the ALU's root
+/// ([`Pla::sqrt`]); arbitrary functions can be tabulated with
+/// [`Pla::from_fn`] (used by the LRN/LCN decompositions for exponentials,
+/// §8.4).
 ///
 /// # Examples
 ///
@@ -31,7 +41,7 @@ pub const SEGMENTS: usize = 16;
 /// // Outside the domain the output clamps to the asymptote.
 /// assert_eq!(sig.eval(Fx::from_f32(100.0)), sig.eval(Fx::from_f32(8.0)));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Pla {
     lo: Fx,
     hi: Fx,
@@ -39,6 +49,36 @@ pub struct Pla {
     above: Fx,
     seg_a: [Fx; SEGMENTS],
     seg_b: [Fx; SEGMENTS],
+    /// The output for every input: `below`, then one entry per input
+    /// from `lo` up to (not including) `hi`, then `above`.
+    table: Arc<[Fx]>,
+}
+
+impl PartialEq for Pla {
+    fn eq(&self, other: &Pla) -> bool {
+        // The defining registers; the table is derived from them.
+        self.lo == other.lo
+            && self.hi == other.hi
+            && self.below == other.below
+            && self.above == other.above
+            && self.seg_a == other.seg_a
+            && self.seg_b == other.seg_b
+    }
+}
+
+impl Eq for Pla {}
+
+impl fmt::Debug for Pla {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pla")
+            .field("lo", &self.lo)
+            .field("hi", &self.hi)
+            .field("below", &self.below)
+            .field("above", &self.above)
+            .field("seg_a", &self.seg_a)
+            .field("seg_b", &self.seg_b)
+            .finish()
+    }
 }
 
 impl Pla {
@@ -78,25 +118,52 @@ impl Pla {
             seg_a[i] = Fx::from_f64(a);
             seg_b[i] = Fx::from_f64(b);
         }
+        let (below, above) = (Fx::from_f64(f(lo)), Fx::from_f64(f(hi)));
+        let (lo, hi) = (Fx::from_f64(lo), Fx::from_f64(hi));
+        let (first, span) = (i32::from(lo.to_bits()), span(lo, hi));
+        let in_domain = (0..span).map(|off| {
+            let x = Fx::from_bits((first + off) as i16);
+            // The segment `x` falls into, of `span` inputs split evenly.
+            let i = (i64::from(off) * SEGMENTS as i64 / i64::from(span)) as usize;
+            seg_a[i] * x + seg_b[i]
+        });
+        let table = core::iter::once(below)
+            .chain(in_domain)
+            .chain(core::iter::once(above))
+            .collect();
         Pla {
-            lo: Fx::from_f64(lo),
-            hi: Fx::from_f64(hi),
-            below: Fx::from_f64(f(lo)),
-            above: Fx::from_f64(f(hi)),
+            lo,
+            hi,
+            below,
+            above,
             seg_a,
             seg_b,
+            table,
         }
     }
 
     /// The hyperbolic-tangent table over `[-4, 4]` (tanh is within one LSB
-    /// of ±1 outside that range).
+    /// of ±1 outside that range), shared process-wide.
     pub fn tanh() -> Pla {
-        Pla::from_fn(f64::tanh, -4.0, 4.0)
+        static TANH: OnceLock<Pla> = OnceLock::new();
+        TANH.get_or_init(|| Pla::from_fn(f64::tanh, -4.0, 4.0))
+            .clone()
     }
 
-    /// The logistic-sigmoid table over `[-8, 8]`.
+    /// The logistic-sigmoid table over `[-8, 8]`, shared process-wide.
     pub fn sigmoid() -> Pla {
-        Pla::from_fn(|x| 1.0 / (1.0 + (-x).exp()), -8.0, 8.0)
+        static SIGMOID: OnceLock<Pla> = OnceLock::new();
+        SIGMOID
+            .get_or_init(|| Pla::from_fn(|x| 1.0 / (1.0 + (-x).exp()), -8.0, 8.0))
+            .clone()
+    }
+
+    /// The ALU's square-root table over `[0, 127]` (the LCN
+    /// decomposition's root, §8.4), shared process-wide.
+    pub fn sqrt() -> Pla {
+        static SQRT: OnceLock<Pla> = OnceLock::new();
+        SQRT.get_or_init(|| Pla::from_fn(|x| x.max(0.0).sqrt(), 0.0, 127.0))
+            .clone()
     }
 
     /// The identity table (used when a layer has no activation; evaluating
@@ -105,30 +172,14 @@ impl Pla {
         Pla::from_fn(|x| x, -128.0, 127.99)
     }
 
-    /// Evaluates the approximation with the ALU datapath: one segment
-    /// lookup, one fixed-point multiply, one fixed-point add.
+    /// Evaluates the approximation the ALU datapath computes: the
+    /// clamped value outside `[lo, hi)`, else one segment lookup, one
+    /// fixed-point multiply and one fixed-point add (here read from the
+    /// table those built).
+    #[inline]
     pub fn eval(&self, x: Fx) -> Fx {
-        if x < self.lo {
-            return self.below;
-        }
-        if x >= self.hi {
-            return self.above;
-        }
-        let i = self.segment_index(x);
-        self.seg_a[i] * x + self.seg_b[i]
-    }
-
-    /// The segment index an input falls into.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` lies outside `[lo, hi)`; [`Pla::eval`] clamps before
-    /// indexing.
-    fn segment_index(&self, x: Fx) -> usize {
-        let span = (self.hi.to_bits() as i32) - (self.lo.to_bits() as i32);
-        let off = (x.to_bits() as i32) - (self.lo.to_bits() as i32);
-        assert!((0..span).contains(&off), "input outside PLA domain");
-        ((off as i64 * SEGMENTS as i64) / span as i64) as usize
+        let off = i32::from(x.to_bits()) - i32::from(self.lo.to_bits());
+        self.table[(off.clamp(-1, span(self.lo, self.hi)) + 1) as usize]
     }
 
     /// The approximation domain `[lo, hi]`.
@@ -140,6 +191,12 @@ impl Pla {
     pub fn coefficients(&self) -> impl Iterator<Item = (Fx, Fx)> + '_ {
         self.seg_a.iter().copied().zip(self.seg_b.iter().copied())
     }
+}
+
+/// The number of inputs in `[lo, hi)`.
+#[inline]
+fn span(lo: Fx, hi: Fx) -> i32 {
+    i32::from(hi.to_bits()) - i32::from(lo.to_bits())
 }
 
 #[cfg(test)]
@@ -221,6 +278,88 @@ mod tests {
     #[should_panic(expected = "domain must be non-empty")]
     fn empty_domain_panics() {
         let _ = Pla::from_fn(|x| x, 1.0, 1.0);
+    }
+
+    /// The segment formula the ALU datapath computes (§5.2): the clamped
+    /// value outside `[lo, hi)`, else `aᵢ·x + bᵢ` for the segment `x`
+    /// falls into, one fixed-point multiply and one add. The oracle for
+    /// the table.
+    fn formula(pla: &Pla, x: Fx) -> Fx {
+        let (lo, hi) = pla.domain();
+        if x < lo {
+            return pla.below;
+        }
+        if x >= hi {
+            return pla.above;
+        }
+        let span = i64::from(hi.to_bits()) - i64::from(lo.to_bits());
+        let off = i64::from(x.to_bits()) - i64::from(lo.to_bits());
+        let (a, b) = pla
+            .coefficients()
+            .nth((off * SEGMENTS as i64 / span) as usize)
+            .expect("sixteen segments");
+        a * x + b
+    }
+
+    /// FNV-1a of `text`.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn table_equals_the_segment_formula_on_every_input() {
+        // The activation tables, the ALU root, the identity and the
+        // steep tanh `shidiannao_quant::sign_pla` tabulates, each with
+        // the FNV-1a of its `Debug` text as the segment-formula PLA
+        // printed it: the registers (and so `coefficients()`) and the
+        // text the harness fingerprints are unchanged.
+        let cases = [
+            ("tanh", Pla::tanh(), 0x61b2_3a12_ed41_acc1),
+            ("sigmoid", Pla::sigmoid(), 0x8c97_3db4_e88c_bcec),
+            ("sqrt", Pla::sqrt(), 0xf238_26bd_5553_4586),
+            ("identity", Pla::identity(), 0x87d2_aede_9e44_f4bf),
+            (
+                "sign",
+                Pla::from_fn(|x| (64.0 * x).tanh(), -1.0, 1.0),
+                0xa750_d547_733e_e01f,
+            ),
+        ];
+        for (name, pla, debug_fnv) in cases {
+            assert_eq!(fnv1a(&format!("{pla:?}")), debug_fnv, "{name}");
+            let (lo, hi) = pla.domain();
+            for bits in i16::MIN..=i16::MAX {
+                let x = Fx::from_bits(bits);
+                assert_eq!(pla.eval(x), formula(&pla, x), "{name}({bits})");
+                if x < lo {
+                    assert_eq!(pla.eval(x), pla.below, "{name}({bits})");
+                } else if x >= hi {
+                    assert_eq!(pla.eval(x), pla.above, "{name}({bits})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ready_made_tables_are_built_once() {
+        assert!(Arc::ptr_eq(&Pla::tanh().table, &Pla::tanh().table));
+        assert!(Arc::ptr_eq(&Pla::sigmoid().table, &Pla::sigmoid().table));
+        assert!(Arc::ptr_eq(&Pla::sqrt().table, &Pla::sqrt().table));
+        // Equality sees the registers, not where the table lives.
+        assert_eq!(Pla::tanh(), Pla::from_fn(f64::tanh, -4.0, 4.0));
+        assert_ne!(Pla::tanh(), Pla::sigmoid());
+    }
+
+    #[test]
+    fn a_domain_narrower_than_one_lsb_clamps_everything() {
+        // `lo` and `hi` quantize to the same value: no input is in range.
+        let pla = Pla::from_fn(|x| x + 1.0, 0.0, 0.001);
+        assert_eq!(pla.domain().0, pla.domain().1);
+        for bits in [i16::MIN, -1, 0, 1, i16::MAX] {
+            let want = if bits < 0 { pla.below } else { pla.above };
+            assert_eq!(pla.eval(Fx::from_bits(bits)), want, "{bits}");
+        }
     }
 
     #[test]

@@ -444,11 +444,12 @@ pub(crate) fn execute_one(spec: &TenantSpec, job: &mut Job<'_>) -> Result<Exec, 
     Ok(exec)
 }
 
-/// Executes a dispatched batch on up to `threads` OS threads, handing
-/// each job back with its result, in batch order. Work distribution uses
-/// an atomic index (the same shape as the vendored rayon shim), and
-/// because each execution is a pure function of `(spec, seq, salt)`,
-/// assignment of jobs to threads cannot affect any result.
+/// Executes a dispatched batch on up to `threads` OS threads, the calling
+/// thread included, handing each job back with its result, in batch
+/// order. Work distribution uses an atomic index (the same shape as the
+/// vendored rayon shim), and because each execution is a pure function
+/// of `(spec, seq, salt)`, assignment of jobs to threads cannot affect
+/// any result.
 pub(crate) fn run_batch<'p>(
     specs: &[TenantSpec],
     batch: Vec<Job<'p>>,
@@ -466,18 +467,18 @@ pub(crate) fn run_batch<'p>(
     }
     let slots: Vec<_> = batch.into_iter().map(|j| Mutex::new((j, None))).collect();
     let next = AtomicUsize::new(0);
+    let drain = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        let mut slot = slot.lock().expect("job slot poisoned");
+        let (job, result) = &mut *slot;
+        *result = Some(execute_one(&specs[job.request.tenant], job));
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut slot = slots[i].lock().expect("job slot poisoned");
-                let (job, result) = &mut *slot;
-                *result = Some(execute_one(&specs[job.request.tenant], job));
-            });
+        for _ in 1..threads.min(n) {
+            scope.spawn(drain);
         }
+        drain();
     });
     slots
         .into_iter()
