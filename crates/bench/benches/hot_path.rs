@@ -520,6 +520,39 @@ fn bench_frame_diff(c: &mut Criterion) {
     g.finish();
 }
 
+/// One earliest-deadline pick from a tenant queue held at depth `d`:
+/// pop the head, then admit a request with a fresh deadline so the depth
+/// stays put. The queue is keyed by `(deadline, seq)`, so the cost per
+/// pick grows with `log d`, not with `d` as a linear scan's would.
+fn bench_queue_pick(c: &mut Criterion) {
+    use shidiannao_serve::{BoundedQueue, Request};
+
+    let request = |seq: u64| Request {
+        tenant: 0,
+        seq,
+        arrival: 0,
+        deadline: seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44,
+    };
+    let mut g = c.benchmark_group("queue");
+    g.sample_size(10_000);
+    for depth in [16u64, 256, 4096] {
+        let mut queue = BoundedQueue::new(depth as usize);
+        for seq in 0..depth {
+            queue.admit(request(seq)).expect("below capacity");
+        }
+        let mut seq = depth;
+        g.bench_function(format!("pick_depth_{depth}"), |b| {
+            b.iter(|| {
+                let picked = queue.pop_earliest_deadline().expect("never empty");
+                queue.admit(request(seq)).expect("one slot free");
+                seq += 1;
+                black_box(picked)
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Cross-frame NBin residency: a warm `infer_delta_ref` repeat of an
 /// unchanged input (hash-compare every row, stream none) against the
 /// plain cold-load `infer_ref` (stream every row). The gap is what the
@@ -612,6 +645,7 @@ criterion_group!(
     bench_xnor_kernels,
     bench_front_vs_full,
     bench_frame_diff,
+    bench_queue_pick,
     bench_delta_load,
     bench_video_replay
 );

@@ -298,23 +298,26 @@ impl Accelerator {
             schedule: Arc::new(NetworkSchedule::empty()),
             opt_report: crate::opt::OptReport::default(),
             shareable_prefix: 0,
+            clean_stats: RunStats::new(),
         };
         // Record the precompiled micro-op schedule: one instrumented run
         // with a recorder attached to the fault-filter hook points. The
         // control path is static (nothing depends on input data), so one
         // pass on an arbitrary well-shaped input captures every run's
-        // control stream exactly.
-        let schedule = {
+        // control stream exactly, and its statistics are every clean
+        // run's.
+        let (schedule, clean_stats) = {
             let input = prepared.network.random_input(0);
             let mut session = prepared.session();
             session.recorder = Some(Box::new(ScheduleRecorder::new()));
             session.execute(0, &input, None)?;
-            session
+            let recorder = session
                 .recorder
                 .take()
-                .expect("the recording run does not detach the recorder")
-                .into_schedule()
+                .expect("the recording run does not detach the recorder");
+            (recorder.into_schedule(), session.stats)
         };
+        prepared.clean_stats = clean_stats;
         // Price the optimizer's passes over the recording once; sessions
         // always replay the recording itself.
         prepared.opt_report = crate::opt::optimize(
@@ -409,6 +412,8 @@ pub struct PreparedNetwork {
     /// Leading layers a strip evaluation can stand in for
     /// ([`PreparedNetwork::shareable_prefix`]).
     shareable_prefix: usize,
+    /// The recording run's statistics ([`PreparedNetwork::clean_stats`]).
+    clean_stats: RunStats,
 }
 
 /// The structural half of the shared strip prefix (DESIGN.md §3l): the
@@ -476,6 +481,14 @@ impl PreparedNetwork {
     /// over the recorded schedule at prepare time.
     pub fn optimizer_report(&self) -> &crate::opt::OptReport {
         &self.opt_report
+    }
+
+    /// The statistics of every clean inference of this network, from
+    /// the recording run `prepare` made: cycles, SRAM traffic and PE
+    /// activity depend only on the topology, never on the input. Charge
+    /// them with [`EnergyModel::charge_run`] for the energy.
+    pub fn clean_stats(&self) -> &RunStats {
+        &self.clean_stats
     }
 
     /// How many leading layers a strip evaluation

@@ -52,6 +52,7 @@
 pub mod area;
 pub mod compiler;
 pub mod energy;
+pub mod fanout;
 pub mod isa;
 pub mod trace;
 

@@ -155,3 +155,21 @@ fn sessions_from_one_prepared_network_are_independent() {
     assert_eq!(a1.output_flat(), net.forward_fixed(&a_input).output());
     assert_eq!(b1.output_flat(), net.forward_fixed(&b_input).output());
 }
+
+#[test]
+fn clean_stats_equal_a_clean_inference_for_every_zoo_network() {
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    for builder in zoo::all().into_iter().chain(zoo::extended::all()) {
+        let net = builder.build(SEED).expect("zoo topologies are valid");
+        let prepared = accel.prepare(&net).expect("fits the paper config");
+        // An input other than the recording run's: clean statistics do
+        // not depend on it.
+        let run = prepared
+            .session()
+            .infer(&net.random_input(INPUT_SEED))
+            .expect("same input shape");
+        assert_eq!(prepared.clean_stats(), run.stats(), "{}", net.name());
+        let energy = prepared.energy_model().charge_run(prepared.clean_stats());
+        assert_eq!(&energy, run.energy(), "{}", net.name());
+    }
+}

@@ -48,19 +48,24 @@
 //! which is how the one-shard service runs.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::fmt;
 
-use shidiannao_core::{Accelerator, AcceleratorConfig, PreparedNetwork, Session};
-use shidiannao_faults::{
-    DegradeOutcome, FaultPlan, ShardEpisodeKind, ShardFaultConfig, ShardFaultPlan,
+use shidiannao_core::{
+    fanout, Accelerator, AcceleratorConfig, ConfigError, PreparedNetwork, RunError, Session,
 };
+use shidiannao_faults::{
+    DegradeOutcome, FaultConfig, FaultPlan, FaultStats, ShardEpisodeKind, ShardFaultConfig,
+    ShardFaultPlan,
+};
+use shidiannao_sensor::StreamError;
 
 use crate::health::{backoff, HealthConfig, ShardHealth, ShardState};
 use crate::loadgen::{TenantGen, TenantSpec, Traffic};
 use crate::queue::{BoundedQueue, Request};
 use crate::scheduler::FairScheduler;
-use crate::service::{Job, ServeError};
 use crate::splitmix64;
-use crate::stats::{HistogramSummary, RequestSample, TenantStats};
+use crate::stats::{hash_output, HistogramSummary, RequestSample, TenantStats};
 
 /// Domain separator for the rendezvous routing hash.
 const ROUTE_DOMAIN: u64 = 0x524F_5554; // "ROUT"
@@ -71,6 +76,127 @@ const CRASH_SCAN_EPOCHS: u64 = 4_096;
 
 /// Cap on the human-readable event log retained in a report.
 const MAX_EVENTS: usize = 64;
+
+/// A failure configuring or running the service.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ServeError {
+    /// No tenants were configured.
+    NoTenants,
+    /// `virtual_workers` was zero.
+    NoWorkers,
+    /// A shard's accelerator configuration failed
+    /// [`AcceleratorConfig::validate`].
+    ShardConfig {
+        /// Offending shard.
+        shard: String,
+        /// What validation rejected.
+        error: ConfigError,
+    },
+    /// A tenant specification failed validation.
+    Spec {
+        /// Offending tenant.
+        tenant: String,
+        /// What was wrong.
+        reason: String,
+    },
+    /// Preparing a tenant's network for the accelerator failed.
+    Prepare {
+        /// Offending tenant.
+        tenant: String,
+        /// Underlying accelerator error.
+        error: RunError,
+    },
+    /// A request failed with an error other than a detected fault
+    /// (detected faults are handled by retry/degrade, never surfaced).
+    Execute {
+        /// Offending tenant.
+        tenant: String,
+        /// Underlying accelerator error.
+        error: RunError,
+    },
+    /// Building a streaming input failed.
+    Input {
+        /// Offending tenant.
+        tenant: String,
+        /// Underlying sensor error.
+        error: StreamError,
+    },
+    /// No healthy shard in the cluster could accept a request (all
+    /// shards down, draining, or full).
+    ShardUnavailable {
+        /// Tenant whose request could not be placed.
+        tenant: String,
+    },
+    /// A request exhausted its failover retry budget before any shard
+    /// served it.
+    RetryBudgetExhausted {
+        /// Owning tenant.
+        tenant: String,
+        /// Per-tenant request sequence number.
+        seq: u64,
+        /// The budget that was exhausted (failover rounds).
+        budget: u32,
+    },
+    /// A draining shard failed to empty its queues before the drain
+    /// deadline; the remaining requests were forcibly migrated.
+    DrainTimeout {
+        /// The shard that timed out.
+        shard: String,
+        /// Requests still queued at the deadline (all migrated).
+        pending: usize,
+    },
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::NoTenants => write!(f, "service has no tenants"),
+            ServeError::NoWorkers => write!(f, "virtual worker pool must be non-empty"),
+            ServeError::ShardConfig { shard, error } => write!(f, "shard {shard}: {error}"),
+            ServeError::Spec { tenant, reason } => {
+                write!(f, "tenant {tenant}: invalid spec: {reason}")
+            }
+            ServeError::Prepare { tenant, error } => {
+                write!(f, "tenant {tenant}: prepare failed: {error}")
+            }
+            ServeError::Execute { tenant, error } => {
+                write!(f, "tenant {tenant}: execution failed: {error}")
+            }
+            ServeError::Input { tenant, error } => {
+                write!(f, "tenant {tenant}: input failed: {error}")
+            }
+            ServeError::ShardUnavailable { tenant } => {
+                write!(f, "tenant {tenant}: no healthy shard available")
+            }
+            ServeError::RetryBudgetExhausted {
+                tenant,
+                seq,
+                budget,
+            } => {
+                write!(
+                    f,
+                    "tenant {tenant}: request {seq} exhausted its retry budget of {budget} failovers"
+                )
+            }
+            ServeError::DrainTimeout { shard, pending } => {
+                write!(
+                    f,
+                    "shard {shard}: drain deadline expired with {pending} requests queued"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+/// Stable salt for request attempt `attempt` of request `seq` of tenant
+/// `tenant` — the contract that lets an auditor replay any scheduled
+/// execution with a direct `PreparedNetwork::session_with_faults` +
+/// `Session::infer` and get bit-identical output.
+pub fn request_salt(tenant: usize, seq: u64, attempt: u32) -> u64 {
+    splitmix64(((tenant as u64) << 48) ^ (seq << 8) ^ u64::from(attempt))
+}
 
 /// One accelerator shard in the cluster.
 #[derive(Clone, Debug)]
@@ -123,8 +249,10 @@ pub struct ClusterConfig {
     /// The shards, in index order (index = identity for fault plans,
     /// routing tie-breaks, and reports).
     pub shards: Vec<ShardSpec>,
-    /// OS threads executing dispatched batches; `0` = machine width.
-    /// Never changes the report.
+    /// OS threads executing dispatched batches; `0` follows the frame
+    /// pipelines' rule ([`shidiannao_core::fanout::workers`]):
+    /// `RAYON_NUM_THREADS` when it is a positive integer, else the
+    /// machine width. Never changes the report.
     pub physical_threads: usize,
     /// Permutes the dispatch scan order over shards (`0` = index
     /// order). Shards are independent at dispatch, so the report is
@@ -436,6 +564,108 @@ impl Lifecycle {
     }
 }
 
+/// One dispatch: a leader request plus the follower lanes that ride
+/// along, the context the event loop needs to fold the result back
+/// (shard, worker, failover round, slow-episode rate, fault environment),
+/// and the warm session it runs on. Phase 3 of the event loop runs each
+/// job in its own fan-out slot beside its result, so the session returns
+/// to its pool.
+///
+/// The cluster event loop dispatches jobs per shard — under the shard's
+/// *effective* fault environment (a burst episode overrides the
+/// tenant's) and with a failover-round salt base so re-executions draw
+/// fresh fault patterns.
+struct Job<'p> {
+    shard: usize,
+    worker: usize,
+    request: Request,
+    /// Batched follower lanes, in lane order; only formed under a zero
+    /// fault environment.
+    followers: Vec<Request>,
+    /// Cycles left before the leader's deadline at dispatch.
+    slack: u64,
+    /// Fault environment of this execution (before per-attempt salting).
+    faults: FaultConfig,
+    /// Slow-episode cycle multiplier in sixteenths (16 = clean rate).
+    factor_x16: u32,
+    /// Failover round the leader is on (0 = never failed over).
+    round: u32,
+    session: Session<'p>,
+}
+
+impl Job<'_> {
+    /// The first salted-attempt index: each failover round owns a
+    /// disjoint attempt range so a re-execution never replays the fault
+    /// pattern that already failed it. Saturates rather than wrapping,
+    /// so a huge `max_retries` can never fold a later round back onto
+    /// round 0's salts.
+    fn attempt_base(&self, spec: &TenantSpec) -> u32 {
+        self.round
+            .saturating_mul(spec.max_retries.saturating_add(1))
+    }
+}
+
+/// The execution result folded back into the event loop.
+struct Exec {
+    outcome: DegradeOutcome,
+    /// Worker cycles consumed by the leader, including aborted attempts.
+    /// Follower lanes are charged separately at their marginal cost.
+    cycles: u64,
+    /// Absolute index of the final attempt (`attempt_base` = no retries).
+    retries: u32,
+    output_hash: u64,
+    fault: FaultStats,
+    /// Output hashes of batched follower lanes, in lane order (empty for
+    /// unbatched jobs).
+    follower_hashes: Vec<u64>,
+}
+
+/// Executes one job: the leader runs to resolution through the core's
+/// salted-retry loop under the job's fault environment, bounded by the
+/// retry budget and the deadline slack; then each follower lane replays
+/// on the same session. Followers only form under a zero fault
+/// environment, so the leader completes on its first attempt and every
+/// lane is bit-identical to a direct clean `Session::infer` of its
+/// input — which is exactly what the retained samples certify.
+fn execute_one(spec: &TenantSpec, job: &mut Job<'_>) -> Result<Exec, ServeError> {
+    let input_error = |error| ServeError::Input {
+        tenant: spec.name.clone(),
+        error,
+    };
+    let execute_error = |error| ServeError::Execute {
+        tenant: spec.name.clone(),
+        error,
+    };
+    let Request { tenant, seq, .. } = job.request;
+    let input = spec.build_input(seq).map_err(input_error)?;
+    let base = job.attempt_base(spec);
+    let plan = FaultPlan::new(job.faults);
+    let retried = job
+        .session
+        .infer_retrying(
+            &input,
+            base..=base.saturating_add(spec.max_retries),
+            |attempt| plan.with_salt(request_salt(tenant, seq, attempt)),
+            job.slack,
+        )
+        .map_err(execute_error)?;
+    let mut exec = Exec {
+        outcome: retried.outcome,
+        cycles: retried.cycles,
+        retries: retried.last_attempt,
+        output_hash: retried.run.map_or(0, |run| hash_output(run.output())),
+        fault: retried.fault_stats,
+        follower_hashes: Vec::with_capacity(job.followers.len()),
+    };
+    debug_assert!(job.followers.is_empty() || plan.is_zero());
+    for follower in &job.followers {
+        let input = spec.build_input(follower.seq).map_err(input_error)?;
+        let run = job.session.infer_ref(&input).map_err(execute_error)?;
+        exec.follower_hashes.push(hash_output(run.output()));
+    }
+    Ok(exec)
+}
+
 /// The sharded, fault-tolerant inference cluster. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Cluster {
@@ -513,51 +743,36 @@ impl Cluster {
     /// Returns a [`ServeError`] when a network cannot be prepared on a
     /// shard or a request fails with a non-fault accelerator error.
     pub fn run(&self) -> Result<ClusterReport, ServeError> {
-        // Prepare every tenant network on every shard and calibrate the
-        // shard-specific clean/marginal costs (heterogeneous PE grids
-        // execute the same network in different cycle counts).
-        let mut prepared: Vec<Vec<PreparedNetwork>> = Vec::with_capacity(self.config.shards.len());
-        let mut calibration: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
-        for shard in &self.config.shards {
-            let accel = shard.accelerator()?;
-            let mut preps = Vec::with_capacity(self.tenants.len());
-            let mut clean_cycles = Vec::with_capacity(self.tenants.len());
-            let mut marginal_cycles = Vec::with_capacity(self.tenants.len());
-            for spec in &self.tenants {
-                let prep = accel
-                    .prepare(&spec.network)
-                    .map_err(|error| ServeError::Prepare {
-                        tenant: spec.name.clone(),
-                        error,
-                    })?;
-                let mut session = prep.session();
-                let inference = session
-                    .infer(&spec.network.random_input(0))
-                    .map_err(|error| ServeError::Execute {
-                        tenant: spec.name.clone(),
-                        error,
-                    })?;
-                let clean = inference.stats().cycles();
-                let load = inference.stats().layers().first().map_or(0, |l| l.cycles);
-                clean_cycles.push(clean);
-                marginal_cycles.push(clean - load);
-                preps.push(prep);
-            }
-            prepared.push(preps);
-            calibration.push((clean_cycles, marginal_cycles));
-        }
-        self.event_loop(&prepared, &calibration)
+        // Prepare every tenant network on every shard; each prepared
+        // network carries its shard-specific clean costs (heterogeneous
+        // PE grids execute the same network in different cycle counts).
+        let prepared = self
+            .config
+            .shards
+            .iter()
+            .map(|shard| {
+                let accel = shard.accelerator()?;
+                self.tenants
+                    .iter()
+                    .map(|spec| {
+                        accel
+                            .prepare(&spec.network)
+                            .map_err(|error| ServeError::Prepare {
+                                tenant: spec.name.clone(),
+                                error,
+                            })
+                    })
+                    .collect()
+            })
+            .collect::<Result<Vec<Vec<_>>, _>>()?;
+        self.event_loop(&prepared)
     }
 
     /// The cluster-wide discrete-event loop. One virtual clock, phases
     /// per iteration: health transitions → failover retries → arrivals
     /// → per-shard dispatch → canonical-order fold → clock advance.
     #[allow(clippy::too_many_lines)]
-    fn event_loop(
-        &self,
-        prepared: &[Vec<PreparedNetwork>],
-        calibration: &[(Vec<u64>, Vec<u64>)],
-    ) -> Result<ClusterReport, ServeError> {
+    fn event_loop(&self, prepared: &[Vec<PreparedNetwork>]) -> Result<ClusterReport, ServeError> {
         let n = self.tenants.len();
         let n_shards = self.config.shards.len();
         let weights: Vec<u32> = self.tenants.iter().map(|t| t.weight).collect();
@@ -572,7 +787,16 @@ impl Cluster {
 
         let mut shards: Vec<ShardRuntime<'_>> = (0..n_shards)
             .map(|s| {
-                let (clean, marginal) = calibration[s].clone();
+                // Clean cycles, and the marginal cost of a follower lane:
+                // clean minus the Load phase.
+                let (clean, marginal): (Vec<u64>, _) = prepared[s]
+                    .iter()
+                    .map(|prep| {
+                        let stats = prep.clean_stats();
+                        let load = stats.layers().first().map_or(0, |l| l.cycles);
+                        (stats.cycles(), stats.cycles() - load)
+                    })
+                    .unzip();
                 ShardRuntime {
                     queues: self
                         .tenants
@@ -611,11 +835,7 @@ impl Cluster {
         let mut shard_unavailable: u64 = 0;
         let mut slow_dispatches: u64 = 0;
         let mut burst_dispatches: u64 = 0;
-        let threads = if self.config.physical_threads != 0 {
-            self.config.physical_threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        };
+        let threads = fanout::workers(self.config.physical_threads);
 
         let permkey = |t: usize| {
             if self.config.admission_salt == 0 {
@@ -932,9 +1152,20 @@ impl Cluster {
             // canonical (shard, worker) order so the salted scan order
             // above can never leak into any counter, sample, or the
             // closed-loop generators.
-            let mut results = crate::service::run_batch(&self.tenants, batch, threads);
-            results.sort_by_key(|(job, _)| (job.shard, job.worker));
-            for (job, result) in results {
+            let mut slots: Vec<_> = batch.into_iter().map(|job| (job, None)).collect();
+            let Ok(_) = fanout::run(
+                &mut slots,
+                1,
+                threads,
+                || (),
+                |(), _, (job, result)| {
+                    *result = Some(execute_one(&self.tenants[job.request.tenant], job));
+                    Ok::<_, Infallible>(())
+                },
+            );
+            slots.sort_by_key(|(job, _)| (job.shard, job.worker));
+            for (job, result) in slots {
+                let result = result.expect("the fan-out runs every job");
                 let (s, w, t) = (job.shard, job.worker, job.request.tenant);
                 let attempt_base = job.attempt_base(&self.tenants[t]);
                 shards[s].pools[t].push(job.session);
@@ -1452,7 +1683,7 @@ mod tests {
             for sample in &t.stats.samples {
                 let accel = Accelerator::new(config.shards[sample.shard].accel.clone());
                 let prep = accel.prepare(&spec.network).expect("prepare");
-                let plan = FaultPlan::new(sample.faults).with_salt(crate::service::request_salt(
+                let plan = FaultPlan::new(sample.faults).with_salt(request_salt(
                     tenant,
                     sample.seq,
                     sample.attempt,

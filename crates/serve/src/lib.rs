@@ -42,10 +42,13 @@
 //! Determinism is the load-bearing property. The virtual clock advances
 //! by *modelled* cycles (which depend only on network topology), never by
 //! wall time; physical threads only parallelise the pure
-//! input→output inference function between two scheduling decisions, so
+//! input→output inference function between two scheduling decisions
+//! (through the core's one host fan-out, `shidiannao_core::fanout`), so
 //! `physical_threads` can be anything from 1 to the machine width without
 //! perturbing a single counter in a [`ServiceReport`] or
-//! [`ClusterReport`].
+//! [`ClusterReport`]. `physical_threads: 0` follows the frame pipelines'
+//! rule: `RAYON_NUM_THREADS` when it is a positive integer, else the
+//! machine width.
 //!
 //! # Examples
 //!
@@ -80,15 +83,14 @@ mod service;
 mod stats;
 
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterReport, ClusterTenantReport, ShardReport, ShardSpec,
+    request_salt, Cluster, ClusterConfig, ClusterReport, ClusterTenantReport, ServeError,
+    ShardReport, ShardSpec,
 };
 pub use health::{HealthConfig, ShardState};
 pub use loadgen::{binarize_pixel, InputSource, TenantSpec, Traffic};
 pub use queue::{BoundedQueue, QueueFull, Request};
 pub use scheduler::FairScheduler;
-pub use service::{
-    request_salt, InferenceService, ServeConfig, ServeError, ServiceReport, TenantReport,
-};
+pub use service::{InferenceService, ServeConfig, ServiceReport, TenantReport};
 pub use stats::{hash_output, FixedHistogram, HistogramSummary, RequestSample, TenantStats};
 
 // Re-export the pieces of the fault vocabulary the service surfaces.

@@ -7,7 +7,7 @@
 //! the service turns into an SLO counter — there is no silent drop and
 //! no unbounded growth anywhere on the admission path.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One admitted inference request, queued until a worker picks it.
@@ -38,11 +38,17 @@ impl fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// A fixed-capacity FIFO-admission queue drained in EDF order.
+/// A fixed-capacity queue drained in EDF order.
+///
+/// Requests are keyed by `(deadline, seq, admission)`, so the
+/// earliest-deadline pick is the map's first entry, O(log depth). The
+/// admission counter only separates requests that repeat a
+/// `(deadline, seq)` pair, which then leave in admission order.
 #[derive(Clone, Debug)]
 pub struct BoundedQueue {
     capacity: usize,
-    items: VecDeque<Request>,
+    items: BTreeMap<(u64, u64, u64), Request>,
+    admitted: u64,
 }
 
 impl BoundedQueue {
@@ -52,7 +58,8 @@ impl BoundedQueue {
     pub fn new(capacity: usize) -> BoundedQueue {
         BoundedQueue {
             capacity,
-            items: VecDeque::new(),
+            items: BTreeMap::new(),
+            admitted: 0,
         }
     }
 
@@ -79,20 +86,16 @@ impl BoundedQueue {
                 capacity: self.capacity,
             });
         }
-        self.items.push_back(request);
+        self.items
+            .insert((request.deadline, request.seq, self.admitted), request);
+        self.admitted += 1;
         Ok(self.items.len())
     }
 
     /// Removes and returns the earliest-deadline request (ties broken by
     /// sequence number, so the order is total and deterministic).
     pub fn pop_earliest_deadline(&mut self) -> Option<Request> {
-        let best = self
-            .items
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| (r.deadline, r.seq))
-            .map(|(i, _)| i)?;
-        self.items.remove(best)
+        self.items.pop_first().map(|(_, r)| r)
     }
 }
 
@@ -128,6 +131,42 @@ mod tests {
             .map(|r| r.seq)
             .collect();
         assert_eq!(order, vec![1, 2, 3, 0]);
+    }
+
+    proptest::proptest! {
+        /// Over random admit/pop sequences, the keyed queue admits,
+        /// rejects and pops exactly as the linear earliest-deadline scan
+        /// over an admission-order list does. Small deadline and `seq`
+        /// ranges make ties, and repeated `(deadline, seq)` pairs, common.
+        #[test]
+        fn pops_in_the_linear_scan_order(
+            capacity in 1usize..6,
+            ops in proptest::collection::vec((0u8..3, 0u64..6, 0u64..4), 0..64),
+        ) {
+            let mut queue = BoundedQueue::new(capacity);
+            let mut scan: std::collections::VecDeque<Request> = Default::default();
+            for (i, (op, deadline, seq)) in ops.into_iter().enumerate() {
+                if op == 0 {
+                    let popped = scan
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, r)| (r.deadline, r.seq))
+                        .map(|(k, _)| k)
+                        .and_then(|k| scan.remove(k));
+                    proptest::prop_assert_eq!(queue.pop_earliest_deadline(), popped);
+                } else {
+                    let r = Request { arrival: i as u64, ..req(seq, deadline) };
+                    let model = if scan.len() < capacity {
+                        scan.push_back(r);
+                        Ok(scan.len())
+                    } else {
+                        Err(QueueFull { capacity })
+                    };
+                    proptest::prop_assert_eq!(queue.admit(r), model);
+                }
+                proptest::prop_assert_eq!(queue.len(), scan.len());
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! The multi-tenant inference service — a one-shard [`Cluster`] with no
-//! shard faults behind the service-shaped config and report — and the
-//! request executor every dispatch runs through: salted retries, batched
-//! follower lanes, and deterministic parallel batch execution.
+//! The multi-tenant inference service: the paper's one accelerator as a
+//! one-shard [`Cluster`] with no shard faults, behind a service-shaped
+//! config ([`ServeConfig`]) and report ([`ServiceReport`]).
 //!
 //! # Determinism model
 //!
@@ -13,27 +12,20 @@
 //! seeded splitmix64.
 //!
 //! Physical parallelism never touches that decision sequence: the event
-//! loop picks a *batch* of requests (one per free virtual worker at the
-//! current virtual time), [`run_batch`] executes the batch's pure
+//! loop picks a *batch* of jobs (one per free virtual worker at the
+//! current virtual time), the host's one fan-out
+//! ([`shidiannao_core::fanout::run`]) executes the batch's pure
 //! inference functions on however many OS threads are configured, and
 //! the loop folds the results back in a canonical order. Running with 1
 //! thread or 16 produces the same [`ServiceReport`], byte for byte —
 //! which is what lets the benchmark harness gate on report equality
 //! across worker counts.
 
-use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use shidiannao_core::AcceleratorConfig;
 
-use shidiannao_core::{AcceleratorConfig, ConfigError, RunError, Session};
-use shidiannao_faults::{DegradeOutcome, FaultConfig, FaultPlan, FaultStats};
-use shidiannao_sensor::StreamError;
-
-use crate::cluster::{Cluster, ClusterConfig, ClusterReport, ShardSpec};
+use crate::cluster::{Cluster, ClusterConfig, ClusterReport, ServeError, ShardSpec};
 use crate::loadgen::TenantSpec;
-use crate::queue::Request;
-use crate::splitmix64;
-use crate::stats::{hash_output, HistogramSummary, TenantStats};
+use crate::stats::{HistogramSummary, TenantStats};
 
 /// Service-level configuration.
 #[derive(Clone, Debug)]
@@ -43,7 +35,9 @@ pub struct ServeConfig {
     /// Modelled worker pool size — a *scenario* parameter that shapes
     /// the schedule (more virtual workers = more concurrent service).
     pub virtual_workers: usize,
-    /// OS threads used to execute a dispatched batch; `0` means the
+    /// OS threads used to execute a dispatched batch; `0` follows the
+    /// frame pipelines' rule ([`shidiannao_core::fanout::workers`]):
+    /// `RAYON_NUM_THREADS` when it is a positive integer, else the
     /// machine's available parallelism. Changing this never changes the
     /// report — it only changes wall-clock speed.
     pub physical_threads: usize,
@@ -79,127 +73,6 @@ impl Default for ServeConfig {
             max_batch: 1,
         }
     }
-}
-
-/// A failure configuring or running the service.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ServeError {
-    /// No tenants were configured.
-    NoTenants,
-    /// `virtual_workers` was zero.
-    NoWorkers,
-    /// A shard's accelerator configuration failed
-    /// [`AcceleratorConfig::validate`].
-    ShardConfig {
-        /// Offending shard.
-        shard: String,
-        /// What validation rejected.
-        error: ConfigError,
-    },
-    /// A tenant specification failed validation.
-    Spec {
-        /// Offending tenant.
-        tenant: String,
-        /// What was wrong.
-        reason: String,
-    },
-    /// Preparing a tenant's network for the accelerator failed.
-    Prepare {
-        /// Offending tenant.
-        tenant: String,
-        /// Underlying accelerator error.
-        error: RunError,
-    },
-    /// A request failed with an error other than a detected fault
-    /// (detected faults are handled by retry/degrade, never surfaced).
-    Execute {
-        /// Offending tenant.
-        tenant: String,
-        /// Underlying accelerator error.
-        error: RunError,
-    },
-    /// Building a streaming input failed.
-    Input {
-        /// Offending tenant.
-        tenant: String,
-        /// Underlying sensor error.
-        error: StreamError,
-    },
-    /// No healthy shard in the cluster could accept a request (all
-    /// shards down, draining, or full).
-    ShardUnavailable {
-        /// Tenant whose request could not be placed.
-        tenant: String,
-    },
-    /// A request exhausted its failover retry budget before any shard
-    /// served it.
-    RetryBudgetExhausted {
-        /// Owning tenant.
-        tenant: String,
-        /// Per-tenant request sequence number.
-        seq: u64,
-        /// The budget that was exhausted (failover rounds).
-        budget: u32,
-    },
-    /// A draining shard failed to empty its queues before the drain
-    /// deadline; the remaining requests were forcibly migrated.
-    DrainTimeout {
-        /// The shard that timed out.
-        shard: String,
-        /// Requests still queued at the deadline (all migrated).
-        pending: usize,
-    },
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::NoTenants => write!(f, "service has no tenants"),
-            ServeError::NoWorkers => write!(f, "virtual worker pool must be non-empty"),
-            ServeError::ShardConfig { shard, error } => write!(f, "shard {shard}: {error}"),
-            ServeError::Spec { tenant, reason } => {
-                write!(f, "tenant {tenant}: invalid spec: {reason}")
-            }
-            ServeError::Prepare { tenant, error } => {
-                write!(f, "tenant {tenant}: prepare failed: {error}")
-            }
-            ServeError::Execute { tenant, error } => {
-                write!(f, "tenant {tenant}: execution failed: {error}")
-            }
-            ServeError::Input { tenant, error } => {
-                write!(f, "tenant {tenant}: input failed: {error}")
-            }
-            ServeError::ShardUnavailable { tenant } => {
-                write!(f, "tenant {tenant}: no healthy shard available")
-            }
-            ServeError::RetryBudgetExhausted {
-                tenant,
-                seq,
-                budget,
-            } => {
-                write!(
-                    f,
-                    "tenant {tenant}: request {seq} exhausted its retry budget of {budget} failovers"
-                )
-            }
-            ServeError::DrainTimeout { shard, pending } => {
-                write!(
-                    f,
-                    "shard {shard}: drain deadline expired with {pending} requests queued"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-/// Stable salt for request attempt `attempt` of request `seq` of tenant
-/// `tenant` — the contract that lets an auditor replay any scheduled
-/// execution with a direct `PreparedNetwork::session_with_faults` +
-/// `Session::infer` and get bit-identical output.
-pub fn request_salt(tenant: usize, seq: u64, attempt: u32) -> u64 {
-    splitmix64(((tenant as u64) << 48) ^ (seq << 8) ^ u64::from(attempt))
 }
 
 /// Per-tenant slice of a [`ServiceReport`].
@@ -263,61 +136,6 @@ impl ServiceReport {
 pub struct InferenceService {
     config: ServeConfig,
     pub(crate) cluster: Cluster,
-}
-
-/// One dispatch: a leader request plus the follower lanes that ride
-/// along, the context the event loop needs to fold the result back
-/// (shard, worker, failover round, slow-episode rate, fault environment),
-/// and the warm session it runs on. [`run_batch`] hands every job back
-/// with its result so the session returns to its pool.
-///
-/// The cluster event loop dispatches jobs per shard — under the shard's
-/// *effective* fault environment (a burst episode overrides the
-/// tenant's) and with a failover-round salt base so re-executions draw
-/// fresh fault patterns.
-pub(crate) struct Job<'p> {
-    pub(crate) shard: usize,
-    pub(crate) worker: usize,
-    pub(crate) request: Request,
-    /// Batched follower lanes, in lane order; only formed under a zero
-    /// fault environment.
-    pub(crate) followers: Vec<Request>,
-    /// Cycles left before the leader's deadline at dispatch.
-    pub(crate) slack: u64,
-    /// Fault environment of this execution (before per-attempt salting).
-    pub(crate) faults: FaultConfig,
-    /// Slow-episode cycle multiplier in sixteenths (16 = clean rate).
-    pub(crate) factor_x16: u32,
-    /// Failover round the leader is on (0 = never failed over).
-    pub(crate) round: u32,
-    pub(crate) session: Session<'p>,
-}
-
-impl Job<'_> {
-    /// The first salted-attempt index: each failover round owns a
-    /// disjoint attempt range so a re-execution never replays the fault
-    /// pattern that already failed it. Saturates rather than wrapping,
-    /// so a huge `max_retries` can never fold a later round back onto
-    /// round 0's salts.
-    pub(crate) fn attempt_base(&self, spec: &TenantSpec) -> u32 {
-        self.round
-            .saturating_mul(spec.max_retries.saturating_add(1))
-    }
-}
-
-/// The execution result folded back into the event loop.
-pub(crate) struct Exec {
-    pub(crate) outcome: DegradeOutcome,
-    /// Worker cycles consumed by the leader, including aborted attempts.
-    /// Follower lanes are charged separately at their marginal cost.
-    pub(crate) cycles: u64,
-    /// Absolute index of the final attempt (`attempt_base` = no retries).
-    pub(crate) retries: u32,
-    pub(crate) output_hash: u64,
-    pub(crate) fault: FaultStats,
-    /// Output hashes of batched follower lanes, in lane order (empty for
-    /// unbatched jobs).
-    pub(crate) follower_hashes: Vec<u64>,
 }
 
 impl InferenceService {
@@ -398,104 +216,15 @@ impl InferenceService {
     }
 }
 
-/// Executes one job: the leader runs to resolution through the core's
-/// salted-retry loop under the job's fault environment, bounded by the
-/// retry budget and the deadline slack; then each follower lane replays
-/// on the same session. Followers only form under a zero fault
-/// environment, so the leader completes on its first attempt and every
-/// lane is bit-identical to a direct clean `Session::infer` of its
-/// input — which is exactly what the retained samples certify.
-pub(crate) fn execute_one(spec: &TenantSpec, job: &mut Job<'_>) -> Result<Exec, ServeError> {
-    let input_error = |error| ServeError::Input {
-        tenant: spec.name.clone(),
-        error,
-    };
-    let execute_error = |error| ServeError::Execute {
-        tenant: spec.name.clone(),
-        error,
-    };
-    let Request { tenant, seq, .. } = job.request;
-    let input = spec.build_input(seq).map_err(input_error)?;
-    let base = job.attempt_base(spec);
-    let plan = FaultPlan::new(job.faults);
-    let retried = job
-        .session
-        .infer_retrying(
-            &input,
-            base..=base.saturating_add(spec.max_retries),
-            |attempt| plan.with_salt(request_salt(tenant, seq, attempt)),
-            job.slack,
-        )
-        .map_err(execute_error)?;
-    let mut exec = Exec {
-        outcome: retried.outcome,
-        cycles: retried.cycles,
-        retries: retried.last_attempt,
-        output_hash: retried.run.map_or(0, |run| hash_output(run.output())),
-        fault: retried.fault_stats,
-        follower_hashes: Vec::with_capacity(job.followers.len()),
-    };
-    debug_assert!(job.followers.is_empty() || plan.is_zero());
-    for follower in &job.followers {
-        let input = spec.build_input(follower.seq).map_err(input_error)?;
-        let run = job.session.infer_ref(&input).map_err(execute_error)?;
-        exec.follower_hashes.push(hash_output(run.output()));
-    }
-    Ok(exec)
-}
-
-/// Executes a dispatched batch on up to `threads` OS threads, the calling
-/// thread included, handing each job back with its result, in batch
-/// order. Work distribution uses an atomic index (the same shape as the
-/// vendored rayon shim), and because each execution is a pure function
-/// of `(spec, seq, salt)`, assignment of jobs to threads cannot affect
-/// any result.
-pub(crate) fn run_batch<'p>(
-    specs: &[TenantSpec],
-    batch: Vec<Job<'p>>,
-    threads: usize,
-) -> Vec<(Job<'p>, Result<Exec, ServeError>)> {
-    let n = batch.len();
-    if threads <= 1 || n <= 1 {
-        return batch
-            .into_iter()
-            .map(|mut job| {
-                let result = execute_one(&specs[job.request.tenant], &mut job);
-                (job, result)
-            })
-            .collect();
-    }
-    let slots: Vec<_> = batch.into_iter().map(|j| Mutex::new((j, None))).collect();
-    let next = AtomicUsize::new(0);
-    let drain = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = slots.get(i) else { break };
-        let mut slot = slot.lock().expect("job slot poisoned");
-        let (job, result) = &mut *slot;
-        *result = Some(execute_one(&specs[job.request.tenant], job));
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads.min(n) {
-            scope.spawn(drain);
-        }
-        drain();
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            let (job, result) = slot.into_inner().expect("job slot poisoned");
-            (job, result.expect("every job slot executed"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::request_salt;
     use crate::loadgen::{InputSource, Traffic};
+    use crate::stats::hash_output;
     use shidiannao_cnn::zoo;
     use shidiannao_core::Accelerator;
-    use shidiannao_faults::{FaultConfig, SramProtection};
+    use shidiannao_faults::{FaultConfig, FaultPlan, SramProtection};
 
     fn gabor_tenant(count: u64) -> TenantSpec {
         TenantSpec::new("gabor", zoo::gabor().build(1).expect("build gabor")).traffic(
@@ -554,6 +283,23 @@ mod tests {
         let serial = mk(1);
         let wide = mk(4);
         assert_eq!(serial, wide);
+    }
+
+    #[test]
+    fn zero_physical_threads_gives_the_same_report() {
+        let mk = |physical_threads| {
+            let config = ServeConfig {
+                physical_threads,
+                virtual_workers: 3,
+                max_batch: 4,
+                ..ServeConfig::default()
+            };
+            InferenceService::new(config, vec![backlogged_tenant(12), gabor_tenant(6)])
+                .expect("valid")
+                .run()
+                .expect("run")
+        };
+        assert_eq!(mk(0), mk(3));
     }
 
     #[test]

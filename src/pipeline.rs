@@ -17,11 +17,11 @@
 use crate::cnn::{LayerBody, Network};
 use crate::fixed::Fx;
 use crate::sensor::{Frame, RegionGrid, RowBuffer, StreamError};
-use crate::sim::{Accelerator, FaultPlan, FaultStats, InferenceRef, PreparedNetwork, RunError};
+use crate::sim::{
+    fanout, Accelerator, FaultPlan, FaultStats, InferenceRef, PreparedNetwork, RunError,
+};
 use crate::tensor::MapStack;
 use core::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Error constructing or running a [`StreamingPipeline`].
 #[derive(Clone, Debug, PartialEq)]
@@ -103,105 +103,6 @@ impl RegionLedger {
             return 1.0;
         }
         self.covered() as f64 / self.total() as f64
-    }
-}
-
-/// Regions a worker claims at a time when blocks need not follow region
-/// rows (the video pipeline): large enough that claiming costs nothing
-/// next to a block's inferences, small enough that a frame's blocks
-/// balance across workers.
-pub(crate) const REGION_BLOCK: usize = 32;
-
-/// Workers a frame's regions run on, by the vendored rayon shim's rule:
-/// `RAYON_NUM_THREADS` when it is a positive integer, else the machine's
-/// available parallelism.
-pub(crate) fn frame_workers() -> usize {
-    match std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
-/// The region-parallel executor behind both frame pipelines: runs
-/// `run(state, i, &mut slots[i])` for every slot, on up to `workers`
-/// threads, the calling thread included, and returns the states the
-/// workers opened.
-///
-/// Slots are split into fixed blocks of `block_len` slots, claimed through
-/// an atomic index (a band of whole region rows for plain frames, 32
-/// regions for video). Each worker opens its own `state` (a `Session` and
-/// its tally) with `open` on its first block and writes only into the
-/// slots of the blocks it claimed, so callers fold the slots afterwards
-/// in grid order and get the same report at any worker count. The caller
-/// thread drains blocks too rather than idling: every extra thread costs
-/// memory of its own.
-///
-/// # Errors
-///
-/// The error of the lowest-indexed slot that failed.
-pub(crate) fn run_regions<T, S, E>(
-    slots: &mut [T],
-    block_len: usize,
-    workers: usize,
-    open: impl Fn() -> S + Sync,
-    run: impl Fn(&mut S, usize, &mut T) -> Result<(), E> + Sync,
-) -> Result<Vec<S>, E>
-where
-    T: Send,
-    S: Send,
-    E: Send,
-{
-    let workers = workers.min(slots.len().div_ceil(block_len));
-    if workers <= 1 {
-        let mut state = None;
-        for (i, slot) in slots.iter_mut().enumerate() {
-            run(state.get_or_insert_with(&open), i, slot)?;
-        }
-        return Ok(state.into_iter().collect());
-    }
-    let blocks: Vec<Mutex<&mut [T]>> = slots.chunks_mut(block_len).map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    let failed: Mutex<Option<(usize, E)>> = Mutex::new(None);
-    let drain = || {
-        let mut state = None;
-        loop {
-            // Relaxed: the index only hands out block numbers; each
-            // block's slots sit behind their own mutex.
-            let b = next.fetch_add(1, Ordering::Relaxed);
-            let Some(block) = blocks.get(b) else { break };
-            let mut block = block.lock().expect("a region block is claimed once");
-            let state = state.get_or_insert_with(&open);
-            for (k, slot) in block.iter_mut().enumerate() {
-                let i = b * block_len + k;
-                if let Err(e) = run(state, i, slot) {
-                    let mut failed = failed.lock().expect("no worker panics holding it");
-                    if failed.as_ref().is_none_or(|(j, _)| i < *j) {
-                        *failed = Some((i, e));
-                    }
-                    break;
-                }
-            }
-        }
-        state
-    };
-    let states = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
-        let mut states: Vec<S> = drain().into_iter().collect();
-        for worker in spawned {
-            states.extend(
-                worker
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            );
-        }
-        states
-    });
-    match failed.into_inner().expect("no worker panics holding it") {
-        Some((_, e)) => Err(e),
-        None => Ok(states),
     }
 }
 
@@ -522,7 +423,7 @@ impl StreamingPipeline {
     /// match the grid, and [`PipelineError::Run`] if a region run fails
     /// (cannot happen after a successful [`StreamingPipeline::new`]).
     pub fn process_frame(&self, frame: &Frame) -> Result<FrameReport, PipelineError> {
-        self.process_frame_with(frame, frame_workers())
+        self.process_frame_with(frame, fanout::workers(0))
     }
 
     /// [`StreamingPipeline::process_frame`] on exactly `workers` workers.
@@ -552,7 +453,7 @@ impl StreamingPipeline {
         let mut slots: Vec<_> = results.iter_mut().map(|r| (r, 0.0)).collect();
         // One session per worker serves all of its regions: buffers and
         // the PE mesh stay allocated, and no region recompiles anything.
-        let states = run_regions(
+        let states = fanout::run(
             &mut slots,
             band * nx,
             workers,

@@ -21,17 +21,21 @@
 
 use crate::cnn::{ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
 use crate::fixed::Fx;
-use crate::pipeline::{
-    frame_workers, run_regions, PipelineError, RegionLedger, RegionResult, RegionTally,
-    StreamingPipeline, REGION_BLOCK,
-};
+use crate::pipeline::{PipelineError, RegionLedger, RegionResult, RegionTally, StreamingPipeline};
 use crate::quant::quantize_network;
 use crate::sensor::{Frame, FrameDelta, RegionGrid};
 use crate::serve::binarize_pixel;
 use crate::sim::{
-    Accelerator, AcceleratorConfig, LayerStats, NbResidency, PreparedNetwork, WeightPrecision,
+    fanout, Accelerator, AcceleratorConfig, LayerStats, NbResidency, PreparedNetwork,
+    WeightPrecision,
 };
 use crate::tensor::MapStack;
+
+/// Regions a worker claims at a time. Video blocks need not follow
+/// region rows: large enough that claiming costs nothing next to a
+/// block's inferences, small enough that a frame's blocks balance across
+/// workers.
+const REGION_BLOCK: usize = 32;
 
 /// How a dirty region is confirmed before full-precision compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -359,15 +363,13 @@ pub struct VideoPipeline {
     front: Option<FrontGate>,
     regions: Vec<RegionSlot>,
     frames_seen: u64,
-    per_region_cycles: u64,
-    per_region_energy_nj: f64,
 }
 
 impl VideoPipeline {
-    /// Assembles a motion-gated pipeline over `accel`/`network`/`grid`
-    /// and calibrates the frame-independent baseline cost with one
-    /// probe inference (per-region cycles and energy are
-    /// data-independent, so one probe prices every region).
+    /// Assembles a motion-gated pipeline over `accel`/`network`/`grid`.
+    /// The frame-independent baseline of a region is priced from
+    /// [`PreparedNetwork::clean_stats`]: per-region cycles and energy
+    /// are data-independent.
     ///
     /// # Errors
     ///
@@ -388,12 +390,8 @@ impl VideoPipeline {
                 Some(FrontGate::build(grid.region_dims(), threshold, seed)?)
             }
         };
-        let probe = inner.network().random_input(0x71DE0);
-        let run = inner.prepared().session().infer(&probe)?;
         let count = grid.count();
         Ok(VideoPipeline {
-            per_region_cycles: run.stats().cycles(),
-            per_region_energy_nj: run.energy().total_nj(),
             delta: FrameDelta::new(grid, config.dirty_threshold),
             front,
             regions: vec![RegionSlot::default(); count],
@@ -428,9 +426,13 @@ impl VideoPipeline {
         self.frames_seen
     }
 
-    /// Calibrated frame-independent cost of one region (cycles, nJ).
+    /// Frame-independent cost of one region (cycles, nJ), from the
+    /// clean statistics `prepare` recorded.
     pub fn per_region_cost(&self) -> (u64, f64) {
-        (self.per_region_cycles, self.per_region_energy_nj)
+        let prepared = self.inner.prepared();
+        let clean = prepared.clean_stats();
+        let energy = prepared.energy_model().charge_run(clean);
+        (clean.cycles(), energy.total_nj())
     }
 
     /// Drops all temporal state — differencing history, cached results,
@@ -461,7 +463,7 @@ impl VideoPipeline {
     /// gate run fails (cannot happen after a successful
     /// [`VideoPipeline::new`]).
     pub fn process_frame(&mut self, frame: &Frame) -> Result<VideoFrameReport, PipelineError> {
-        self.process_frame_with(frame, frame_workers())
+        self.process_frame_with(frame, fanout::workers(0))
     }
 
     /// [`VideoPipeline::process_frame`] on exactly `workers` workers.
@@ -472,8 +474,9 @@ impl VideoPipeline {
     ) -> Result<VideoFrameReport, PipelineError> {
         let seq = self.frames_seen;
         let count = self.inner.grid().count();
-        let baseline_cycles = self.per_region_cycles * count as u64;
-        let baseline_energy_nj = self.per_region_energy_nj * count as f64;
+        let (region_cycles, region_nj) = self.per_region_cost();
+        let baseline_cycles = region_cycles * count as u64;
+        let baseline_energy_nj = region_nj * count as f64;
         let frequency_ghz = self.inner.prepared().config().frequency_ghz;
 
         // Threshold 0: exact reduction to frame-independent processing —
@@ -576,7 +579,7 @@ impl VideoPipeline {
 
         // Parallel pass over the region slots: computed regions run with
         // their own residency, and the oracle prices the skipped ones.
-        let states = run_regions(
+        let states = fanout::run(
             &mut self.regions,
             REGION_BLOCK,
             workers,
