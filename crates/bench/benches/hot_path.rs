@@ -272,6 +272,32 @@ fn bench_one_lane_conv(c: &mut Criterion) {
     g.finish();
 }
 
+/// Convs over narrow rows on clean sessions: LeNet-5's C1 (six 5 × 5
+/// kernels over one 32 × 32 map, 28-wide output rows) and Gabor's C1 on
+/// a 20 × 20 region (four 5 × 5 kernels, 16-wide rows). Replay sweeps
+/// each kernel tap once over a block of output rows, not once per row.
+fn bench_block_conv(c: &mut Criterion) {
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    let mut g = c.benchmark_group("schedule_conv_block");
+    g.sample_size(2_000);
+    for (id, maps, side) in [("replay", 6, 32), ("replay_gabor_c1", 4, 20)] {
+        let net = NetworkBuilder::new("c1", 1, (side, side))
+            .conv(ConvSpec::new(maps, (5, 5)))
+            .build(7)
+            .expect("valid network");
+        let input = net.random_input(9);
+        let prepared = accel.prepare(&net).expect("prepare");
+        let mut session = prepared.session();
+        for _ in 0..16 {
+            let _ = session.infer_ref(&input).expect("warm-up");
+        }
+        g.bench_function(id, |b| {
+            b.iter(|| black_box(session.infer_ref(&input).expect("replay").stats().cycles()))
+        });
+    }
+    g.finish();
+}
+
 /// The ALU's tanh over one C1 output row of a VGA strip (636 values,
 /// in and out of the PLA domain): the activation pass that follows
 /// every replayed conv row.
@@ -638,6 +664,7 @@ criterion_group!(
     bench_small_inference,
     bench_schedule_replay,
     bench_one_lane_conv,
+    bench_block_conv,
     bench_norm_replay,
     bench_alu_activate,
     bench_tuner_point,

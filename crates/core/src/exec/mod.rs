@@ -64,8 +64,11 @@ pub(crate) struct Scratch {
     pub idxs: Vec<usize>,
     /// Classifier per-PE sparse-row cursors.
     pub cursors: Vec<usize>,
-    /// i64 lane accumulators of the replay bodies: one slot per output
-    /// column of the row being reduced, at any row width.
+    /// i64 lane accumulators of the replay bodies: one slot per lane of
+    /// the block being reduced — a pool or LRN row's output columns, or
+    /// a conv or LCN block's rows of output columns with the scratch
+    /// lanes between them (`replay::sweep`). Grows to its high-water
+    /// mark once.
     pub sums: Vec<i64>,
     /// The strip prefix's stage inputs, one per stage
     /// ([`replay::prefix`]): the rows the stage carries from the previous

@@ -12,8 +12,9 @@
 //!
 //! The modeled cost of the paper's `Px×Py` block tiling (§5–§6) and of
 //! the Figs. 15–16 normalization sub-layer passes comes wholly from the
-//! schedule, so the host arithmetic need not follow it: conv, pool, LRN
-//! and LCN replay one whole output row per lane sweep, and only the
+//! schedule, so the host arithmetic need not follow it: conv and LCN
+//! sweep each kernel tap once over a block of output rows ([`sweep`]),
+//! pool and LRN one whole output row per lane sweep, and only the
 //! classifier still accumulates on the real PE mesh. Every output pixel
 //! receives the same exact integer sum the instrumented path folds per
 //! cycle, so outputs are bit-identical by construction (see the
@@ -165,6 +166,72 @@ fn lane_fx(bias: Fx, sum: i64) -> Fx {
     a.to_fx()
 }
 
+/// Lanes one block of [`sweep`] aims for: enough to cover a small map's
+/// output rows in a few blocks, few enough (2 KiB of i64 sums) that the
+/// block stays in L1 beside its input rows.
+const LANE_BUDGET: usize = 256;
+
+/// The lane-block loop of conv and LCN replay, ShiDianNao's broadcast of
+/// one weight to a whole block of output neurons (§5–§6) on host lanes.
+/// Sums `Σ_j Σ_{kx,ky} wts_j[ky·kw + kx] · plane_j[(y·sy + ky)·width +
+/// x·sx + kx]` over the `(plane, wts)` pairs of `inputs` for every output
+/// pixel `(x, y)` of an `(ow, oh)` map, and hands each finished row's
+/// exact i64 sums to `sink(y, row)` in ascending `y`.
+///
+/// With x-stride 1 a block holds `rows` output rows: lane
+/// `L = r·sy·width + x` is row `y0 + r`, column `x`, so tap `(kx, ky)`
+/// is one contiguous [`ValueKernel::shifted_mac`] from
+/// `plane[(y0·sy + ky)·width + kx]` over `(rows − 1)·sy·width + ow`
+/// lanes, whose last read is at most the plane's last element. Lanes
+/// with `x ≥ ow` are scratch and never read out. Wide rows and x-strides
+/// above 1 sweep one row per block, and a one-lane row (`ow` 1) reduces
+/// each kernel row with one dot.
+///
+/// Callers pass `sink` as an `#[inline(always)]` closure: one left out
+/// of line compiles for the baseline target, not for the AVX2 twin that
+/// inlines this loop.
+#[inline(always)]
+fn sweep<'p>(
+    inputs: impl Iterator<Item = (&'p [Fx], &'p [Fx])> + Clone,
+    width: usize,
+    (kw, kh): (usize, usize),
+    (sx, sy): (usize, usize),
+    (ow, oh): (usize, usize),
+    lanes: &mut Vec<i64>,
+    mut sink: impl FnMut(usize, &[i64]),
+) {
+    let kern = LaneKernel;
+    let pitch = sy * width;
+    let height = if sx == 1 && ow > 1 {
+        (LANE_BUDGET / pitch).clamp(1, oh)
+    } else {
+        1
+    };
+    for y0 in (0..oh).step_by(height) {
+        let rows = height.min(oh - y0);
+        lanes.clear();
+        lanes.resize((rows - 1) * pitch + ow, 0);
+        for (plane, wts) in inputs.clone() {
+            for ky in 0..kh {
+                let at = (y0 * sy + ky) * width;
+                let krow = &wts[ky * kw..(ky + 1) * kw];
+                if let [lane] = &mut lanes[..] {
+                    // One lane reads `kw` neighbours whatever the stride:
+                    // one contiguous dot, not `kw` sweeps.
+                    *lane += kern.dot_raw(&plane[at..at + kw], krow);
+                } else {
+                    for (kx, &k) in krow.iter().enumerate() {
+                        kern.shifted_mac(&plane[at + kx..], sx, k, lanes);
+                    }
+                }
+            }
+        }
+        for r in 0..rows {
+            sink(y0 + r, &lanes[r * pitch..r * pitch + ow]);
+        }
+    }
+}
+
 /// LRN replay (formula (3)): per output map and row, each lane sums the
 /// exact squares `bits²` of its pixel over the clipped cross-map window
 /// — the raw sum the live executor's square MACs fold — and the output
@@ -209,7 +276,7 @@ fn lrn(
 /// LCN replay (formulae (4)–(6)). An edge-clipped tap contributes
 /// exactly nothing to the live executor's integer sums, so each input
 /// map is zero-padded by half the window once and μ becomes a same-size
-/// correlation summed over maps, on the conv body's lane kernel. The
+/// correlation summed over maps, on the conv body's lane-block loop. The
 /// squared `v = I − μ` overwrite the padded interiors for the second
 /// correlation (the borders stay zero), δ is its PLA square root, and
 /// `O = v / max(mean δ, δ)`, keeping `v` where that max is 0. Rows go to
@@ -249,36 +316,20 @@ fn lcn(
             pj[interior(y)].copy_from_slice(fm.row(y));
         }
     }
-    // One output row of Σ_{j,p,q} ω(p,q)·P_j(x + p, y + q) into `lanes`.
-    // A function, not a closure, so that it inlines into both dispatch
-    // twins of `values` and compiles for each one's target.
-    #[inline(always)]
-    fn correlate(
-        gauss: &FeatureMap<Fx>,
-        padded: &[Fx],
-        plane: usize,
-        (w, pw): (usize, usize),
-        y: usize,
-        lanes: &mut Vec<i64>,
-    ) {
-        let win = gauss.width();
-        lanes.clear();
-        lanes.resize(w, 0);
-        for pj in padded.chunks_exact(plane) {
-            for q in 0..win {
-                let row = &pj[(y + q) * pw..(y + q + 1) * pw];
-                for p in 0..win {
-                    LaneKernel.shifted_mac(&row[p..], 1, gauss[(p, q)], lanes);
-                }
-            }
-        }
-    }
-
+    // Σ_{j,p,q} ω(p,q)·P_j(x + p, y + q), a same-size correlation over
+    // the padded planes on the conv body's lane-block loop.
+    let inputs = padded.chunks_exact(plane).map(|pj| (pj, gauss.as_slice()));
     mu.clear();
-    for y in 0..h {
-        correlate(gauss, padded, plane, (w, pw), y, lanes);
-        mu.extend(lanes.iter().map(|&s| lane_fx(Fx::ZERO, s)));
-    }
+    sweep(
+        inputs.clone(),
+        pw,
+        (win, win),
+        (1, 1),
+        (w, h),
+        lanes,
+        #[inline(always)]
+        |_, row| mu.extend(row.iter().map(|&s| lane_fx(Fx::ZERO, s))),
+    );
     for (fm, pj) in stack.iter().zip(padded.chunks_exact_mut(plane)) {
         for y in 0..h {
             let mu_row = &mu[y * w..(y + 1) * w];
@@ -288,13 +339,22 @@ fn lcn(
         }
     }
     delta.clear();
-    for y in 0..h {
-        correlate(gauss, padded, plane, (w, pw), y, lanes);
-        vals.clear();
-        vals.extend(lanes.iter().map(|&s| lane_fx(Fx::ZERO, s)));
-        let _ = alu.sqrt(vals, &mut meter);
-        delta.extend_from_slice(vals);
-    }
+    let inputs = padded.chunks_exact(plane).map(|pj| (pj, gauss.as_slice()));
+    sweep(
+        inputs,
+        pw,
+        (win, win),
+        (1, 1),
+        (w, h),
+        lanes,
+        #[inline(always)]
+        |_, row| {
+            vals.clear();
+            vals.extend(row.iter().map(|&s| lane_fx(Fx::ZERO, s)));
+            let _ = alu.sqrt(vals, &mut meter);
+            delta.extend_from_slice(vals);
+        },
+    );
     let mut sum = Accum::new();
     for &d in delta.iter() {
         sum.add_fx(d);
@@ -356,8 +416,9 @@ impl<'a> Conv<'a> {
         ((w - kx) / self.stride.0 + 1, (h - ky) / self.stride.1 + 1)
     }
 
-    /// Output map `o` over `stack` (of any width), one lane sweep per
-    /// output row; each activated row goes to `sink(y, row)`.
+    /// Output map `o` over `stack` (of any width) on the lane-block loop
+    /// ([`sweep`]): each kernel tap is one lane pass over a block of
+    /// output rows, and each activated row goes to `sink(y, row)`.
     /// Bit-identical to the window sweep: each output pixel's
     /// accumulator receives `bias` plus one raw add of the exact i64 sum
     /// of all its `(j, ky, kx)` products, and integer adds re-associate
@@ -374,11 +435,10 @@ impl<'a> Conv<'a> {
         mut sink: impl FnMut(usize, &[Fx]),
     ) {
         let (kx_max, ky_max) = self.kernel;
-        let (sx, sy) = self.stride;
-        let (ow, oh) = self.out_dims(stack.map_dims());
+        let (w, h) = stack.map_dims();
+        let (ow, oh) = self.out_dims((w, h));
         let ksz = kx_max * ky_max;
         let (store, li) = (self.store, self.layer_index);
-        let kern = LaneKernel;
         let Scratch {
             vals,
             values: weights,
@@ -402,36 +462,30 @@ impl<'a> Conv<'a> {
                 }
             }
         }
-        for y in 0..oh {
-            lanes.clear();
-            lanes.resize(ow, 0);
-            for (j, &im) in inputs.iter().enumerate() {
-                let wts = if patches.is_empty() {
-                    store.conv_kernel(li, o, j, self.kernel)
-                } else {
-                    &weights[j * ksz..(j + 1) * ksz]
-                };
-                let fm = &stack[im];
-                for ky in 0..ky_max {
-                    let row = fm.row(y * sy + ky);
-                    let krow = &wts[ky * kx_max..(ky + 1) * kx_max];
-                    if let [lane] = &mut lanes[..] {
-                        // One lane reads `row[..kx_max]` whatever the
-                        // stride: one contiguous dot, not `kx_max` sweeps.
-                        *lane += kern.dot_raw(&row[..kx_max], krow);
-                    } else {
-                        for (kx, &k) in krow.iter().enumerate() {
-                            kern.shifted_mac(&row[kx..], sx, k, lanes);
-                        }
-                    }
-                }
-            }
-            // The read-out in one pass the compiler vectorizes.
-            vals.clear();
-            vals.extend(lanes.iter().map(|&l| lane_fx(bias, l)));
-            let _ = alu.activate(vals, self.activation, &mut meter);
-            sink(y, vals);
-        }
+        let inputs = inputs.iter().enumerate().map(|(j, &im)| {
+            let wts = if patches.is_empty() {
+                store.conv_kernel(li, o, j, self.kernel)
+            } else {
+                &weights[j * ksz..(j + 1) * ksz]
+            };
+            (stack[im].as_slice(), wts)
+        });
+        sweep(
+            inputs,
+            w,
+            self.kernel,
+            self.stride,
+            (ow, oh),
+            lanes,
+            #[inline(always)]
+            |y, row| {
+                // The read-out in one pass the compiler vectorizes.
+                vals.clear();
+                vals.extend(row.iter().map(|&l| lane_fx(bias, l)));
+                let _ = alu.activate(vals, self.activation, &mut meter);
+                sink(y, vals);
+            },
+        );
     }
 }
 
@@ -991,11 +1045,11 @@ mod tests {
         maps: usize,
         out_maps: usize,
         (kx, ky): (usize, usize),
-        stride: usize,
+        stride: (usize, usize),
         in_dims: (usize, usize),
     ) -> (Network, Vec<Vec<FeatureMap<Fx>>>) {
         let spec = ConvSpec::new(out_maps, (kx, ky))
-            .with_stride((stride, stride))
+            .with_stride(stride)
             .with_activation(Activation::None);
         let mut net = NetworkBuilder::new("conv", maps, in_dims)
             .conv(spec)
@@ -1026,17 +1080,30 @@ mod tests {
 
     /// Runs a one-conv network (kernel `k`, `oh` output rows of width
     /// `ow`) through both twins and checks each against the other and
-    /// every output row against the [`ScalarKernel`] oracle.
+    /// every output row against the [`ScalarKernel`] oracle. With
+    /// `edges`, every input map's border pixels are `i16::MIN`, so the
+    /// first and last lanes of every block row read them.
     fn check_conv_twins(
         (maps, out_maps): (usize, usize),
         k: (usize, usize),
-        stride: usize,
+        (sx, sy): (usize, usize),
         (ow, oh): (usize, usize),
+        edges: bool,
     ) {
-        let dims = ((ow - 1) * stride + k.0, (oh - 1) * stride + k.1);
-        let (net, kernels) = conv_net(maps, out_maps, k, stride, dims);
-        let input = stack_of(maps, dims, ow as u64);
-        let case = format!("maps={maps} k={k:?} stride={stride} ow={ow}");
+        let (w, h) = ((ow - 1) * sx + k.0, (oh - 1) * sy + k.1);
+        let (net, kernels) = conv_net(maps, out_maps, k, (sx, sy), (w, h));
+        let plain = stack_of(maps, (w, h), ow as u64);
+        let border = |x, y| edges && (x == 0 || y == 0 || x == w - 1 || y == h - 1);
+        let input = MapStack::from_fn(w, h, maps, |m| {
+            FeatureMap::from_fn(w, h, |x, y| {
+                if border(x, y) {
+                    Fx::MIN
+                } else {
+                    plain[m][(x, y)]
+                }
+            })
+        });
+        let case = format!("maps={maps} k={k:?} stride=({sx}, {sy}) out=({ow}, {oh}) {edges}");
         let got = strip(&net, &input, true);
         assert_eq!(got, strip(&net, &input, false), "{case}");
         let LayerBody::Conv { table, .. } = net.layers()[0].body() else {
@@ -1048,10 +1115,10 @@ mod tests {
                 let mut lanes = vec![0i64; ow];
                 for (kernel, &im) in kernels.iter().zip(table.inputs_of(o)) {
                     for ky in 0..k.1 {
-                        let row = input[im].row(y * stride + ky);
+                        let row = input[im].row(y * sy + ky);
                         for kx in 0..k.0 {
                             let w = kernel[(kx, ky)];
-                            ScalarKernel.shifted_mac(&row[kx..], stride, w, &mut lanes);
+                            ScalarKernel.shifted_mac(&row[kx..], sx, w, &mut lanes);
                         }
                     }
                 }
@@ -1076,7 +1143,7 @@ mod tests {
         for (maps, out_maps, k, stride) in [(1, 2, 3, 1), (3, 4, 5, 1), (2, 3, 3, 2), (4, 2, 2, 2)]
         {
             for ow in 1..=40 {
-                check_conv_twins((maps, out_maps), (k, k), stride, (ow, 3));
+                check_conv_twins((maps, out_maps), (k, k), (stride, stride), (ow, 3), false);
             }
         }
     }
@@ -1097,7 +1164,47 @@ mod tests {
             (1, (1, 1), 1, 5),
             (4, (8, 2), 3, 2),
         ] {
-            check_conv_twins((maps, 3), k, stride, (1, oh));
+            check_conv_twins((maps, 3), k, (stride, stride), (1, oh), false);
+        }
+    }
+
+    /// Output rows one block of [`sweep`] holds over an input `w` wide
+    /// at y-stride `sy`, x-stride 1 and more than one lane per row.
+    fn block_rows(w: usize, sy: usize) -> usize {
+        (LANE_BUDGET / (sy * w)).max(1)
+    }
+
+    #[test]
+    fn block_conv_twins_match_the_scalar_oracle() {
+        // The oracle check holds on any host; the twin check needs AVX2.
+        let _ = avx2_twins();
+        // Each tall case ends in a ragged block: `oh` is not a multiple
+        // of the block height.
+        let tall = |w: usize, sy: usize| 2 * block_rows(w, sy) + 3;
+        let wide = LANE_BUDGET + 4;
+        for (k, stride, out, edges) in [
+            // Small maps: a block boundary inside the map.
+            ((5, 5), (1, 1), (16, tall(20, 1)), false),
+            ((5, 5), (1, 1), (16, tall(20, 1)), true),
+            ((3, 2), (1, 1), (7, 5), false),
+            // y-stride 2: the scratch lanes span the skipped input rows.
+            ((3, 3), (1, 2), (15, tall(17, 2)), false),
+            ((3, 3), (1, 2), (15, tall(17, 2)), true),
+            ((2, 3), (1, 3), (5, tall(6, 3)), false),
+            // Two-lane rows.
+            ((3, 4), (1, 1), (2, tall(4, 1)), false),
+            ((3, 4), (1, 2), (2, tall(4, 2)), true),
+            // Kernels as wide as their input: one-lane rows, one dot each.
+            ((9, 3), (1, 1), (1, 20), false),
+            ((9, 3), (1, 2), (1, 20), true),
+            // Strips wide enough for one-row blocks, or two rows.
+            ((5, 5), (1, 1), (wide - 4, 3), false),
+            ((5, 5), (1, 1), (wide - 4, 3), true),
+            ((3, 3), (1, 1), (LANE_BUDGET / 2 - 2, 5), false),
+            // x-stride 2 keeps one row per block.
+            ((3, 3), (2, 1), (10, 9), true),
+        ] {
+            check_conv_twins((2, 3), k, stride, out, edges);
         }
     }
 
@@ -1188,7 +1295,7 @@ mod tests {
         if !avx2_twins() {
             return;
         }
-        let (net, _) = conv_net(2, 3, (3, 3), 1, (19, 6));
+        let (net, _) = conv_net(2, 3, (3, 3), (1, 1), (19, 6));
         let input = stack_of(2, (19, 6), 9);
         let patches = [
             (conv_weight_addr(1, 0, (1, 2)), 0x8000),
@@ -1239,6 +1346,27 @@ mod tests {
                     "lcn maps={maps} w={w}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn lcn_over_several_blocks_matches_the_golden_reference() {
+        // The golden check holds on any host; the twin check needs AVX2.
+        let _ = avx2_twins();
+        // The padded plane is `w + window − 1` wide: three blocks of
+        // output rows and one more row.
+        let (w, window) = (40, 5);
+        let h = 3 * block_rows(w + window - 1, 1) + 1;
+        for maps in [1, 3] {
+            let net = NetworkBuilder::new("lcn", maps, (w, h))
+                .lcn(LcnSpec::new(window))
+                .build(1)
+                .expect("valid lcn");
+            let input = stack_of(maps, (w, h), maps as u64);
+            let got = layer(&net, &input, &[], true);
+            assert_eq!(got, layer(&net, &input, &[], false), "maps={maps}");
+            let golden = net.forward_fixed(&input);
+            assert_eq!(Some(&got), golden.layer_output(0), "maps={maps}");
         }
     }
 

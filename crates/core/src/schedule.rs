@@ -21,10 +21,10 @@
 //! statistics are absorbed in one call, fault decisions are resolved per
 //! unique address (times its multiplicity) instead of per access, and
 //! only the arithmetic that actually produces neuron values is executed
-//! — one whole output row per lane-kernel sweep for conv, pool and the
-//! LRN/LCN normalization bodies (`exec/replay.rs`), since the cost of
-//! the `Px×Py` block tiling and of the Figs. 15–16 sub-layer passes is
-//! already in the recorded delta.
+//! — one lane-kernel sweep per kernel tap over a block of output rows
+//! for conv and LCN, one per output row for pool and LRN
+//! (`exec/replay.rs`), since the cost of the `Px×Py` block tiling and of
+//! the Figs. 15–16 sub-layer passes is already in the recorded delta.
 //! The schedule lives in an `Arc` inside [`crate::PreparedNetwork`], and
 //! every `Session` of a tenant reads it through its borrow of the
 //! prepared network, so they share one copy of the decoded control

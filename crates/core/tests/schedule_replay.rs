@@ -90,24 +90,33 @@ fn rates() -> impl Strategy<Value = f64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // Default case count: `PROPTEST_CASES` raises it (CI runs 512).
 
     #[test]
     fn random_conv_nets_replay_bit_identical(
         in_maps in 1usize..3,
         out_maps in 1usize..5,
-        w in 6usize..18,
-        k in 1usize..5,
-        s in 1usize..3,
+        w in 1usize..41,
+        h in 1usize..41,
+        kx in 1usize..6,
+        ky in 1usize..6,
+        sx in 1usize..4,
+        sy in 1usize..4,
         px in 2usize..9,
         py in 2usize..9,
         rate in rates(),
         protection in protections(),
         seed in 0u64..1000,
     ) {
-        prop_assume!(k <= w);
-        let net = NetworkBuilder::new("p", in_maps, (w, w))
-            .conv(ConvSpec::new(out_maps, (k, k)).with_stride((s, s)).with_activation(Activation::Tanh))
+        // Rectangular inputs, kernels and strides drawn apart, so blocks
+        // of several output rows, ragged last blocks and `sy ≠ sx`
+        // scratch lanes all occur.
+        prop_assume!(kx <= w && ky <= h);
+        let spec = ConvSpec::new(out_maps, (kx, ky))
+            .with_stride((sx, sy))
+            .with_activation(Activation::Tanh);
+        let net = NetworkBuilder::new("p", in_maps, (w, h))
+            .conv(spec)
             .build(seed)
             .unwrap();
         check_replay_matches_live(
@@ -117,6 +126,10 @@ proptest! {
             seed ^ 77,
         )?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn random_deep_stacks_replay_bit_identical(
