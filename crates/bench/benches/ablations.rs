@@ -1,6 +1,8 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //! inter-PE propagation, PE-array sizing, FIFO depth vs stride, and the
 //! 61-bit HFSM instruction encoding vs a raw per-cycle control store.
+//! Each configuration is prepared once; the benches time a traced
+//! `Session::run` on it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shidiannao_bench::experiments::SEED;
@@ -20,17 +22,13 @@ fn ablation_propagation(c: &mut Criterion) {
         ("with", AcceleratorConfig::paper()),
         ("without", AcceleratorConfig::paper().without_propagation()),
     ] {
-        let accel = Accelerator::new(cfg);
-        let reads = accel
-            .run(&net, &input)
-            .unwrap()
-            .stats()
-            .total()
-            .nbin
-            .read_bytes;
+        let prepared = Accelerator::new(cfg).prepare(&net).unwrap();
+        let mut session = prepared.session();
+        let run = session.run(&input).unwrap();
+        let reads = run.stats().total().nbin.read_bytes;
         println!("ablation_propagation/{label}: {reads} NBin bytes read");
         g.bench_function(label, |b| {
-            b.iter(|| black_box(accel.run(&net, &input).unwrap().stats().cycles()))
+            b.iter(|| black_box(session.run(&input).unwrap().stats().cycles()))
         });
     }
     g.finish();
@@ -43,15 +41,18 @@ fn ablation_pe_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_pe_sweep");
     g.sample_size(10);
     for side in [4usize, 8, 12, 16] {
-        let accel = Accelerator::new(AcceleratorConfig::with_pe_grid(side, side));
-        let run = accel.run(&net, &input).unwrap();
+        let prepared = Accelerator::new(AcceleratorConfig::with_pe_grid(side, side))
+            .prepare(&net)
+            .unwrap();
+        let mut session = prepared.session();
+        let run = session.run(&input).unwrap();
         println!(
             "ablation_pe_sweep/{side}x{side}: {} cycles, {:.1}% PE utilization",
             run.stats().cycles(),
             100.0 * run.stats().total().pe_utilization()
         );
         g.bench_function(format!("{side}x{side}"), |b| {
-            b.iter(|| black_box(accel.run(&net, &input).unwrap().stats().cycles()))
+            b.iter(|| black_box(session.run(&input).unwrap().stats().cycles()))
         });
     }
     g.finish();
@@ -67,15 +68,16 @@ fn ablation_fifo_depth(c: &mut Criterion) {
             .build(SEED)
             .unwrap();
         let input = net.random_input(SEED);
-        let accel = Accelerator::new(AcceleratorConfig::paper());
-        let total = accel.run(&net, &input).unwrap().stats().total();
+        let prepared = Accelerator::default().prepare(&net).unwrap();
+        let mut session = prepared.session();
+        let total = session.run(&input).unwrap().stats().total();
         println!(
             "ablation_fifo_depth/stride{sx}x{sy}: FIFO-H peak {}, FIFO-V peak {}",
             total.fifo_h_peak, total.fifo_v_peak
         );
         assert_eq!((total.fifo_h_peak, total.fifo_v_peak), (sx, sy));
         g.bench_function(format!("stride{sx}x{sy}"), |b| {
-            b.iter(|| black_box(accel.run(&net, &input).unwrap().stats().cycles()))
+            b.iter(|| black_box(session.run(&input).unwrap().stats().cycles()))
         });
     }
     g.finish();
@@ -89,8 +91,11 @@ fn ablation_isa_size(c: &mut Criterion) {
         let net = builder.build(SEED).unwrap();
         let program = compile(&net).unwrap();
         let input = net.random_input(SEED);
-        let cycles = Accelerator::new(AcceleratorConfig::paper())
-            .run(&net, &input)
+        let cycles = Accelerator::default()
+            .prepare(&net)
+            .unwrap()
+            .session()
+            .run(&input)
             .unwrap()
             .stats()
             .cycles();
@@ -125,8 +130,9 @@ fn ablation_multimap(c: &mut Criterion) {
                 AcceleratorConfig::paper().with_multi_map_packing(),
             ),
         ] {
-            let accel = Accelerator::new(cfg);
-            let run = accel.run(&net, &input).unwrap();
+            let prepared = Accelerator::new(cfg).prepare(&net).unwrap();
+            let mut session = prepared.session();
+            let run = session.run(&input).unwrap();
             let t = run.stats().total();
             println!(
                 "ablation_multimap/{name}/{label}: {} cycles, {:.1}% util, {:.1} SB B/cycle",
@@ -135,7 +141,7 @@ fn ablation_multimap(c: &mut Criterion) {
                 t.sb.read_bytes as f64 / t.cycles as f64
             );
             g.bench_function(format!("{name}/{label}"), |b| {
-                b.iter(|| black_box(accel.run(&net, &input).unwrap().stats().cycles()))
+                b.iter(|| black_box(session.run(&input).unwrap().stats().cycles()))
             });
         }
     }
@@ -150,10 +156,13 @@ fn ablation_bank_conflicts(c: &mut Criterion) {
     for name in ["LeNet-5", "SimpleConv"] {
         let net = zoo::by_name(name).unwrap().build(SEED).unwrap();
         let input = net.random_input(SEED);
-        let ideal = Accelerator::new(AcceleratorConfig::paper());
-        let stalled = Accelerator::new(AcceleratorConfig::paper().with_bank_conflicts());
-        let i = ideal.run(&net, &input).unwrap();
-        let s = stalled.run(&net, &input).unwrap();
+        let ideal = Accelerator::default().prepare(&net).unwrap();
+        let stalled = Accelerator::new(AcceleratorConfig::paper().with_bank_conflicts())
+            .prepare(&net)
+            .unwrap();
+        let mut session = stalled.session();
+        let i = ideal.session().run(&input).unwrap();
+        let s = session.run(&input).unwrap();
         println!(
             "ablation_bank_conflicts/{name}: {} ideal cycles, {} conflict stalls ({:+.1}%)",
             i.stats().cycles(),
@@ -161,7 +170,7 @@ fn ablation_bank_conflicts(c: &mut Criterion) {
             100.0 * (s.stats().cycles() as f64 / i.stats().cycles() as f64 - 1.0)
         );
         g.bench_function(format!("{name}/stalled"), |b| {
-            b.iter(|| black_box(stalled.run(&net, &input).unwrap().stats().cycles()))
+            b.iter(|| black_box(session.run(&input).unwrap().stats().cycles()))
         });
     }
     g.finish();
@@ -174,13 +183,21 @@ fn ablation_bank_conflicts(c: &mut Criterion) {
 fn ablation_weight_precision(c: &mut Criterion) {
     let net = zoo::lenet5().build(SEED).unwrap();
     let input = net.random_input(SEED);
-    let accel = Accelerator::new(AcceleratorConfig::paper());
-    let full = accel.run(&net, &input).unwrap().output();
+    let accel = Accelerator::default();
+    let full = accel
+        .prepare(&net)
+        .unwrap()
+        .session()
+        .run(&input)
+        .unwrap()
+        .output();
     let mut g = c.benchmark_group("ablation_weight_precision");
     g.sample_size(10);
     for (bits, frac) in [(16u32, 8u32), (12, 8), (8, 7), (6, 5), (4, 3)] {
         let q = net.quantize_weights(bits, frac);
-        let out = accel.run(&q, &input).unwrap().output();
+        let prepared = accel.prepare(&q).unwrap();
+        let mut session = prepared.session();
+        let out = session.run(&input).unwrap().output();
         let max_err = full
             .iter()
             .zip(&out)
@@ -192,7 +209,7 @@ fn ablation_weight_precision(c: &mut Criterion) {
             128.0 * bits as f64 / 16.0
         );
         g.bench_function(format!("Q{bits}.{frac}"), |b| {
-            b.iter(|| black_box(accel.run(&q, &input).unwrap().stats().cycles()))
+            b.iter(|| black_box(session.run(&input).unwrap().stats().cycles()))
         });
     }
     g.finish();

@@ -579,8 +579,8 @@ fn bench_queue_pick(c: &mut Criterion) {
     g.finish();
 }
 
-/// Cross-frame NBin residency: a warm `infer_delta_ref` repeat of an
-/// unchanged input (hash-compare every row, stream none) against the
+/// Cross-frame NBin residency: a warm staged delta (`stage_delta` then
+/// `infer_ref`) repeat of an unchanged input (hash-compare every row, stream none) against the
 /// plain cold-load `infer_ref` (stream every row). The gap is what the
 /// video pipeline's per-region residency buys on a static region.
 fn bench_delta_load(c: &mut Criterion) {
@@ -599,16 +599,16 @@ fn bench_delta_load(c: &mut Criterion) {
     let mut residency = NbResidency::new();
     let mut cold = prepared.session();
     for _ in 0..16 {
-        let _ = warm
-            .infer_delta_ref(&input, &mut residency)
-            .expect("warm-up");
+        warm.stage_delta(&input, &mut residency);
+        let _ = warm.infer_ref(&input).expect("warm-up");
         let _ = cold.infer_ref(&input).expect("warm-up");
     }
     let mut g = c.benchmark_group("delta_load");
     g.sample_size(200);
     g.bench_function("warm_delta", |b| {
         b.iter(|| {
-            let (inf, dl) = warm.infer_delta_ref(&input, &mut residency).expect("delta");
+            let dl = warm.stage_delta(&input, &mut residency);
+            let inf = warm.infer_ref(&input).expect("delta");
             black_box((inf.stats().cycles(), dl.rows_streamed))
         })
     });

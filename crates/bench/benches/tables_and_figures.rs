@@ -45,9 +45,12 @@ fn bench_fig18(c: &mut Criterion) {
     for builder in zoo::all() {
         let net = builder.build(experiments::SEED).unwrap();
         let input = net.random_input(experiments::SEED);
-        let accel = Accelerator::new(AcceleratorConfig::paper());
+        let prepared = Accelerator::new(AcceleratorConfig::paper())
+            .prepare(&net)
+            .unwrap();
+        let mut session = prepared.session();
         g.bench_function(format!("shidiannao/{}", net.name()), |b| {
-            b.iter(|| black_box(accel.run(&net, &input).unwrap().stats().cycles()))
+            b.iter(|| black_box(session.run(&input).unwrap().stats().cycles()))
         });
     }
     g.finish();

@@ -12,7 +12,7 @@
 //! fails if the document is not byte-identical across three evaluations
 //! (one pinned to a single rayon worker), if `sim_cycles_per_inference`
 //! for any of the ten networks (trace-free and instrumented schedule
-//! replay) drifts from the repository seed, if any of the six
+//! replay) drifts from the repository seed, if any of the three
 //! certified execution paths (`perf::CERTIFIED_PATHS`) diverged, if a
 //! measured replay burst allocated in steady state, if the schedule
 //! optimizer's cost model adds cycles anywhere or removes them on too
@@ -174,7 +174,8 @@ fn main() -> ExitCode {
             for b in zoo::all() {
                 let net = b.build(2015).unwrap();
                 let run = Accelerator::new(AcceleratorConfig::paper())
-                    .run(&net, &net.random_input(2015 ^ 0xABCD))
+                    .prepare(&net)
+                    .and_then(|p| p.session().run(&net.random_input(2015 ^ 0xABCD)))
                     .unwrap();
                 let d = DianNao::new(DianNaoConfig::paper()).run(&net);
                 s_nj.push(run.energy().total_nj());

@@ -27,9 +27,9 @@ fn build(b: NetworkBuilder) -> Network {
 }
 
 fn run_shidiannao(net: &Network, cfg: AcceleratorConfig) -> RunOutcome {
-    let accel = Accelerator::new(cfg);
-    accel
-        .run(net, &net.random_input(SEED ^ 0xABCD))
+    Accelerator::new(cfg)
+        .prepare(net)
+        .and_then(|p| p.session().run(&net.random_input(SEED ^ 0xABCD)))
         .expect("benchmarks fit the paper configuration")
 }
 

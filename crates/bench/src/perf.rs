@@ -19,17 +19,20 @@
 //!   warmed-up burst of `Session::infer_ref` calls through
 //!   zero-allocation schedule replay (the default path; with replay off
 //!   every layer live-decodes). Each row carries a *correctness
-//!   certificate* over the six [`CERTIFIED_PATHS`]: the heap
+//!   certificate* over the three [`CERTIFIED_PATHS`]: the heap
 //!   allocations counted during the burst (must be zero in steady state)
-//!   and whether the first four paths (legacy one-shot, instrumented
-//!   `Session::run`, trace-free `Session::infer` and `Session::infer_ref`)
-//!   produced bit-identical outputs, statistics, and energy.
+//!   and whether schedule replay reproduced the golden reference
+//!   (`Network::forward_fixed`). A session has one inference loop and
+//!   one way to deliver its result (`Session::infer_ref`; `run` adds the
+//!   per-layer trace, `infer` copies the result out), so the replayed
+//!   traced `run` and `infer_ref` must both equal the golden output and
+//!   each other's statistics and energy.
 //!
 //! * **Instrumented-path rows** — per benchmark, the *traced* session
 //!   run (`Session::run`, the path fault campaigns and debugging use)
 //!   with replay disabled (`set_schedule_replay`, i.e. live HFSM decode)
 //!   must agree bit-for-bit with the replayed run on outputs, per-layer
-//!   traces, statistics, and energy (the fifth certified path), and a
+//!   traces, statistics, and energy (the live-decode path), and a
 //!   session replaying under a *silent* fault plan must stay
 //!   allocation-free in steady state. The two paths are also timed side
 //!   by side; the ratio ([`ThroughputRow::instr_speedup`]) feeds
@@ -44,14 +47,14 @@
 //!   ones). Sessions always replay the recording, so there is no
 //!   optimized path to certify.
 //!
-//! * **Delta-load rows** — per benchmark, the cross-frame NBin residency
-//!   path (`Session::infer_delta`) is certified as the sixth path: a
-//!   cold call must stream every input row and agree bit-for-bit with a
-//!   plain `infer`, and an immediately repeated call on the same input
-//!   must stream zero rows, report a zero-cycle Load phase, and still
-//!   agree bit-for-bit — the dirty set is derived from content hashes, so
-//!   bit-identity holds by construction and only the Load accounting may
-//!   shrink.
+//! * **Delta-load rows** — per benchmark, a separate certificate for
+//!   cross-frame NBin residency (`Session::stage_delta`, here through
+//!   `Session::infer_delta`): a cold call must stream every input row
+//!   and reproduce the golden output bit-for-bit, and an immediately
+//!   repeated call on the same input must stream zero rows, report a
+//!   zero-cycle Load phase, and still reproduce it — the dirty set is
+//!   derived from content hashes, so bit-identity holds by construction
+//!   and only the Load accounting may shrink.
 //!
 //! A batch of N inputs is N runs through these same paths (serve
 //! batching is virtual-clock accounting), so it has no row of its own.
@@ -99,19 +102,12 @@ const WARMUP_QUIET: usize = 8;
 /// Inferences per benchmark in `--smoke` mode (CI-sized).
 const SMOKE_BURST: usize = 3;
 
-/// The execution paths every throughput row certifies bit-identical, in
-/// certificate order: the legacy one-shot `Accelerator::run`, the
-/// instrumented `Session::run`, the trace-free `Session::infer` and
-/// `Session::infer_ref`, live HFSM decode (schedule replay off), and
-/// the `Session::infer_delta` delta load.
-pub const CERTIFIED_PATHS: [&str; 6] = [
-    "legacy",
-    "run",
-    "infer",
-    "infer_ref",
-    "live decode",
-    "delta load",
-];
+/// The execution paths every throughput row certifies bit-identical:
+/// schedule replay (`paths_bit_identical`), live HFSM decode with replay
+/// off (`instr_paths_bit_identical`), and the golden fixed-point
+/// reference both are held to. The delta load is certified in its own
+/// row fields.
+pub const CERTIFIED_PATHS: [&str; 3] = ["schedule replay", "live decode", "golden reference"];
 
 /// Minimum instrumented-path speedup (schedule replay over live HFSM
 /// decode, measured side by side in the same process) the gate requires
@@ -169,9 +165,9 @@ pub struct ThroughputRow {
     /// Heap allocations counted during the (post-warm-up) burst. The
     /// zero-allocation datapath claim requires this to be exactly 0.
     pub steady_state_allocs: u64,
-    /// Whether the legacy one-shot, instrumented session run, and the
-    /// trace-free `infer`/`infer_ref` paths agreed bit-for-bit on
-    /// outputs, statistics, and energy.
+    /// Whether the replayed traced `Session::run` and `Session::infer_ref`
+    /// both reproduced the golden reference's output bit-for-bit and
+    /// agreed with each other on statistics and energy.
     pub paths_bit_identical: bool,
     /// Traced `Session::run` inferences in each instrumented burst.
     pub instr_inferences: usize,
@@ -187,7 +183,7 @@ pub struct ThroughputRow {
     pub instr_cycles_per_inference: u64,
     /// Whether the replayed and live-decoded instrumented runs agreed
     /// bit-for-bit on outputs, per-layer traces, statistics, and energy
-    /// (the fifth certified path).
+    /// (the live-decode certified path).
     pub instr_paths_bit_identical: bool,
     /// Heap allocations counted during a warmed `infer_ref` burst under
     /// a silent fault plan — schedule replay resolving the fault overlay
@@ -214,9 +210,8 @@ pub struct ThroughputRow {
     pub delta_warm_rows: u64,
     /// Load-phase cycles reported by the warm repeat (must be 0).
     pub delta_warm_load_cycles: u64,
-    /// Whether the cold and warm delta-load runs agreed bit-for-bit with
-    /// a plain `infer` on outputs, and the cold run streamed every row
-    /// (the sixth certified path).
+    /// Whether the cold and warm delta-load runs reproduced the golden
+    /// output bit-for-bit, and the cold run streamed every row.
     pub delta_bit_identical: bool,
 }
 
@@ -341,7 +336,7 @@ impl Artifact for PerfReport {
             out += "\n";
         }
         out += "Prepared-session certificate (Session::infer_ref, schedule replay, warmed burst)\n\
-                CNN          cycles/inf  allocs  4-path\n";
+                CNN          cycles/inf  allocs  ==golden\n";
         for t in &self.throughput {
             out += &format!(
                 "{:<12} {:>10}  {:>6}  {}\n",
@@ -449,7 +444,7 @@ impl Artifact for PerfReport {
         for row in rows {
             if !row.paths_bit_identical {
                 errors.push(format!(
-                    "{}: execution paths diverged (legacy / run / infer / infer_ref)",
+                    "{}: schedule replay diverged from the golden reference (run / infer_ref)",
                     row.name
                 ));
             }
@@ -476,7 +471,7 @@ impl Artifact for PerfReport {
             }
             if !row.delta_bit_identical {
                 errors.push(format!(
-                    "{}: delta-load path diverged from plain inference",
+                    "{}: delta-load path diverged from the golden reference",
                     row.name
                 ));
             }
@@ -566,29 +561,20 @@ pub fn measure_experiments() -> Vec<ExperimentFingerprint> {
 fn measure_one(b: shidiannao_cnn::NetworkBuilder, burst: usize) -> ThroughputRow {
     let net = b.build(SEED).expect("benchmark topologies are valid");
     let input = net.random_input(SEED ^ 0xABCD);
-    let accel = Accelerator::new(AcceleratorConfig::paper());
-    let prepared = accel
+    let prepared = Accelerator::new(AcceleratorConfig::paper())
         .prepare(&net)
         .expect("benchmarks fit the paper config");
 
-    // Certificate: legacy one-shot, instrumented session run, and the
-    // trace-free infer/infer_ref must agree bit-for-bit on outputs,
-    // statistics, and energy.
-    let legacy = accel
-        .run(&net, &input)
-        .expect("benchmarks fit the paper config");
+    // Certificate: the replayed traced run and the borrowed infer_ref
+    // must reproduce the golden fixed-point reference and agree with
+    // each other on statistics and energy.
+    let golden = net.forward_fixed(&input).output();
     let mut session = prepared.session();
     let run = session.run(&input).expect("instrumented session run");
-    let inf = session.infer(&input).expect("trace-free infer");
-    let paths_bit_identical = {
+    let paths_bit_identical = run.output() == golden && {
         let r = session.infer_ref(&input).expect("trace-free infer_ref");
-        r.output() == inf.output() && r.stats() == inf.stats() && r.energy() == inf.energy()
-    } && run.output() == legacy.output()
-        && inf.output_flat() == legacy.output()
-        && run.stats() == legacy.stats()
-        && inf.stats() == legacy.stats()
-        && run.energy() == legacy.energy()
-        && inf.energy() == legacy.energy();
+        r.output_flat() == golden && r.stats() == run.stats() && r.energy() == run.energy()
+    };
 
     // Warm up until whole inferences stop allocating — scratch slabs
     // and the map recycling pool grow toward their high-water marks
@@ -611,7 +597,7 @@ fn measure_one(b: shidiannao_cnn::NetworkBuilder, burst: usize) -> ThroughputRow
         }
     });
 
-    // Fifth certified path: the traced instrumented run with
+    // Live-decode certified path: the traced instrumented run with
     // schedule replay disabled (live HFSM decode, the pre-schedule code
     // path) must agree with the replayed run on outputs, per-layer
     // traces, statistics, and energy.
@@ -666,21 +652,21 @@ fn measure_one(b: shidiannao_cnn::NetworkBuilder, burst: usize) -> ThroughputRow
         }
     });
 
-    // Sixth certified path: the delta-load staging path. A
-    // cold `infer_delta` must stream every input row and agree with a
-    // plain `infer`; an immediately repeated call on the same input must
-    // stream zero rows, report a zero-cycle Load phase, and still agree.
+    // Delta-load certificate: a cold `infer_delta` must stream every
+    // input row and reproduce the golden output; an immediately repeated
+    // call on the same input must stream zero rows, report a zero-cycle
+    // Load phase, and still reproduce it.
     let mut delta_session = prepared.session();
     let mut residency = NbResidency::new();
     let (cold, d_cold) = delta_session
         .infer_delta(&input, &mut residency)
         .expect("cold delta-load");
-    let cold_ok = cold.output() == inf.output() && d_cold.rows_streamed == d_cold.rows_total;
+    let cold_ok = cold.output_flat() == golden && d_cold.rows_streamed == d_cold.rows_total;
     let (warm, d_warm) = delta_session
         .infer_delta(&input, &mut residency)
         .expect("warm delta-load");
     let delta_warm_load_cycles = warm.stats().layers()[0].cycles;
-    let delta_bit_identical = cold_ok && warm.output() == inf.output();
+    let delta_bit_identical = cold_ok && warm.output_flat() == golden;
 
     let opt_report = *prepared.optimizer_report();
     ThroughputRow {
@@ -871,7 +857,7 @@ mod tests {
         let clean = clean_report();
         assert!(clean.gate_errors().is_empty());
 
-        // Drift (clean and traced), divergence (four-path,
+        // Drift (clean and traced), divergence (replay-vs-golden,
         // replay-vs-live, and delta-load), allocation (clean and faulty
         // replay), an optimizer cycle increase, and absence each produce
         // an error.
@@ -890,7 +876,9 @@ mod tests {
         let errors = bad.gate_errors();
         assert_eq!(errors.len(), 10, "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("seed-frozen")));
-        assert!(errors.iter().any(|e| e.contains("diverged (legacy")));
+        assert!(errors
+            .iter()
+            .any(|e| e.contains("diverged from the golden reference (run")));
         assert!(errors.iter().any(|e| e.contains("clean replay allocated")));
         assert!(errors.iter().any(|e| e.contains("scheduled-path drift")));
         assert!(errors

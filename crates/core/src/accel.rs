@@ -30,7 +30,7 @@ use shidiannao_fixed::Fx;
 use shidiannao_tensor::MapStack;
 use std::sync::Arc;
 
-/// Error produced by [`Accelerator::run`].
+/// Error produced by [`Accelerator::prepare`] or a [`Session`] run.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RunError {
     /// The configuration is invalid.
@@ -135,7 +135,7 @@ impl From<TransitionError> for RunError {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let net = zoo::gabor().build(1)?;
 /// let accel = Accelerator::new(AcceleratorConfig::paper());
-/// let run = accel.run(&net, &net.random_input(7))?;
+/// let run = accel.prepare(&net)?.session().run(&net.random_input(7))?;
 /// assert_eq!(run.output().len(), net.output_count());
 /// assert!(run.stats().cycles() > 0);
 /// # Ok(())
@@ -187,30 +187,6 @@ impl Accelerator {
     /// Replaces the energy model (e.g. a different process node).
     pub fn set_energy_model(&mut self, model: EnergyModel) {
         self.energy_model = model;
-    }
-
-    /// Compiles a network to its control program.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Compile`] if a dimension exceeds the ISA's
-    /// field widths.
-    pub fn compile(&self, network: &Network) -> Result<Program, RunError> {
-        let program = compiler::compile(network)?;
-        compiler::validate(&program, network)?;
-        Ok(program)
-    }
-
-    /// Checks that a network fits on chip: every layer's neurons within
-    /// NBin/NBout, all synapses within SB, the program within IB (§6).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Capacity`] naming the overflowing buffer.
-    pub fn check_capacity(&self, network: &Network) -> Result<(), RunError> {
-        self.check_data_capacity(network)?;
-        let program = self.compile(network)?;
-        self.check_ib_capacity(&program)
     }
 
     /// The NB/SB halves of the capacity check (no compilation needed).
@@ -265,18 +241,21 @@ impl Accelerator {
 
     /// Performs every per-network (input-independent) stage of an
     /// inference **once** — config validation happened in
-    /// [`Accelerator::new`]; this adds the capacity check, compilation to
-    /// the 61-bit program, and the banked synapse-store image — and
-    /// returns a [`PreparedNetwork`] that executes inferences without
-    /// repeating any of it.
+    /// [`Accelerator::new`]; this adds the capacity check (every layer's
+    /// neurons within NBin/NBout, all synapses within SB, the program
+    /// within IB, §6), compilation to the 61-bit program, and the banked
+    /// synapse-store image — and returns a [`PreparedNetwork`] whose
+    /// [`Session`]s execute inferences without repeating any of it. A
+    /// one-shot run is `accel.prepare(&net)?.session().run(&input)`.
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Capacity`] or [`RunError::Compile`] exactly as
-    /// [`Accelerator::run`] would.
+    /// Returns [`RunError::Capacity`] naming the overflowing buffer, or
+    /// [`RunError::Compile`] when a dimension exceeds the ISA's fields.
     pub fn prepare(&self, network: &Network) -> Result<PreparedNetwork, RunError> {
         self.check_data_capacity(network)?;
-        let program = self.compile(network)?;
+        let program = compiler::compile(network)?;
+        compiler::validate(&program, network)?;
         self.check_ib_capacity(&program)?;
         let store = SynapseStore::load(network, self.config.sb_bytes)?
             .with_banking(self.config.pe_cols, self.config.pe_rows);
@@ -329,36 +308,6 @@ impl Accelerator {
         prepared.shareable_prefix = shareable_prefix(&prepared.network, &schedule);
         prepared.schedule = Arc::new(schedule);
         Ok(prepared)
-    }
-
-    /// Executes one inference cycle-by-cycle.
-    ///
-    /// The input is streamed into NBin (charged as the Load phase), each
-    /// layer runs under its §8 mapping, and NBin/NBout swap roles between
-    /// layers. The result is bit-identical to
-    /// [`Network::forward_fixed`].
-    ///
-    /// This is a thin compatibility wrapper over [`Accelerator::prepare`]
-    /// followed by a single-use [`Session::run`]; callers executing the same
-    /// network more than once should hold on to the [`PreparedNetwork`]
-    /// (and a [`Session`]) instead, so compilation and synapse-store
-    /// banking happen once rather than per inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] when the input shape mismatches or the network
-    /// does not fit on chip.
-    pub fn run(&self, network: &Network, input: &MapStack<Fx>) -> Result<RunOutcome, RunError> {
-        let expected = (
-            network.input_maps(),
-            network.input_dims().0,
-            network.input_dims().1,
-        );
-        let got = (input.len(), input.width(), input.height());
-        if expected != got {
-            return Err(RunError::InputShape { expected, got });
-        }
-        self.prepare(network)?.session().run(input)
     }
 }
 
@@ -571,7 +520,7 @@ impl PreparedNetwork {
 }
 
 /// Caller-held cross-frame NBin residency state for
-/// [`Session::infer_delta`]: one content hash per input row, keyed by
+/// [`Session::stage_delta`]: one content hash per input row, keyed by
 /// the input geometry.
 ///
 /// The model (DESIGN.md §3k): the double-buffered NBin's *staging* bank
@@ -579,10 +528,13 @@ impl PreparedNetwork {
 /// bank runs — still holds the previous frame's rows when the same
 /// region geometry comes around again. Rows whose content is unchanged
 /// need not re-stream; only dirty rows cross the sensor→NBin link. The
-/// dirty set is **derived**, not asserted: `infer_delta` hashes every
+/// dirty set is **derived**, not asserted: `stage_delta` hashes every
 /// row of the presented input (the same `mix64` finalizer the schedule
 /// recorder's `AccessSet` hashes addresses with) and compares against
-/// the resident hashes, so a caller cannot under-declare. The full
+/// the resident hashes, so a caller cannot under-declare the rows of
+/// the input it stages; the run that consumes the stage must be of that
+/// input (or, from a shared prefix, of its layer-`k − 1` values), which
+/// the session cannot see. The full
 /// input values are still installed in the simulator's buffer — the
 /// resident rows are, by definition, already those values — which is
 /// why delta-load replay is bit-identical to a cold load by
@@ -636,7 +588,7 @@ fn hash_row(row: &[Fx]) -> u64 {
     h
 }
 
-/// Load-phase accounting of one [`Session::infer_delta`] run.
+/// Load-phase accounting of one [`Session::stage_delta`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaLoad {
     /// Input rows the network geometry carries (`maps × height`).
@@ -688,7 +640,7 @@ pub struct Session<'p> {
     /// first faulted run after a plan change, then reused run after run.
     overlays: Vec<LayerOverlay>,
     overlays_valid: bool,
-    /// Load-phase bytes staged by [`Session::infer_delta`] for the next
+    /// Load-phase bytes staged by [`Session::stage_delta`] for the next
     /// run; `None` means cold (full) load. Consumed at the top of
     /// `execute_inner`, so it can never leak across runs.
     pending_delta_bytes: Option<u64>,
@@ -726,11 +678,6 @@ impl<'p> Session<'p> {
         self.replay_enabled
     }
 
-    /// The fault plan in force.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
     /// Fault counters of the most recent run (reset at each run's start;
     /// valid after both successful and aborted runs).
     pub fn fault_stats(&self) -> &FaultStats {
@@ -744,8 +691,9 @@ impl<'p> Session<'p> {
         self.last_cycles
     }
 
-    /// Executes one inference, recording every layer's output stack
-    /// (identical to what [`Accelerator::run`] returns).
+    /// Executes one inference, recording every layer's output stack: the
+    /// traced form of [`Session::infer_ref`], with the same final output,
+    /// statistics and energy.
     ///
     /// # Errors
     ///
@@ -753,53 +701,39 @@ impl<'p> Session<'p> {
     pub fn run(&mut self, input: &MapStack<Fx>) -> Result<RunOutcome, RunError> {
         let mut layer_outputs = Vec::new();
         self.execute(0, input, Some(&mut layer_outputs))?;
-        let stats = self.stats.clone();
-        let energy = self.prepared.energy_model.charge_run(&stats);
+        let run = self.last_inference()?;
         Ok(RunOutcome {
             layer_outputs,
-            stats,
-            energy,
+            stats: run.stats.clone(),
+            energy: run.energy,
             energy_model: self.prepared.energy_model,
-            frequency_ghz: self.prepared.config.frequency_ghz,
-            fault_stats: *self.faults.stats(),
+            frequency_ghz: run.frequency_ghz,
+            fault_stats: *run.fault_stats,
         })
     }
 
-    /// Executes one inference without keeping per-layer output traces —
-    /// the owned-result streaming path. The final output, statistics,
-    /// and energy are identical to [`Session::run`]'s.
-    ///
-    /// Taking the output stack out of the buffer costs the next run one
-    /// stack allocation; throughput-critical callers that only need to
-    /// *look* at the result should use [`Session::infer_ref`], which is
-    /// allocation-free in steady state.
+    /// Executes one inference and returns an owned copy of
+    /// [`Session::infer_ref`]'s result, for callers that keep it past the
+    /// session's next run. The copy allocates; callers that only *look*
+    /// at the result should use `infer_ref`.
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::InputShape`] when the input mismatches.
+    /// Exactly [`Session::infer_ref`]'s.
     pub fn infer(&mut self, input: &MapStack<Fx>) -> Result<Inference, RunError> {
-        self.execute(0, input, None)?;
-        let output = self.nbin.take().ok_or(EmptyBufferError {
-            buffer: "NB (final output)",
-        })?;
-        let stats = self.stats.clone();
-        let energy = self.prepared.energy_model.charge_run(&stats);
-        Ok(Inference {
-            output,
-            stats,
-            energy,
-            frequency_ghz: self.prepared.config.frequency_ghz,
-            fault_stats: *self.faults.stats(),
-        })
+        self.infer_ref(input).map(Inference::from)
     }
 
     /// Executes one inference and returns the result *borrowed* from the
     /// session: the output stack stays installed in the buffer and the
     /// statistics live in the session's recycled slots, so once the
     /// session's buffers have grown to the network's high-water mark this
-    /// path performs **zero heap allocations** per inference. Output,
-    /// statistics, and energy are bit-identical to [`Session::run`]'s and
-    /// [`Session::infer`]'s.
+    /// path performs **zero heap allocations** per inference. Every other
+    /// way to run an inference is a form of this one: [`Session::run`]
+    /// adds the per-layer trace, [`Session::infer`] copies the result
+    /// out, [`Session::infer_ref_from`] starts from a shared prefix and
+    /// [`Session::infer_retrying`] retries under salted fault plans. A
+    /// delta load staged by [`Session::stage_delta`] is consumed here.
     ///
     /// # Errors
     ///
@@ -987,49 +921,21 @@ impl<'p> Session<'p> {
         Ok(())
     }
 
-    /// Executes one inference with a **delta load**: rows of `input`
-    /// whose content matches the caller-held [`NbResidency`] state are
-    /// served from the double-buffered NBin's resident copy, and only
-    /// dirty rows stream over the sensor→NBin link — the Load phase's
-    /// cycles and NBin write traffic shrink proportionally. Everything
-    /// after the Load phase (outputs, per-layer statistics, fault
-    /// behaviour) is **bit-identical** to [`Session::infer`] by
-    /// construction (see [`NbResidency`] for why), and `residency` is
-    /// updated to describe `input` either way.
+    /// Stages a **delta load** for the session's next run: rows of
+    /// `input` whose content matches the caller-held [`NbResidency`] are
+    /// served from the double-buffered NBin's resident copy, so only the
+    /// dirty rows stream over the sensor→NBin link and the next run's
+    /// Load phase charges only their cycles and NBin writes. `residency`
+    /// is updated to describe `input`.
     ///
-    /// # Errors
-    ///
-    /// Exactly [`Session::infer`]'s.
-    pub fn infer_delta(
-        &mut self,
-        input: &MapStack<Fx>,
-        residency: &mut NbResidency,
-    ) -> Result<(Inference, DeltaLoad), RunError> {
-        let delta = self.stage_delta(input, residency);
-        let inference = self.infer(input)?;
-        Ok((inference, delta))
-    }
-
-    /// The borrowed-result form of [`Session::infer_delta`]: zero heap
-    /// allocations in steady state, like [`Session::infer_ref`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Session::infer`]'s.
-    pub fn infer_delta_ref(
-        &mut self,
-        input: &MapStack<Fx>,
-        residency: &mut NbResidency,
-    ) -> Result<(InferenceRef<'_>, DeltaLoad), RunError> {
-        let delta = self.stage_delta(input, residency);
-        let inference = self.infer_ref(input)?;
-        Ok((inference, delta))
-    }
-
-    /// Hashes `input`'s rows against `residency`, updates the resident
-    /// state, and stages the dirty-byte count for the next run's Load
-    /// phase.
-    fn stage_delta(&mut self, input: &MapStack<Fx>, residency: &mut NbResidency) -> DeltaLoad {
+    /// Whatever run comes next consumes the stage, even one that fails:
+    /// [`Session::run`], `infer`, `infer_ref`, `infer_ref_from` (which
+    /// takes `input`'s layer-`k − 1` values) or the first attempt of
+    /// `infer_retrying`. [`Session::prefix_values`] is not a run and
+    /// leaves it staged. That run must present `input`; everything after
+    /// its Load phase is then bit-identical to a cold run by construction
+    /// (see [`NbResidency`]).
+    pub fn stage_delta(&mut self, input: &MapStack<Fx>, residency: &mut NbResidency) -> DeltaLoad {
         let maps = input.len();
         let (w, h) = (input.width(), input.height());
         let rows_total = maps * h;
@@ -1062,6 +968,21 @@ impl<'p> Session<'p> {
         }
     }
 
+    /// [`Session::stage_delta`] followed by [`Session::infer`].
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Session::infer`]'s.
+    pub fn infer_delta(
+        &mut self,
+        input: &MapStack<Fx>,
+        residency: &mut NbResidency,
+    ) -> Result<(Inference, DeltaLoad), RunError> {
+        let delta = self.stage_delta(input, residency);
+        let inference = self.infer(input)?;
+        Ok((inference, delta))
+    }
+
     /// The schedule this run replays from, or `None` when every layer
     /// must live-decode (§3f in DESIGN.md). Replay covers traced and
     /// silently-faulted runs too — that is its point — but stuck-at PEs
@@ -1077,13 +998,14 @@ impl<'p> Session<'p> {
         replay.then_some(schedule)
     }
 
-    /// The cycle-by-cycle inference loop shared by `run`, `infer`,
-    /// `infer_ref_from` and `infer_retrying` (`trace` is `Some` only for
-    /// `run`). `input` is layer `start − 1`'s output (the network input
-    /// when `start` is 0); layers before `start` are charged without
-    /// computing. Statistics land in the session's recycled [`RunStats`]
-    /// slots; the final layer's output is left installed in the buffer
-    /// currently holding the NBin role. Cycles charged up to an abort (including a
+    /// The session's one inference loop, behind `run`, `infer_ref_from`
+    /// and `infer_retrying` (`trace` is `Some` only for `run`);
+    /// `last_inference` then delivers its result. `input` is layer
+    /// `start − 1`'s output (the network input when `start` is 0); layers
+    /// before `start` are charged without computing. Statistics land in
+    /// the session's recycled [`RunStats`] slots; the final layer's output
+    /// is left installed in the buffer currently holding the NBin role.
+    /// Cycles charged up to an abort (including a
     /// [`RunError::FaultDetected`] one) are recorded in
     /// [`Session::last_cycles`] either way.
     fn execute(
@@ -1162,7 +1084,7 @@ impl<'p> Session<'p> {
 
         // Load phase: the sensor/host streams the image into NBin at one
         // bank-width write per cycle. A staged delta-load
-        // ([`Session::infer_delta`]) streams only the dirty rows; the
+        // ([`Session::stage_delta`]) streams only the dirty rows; the
         // resident rows are already in the staging bank, so the full
         // values are installed either way and everything downstream is
         // bit-identical to a cold load. A run from a shared prefix
@@ -1342,8 +1264,8 @@ const _: () = {
     assert_send::<Session<'static>>();
 };
 
-/// A trace-free inference result from [`Session::infer`]: the final
-/// output plus the run's statistics and energy.
+/// An owned inference result from [`Session::infer`]: a copy of an
+/// [`InferenceRef`] that outlives the session's next run.
 #[derive(Clone, Debug)]
 pub struct Inference {
     output: MapStack<Fx>,
@@ -1351,6 +1273,18 @@ pub struct Inference {
     energy: EnergyReport,
     frequency_ghz: f64,
     fault_stats: FaultStats,
+}
+
+impl From<InferenceRef<'_>> for Inference {
+    fn from(run: InferenceRef<'_>) -> Inference {
+        Inference {
+            output: run.output.clone(),
+            stats: run.stats.clone(),
+            energy: run.energy,
+            frequency_ghz: run.frequency_ghz,
+            fault_stats: *run.fault_stats,
+        }
+    }
 }
 
 impl Inference {

@@ -200,11 +200,6 @@ impl NeuronBuffer {
         self.stack.as_mut()
     }
 
-    /// Removes and returns the loaded layer.
-    pub fn take(&mut self) -> Option<MapStack<Fx>> {
-        self.stack.take()
-    }
-
     fn loaded(&self) -> Result<&MapStack<Fx>, EmptyBufferError> {
         self.stack.as_ref().ok_or(EmptyBufferError {
             buffer: "NB (input role)",
@@ -997,11 +992,8 @@ mod tests {
     }
 
     #[test]
-    fn take_and_contents() {
-        let mut nb = nb();
-        assert!(nb.contents().is_some());
-        let s = nb.take().unwrap();
-        assert_eq!(s.len(), 2);
-        assert!(nb.contents().is_none());
+    fn contents_is_the_loaded_layer() {
+        assert_eq!(nb().contents().map(|s| s.len()), Some(2));
+        assert!(NeuronBuffer::new(2, 2, 4096).contents().is_none());
     }
 }

@@ -1,10 +1,14 @@
-//! The host's one fan-out: runs independent slots on several OS threads
+//! The simulator's fan-out: runs independent slots on several OS threads
 //! and hands every result back in slot order.
 //!
-//! Both host-parallel loops of the workspace run through [`run`]: the
+//! The two host-parallel loops of the simulator run through [`run`]: the
 //! regions of a §10.2 sensor frame (`StreamingPipeline`,
 //! `VideoPipeline`) and the jobs of one serving dispatch step (the
-//! cluster event loop in `shidiannao-serve`). Every slot is a pure
+//! cluster event loop in `shidiannao-serve`). The `par_iter` loops of
+//! the cascade evaluation (`shidiannao-quant`) and of the harness's
+//! experiments and autotuner (`shidiannao-bench`) still run on the
+//! vendored rayon shim, which keeps its own copy of the worker-count
+//! rule. Every slot is a pure
 //! function of its own inputs and each worker writes only into the slots
 //! it claimed, so callers fold the slots afterwards in slot order and get
 //! the same report at any worker count; [`workers`] is the one rule for

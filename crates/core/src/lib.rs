@@ -33,7 +33,7 @@
 //! let input = network.random_input(7);
 //!
 //! let accel = Accelerator::new(AcceleratorConfig::paper());
-//! let run = accel.run(&network, &input)?;
+//! let run = accel.prepare(&network)?.session().run(&input)?;
 //!
 //! // Bit-identical to the golden reference.
 //! assert_eq!(run.output(), network.forward_fixed(&input).output());

@@ -100,26 +100,6 @@ impl LayerSchedule {
     pub fn cycles(&self) -> u64 {
         self.stats.cycles
     }
-
-    /// Deduplicated NB words the layer touches.
-    pub fn nb_words(&self) -> usize {
-        self.nb_reads.len()
-    }
-
-    /// Deduplicated SB words the layer touches.
-    pub fn sb_words(&self) -> usize {
-        self.sb_reads.len()
-    }
-
-    /// NB read requests the layer issues (sum over modes (a)–(f)).
-    pub fn nb_read_accesses(&self) -> u64 {
-        self.stats.nbin.read_accesses
-    }
-
-    /// SB read requests the layer issues.
-    pub fn sb_read_accesses(&self) -> u64 {
-        self.stats.sb.read_accesses
-    }
 }
 
 /// A whole network's precompiled control state, shared (`Arc`) by every

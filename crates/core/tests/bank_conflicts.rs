@@ -15,7 +15,8 @@ fn stride_one_convolutions_are_conflict_free() {
         .build(1)
         .unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     assert_eq!(run.stats().total().bank_conflict_cycles, 0);
 }
@@ -29,7 +30,8 @@ fn strided_convolutions_conflict() {
         .build(1)
         .unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     assert!(run.stats().total().bank_conflict_cycles > 0);
 }
@@ -41,7 +43,8 @@ fn stride_two_pooling_conflicts_but_stride_one_load_does_not() {
         .build(1)
         .unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     // The 8×8 gather at stride 2 spans 16 rows → two requests per bank.
     let pool = &run.stats().layers()[1];
@@ -54,10 +57,12 @@ fn stall_modeling_extends_cycles_without_changing_results() {
     let net = zoo::simple_conv().build(3).unwrap();
     let input = net.random_input(4);
     let ideal = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     let stalled = Accelerator::new(AcceleratorConfig::paper().with_bank_conflicts())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     assert_eq!(ideal.output(), stalled.output());
     let conflicts = ideal.stats().total().bank_conflict_cycles;
@@ -75,7 +80,8 @@ fn benchmark_conflict_profile_matches_stride_usage() {
     // layers should show conflicts; LeNet's conv layers should not.
     let lenet = zoo::lenet5().build(1).unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&lenet, &lenet.random_input(1))
+        .prepare(&lenet)
+        .and_then(|p| p.session().run(&lenet.random_input(1)))
         .unwrap();
     for layer in run.stats().layers() {
         if layer.label.starts_with('C') || layer.label.starts_with('F') {

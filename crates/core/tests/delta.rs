@@ -2,12 +2,17 @@
 //! topologies, PE grids, and dirty sets, `Session::infer_delta` is
 //! bit-identical in outputs and post-Load statistics to a cold
 //! `Session::infer` and charges the Load phase for exactly the dirty
-//! rows (DESIGN.md §3k).
+//! rows (DESIGN.md §3k). A delta staged with `Session::stage_delta` is
+//! consumed by whatever run comes next, a shared-prefix
+//! `infer_ref_from` included, and by nothing after it.
 
 use proptest::prelude::*;
 use shidiannao_cnn::{ConvSpec, FcSpec, NetworkBuilder, PoolSpec};
-use shidiannao_core::{Accelerator, AcceleratorConfig, NbResidency};
+use shidiannao_core::{
+    Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, NbResidency, RunError, SramProtection,
+};
 use shidiannao_fixed::Fx;
+use shidiannao_tensor::MapStack;
 
 fn build_net(in_maps: usize, w: usize, h: usize, k: usize, seed: u64) -> shidiannao_cnn::Network {
     NetworkBuilder::new("delta", in_maps, (w, h))
@@ -121,7 +126,7 @@ proptest! {
         let a = net.random_input(seed);
         let b = net.random_input(seed ^ 0xBEEF);
 
-        let run = |inputs: &[&shidiannao_tensor::MapStack<Fx>]| {
+        let run = |inputs: &[&MapStack<Fx>]| {
             let mut session = prepared.session();
             let mut residency = NbResidency::new();
             inputs
@@ -176,7 +181,8 @@ fn geometry_change_resets_residency() {
 
 /// A staged delta never leaks: an interleaved plain `infer` after
 /// `infer_delta` pays the full cold load (the stage is consumed by the
-/// delta run itself), and a shape-rejected run cannot poison the next.
+/// delta run itself), and neither a shape-rejected run nor a run aborted
+/// by a detected fault can pass its stage on to the next.
 #[test]
 fn staged_delta_never_leaks_into_plain_runs() {
     let net = build_net(1, 10, 10, 3, 9);
@@ -199,4 +205,63 @@ fn staged_delta_never_leaks_into_plain_runs() {
     let mut cold = prepared.session();
     let reference = cold.infer(&input).expect("clean run");
     assert_eq!(plain.stats().layers(), reference.stats().layers());
+
+    // A warm stage consumed by an attempt that parity aborts at its
+    // first instruction fetch: the next clean run pays the cold Load.
+    let d = session.stage_delta(&input, &mut residency);
+    assert_eq!(d.rows_streamed, 0);
+    session.set_fault_plan(FaultPlan::new(FaultConfig {
+        ib_flip_rate: 1.0,
+        protection: SramProtection::Parity,
+        ..FaultConfig::zero()
+    }));
+    assert!(matches!(
+        session.infer_ref(&input),
+        Err(RunError::FaultDetected(_))
+    ));
+    session.set_fault_plan(FaultPlan::none());
+    let after = session.infer(&input).expect("clean run");
+    assert_eq!(after.stats().layers(), reference.stats().layers());
+}
+
+/// The composition a banded video prefix needs: a staged delta followed
+/// by a shared-prefix `infer_ref_from(k, mid)` is `infer_delta` on the
+/// whole region — the same streamed rows, Load cycles, outputs and
+/// statistics — across a cold, a repeated and a partly changed input.
+/// The strip evaluation between the stage and the run leaves the stage
+/// in place.
+#[test]
+fn staged_delta_composes_with_a_shared_prefix() {
+    let net = build_net(2, 12, 12, 3, 5);
+    let prepared = Accelerator::new(AcceleratorConfig::with_pe_grid(4, 4))
+        .prepare(&net)
+        .expect("fits");
+    let k = prepared.shareable_prefix();
+    assert!(k > 0, "conv and pool share");
+    let first = net.random_input(21);
+    let mut changed = first.clone();
+    for y in [2, 7] {
+        let map = changed.get_mut(1).expect("map in range");
+        map[(3, y)] = if map[(3, y)] == Fx::MAX {
+            Fx::MIN
+        } else {
+            Fx::MAX
+        };
+    }
+
+    let (mut whole, mut split) = (prepared.session(), prepared.session());
+    let (mut whole_res, mut split_res) = (NbResidency::new(), NbResidency::new());
+    let mut mid = MapStack::new(1, 1);
+    for input in [&first, &first, &changed] {
+        let (reference, expected) = whole.infer_delta(input, &mut whole_res).expect("clean run");
+        let delta = split.stage_delta(input, &mut split_res);
+        split
+            .prefix_values(k, input, false, &mut mid)
+            .expect("a region is a strip one region wide");
+        let run = split.infer_ref_from(k, &mid).expect("clean replay");
+        assert_eq!(delta, expected);
+        assert_eq!(run.output(), reference.output());
+        assert_eq!(run.stats(), reference.stats());
+        assert_eq!(run.energy(), reference.energy());
+    }
 }

@@ -12,7 +12,8 @@ fn assert_bit_identical(builder: NetworkBuilder, seed: u64) {
     let golden = net.forward_fixed(&input);
     let accel = Accelerator::new(AcceleratorConfig::paper());
     let run = accel
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap_or_else(|e| panic!("{}: {e}", net.name()));
     for (i, sim_out) in run.layer_outputs().iter().enumerate() {
         assert_eq!(
@@ -171,7 +172,10 @@ fn results_match_across_pe_grid_sizes() {
     let golden = net.forward_fixed(&input).output();
     for (px, py) in [(1, 1), (2, 3), (4, 4), (8, 8), (16, 16), (5, 7)] {
         let accel = Accelerator::new(AcceleratorConfig::with_pe_grid(px, py));
-        let run = accel.run(&net, &input).unwrap();
+        let run = accel
+            .prepare(&net)
+            .and_then(|p| p.session().run(&input))
+            .unwrap();
         assert_eq!(run.output(), golden, "diverges on {px}x{py} PE grid");
     }
 }
@@ -183,10 +187,12 @@ fn results_match_without_propagation() {
     let net = zoo::cff().build(3).unwrap();
     let input = net.random_input(4);
     let with = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     let without = Accelerator::new(AcceleratorConfig::paper().without_propagation())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     assert_eq!(with.output(), without.output());
     let with_reads = with.stats().total().nbin.read_bytes;

@@ -29,11 +29,11 @@ fn nets() -> Vec<shidiannao_cnn::Network> {
 fn zero_rate_plan_is_bit_identical_to_the_fault_free_simulator() {
     for net in nets() {
         let input = net.random_input(INPUT_SEED);
-        let accel = Accelerator::new(AcceleratorConfig::paper());
-        let clean = accel.run(&net, &input).expect("fits the paper config");
-        let zero = accel
+        let prepared = Accelerator::new(AcceleratorConfig::paper())
             .prepare(&net)
-            .expect("fits")
+            .expect("fits the paper config");
+        let clean = prepared.session().run(&input).expect("clean run");
+        let zero = prepared
             .session_with_faults(FaultPlan::none())
             .run(&input)
             .expect("zero-rate plan cannot fault");
@@ -223,11 +223,11 @@ proptest! {
         let cfg = FaultConfig { seed, ..FaultConfig::zero() };
         let net = zoo::gabor().build(SEED).expect("valid topology");
         let input = net.random_input(INPUT_SEED);
-        let accel = Accelerator::new(AcceleratorConfig::paper());
-        let clean = accel.run(&net, &input).expect("fits");
-        let faulted = accel
+        let prepared = Accelerator::new(AcceleratorConfig::paper())
             .prepare(&net)
-            .expect("fits")
+            .expect("fits");
+        let clean = prepared.session().run(&input).expect("clean run");
+        let faulted = prepared
             .session_with_faults(FaultPlan::new(cfg))
             .run(&input)
             .expect("zero-rate plan cannot fault");

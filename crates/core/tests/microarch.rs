@@ -13,9 +13,13 @@ fn toy_example_reuse_is_exactly_44_4_percent() {
         .unwrap();
     let input = net.random_input(2);
     let cfg = AcceleratorConfig::with_pe_grid(2, 2);
-    let with = Accelerator::new(cfg.clone()).run(&net, &input).unwrap();
+    let with = Accelerator::new(cfg.clone())
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
+        .unwrap();
     let without = Accelerator::new(cfg.without_propagation())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     // Count neurons read during the conv layer (layer index 1 after Load).
     let read = |o: &shidiannao_core::RunOutcome| o.stats().layers()[1].nbin.read_bytes / 2;
@@ -42,10 +46,12 @@ fn lenet_c1_reuse_reduction_band() {
     let net = zoo::lenet5().build(1).unwrap();
     let input = net.random_input(3);
     let with = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     let without = Accelerator::new(AcceleratorConfig::paper().without_propagation())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     let read = |o: &shidiannao_core::RunOutcome| o.stats().layers()[1].nbin.read_bytes as f64;
     let reduction = 1.0 - read(&with) / read(&without);
@@ -64,7 +70,8 @@ fn fifo_peaks_equal_strides() {
             .build(1)
             .unwrap();
         let run = Accelerator::new(AcceleratorConfig::paper())
-            .run(&net, &net.random_input(1))
+            .prepare(&net)
+            .and_then(|p| p.session().run(&net.random_input(1)))
             .unwrap();
         let total = run.stats().total();
         assert_eq!(total.fifo_h_peak, sx, "FIFO-H depth for stride {sx}x{sy}");
@@ -78,7 +85,8 @@ fn conv_uses_the_modes_the_paper_assigns() {
     // strided cases), and (f); never the classifier broadcast (d).
     let net = zoo::lenet5().build(1).unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     let c1 = &run.stats().layers()[1];
     assert!(c1.reads_by_mode[ReadMode::A as usize] > 0, "mode (a) tiles");
@@ -94,7 +102,8 @@ fn conv_uses_the_modes_the_paper_assigns() {
 fn classifier_uses_broadcast_mode_only() {
     let net = zoo::lenet5().build(1).unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     // F5 is layer index 5 (after Load, C1, S2, C3, S4).
     let f5 = &run.stats().layers()[5];
@@ -120,7 +129,8 @@ fn classifier_uses_broadcast_mode_only() {
 fn pooling_uses_strided_gathers() {
     let net = zoo::lenet5().build(1).unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     let s2 = &run.stats().layers()[2];
     assert_eq!(s2.label, "S2");
@@ -156,7 +166,8 @@ fn simple_conv_underutilizes_pes() {
     // the reason ShiDianNao loses to DianNao on this one benchmark.
     let net = zoo::simple_conv().build(1).unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     let c2 = &run.stats().layers()[2];
     assert_eq!(c2.label, "C2");
@@ -168,7 +179,8 @@ fn simple_conv_underutilizes_pes() {
     // By contrast LeNet-5 C1 keeps the array mostly busy.
     let lenet = zoo::lenet5().build(1).unwrap();
     let run2 = Accelerator::new(AcceleratorConfig::paper())
-        .run(&lenet, &lenet.random_input(1))
+        .prepare(&lenet)
+        .and_then(|p| p.session().run(&lenet.random_input(1)))
         .unwrap();
     assert!(run2.stats().layers()[1].pe_utilization() > 0.7);
 }
@@ -184,7 +196,8 @@ fn bandwidth_without_propagation_matches_analytic_form() {
         .unwrap();
     let cfg = AcceleratorConfig::with_pe_grid(5, 5).without_propagation();
     let run = Accelerator::new(cfg)
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     let conv = &run.stats().layers()[1];
     // Ignore the epilogue cycles: bytes/cycle ≈ 52 within a few percent.
@@ -196,7 +209,8 @@ fn bandwidth_without_propagation_matches_analytic_form() {
 fn hfsm_transitions_are_exercised() {
     let net = zoo::lenet5().build(1).unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     // Every conv cycle beyond the first in a row walks the phase ring;
     // the FIFO counters prove both H and V propagation happened.
@@ -224,7 +238,8 @@ fn conv_pass_reads_match_the_closed_form() {
             .build(1)
             .unwrap();
         let run = Accelerator::new(AcceleratorConfig::with_pe_grid(w, h))
-            .run(&net, &net.random_input(1))
+            .prepare(&net)
+            .and_then(|p| p.session().run(&net.random_input(1)))
             .unwrap();
         let measured = run.stats().layers()[1].nbin.read_bytes / 2;
         let expected = (w * h + (kx - 1) * h * ky + (ky - 1) * w) as u64;
@@ -242,7 +257,8 @@ fn conv_pass_reads_without_propagation_match_the_closed_form() {
         .build(1)
         .unwrap();
     let run = Accelerator::new(AcceleratorConfig::with_pe_grid(w, h).without_propagation())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     let measured = run.stats().layers()[1].nbin.read_bytes / 2;
     assert_eq!(measured, (w * h * kx * ky) as u64);
@@ -257,7 +273,10 @@ fn effective_gops_is_bounded_by_peak() {
     for name in ["LeNet-5", "FaceAlign", "SimpleConv"] {
         let net = zoo::by_name(name).unwrap().build(1).unwrap();
         let accel = Accelerator::new(AcceleratorConfig::paper());
-        let run = accel.run(&net, &net.random_input(1)).unwrap();
+        let run = accel
+            .prepare(&net)
+            .and_then(|p| p.session().run(&net.random_input(1)))
+            .unwrap();
         let eff = run.effective_gops();
         assert!(
             eff > 0.0 && eff <= accel.config().peak_gops() * 1.01,
@@ -267,7 +286,8 @@ fn effective_gops_is_bounded_by_peak() {
     // FaceAlign runs at >80 % utilization: effective must be close to peak.
     let net = zoo::face_align().build(1).unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &net.random_input(1))
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
         .unwrap();
     assert!(run.effective_gops() > 90.0, "{}", run.effective_gops());
 }

@@ -13,7 +13,8 @@ fn packing_is_bit_exact_on_all_benchmarks() {
         let input = net.random_input(6);
         let golden = net.forward_fixed(&input);
         let run = Accelerator::new(AcceleratorConfig::paper().with_multi_map_packing())
-            .run(&net, &input)
+            .prepare(&net)
+            .and_then(|p| p.session().run(&input))
             .unwrap_or_else(|e| panic!("{}: {e}", net.name()));
         assert_eq!(run.output(), golden.output(), "{}", net.name());
     }
@@ -28,10 +29,12 @@ fn packing_speeds_up_simple_conv() {
     let net = zoo::cnp().build(5).unwrap();
     let input = net.random_input(6);
     let base = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     let packed = Accelerator::new(AcceleratorConfig::paper().with_multi_map_packing())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     assert_eq!(base.output(), packed.output());
     // C5 is layer index 5 (Load, C1, S2, C3, S4, C5).
@@ -58,10 +61,12 @@ fn packing_pays_in_buffer_accesses() {
         .unwrap();
     let input = net.random_input(6);
     let base = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     let packed = Accelerator::new(AcceleratorConfig::paper().with_multi_map_packing())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     assert_eq!(base.output(), packed.output());
     let (b, p) = (base.stats().total(), packed.stats().total());
@@ -87,10 +92,12 @@ fn packing_leaves_large_maps_on_the_standard_path() {
         .unwrap();
     let input = net.random_input(6);
     let base = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     let packed = Accelerator::new(AcceleratorConfig::paper().with_multi_map_packing())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     assert_eq!(base.stats(), packed.stats());
 }
@@ -106,7 +113,8 @@ fn packing_handles_partial_connectivity() {
     let input = net.random_input(6);
     let golden = net.forward_fixed(&input);
     let run = Accelerator::new(AcceleratorConfig::paper().with_multi_map_packing())
-        .run(&net, &input)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&input))
         .unwrap();
     assert_eq!(run.output(), golden.output());
 }

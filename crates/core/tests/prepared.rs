@@ -1,8 +1,8 @@
 //! Regression tests for the prepared-run execution pipeline: the
-//! `prepare`/`PreparedNetwork`/`Session` path must be observably
-//! identical to the legacy one-shot `Accelerator::run` and to the
-//! golden fixed-point reference, and re-running a prepared network must
-//! do zero recompilation and zero synapse-store rebuilds.
+//! `prepare`/`PreparedNetwork`/`Session` path must reproduce the golden
+//! fixed-point reference, a reused session must repeat a fresh one's
+//! run exactly, and re-running a prepared network must do zero
+//! recompilation and zero synapse-store rebuilds.
 
 use shidiannao_cnn::zoo;
 use shidiannao_core::{compiler, Accelerator, AcceleratorConfig, SynapseStore};
@@ -21,19 +21,13 @@ fn nets() -> Vec<shidiannao_cnn::Network> {
 }
 
 #[test]
-fn prepared_run_matches_legacy_run_and_golden_reference() {
+fn prepared_run_matches_golden_reference() {
     for net in nets() {
         let input = net.random_input(INPUT_SEED);
-        let accel = Accelerator::new(AcceleratorConfig::paper());
-
-        let legacy = accel.run(&net, &input).expect("fits the paper config");
-        let prepared = accel.prepare(&net).expect("fits the paper config");
+        let prepared = Accelerator::new(AcceleratorConfig::paper())
+            .prepare(&net)
+            .expect("fits the paper config");
         let fresh = prepared.session().run(&input).expect("same input shape");
-
-        assert_eq!(fresh.output(), legacy.output(), "{}", net.name());
-        assert_eq!(fresh.layer_outputs(), legacy.layer_outputs());
-        assert_eq!(fresh.stats(), legacy.stats(), "{}", net.name());
-        assert_eq!(fresh.energy(), legacy.energy(), "{}", net.name());
 
         let golden = net.forward_fixed(&input);
         assert_eq!(fresh.output(), golden.output(), "{}", net.name());
@@ -44,26 +38,17 @@ fn prepared_run_matches_legacy_run_and_golden_reference() {
 fn repeated_session_runs_are_bit_identical() {
     for net in nets() {
         let input = net.random_input(INPUT_SEED);
-        let accel = Accelerator::new(AcceleratorConfig::paper());
-        let legacy = accel.run(&net, &input).expect("fits the paper config");
-        let prepared = accel.prepare(&net).expect("fits the paper config");
+        let prepared = Accelerator::new(AcceleratorConfig::paper())
+            .prepare(&net)
+            .expect("fits the paper config");
+        let fresh = prepared.session().run(&input).expect("same input shape");
 
         let mut session = prepared.session();
         for round in 0..3 {
             let run = session.run(&input).expect("same input shape");
-            assert_eq!(
-                run.output(),
-                legacy.output(),
-                "{} round {round}",
-                net.name()
-            );
-            assert_eq!(run.stats(), legacy.stats(), "{} round {round}", net.name());
-            assert_eq!(
-                run.energy(),
-                legacy.energy(),
-                "{} round {round}",
-                net.name()
-            );
+            assert_eq!(run.output(), fresh.output(), "{} round {round}", net.name());
+            assert_eq!(run.stats(), fresh.stats(), "{} round {round}", net.name());
+            assert_eq!(run.energy(), fresh.energy(), "{} round {round}", net.name());
         }
 
         // The trace-free fast path through the same (already used)
@@ -72,17 +57,12 @@ fn repeated_session_runs_are_bit_identical() {
             let inf = session.infer(&input).expect("same input shape");
             assert_eq!(
                 inf.output_flat(),
-                legacy.output(),
+                fresh.output(),
                 "{} round {round}",
                 net.name()
             );
-            assert_eq!(inf.stats(), legacy.stats(), "{} round {round}", net.name());
-            assert_eq!(
-                inf.energy(),
-                legacy.energy(),
-                "{} round {round}",
-                net.name()
-            );
+            assert_eq!(inf.stats(), fresh.stats(), "{} round {round}", net.name());
+            assert_eq!(inf.energy(), fresh.energy(), "{} round {round}", net.name());
         }
     }
 }
@@ -115,22 +95,6 @@ fn session_reuse_does_zero_recompilation_and_zero_store_rebuilds() {
         SynapseStore::build_calls(),
         builds_before,
         "re-running a prepared network must not rebuild the synapse store"
-    );
-}
-
-#[test]
-fn legacy_run_wrapper_still_compiles_once_per_call() {
-    let net = zoo::gabor().build(SEED).expect("valid topology");
-    let input = net.random_input(INPUT_SEED);
-    let accel = Accelerator::new(AcceleratorConfig::paper());
-
-    let before = compiler::compile_calls();
-    accel.run(&net, &input).expect("fits the paper config");
-    accel.run(&net, &input).expect("fits the paper config");
-    assert_eq!(
-        compiler::compile_calls() - before,
-        2,
-        "the one-shot wrapper prepares (and compiles) on every call"
     );
 }
 

@@ -13,7 +13,10 @@ fn check(net: &Network, cfg: AcceleratorConfig, seed: u64) -> Result<(), TestCas
     let input = net.random_input(seed);
     let golden = net.forward_fixed(&input);
     let accel = Accelerator::new(cfg);
-    let run = accel.run(net, &input).expect("network fits");
+    let run = accel
+        .prepare(net)
+        .and_then(|p| p.session().run(&input))
+        .expect("network fits");
     for (i, out) in run.layer_outputs().iter().enumerate() {
         prop_assert_eq!(out, golden.layer_output(i).unwrap(), "layer {} diverged", i);
     }
@@ -173,10 +176,12 @@ proptest! {
             .unwrap();
         let input = net.random_input(seed);
         let a = Accelerator::new(AcceleratorConfig::paper())
-            .run(&net, &input)
+            .prepare(&net)
+            .and_then(|p| p.session().run(&input))
             .unwrap();
         let b = Accelerator::new(AcceleratorConfig::paper().without_propagation())
-            .run(&net, &input)
+            .prepare(&net)
+            .and_then(|p| p.session().run(&input))
             .unwrap();
         prop_assert_eq!(a.output(), b.output());
         // And propagation can only reduce NBin traffic.
@@ -198,7 +203,8 @@ proptest! {
             .build(seed)
             .unwrap();
         let run = Accelerator::new(AcceleratorConfig::paper())
-            .run(&net, &net.random_input(seed))
+            .prepare(&net)
+            .and_then(|p| p.session().run(&net.random_input(seed)))
             .unwrap();
         let t = run.stats().total();
         prop_assert!(t.fifo_h_peak <= sx, "FIFO-H peak {} > Sx {}", t.fifo_h_peak, sx);

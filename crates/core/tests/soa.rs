@@ -5,7 +5,7 @@
 //! inference (`Session::infer` / `infer_ref`) — schedule replay by
 //! default, per-cycle HFSM decode with replay off — must be
 //! bit-identical (outputs, statistics, energy, fault counters) to the
-//! traced `Session::run`, the legacy one-shot, and the golden model,
+//! traced `Session::run`, a fresh session's run, and the golden model,
 //! clean and under an active fault plan.
 
 use proptest::prelude::*;
@@ -158,7 +158,7 @@ proptest! {
 
     /// Clean trace-free inference (`Session::infer` / `infer_ref`, with
     /// schedule replay on or off), the traced path (`Session::run`), and
-    /// the legacy one-shot (`Accelerator::run`) agree bit-for-bit on
+    /// a fresh session's replayed run agree bit-for-bit on
     /// outputs, statistics, and energy across random geometries, with and
     /// without inter-PE propagation — and all match the golden model.
     #[test]
@@ -204,8 +204,8 @@ proptest! {
         cfg.inter_pe_propagation = propagate;
         let accel = Accelerator::new(cfg);
 
-        let legacy = accel.run(&net, &input).expect("network fits");
         let prepared = accel.prepare(&net).expect("network fits");
+        let fresh = prepared.session().run(&input).expect("fresh session run");
         let mut session = prepared.session();
         session.set_schedule_replay(replay);
         let run = session.run(&input).expect("instrumented session run");
@@ -217,13 +217,13 @@ proptest! {
             prop_assert_eq!(r.energy(), inf.energy());
         }
 
-        prop_assert_eq!(legacy.output(), golden.output());
+        prop_assert_eq!(fresh.output(), golden.output());
         prop_assert_eq!(run.output(), golden.output());
         prop_assert_eq!(inf.output_flat(), golden.output());
-        prop_assert_eq!(run.stats(), legacy.stats());
-        prop_assert_eq!(inf.stats(), legacy.stats());
-        prop_assert_eq!(run.energy(), legacy.energy());
-        prop_assert_eq!(inf.energy(), legacy.energy());
+        prop_assert_eq!(run.stats(), fresh.stats());
+        prop_assert_eq!(inf.stats(), fresh.stats());
+        prop_assert_eq!(run.energy(), fresh.energy());
+        prop_assert_eq!(inf.energy(), fresh.energy());
     }
 
     /// Under an active fault plan, trace-free `infer` (replaying silent
@@ -257,7 +257,7 @@ proptest! {
         let prepared = Accelerator::new(AcceleratorConfig::paper())
             .prepare(&net)
             .expect("network fits");
-        let legacy = prepared
+        let fresh = prepared
             .session_with_faults(plan)
             .run(&input)
             .expect("unprotected plans never abort");
@@ -267,11 +267,11 @@ proptest! {
         let inf = session.infer(&input).expect("faulted infer");
         let fault_stats_inf = *session.fault_stats();
 
-        prop_assert_eq!(run.output(), legacy.output());
-        prop_assert_eq!(inf.output_flat(), legacy.output());
-        prop_assert_eq!(run.stats(), legacy.stats());
-        prop_assert_eq!(inf.stats(), legacy.stats());
-        prop_assert_eq!(fault_stats_run, *legacy.fault_stats());
+        prop_assert_eq!(run.output(), fresh.output());
+        prop_assert_eq!(inf.output_flat(), fresh.output());
+        prop_assert_eq!(run.stats(), fresh.stats());
+        prop_assert_eq!(inf.stats(), fresh.stats());
+        prop_assert_eq!(fault_stats_run, *fresh.fault_stats());
         prop_assert_eq!(fault_stats_inf, fault_stats_run);
         if nb_rate == 0.0 && sb_rate == 0.0 && pe_rate == 0.0 {
             // Zero-rate plans leave the output clean.

@@ -1,5 +1,5 @@
 //! The session's steady-state contracts: once warmed, `infer_ref`, a
-//! repeated `infer_delta_ref` and a shared-prefix `infer_ref_from`
+//! repeated staged delta load and a shared-prefix `infer_ref_from`
 //! perform zero heap allocations (clean and under a silent fault plan,
 //! normalization networks included), as does a continued strip prefix,
 //! and a wrong-shaped input or an unservable prefix is rejected with a
@@ -205,25 +205,24 @@ fn warmed_infer_ref_under_silent_faults_allocates_nothing() {
 }
 
 #[test]
-fn warm_infer_delta_ref_repeat_allocates_nothing() {
+fn warm_staged_delta_repeat_allocates_nothing() {
     let net = lenet_like();
     let prepared = prepare(&net);
     let mut session = prepared.session();
     let mut residency = NbResidency::new();
     let input = net.random_input(1);
     let allocs = steady_allocs(|| {
-        session
-            .infer_delta_ref(&input, &mut residency)
-            .expect("runs");
+        session.stage_delta(&input, &mut residency);
+        session.infer_ref(&input).expect("runs");
     });
     assert_eq!(
         allocs, 0,
-        "a warm infer_delta_ref repeat must not touch the heap"
+        "a warm staged delta repeat must not touch the heap"
     );
-    let (_, delta) = session
-        .infer_delta_ref(&input, &mut residency)
-        .expect("runs");
+    let delta = session.stage_delta(&input, &mut residency);
     assert_eq!(delta.rows_streamed, 0, "an unchanged input streams nothing");
+    let run = session.infer_ref(&input).expect("runs");
+    assert_eq!(run.stats().layers()[0].cycles, 0, "nor does its Load phase");
 }
 
 #[test]

@@ -367,7 +367,10 @@ mod tests {
         let q = quantize_network(&net, WeightPrecision::W1).unwrap();
         let input = net.random_input(11);
         let accel = Accelerator::new(AcceleratorConfig::paper());
-        let run = accel.run(&q.network, &input).unwrap();
+        let run = accel
+            .prepare(&q.network)
+            .and_then(|p| p.session().run(&input))
+            .unwrap();
         assert_eq!(run.output(), q.network.forward_fixed(&input).output());
     }
 

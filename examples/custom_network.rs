@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let accel = Accelerator::new(AcceleratorConfig::paper());
     let input = network.random_input(3);
-    let run = accel.run(&network, &input)?;
+    let run = accel.prepare(&network)?.session().run(&input)?;
     assert_eq!(run.output(), network.forward_fixed(&input).output());
     println!(
         "ran in {} cycles ({:.1} us); output = {:?}",

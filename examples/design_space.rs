@@ -26,7 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for side in [2usize, 4, 6, 8, 12, 16] {
         let cfg = AcceleratorConfig::with_pe_grid(side, side);
         let area = area_of(&cfg).total_mm2();
-        let run = Accelerator::new(cfg).run(&network, &input)?;
+        let run = Accelerator::new(cfg)
+            .prepare(&network)?
+            .session()
+            .run(&input)?;
         // Functional results must not depend on the design point.
         match &golden {
             None => golden = Some(run.output()),
@@ -51,7 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cfg = AcceleratorConfig::paper();
         cfg.nbin_bytes = kb * 1024;
         cfg.nbout_bytes = kb * 1024;
-        match Accelerator::new(cfg).run(&network, &input) {
+        match Accelerator::new(cfg)
+            .prepare(&network)
+            .and_then(|p| p.session().run(&input))
+        {
             Ok(run) => println!("{:>9} {:>10} {:>10}", kb, "yes", run.stats().cycles()),
             Err(e) => println!("{:>9} {:>10} ({e})", kb, "no"),
         }

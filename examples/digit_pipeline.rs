@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A deterministic synthetic "digit" (the paper evaluates layer shapes,
     // not trained accuracy — weights and inputs are seeded).
     let input = network.random_input(1234);
-    let run = accel.run(&network, &input)?;
+    let run = accel.prepare(&network)?.session().run(&input)?;
 
     println!("LeNet-5 on ShiDianNao (8x8 PEs, 1 GHz)");
     println!(

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Run on the accelerator.
     let accel = Accelerator::new(AcceleratorConfig::paper());
-    let run = accel.run(&network, &input)?;
+    let run = accel.prepare(&network)?.session().run(&input)?;
     let maps = &run.layer_outputs()[0];
     let (gx, gy) = (&maps[0], &maps[1]);
 
@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut bytes = Vec::new();
     io::save(&network, &mut bytes)?;
     let reloaded = io::load(bytes.as_slice())?;
-    let rerun = accel.run(&reloaded, &input)?;
+    let rerun = accel.prepare(&reloaded)?.session().run(&input)?;
     assert_eq!(rerun.output(), run.output());
     println!(
         "model serialized to {} bytes and re-verified after reload ✓",

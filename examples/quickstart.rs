@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Run one inference cycle-by-cycle.
     let input = network.random_input(7);
-    let run = accel.run(&network, &input)?;
+    let run = accel.prepare(&network)?.session().run(&input)?;
 
     // 4. The simulator is bit-identical to the fixed-point golden model.
     let golden = network.forward_fixed(&input);

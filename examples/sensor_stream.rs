@@ -22,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let grid = RegionGrid::paper_convnn();
     let network = zoo::convnn().build(42)?;
-    let accel = Accelerator::new(AcceleratorConfig::paper());
+    let prepared = Accelerator::new(AcceleratorConfig::paper()).prepare(&network)?;
+    let mut session = prepared.session();
     assert_eq!(grid.region_dims(), network.input_dims());
 
     let mut cam = SyntheticSensor::vga(99);
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut detections = 0usize;
     let mut per_region_s = 0.0;
     for region in grid.stream(&frame, network.input_maps()).take(budget) {
-        let run = accel.run(&network, &region)?;
+        let run = session.run(&region)?;
         per_region_s = run.seconds();
         cycles_total += run.stats().cycles();
         if run.output()[0] > Fx::ZERO {

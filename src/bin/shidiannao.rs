@@ -75,7 +75,10 @@ fn run_one(name_or_builder: NetworkBuilder, opts: &Options) -> Result<(), String
     cfg.multi_map_packing = opts.multimap;
     let accel = Accelerator::new(cfg);
     let input = network.random_input(opts.seed ^ 0xABCD);
-    let run = accel.run(&network, &input).map_err(|e| e.to_string())?;
+    let run = accel
+        .prepare(&network)
+        .and_then(|p| p.session().run(&input))
+        .map_err(|e| e.to_string())?;
     assert_eq!(
         run.output(),
         network.forward_fixed(&input).output(),

@@ -32,7 +32,8 @@
 //! let network = zoo::lenet5().build(42).expect("valid topology");
 //! let accel = Accelerator::new(AcceleratorConfig::paper());
 //! let input = network.random_input(7);
-//! let run = accel.run(&network, &input).expect("network fits on chip");
+//! let prepared = accel.prepare(&network).expect("network fits on chip");
+//! let run = prepared.session().run(&input).expect("input shape matches");
 //!
 //! // The simulator's output is bit-identical to the fixed-point golden
 //! // reference.

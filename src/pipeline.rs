@@ -16,7 +16,7 @@
 
 use crate::cnn::{LayerBody, Network};
 use crate::fixed::Fx;
-use crate::sensor::{Frame, RegionGrid, RowBuffer, StreamError};
+use crate::sensor::{Frame, RegionGrid, StreamError};
 use crate::sim::{
     fanout, Accelerator, FaultPlan, FaultStats, InferenceRef, PreparedNetwork, RunError,
 };
@@ -376,11 +376,6 @@ impl StreamingPipeline {
     /// The network being served.
     pub fn network(&self) -> &Network {
         self.prepared.network()
-    }
-
-    /// The §10.2 partial-frame buffer this pipeline needs.
-    pub fn row_buffer(&self) -> RowBuffer {
-        RowBuffer::for_grid(&self.grid, 2)
     }
 
     /// The new input rows when region row `row`'s strip continues row

@@ -10,7 +10,7 @@
 //! cached result at the calibrated compare-only cost, while **dirty**
 //! regions run the normal path — with the Load phase shrunk to the
 //! changed input rows by the cross-frame NBin residency of
-//! [`crate::sim::Session::infer_delta`]. A periodic full refresh and a
+//! [`crate::sim::Session::stage_delta`]. A periodic full refresh and a
 //! per-region staleness bound keep cached results from drifting
 //! unboundedly, and an every-region oracle prices what the gating
 //! actually costs (`stale_results`, `missed_detections`) the same way
@@ -596,7 +596,8 @@ impl VideoPipeline {
                 }
                 frame.try_region_into(grid.origin_at(ri), grid.region_dims(), maps, raw)?;
                 if slot.compute {
-                    let (run, delta) = session.infer_delta_ref(raw, &mut slot.residency)?;
+                    let delta = session.stage_delta(raw, &mut slot.residency);
+                    let run = session.infer_ref(raw)?;
                     let output = slot.cache_for(seq);
                     let energy_nj = tally.cycles.record(&run, output);
                     if config.oracle && *output != network.forward_fixed(raw).output() {

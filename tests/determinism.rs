@@ -10,7 +10,8 @@ fn identical_seeds_give_identical_everything() {
         let net = zoo::lenet5().build(seed).unwrap();
         let input = net.random_input(seed ^ 9);
         Accelerator::new(AcceleratorConfig::paper())
-            .run(&net, &input)
+            .prepare(&net)
+            .and_then(|p| p.session().run(&input))
             .unwrap()
     };
     let a = run(77);

@@ -9,7 +9,10 @@ fn quickstart_flow_is_bit_exact() {
     let network = zoo::lenet5().build(42).unwrap();
     let accel = Accelerator::new(AcceleratorConfig::paper());
     let input = network.random_input(7);
-    let run = accel.run(&network, &input).unwrap();
+    let run = accel
+        .prepare(&network)
+        .and_then(|p| p.session().run(&input))
+        .unwrap();
     assert_eq!(run.output(), network.forward_fixed(&input).output());
     assert!(run.stats().cycles() > 0);
     assert!(run.energy().total_nj() > 0.0);
@@ -22,10 +25,13 @@ fn sensor_regions_run_through_the_accelerator() {
     let frame = cam.next_frame();
     let grid = RegionGrid::new((52, 36), (20, 20), (16, 16));
     let net = zoo::gabor().build(9).unwrap();
-    let accel = Accelerator::new(AcceleratorConfig::paper());
+    let prepared = Accelerator::new(AcceleratorConfig::paper())
+        .prepare(&net)
+        .unwrap();
+    let mut session = prepared.session();
     let mut outputs = Vec::new();
     for region in grid.stream(&frame, net.input_maps()) {
-        let run = accel.run(&net, &region).unwrap();
+        let run = session.run(&region).unwrap();
         assert_eq!(run.output(), net.forward_fixed(&region).output());
         outputs.push(run.output()[0]);
     }
@@ -47,7 +53,8 @@ fn convnn_region_matches_paper_geometry() {
         .try_region_stacked(grid.origin(36, 28), grid.region_dims(), 3)
         .unwrap();
     let run = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &region)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&region))
         .unwrap();
     assert_eq!(run.output().len(), 1);
 }
@@ -62,7 +69,10 @@ fn oversized_network_is_rejected_with_the_right_buffer() {
     let mut cfg = AcceleratorConfig::paper();
     cfg.sb_bytes = 16;
     let accel = Accelerator::new(cfg);
-    let err = accel.run(&net, &net.random_input(1)).unwrap_err();
+    let err = accel
+        .prepare(&net)
+        .and_then(|p| p.session().run(&net.random_input(1)))
+        .unwrap_err();
     assert!(err.to_string().contains("SB"), "{err}");
 }
 
@@ -71,7 +81,8 @@ fn wrong_input_shape_is_rejected() {
     let net = zoo::lenet5().build(1).unwrap();
     let wrong = zoo::gabor().build(1).unwrap().random_input(1);
     let err = Accelerator::new(AcceleratorConfig::paper())
-        .run(&net, &wrong)
+        .prepare(&net)
+        .and_then(|p| p.session().run(&wrong))
         .unwrap_err();
     assert!(err.to_string().contains("does not match"), "{err}");
 }
