@@ -618,40 +618,57 @@ fn bench_delta_load(c: &mut Criterion) {
     g.finish();
 }
 
-/// Steady-state cost of one static-scene video frame: every region
-/// clean, every result replayed from cache. With the oracle off and no
-/// forced refresh this is the frame-diff pass plus the calibrated
-/// compare-only accounting — the per-frame floor the motion gate can
-/// reach.
+/// Steady-state cost of one video frame at both ends of the motion
+/// gate, oracle off and no forced refresh. `static_replay`: every
+/// region clean, every result replayed from cache — the frame-diff pass
+/// plus the calibrated compare-only accounting, the per-frame floor the
+/// gate can reach. `pan_frame`: a panning camera on a stride-10 grid
+/// (the benchmark's geometry, 5 × 5 regions), every region dirty, so
+/// every region row runs the shared C1–C3 strip and each region only
+/// its tail — the strip path alone.
 fn bench_video_replay(c: &mut Criterion) {
     use shidiannao::video::{VideoConfig, VideoPipeline};
     use shidiannao_sensor::{FrameSource, Motion, RegionGrid, VideoSensor};
 
-    let net = shidiannao_cnn::zoo::gabor().build(1).expect("builds");
-    let grid = RegionGrid::new((60, 60), net.input_dims(), (20, 20));
     let config = VideoConfig {
         refresh_interval: 0,
         oracle: false,
         ..VideoConfig::default()
     };
-    let mut pipe = VideoPipeline::new(
-        Accelerator::new(AcceleratorConfig::paper()),
-        net,
-        grid,
-        config,
-    )
-    .expect("valid pipeline");
-    let mut cam = VideoSensor::new(60, 60, 7, Motion::Static);
-    let frame = cam.next_frame();
+    let pipeline = |stride| {
+        let net = shidiannao_cnn::zoo::gabor().build(1).expect("builds");
+        let grid = RegionGrid::new((60, 60), net.input_dims(), (stride, stride));
+        let accel = Accelerator::new(AcceleratorConfig::paper());
+        VideoPipeline::new(accel, net, grid, config).expect("valid pipeline")
+    };
+    let mut still = pipeline(20);
+    let frame = VideoSensor::new(60, 60, 7, Motion::Static).next_frame();
     for _ in 0..4 {
-        let _ = pipe.process_frame(&frame).expect("warm-up");
+        let _ = still.process_frame(&frame).expect("warm-up");
+    }
+    // Two frames of a pan, alternated: each differs from the one before
+    // it everywhere, so every region computes every frame.
+    let mut pan = pipeline(10);
+    let mut cam = VideoSensor::new(60, 60, 7, Motion::Pan { dx: 2, dy: 1 });
+    let panned = [cam.next_frame(), cam.next_frame()];
+    for frame in panned.iter().cycle().take(4) {
+        let report = pan.process_frame(frame).expect("warm-up");
+        assert_eq!(report.ledger().computed, 25, "every region computes");
     }
     let mut g = c.benchmark_group("video");
     g.sample_size(200);
     g.bench_function("static_replay", |b| {
         b.iter(|| {
-            let report = pipe.process_frame(&frame).expect("frame");
+            let report = still.process_frame(&frame).expect("frame");
             black_box((report.total_cycles(), report.ledger().skipped))
+        })
+    });
+    let mut next = panned.iter().cycle();
+    g.bench_function("pan_frame", |b| {
+        b.iter(|| {
+            let frame = next.next().expect("cycles forever");
+            let report = pan.process_frame(frame).expect("frame");
+            black_box((report.total_cycles(), report.ledger().computed))
         })
     });
     g.finish();

@@ -514,6 +514,7 @@ impl PreparedNetwork {
             overlays: Vec::new(),
             overlays_valid: false,
             pending_delta_bytes: None,
+            staged: NbResidency::default(),
             recorder: None,
         }
     }
@@ -532,14 +533,15 @@ impl PreparedNetwork {
 /// row of the presented input (the same `mix64` finalizer the schedule
 /// recorder's `AccessSet` hashes addresses with) and compares against
 /// the resident hashes, so a caller cannot under-declare the rows of
-/// the input it stages; the run that consumes the stage must be of that
-/// input (or, from a shared prefix, of its layer-`k − 1` values), which
-/// the session cannot see. The full
-/// input values are still installed in the simulator's buffer — the
-/// resident rows are, by definition, already those values — which is
-/// why delta-load replay is bit-identical to a cold load by
-/// construction; only the Load phase's modeled cycles and NBin write
-/// traffic shrink.
+/// the input it stages. A run from layer 0 that consumes the stage
+/// re-checks its input against the staged hashes and loads cold on any
+/// difference; a run from a shared prefix sees only layer `k − 1`'s
+/// values, so that they are the staged input's stays the caller's
+/// contract. The full input values are still installed in the
+/// simulator's buffer — the resident rows are, by definition, already
+/// those values — which is why delta-load replay is bit-identical to a
+/// cold load by construction; only the Load phase's modeled cycles and
+/// NBin write traffic shrink.
 ///
 /// One residency tracks one stream of same-geometry inputs (e.g. one
 /// region slot of a video grid). Geometry changes reset it to cold.
@@ -571,6 +573,17 @@ impl NbResidency {
     /// Rows tracked (`maps × height`; 0 when cold).
     pub fn rows(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Whether `input` has the geometry and every row hash recorded here.
+    fn describes(&self, input: &MapStack<Fx>) -> bool {
+        let h = input.height();
+        self.dims == (input.len(), input.width(), h)
+            && self.rows.len() == input.len() * h
+            && input
+                .iter()
+                .enumerate()
+                .all(|(m, map)| (0..h).all(|y| self.rows[m * h + y] == hash_row(map.row(y))))
     }
 }
 
@@ -644,6 +657,9 @@ pub struct Session<'p> {
     /// run; `None` means cold (full) load. Consumed at the top of
     /// `execute_inner`, so it can never leak across runs.
     pending_delta_bytes: Option<u64>,
+    /// The geometry and row hashes of the input the pending stage
+    /// describes, checked by a run from layer 0.
+    staged: NbResidency,
     /// Attached only by `prepare()`'s recording run.
     recorder: Option<Box<ScheduleRecorder>>,
 }
@@ -932,8 +948,13 @@ impl<'p> Session<'p> {
     /// [`Session::run`], `infer`, `infer_ref`, `infer_ref_from` (which
     /// takes `input`'s layer-`k − 1` values) or the first attempt of
     /// `infer_retrying`. [`Session::prefix_values`] is not a run and
-    /// leaves it staged. That run must present `input`; everything after
-    /// its Load phase is then bit-identical to a cold run by construction
+    /// leaves it staged. A run from layer 0 checks that it loads the
+    /// staged input — the same geometry and the same hash on every row —
+    /// and charges a cold Load when it does not. A run from a shared
+    /// prefix (`infer_ref_from` with `k > 0`) sees only layer `k − 1`'s
+    /// values, so presenting the staged input's values stays the
+    /// caller's contract. After a Load that streams only `input`'s dirty
+    /// rows, everything is bit-identical to a cold run by construction
     /// (see [`NbResidency`]).
     pub fn stage_delta(&mut self, input: &MapStack<Fx>, residency: &mut NbResidency) -> DeltaLoad {
         let maps = input.len();
@@ -960,6 +981,8 @@ impl<'p> Session<'p> {
         }
         let bytes_streamed = streamed as u64 * (w * 2) as u64;
         self.pending_delta_bytes = Some(bytes_streamed);
+        self.staged.dims = dims;
+        self.staged.rows.clone_from(&residency.rows);
         DeltaLoad {
             rows_total,
             rows_streamed: streamed,
@@ -1028,8 +1051,12 @@ impl<'p> Session<'p> {
         mut trace: Option<&mut Vec<MapStack<Fx>>>,
     ) -> Result<(), RunError> {
         // Consume any staged delta-load immediately so an aborted or
-        // shape-rejected run cannot leak it into the next one.
-        let staged_delta_bytes = self.pending_delta_bytes.take();
+        // shape-rejected run cannot leak it into the next one. A run from
+        // layer 0 that loads anything but the staged input streams cold.
+        let staged_delta_bytes = self
+            .pending_delta_bytes
+            .take()
+            .filter(|_| start > 0 || self.staged.describes(input));
         let network = &self.prepared.network;
         let expected = match start.checked_sub(1) {
             None => (

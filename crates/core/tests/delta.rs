@@ -265,3 +265,49 @@ fn staged_delta_composes_with_a_shared_prefix() {
         assert_eq!(run.energy(), reference.energy());
     }
 }
+
+/// A run from layer 0 checks the stage it consumes: loading an input
+/// other than the staged one — a changed row, or the network's shape
+/// after a stage of another geometry — charges the cold Load, while the
+/// staged input itself streams only its dirty rows.
+#[test]
+fn layer_zero_run_of_another_input_loads_cold() {
+    let net = build_net(2, 12, 12, 3, 7);
+    let prepared = Accelerator::default().prepare(&net).expect("fits");
+    let first = net.random_input(31);
+    let mut changed = first.clone();
+    let map = changed.get_mut(0).expect("map in range");
+    map[(5, 4)] = if map[(5, 4)] == Fx::MAX {
+        Fx::MIN
+    } else {
+        Fx::MAX
+    };
+    let cold = |input: &MapStack<Fx>| {
+        let mut session = prepared.session();
+        let run = session.infer(input).expect("clean run");
+        run.stats().layers().to_vec()
+    };
+
+    let mut session = prepared.session();
+    let mut residency = NbResidency::new();
+    session
+        .infer_delta(&first, &mut residency)
+        .expect("clean run");
+    let d = session.stage_delta(&first, &mut residency);
+    assert_eq!(d.rows_streamed, 0);
+    let run = session.infer_ref(&changed).expect("clean run");
+    assert_eq!(run.stats().layers(), cold(&changed).as_slice());
+
+    let mut other = MapStack::new(1, 1);
+    other.refill(12, 11, 2, Fx::ZERO);
+    let d = session.stage_delta(&other, &mut NbResidency::new());
+    assert_eq!(d.rows_streamed, 22);
+    let run = session.infer_ref(&first).expect("clean run");
+    assert_eq!(run.stats().layers(), cold(&first).as_slice());
+
+    let d = session.stage_delta(&first, &mut residency);
+    assert_eq!(d.rows_streamed, 0);
+    let run = session.infer_ref(&first).expect("clean run");
+    assert_eq!(run.stats().layers()[0].cycles, 0);
+    assert_eq!(run.stats().layers()[1..], cold(&first)[1..]);
+}

@@ -521,12 +521,9 @@ impl RegionGrid {
     /// # Errors
     ///
     /// [`StreamError::FrameMismatch`] when the frame's dimensions differ
-    /// from the grid's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is not below the grid's row count, or `rows` is 0
-    /// or exceeds the region height.
+    /// from the grid's, and [`StreamError::RegionOutOfBounds`] when
+    /// `row` is not below the grid's row count or `rows` is 0 or exceeds
+    /// the region height.
     pub fn try_strip_into(
         &self,
         frame: &Frame,
@@ -536,11 +533,14 @@ impl RegionGrid {
         out: &mut MapStack<Fx>,
     ) -> Result<(), StreamError> {
         self.check(frame)?;
-        assert!(
-            (1..=self.region.1).contains(&rows),
-            "a strip has 1 to {} rows, not {rows}",
-            self.region.1
-        );
+        let (_, ny) = self.counts();
+        if row >= ny || !(1..=self.region.1).contains(&rows) {
+            return Err(StreamError::RegionOutOfBounds {
+                origin: (0, row.saturating_mul(self.stride.1)),
+                region: (self.frame.0, rows),
+                frame: self.frame,
+            });
+        }
         let y0 = self.origin(0, row).1 + self.region.1 - rows;
         frame.try_region_into((0, y0), (self.frame.0, rows), maps, out)
     }
@@ -823,6 +823,31 @@ mod tests {
         assert!(err.to_string().contains("exceeds frame"));
         assert!(f.try_region((0, 0), (8, 8)).is_ok());
         assert!(f.try_region_stacked((4, 4), (8, 8), 2).is_err());
+    }
+
+    #[test]
+    fn try_strip_into_reports_out_of_bounds_rows() {
+        // 3 region rows of height 12 at y-stride 6.
+        let g = RegionGrid::new((32, 24), (16, 12), (8, 6));
+        assert_eq!(g.counts().1, 3);
+        let f = SyntheticSensor::new(32, 24, 3).next_frame();
+        let mut out = MapStack::new(1, 1);
+        let bad = |row: usize, rows| StreamError::RegionOutOfBounds {
+            origin: (0, row.saturating_mul(6)),
+            region: (32, rows),
+            frame: (32, 24),
+        };
+        for (row, rows) in [(0, 0), (1, 13), (3, 12), (usize::MAX, 1)] {
+            let err = g.try_strip_into(&f, row, rows, 1, &mut out).unwrap_err();
+            assert_eq!(err, bad(row, rows), "row {row}, rows {rows}");
+        }
+        g.try_strip_into(&f, 2, 12, 2, &mut out).unwrap();
+        assert_eq!((out.width(), out.height(), out.len()), (32, 12, 2));
+        // The last row's strip is clamped to y = 12; its last 6 rows end
+        // on the frame's last row.
+        g.try_strip_into(&f, 2, 6, 1, &mut out).unwrap();
+        let last = f.try_region((0, 23), (32, 1)).unwrap();
+        assert_eq!(out.get(0).unwrap().row(5), last.get(0).unwrap().row(0));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::cnn::{LayerBody, Network};
 use crate::fixed::Fx;
 use crate::sensor::{Frame, RegionGrid, StreamError};
 use crate::sim::{
-    fanout, Accelerator, FaultPlan, FaultStats, InferenceRef, PreparedNetwork, RunError,
+    fanout, Accelerator, FaultPlan, FaultStats, InferenceRef, PreparedNetwork, RunError, Session,
 };
 use crate::tensor::MapStack;
 use core::fmt;
@@ -301,21 +301,24 @@ fn strip_prefix(prepared: &PreparedNetwork, grid: &RegionGrid) -> StripPrefix {
     prefix
 }
 
-/// A worker's strip buffers, reused across its rows: the row's input
-/// rows (the whole strip, or the rows a continued strip adds), the
-/// prefix's output over the strip, and one region's window of that.
-struct StripScratch {
+/// A worker's strip state, reused across its rows: the row's input rows
+/// (the whole strip, or the rows a continued strip adds), the prefix's
+/// output over the strip, one region's window of that, and which region
+/// row the strip holds on the worker's session.
+pub(crate) struct StripScratch {
     input: MapStack<Fx>,
     prefix: MapStack<Fx>,
     window: MapStack<Fx>,
+    row: Option<usize>,
 }
 
 impl StripScratch {
-    fn new() -> StripScratch {
+    pub(crate) fn new() -> StripScratch {
         StripScratch {
             input: MapStack::new(1, 1),
             prefix: MapStack::new(1, 1),
             window: MapStack::new(1, 1),
+            row: None,
         }
     }
 }
@@ -395,6 +398,56 @@ impl StreamingPipeline {
             .then_some(step)
     }
 
+    /// Leading layers one evaluation per region-row strip computes for
+    /// the whole row (0 when the grid shares none).
+    pub(crate) fn prefix_layers(&self) -> usize {
+        self.prefix.layers
+    }
+
+    /// The worker's step for region `index` of a strip row, on a worker
+    /// that takes whole `band`s of rows: at the row's first region it
+    /// tiles the row's strip and computes the shared prefix over it, and
+    /// every region then replays the remaining layers from its own
+    /// window ([`Session::infer_ref_from`]). The strip rolls on from the
+    /// worker's previous one — tiling and feeding only the new input
+    /// rows — when that strip was the row above, in the same band, and
+    /// the prefix rolls down the step between them; otherwise it starts
+    /// fresh. A delta load staged before the call is consumed by the
+    /// region's run.
+    pub(crate) fn strip_region<'s>(
+        &self,
+        session: &'s mut Session<'_>,
+        frame: &Frame,
+        index: usize,
+        band: usize,
+        strip: &mut StripScratch,
+    ) -> Result<InferenceRef<'s>, PipelineError> {
+        let StripPrefix {
+            layers: k,
+            stride,
+            width,
+        } = self.prefix;
+        let (nx, _) = self.grid.counts();
+        let row = index / nx;
+        if index.is_multiple_of(nx) {
+            let step = self
+                .continues(row, band)
+                .filter(|_| strip.row == Some(row - 1));
+            let rows = step.unwrap_or(self.grid.region_dims().1);
+            let maps = self.network().input_maps();
+            self.grid
+                .try_strip_into(frame, row, rows, maps, &mut strip.input)?;
+            if k > 0 {
+                session.prefix_values(k, &strip.input, step.is_some(), &mut strip.prefix)?;
+            }
+            strip.row = Some(row);
+        }
+        let src = if k > 0 { &strip.prefix } else { &strip.input };
+        let x = self.grid.origin(index % nx, row).0;
+        copy_window(src, x / stride, width, &mut strip.window);
+        Ok(session.infer_ref_from(k, &strip.window)?)
+    }
+
     /// Runs every region of a frame through the accelerator.
     ///
     /// Regions run in parallel on `RAYON_NUM_THREADS` threads, else all
@@ -427,13 +480,7 @@ impl StreamingPipeline {
         frame: &Frame,
         workers: usize,
     ) -> Result<FrameReport, PipelineError> {
-        let maps = self.network().input_maps();
         let outputs = self.network().output_count();
-        let StripPrefix {
-            layers: k,
-            stride,
-            width,
-        } = self.prefix;
         let (nx, ny) = self.grid.counts();
         // Each worker rolls the prefix down one band of region rows.
         let band = ny.div_ceil(workers.max(1));
@@ -460,20 +507,7 @@ impl StreamingPipeline {
                 )
             },
             |(session, tally, strip), i, (result, energy_nj)| {
-                if i % nx == 0 {
-                    let row = i / nx;
-                    let step = self.continues(row, band);
-                    let rows = step.unwrap_or(self.grid.region_dims().1);
-                    self.grid
-                        .try_strip_into(frame, row, rows, maps, &mut strip.input)?;
-                    if k > 0 {
-                        let continues = step.is_some();
-                        session.prefix_values(k, &strip.input, continues, &mut strip.prefix)?;
-                    }
-                }
-                let src = if k > 0 { &strip.prefix } else { &strip.input };
-                copy_window(src, result.origin.0 / stride, width, &mut strip.window);
-                let run = session.infer_ref_from(k, &strip.window)?;
+                let run = self.strip_region(session, frame, i, band, strip)?;
                 *energy_nj = tally.record(&run, &mut result.output);
                 Ok::<_, PipelineError>(())
             },

@@ -8,9 +8,14 @@
 //! the sensor side (the [`crate::sensor::FrameDelta`] dirty-region
 //! bitmaps): **clean** regions skip inference entirely and replay the
 //! cached result at the calibrated compare-only cost, while **dirty**
-//! regions run the normal path — with the Load phase shrunk to the
-//! changed input rows by the cross-frame NBin residency of
-//! [`crate::sim::Session::stage_delta`]. A periodic full refresh and a
+//! regions compute — with the Load phase shrunk to the changed input
+//! rows by the cross-frame NBin residency of
+//! [`crate::sim::Session::stage_delta`]. On the host, a region row whose
+//! regions all compute (every row of a panning or refresh frame) shares
+//! the grid's strip prefix the way [`StreamingPipeline::process_frame`]
+//! does, and each region replays only the remaining layers; the other
+//! rows run their dirty regions whole. Either way every region is
+//! charged its full schedule. A periodic full refresh and a
 //! per-region staleness bound keep cached results from drifting
 //! unboundedly, and an every-region oracle prices what the gating
 //! actually costs (`stale_results`, `missed_detections`) the same way
@@ -21,7 +26,9 @@
 
 use crate::cnn::{ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
 use crate::fixed::Fx;
-use crate::pipeline::{PipelineError, RegionLedger, RegionResult, RegionTally, StreamingPipeline};
+use crate::pipeline::{
+    PipelineError, RegionLedger, RegionResult, RegionTally, StreamingPipeline, StripScratch,
+};
 use crate::quant::quantize_network;
 use crate::sensor::{Frame, FrameDelta, RegionGrid};
 use crate::serve::binarize_pixel;
@@ -30,12 +37,6 @@ use crate::sim::{
     WeightPrecision,
 };
 use crate::tensor::MapStack;
-
-/// Regions a worker claims at a time. Video blocks need not follow
-/// region rows: large enough that claiming costs nothing next to a
-/// block's inferences, small enough that a frame's blocks balance across
-/// workers.
-const REGION_BLOCK: usize = 32;
 
 /// How a dirty region is confirmed before full-precision compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -451,10 +452,18 @@ impl VideoPipeline {
     /// A serial gate pass decides, in grid order, which regions compute
     /// (staleness, refresh, dirty bit, front gate). Those regions — and,
     /// with the oracle on, the skipped ones it prices — then run in
-    /// parallel on the region-parallel executor behind
-    /// [`StreamingPipeline::process_frame`], in place on the pipeline's
-    /// per-region slots (cached result, NBin residency), and the report
-    /// is folded in grid order: it is bit-identical at any worker count.
+    /// parallel on the fan-out behind [`StreamingPipeline::process_frame`],
+    /// one band of about `ny / workers` whole region rows per worker, in
+    /// place on the pipeline's per-region slots (cached result, NBin
+    /// residency). Each computing region stages its delta load from its
+    /// own tile. In a row where every region computes, the worker then
+    /// computes the grid's shared prefix once over the row's strip
+    /// (C1–C3 for Gabor at stride 10; DESIGN.md §3l), rolled on from its
+    /// strip for the row above when it ran one in this band, else fresh,
+    /// and each region replays the remaining layers from its window; in
+    /// any other row a computing region runs whole. The report is folded
+    /// in grid order: it is bit-identical at any worker count, and to
+    /// running every computing region whole.
     ///
     /// # Errors
     ///
@@ -577,27 +586,45 @@ impl VideoPipeline {
         }
         ledger.skipped = count - ledger.computed;
 
-        // Parallel pass over the region slots: computed regions run with
-        // their own residency, and the oracle prices the skipped ones.
+        // A region row whose regions all compute runs the grid's shared
+        // strip prefix once for the row; other rows run their computing
+        // regions whole.
+        let inner = &self.inner;
+        let (nx, ny) = grid.counts();
+        let strip_rows: Vec<bool> = self
+            .regions
+            .chunks(nx)
+            .map(|row| inner.prefix_layers() > 0 && row.iter().all(|slot| slot.compute))
+            .collect();
+
+        // Parallel pass over the region slots, one band of whole region
+        // rows per worker: computed regions run with their own
+        // residency, and the oracle prices the skipped ones.
+        let band = ny.div_ceil(workers.max(1));
         let states = fanout::run(
             &mut self.regions,
-            REGION_BLOCK,
+            band * nx,
             workers,
             || {
                 (
                     prepared.session(),
                     VideoTally::default(),
                     MapStack::new(1, 1),
+                    StripScratch::new(),
                 )
             },
-            |(session, tally, raw), ri, slot| {
+            |(session, tally, raw, strip), ri, slot| {
                 if !slot.compute && !config.oracle {
                     return Ok(());
                 }
                 frame.try_region_into(grid.origin_at(ri), grid.region_dims(), maps, raw)?;
                 if slot.compute {
                     let delta = session.stage_delta(raw, &mut slot.residency);
-                    let run = session.infer_ref(raw)?;
+                    let run = if strip_rows[ri / nx] {
+                        inner.strip_region(session, frame, ri, band, strip)?
+                    } else {
+                        session.infer_ref(raw)?
+                    };
                     let output = slot.cache_for(seq);
                     let energy_nj = tally.cycles.record(&run, output);
                     if config.oracle && *output != network.forward_fixed(raw).output() {
@@ -635,7 +662,7 @@ impl VideoPipeline {
             });
         }
         let mut tally = VideoTally::default();
-        for (_, t, _) in states {
+        for (_, t, _, _) in states {
             tally.absorb(t);
         }
 
@@ -686,15 +713,22 @@ mod tests {
     const FRAME: (usize, usize) = (60, 50);
 
     /// Runs one four-frame scene through a fresh pipeline at 1, 2, 3 and 7
-    /// workers; every report must be identical, energy bit for bit.
-    /// Returns the single-worker reports.
-    fn worker_invariant(config: VideoConfig, motion: Motion) -> Vec<VideoFrameReport> {
-        // 11 × 9 = 99 regions: four blocks, the last one ragged.
-        let grid = RegionGrid::new(FRAME, (20, 20), (4, 4));
+    /// workers, on a grid of 20×20 regions at `stride` (4 shares
+    /// C1–S4, k = 4; 10, the benchmark's, shares C1–C3, k = 3); every
+    /// report must be identical, energy bit for bit. Returns the
+    /// single-worker reports.
+    fn worker_invariant(
+        config: VideoConfig,
+        motion: Motion,
+        stride: usize,
+    ) -> Vec<VideoFrameReport> {
+        // Stride 4: 11 × 9 = 99 regions; stride 10: 5 × 4 = 20.
+        let grid = RegionGrid::new(FRAME, (20, 20), (stride, stride));
         let run = |workers| {
             let net = zoo::gabor().build(1).unwrap();
             let accel = Accelerator::new(AcceleratorConfig::paper());
             let mut pipe = VideoPipeline::new(accel, net, grid, config).unwrap();
+            assert_eq!(pipe.inner.prefix_layers(), if stride == 4 { 4 } else { 3 });
             let mut cam = VideoSensor::new(FRAME.0, FRAME.1, 3, motion).with_object(MovingObject {
                 size: (12, 12),
                 speed: (7, 5),
@@ -727,8 +761,9 @@ mod tests {
 
     #[test]
     fn diff_gate_is_worker_invariant_with_and_without_the_oracle() {
-        for oracle in [true, false] {
-            let reports = worker_invariant(gated(MotionGate::Diff, oracle), Motion::Static);
+        for (oracle, stride) in [(true, 4), (false, 4), (true, 10), (false, 10)] {
+            let config = gated(MotionGate::Diff, oracle);
+            let reports = worker_invariant(config, Motion::Static, stride);
             assert!(reports.iter().any(|r| r.ledger().skipped > 0));
             assert!(reports[1..].iter().any(|r| r.ledger().computed > 0));
             assert!(reports.iter().all(|r| r.bit_identical()));
@@ -741,19 +776,74 @@ mod tests {
             threshold: Fx::from_f32(0.25),
             seed: 42,
         };
-        let reports = worker_invariant(gated(gate, true), Motion::Jitter { amp: 1 });
-        assert!(reports.iter().map(|r| r.front_runs()).sum::<usize>() > 0);
+        for stride in [4, 10] {
+            let reports = worker_invariant(gated(gate, true), Motion::Jitter { amp: 1 }, stride);
+            assert!(reports.iter().map(|r| r.front_runs()).sum::<usize>() > 0);
+        }
     }
 
     #[test]
     fn panning_and_threshold_zero_are_worker_invariant() {
-        let pan = worker_invariant(gated(MotionGate::Diff, false), Motion::Pan { dx: 2, dy: 1 });
-        assert!(pan.iter().all(|r| r.ledger().skipped == 0));
+        let pan = Motion::Pan { dx: 2, dy: 1 };
         let config = VideoConfig {
             dirty_threshold: 0,
             ..VideoConfig::default()
         };
-        let cold = worker_invariant(config, Motion::Static);
-        assert!(cold.iter().all(|r| r.rows_streamed() == r.rows_total()));
+        for stride in [4, 10] {
+            let reports = worker_invariant(gated(MotionGate::Diff, false), pan, stride);
+            assert!(reports.iter().all(|r| r.ledger().skipped == 0));
+            let cold = worker_invariant(config, Motion::Static, stride);
+            assert!(cold.iter().all(|r| r.rows_streamed() == r.rows_total()));
+        }
+    }
+
+    /// The strip rule's guard: a row whose regions all compute rolls its
+    /// strip on only from a strip the same worker ran for the row above.
+    /// On a stride-10 grid (k = 3, the benchmark's geometry) under a
+    /// staleness bound, a moving object leaves frames where a row whose
+    /// regions all compute follows, in one worker's band, a row where
+    /// only some do, below an earlier strip row (frame 4's rows read
+    /// all, some, all, all, all, all). Rolling that row's strip on from the
+    /// worker's last strip would compute the wrong rows; it must start
+    /// fresh, and every computed region must equal the golden reference.
+    #[test]
+    fn a_strip_row_after_a_partial_row_starts_fresh() {
+        let (w, h) = (80, 70);
+        let grid = RegionGrid::new((w, h), (20, 20), (10, 10));
+        let (nx, _) = grid.counts();
+        let config = VideoConfig {
+            refresh_interval: 0,
+            staleness_bound: 2,
+            ..VideoConfig::default()
+        };
+        let net = zoo::gabor().build(1).unwrap();
+        let accel = Accelerator::new(AcceleratorConfig::paper());
+        let mut pipe = VideoPipeline::new(accel, net.clone(), grid, config).unwrap();
+        assert_eq!(pipe.inner.prefix_layers(), 3);
+        let mut cam = VideoSensor::new(w, h, 5, Motion::Static).with_object(MovingObject {
+            size: (12, 12),
+            speed: (5, 11),
+        });
+        let mut fresh_after_partial = 0;
+        for _ in 0..8 {
+            let frame = cam.next_frame();
+            let report = pipe.process_frame_with(&frame, 1).unwrap();
+            assert!(report.bit_identical());
+            for (ri, (r, slot)) in report.results().iter().zip(&pipe.regions).enumerate() {
+                if slot.compute {
+                    let region = grid.try_region(&frame, ri, 1).unwrap();
+                    assert_eq!(r.output, net.forward_fixed(&region).output(), "region {ri}");
+                }
+            }
+            let full: Vec<bool> = pipe
+                .regions
+                .chunks(nx)
+                .map(|row| row.iter().all(|s| s.compute))
+                .collect();
+            fresh_after_partial += (2..full.len())
+                .filter(|&r| full[r] && !full[r - 1] && full[..r - 1].contains(&true))
+                .count();
+        }
+        assert!(fresh_after_partial > 0, "the scene must exercise the guard");
     }
 }

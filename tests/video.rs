@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use shidiannao::pipeline::StreamingPipeline;
 use shidiannao::prelude::*;
 use shidiannao::sensor::{FrameSource, Motion, MovingObject, RegionGrid, VideoSensor};
+use shidiannao::sim::NbResidency;
 use shidiannao::video::{MotionGate, VideoConfig, VideoFrameReport, VideoPipeline};
 
 const FRAME: (usize, usize) = (40, 40);
@@ -344,4 +345,55 @@ fn ledgers_balance_across_report_kinds() {
     let v = video.process_frame(&frame).expect("frame runs");
     assert_eq!(v.ledger().total(), grid().count());
     assert_eq!(v.ledger().coverage(), 1.0);
+}
+
+/// The benchmark's panning VGA scene: 2 961 Gabor regions (20×20 at
+/// stride 10) on a 640×480 frame, every region dirty on every frame, so
+/// every region row runs the shared C1–C3 strip prefix. Each report, at
+/// whatever worker count `RAYON_NUM_THREADS` gives (CI runs 1, 2 and
+/// 3), must certify every region against the golden reference and equal
+/// a serial loop that stages each region's delta load and runs it whole:
+/// outputs, Load and compute cycles, streamed rows and energy bits.
+#[test]
+#[ignore = "a full VGA video scene; run with --release -- --ignored"]
+fn vga_pan_reports_equal_the_per_region_delta_loop() {
+    let (w, h) = (640, 480);
+    let grid = RegionGrid::new((w, h), REGION, (10, 10));
+    assert_eq!(grid.count(), 2961);
+    let net = zoo::gabor().build(1).expect("gabor builds");
+    let config = VideoConfig {
+        refresh_interval: 0,
+        ..VideoConfig::default()
+    };
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    let prepared = accel.prepare(&net).expect("gabor fits");
+    let mut pipe = VideoPipeline::new(accel, net.clone(), grid, config).expect("assembles");
+    let mut session = prepared.session();
+    let mut residency = vec![NbResidency::new(); grid.count()];
+    let mut cam = VideoSensor::new(w, h, 11, Motion::Pan { dx: 2, dy: 1 });
+    for f in 0..3 {
+        let frame = cam.next_frame();
+        let report = pipe.process_frame(&frame).expect("frame runs");
+        assert!(report.bit_identical(), "frame {f}");
+        assert_eq!(report.ledger().computed, grid.count(), "frame {f}");
+        let (mut load, mut compute, mut streamed, mut nj) = (0, 0, 0, 0.0f64);
+        for (i, region) in grid.stream(&frame, net.input_maps()).enumerate() {
+            let delta = session.stage_delta(&region, &mut residency[i]);
+            let run = session.infer_ref(&region).expect("clean run");
+            let cycles = run.stats().layers()[0].cycles;
+            load += cycles;
+            compute += run.stats().cycles() - cycles;
+            streamed += delta.rows_streamed;
+            nj += run.energy().total_nj();
+            assert_eq!(
+                report.results()[i].output,
+                run.output_flat(),
+                "frame {f}, region {i}"
+            );
+        }
+        assert_eq!(report.load_cycles(), load, "frame {f}");
+        assert_eq!(report.compute_cycles(), compute, "frame {f}");
+        assert_eq!(report.rows_streamed(), streamed, "frame {f}");
+        assert_eq!(report.energy_nj().to_bits(), nj.to_bits(), "frame {f}");
+    }
 }
