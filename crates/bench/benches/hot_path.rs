@@ -517,7 +517,10 @@ fn bench_front_vs_full(c: &mut Criterion) {
 /// frame pays before any gating decision. `observe_clean` diffs a frame
 /// against an identical predecessor (steady state of a static scene);
 /// `observe_dirty` alternates two frames of a panning scene so every
-/// region crosses the threshold.
+/// region crosses the threshold. Both run a 60 × 60 grid whose regions
+/// do not overlap; `observe_static_vga` and `observe_pan_vga` are the
+/// same two cases on the video pipeline's geometry — a 640 × 480 frame,
+/// 20 × 20 regions at stride 10, so every pixel lies in four regions.
 fn bench_frame_diff(c: &mut Criterion) {
     use shidiannao_sensor::{FrameDelta, FrameSource, Motion, RegionGrid, VideoSensor};
 
@@ -541,6 +544,32 @@ fn bench_frame_diff(c: &mut Criterion) {
             flip = !flip;
             let f = if flip { &pan_b } else { &pan_a };
             black_box(pan_delta.observe(f).expect("dims match").dirty_count())
+        })
+    });
+    let vga = RegionGrid::new((640, 480), (20, 20), (10, 10));
+    let vga_frame = VideoSensor::new(640, 480, 7, Motion::Static).next_frame();
+    let mut vga_pan = VideoSensor::new(640, 480, 7, Motion::Pan { dx: 2, dy: 1 });
+    let (vga_pan_a, vga_pan_b) = (vga_pan.next_frame(), vga_pan.next_frame());
+    let mut vga_delta = FrameDelta::new(vga, 8);
+    vga_delta.observe(&vga_frame).expect("dims match");
+    let mut vga_pan_delta = FrameDelta::new(vga, 8);
+    vga_pan_delta.observe(&vga_pan_a).expect("dims match");
+    g.sample_size(200);
+    g.bench_function("observe_static_vga", |b| {
+        b.iter(|| {
+            black_box(
+                vga_delta
+                    .observe(&vga_frame)
+                    .expect("dims match")
+                    .dirty_count(),
+            )
+        })
+    });
+    g.bench_function("observe_pan_vga", |b| {
+        b.iter(|| {
+            flip = !flip;
+            let f = if flip { &vga_pan_b } else { &vga_pan_a };
+            black_box(vga_pan_delta.observe(f).expect("dims match").dirty_count())
         })
     });
     g.finish();

@@ -156,8 +156,7 @@ impl Accelerator {
     /// [`Accelerator::try_new`] for a non-panicking construction.
     #[allow(clippy::panic)]
     pub fn new(config: AcceleratorConfig) -> Accelerator {
-        Accelerator::try_new(config)
-            .unwrap_or_else(|e| panic!("invalid accelerator configuration: {e}"))
+        Accelerator::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Creates an accelerator, rejecting invalid configurations with a

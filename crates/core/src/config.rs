@@ -144,7 +144,7 @@ impl AcceleratorConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when a dimension or capacity is zero or the
-    /// frequency is not positive.
+    /// frequency is not positive and finite.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.pe_cols == 0 || self.pe_rows == 0 {
             return Err(ConfigError::new("PE mesh must be non-empty"));
@@ -155,8 +155,8 @@ impl AcceleratorConfig {
         if self.ib_bytes == 0 {
             return Err(ConfigError::new("instruction buffer must be non-zero"));
         }
-        if self.frequency_ghz <= 0.0 || self.frequency_ghz.is_nan() {
-            return Err(ConfigError::new("frequency must be positive"));
+        if !(self.frequency_ghz.is_finite() && self.frequency_ghz > 0.0) {
+            return Err(ConfigError::new("frequency must be positive and finite"));
         }
         if self.alu_lanes == 0 {
             return Err(ConfigError::new("ALU must have at least one lane"));
@@ -226,9 +226,11 @@ mod tests {
         let mut c = AcceleratorConfig::paper();
         c.sb_bytes = 0;
         assert!(c.validate().is_err());
-        let mut c = AcceleratorConfig::paper();
-        c.frequency_ghz = 0.0;
-        assert!(c.validate().is_err());
+        for f in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = AcceleratorConfig::paper();
+            c.frequency_ghz = f;
+            assert!(c.validate().is_err(), "frequency {f}");
+        }
         let mut c = AcceleratorConfig::paper();
         c.alu_lanes = 0;
         let err = c.validate().unwrap_err();

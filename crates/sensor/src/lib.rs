@@ -461,11 +461,19 @@ impl RegionGrid {
     ///
     /// Panics if `(i, j)` is outside [`RegionGrid::counts`].
     pub fn origin(&self, i: usize, j: usize) -> (usize, usize) {
-        let (nx, ny) = self.counts();
-        assert!(i < nx && j < ny, "region ({i},{j}) out of grid");
+        let span = (self.frame.0 - self.region.0, self.frame.1 - self.region.1);
+        // `k < ⌈span / s⌉ + 1` without a division: `k = 0`, or the
+        // previous placement `(k − 1)·s` still starts inside `span`.
+        let placed = |k: usize, s: usize, span: usize| {
+            k == 0 || (k - 1).checked_mul(s).is_some_and(|o| o < span)
+        };
+        assert!(
+            placed(i, self.stride.0, span.0) && placed(j, self.stride.1, span.1),
+            "region ({i},{j}) out of grid"
+        );
         (
-            (i * self.stride.0).min(self.frame.0 - self.region.0),
-            (j * self.stride.1).min(self.frame.1 - self.region.1),
+            (i * self.stride.0).min(span.0),
+            (j * self.stride.1).min(span.1),
         )
     }
 
@@ -705,6 +713,31 @@ mod tests {
         let last = g.origin(36, 28);
         assert_eq!(last, (640 - 64, 480 - 36));
         assert_eq!(g.origins().count(), 1073);
+    }
+
+    #[test]
+    fn origin_accepts_exactly_the_counted_placements() {
+        for (frame, region, stride) in [
+            (20, 20, 1),
+            (21, 20, 1),
+            (40, 20, 10),
+            (47, 20, 10),
+            (47, 5, 7),
+            (30, 4, 13),
+            (9, 0, 4),
+        ] {
+            let g = RegionGrid::new((frame, frame), (region, region), (stride, stride));
+            let (n, _) = g.counts();
+            for k in 0..n + 3 {
+                let placed = std::panic::catch_unwind(|| g.origin(k, 0)).is_ok();
+                assert_eq!(placed, k < n, "{frame}/{region}/{stride}: k = {k}");
+                let placed = std::panic::catch_unwind(|| g.origin(0, k)).is_ok();
+                assert_eq!(placed, k < n, "{frame}/{region}/{stride}: k = {k}");
+            }
+        }
+        let g = RegionGrid::new((8, 8), (4, 4), (usize::MAX, 1));
+        assert_eq!(g.counts().0, 2);
+        assert!(std::panic::catch_unwind(|| g.origin(2, 0)).is_err());
     }
 
     #[test]

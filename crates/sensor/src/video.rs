@@ -19,7 +19,10 @@
 //!   comparator over the row buffer's previous-frame band, marking a
 //!   region dirty when any pixel moved by at least the configured
 //!   threshold. A threshold of `0` marks every region dirty (the
-//!   degenerate frame-independent schedule).
+//!   degenerate frame-independent schedule). The modeled comparator
+//!   reads every region's band, overlaps included; the host reaches the
+//!   same verdicts in one pass over the frame, comparing each pixel
+//!   once and reducing the changes per region row.
 //! * [`DirtyBitmap`] / [`DirtyMap`] — the per-stream dirty-region
 //!   bitmap each observed frame produces, bit-packed because a VGA
 //!   stream carries 1 073 regions per frame.
@@ -240,11 +243,23 @@ impl DirtyBitmap {
 
     /// An all-dirty bitmap over `len` regions.
     pub fn all_dirty(len: usize) -> DirtyBitmap {
-        let mut b = DirtyBitmap::new(len);
-        for i in 0..len {
-            b.set(i, true);
+        let mut words = vec![!0u64; len.div_ceil(64)];
+        if let (Some(last), tail @ 1..) = (words.last_mut(), len % 64) {
+            *last = (1u64 << tail) - 1;
         }
-        b
+        DirtyBitmap { len, words }
+    }
+
+    /// Appends region `index`'s bit to the words of a bitmap being built
+    /// row-major: regions arrive in index order, so a new word starts at
+    /// every multiple of 64.
+    fn push(words: &mut Vec<u64>, index: usize, dirty: bool) {
+        if index.is_multiple_of(64) {
+            words.push(0);
+        }
+        if let Some(word) = words.last_mut() {
+            *word |= u64::from(dirty) << (index % 64);
+        }
     }
 
     /// Regions tracked.
@@ -348,11 +363,22 @@ impl DirtyMap {
 /// The first observed frame is always all-dirty; a `threshold` of `0`
 /// marks every region dirty on every frame (`|Δ| ≥ 0` always holds), so
 /// the motion gate degenerates to frame-independent processing.
+///
+/// The host compares each pixel once, row slice against row slice, and
+/// reduces the changes per region row into one frame-width band; a
+/// region is dirty iff its `rw` columns of its row's band are nonzero.
+/// The modeled comparator is still per region:
+/// [`DirtyMap::compared_pixels`] charges `rw · rh` pixels for every
+/// region, overlaps included, because the hardware reads each region's
+/// band at line rate.
 #[derive(Clone, Debug)]
 pub struct FrameDelta {
     grid: RegionGrid,
     threshold: u8,
     prev: Option<FeatureMap<u8>>,
+    /// The region row's band, then the ring of cells it is ORed from
+    /// (see `changed_regions`); kept so a frame allocates none of it.
+    scratch: Vec<u8>,
 }
 
 impl FrameDelta {
@@ -362,6 +388,7 @@ impl FrameDelta {
             grid,
             threshold,
             prev: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -388,51 +415,94 @@ impl FrameDelta {
     /// Returns [`StreamError::FrameMismatch`] when the frame's
     /// dimensions differ from the grid's.
     pub fn observe(&mut self, frame: &Frame) -> Result<DirtyMap, StreamError> {
-        let (fw, fh) = self.grid.frame_dims();
-        if frame.dims() != (fw, fh) {
-            return Err(StreamError::FrameMismatch {
-                frame: frame.dims(),
-                grid: (fw, fh),
-            });
-        }
+        self.grid.check(frame)?;
         let regions = self.grid.count();
         let (rw, rh) = self.grid.region_dims();
-        let map = match &self.prev {
-            None => DirtyMap {
-                frame_index: frame.index(),
-                bitmap: DirtyBitmap::all_dirty(regions),
-                compared_pixels: 0,
-            },
+        let compared = (regions * rw * rh) as u64;
+        let (bitmap, compared_pixels) = match &self.prev {
+            None => (DirtyBitmap::all_dirty(regions), 0),
+            Some(_) if self.threshold == 0 => (DirtyBitmap::all_dirty(regions), compared),
             Some(prev) => {
-                let cur = frame.pixels();
-                let mut bitmap = DirtyBitmap::new(regions);
-                let mut compared = 0u64;
-                for (i, (x0, y0)) in self.grid.origins().enumerate() {
-                    let mut dirty = self.threshold == 0;
-                    'scan: for y in y0..y0 + rh {
-                        for x in x0..x0 + rw {
-                            if cur[(x, y)].abs_diff(prev[(x, y)]) >= self.threshold {
-                                dirty = true;
-                                break 'scan;
-                            }
-                        }
-                    }
-                    // The comparator scans the whole region even when
-                    // the first changed pixel settles the verdict — a
-                    // hardware comparator reads the full band at line
-                    // rate, it does not early-exit.
-                    compared += (rw * rh) as u64;
-                    bitmap.set(i, dirty);
-                }
-                DirtyMap {
-                    frame_index: frame.index(),
-                    bitmap,
-                    compared_pixels: compared,
-                }
+                let (grid, scratch) = (&self.grid, &mut self.scratch);
+                let dirty = changed_regions(grid, self.threshold, scratch, frame.pixels(), prev);
+                (dirty, compared)
             }
         };
-        self.prev = Some(frame.pixels().clone());
-        Ok(map)
+        match &mut self.prev {
+            Some(prev) => prev.clone_from(frame.pixels()),
+            None => self.prev = Some(frame.pixels().clone()),
+        }
+        Ok(DirtyMap {
+            frame_index: frame.index(),
+            bitmap,
+            compared_pixels,
+        })
+    }
+}
+
+/// The regions of `grid` where some pixel of `cur` differs from `prev`
+/// by at least `threshold` (non-zero), comparing each frame row once.
+///
+/// Frame rows are grouped into cells of `g` rows, `g` dividing the
+/// region height, the vertical stride and the clamped last origin, so
+/// every region row is a run of `rh / g` whole cells and overlapping
+/// region rows share theirs. A cell is the per-column OR of
+/// `|Δ| − (threshold − 1)` (saturating, so nonzero iff `|Δ| ≥
+/// threshold`) over its rows; a region row's band is the OR of its
+/// cells, and a region is dirty iff its `rw` columns of the band are
+/// nonzero. `scratch` holds the band and a ring of the last `rh / g`
+/// cells: region rows only move down, so no cell is computed twice.
+fn changed_regions(
+    grid: &RegionGrid,
+    threshold: u8,
+    scratch: &mut Vec<u8>,
+    cur: &FeatureMap<u8>,
+    prev: &FeatureMap<u8>,
+) -> DirtyBitmap {
+    let (nx, ny) = grid.counts();
+    let (rw, rh) = grid.region_dims();
+    let (fw, fh) = grid.frame_dims();
+    let g = gcd(gcd(grid.stride().1, rh), fh - rh);
+    let cells = rh / g;
+    scratch.resize((cells + 1) * fw, 0);
+    let (band, ring) = scratch.split_at_mut(fw);
+    let mut next = 0;
+    let mut words = Vec::with_capacity((nx * ny).div_ceil(64));
+    for j in 0..ny {
+        let first = grid.origin(0, j).1 / g;
+        for k in next.max(first)..first + cells {
+            let cell = &mut ring[(k % cells) * fw..][..fw];
+            cell.fill(0);
+            for y in k * g..(k + 1) * g {
+                for ((d, &c), &p) in cell.iter_mut().zip(cur.row(y)).zip(prev.row(y)) {
+                    *d |= c.abs_diff(p).saturating_sub(threshold - 1);
+                }
+            }
+        }
+        next = first + cells;
+        band.fill(0);
+        for cell in ring.chunks_exact(fw) {
+            for (b, &d) in band.iter_mut().zip(cell) {
+                *b |= d;
+            }
+        }
+        for i in 0..nx {
+            let (x0, _) = grid.origin(i, j);
+            let dirty = band[x0..x0 + rw].iter().fold(0, |a, &b| a | b) != 0;
+            DirtyBitmap::push(&mut words, j * nx + i, dirty);
+        }
+    }
+    DirtyBitmap {
+        len: nx * ny,
+        words,
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -440,10 +510,129 @@ impl FrameDelta {
 mod tests {
     use super::*;
     use crate::{FaultySensor, SyntheticSensor};
+    use proptest::prelude::*;
     use shidiannao_faults::FaultPlan;
 
     fn grid() -> RegionGrid {
         RegionGrid::new((64, 48), (16, 16), (16, 16))
+    }
+
+    /// The per-region scan [`FrameDelta::observe`] replaced, kept as its
+    /// oracle: each region's window is scanned on its own with 2-D
+    /// indexed loads, exiting at its first changed pixel.
+    struct RegionScan {
+        grid: RegionGrid,
+        threshold: u8,
+        prev: Option<FeatureMap<u8>>,
+    }
+
+    impl RegionScan {
+        fn new(grid: RegionGrid, threshold: u8) -> RegionScan {
+            RegionScan {
+                grid,
+                threshold,
+                prev: None,
+            }
+        }
+
+        fn observe(&mut self, frame: &Frame) -> DirtyMap {
+            let regions = self.grid.count();
+            let (rw, rh) = self.grid.region_dims();
+            let mut bitmap = DirtyBitmap::new(regions);
+            let mut compared = 0u64;
+            match &self.prev {
+                None => (0..regions).for_each(|i| bitmap.set(i, true)),
+                Some(prev) => {
+                    let cur = frame.pixels();
+                    for (i, (x0, y0)) in self.grid.origins().enumerate() {
+                        let mut dirty = self.threshold == 0;
+                        'scan: for y in y0..y0 + rh {
+                            for x in x0..x0 + rw {
+                                if cur[(x, y)].abs_diff(prev[(x, y)]) >= self.threshold {
+                                    dirty = true;
+                                    break 'scan;
+                                }
+                            }
+                        }
+                        compared += (rw * rh) as u64;
+                        bitmap.set(i, dirty);
+                    }
+                }
+            }
+            self.prev = Some(frame.pixels().clone());
+            DirtyMap {
+                frame_index: frame.index(),
+                bitmap,
+                compared_pixels: compared,
+            }
+        }
+    }
+
+    /// Coordinates along one axis where a single changed pixel tests a
+    /// boundary: both frame edges and, for every region placement, the
+    /// pixel before it, its first and last pixel, and the pixel after it
+    /// (an overlap seam when placements overlap, a gap when they do not).
+    fn boundaries(frame: usize, region: usize, origins: impl Iterator<Item = usize>) -> Vec<usize> {
+        let mut at = vec![0, frame - 1];
+        for x0 in origins {
+            at.extend([x0.wrapping_sub(1), x0, x0 + region - 1, x0 + region]);
+        }
+        at.retain(|&x| x < frame);
+        at
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_differencing_equals_the_region_scan(
+            frame in (1usize..48, 1usize..40),
+            region in (0usize..1000, 0usize..1000),
+            stride in (1usize..17, 1usize..17),
+            threshold in any::<u8>(),
+            seed in any::<u64>(),
+            pick in (0usize..1000, 0usize..1000, 0usize..4, 0usize..256),
+        ) {
+            let (fw, fh) = frame;
+            let region = (1 + region.0 % fw, 1 + region.1 % fh);
+            let grid = RegionGrid::new(frame, region, stride);
+            let (nx, ny) = grid.counts();
+            let xs = boundaries(fw, region.0, (0..nx).map(|i| grid.origin(i, 0).0));
+            let ys = boundaries(fh, region.1, (0..ny).map(|j| grid.origin(0, j).1));
+            let at = (xs[pick.0 % xs.len()], ys[pick.1 % ys.len()]);
+            // One pixel moves by exactly `threshold` or by one less, up
+            // or down.
+            let delta = if pick.2 % 2 == 0 { threshold } else { threshold.saturating_sub(1) };
+            let low = (pick.3 % (256 - usize::from(delta))) as u8;
+            let (before, after) = if pick.2 < 2 { (low, low + delta) } else { (low + delta, low) };
+            let scene = |salt: u64, dx: i64, moved: Option<u8>| {
+                FeatureMap::from_fn(fw, fh, |x, y| match moved {
+                    Some(v) if (x, y) == at => v,
+                    _ => world_pixel(seed ^ salt, x as i64 + dx, y as i64),
+                })
+            };
+            let base = scene(0, 0, Some(before));
+            let jitter = FeatureMap::from_fn(fw, fh, |x, y| {
+                let h = world_pixel(seed ^ 0x5EED, x as i64, y as i64);
+                if h.is_multiple_of(8) { base[(x, y)].wrapping_add(h) } else { base[(x, y)] }
+            });
+            let frames = [
+                base.clone(),
+                scene(0, 0, Some(after)),
+                jitter.clone(),
+                jitter,
+                scene(0, 1, None),
+                base,
+            ];
+            let mut delta = FrameDelta::new(grid, threshold);
+            let mut oracle = RegionScan::new(grid, threshold);
+            for (index, pixels) in frames.into_iter().enumerate() {
+                let frame = Frame::new(index as u64, pixels);
+                if index == 4 {
+                    delta.reset();
+                    oracle.prev = None;
+                }
+                prop_assert_eq!(delta.observe(&frame).unwrap(), oracle.observe(&frame));
+            }
+        }
     }
 
     #[test]
@@ -557,12 +746,24 @@ mod tests {
 
     #[test]
     fn reset_forgets_the_reference_frame() {
-        let mut cam = VideoSensor::new(64, 48, 7, Motion::Static);
+        let mut cam = VideoSensor::new(64, 48, 7, Motion::Static).with_object(MovingObject {
+            size: (8, 8),
+            speed: (5, 3),
+        });
+        let (a, b, c) = (cam.next_frame(), cam.next_frame(), cam.next_frame());
         let mut delta = FrameDelta::new(grid(), 1);
-        let _ = delta.observe(&cam.next_frame()).unwrap();
+        let _ = delta.observe(&a).unwrap();
         delta.reset();
-        let again = delta.observe(&cam.next_frame()).unwrap();
+        let again = delta.observe(&b).unwrap();
         assert!(again.bitmap().all());
+        assert_eq!(again.compared_pixels(), 0);
+        // Only the first frame after a reset is all-dirty: the next one
+        // is diffed against it, exactly as a fresh differencer would.
+        let next = delta.observe(&c).unwrap();
+        assert!(next.dirty_count() > 0 && !next.bitmap().all());
+        let mut oracle = RegionScan::new(grid(), 1);
+        oracle.observe(&b);
+        assert_eq!(next, oracle.observe(&c));
     }
 
     #[test]
@@ -597,6 +798,19 @@ mod tests {
         assert!(DirtyBitmap::all_dirty(130).all());
         assert_eq!(b.iter().filter(|&d| d).count(), 2);
         assert!(!b.is_empty() && DirtyBitmap::new(0).is_empty());
+    }
+
+    #[test]
+    fn all_dirty_fills_whole_words_and_clears_the_tail() {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let b = DirtyBitmap::all_dirty(n);
+            assert_eq!(b.count(), n, "n = {n}");
+            assert_eq!(b.words.len(), n.div_ceil(64));
+            assert!(b.all() && b.iter().all(|d| d));
+            if n % 64 != 0 {
+                assert_eq!(b.words[n / 64] >> (n % 64), 0, "tail of {n}");
+            }
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn run_one(name_or_builder: NetworkBuilder, opts: &Options) -> Result<(), String
     let mut cfg = AcceleratorConfig::with_pe_grid(opts.pe, opts.pe);
     cfg.inter_pe_propagation = opts.propagation;
     cfg.multi_map_packing = opts.multimap;
-    let accel = Accelerator::new(cfg);
+    let accel = Accelerator::try_new(cfg).map_err(|e| e.to_string())?;
     let input = network.random_input(opts.seed ^ 0xABCD);
     let run = accel
         .prepare(&network)
