@@ -703,12 +703,30 @@ fn bench_video_replay(c: &mut Criterion) {
     g.finish();
 }
 
+/// `Accelerator::prepare` on the paper config: validation, compilation,
+/// the SB image, and the recording run (one live decode of the whole
+/// network).
+fn bench_prepare(c: &mut Criterion) {
+    use shidiannao_cnn::zoo;
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    let mut g = c.benchmark_group("prepare");
+    g.sample_size(20);
+    for (id, build) in [("lenet5", zoo::lenet5()), ("convnn", zoo::convnn())] {
+        let net = build.build(2015).expect("builds");
+        g.bench_function(id, |b| {
+            b.iter(|| black_box(accel.prepare(&net).expect("fits").clean_stats().cycles()))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     hot_path,
     bench_nb_read_modes,
     bench_sb_broadcast,
     bench_small_inference,
     bench_schedule_replay,
+    bench_prepare,
     bench_one_lane_conv,
     bench_block_conv,
     bench_norm_replay,

@@ -39,12 +39,12 @@
 //!   [`INSTR_SPEEDUP_GATE`] and the stdout summary, never the artifact.
 //!
 //! * **Optimizer columns** — per benchmark, the per-pass elimination
-//!   counters the schedule optimizer's prepare-time cost model
-//!   ([`shidiannao_core::opt`]: NB dedup, read-mode re-selection, SB
-//!   coalescing, FIFO-fold) priced into the prepared network's
-//!   [`shidiannao_core::OptReport`], and the modeled cycles they leave
-//!   (`opt_cycles_per_inference`, the recorded cycles minus the folded
-//!   ones). Sessions always replay the recording, so there is no
+//!   counters the schedule optimizer's cost model
+//!   ([`shidiannao_core::opt::optimize`]: NB dedup, read-mode
+//!   re-selection, SB coalescing, FIFO-fold) prices over the prepared
+//!   network's recording into a [`shidiannao_core::OptReport`], and the
+//!   modeled cycles they leave (`opt_cycles_per_inference`, the recorded
+//!   cycles minus the folded ones). Sessions always replay the recording, so there is no
 //!   optimized path to certify.
 //!
 //! * **Delta-load rows** — per benchmark, a separate certificate for
@@ -362,7 +362,7 @@ impl Artifact for PerfReport {
                 },
             );
         }
-        out += "\nSchedule optimizer (prepare-time cost model over the recording)\n\
+        out += "\nSchedule optimizer (cost model over the recording)\n\
                 CNN          cycles/inf  saved  NB elim  modes  SB bytes\n";
         for t in &self.throughput {
             out += &format!(
@@ -668,7 +668,12 @@ fn measure_one(b: shidiannao_cnn::NetworkBuilder, burst: usize) -> ThroughputRow
     let delta_warm_load_cycles = warm.stats().layers()[0].cycles;
     let delta_bit_identical = cold_ok && warm.output_flat() == golden;
 
-    let opt_report = *prepared.optimizer_report();
+    let opt_report = shidiannao_core::opt::optimize(
+        prepared.schedule(),
+        prepared.network(),
+        prepared.config(),
+        prepared.energy_model(),
+    );
     ThroughputRow {
         name: net.name().to_string(),
         inferences: burst,

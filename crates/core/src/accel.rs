@@ -274,7 +274,6 @@ impl Accelerator {
             layer_instruction_counts,
             layer_labels,
             schedule: Arc::new(NetworkSchedule::empty()),
-            opt_report: crate::opt::OptReport::default(),
             shareable_prefix: 0,
             clean_stats: RunStats::new(),
         };
@@ -296,14 +295,6 @@ impl Accelerator {
             (recorder.into_schedule(), session.stats)
         };
         prepared.clean_stats = clean_stats;
-        // Price the optimizer's passes over the recording once; sessions
-        // always replay the recording itself.
-        prepared.opt_report = crate::opt::optimize(
-            &schedule,
-            &prepared.network,
-            &prepared.config,
-            &prepared.energy_model,
-        );
         prepared.shareable_prefix = shareable_prefix(&prepared.network, &schedule);
         prepared.schedule = Arc::new(schedule);
         Ok(prepared)
@@ -355,8 +346,6 @@ pub struct PreparedNetwork {
     /// its `&PreparedNetwork` — per-tenant control state is paid for
     /// once, not per session (and shared by clones of the network).
     schedule: Arc<NetworkSchedule>,
-    /// What the optimizer's passes would save on `schedule`.
-    opt_report: crate::opt::OptReport,
     /// Leading layers a strip evaluation can stand in for
     /// ([`PreparedNetwork::shareable_prefix`]).
     shareable_prefix: usize,
@@ -423,12 +412,6 @@ impl PreparedNetwork {
     /// prepared network, so opening one adds no clone).
     pub fn schedule(&self) -> &Arc<NetworkSchedule> {
         &self.schedule
-    }
-
-    /// Per-pass elimination counters the optimizer's cost model priced
-    /// over the recorded schedule at prepare time.
-    pub fn optimizer_report(&self) -> &crate::opt::OptReport {
-        &self.opt_report
     }
 
     /// The statistics of every clean inference of this network, from

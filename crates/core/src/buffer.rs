@@ -2,10 +2,8 @@
 //! NB controller (Figs. 9–11), the synapse buffer, and the instruction
 //! buffer.
 //!
-//! Every read mode has a `*_into` form that fills caller-owned scratch
-//! storage — the steady-state simulation path allocates nothing. The
-//! `Vec`-returning forms are thin wrappers kept for tests and one-shot
-//! callers.
+//! Every read mode is a `*_into` form that fills caller-owned scratch
+//! storage, so the steady-state simulation path allocates nothing.
 
 use crate::stats::{LayerStats, ReadMode};
 use core::fmt;

@@ -56,6 +56,20 @@ pub struct AcceleratorConfig {
 }
 
 impl AcceleratorConfig {
+    /// The largest PE mesh side (`pe_cols`, `pe_rows`)
+    /// [`validate`](AcceleratorConfig::validate) accepts: 32 times the
+    /// paper's side of 8, and 16 times the side of the tuner's widest
+    /// mesh (16 × 16).
+    /// It bounds a session's mesh at 65 536 PEs, so no configuration can
+    /// make the simulator allocate an unbounded mesh, and
+    /// [`pe_count`](AcceleratorConfig::pe_count) of a valid configuration
+    /// cannot overflow.
+    pub const MAX_PE_SIDE: usize = 256;
+
+    /// The largest `alu_lanes` [`validate`](AcceleratorConfig::validate)
+    /// accepts: one lane per column of the widest mesh.
+    pub const MAX_ALU_LANES: usize = Self::MAX_PE_SIDE;
+
     /// The evaluated 8 × 8 design of Table 3.
     pub fn paper() -> AcceleratorConfig {
         AcceleratorConfig {
@@ -143,11 +157,22 @@ impl AcceleratorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when a dimension or capacity is zero or the
+    /// Returns [`ConfigError`] when a dimension or capacity is zero, a
+    /// mesh side exceeds [`MAX_PE_SIDE`](AcceleratorConfig::MAX_PE_SIDE),
+    /// the lane count exceeds
+    /// [`MAX_ALU_LANES`](AcceleratorConfig::MAX_ALU_LANES), or the
     /// frequency is not positive and finite.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.pe_cols == 0 || self.pe_rows == 0 {
             return Err(ConfigError::new("PE mesh must be non-empty"));
+        }
+        if self.pe_cols > Self::MAX_PE_SIDE || self.pe_rows > Self::MAX_PE_SIDE {
+            return Err(ConfigError::new(format!(
+                "PE mesh {} x {} exceeds the {max} x {max} bound",
+                self.pe_cols,
+                self.pe_rows,
+                max = Self::MAX_PE_SIDE
+            )));
         }
         if self.nbin_bytes == 0 || self.nbout_bytes == 0 || self.sb_bytes == 0 {
             return Err(ConfigError::new("buffer capacities must be non-zero"));
@@ -160,6 +185,13 @@ impl AcceleratorConfig {
         }
         if self.alu_lanes == 0 {
             return Err(ConfigError::new("ALU must have at least one lane"));
+        }
+        if self.alu_lanes > Self::MAX_ALU_LANES {
+            return Err(ConfigError::new(format!(
+                "ALU lanes {} exceed the bound of {}",
+                self.alu_lanes,
+                Self::MAX_ALU_LANES
+            )));
         }
         Ok(())
     }
@@ -235,6 +267,23 @@ mod tests {
         c.alu_lanes = 0;
         let err = c.validate().unwrap_err();
         assert!(err.to_string().contains("ALU"));
+    }
+
+    #[test]
+    fn mesh_and_lanes_are_bounded() {
+        let max = AcceleratorConfig::MAX_PE_SIDE;
+        let c = AcceleratorConfig::with_pe_grid(max, max);
+        assert_eq!(c.alu_lanes, AcceleratorConfig::MAX_ALU_LANES);
+        assert!(c.validate().is_ok());
+        for (cols, rows) in [(max + 1, 1), (1, max + 1), (usize::MAX, usize::MAX)] {
+            let err = AcceleratorConfig::with_pe_grid(cols, rows)
+                .validate()
+                .unwrap_err();
+            assert!(err.to_string().contains("bound"), "{cols} x {rows}: {err}");
+        }
+        let mut c = AcceleratorConfig::paper();
+        c.alu_lanes = AcceleratorConfig::MAX_ALU_LANES + 1;
+        assert!(c.validate().unwrap_err().to_string().contains("ALU"));
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub(super) fn run(eng: &mut Engine<'_>, layer: &Layer) -> Result<(), RunError> {
             let bias = eng.sb_value(bias_addr(o), bias)?;
             for py in 0..active.1 {
                 for px in 0..active.0 {
-                    eng.nfu.pe_mut(px, py).reset_accumulator(bias);
+                    let i = eng.nfu.index(px, py);
+                    eng.nfu.reset_accumulator(i, bias);
                 }
             }
 

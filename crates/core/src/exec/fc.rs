@@ -42,7 +42,6 @@ fn run_groups(
         unreachable!("classifier executor fed a non-classifier layer");
     };
     let pe_count = eng.cfg.pe_count();
-    let px = eng.cfg.pe_cols;
     let out_count = layer.out_maps();
 
     for group_start in (0..out_count).step_by(pe_count) {
@@ -53,7 +52,7 @@ fn run_groups(
         for i in 0..group_len {
             let bias = eng.store.bias(eng.layer_index, group_start + i);
             let bias = eng.sb_value(bias_addr(group_start + i), bias)?;
-            eng.nfu.pe_mut(i % px, i / px).reset_accumulator(bias);
+            eng.nfu.reset_accumulator(i, bias);
         }
 
         mac_group(eng, weights, group_start, group_len, idxs, cursors)?;
@@ -61,7 +60,7 @@ fn run_groups(
         // Epilogue: activation through the ALU, then one grouped write.
         vals.clear();
         for i in 0..group_len {
-            vals.push(eng.nfu.pe(i % px, i / px).accumulator());
+            vals.push(eng.nfu.accumulator(i));
         }
         // Pipelined ALU: activation latency hides behind the next
         // group's MAC stream; one flush cycle remains.
@@ -107,9 +106,7 @@ fn mac_group(
                     .store
                     .fc_weight(eng.layer_index, group_start + i, *cursor);
                 let w = eng.sb_value(fc_weight_addr(group_start + i, *cursor), w)?;
-                eng.nfu
-                    .pe_mut(i % eng.cfg.pe_cols, i / eng.cfg.pe_cols)
-                    .mac(neuron, w);
+                eng.nfu.mac(i, neuron, w);
                 eng.stats.pe_muls += 1;
                 eng.stats.pe_adds += 1;
                 *cursor += 1;

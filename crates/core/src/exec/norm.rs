@@ -65,7 +65,8 @@ fn run_lrn(
             let (aw, ah) = active;
             for py in 0..ah {
                 for px in 0..aw {
-                    eng.nfu.pe_mut(px, py).reset_accumulator(Fx::ZERO);
+                    let i = eng.nfu.index(px, py);
+                    eng.nfu.reset_accumulator(i, Fx::ZERO);
                 }
             }
             // Square-accumulate pass: one tile read + one square MAC per
@@ -75,7 +76,8 @@ fn run_lrn(
                 for py in 0..ah {
                     for px in 0..aw {
                         let v = tile[py * aw + px];
-                        eng.nfu.pe_mut(px, py).mac(v, v);
+                        let i = eng.nfu.index(px, py);
+                        eng.nfu.mac(i, v, v);
                         eng.stats.pe_muls += 1;
                         eng.stats.pe_adds += 1;
                     }
@@ -86,7 +88,7 @@ fn run_lrn(
             vals.clear();
             for py in 0..ah {
                 for px in 0..aw {
-                    vals.push(k + alpha * eng.nfu.pe(px, py).accumulator());
+                    vals.push(k + alpha * eng.nfu.accumulator(eng.nfu.index(px, py)));
                 }
             }
             eng.stats.pe_muls += (aw * ah) as u64;
@@ -144,7 +146,8 @@ fn run_lcn(
         let (aw, ah) = active;
         for py in 0..ah {
             for px in 0..aw {
-                eng.nfu.pe_mut(px, py).reset_accumulator(Fx::ZERO);
+                let i = eng.nfu.index(px, py);
+                eng.nfu.reset_accumulator(i, Fx::ZERO);
             }
         }
         for j in 0..maps {
@@ -163,7 +166,8 @@ fn run_lcn(
                     }
                     eng.nb_gather_into(j, coords, tile)?;
                     for (&(px, py), &val) in lanes.iter().zip(tile.iter()) {
-                        eng.nfu.pe_mut(px, py).mac(wgt, val);
+                        let i = eng.nfu.index(px, py);
+                        eng.nfu.mac(i, wgt, val);
                         eng.stats.pe_muls += 1;
                         eng.stats.pe_adds += 1;
                     }
@@ -173,7 +177,8 @@ fn run_lcn(
         }
         for py in 0..ah {
             for px in 0..aw {
-                mu[(origin.1 + py) * w + origin.0 + px] = eng.nfu.pe(px, py).accumulator();
+                mu[(origin.1 + py) * w + origin.0 + px] =
+                    eng.nfu.accumulator(eng.nfu.index(px, py));
             }
         }
         // Stage μ through NBout (decomposed sub-layer write).
@@ -211,7 +216,8 @@ fn run_lcn(
         let (aw, ah) = active;
         for py in 0..ah {
             for px in 0..aw {
-                eng.nfu.pe_mut(px, py).reset_accumulator(Fx::ZERO);
+                let i = eng.nfu.index(px, py);
+                eng.nfu.reset_accumulator(i, Fx::ZERO);
             }
         }
         for vj in v.chunks_exact(w * h) {
@@ -229,7 +235,8 @@ fn run_lcn(
                             let s = eng
                                 .nbout_value(STAGE_V_SQUARE, c, vj[c.1 * w + c.0])?
                                 .squared();
-                            eng.nfu.pe_mut(px, py).mac(wgt, s);
+                            let i = eng.nfu.index(px, py);
+                            eng.nfu.mac(i, wgt, s);
                             eng.stats.pe_muls += 2; // square + weight
                             eng.stats.pe_adds += 1;
                             busy += 1;
@@ -243,7 +250,7 @@ fn run_lcn(
         vals.clear();
         for py in 0..ah {
             for px in 0..aw {
-                vals.push(eng.nfu.pe(px, py).accumulator());
+                vals.push(eng.nfu.accumulator(eng.nfu.index(px, py)));
             }
         }
         let cycles = eng.alu.sqrt(vals, eng.stats);

@@ -80,9 +80,8 @@ pub(super) fn run_conv(eng: &mut Engine<'_>, layer: &Layer) -> Result<(), RunErr
             let bias = eng.sb_value(bias_addr(group_start + s), bias)?;
             for py in 0..oh {
                 for px in 0..ow {
-                    eng.nfu
-                        .pe_mut(bx * ow + px, by * oh + py)
-                        .reset_accumulator(bias);
+                    let i = eng.nfu.index(bx * ow + px, by * oh + py);
+                    eng.nfu.reset_accumulator(i, bias);
                 }
             }
         }
@@ -116,9 +115,8 @@ pub(super) fn run_conv(eng: &mut Engine<'_>, layer: &Layer) -> Result<(), RunErr
                         let k = eng.sb_value(conv_weight_addr(o, j, (kx, ky)), k)?;
                         for py in 0..oh {
                             for px in 0..ow {
-                                eng.nfu
-                                    .pe_mut(bx * ow + px, by * oh + py)
-                                    .mac(vals[py * ow + px], k);
+                                let i = eng.nfu.index(bx * ow + px, by * oh + py);
+                                eng.nfu.mac(i, vals[py * ow + px], k);
                                 eng.stats.pe_muls += 1;
                                 eng.stats.pe_adds += 1;
                             }
@@ -137,7 +135,10 @@ pub(super) fn run_conv(eng: &mut Engine<'_>, layer: &Layer) -> Result<(), RunErr
             let mut vals: Vec<Fx> = Vec::with_capacity(ow * oh);
             for py in 0..oh {
                 for px in 0..ow {
-                    vals.push(eng.nfu.pe(bx * ow + px, by * oh + py).accumulator());
+                    vals.push(
+                        eng.nfu
+                            .accumulator(eng.nfu.index(bx * ow + px, by * oh + py)),
+                    );
                 }
             }
             let _ = eng.alu.activate(&mut vals, *activation, eng.stats);

@@ -37,10 +37,10 @@ pub(super) fn run(eng: &mut Engine<'_>, layer: &Layer) -> Result<(), RunError> {
             // Reset PE state for the new output neurons.
             for py in 0..active.1 {
                 for px in 0..active.0 {
-                    let mut pe = eng.nfu.pe_mut(px, py);
+                    let i = eng.nfu.index(px, py);
                     match kind {
-                        PoolKind::Max => pe.reset_comparator(),
-                        PoolKind::Avg => pe.reset_accumulator(Fx::ZERO),
+                        PoolKind::Max => eng.nfu.reset_comparator(i),
+                        PoolKind::Avg => eng.nfu.reset_accumulator(i, Fx::ZERO),
                     }
                 }
             }
@@ -94,14 +94,15 @@ pub(super) fn run(eng: &mut Engine<'_>, layer: &Layer) -> Result<(), RunError> {
             vals.clear();
             for py in 0..active.1 {
                 for px in 0..active.0 {
+                    let i = eng.nfu.index(px, py);
                     let v = match kind {
-                        PoolKind::Max => eng.nfu.pe(px, py).comparator(),
+                        PoolKind::Max => eng.nfu.comparator(i),
                         PoolKind::Avg => {
                             let x0 = (origin.0 + px) * stride.0;
                             let y0 = (origin.1 + py) * stride.1;
                             let w = (x0 + window.0).min(in_dims.0) - x0;
                             let h = (y0 + window.1).min(in_dims.1) - y0;
-                            eng.nfu.pe(px, py).accumulator_mean(w * h)
+                            eng.nfu.accumulator_mean(i, w * h)
                         }
                     };
                     vals.push(v);
@@ -156,14 +157,14 @@ fn gather_windows(
             }
             eng.nb_gather_into(map, coords, vals)?;
             for (&(px, py), &v) in lanes.iter().zip(vals.iter()) {
-                let mut pe = eng.nfu.pe_mut(px, py);
+                let i = eng.nfu.index(px, py);
                 match kind {
                     PoolKind::Max => {
-                        pe.compare(v);
+                        eng.nfu.compare(i, v);
                         eng.stats.pe_cmps += 1;
                     }
                     PoolKind::Avg => {
-                        pe.add(v);
+                        eng.nfu.add(i, v);
                         eng.stats.pe_adds += 1;
                     }
                 }

@@ -854,7 +854,6 @@ fn fc(
     patches: &SbPatches,
 ) {
     let pe_count = eng.cfg.pe_count();
-    let px = eng.cfg.pe_cols;
     let out_count = layer.out_maps();
     let layer_index = eng.layer_index;
     let mut flat = mem::take(&mut eng.scratch.values);
@@ -878,7 +877,7 @@ fn fc(
         for i in 0..group_len {
             let o = group_start + i;
             let bias = patch_fx(patches, bias_addr(o), eng.store.bias(layer_index, o));
-            eng.nfu.pe_mut(i % px, i / px).reset_accumulator(bias);
+            eng.nfu.reset_accumulator(i, bias);
         }
 
         let store = eng.store;
@@ -891,12 +890,12 @@ fn fc(
                 // (contiguous when the row is dense), landed in a single
                 // raw add — bit-identical to the `mac` chain.
                 let dot = classifier_dot_raw(&LaneKernel, &flat, row, wrow);
-                eng.nfu.acc_mut(i % px, i / px).add_raw(dot);
+                eng.nfu.acc_mut(i).add_raw(dot);
             } else {
                 // The live path filters each weight at its (row, slot)
                 // SB-image coordinate — the slot is the cursor position,
                 // i.e. the entry's index within the row.
-                let acc = eng.nfu.acc_mut(i % px, i / px);
+                let acc = eng.nfu.acc_mut(i);
                 for (slot, (&(idx, _), &w)) in row.iter().zip(wrow).enumerate() {
                     acc.mac(flat[idx], patch_fx(patches, fc_weight_addr(o, slot), w));
                 }
@@ -905,7 +904,7 @@ fn fc(
 
         vals.clear();
         for i in 0..group_len {
-            vals.push(eng.nfu.pe(i % px, i / px).accumulator());
+            vals.push(eng.nfu.accumulator(i));
         }
         let _ = eng.alu.activate(&mut vals, activation, &mut meter);
         eng.nbout.write_scalar_group(group_start, &vals, &mut meter);

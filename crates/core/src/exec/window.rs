@@ -145,7 +145,8 @@ fn sweep(
                     values.resize(aw * ah, Fx::ZERO);
                     for py in 0..ah - 1 {
                         for px in 0..aw {
-                            values[py * aw + px] = eng.nfu.propagate_from_below(px, py);
+                            values[py * aw + px] =
+                                eng.nfu.propagate_from_below(eng.nfu.index(px, py));
                             eng.stats.fifo_pops += 1;
                         }
                     }
@@ -169,7 +170,8 @@ fn sweep(
                     values.resize(aw * ah, Fx::ZERO);
                     for py in 0..ah {
                         for px in 0..aw - 1 {
-                            values[py * aw + px] = eng.nfu.propagate_from_right(px, py);
+                            values[py * aw + px] =
+                                eng.nfu.propagate_from_right(eng.nfu.index(px, py));
                             eng.stats.fifo_pops += 1;
                         }
                     }
@@ -191,27 +193,27 @@ fn sweep(
             for py in 0..ah {
                 for px in 0..aw {
                     let v = values[py * aw + px];
-                    let mut pe = eng.nfu.pe_mut(px, py);
+                    let i = eng.nfu.index(px, py);
                     if propagate {
-                        pe.push_h(v);
+                        eng.nfu.push_h(i, v);
                         eng.stats.fifo_pushes += 1;
                         if kx == 0 {
-                            pe.push_v(v);
+                            eng.nfu.push_v(i, v);
                             eng.stats.fifo_pushes += 1;
                         }
                     }
                     match op {
                         WindowOp::Mac => {
-                            pe.mac(v, k);
+                            eng.nfu.mac(i, v, k);
                             eng.stats.pe_muls += 1;
                             eng.stats.pe_adds += 1;
                         }
                         WindowOp::Max => {
-                            pe.compare(v);
+                            eng.nfu.compare(i, v);
                             eng.stats.pe_cmps += 1;
                         }
                         WindowOp::Add => {
-                            pe.add(v);
+                            eng.nfu.add(i, v);
                             eng.stats.pe_adds += 1;
                         }
                     }

@@ -4,7 +4,7 @@
 //! microarchitectural model of the accelerator of *ShiDianNao: Shifting
 //! Vision Processing Closer to the Sensor*, executed cycle by cycle:
 //!
-//! * [`Nfu`] — the `Px × Py` PE mesh with per-PE FIFOs and inter-PE data
+//! * the `Px × Py` PE mesh with per-PE FIFOs and inter-PE data
 //!   propagation (§5.1, Figs. 5–6),
 //! * [`NeuronBuffer`] — banked NBin/NBout with the six NB-controller read
 //!   modes and the block write mode (§6–§7.1, Figs. 9–11),
@@ -64,7 +64,6 @@ mod exec;
 mod hfsm;
 mod nfu;
 pub mod opt;
-mod pe;
 mod sb;
 mod schedule;
 mod stats;
@@ -80,9 +79,7 @@ pub use buffer::{
 pub use config::{AcceleratorConfig, ConfigError};
 pub use energy::{EnergyModel, EnergyReport, WeightPrecision};
 pub use hfsm::{FirstState, Hfsm, SecondState, TransitionError};
-pub use nfu::Nfu;
 pub use opt::OptReport;
-pub use pe::{PeMut, PeRef};
 pub use sb::SynapseStore;
 pub use schedule::{LayerSchedule, NetworkSchedule};
 pub use stats::{BufferTraffic, LayerStats, ReadMode, RunStats};

@@ -1,9 +1,11 @@
-//! The schedule optimizer: a prepare-time cost model over a recorded
-//! [`NetworkSchedule`]. Four passes price what the recorded control
-//! stream would cost with its slack reclaimed, and the prepared network
-//! keeps only the resulting [`OptReport`] (DESIGN.md §3i). Sessions
-//! always replay the recording, so the optimizer changes no output, no
-//! run statistic and no fault decision.
+//! The schedule optimizer: a cost model over a recorded
+//! [`NetworkSchedule`], priced on demand by [`optimize`] (for a prepared
+//! network, `optimize(p.schedule(), p.network(), p.config(),
+//! p.energy_model())`). Four passes price what the recorded control
+//! stream would cost with its slack reclaimed and return only the
+//! resulting [`OptReport`] (DESIGN.md §3i). Sessions always replay the
+//! recording, so the optimizer changes no output, no run statistic and
+//! no fault decision.
 //!
 //! The recording in the `schedule` module is a *verbatim* transcript of
 //! the live HFSM decode: every NB word delivery, every SB broadcast,

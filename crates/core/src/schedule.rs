@@ -29,7 +29,7 @@
 //! every `Session` of a tenant reads it through its borrow of the
 //! prepared network, so they share one copy of the decoded control
 //! state. Sessions always replay this recording; the schedule optimizer
-//! ([`crate::opt`]) only prices it at prepare time.
+//! ([`crate::opt`]) only prices it, on demand.
 //!
 //! The hook-point contract with `shidiannao-faults` (see DESIGN.md §3f):
 //! a fault decision is a pure function of `(seed, site, layer, address)`,

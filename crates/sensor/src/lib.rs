@@ -108,20 +108,11 @@ impl Frame {
         &self.pixels
     }
 
-    /// Extracts a region as a single-map fixed-point stack, pixels scaled
-    /// to `[0, 1)` — the format NBin receives — or reports
-    /// [`StreamError::RegionOutOfBounds`] if it does not fit inside the
-    /// frame.
-    pub fn try_region(
-        &self,
-        origin: (usize, usize),
-        dims: (usize, usize),
-    ) -> Result<MapStack<Fx>, StreamError> {
-        self.try_region_stacked(origin, dims, 1)
-    }
-
-    /// [`Frame::try_region`] replicated across `maps` identical input
-    /// maps (for benchmarks with multi-channel inputs, e.g. ConvNN's 3).
+    /// Extracts a region as a fixed-point stack, pixels scaled to
+    /// `[0, 1)` — the format NBin receives — replicated across `maps`
+    /// identical input maps (for benchmarks with multi-channel inputs,
+    /// e.g. ConvNN's 3), or reports [`StreamError::RegionOutOfBounds`] if
+    /// it does not fit inside the frame.
     pub fn try_region_stacked(
         &self,
         origin: (usize, usize),
@@ -566,24 +557,9 @@ impl RegionGrid {
     }
 
     /// Streams a frame's regions as fixed-point stacks with `maps`
-    /// replicated input channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame does not match the grid's frame dimensions.
-    /// [`RegionGrid::try_stream`] is the non-panicking variant.
-    pub fn stream<'a>(&self, frame: &'a Frame, maps: usize) -> RegionStream<'a> {
-        assert_eq!(frame.dims(), self.frame, "frame does not match the grid");
-        RegionStream {
-            frame,
-            grid: *self,
-            maps,
-            next: 0,
-        }
-    }
-
-    /// Streams a frame's regions, or reports [`StreamError::FrameMismatch`]
-    /// if the frame's dimensions differ from the grid's.
+    /// replicated input channels, or reports
+    /// [`StreamError::FrameMismatch`] if the frame's dimensions differ
+    /// from the grid's.
     pub fn try_stream<'a>(
         &self,
         frame: &'a Frame,
@@ -756,7 +732,7 @@ mod tests {
     fn regions_scale_pixels_into_unit_range() {
         let mut cam = SyntheticSensor::new(16, 16, 1);
         let f = cam.next_frame();
-        let r = f.try_region((4, 4), (8, 8)).unwrap();
+        let r = f.try_region_stacked((4, 4), (8, 8), 1).unwrap();
         assert_eq!(r.map_dims(), (8, 8));
         for v in r[0].iter() {
             let x = v.to_f32();
@@ -785,9 +761,9 @@ mod tests {
         let g = RegionGrid::new((32, 24), (16, 12), (8, 8));
         let mut cam = SyntheticSensor::new(32, 24, 2);
         let f = cam.next_frame();
-        let stream = g.stream(&f, 1);
+        let stream = g.try_stream(&f, 1).unwrap();
         assert_eq!(stream.len(), g.count());
-        let all: Vec<_> = g.stream(&f, 1).collect();
+        let all: Vec<_> = g.try_stream(&f, 1).unwrap().collect();
         assert_eq!(all.len(), g.count());
         assert_eq!(all[0].map_dims(), (16, 12));
     }
@@ -796,7 +772,7 @@ mod tests {
     fn indexed_tiling_matches_the_stream() {
         let g = RegionGrid::new((37, 29), (16, 12), (7, 5));
         let f = SyntheticSensor::new(37, 29, 4).next_frame();
-        for (i, streamed) in g.stream(&f, 2).enumerate() {
+        for (i, streamed) in g.try_stream(&f, 2).unwrap().enumerate() {
             assert_eq!(g.try_region(&f, i, 2).unwrap(), streamed, "region {i}");
         }
         let wrong = SyntheticSensor::new(16, 16, 4).next_frame();
@@ -844,7 +820,7 @@ mod tests {
     fn try_region_reports_out_of_bounds() {
         let mut cam = SyntheticSensor::new(8, 8, 1);
         let f = cam.next_frame();
-        let err = f.try_region((4, 4), (8, 8)).unwrap_err();
+        let err = f.try_region_stacked((4, 4), (8, 8), 1).unwrap_err();
         assert_eq!(
             err,
             StreamError::RegionOutOfBounds {
@@ -854,7 +830,7 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("exceeds frame"));
-        assert!(f.try_region((0, 0), (8, 8)).is_ok());
+        assert!(f.try_region_stacked((0, 0), (8, 8), 1).is_ok());
         assert!(f.try_region_stacked((4, 4), (8, 8), 2).is_err());
     }
 
@@ -879,7 +855,7 @@ mod tests {
         // The last row's strip is clamped to y = 12; its last 6 rows end
         // on the frame's last row.
         g.try_strip_into(&f, 2, 6, 1, &mut out).unwrap();
-        let last = f.try_region((0, 23), (32, 1)).unwrap();
+        let last = f.try_region_stacked((0, 23), (32, 1), 1).unwrap();
         assert_eq!(out.get(0).unwrap().row(5), last.get(0).unwrap().row(0));
     }
 

@@ -610,7 +610,10 @@ mod tests {
             (0..4)
                 .flat_map(|_| {
                     let f = cam.next_frame();
-                    grid.stream(&f, 1).map(|r| r.flatten()).collect::<Vec<_>>()
+                    grid.try_stream(&f, 1)
+                        .expect("frame matches the grid")
+                        .map(|r| r.flatten())
+                        .collect::<Vec<_>>()
                 })
                 .collect()
         };

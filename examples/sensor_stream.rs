@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cycles_total = 0u64;
     let mut detections = 0usize;
     let mut per_region_s = 0.0;
-    for region in grid.stream(&frame, network.input_maps()).take(budget) {
+    for region in grid.try_stream(&frame, network.input_maps())?.take(budget) {
         let run = session.run(&region)?;
         per_region_s = run.seconds();
         cycles_total += run.stats().cycles();

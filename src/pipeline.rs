@@ -838,13 +838,17 @@ mod tests {
         assert_eq!(none.cycles(), 0);
     }
 
-    /// The public-API oracle: every region tiled with `grid.stream` and
+    /// The public-API oracle: every region tiled with `grid.try_stream` and
     /// run whole through `Session::infer` on one session, summed in grid
     /// order — `(cycles, energy nJ, outputs)`.
     fn per_region_loop(pipe: &StreamingPipeline, frame: &Frame) -> (u64, f64, Vec<Vec<Fx>>) {
         let mut session = pipe.prepared().session();
         let (mut cycles, mut nj, mut outputs) = (0, 0.0f64, Vec::new());
-        for region in pipe.grid().stream(frame, pipe.network().input_maps()) {
+        for region in pipe
+            .grid()
+            .try_stream(frame, pipe.network().input_maps())
+            .unwrap()
+        {
             let run = session.infer(&region).unwrap();
             cycles += run.stats().cycles();
             nj += run.energy().total_nj();

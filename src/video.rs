@@ -456,7 +456,8 @@ impl VideoPipeline {
     /// one band of about `ny / workers` whole region rows per worker, in
     /// place on the pipeline's per-region slots (cached result, NBin
     /// residency). Each computing region stages its delta load from its
-    /// own tile. In a row where every region computes, the worker then
+    /// own tile; threshold 0 turns gating off, so every region computes
+    /// from a cold load and no differencing runs. In a row where every region computes, the worker then
     /// computes the grid's shared prefix once over the row's strip
     /// (C1–C3 for Gabor at stride 10; DESIGN.md §3l), rolled on from its
     /// strip for the row above when it ran one in this band, else fresh,
@@ -488,42 +489,17 @@ impl VideoPipeline {
         let baseline_energy_nj = region_nj * count as f64;
         let frequency_ghz = self.inner.prepared().config().frequency_ghz;
 
-        // Threshold 0: exact reduction to frame-independent processing —
-        // no differencing, no residency, cold loads, identical cycles,
-        // energy, and outputs.
-        if self.config.dirty_threshold == 0 {
-            let report = self.inner.process_frame_with(frame, workers)?;
-            self.frames_seen += 1;
-            for (slot, r) in self.regions.iter_mut().zip(report.results()) {
-                slot.cache_for(seq).clone_from(&r.output);
-            }
-            let maps = self.inner.network().input_maps();
-            let rows = count * maps * self.inner.grid().region_dims().1;
-            return Ok(VideoFrameReport {
-                frame_index: seq,
-                ledger: report.ledger(),
-                compute_cycles: report.compute_cycles(),
-                load_cycles: report.load_cycles(),
-                compare_cycles: 0,
-                front_cycles: 0,
-                energy_nj: report.energy_nj(),
-                compare_energy_nj: 0.0,
-                front_energy_nj: 0.0,
-                baseline_cycles,
-                baseline_energy_nj,
-                rows_streamed: rows,
-                rows_total: rows,
-                front_runs: 0,
-                front_rejected: 0,
-                stale_results: 0,
-                missed_detections: 0,
-                bit_identical: true,
-                results: report.results().to_vec(),
-                frequency_ghz,
-            });
-        }
-
-        let dirty_map = self.delta.observe(frame)?;
+        // Threshold 0 turns gating off: no differencing (the frame is only
+        // checked against the grid), every region computes, and no delta
+        // load is staged, so loads are cold — frame-independent processing
+        // exactly, through the same pass.
+        let gated = self.config.dirty_threshold > 0;
+        let dirty_map = if gated {
+            Some(self.delta.observe(frame)?)
+        } else {
+            self.inner.grid().check(frame)?;
+            None
+        };
         self.frames_seen += 1;
         let config = self.config;
         let grid = self.inner.grid();
@@ -548,8 +524,8 @@ impl VideoPipeline {
             let stale_due = slot.cached.as_ref().is_some_and(|c| {
                 config.staleness_bound > 0 && seq - c.computed_at >= config.staleness_bound
             });
-            slot.compute = slot.cached.is_none() || refresh_due || stale_due;
-            if !slot.compute && dirty_map.is_dirty(ri) {
+            slot.compute = !gated || slot.cached.is_none() || refresh_due || stale_due;
+            if !slot.compute && dirty_map.as_ref().is_some_and(|d| d.is_dirty(ri)) {
                 match &mut front {
                     None => slot.compute = true,
                     Some((f, fs)) => {
@@ -619,7 +595,11 @@ impl VideoPipeline {
                 }
                 frame.try_region_into(grid.origin_at(ri), grid.region_dims(), maps, raw)?;
                 if slot.compute {
-                    let delta = session.stage_delta(raw, &mut slot.residency);
+                    tally.rows_streamed += if gated {
+                        session.stage_delta(raw, &mut slot.residency).rows_streamed
+                    } else {
+                        maps * grid.region_dims().1
+                    };
                     let run = if strip_rows[ri / nx] {
                         inner.strip_region(session, frame, ri, band, strip)?
                     } else {
@@ -631,7 +611,6 @@ impl VideoPipeline {
                         tally.golden_mismatches += 1;
                     }
                     slot.energy_nj = energy_nj;
-                    tally.rows_streamed += delta.rows_streamed;
                 } else if let Some(c) = &slot.cached {
                     let golden = network.forward_fixed(raw).output();
                     if golden != c.output {
@@ -670,7 +649,7 @@ impl VideoPipeline {
         // pixels per cycle and is priced as NB-style reads — the same
         // calibration `hot_path` pins.
         let bank = prepared.config().nb_bank_width_bytes() as u64;
-        let compared = dirty_map.compared_pixels();
+        let compared = dirty_map.map_or(0, |d| d.compared_pixels());
         let compare_cycles = compared.div_ceil(bank);
         let compare_energy_nj = {
             let mut ls = LayerStats::default();
@@ -794,6 +773,9 @@ mod tests {
             assert!(reports.iter().all(|r| r.ledger().skipped == 0));
             let cold = worker_invariant(config, Motion::Static, stride);
             assert!(cold.iter().all(|r| r.rows_streamed() == r.rows_total()));
+            // The oracle (on by default) checks every threshold-0 region
+            // against the golden reference.
+            assert!(cold.iter().all(|r| r.bit_identical()));
         }
     }
 

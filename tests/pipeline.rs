@@ -30,7 +30,7 @@ fn sensor_regions_run_through_the_accelerator() {
         .unwrap();
     let mut session = prepared.session();
     let mut outputs = Vec::new();
-    for region in grid.stream(&frame, net.input_maps()) {
+    for region in grid.try_stream(&frame, net.input_maps()).unwrap() {
         let run = session.run(&region).unwrap();
         assert_eq!(run.output(), net.forward_fixed(&region).output());
         outputs.push(run.output()[0]);
@@ -145,7 +145,7 @@ fn vga_frame_report_equals_the_per_region_loop() {
     assert_eq!(report.results().len(), grid.count());
     let mut session = pipe.prepared().session();
     let (mut cycles, mut nj) = (0, 0.0f64);
-    for (i, region) in grid.stream(&frame, 3).enumerate() {
+    for (i, region) in grid.try_stream(&frame, 3).unwrap().enumerate() {
         let run = session.infer(&region).unwrap();
         cycles += run.stats().cycles();
         nj += run.energy().total_nj();

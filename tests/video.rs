@@ -377,7 +377,11 @@ fn vga_pan_reports_equal_the_per_region_delta_loop() {
         assert!(report.bit_identical(), "frame {f}");
         assert_eq!(report.ledger().computed, grid.count(), "frame {f}");
         let (mut load, mut compute, mut streamed, mut nj) = (0, 0, 0, 0.0f64);
-        for (i, region) in grid.stream(&frame, net.input_maps()).enumerate() {
+        for (i, region) in grid
+            .try_stream(&frame, net.input_maps())
+            .expect("frame matches the grid")
+            .enumerate()
+        {
             let delta = session.stage_delta(&region, &mut residency[i]);
             let run = session.infer_ref(&region).expect("clean run");
             let cycles = run.stats().layers()[0].cycles;
