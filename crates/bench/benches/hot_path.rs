@@ -481,7 +481,7 @@ fn bench_front_vs_full(c: &mut Criterion) {
     use shidiannao_quant::cascade::{binary_front, full_stage};
     use shidiannao_serve::binarize_pixel;
 
-    let front = binary_front(42).expect("binarizes");
+    let front = binary_front(42, (32, 32)).expect("binarizes");
     let full = full_stage(42).expect("builds");
     let accel = Accelerator::new(AcceleratorConfig::paper());
     let front_prepared = accel.prepare(&front.network).expect("prepare front");

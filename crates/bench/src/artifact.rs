@@ -3,18 +3,30 @@
 //! report, render its summary, and write its `BENCH_*.json` artifact —
 //! after, for the subcommands that certify determinism, evaluating it
 //! three times (once pinned to a single rayon worker) and comparing the
-//! documents.
+//! documents. A report only builds its document as a [`Json`] value;
+//! [`Json::render`] is the one place its text is laid out.
 
 use std::fmt::Display;
+
+use crate::json::Json;
 
 /// A report a gated subcommand writes as a `BENCH_*.json` artifact.
 pub trait Artifact {
     /// The machine-readable artifact document.
-    fn to_json(&self) -> String;
+    fn to_json(&self) -> Json;
     /// The human-readable summary printed to stdout.
     fn render(&self) -> String;
     /// Every gate violation (empty = the gates passed).
     fn gate_errors(&self) -> Vec<String>;
+}
+
+/// The `scenario` label of a smoke or full run.
+pub fn scenario(smoke: bool) -> &'static str {
+    if smoke {
+        "smoke"
+    } else {
+        "full"
+    }
 }
 
 /// A gated subcommand's outcome: the stdout summary and every gate
@@ -27,7 +39,7 @@ pub fn emit(path: &str, report: &impl Artifact, extra: Vec<String>) -> Gated {
     let mut errors = report.gate_errors();
     errors.extend(extra);
     let mut out = report.render();
-    match std::fs::write(path, report.to_json()) {
+    match std::fs::write(path, report.to_json().render()) {
         Ok(()) => out += &format!("\nwrote {path}\n"),
         Err(e) => errors.push(format!("could not write {path}: {e}")),
     }
@@ -45,7 +57,7 @@ pub fn emit_deterministic<R: Artifact, E: Display>(
 ) -> Gated {
     let saved = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = evaluate().map(|r| r.to_json());
+    let serial = evaluate().map(|r| r.to_json().render());
     match &saved {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
@@ -54,8 +66,8 @@ pub fn emit_deterministic<R: Artifact, E: Display>(
         Ok(r) => r,
         Err(e) => return (String::new(), vec![format!("{what} run failed: {e}")]),
     };
-    let parallel = report.to_json();
-    let third = evaluate().map(|r| r.to_json());
+    let parallel = report.to_json().render();
+    let third = evaluate().map(|r| r.to_json().render());
 
     let mut extra = Vec::new();
     match serial {

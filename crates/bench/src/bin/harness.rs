@@ -80,7 +80,7 @@
 //! the motion-gated video pipeline — clean regions replay cached results
 //! at calibrated compare-only cost, dirty regions recompute through the
 //! cross-frame delta-load path — plus a fourth run gating dirty regions
-//! through the PR-9 binarized front-end, plus a multi-camera serve leg
+//! through the cascade's binarized front-end, plus a multi-camera serve leg
 //! driving dozens of deterministic `VideoStream` tenants through the
 //! inference service with per-stream deadline SLOs. It writes
 //! `BENCH_video.json` and fails if the document is not byte-identical
@@ -95,7 +95,9 @@
 //! The seven gated subcommands share one exit-code policy: the summary
 //! goes to stdout, every gate violation goes to stderr, and the process
 //! exits nonzero iff at least one gate failed. All seven gate and write
-//! their artifact through `shidiannao_bench::artifact`.
+//! their artifact through `shidiannao_bench::artifact`: each report
+//! builds its document as a `shidiannao_bench::json::Json` value, and
+//! `Json::render` is the one writer that lays out every `BENCH_*.json`.
 
 use shidiannao_bench::artifact::{emit, Gated};
 use shidiannao_bench::{cascade, cluster, faults, perf, report, serve, tune, video};

@@ -34,8 +34,8 @@ use shidiannao_quant::{
     accuracy_study, cascade_tenants, AccuracyRow, CascadeConfig, CascadeReport, QuantError,
 };
 
-use crate::artifact::{emit_deterministic, Artifact, Gated};
-use crate::json::{comma, json_f64, json_str};
+use crate::artifact::{emit_deterministic, scenario, Artifact, Gated};
+use crate::json::Json;
 
 /// Frozen smoke-mode escalation: 12 of the 36 regions clear the
 /// front-end threshold. Regenerate deliberately if the scene, seed, or
@@ -89,7 +89,7 @@ pub fn evaluate(smoke: bool) -> Result<CascadeBenchReport, QuantError> {
         }
     }
     Ok(CascadeBenchReport {
-        scenario: if smoke { "smoke" } else { "full" },
+        scenario: scenario(smoke),
         report,
         study,
         tenant_names: tenants.into_iter().map(|t| t.name).collect(),
@@ -98,82 +98,55 @@ pub fn evaluate(smoke: bool) -> Result<CascadeBenchReport, QuantError> {
 
 impl Artifact for CascadeBenchReport {
     /// Deterministic JSON document (`BENCH_cascade.json`).
-    fn to_json(&self) -> String {
+    fn to_json(&self) -> Json {
         let r = &self.report;
-        let mut out = String::from("{\n");
-        out += &format!("  \"scenario\": {},\n", json_str(self.scenario));
-        out += &format!("  \"frames\": {},\n", r.config.frames);
-        out += &format!("  \"regions\": {},\n", r.regions.len());
-        out += &format!("  \"escalated\": {},\n", r.escalated);
-        out += &format!("  \"escalation_rate\": {},\n", json_f64(r.escalation_rate));
-        out += &format!("  \"front_cycles\": {},\n", r.front_cycles);
-        out += &format!("  \"full_cycles\": {},\n", r.full_cycles);
-        out += &format!("  \"front_energy_nj\": {},\n", json_f64(r.front_energy_nj));
-        out += &format!("  \"full_energy_nj\": {},\n", json_f64(r.full_energy_nj));
-        out += &format!("  \"cascade_cycles\": {},\n", r.cascade_cycles);
-        out += &format!(
-            "  \"cascade_energy_nj\": {},\n",
-            json_f64(r.cascade_energy_nj)
-        );
-        out += &format!("  \"all_full_cycles\": {},\n", r.all_full_cycles);
-        out += &format!(
-            "  \"all_full_energy_nj\": {},\n",
-            json_f64(r.all_full_energy_nj)
-        );
-        out += &format!("  \"cycles_saved\": {},\n", json_f64(r.cycles_saved()));
-        out += &format!("  \"energy_saved\": {},\n", json_f64(r.energy_saved()));
-        out += &format!(
-            "  \"front_advantage\": {},\n",
-            json_f64(r.front_advantage())
-        );
-        out += &format!("  \"missed_positives\": {},\n", r.missed_positives);
-        out += &format!("  \"accuracy_delta\": {},\n", json_f64(r.accuracy_delta));
-        out += &format!("  \"front_bit_identical\": {},\n", r.front_bit_identical);
-        out += &format!("  \"full_bit_identical\": {},\n", r.full_bit_identical);
-        out += &format!("  \"kernel_certified\": {},\n", r.kernel_certified);
-        out += &format!("  \"front_sb_bytes\": {},\n", r.front_sb_bytes);
-        out += &format!(
-            "  \"front_sb_bytes_baseline\": {},\n",
-            r.front_sb_bytes_baseline
-        );
-        out += &format!(
-            "  \"tenants\": [{}],\n",
-            self.tenant_names
-                .iter()
-                .map(|n| json_str(n))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        out += "  \"study\": [\n";
-        for (i, row) in self.study.iter().enumerate() {
-            out += &format!(
-                "    {{\"net\": {}, \"precision\": {}, \"mean_abs_err\": {}, \
-                 \"top1_match\": {}, \"sb_bytes\": {}, \"sb_bytes_baseline\": {}}}{}\n",
-                json_str(&row.net),
-                json_str(row.precision),
-                json_f64(row.mean_abs_err),
-                json_f64(row.top1_match),
-                row.sb_bytes,
-                row.sb_bytes_baseline,
-                comma(i, self.study.len()),
-            );
-        }
-        out += "  ],\n";
-        out += "  \"region_outcomes\": [\n";
-        for (i, reg) in self.report.regions.iter().enumerate() {
-            out += &format!(
-                "    {{\"frame\": {}, \"index\": {}, \"front_score_bits\": {}, \
-                 \"escalated\": {}, \"oracle_positive\": {}}}{}\n",
-                reg.frame,
-                reg.index,
-                reg.front_score.to_bits(),
-                reg.escalated(),
-                reg.oracle_positive,
-                comma(i, self.report.regions.len()),
-            );
-        }
-        out += "  ]\n}\n";
-        out
+        let study = Json::rows(&self.study, |row| {
+            [
+                ("net", row.net.as_str().into()),
+                ("precision", row.precision.into()),
+                ("mean_abs_err", row.mean_abs_err.into()),
+                ("top1_match", row.top1_match.into()),
+                ("sb_bytes", row.sb_bytes.into()),
+                ("sb_bytes_baseline", row.sb_bytes_baseline.into()),
+            ]
+        });
+        let region_outcomes = Json::rows(&r.regions, |reg| {
+            [
+                ("frame", reg.frame.into()),
+                ("index", reg.index.into()),
+                ("front_score_bits", reg.front_score.to_bits().into()),
+                ("escalated", reg.escalated().into()),
+                ("oracle_positive", reg.oracle_positive.into()),
+            ]
+        });
+        Json::Object(vec![
+            ("scenario", self.scenario.into()),
+            ("frames", r.config.frames.into()),
+            ("regions", r.regions.len().into()),
+            ("escalated", r.escalated.into()),
+            ("escalation_rate", r.escalation_rate.into()),
+            ("front_cycles", r.front_cycles.into()),
+            ("full_cycles", r.full_cycles.into()),
+            ("front_energy_nj", r.front_energy_nj.into()),
+            ("full_energy_nj", r.full_energy_nj.into()),
+            ("cascade_cycles", r.cascade_cycles.into()),
+            ("cascade_energy_nj", r.cascade_energy_nj.into()),
+            ("all_full_cycles", r.all_full_cycles.into()),
+            ("all_full_energy_nj", r.all_full_energy_nj.into()),
+            ("cycles_saved", r.cycles_saved().into()),
+            ("energy_saved", r.energy_saved().into()),
+            ("front_advantage", r.front_advantage().into()),
+            ("missed_positives", r.missed_positives.into()),
+            ("accuracy_delta", r.accuracy_delta.into()),
+            ("front_bit_identical", r.front_bit_identical.into()),
+            ("full_bit_identical", r.full_bit_identical.into()),
+            ("kernel_certified", r.kernel_certified.into()),
+            ("front_sb_bytes", r.front_sb_bytes.into()),
+            ("front_sb_bytes_baseline", r.front_sb_bytes_baseline.into()),
+            ("tenants", Json::strs(&self.tenant_names)),
+            ("study", study),
+            ("region_outcomes", region_outcomes),
+        ])
     }
 
     /// Human-readable summary for harness stdout.
@@ -317,8 +290,8 @@ mod tests {
 
     #[test]
     fn smoke_json_is_byte_deterministic() {
-        let a = evaluate(true).unwrap().to_json();
-        let b = evaluate(true).unwrap().to_json();
+        let a = evaluate(true).unwrap().to_json().render();
+        let b = evaluate(true).unwrap().to_json().render();
         assert_eq!(a, b);
         for key in [
             "\"scenario\"",

@@ -37,10 +37,10 @@
 //!   tuner-chosen heterogeneous configurations run end-to-end with
 //!   balanced ledgers and bit-identical sampled outputs.
 
-use crate::artifact::Artifact;
-use crate::json::{comma, json_f64, json_str};
+use crate::artifact::{scenario, Artifact};
+use crate::json::Json;
 use crate::perf::SEED_CYCLES_PER_INFERENCE;
-use crate::serve::verify_samples;
+use crate::serve::{tenant_row, verify_samples};
 use shidiannao_cnn::zoo;
 use shidiannao_core::AcceleratorConfig;
 use shidiannao_faults::{FaultConfig, ShardFaultConfig, SramProtection};
@@ -332,135 +332,75 @@ pub fn cluster_report(smoke: bool) -> Result<ClusterBenchReport, ServeError> {
     })
 }
 
-/// Serializes one scenario's [`ClusterReport`] as an indented JSON
-/// object body.
-fn json_cluster(r: &ClusterReport) -> String {
-    let mut out = String::from("{\n");
-    out += &format!("    \"end_cycles\": {},\n", r.end_cycles);
-    out += &format!(
-        "    \"elapsed_seconds\": {},\n",
-        json_f64(r.elapsed_seconds)
-    );
-    out += &format!(
-        "    \"accounting_consistent\": {},\n",
-        r.accounting_consistent()
-    );
-    out += &format!("    \"crashes_detected\": {},\n", r.crashes_detected);
-    out += &format!("    \"respawns\": {},\n", r.respawns);
-    out += &format!("    \"drains\": {},\n", r.drains);
-    out += &format!("    \"drain_timeouts\": {},\n", r.drain_timeouts);
-    out += &format!("    \"shard_unavailable\": {},\n", r.shard_unavailable);
-    out += &format!("    \"slow_dispatches\": {},\n", r.slow_dispatches);
-    out += &format!("    \"burst_dispatches\": {},\n", r.burst_dispatches);
-    out += "    \"shards\": [\n";
-    for (i, s) in r.shards.iter().enumerate() {
-        out += &format!(
-            "      {{\"name\": {}, \"pe_grid\": {}, \"virtual_workers\": {}, \
-             \"completed\": {}, \"service_cycles\": {}, \"crashes\": {}, \
-             \"drains\": {}, \"drain_timeouts\": {}, \"respawns\": {}, \
-             \"final_state\": {}}}{}\n",
-            json_str(&s.name),
-            json_str(&format!("{}x{}", s.pe_cols, s.pe_rows)),
-            s.virtual_workers,
-            s.completed,
-            s.service_cycles,
-            s.crashes,
-            s.drains,
-            s.drain_timeouts,
-            s.respawns,
-            json_str(s.final_state.label()),
-            comma(i, r.shards.len()),
-        );
-    }
-    out += "    ],\n";
-    out += "    \"tenants\": [\n";
-    for (i, t) in r.tenants.iter().enumerate() {
-        let s = &t.stats;
-        let lat = t.latency();
-        out += &format!(
-            "      {{\"name\": {}, \"weight\": {}, \"issued\": {}, \"ok\": {}, \
-             \"degraded\": {}, \"dropped_faulty\": {}, \"dropped_deadline\": {}, \
-             \"rejected\": {}, \"budget_exhausted\": {}, \"rerouted\": {}, \
-             \"migrated\": {}, \"lost_inflight\": {}, \"failovers\": {}, \
-             \"deadline_misses\": {}, \"retries\": {}, \"batched\": {}, \
-             \"service_cycles\": {}, \"throughput_rps\": {}, \
-             \"latency_p50\": {}, \"latency_p95\": {}, \"latency_p99\": {}, \
-             \"latency_mean\": {}, \"latency_max\": {}, \"queue_depth_max\": {}, \
-             \"queue_depth_mean\": {}, \"faults_detected\": {}, \
-             \"faults_corrected\": {}, \"faults_silent\": {}, \
-             \"output_hash\": {}}}{}\n",
-            json_str(&t.name),
-            t.weight,
-            s.issued,
-            s.ok,
-            s.degraded,
-            s.dropped_faulty,
-            s.dropped_deadline,
-            s.rejected,
-            t.budget_exhausted,
-            t.rerouted,
-            t.migrated,
-            t.lost_inflight,
-            t.failovers,
-            s.deadline_misses,
-            s.retries,
-            s.batched,
-            s.service_cycles,
-            json_f64(t.throughput_rps),
-            lat.p50,
-            lat.p95,
-            lat.p99,
-            json_f64(lat.mean),
-            lat.max,
-            s.depth_max,
-            json_f64(s.depth_mean()),
-            s.fault.detected,
-            s.fault.corrected,
-            s.fault.silent,
-            json_str(&format!("{:#018x}", s.output_hash)),
-            comma(i, r.tenants.len()),
-        );
-    }
-    out += "    ],\n";
-    out += "    \"events\": [\n";
-    for (i, e) in r.events.iter().enumerate() {
-        out += &format!("      {}{}\n", json_str(e), comma(i, r.events.len()));
-    }
-    out += "    ]\n  }";
-    out
+/// One scenario's [`ClusterReport`] as a nested JSON object.
+fn json_cluster(r: &ClusterReport) -> Json {
+    let shards = Json::rows(&r.shards, |s| {
+        [
+            ("name", s.name.as_str().into()),
+            ("pe_grid", format!("{}x{}", s.pe_cols, s.pe_rows).into()),
+            ("virtual_workers", s.virtual_workers.into()),
+            ("completed", s.completed.into()),
+            ("service_cycles", s.service_cycles.into()),
+            ("crashes", s.crashes.into()),
+            ("drains", s.drains.into()),
+            ("drain_timeouts", s.drain_timeouts.into()),
+            ("respawns", s.respawns.into()),
+            ("final_state", s.final_state.label().into()),
+        ]
+    });
+    let tenants = Json::rows(&r.tenants, |t| {
+        let id = vec![
+            ("name", t.name.as_str().into()),
+            ("weight", t.weight.into()),
+        ];
+        let failover = vec![
+            ("budget_exhausted", t.budget_exhausted.into()),
+            ("rerouted", t.rerouted.into()),
+            ("migrated", t.migrated.into()),
+            ("lost_inflight", t.lost_inflight.into()),
+            ("failovers", t.failovers.into()),
+        ];
+        tenant_row(id, &t.stats, t.throughput_rps, t.latency(), failover)
+    });
+    let events = r.events.iter().map(|e| e.as_str().into()).collect();
+    Json::Object(vec![
+        ("end_cycles", r.end_cycles.into()),
+        ("elapsed_seconds", r.elapsed_seconds.into()),
+        ("accounting_consistent", r.accounting_consistent().into()),
+        ("crashes_detected", r.crashes_detected.into()),
+        ("respawns", r.respawns.into()),
+        ("drains", r.drains.into()),
+        ("drain_timeouts", r.drain_timeouts.into()),
+        ("shard_unavailable", r.shard_unavailable.into()),
+        ("slow_dispatches", r.slow_dispatches.into()),
+        ("burst_dispatches", r.burst_dispatches.into()),
+        ("shards", shards),
+        ("tenants", tenants),
+        ("events", Json::Rows(events)),
+    ])
 }
 
 impl Artifact for ClusterBenchReport {
     /// The `BENCH_cluster.json` document — built exclusively from
     /// virtual-clock quantities, so bytes are stable across runs.
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out += &format!(
-            "  \"scenario\": {},\n",
-            json_str(if self.smoke { "smoke" } else { "full" })
-        );
-        out += &format!("  \"thread_invariant\": {},\n", self.thread_invariant);
-        out += &format!(
-            "  \"shard_order_invariant\": {},\n",
-            self.shard_order_invariant
-        );
-        out += &format!(
-            "  \"outputs_match_direct\": {},\n",
-            self.outputs_match_direct
-        );
-        out += &format!("  \"verified_samples\": {},\n", self.verified_samples);
-        out += &format!("  \"healthy\": {},\n", json_cluster(&self.healthy));
-        out += &format!("  \"chaos\": {},\n", json_cluster(&self.chaos));
-        out += &format!("  \"tuned\": {}\n", json_cluster(&self.tuned));
-        out += "}\n";
-        out
+    fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("scenario", scenario(self.smoke).into()),
+            ("thread_invariant", self.thread_invariant.into()),
+            ("shard_order_invariant", self.shard_order_invariant.into()),
+            ("outputs_match_direct", self.outputs_match_direct.into()),
+            ("verified_samples", self.verified_samples.into()),
+            ("healthy", json_cluster(&self.healthy)),
+            ("chaos", json_cluster(&self.chaos)),
+            ("tuned", json_cluster(&self.tuned)),
+        ])
     }
 
     /// Human-readable summary tables for both scenarios.
     fn render(&self) -> String {
         let mut out = format!(
             "Fault-tolerant cluster ({}): {} shards, healthy {} cycles, chaos {} cycles\n",
-            if self.smoke { "smoke" } else { "full" },
+            scenario(self.smoke),
             self.chaos.shards.len(),
             self.healthy.end_cycles,
             self.chaos.end_cycles,
@@ -727,8 +667,8 @@ mod tests {
 
     #[test]
     fn smoke_json_is_byte_deterministic() {
-        let a = cluster_report(true).expect("run a").to_json();
-        let b = cluster_report(true).expect("run b").to_json();
+        let a = cluster_report(true).expect("run a").to_json().render();
+        let b = cluster_report(true).expect("run b").to_json().render();
         assert_eq!(a, b);
         // Well-formedness spot checks.
         assert!(a.starts_with("{\n"));

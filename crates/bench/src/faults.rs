@@ -28,7 +28,7 @@
 
 use crate::artifact::{emit_deterministic, Artifact, Gated};
 use crate::geomean;
-use crate::json::{comma, json_f64};
+use crate::json::Json;
 use shidiannao::pipeline::{DegradePolicy, StreamingPipeline};
 use shidiannao_cnn::{zoo, Network};
 use shidiannao_core::area::{area_of, area_with_protection};
@@ -444,76 +444,56 @@ impl FaultReport {
 }
 
 impl Artifact for FaultReport {
-    /// Machine-readable JSON (hand-rolled, deterministic).
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out += &format!("  \"seed\": {},\n", self.seed);
-        out += "  \"cells\": [\n";
-        for (i, c) in self.cells.iter().enumerate() {
-            out += &format!(
-                "    {{\"network\": \"{}\", \"protection\": \"{}\", \"rate\": {}, \
-                 \"trials\": {}, \"clean\": {}, \"sdc\": {}, \"detected\": {}, \
-                 \"sdc_rate\": {}, \"detection_rate\": {}, \"corrected_events\": {}, \
-                 \"silent_events\": {}, \"divergence\": {}, \"paths_agree\": {}}}{}\n",
-                c.network,
-                c.protection.label(),
-                json_f64(c.rate),
-                c.trials,
-                c.clean,
-                c.sdc,
-                c.detected,
-                json_f64(c.sdc_rate()),
-                json_f64(c.detection_rate()),
-                c.corrected_events,
-                c.silent_events,
-                json_f64(c.divergence),
-                c.paths_agree,
-                comma(i, self.cells.len()),
-            );
-        }
-        out += "  ],\n";
-        out += "  \"overheads\": [\n";
-        for (i, o) in self.overheads.iter().enumerate() {
-            out += &format!(
-                "    {{\"protection\": \"{}\", \"energy_overhead\": {}, \
-                 \"area_overhead\": {}}}{}\n",
-                o.protection.label(),
-                json_f64(o.energy_overhead),
-                json_f64(o.area_overhead),
-                comma(i, self.overheads.len()),
-            );
-        }
-        out += "  ],\n";
-        out += "  \"degradation\": [\n";
-        for (i, d) in self.degradation.iter().enumerate() {
-            out += &format!(
-                "    {{\"network\": \"{}\", \"protection\": \"{}\", \"rate\": {}, \
-                 \"regions\": {}, \"ok\": {}, \"degraded\": {}, \"dropped\": {}, \
-                 \"coverage\": {}, \"dropped_rows\": {}, \"corrupted_rows\": {}, \
-                 \"cycles\": {}}}{}\n",
-                d.network,
-                d.protection.label(),
-                json_f64(d.rate),
-                d.regions,
-                d.ok,
-                d.degraded,
-                d.dropped,
-                json_f64(d.coverage()),
-                d.dropped_rows,
-                d.corrupted_rows,
-                d.cycles,
-                comma(i, self.degradation.len()),
-            );
-        }
-        out += "  ],\n";
-        out += &format!(
-            "  \"sdc_under_secded\": {},\n  \"zero_rate_all_clean\": {},\n  \
-             \"all_paths_agree\": {}\n}}\n",
-            self.sdc_under_secded(),
-            self.zero_rate_all_clean(),
-            self.all_paths_agree(),
-        );
-        out
+    /// The `BENCH_faults.json` document.
+    fn to_json(&self) -> Json {
+        let cells = Json::rows(&self.cells, |c| {
+            [
+                ("network", c.network.as_str().into()),
+                ("protection", c.protection.label().into()),
+                ("rate", c.rate.into()),
+                ("trials", c.trials.into()),
+                ("clean", c.clean.into()),
+                ("sdc", c.sdc.into()),
+                ("detected", c.detected.into()),
+                ("sdc_rate", c.sdc_rate().into()),
+                ("detection_rate", c.detection_rate().into()),
+                ("corrected_events", c.corrected_events.into()),
+                ("silent_events", c.silent_events.into()),
+                ("divergence", c.divergence.into()),
+                ("paths_agree", c.paths_agree.into()),
+            ]
+        });
+        let overheads = Json::rows(&self.overheads, |o| {
+            [
+                ("protection", o.protection.label().into()),
+                ("energy_overhead", o.energy_overhead.into()),
+                ("area_overhead", o.area_overhead.into()),
+            ]
+        });
+        let degradation = Json::rows(&self.degradation, |d| {
+            [
+                ("network", d.network.as_str().into()),
+                ("protection", d.protection.label().into()),
+                ("rate", d.rate.into()),
+                ("regions", d.regions.into()),
+                ("ok", d.ok.into()),
+                ("degraded", d.degraded.into()),
+                ("dropped", d.dropped.into()),
+                ("coverage", d.coverage().into()),
+                ("dropped_rows", d.dropped_rows.into()),
+                ("corrupted_rows", d.corrupted_rows.into()),
+                ("cycles", d.cycles.into()),
+            ]
+        });
+        Json::Object(vec![
+            ("seed", self.seed.into()),
+            ("cells", cells),
+            ("overheads", overheads),
+            ("degradation", degradation),
+            ("sdc_under_secded", self.sdc_under_secded().into()),
+            ("zero_rate_all_clean", self.zero_rate_all_clean().into()),
+            ("all_paths_agree", self.all_paths_agree().into()),
+        ])
     }
 
     /// Human-readable summary table.
@@ -619,7 +599,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_is_byte_reproducible() {
-        let (a, b) = (smoke().to_json(), smoke().to_json());
+        let (a, b) = (smoke().to_json().render(), smoke().to_json().render());
         assert_eq!(a, b);
         assert!(a.contains("\"paths_agree\": true"));
         assert!(a.contains("\"divergence\""));

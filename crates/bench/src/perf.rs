@@ -71,7 +71,7 @@
 
 use crate::artifact::{emit_deterministic, Artifact, Gated};
 use crate::experiments::{self, compute_paper_runs, SEED};
-use crate::json::{comma, json_f64};
+use crate::json::Json;
 use shidiannao_cnn::zoo;
 use shidiannao_core::{
     Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, NbResidency, SramProtection,
@@ -262,65 +262,58 @@ impl PerfReport {
 }
 
 impl Artifact for PerfReport {
-    /// The `BENCH_harness.json` document (no external JSON dependency —
-    /// every value is a string-free number, a bool, a hex fingerprint, or
-    /// an escape-free benchmark name).
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out += "  \"experiments\": [\n";
-        for (i, e) in self.experiments.iter().enumerate() {
-            out += &format!(
-                "    {{\"name\": \"{}\", \"fingerprint\": \"{:016x}\"}}{}\n",
-                e.name,
-                e.fingerprint,
-                comma(i, self.experiments.len()),
-            );
-        }
-        out += "  ],\n";
-        out += "  \"throughput\": [\n";
-        for (i, t) in self.throughput.iter().enumerate() {
-            out += &format!(
-                "    {{\"name\": \"{}\", \"inferences\": {}, \
-                 \"sim_cycles_per_inference\": {}, \
-                 \"steady_state_allocs\": {}, \"allocs_per_cycle\": {}, \
-                 \"paths_bit_identical\": {}, \
-                 \"instr_inferences\": {}, \
-                 \"instr_cycles_per_inference\": {}, \
-                 \"instr_paths_bit_identical\": {}, \
-                 \"fault_replay_allocs\": {}, \
-                 \"opt_cycles_per_inference\": {}, \
-                 \"opt_nb_reads_eliminated\": {}, \"opt_modes_reselected\": {}, \
-                 \"opt_sb_bytes_coalesced\": {}, \
-                 \"opt_sb_accesses_coalesced\": {}, \
-                 \"opt_cycles_saved\": {}, \
-                 \"delta_rows_total\": {}, \"delta_warm_rows\": {}, \
-                 \"delta_warm_load_cycles\": {}, \
-                 \"delta_bit_identical\": {}}}{}\n",
-                t.name,
-                t.inferences,
-                t.sim_cycles_per_inference,
-                t.steady_state_allocs,
-                json_f64(t.allocs_per_cycle()),
-                t.paths_bit_identical,
-                t.instr_inferences,
-                t.instr_cycles_per_inference,
-                t.instr_paths_bit_identical,
-                t.fault_replay_allocs,
-                t.opt_cycles_per_inference,
-                t.opt_nb_reads_eliminated,
-                t.opt_modes_reselected,
-                t.opt_sb_bytes_coalesced,
-                t.opt_sb_accesses_coalesced,
-                t.opt_cycles_saved,
-                t.delta_rows_total,
-                t.delta_warm_rows,
-                t.delta_warm_load_cycles,
-                t.delta_bit_identical,
-                comma(i, self.throughput.len()),
-            );
-        }
-        out += "  ]\n}\n";
-        out
+    /// The `BENCH_harness.json` document: counts, bools, hex
+    /// fingerprints and benchmark names — no host time.
+    fn to_json(&self) -> Json {
+        let experiments = Json::rows(&self.experiments, |e| {
+            [
+                ("name", e.name.as_str().into()),
+                ("fingerprint", format!("{:016x}", e.fingerprint).into()),
+            ]
+        });
+        let throughput = Json::rows(&self.throughput, |t| {
+            [
+                ("name", t.name.as_str().into()),
+                ("inferences", t.inferences.into()),
+                (
+                    "sim_cycles_per_inference",
+                    t.sim_cycles_per_inference.into(),
+                ),
+                ("steady_state_allocs", t.steady_state_allocs.into()),
+                ("allocs_per_cycle", t.allocs_per_cycle().into()),
+                ("paths_bit_identical", t.paths_bit_identical.into()),
+                ("instr_inferences", t.instr_inferences.into()),
+                (
+                    "instr_cycles_per_inference",
+                    t.instr_cycles_per_inference.into(),
+                ),
+                (
+                    "instr_paths_bit_identical",
+                    t.instr_paths_bit_identical.into(),
+                ),
+                ("fault_replay_allocs", t.fault_replay_allocs.into()),
+                (
+                    "opt_cycles_per_inference",
+                    t.opt_cycles_per_inference.into(),
+                ),
+                ("opt_nb_reads_eliminated", t.opt_nb_reads_eliminated.into()),
+                ("opt_modes_reselected", t.opt_modes_reselected.into()),
+                ("opt_sb_bytes_coalesced", t.opt_sb_bytes_coalesced.into()),
+                (
+                    "opt_sb_accesses_coalesced",
+                    t.opt_sb_accesses_coalesced.into(),
+                ),
+                ("opt_cycles_saved", t.opt_cycles_saved.into()),
+                ("delta_rows_total", t.delta_rows_total.into()),
+                ("delta_warm_rows", t.delta_warm_rows.into()),
+                ("delta_warm_load_cycles", t.delta_warm_load_cycles.into()),
+                ("delta_bit_identical", t.delta_bit_identical.into()),
+            ]
+        });
+        Json::Object(vec![
+            ("experiments", experiments),
+            ("throughput", throughput),
+        ])
     }
 
     /// Human-readable rendering of the same numbers, plus the
@@ -781,12 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn json_f64_is_json_safe() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
-    }
-
-    #[test]
     fn fingerprints_are_fnv1a_of_the_debug_text() {
         // The published FNV-1a 64 test vectors.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
@@ -804,7 +791,7 @@ mod tests {
             experiments: vec![fingerprint("probe", &1)],
             throughput: vec![probe_row()],
         };
-        let json = report.to_json();
+        let json = report.to_json().render();
         for key in [
             "\"experiments\"",
             "\"fingerprint\"",
@@ -854,7 +841,10 @@ mod tests {
 
     #[test]
     fn smoke_documents_are_byte_identical() {
-        assert_eq!(measure_smoke().to_json(), measure_smoke().to_json());
+        assert_eq!(
+            measure_smoke().to_json().render(),
+            measure_smoke().to_json().render()
+        );
     }
 
     #[test]

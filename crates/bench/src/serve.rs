@@ -24,15 +24,15 @@
 //!   `max_batch: 8` and fault-free backlogged tenants get served as
 //!   multi-lane schedule replays.
 
-use crate::artifact::Artifact;
-use crate::json::{comma, json_f64, json_str};
+use crate::artifact::{scenario, Artifact};
+use crate::json::Json;
 use crate::perf::SEED_CYCLES_PER_INFERENCE;
 use shidiannao_cnn::zoo;
 use shidiannao_core::{Accelerator, AcceleratorConfig, PreparedNetwork};
 use shidiannao_faults::{FaultConfig, FaultPlan, SramProtection};
 use shidiannao_serve::{
-    hash_output, request_salt, InferenceService, InputSource, RequestSample, ServeConfig,
-    ServeError, ServiceReport, TenantSpec, Traffic,
+    hash_output, request_salt, HistogramSummary, InferenceService, InputSource, RequestSample,
+    ServeConfig, ServeError, ServiceReport, TenantSpec, TenantStats, Traffic,
 };
 
 /// Base seed for the serving scenario's inputs and fault patterns.
@@ -249,80 +249,73 @@ pub(crate) fn verify_samples<'a>(
     Ok((checked, all_match))
 }
 
+/// One tenant's JSON row: its `id` members, the six outcome counts,
+/// `extra`, then retries, batching, service time, latency, queue depth,
+/// fault counters and the output hash. `BENCH_serve.json` and
+/// `BENCH_cluster.json` share this order.
+pub(crate) fn tenant_row(
+    id: Vec<(&'static str, Json)>,
+    s: &TenantStats,
+    throughput_rps: f64,
+    lat: HistogramSummary,
+    extra: Vec<(&'static str, Json)>,
+) -> Vec<(&'static str, Json)> {
+    let mut members = id;
+    members.extend([
+        ("issued", s.issued.into()),
+        ("ok", s.ok.into()),
+        ("degraded", s.degraded.into()),
+        ("dropped_faulty", s.dropped_faulty.into()),
+        ("dropped_deadline", s.dropped_deadline.into()),
+        ("rejected", s.rejected.into()),
+    ]);
+    members.extend(extra);
+    members.extend([
+        ("deadline_misses", s.deadline_misses.into()),
+        ("retries", s.retries.into()),
+        ("batched", s.batched.into()),
+        ("service_cycles", s.service_cycles.into()),
+        ("throughput_rps", throughput_rps.into()),
+        ("latency_p50", lat.p50.into()),
+        ("latency_p95", lat.p95.into()),
+        ("latency_p99", lat.p99.into()),
+        ("latency_mean", lat.mean.into()),
+        ("latency_max", lat.max.into()),
+        ("queue_depth_max", s.depth_max.into()),
+        ("queue_depth_mean", s.depth_mean().into()),
+        ("faults_detected", s.fault.detected.into()),
+        ("faults_corrected", s.fault.corrected.into()),
+        ("faults_silent", s.fault.silent.into()),
+        ("output_hash", format!("{:#018x}", s.output_hash).into()),
+    ]);
+    members
+}
+
 impl Artifact for ServeBenchReport {
     /// The `BENCH_serve.json` document — built exclusively from
     /// virtual-clock quantities, so bytes are stable across runs.
-    fn to_json(&self) -> String {
+    fn to_json(&self) -> Json {
         let r = &self.report;
-        let mut out = String::from("{\n");
-        out += &format!(
-            "  \"scenario\": {},\n",
-            json_str(if self.smoke { "smoke" } else { "full" })
-        );
-        out += &format!("  \"virtual_workers\": {},\n", r.virtual_workers);
-        out += &format!("  \"end_cycles\": {},\n", r.end_cycles);
-        out += &format!("  \"elapsed_seconds\": {},\n", json_f64(r.elapsed_seconds));
-        out += &format!(
-            "  \"worker_count_invariant\": {},\n",
-            self.worker_count_invariant
-        );
-        out += &format!(
-            "  \"interleave_invariant\": {},\n",
-            self.interleave_invariant
-        );
-        out += &format!(
-            "  \"outputs_match_direct\": {},\n",
-            self.outputs_match_direct
-        );
-        out += &format!("  \"verified_samples\": {},\n", self.verified_samples);
-        out += &format!(
-            "  \"accounting_consistent\": {},\n",
-            r.accounting_consistent()
-        );
-        out += "  \"tenants\": [\n";
-        for (i, t) in r.tenants.iter().enumerate() {
-            let s = &t.stats;
-            let lat = t.latency();
-            out += &format!(
-                "    {{\"name\": {}, \"weight\": {}, \"clean_cycles\": {}, \
-                 \"issued\": {}, \"ok\": {}, \"degraded\": {}, \"dropped_faulty\": {}, \
-                 \"dropped_deadline\": {}, \"rejected\": {}, \"deadline_misses\": {}, \
-                 \"retries\": {}, \"batched\": {}, \"service_cycles\": {}, \"throughput_rps\": {}, \
-                 \"latency_p50\": {}, \"latency_p95\": {}, \"latency_p99\": {}, \
-                 \"latency_mean\": {}, \"latency_max\": {}, \"queue_depth_max\": {}, \
-                 \"queue_depth_mean\": {}, \"faults_detected\": {}, \
-                 \"faults_corrected\": {}, \"faults_silent\": {}, \
-                 \"output_hash\": {}}}{}\n",
-                json_str(&t.name),
-                t.weight,
-                t.clean_cycles,
-                s.issued,
-                s.ok,
-                s.degraded,
-                s.dropped_faulty,
-                s.dropped_deadline,
-                s.rejected,
-                s.deadline_misses,
-                s.retries,
-                s.batched,
-                s.service_cycles,
-                json_f64(t.throughput_rps),
-                lat.p50,
-                lat.p95,
-                lat.p99,
-                json_f64(lat.mean),
-                lat.max,
-                s.depth_max,
-                json_f64(s.depth_mean()),
-                s.fault.detected,
-                s.fault.corrected,
-                s.fault.silent,
-                json_str(&format!("{:#018x}", s.output_hash)),
-                comma(i, r.tenants.len()),
-            );
-        }
-        out += "  ]\n}\n";
-        out
+        let tenants = Json::rows(&r.tenants, |t| {
+            let id = vec![
+                ("name", t.name.as_str().into()),
+                ("weight", t.weight.into()),
+                ("clean_cycles", t.clean_cycles.into()),
+            ];
+            tenant_row(id, &t.stats, t.throughput_rps, t.latency(), vec![])
+        });
+        Json::Object(vec![
+            ("scenario", scenario(self.smoke).into()),
+            ("virtual_workers", r.virtual_workers.into()),
+            ("end_cycles", r.end_cycles.into()),
+            ("elapsed_seconds", r.elapsed_seconds.into()),
+            ("worker_count_invariant", self.worker_count_invariant.into()),
+            ("interleave_invariant", self.interleave_invariant.into()),
+            ("outputs_match_direct", self.outputs_match_direct.into()),
+            ("verified_samples", self.verified_samples.into()),
+            ("accounting_consistent", r.accounting_consistent().into()),
+            ("tenants", tenants),
+        ])
     }
 
     /// Human-readable summary table.
@@ -330,7 +323,7 @@ impl Artifact for ServeBenchReport {
         let r = &self.report;
         let mut out = format!(
             "Multi-tenant serve ({}): {} virtual workers, {} virtual cycles ({:.3} ms)\n",
-            if self.smoke { "smoke" } else { "full" },
+            scenario(self.smoke),
             r.virtual_workers,
             r.end_cycles,
             r.elapsed_seconds * 1e3,
@@ -473,8 +466,8 @@ mod tests {
 
     #[test]
     fn smoke_json_is_byte_deterministic() {
-        let a = serve_report(true).expect("run a").to_json();
-        let b = serve_report(true).expect("run b").to_json();
+        let a = serve_report(true).expect("run a").to_json().render();
+        let b = serve_report(true).expect("run b").to_json().render();
         assert_eq!(a, b);
         // Well-formedness spot checks.
         assert!(a.starts_with("{\n"));

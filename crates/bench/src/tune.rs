@@ -40,9 +40,9 @@
 //! frontier labels and tenant picks are frozen so CI catches any
 //! cost-model drift that moves the frontier.
 
-use crate::artifact::{emit_deterministic, Artifact, Gated};
+use crate::artifact::{emit_deterministic, scenario, Artifact, Gated};
 use crate::experiments::{prepared_cache_stats, prepared_cached, SEED};
-use crate::json::{comma, json_f64, json_str};
+use crate::json::Json;
 use rayon::prelude::*;
 use shidiannao_cnn::{zoo, Network};
 use shidiannao_core::area::{area_with_precision, area_with_protection};
@@ -129,14 +129,6 @@ fn prot_rank(p: SramProtection) -> u8 {
         SramProtection::None => 0,
         SramProtection::Parity => 1,
         SramProtection::Secded => 2,
-    }
-}
-
-fn prot_label(p: SramProtection) -> &'static str {
-    match p {
-        SramProtection::None => "none",
-        SramProtection::Parity => "parity",
-        SramProtection::Secded => "secded",
     }
 }
 
@@ -378,7 +370,7 @@ pub fn evaluate(smoke: bool) -> TuneReport {
             points.push(TunePoint {
                 label: format!(
                     "pe{side}x{side}-nb{nb_kb}k-sb{sb_kb}k-{}",
-                    prot_label(protection)
+                    protection.label()
                 ),
                 side,
                 nb_kb,
@@ -563,72 +555,48 @@ impl Artifact for TuneReport {
     /// seed-deterministic quantities (no wall clock, no cache
     /// statistics), so the bytes are stable across runs, machines, and
     /// thread counts.
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out += &format!(
-            "  \"scenario\": {},\n",
-            json_str(if self.smoke { "smoke" } else { "full" })
-        );
-        out += &format!("  \"grid_points\": {},\n", self.points.len());
-        out += &format!("  \"fully_feasible\": {},\n", self.fully_feasible());
-        out += &format!("  \"picks_bit_identical\": {},\n", self.picks_bit_identical);
-        out += "  \"networks\": [";
-        for (i, n) in self.networks.iter().enumerate() {
-            out += &format!("{}{}", json_str(n), comma(i, self.networks.len()));
-        }
-        out += "],\n";
-        out += "  \"points\": [\n";
-        for (i, p) in self.points.iter().enumerate() {
-            out += &format!(
-                "    {{\"label\": {}, \"side\": {}, \"nb_kb\": {}, \"sb_kb\": {}, \
-                 \"protection\": {}, \"feasible\": {}, \"networks\": {}, \
-                 \"area_mm2\": {}, \"area_mm2_w1\": {}, \"geomean_cycles\": {}, \
-                 \"geomean_energy_nj\": {}, \"geomean_energy_nj_w2\": {}, \
-                 \"geomean_energy_nj_w1\": {}, \"edap\": {}, \"edap_w1\": {}, \
-                 \"on_frontier\": {}}}{}\n",
-                json_str(&p.label),
-                p.side,
-                p.nb_kb,
-                p.sb_kb,
-                json_str(prot_label(p.protection)),
-                p.feasible,
-                p.networks,
-                json_f64(p.area_mm2),
-                json_f64(p.area_mm2_w1),
-                json_f64(p.geomean_cycles),
-                json_f64(p.geomean_energy_nj),
-                json_f64(p.geomean_energy_nj_w2),
-                json_f64(p.geomean_energy_nj_w1),
-                json_f64(p.edap()),
-                json_f64(p.edap_w1()),
-                p.on_frontier,
-                comma(i, self.points.len()),
-            );
-        }
-        out += "  ],\n";
-        out += "  \"frontier\": [";
-        let frontier = self.frontier_labels();
-        for (i, l) in frontier.iter().enumerate() {
-            out += &format!("{}{}", json_str(l), comma(i, frontier.len()));
-        }
-        out += "],\n";
-        out += "  \"picks\": [\n";
-        for (i, pick) in self.picks.iter().enumerate() {
-            out += &format!(
-                "    {{\"tenant\": {}, \"net\": {}, \"label\": {}, \"cycles\": {}, \
-                 \"energy_nj\": {}, \"area_mm2\": {}, \"edap\": {}}}{}\n",
-                json_str(&pick.tenant),
-                json_str(&pick.net),
-                json_str(&pick.label),
-                pick.cycles,
-                json_f64(pick.energy_nj),
-                json_f64(pick.area_mm2),
-                json_f64(pick.edap()),
-                comma(i, self.picks.len()),
-            );
-        }
-        out += "  ]\n}\n";
-        out
+    fn to_json(&self) -> Json {
+        let points = Json::rows(&self.points, |p| {
+            [
+                ("label", p.label.as_str().into()),
+                ("side", p.side.into()),
+                ("nb_kb", p.nb_kb.into()),
+                ("sb_kb", p.sb_kb.into()),
+                ("protection", p.protection.label().into()),
+                ("feasible", p.feasible.into()),
+                ("networks", p.networks.into()),
+                ("area_mm2", p.area_mm2.into()),
+                ("area_mm2_w1", p.area_mm2_w1.into()),
+                ("geomean_cycles", p.geomean_cycles.into()),
+                ("geomean_energy_nj", p.geomean_energy_nj.into()),
+                ("geomean_energy_nj_w2", p.geomean_energy_nj_w2.into()),
+                ("geomean_energy_nj_w1", p.geomean_energy_nj_w1.into()),
+                ("edap", p.edap().into()),
+                ("edap_w1", p.edap_w1().into()),
+                ("on_frontier", p.on_frontier.into()),
+            ]
+        });
+        let picks = Json::rows(&self.picks, |pick| {
+            [
+                ("tenant", pick.tenant.as_str().into()),
+                ("net", pick.net.as_str().into()),
+                ("label", pick.label.as_str().into()),
+                ("cycles", pick.cycles.into()),
+                ("energy_nj", pick.energy_nj.into()),
+                ("area_mm2", pick.area_mm2.into()),
+                ("edap", pick.edap().into()),
+            ]
+        });
+        Json::Object(vec![
+            ("scenario", scenario(self.smoke).into()),
+            ("grid_points", self.points.len().into()),
+            ("fully_feasible", self.fully_feasible().into()),
+            ("picks_bit_identical", self.picks_bit_identical.into()),
+            ("networks", Json::strs(&self.networks)),
+            ("points", points),
+            ("frontier", Json::strs(self.frontier_labels())),
+            ("picks", picks),
+        ])
     }
 
     /// Human-readable summary: the frontier, the picks, and the shared
@@ -637,7 +605,7 @@ impl Artifact for TuneReport {
         let mut out = format!(
             "Design-space autotuner ({}): {} grid points over {} networks, \
              {} fully feasible, {} on the Pareto frontier\n",
-            if self.smoke { "smoke" } else { "full" },
+            scenario(self.smoke),
             self.points.len(),
             self.networks.len(),
             self.fully_feasible(),
@@ -772,8 +740,8 @@ mod tests {
 
     #[test]
     fn smoke_json_is_byte_deterministic() {
-        let a = evaluate(true).to_json();
-        let b = evaluate(true).to_json();
+        let a = evaluate(true).to_json().render();
+        let b = evaluate(true).to_json().render();
         assert_eq!(a, b);
         for key in [
             "\"scenario\"",

@@ -36,8 +36,8 @@
 //!   ledger and the serve totals are frozen so any drift in the scene
 //!   synthesis, the differencing, the gate, or the scheduler fails CI.
 
-use crate::artifact::{emit_deterministic, Artifact, Gated};
-use crate::json::{comma, json_f64, json_str};
+use crate::artifact::{emit_deterministic, scenario, Artifact, Gated};
+use crate::json::Json;
 use shidiannao::video::{MotionGate, VideoConfig, VideoPipeline};
 use shidiannao_cnn::zoo;
 use shidiannao_core::{Accelerator, AcceleratorConfig};
@@ -391,7 +391,7 @@ pub fn evaluate(smoke: bool) -> Result<VideoBenchReport, String> {
         })
         .collect();
     Ok(VideoBenchReport {
-        scenario: if smoke { "smoke" } else { "full" },
+        scenario: scenario(smoke),
         scenes,
         cameras: camera_rows,
         serve_end_cycles: serial.end_cycles,
@@ -411,75 +411,55 @@ impl VideoBenchReport {
 
 impl Artifact for VideoBenchReport {
     /// Deterministic JSON document (`BENCH_video.json`).
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out += &format!("  \"scenario\": {},\n", json_str(self.scenario));
-        out += "  \"scenes\": [\n";
-        for (i, s) in self.scenes.iter().enumerate() {
-            out += &format!(
-                "    {{\"name\": {}, \"gated\": {}, \"frames\": {}, \"regions\": {}, \
-                 \"computed\": {}, \"skipped\": {}, \"total_cycles\": {}, \
-                 \"baseline_cycles\": {}, \"cycle_speedup\": {}, \
-                 \"total_energy_nj\": {}, \"baseline_energy_nj\": {}, \
-                 \"energy_saved\": {}, \"compare_cycles\": {}, \"front_cycles\": {}, \
-                 \"front_runs\": {}, \"front_rejected\": {}, \"rows_streamed\": {}, \
-                 \"rows_total\": {}, \"stale_results\": {}, \"missed_detections\": {}, \
-                 \"bit_identical\": {}}}{}\n",
-                json_str(s.name),
-                s.gated,
-                s.frames,
-                s.regions,
-                s.computed,
-                s.skipped,
-                s.total_cycles,
-                s.baseline_cycles,
-                json_f64(s.cycle_speedup()),
-                json_f64(s.total_energy_nj),
-                json_f64(s.baseline_energy_nj),
-                json_f64(s.energy_saved()),
-                s.compare_cycles,
-                s.front_cycles,
-                s.front_runs,
-                s.front_rejected,
-                s.rows_streamed,
-                s.rows_total,
-                s.stale_results,
-                s.missed_detections,
-                s.bit_identical,
-                comma(i, self.scenes.len()),
-            );
-        }
-        out += "  ],\n";
+    fn to_json(&self) -> Json {
+        let scenes = Json::rows(&self.scenes, |s| {
+            [
+                ("name", s.name.into()),
+                ("gated", s.gated.into()),
+                ("frames", s.frames.into()),
+                ("regions", s.regions.into()),
+                ("computed", s.computed.into()),
+                ("skipped", s.skipped.into()),
+                ("total_cycles", s.total_cycles.into()),
+                ("baseline_cycles", s.baseline_cycles.into()),
+                ("cycle_speedup", s.cycle_speedup().into()),
+                ("total_energy_nj", s.total_energy_nj.into()),
+                ("baseline_energy_nj", s.baseline_energy_nj.into()),
+                ("energy_saved", s.energy_saved().into()),
+                ("compare_cycles", s.compare_cycles.into()),
+                ("front_cycles", s.front_cycles.into()),
+                ("front_runs", s.front_runs.into()),
+                ("front_rejected", s.front_rejected.into()),
+                ("rows_streamed", s.rows_streamed.into()),
+                ("rows_total", s.rows_total.into()),
+                ("stale_results", s.stale_results.into()),
+                ("missed_detections", s.missed_detections.into()),
+                ("bit_identical", s.bit_identical.into()),
+            ]
+        });
+        let cameras = Json::rows(&self.cameras, |c| {
+            [
+                ("name", c.name.as_str().into()),
+                ("issued", c.issued.into()),
+                ("ok", c.ok.into()),
+                ("dropped", c.dropped.into()),
+                ("rejected", c.rejected.into()),
+                ("deadline_misses", c.deadline_misses.into()),
+                ("latency_p99", c.latency_p99.into()),
+            ]
+        });
         let (issued, ok) = self.serve_totals();
-        out += &format!("  \"serve_cameras\": {},\n", self.cameras.len());
-        out += &format!("  \"serve_issued\": {issued},\n");
-        out += &format!("  \"serve_ok\": {ok},\n");
-        out += &format!("  \"serve_end_cycles\": {},\n", self.serve_end_cycles);
-        out += &format!(
-            "  \"worker_count_invariant\": {},\n",
-            self.worker_count_invariant
-        );
-        out += &format!(
-            "  \"accounting_consistent\": {},\n",
-            self.accounting_consistent
-        );
-        out += "  \"cameras\": [\n";
-        for (i, c) in self.cameras.iter().enumerate() {
-            out += &format!(
-                "    {{\"name\": {}, \"issued\": {}, \"ok\": {}, \"dropped\": {}, \
-                 \"rejected\": {}, \"deadline_misses\": {}, \"latency_p99\": {}}}{}\n",
-                json_str(&c.name),
-                c.issued,
-                c.ok,
-                c.dropped,
-                c.rejected,
-                c.deadline_misses,
-                c.latency_p99,
-                comma(i, self.cameras.len()),
-            );
-        }
-        out += "  ]\n}\n";
-        out
+        Json::Object(vec![
+            ("scenario", self.scenario.into()),
+            ("scenes", scenes),
+            ("serve_cameras", self.cameras.len().into()),
+            ("serve_issued", issued.into()),
+            ("serve_ok", ok.into()),
+            ("serve_end_cycles", self.serve_end_cycles.into()),
+            ("worker_count_invariant", self.worker_count_invariant.into()),
+            ("accounting_consistent", self.accounting_consistent.into()),
+            ("cameras", cameras),
+        ])
     }
 
     /// Human-readable summary for harness stdout.
@@ -635,8 +615,8 @@ mod tests {
 
     #[test]
     fn smoke_json_is_byte_deterministic() {
-        let a = evaluate(true).unwrap().to_json();
-        let b = evaluate(true).unwrap().to_json();
+        let a = evaluate(true).unwrap().to_json().render();
+        let b = evaluate(true).unwrap().to_json().render();
         assert_eq!(a, b);
         for key in [
             "\"scenario\"",

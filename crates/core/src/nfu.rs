@@ -23,6 +23,9 @@ use shidiannao_fixed::{Accum, Fx};
 /// neurons to its left and lower neighbors" as seen from the receiving
 /// side of Fig. 13's walkthrough.
 ///
+/// The model keeps no output-register array: results are read straight
+/// off the accumulators and comparators.
+///
 /// Each register class is one flat array, so a window-sweep cycle is a
 /// branch-light loop over contiguous arrays. Per-PE operations take the
 /// row-major PE index `y·Px + x` ([`Nfu::index`] converts a mesh
@@ -33,7 +36,6 @@ pub(crate) struct Nfu {
     py: usize,
     acc: Vec<Accum>,
     cmp: Vec<Fx>,
-    out: Vec<Fx>,
     fifo_h: FifoBank,
     fifo_v: FifoBank,
     // Hardware stuck-at faults: survive reset() (a property of the
@@ -151,7 +153,6 @@ impl Nfu {
             py,
             acc: vec![Accum::new(); n],
             cmp: vec![Fx::MIN; n],
-            out: vec![Fx::ZERO; n],
             fifo_h: FifoBank::new('H', n),
             fifo_v: FifoBank::new('V', n),
             stuck: vec![None; n],
@@ -181,7 +182,6 @@ impl Nfu {
     pub(crate) fn reset(&mut self) {
         self.acc.fill(Accum::new());
         self.cmp.fill(Fx::MIN);
-        self.out.fill(Fx::ZERO);
         self.fifo_h.reset();
         self.fifo_v.reset();
     }
@@ -404,10 +404,6 @@ mod tests {
 
         fn pe_fifo_peaks(&self, i: usize) -> (usize, usize) {
             (self.fifo_h.peak[i] as usize, self.fifo_v.peak[i] as usize)
-        }
-
-        fn latch_output(&mut self, i: usize, v: Fx) {
-            self.out[i] = v;
         }
     }
 
@@ -633,13 +629,6 @@ mod tests {
     fn empty_pop_is_a_scheduling_bug() {
         let mut nfu = Nfu::new(2, 1);
         let _ = nfu.propagate_from_right(0);
-    }
-
-    #[test]
-    fn output_register_latches() {
-        let mut pe = one();
-        pe.latch_output(0, Fx::from_f32(1.5));
-        assert_eq!(pe.out[0], Fx::from_f32(1.5));
     }
 
     #[test]

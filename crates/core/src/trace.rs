@@ -5,7 +5,6 @@
 //! and as a human-readable summary table.
 
 use crate::stats::{LayerStats, ReadMode, RunStats};
-use std::io::{self, Write};
 
 /// The CSV header matching [`layer_csv_row`].
 pub const CSV_HEADER: &str = "layer,cycles,pe_busy_slots,pe_total_slots,pe_utilization,\
@@ -65,15 +64,6 @@ pub fn stats_to_csv(stats: &RunStats) -> String {
     out
 }
 
-/// Writes [`stats_to_csv`] to any writer (a `&mut File`, a `Vec<u8>`, …).
-///
-/// # Errors
-///
-/// Propagates the writer's I/O errors.
-pub fn write_stats_csv<W: Write>(mut writer: W, stats: &RunStats) -> io::Result<()> {
-    writer.write_all(stats_to_csv(stats).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,12 +113,5 @@ mod tests {
         assert_eq!(c1[idx("reads_a")], "1");
         assert_eq!(c1[idx("reads_f")], "1");
         assert_eq!(c1[idx("reads_d")], "0");
-    }
-
-    #[test]
-    fn writer_round_trip() {
-        let mut buf = Vec::new();
-        write_stats_csv(&mut buf, &sample_run()).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), stats_to_csv(&sample_run()));
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 use shidiannao_cnn::{zoo, ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
-use shidiannao_core::{Accelerator, AcceleratorConfig, WeightPrecision};
+use shidiannao_core::{Accelerator, AcceleratorConfig, PreparedNetwork, RunError, WeightPrecision};
 use shidiannao_fixed::Fx;
 use shidiannao_sensor::{FrameSource, RegionGrid, SyntheticSensor};
 use shidiannao_serve::{binarize_pixel, InputSource, TenantSpec, Traffic};
@@ -97,19 +97,32 @@ impl CascadeConfig {
 }
 
 /// The front-end topology before binarization: one conv stage, one
-/// pool, one score neuron — deliberately tiny, 32×32 input to match the
-/// full-precision network's region size.
-pub fn front_end() -> NetworkBuilder {
-    NetworkBuilder::new("BinaryFront", 1, (32, 32))
+/// pool, one score neuron — deliberately tiny — over a `region`-sized
+/// input: the cascade's 32×32 tile (the full-precision network's input)
+/// or the video pipeline's region.
+pub fn front_end(region: (usize, usize)) -> NetworkBuilder {
+    NetworkBuilder::new("BinaryFront", 1, region)
         .conv(ConvSpec::new(4, (5, 5)).with_stride((2, 2)))
         .pool(PoolSpec::max((2, 2)))
         .fc(FcSpec::new(1))
 }
 
 /// Builds and binarizes the front-end (`W1`, per-group scales).
-pub fn binary_front(net_seed: u64) -> Result<QuantizedNetwork, QuantError> {
-    let net = front_end().build(net_seed)?;
+pub fn binary_front(net_seed: u64, region: (usize, usize)) -> Result<QuantizedNetwork, QuantError> {
+    let net = front_end(region).build(net_seed)?;
     quantize_network(&net, WeightPrecision::W1)
+}
+
+/// Prepares a binarized network on the paper accelerator, charging the
+/// W1 energy scaling its XNOR datapath and 1-bit SB earn; cycle counts
+/// are untouched (same schedule).
+pub fn prepare_w1(network: &Network) -> Result<PreparedNetwork, RunError> {
+    let mut accel = Accelerator::new(AcceleratorConfig::paper());
+    let w1_model = accel
+        .energy_model()
+        .with_weight_precision(WeightPrecision::W1);
+    accel.set_energy_model(w1_model);
+    accel.prepare(network)
 }
 
 /// The full-precision second stage: LeNet-5, whose 32×32 input is
@@ -223,17 +236,9 @@ impl CascadeReport {
 /// Runs the two-stage cascade. Pure in `cfg`: byte-identical reports on
 /// every run and every rayon thread count.
 pub fn run_cascade(cfg: &CascadeConfig) -> Result<CascadeReport, QuantError> {
-    let front = binary_front(cfg.net_seed)?;
+    let front = binary_front(cfg.net_seed, cfg.region)?;
     let full = full_stage(cfg.net_seed)?;
-
-    // The front-end charges the W1 energy scaling its XNOR datapath and
-    // 1-bit SB earn; cycle counts are untouched (same schedule).
-    let mut front_accel = Accelerator::new(AcceleratorConfig::paper());
-    let w1_model = front_accel
-        .energy_model()
-        .with_weight_precision(WeightPrecision::W1);
-    front_accel.set_energy_model(w1_model);
-    let front_prepared = Arc::new(front_accel.prepare(&front.network)?);
+    let front_prepared = Arc::new(prepare_w1(&front.network)?);
 
     let full_accel = Accelerator::new(AcceleratorConfig::paper());
     let full_prepared = Arc::new(full_accel.prepare(&full)?);
@@ -387,7 +392,7 @@ pub fn cascade_tenants(
     cfg: &CascadeConfig,
 ) -> Result<(Vec<TenantSpec>, CascadeReport), QuantError> {
     let report = run_cascade(cfg)?;
-    let front = binary_front(cfg.net_seed)?;
+    let front = binary_front(cfg.net_seed, cfg.region)?;
     let full = full_stage(cfg.net_seed)?;
     let total = report.regions.len();
     // The front tenant ticks at sensor rate; the escalation tenant's

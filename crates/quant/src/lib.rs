@@ -54,8 +54,8 @@ pub mod pack;
 pub mod quantize;
 
 pub use cascade::{
-    binary_front, cascade_tenants, full_stage, run_cascade, CascadeConfig, CascadeOutcome,
-    CascadeReport, RegionOutcome,
+    binary_front, cascade_tenants, full_stage, prepare_w1, run_cascade, CascadeConfig,
+    CascadeOutcome, CascadeReport, RegionOutcome,
 };
 pub use kernel::{certify_xnor, XnorLaneKernel, XnorScalarKernel};
 pub use pack::PackedWeights;

@@ -1,5 +1,4 @@
-//! 2D feature maps and sliding-window geometry for the ShiDianNao
-//! reproduction.
+//! 2D feature maps and map stacks for the ShiDianNao reproduction.
 //!
 //! CNN layers in the paper operate on "2D arrays of input pixels/neurons"
 //! (§3) — *feature maps*. This crate provides:
@@ -7,23 +6,17 @@
 //! * [`FeatureMap`] — a dense row-major 2D array of neurons,
 //! * [`MapStack`] — an ordered collection of same-sized feature maps (the
 //!   input or output of a layer),
-//! * [`WindowGrid`] — the sliding-window geometry (`Kx × Ky` kernel, `Sx ×
-//!   Sy` stride) shared by convolutional, pooling, and normalization layers,
 //!
-//! all generic over the element type so the same containers serve the
+//! both generic over the element type so the same containers serve the
 //! `f32` golden model and the 16-bit fixed-point datapath.
 //!
 //! # Examples
 //!
 //! ```
-//! use shidiannao_tensor::{FeatureMap, WindowGrid};
+//! use shidiannao_tensor::FeatureMap;
 //!
 //! let map = FeatureMap::from_fn(4, 4, |x, y| (x + 10 * y) as i32);
 //! assert_eq!(map[(2, 1)], 12);
-//!
-//! // A 3×3 kernel sliding by 1 over a 4×4 input yields 2×2 outputs.
-//! let grid = WindowGrid::new((4, 4), (3, 3), (1, 1)).unwrap();
-//! assert_eq!(grid.output_dims(), (2, 2));
 //! ```
 
 // Shape mismatches on caller data are typed `ShapeError`s; contract
@@ -33,11 +26,9 @@
 
 mod map;
 mod stack;
-mod window;
 
 pub use map::FeatureMap;
 pub use stack::MapStack;
-pub use window::{Window, WindowGrid, Windows};
 
 use core::fmt;
 

@@ -1,7 +1,7 @@
-//! Property-based tests for feature-map and window geometry.
+//! Property-based tests for feature-map and map-stack layout.
 
 use proptest::prelude::*;
-use shidiannao_tensor::{FeatureMap, MapStack, WindowGrid};
+use shidiannao_tensor::{FeatureMap, MapStack};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -18,43 +18,6 @@ proptest! {
             prop_assert_eq!(m.get(x, y), Some(&v));
         }
         prop_assert_eq!(m.as_slice().len(), w * h);
-    }
-
-    #[test]
-    fn windows_cover_exactly_the_strided_grid(
-        w in 1usize..30,
-        h in 1usize..30,
-        kx in 1usize..6,
-        ky in 1usize..6,
-        sx in 1usize..4,
-        sy in 1usize..4,
-    ) {
-        prop_assume!(kx <= w && ky <= h);
-        let g = WindowGrid::new((w, h), (kx, ky), (sx, sy)).unwrap();
-        let (ow, oh) = g.output_dims();
-        let mut count = 0usize;
-        for win in g.windows() {
-            let (ox, oy) = win.output();
-            prop_assert!(ox < ow && oy < oh);
-            prop_assert_eq!(win.origin(), (ox * sx, oy * sy));
-            // Every covered input coordinate is in bounds.
-            for (ix, iy) in win.inputs() {
-                prop_assert!(ix < w && iy < h, "({ix},{iy}) out of ({w},{h})");
-            }
-            prop_assert_eq!(win.inputs().count(), kx * ky);
-            count += 1;
-        }
-        prop_assert_eq!(count, g.output_len());
-    }
-
-    #[test]
-    fn overlap_predicate_matches_definition(
-        k in 1usize..6,
-        s in 1usize..6,
-    ) {
-        let dim = k.max(s) * 3;
-        let g = WindowGrid::new((dim, dim), (k, k), (s, s)).unwrap();
-        prop_assert_eq!(g.windows_overlap(), s < k);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use shidiannao::quant::{binary_front, run_cascade};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = CascadeConfig::smoke();
-    let front = binary_front(cfg.net_seed)?;
+    let front = binary_front(cfg.net_seed, cfg.region)?;
     println!(
         "front-end: {} at w1 — SB {} bytes packed vs {} at 16 bits ({:.1}x smaller)",
         front.network.name(),

@@ -77,6 +77,6 @@ pub mod prelude {
         Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, PreparedNetwork, Session,
         SramProtection,
     };
-    pub use crate::tensor::{FeatureMap, MapStack, WindowGrid};
+    pub use crate::tensor::{FeatureMap, MapStack};
     pub use crate::video::{MotionGate, VideoConfig, VideoPipeline};
 }

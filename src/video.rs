@@ -24,18 +24,15 @@
 //! Everything is a pure function of the construction inputs and the
 //! frame sequence: same sensor seed, same config, same reports.
 
-use crate::cnn::{ConvSpec, FcSpec, Network, NetworkBuilder, PoolSpec};
+use crate::cnn::Network;
 use crate::fixed::Fx;
 use crate::pipeline::{
     PipelineError, RegionLedger, RegionResult, RegionTally, StreamingPipeline, StripScratch,
 };
-use crate::quant::quantize_network;
+use crate::quant::{binary_front, prepare_w1};
 use crate::sensor::{Frame, FrameDelta, RegionGrid};
 use crate::serve::binarize_pixel;
-use crate::sim::{
-    fanout, Accelerator, AcceleratorConfig, LayerStats, NbResidency, PreparedNetwork,
-    WeightPrecision,
-};
+use crate::sim::{fanout, Accelerator, LayerStats, NbResidency, PreparedNetwork};
 use crate::tensor::MapStack;
 
 /// How a dirty region is confirmed before full-precision compute.
@@ -151,9 +148,8 @@ impl VideoTally {
 }
 
 /// The prepared binarized front-end of
-/// [`MotionGate::DiffThenBinaryFront`], priced at the W1 energy scaling
-/// (same topology family as the cascade's `BinaryFront`, sized to the
-/// pipeline's region).
+/// [`MotionGate::DiffThenBinaryFront`]: the cascade's `BinaryFront`
+/// sized to the pipeline's region, priced at the W1 energy scaling.
 #[derive(Clone, Debug)]
 struct FrontGate {
     prepared: PreparedNetwork,
@@ -162,22 +158,10 @@ struct FrontGate {
 
 impl FrontGate {
     fn build(region: (usize, usize), threshold: Fx, seed: u64) -> Result<FrontGate, PipelineError> {
-        let net = NetworkBuilder::new("VideoFront", 1, region)
-            .conv(ConvSpec::new(4, (5, 5)).with_stride((2, 2)))
-            .pool(PoolSpec::max((2, 2)))
-            .fc(FcSpec::new(1))
-            .build(seed)
-            .map_err(|e| PipelineError::Gate(format!("front topology: {e}")))?;
-        let quantized = quantize_network(&net, WeightPrecision::W1)
-            .map_err(|e| PipelineError::Gate(format!("front quantization: {e}")))?;
-        let mut accel = Accelerator::new(AcceleratorConfig::paper());
-        let w1 = accel
-            .energy_model()
-            .with_weight_precision(WeightPrecision::W1);
-        accel.set_energy_model(w1);
-        let prepared = accel.prepare(&quantized.network)?;
+        let front = binary_front(seed, region)
+            .map_err(|e| PipelineError::Gate(format!("front end: {e}")))?;
         Ok(FrontGate {
-            prepared,
+            prepared: prepare_w1(&front.network)?,
             threshold,
         })
     }

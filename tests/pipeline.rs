@@ -117,7 +117,6 @@ fn facade_prelude_exposes_the_whole_flow() {
     let _cpu = CpuModel::xeon_e7_8830();
     let _gpu = GpuModel::k20m();
     let _dn = DianNao::new(DianNaoConfig::paper());
-    let _grid: WindowGrid = WindowGrid::new((8, 8), (3, 3), (1, 1)).unwrap();
     let map: FeatureMap<Fx> = FeatureMap::filled(2, 2, Fx::ONE);
     let mut stack: MapStack<Fx> = MapStack::new(2, 2);
     stack.push(map).unwrap();
